@@ -281,6 +281,9 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         sys.stderr.write("fedconn: a command and --scenario are required\n")
         return 2
+    if args.order is not None and args.order < 1:
+        sys.stderr.write(f"fedconn: --order must be >= 1, got {args.order}\n")
+        return 2
     try:
         sc = Scenario.load(args.scenario)
         if args.order is not None:

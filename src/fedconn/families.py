@@ -4,9 +4,10 @@ Given a family (nabla_t, alpha_t) over parameters t = (t1..tm) and a
 trivialization beta with d_M i_V beta = V[alpha], solve for the 1-form s
 with values in Weyl 0-forms:
 
-    D_r(i_V s) = V[r] + (1/2) i_V S - i_V beta,     delta*(i_V s) = 0,
+    D_r(i_V s) = V[r] + (1/2) i_V S + i_V beta,     delta*(i_V s) = 0,
 
-then the connection 1-form
+by the degree recursion ``fedosov.solve_by_degree`` that also gives r and
+the flat sections; then the connection 1-form
 
     A(V)(f) = p( ad_over_h(i_V s, tau(f)) )
 
@@ -25,7 +26,7 @@ from fractions import Fraction
 from .polynomials import Poly, ParamRational, FormalFunction, monomials_up_to, is_param_name
 from .weylforms import WeylForm, poincare_potential
 from .symplectic import ConnectionFamily
-from .fedosov import FedosovSetup
+from .fedosov import FedosovSetup, solve_by_degree
 from .multidiff import MultiDiffOp, StarTruncation, operator_from_callable
 
 
@@ -64,9 +65,6 @@ class FamilyContext:
     def variation_star(self, direction: str) -> MultiDiffOp:
         """V[star]: the arity-2 cochain with coefficients V[c^k]."""
         return self.star.variation(direction)
-
-    def star_at(self, values: dict) -> StarTruncation:
-        return self.star.subs_params(values)
 
 
 class TrivializationBeta:
@@ -137,7 +135,6 @@ def solve_s(family: FamilyContext, beta: TrivializationBeta, direction: str) -> 
     shows up with these conventions), which the recursion checks degreewise.
     """
     setup = family.setup
-    sym = family.sym
     N = family.trunc
     ivbeta = beta[direction]
     if ivbeta.d_x() != family.alpha.t_derivative(direction):
@@ -147,23 +144,14 @@ def solve_s(family: FamilyContext, beta: TrivializationBeta, direction: str) -> 
         + family.connection.variation_S(direction, N).scale(Fraction(1, 2))
         + ivbeta
     )
-    r_parts = setup._r_parts
-    parts = {d: WeylForm.zero(sym, N) for d in range(N + 2)}
-    for d in range(2, N):
-        B = family.connection.cov_deriv(parts[d]) - rhs.homogeneous(d)
-        for d1 in sorted(r_parts):
-            d2 = d + 2 - d1
-            if 3 <= d2 <= d:
-                B = B + r_parts[d1].ad_over_h(parts[d2])
-        if not B.delta().is_zero():
-            raise SolvabilityError(
-                f"s-recursion source fails delta-closedness at degree {d} "
-                f"(direction {direction})"
-            )
-        parts[d + 1] = B.delta_inv()
-    s = WeylForm.zero(sym, N)
-    for d in range(N + 1):
-        s = s + parts[d]
+    parts = {}
+    solve_by_degree(
+        family.connection, parts, range(2, N), -rhs, setup._r_parts, 1,
+        lambda d: SolvabilityError(
+            f"s-recursion source fails delta-closedness at degree {d} (direction {direction})"
+        ),
+    )
+    s = sum(parts.values(), WeylForm.zero(family.sym, N))
     if not s.delta_star().is_zero():
         raise AssertionError("delta* normalization of s failed")
     defect = setup.D_r(s) - rhs

@@ -3,10 +3,12 @@
 Given a symplectic connection and a closed formal 2-form alpha = omega + O(h),
 solve for the unique r with
 
-    delta r = (alpha - omega) + R + d_nabla r + (1/2) ad_over_h(r, r),
+    delta r = (alpha - omega) - R + d_nabla r + (1/2) ad_over_h(r, r),
     delta* r = 0,  terms of total degree >= 3,
 
-by increasing total degree.  The resulting abelian connection
+by increasing total degree in ``solve_by_degree``, the recursion that also
+yields the flat sections below and the s-forms of ``families.solve_s``.  The
+resulting abelian connection
 
     D_r = -delta + d_nabla + (i/h) ad(r)
 
@@ -21,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import I
-from .polynomials import Poly, FormalFunction, monomials_up_to
+from .polynomials import Poly, FormalFunction, monomials_up_to, exponents_up_to
 from .weylforms import WeylForm
 from .symplectic import ConnectionFamily
 from .multidiff import MultiDiffOp, StarTruncation, operator_from_values
@@ -29,6 +31,32 @@ from .multidiff import MultiDiffOp, StarTruncation, operator_from_values
 
 class NotAbelianError(ValueError):
     """The Weyl-curvature residue of a candidate r failed to be scalar."""
+
+
+def solve_by_degree(connection: ConnectionFamily, parts: dict, degrees, source: WeylForm,
+                    left: dict, weight, fail):
+    """Fedosov's degree-by-degree recursion, shared by r, tau and s.
+
+    For each d in ``degrees`` the degree-d source
+
+        B = source_d + d_nabla parts[d] + weight * sum ad_over_h(left[d1], parts[d + 2 - d1])
+
+    is assembled from the parts solved so far (a missing part is zero), and
+    parts[d + 1] = delta_inv(B).  B must be delta-closed, or ``fail(d)`` is
+    raised.  ``parts`` is filled in place.
+    """
+    for d in degrees:
+        B = source.homogeneous(d)
+        if d in parts:
+            B = connection.cov_deriv(parts[d]) + B
+        for d1, a in left.items():
+            b = parts.get(d + 2 - d1)
+            if b is not None:
+                bracket = a.ad_over_h(b)
+                B = B + (bracket if weight == 1 else bracket.scale(weight))
+        if not B.delta().is_zero():
+            raise fail(d)
+        parts[d + 1] = B.delta_inv()
 
 
 class FedosovSetup:
@@ -87,22 +115,15 @@ class FedosovSetup:
         #     delta r = (alpha - omega) - R + d_nabla r + (1/2) ad_over_h(r, r).
         # Solved by total degree; d_nabla preserves degree and ad_over_h(r_d1, r_d2)
         # lands at d1 + d2 - 2, so each new component only needs earlier ones.
-        sym = self.sym
+        # The quadratic term brackets r with itself: left is the parts being solved.
         N = self.trunc
-        source = (self.alpha - self.omega_form) - self.R
-        parts = {d: WeylForm.zero(sym, N) for d in range(N + 1)}
-        for d in range(2, N):
-            B = source.homogeneous(d) + self.connection.cov_deriv(parts[d])
-            for d1 in range(3, d):
-                d2 = d + 2 - d1
-                if 3 <= d2 <= d - 1:
-                    B = B + parts[d1].ad_over_h(parts[d2]).scale(Fraction(1, 2))
-            if not B.delta().is_zero():
-                raise AssertionError(f"r recursion source fails delta-closedness at degree {d}")
-            parts[d + 1] = B.delta_inv()
-        r = WeylForm.zero(sym, N)
-        for d in range(N + 1):
-            r = r + parts[d]
+        parts = {}
+        solve_by_degree(
+            self.connection, parts, range(2, N), (self.alpha - self.omega_form) - self.R,
+            parts, Fraction(1, 2),
+            lambda d: AssertionError(f"r recursion source fails delta-closedness at degree {d}"),
+        )
+        r = sum(parts.values(), WeylForm.zero(self.sym, N))
         if not r.delta_star().is_zero():
             raise AssertionError("r normalization delta* r = 0 failed")
         self._check_weyl_curvature(r)
@@ -174,20 +195,13 @@ class FedosovSetup:
         if hit is not None:
             return hit
         N = self.trunc
-        r_parts = self._r_parts
+        zero = WeylForm.zero(self.sym, N)
         parts = {0: WeylForm.from_poly(self.sym, N, f)}
-        for d in range(N):
-            B = self.connection.cov_deriv(parts[d])
-            for d1 in range(3, d + 3):
-                d2 = d + 2 - d1
-                if 0 <= d2 <= d and d1 in r_parts:
-                    B = B + r_parts[d1].ad_over_h(parts[d2])
-            if not B.delta().is_zero():
-                raise AssertionError(f"flat section defect at total degree {d}")
-            parts[d + 1] = B.delta_inv()
-        t = parts[0]
-        for d in range(1, N + 1):
-            t = t + parts[d]
+        solve_by_degree(
+            self.connection, parts, range(N), zero, self._r_parts, 1,
+            lambda d: AssertionError(f"flat section defect at total degree {d}"),
+        )
+        t = sum(parts.values(), zero)
         self._tau_cache[key] = t
         return t
 
@@ -248,18 +262,9 @@ def taylor_flat_section(sym, f: Poly, trunc: int) -> WeylForm:
     """Closed-form flat section for the flat connection with alpha = omega:
     tau(f) = sum_beta (1/beta!) d^beta f y^beta.  Test oracle."""
     import math
-    roster = sym.roster
-    f = f.with_roster(roster)
+    f = f.with_roster(sym.roster)
     terms = {}
-    def gen(rest, budget):
-        if rest == 1:
-            for e in range(budget + 1):
-                yield (e,)
-            return
-        for e in range(budget + 1):
-            for tail in gen(rest - 1, budget - e):
-                yield (e,) + tail
-    for beta in gen(sym.dim, trunc):
+    for beta in exponents_up_to(sym.dim, trunc):
         d = f.deriv_multi(beta)
         if d.is_zero():
             continue

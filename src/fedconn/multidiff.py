@@ -27,7 +27,8 @@ from fractions import Fraction
 
 from .scalars import Scalar, ONE, I
 from .polynomials import (
-    Poly, ParamRational, PR_ONE, FormalFunction, monomials_up_to, merge_rosters,
+    Poly, ParamRational, FormalFunction, monomials_up_to, merge_rosters, add_term,
+    exponents_up_to,
 )
 
 
@@ -69,10 +70,6 @@ class MultiDiffOp:
         z = (0,) * len(roster)
         return MultiDiffOp(roster, 1, order, {(0, (z,)): Poly.const(roster, 1)})
 
-    @staticmethod
-    def from_terms(roster, arity, order, terms) -> "MultiDiffOp":
-        return MultiDiffOp(roster, arity, order, terms)
-
     # -- inspection ----------------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -85,9 +82,6 @@ class MultiDiffOp:
             if kk == k:
                 out[(0, slots)] = c
         return MultiDiffOp(self.roster, self.arity, 0, out)
-
-    def h_support(self):
-        return sorted({k for (k, _) in self.terms})
 
     def is_O_h(self) -> bool:
         return all(k >= 1 for (k, _) in self.terms)
@@ -125,15 +119,7 @@ class MultiDiffOp:
         order = min(self.order, other.order)
         out = dict(self.terms)
         for key, c in other.terms.items():
-            s = out.get(key)
-            if s is None:
-                out[key] = c
-            else:
-                s = s + c
-                if s.is_zero():
-                    del out[key]
-                else:
-                    out[key] = s
+            add_term(out, key, c)
         return MultiDiffOp(merge_rosters(self.roster, other.roster), self.arity, order, out)
 
     def __neg__(self):
@@ -234,16 +220,7 @@ class MultiDiffOp:
                     coeff = p.with_roster(roster) * dq
                     if binom != 1:
                         coeff = coeff.scale(binom)
-                    key = (k, (tuple(x + y for x, y in zip(b, e)),))
-                    s = out.get(key)
-                    if s is None:
-                        out[key] = coeff
-                    else:
-                        s = s + coeff
-                        if s.is_zero():
-                            del out[key]
-                        else:
-                            out[key] = s
+                    add_term(out, (k, (tuple(x + y for x, y in zip(b, e)),)), coeff)
         return MultiDiffOp(roster, 1, order, out)
 
     def commutator(self, other: "MultiDiffOp") -> "MultiDiffOp":
@@ -264,17 +241,7 @@ class MultiDiffOp:
                 dp = p.deriv_multi(a)
                 if dp.is_zero():
                     continue
-                key = (k + kv, rest)
-                add = c * dp
-                s = out.get(key)
-                if s is None:
-                    out[key] = add
-                else:
-                    s = s + add
-                    if s.is_zero():
-                        del out[key]
-                    else:
-                        out[key] = s
+                add_term(out, (k + kv, rest), c * dp)
         return MultiDiffOp(self.roster, self.arity - 1, order, out)
 
     # -- printing -----------------------------------------------------------------------
@@ -325,7 +292,7 @@ def operator_from_values(roster, arity, order, slot_bound, values) -> MultiDiffO
     terms = {}
     for k in range(order + 1):
         d = bounds[k]
-        keys = [tuple(key) for key in _exponent_keys(len(roster), d)]
+        keys = exponents_up_to(len(roster), d)
         solved = {}
         for A in sorted(_tuples_of(keys, arity), key=lambda tt: sum(sum(s) for s in tt)):
             val = values[A].coefficient(k)
@@ -354,18 +321,6 @@ def operator_from_values(roster, arity, order, slot_bound, values) -> MultiDiffO
     return MultiDiffOp(roster, arity, order, terms)
 
 
-def _exponent_keys(n, degree):
-    def gen(rest, budget):
-        if rest == 1:
-            for e in range(budget + 1):
-                yield (e,)
-            return
-        for e in range(budget + 1):
-            for tail in gen(rest - 1, budget - e):
-                yield (e,) + tail
-    return sorted(gen(n, degree), key=lambda m: (sum(m), m))
-
-
 def _tuples_of(keys, arity):
     if arity == 1:
         for a in keys:
@@ -385,13 +340,13 @@ def operator_from_callable(fn, roster, arity, order, slot_bound) -> MultiDiffOp:
     """
     roster = tuple(roster)
     bound = max(slot_bound(k) for k in range(order + 1))
-    keys = [tuple(k) for k in _exponent_keys(len(roster), bound)]
+    keys = exponents_up_to(len(roster), bound)
     values = {}
     for A in _tuples_of(keys, arity):
         args = [Poly.monomial(roster, a) for a in A]
         values[A] = fn(*args)
     op = operator_from_values(roster, arity, order, slot_bound, values)
-    probe = _exponent_keys(len(roster), bound + 1)[-len(roster):]
+    probe = exponents_up_to(len(roster), bound + 1)[-len(roster):]
     for a in probe:
         args = [Poly.monomial(roster, a)] * arity
         if op.apply(*args) != fn(*args):
@@ -448,10 +403,8 @@ class StarTruncation:
                         g1[:i] + (g1[i] + 1,) + g1[i + 1:],
                         g2[:j] + (g2[j] + 1,) + g2[j + 1:],
                     )
-                    s = nxt.get(key)
-                    add = w * v
-                    nxt[key] = add if s is None else s + add
-            state = {k2: v for k2, v in nxt.items() if not v.is_zero()}
+                    add_term(nxt, key, w * v)
+            state = nxt
         op = MultiDiffOp(roster, 2, order, terms)
         return StarTruncation(op, symplectic=sym)
 
@@ -483,10 +436,6 @@ class StarTruncation:
 
     def slot_order(self) -> int:
         return self.op.slot_order()
-
-    def left_unital(self, f) -> bool:
-        one = Poly.const(self.roster, 1)
-        return self.apply(one, f) == FormalFunction.from_poly(f, self.order)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ operators + - * / ^, parentheses.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .scalars import Scalar, ZERO, ONE, format_scalar, scalar_is_atomic, scalar_sign_split
@@ -37,6 +38,25 @@ def natural_key(name: str):
 
 def is_param_name(name: str) -> bool:
     return name[:1] == "t" and (len(name) == 1 or name[1:].isdigit())
+
+
+def add_term(out: dict, key, c):
+    """Accumulate c into the sparse map out at key; a sum that cancels is dropped."""
+    s = out.get(key)
+    if s is None:
+        out[key] = c
+    else:
+        s = s + c
+        if s.is_zero():
+            del out[key]
+        else:
+            out[key] = s
+
+
+def exponents_up_to(n: int, degree: int):
+    """Exponent tuples of length n and total degree <= degree, graded-lex order."""
+    keys = (e for e in itertools.product(range(degree + 1), repeat=n) if sum(e) <= degree)
+    return sorted(keys, key=lambda m: (sum(m), m))
 
 
 # ---------------------------------------------------------------------------
@@ -150,15 +170,7 @@ class ParamPoly:
             other = ParamPoly.const(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m)
-            if s is None:
-                out[m] = c
-            else:
-                s = s + c
-                if s.is_zero():
-                    del out[m]
-                else:
-                    out[m] = s
+            add_term(out, m, c)
         return ParamPoly(out)
 
     def __neg__(self):
@@ -175,17 +187,7 @@ class ParamPoly:
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                c = c1 * c2
-                s = out.get(m)
-                if s is None:
-                    out[m] = c
-                else:
-                    s = s + c
-                    if s.is_zero():
-                        del out[m]
-                    else:
-                        out[m] = s
+                add_term(out, mono_mul(m1, m2), c1 * c2)
         return ParamPoly(out)
 
     def scale(self, z: Scalar) -> "ParamPoly":
@@ -235,11 +237,8 @@ class ParamPoly:
                 del d[name]
             else:
                 d[name] = e - 1
-            key = tuple(sorted(d.items(), key=lambda kv: natural_key(kv[0])))
-            nc = c.mul_int(e)
-            s = out.get(key)
-            out[key] = nc if s is None else s + nc
-        return ParamPoly({m: c for m, c in out.items() if not c.is_zero()})
+            add_term(out, tuple(sorted(d.items(), key=lambda kv: natural_key(kv[0]))), c.mul_int(e))
+        return ParamPoly(out)
 
     def antiderivative(self, name: str) -> "ParamPoly":
         """Integral from 0 in the given variable (vanishes at name = 0)."""
@@ -321,9 +320,9 @@ def _pp_divexact(a: ParamPoly, b: ParamPoly) -> ParamPoly:
             raise ValueError("polynomial division is not exact")
         qm = mono_div(lr, lb)
         qc = rem.terms[lr] / cb
-        quota[qm] = quota.get(qm, ZERO) + qc
+        add_term(quota, qm, qc)
         rem = rem - ParamPoly({qm: qc}) * b
-    return ParamPoly({m: c for m, c in quota.items() if not c.is_zero()})
+    return ParamPoly(quota)
 
 
 def _uni_view(p: ParamPoly, name: str):
@@ -351,11 +350,7 @@ def _uni_mul_coeff(coeffs, c: ParamPoly):
 def _uni_sub(a, b):
     out = dict(a)
     for e, v in b.items():
-        w = out.get(e, PP_ZERO) - v
-        if w.is_zero():
-            out.pop(e, None)
-        else:
-            out[e] = w
+        add_term(out, e, -v)
     return out
 
 
@@ -715,17 +710,6 @@ class Poly:
     def constant_coefficient(self) -> ParamRational:
         return self.terms.get((0,) * len(self.roster), PR_ZERO)
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
-    def variables_used(self):
-        used = set()
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                if e:
-                    used.add(self.roster[i])
-        return used
-
     def param_variables(self):
         out = set()
         for c in self.terms.values():
@@ -764,15 +748,7 @@ class Poly:
         a, b = self._aligned(other)
         out = dict(a.terms)
         for m, c in b.terms.items():
-            s = out.get(m)
-            if s is None:
-                out[m] = c
-            else:
-                s = s + c
-                if s.is_zero():
-                    del out[m]
-                else:
-                    out[m] = s
+            add_term(out, m, c)
         return Poly(a.roster, out)
 
     __radd__ = __add__
@@ -795,18 +771,8 @@ class Poly:
         out = {}
         for m1, c1 in a.terms.items():
             for m2, c2 in b.terms.items():
-                m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
-                c = c1 * c2
-                s = out.get(m)
-                if s is None:
-                    out[m] = c
-                else:
-                    s = s + c
-                    if s.is_zero():
-                        del out[m]
-                    else:
-                        out[m] = s
-        return Poly(a.roster, {m: c for m, c in out.items() if not c.is_zero()})
+                add_term(out, tuple(e1 + e2 for e1, e2 in zip(m1, m2)), c1 * c2)
+        return Poly(a.roster, out)
 
     __rmul__ = __mul__
 
@@ -863,11 +829,8 @@ class Poly:
                 e = m[i]
                 if not e:
                     continue
-                key = m[:i] + (e - 1,) + m[i + 1:]
-                nc = c * e
-                s = out.get(key)
-                out[key] = nc if s is None else s + nc
-            return Poly(self.roster, {m: c for m, c in out.items() if not c.is_zero()})
+                add_term(out, m[:i] + (e - 1,) + m[i + 1:], c * e)
+            return Poly(self.roster, out)
         if is_param_name(name):
             out = {}
             for m, c in self.terms.items():
@@ -911,30 +874,6 @@ class Poly:
             if not v.is_zero():
                 out[m] = v
         return Poly(self.roster, out)
-
-    def eval_at_zero(self) -> ParamRational:
-        """Value at x = 0 (all roster variables zero)."""
-        return self.constant_coefficient()
-
-    def subs_vars(self, values: dict) -> "Poly":
-        """Substitute Polys (or constants) for roster variables."""
-        roster = self.roster
-        out = Poly.zero(roster)
-        for m, c in self.terms.items():
-            term = Poly.const(roster, c)
-            for i, e in enumerate(m):
-                if not e:
-                    continue
-                name = roster[i]
-                rep = values.get(name)
-                if rep is None:
-                    term = term * Poly.var(roster, name) ** e
-                else:
-                    if not isinstance(rep, Poly):
-                        rep = Poly.const(roster, rep)
-                    term = term * rep.with_roster(roster) ** e
-            out = out + term
-        return out
 
     # -- printing -------------------------------------------------------------------
 
@@ -980,9 +919,9 @@ def _poly_divexact(a: Poly, b: Poly) -> Poly:
             raise ValueError("polynomial division is not exact")
         qm = tuple(er - eb for er, eb in zip(lr, lb))
         qc = rem.terms[lr] / cb
-        out[qm] = out.get(qm, PR_ZERO) + qc
+        add_term(out, qm, qc)
         rem = rem - Poly(a.roster, {qm: qc}) * b
-    return Poly(a.roster, {m: c for m, c in out.items() if not c.is_zero()})
+    return Poly(a.roster, out)
 
 
 def x_roster(dim: int):
@@ -992,19 +931,7 @@ def x_roster(dim: int):
 def monomials_up_to(roster, degree: int):
     """All monomial Polys of total degree <= degree, graded-lex order."""
     roster = tuple(roster)
-    n = len(roster)
-
-    def gen(rest, budget):
-        if rest == 1:
-            for e in range(budget + 1):
-                yield (e,)
-            return
-        for e in range(budget + 1):
-            for tail in gen(rest - 1, budget - e):
-                yield (e,) + tail
-
-    keys = sorted(gen(n, degree), key=lambda m: (sum(m), m))
-    return [Poly.monomial(roster, k) for k in keys]
+    return [Poly.monomial(roster, k) for k in exponents_up_to(len(roster), degree)]
 
 
 # ---------------------------------------------------------------------------
@@ -1044,7 +971,7 @@ class FormalFunction:
         order = min(self.order, other.order)
         out = dict(self.coeffs)
         for k, p in other.coeffs.items():
-            out[k] = out.get(k, Poly.zero(self.roster)) + p
+            add_term(out, k, p)
         return FormalFunction(merge_rosters(self.roster, other.roster), order, out)
 
     def __neg__(self):
@@ -1067,8 +994,7 @@ class FormalFunction:
                 k = k1 + k2
                 if k > order:
                     continue
-                q = p1 * p2
-                out[k] = out.get(k, Poly.zero(self.roster)) + q
+                add_term(out, k, p1 * p2)
         return FormalFunction(merge_rosters(self.roster, other.roster), order, out)
 
     def scale(self, value) -> "FormalFunction":

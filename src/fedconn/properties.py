@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from .scalars import Scalar
-from .polynomials import Poly, ParamRational, ParamPoly, monomials_up_to
+from .polynomials import Poly, ParamRational, ParamPoly, monomials_up_to, add_term
 from .weylforms import WeylForm, omega_tilde
 from .symplectic import SymplecticData
 from .multidiff import MultiDiffOp, StarTruncation, gerstenhaber, hochschild_d
@@ -56,8 +56,7 @@ def random_weyl_form(sym: SymplecticData, trunc: int, rng: random.Random,
         J = tuple(sorted(rng.sample(range(n), q)))
         exps = tuple(rng.randint(0, max_x) for _ in range(n))
         c = Poly.monomial(sym.roster, exps, random_scalar(rng))
-        key = (k, alpha, J)
-        table[key] = table.get(key, Poly.zero(sym.roster)) + c
+        add_term(table, (k, alpha, J), c)
     return WeylForm(sym, trunc, table)
 
 
@@ -73,9 +72,8 @@ def random_multidiffop(roster, rng: random.Random, arity: int, order: int,
             for _ in range(rng.randint(0, slot_degree)):
                 a[rng.randrange(len(roster))] += 1
             slots.append(tuple(a))
-        key = (k, tuple(slots))
         c = Poly.monomial(roster, tuple(rng.randint(0, 1) for _ in roster), random_scalar(rng))
-        table[key] = table.get(key, Poly.zero(roster)) + c
+        add_term(table, (k, tuple(slots)), c)
     return MultiDiffOp(roster, arity, order, table)
 
 

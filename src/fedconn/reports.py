@@ -42,9 +42,6 @@ class Report:
     def add_na(self, name, description, witness=None):
         self.checks.append(Check(name, description, "n/a", witness))
 
-    def add_check(self, check: Check):
-        self.checks.append(check)
-
     def note(self, line: str):
         self.info.append(line)
 

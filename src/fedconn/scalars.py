@@ -159,9 +159,6 @@ class Scalar:
             k >>= 1
         return out
 
-    def conj(self) -> "Scalar":
-        return Scalar._mk(self.a, -self.b, self.q)
-
     # -- comparison / hashing ----------------------------------------------
 
     def __eq__(self, other):

@@ -37,7 +37,7 @@ import re
 from fractions import Fraction
 
 from .scalars import Scalar
-from .polynomials import Poly, ParamRational, parse_poly, x_roster, ExprError, is_param_name
+from .polynomials import Poly, ParamRational, parse_poly, ExprError, is_param_name, add_term
 from .weylforms import WeylForm
 from .symplectic import SymplecticData, ConnectionFamily
 from .fedosov import FedosovSetup
@@ -164,12 +164,14 @@ class Scenario:
             self.dimension = self._int(value, lineno, "dimension")
         elif name == "params":
             self.params = self._int(value, lineno, "params")
-        elif name == "order":
-            self.order = self._int(value, lineno, "order")
+        elif name in ("order", "basis_degree"):
+            v = self._int(value, lineno, name)
+            least = 1 if name == "order" else 0
+            if v < least:
+                raise ScenarioError(f"{name} must be >= {least}, got {v}", lineno)
+            setattr(self, name, v)
         elif name == "truncation":
             self.truncation = self._int(value, lineno, "truncation")
-        elif name == "basis_degree":
-            self.basis_degree = self._int(value, lineno, "basis_degree")
         elif name == "seed":
             self.seed = self._int(value, lineno, "seed")
         elif name == "omega":
@@ -295,9 +297,7 @@ class Scenario:
                     continue
                 if not 0 <= i < self.dimension:
                     raise ScenarioError("dx index out of range", entry[1])
-                key = (h, (0,) * self.dimension, (i,))
-                poly = self._poly(entry, sym.roster)
-                entries[key] = entries.get(key, Poly.zero(sym.roster)) + poly
+                add_term(entries, (h, (0,) * self.dimension, (i,)), self._poly(entry, sym.roster))
             forms[p] = WeylForm(sym, self.truncation, entries)
         return forms
 

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import Scalar, ZERO, ONE, I
-from .polynomials import Poly, ParamRational, PR_ONE, is_param_name
+from .scalars import Scalar
+from .polynomials import Poly, is_param_name, add_term
 from .weylforms import WeylContext, WeylForm
 
 
@@ -105,12 +105,6 @@ class ConnectionFamily:
         self.gamma = table
         self.entries = [(m, i, j, p) for (m, i, j), p in sorted(table.items())]
 
-    def is_flat_zero(self) -> bool:
-        return not self.gamma
-
-    def is_t_dependent(self) -> bool:
-        return any(p.param_variables() for p in self.gamma.values())
-
     def t_derivative_table(self, name: str):
         out = {}
         for (m, i, j), p in self.gamma.items():
@@ -169,9 +163,7 @@ class ConnectionFamily:
                 na[j] += 1
                 before = sum(1 for q in J if q < i)
                 coeff = (g * c).scale(-e if before % 2 == 0 else e)
-                key = (k, tuple(na), tuple(sorted(J + (i,))))
-                s = extra.get(key)
-                extra[key] = coeff if s is None else s + coeff
+                add_term(extra, (k, tuple(na), tuple(sorted(J + (i,)))), coeff)
         return out + WeylForm(self.sym, a.trunc, extra)
 
     # -- curvature and its variation ------------------------------------------------
@@ -255,8 +247,7 @@ class ConnectionFamily:
                     alpha = [0] * n
                     alpha[a] += 1
                     alpha[c_idx] += 1
-                    key = (0, tuple(alpha), (i,))
-                    terms[key] = terms.get(key, zero) + coeff
+                    add_term(terms, (0, tuple(alpha), (i,)), coeff)
         return WeylForm(sym, trunc, terms)
 
 

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .polynomials import Poly, ParamRational, ParamPoly, PP_ONE, mono_degree, monomials_up_to
+from .polynomials import (
+    Poly, ParamRational, ParamPoly, PP_ONE, mono_degree, monomials_up_to, add_term,
+)
 from .multidiff import MultiDiffOp, StarTruncation
 from .families import FamilyContext, ConnectionOneForm
 
@@ -122,10 +124,8 @@ def _t_poincare_oneform(coeffs: dict, params) -> Poly:
                 raise ValueError("gauge data must be polynomial in the parameters")
             for mono, z in pr.num.terms.items():
                 m = mono_degree(mono)
-                piece = ParamPoly({mono: z * Fraction(1, m + 1)}) * tj
-                cur = acc_terms.get(exps)
-                acc_terms[exps] = piece if cur is None else cur + piece
-    out = {e: ParamRational(p, PP_ONE) for e, p in acc_terms.items() if not p.is_zero()}
+                add_term(acc_terms, exps, ParamPoly({mono: z * Fraction(1, m + 1)}) * tj)
+    out = {e: ParamRational(p, PP_ONE) for e, p in acc_terms.items()}
     return Poly(roster, out)
 
 

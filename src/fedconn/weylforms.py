@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import Scalar, ZERO, ONE, I
-from .polynomials import Poly, ParamRational, PR_ONE, x_roster
+from .polynomials import Poly, ParamRational, x_roster, add_term
 
 
 def invert_scalar_matrix(m):
@@ -77,9 +77,6 @@ class WeylContext:
             n = len(self._moyal_factor)
             self._moyal_factor.append(self._moyal_factor[-1] * I * Scalar(Fraction(1, 2 * n)))
         return self._moyal_factor[k]
-
-    def zero_poly(self) -> Poly:
-        return Poly.zero(self.roster)
 
     def __eq__(self, other):
         return isinstance(other, WeylContext) and self.omega == other.omega
@@ -146,8 +143,7 @@ class WeylForm:
         for (h, i, j), c in coeff_table.items():
             if i >= j:
                 raise ValueError("two_form expects strictly increasing index pairs i < j")
-            key = (h, zero_alpha, (i, j))
-            terms[key] = terms.get(key, ctx.zero_poly()) + c.with_roster(ctx.roster)
+            add_term(terms, (h, zero_alpha, (i, j)), c.with_roster(ctx.roster))
         return WeylForm(ctx, trunc, terms)
 
     @staticmethod
@@ -178,9 +174,6 @@ class WeylForm:
             {key: c for key, c in self.terms.items() if 2 * key[0] + sum(key[1]) == degree},
         )
 
-    def max_degree(self) -> int:
-        return max((2 * k + sum(a) for (k, a, J) in self.terms), default=0)
-
     def form_degrees(self):
         return sorted({len(key[2]) for key in self.terms})
 
@@ -200,15 +193,7 @@ class WeylForm:
         trunc = min(self.trunc, other.trunc)
         out = dict(self.terms)
         for key, c in other.terms.items():
-            s = out.get(key)
-            if s is None:
-                out[key] = c
-            else:
-                s = s + c
-                if s.is_zero():
-                    del out[key]
-                else:
-                    out[key] = s
+            add_term(out, key, c)
         return WeylForm(self.ctx, trunc, out)
 
     def __neg__(self):
@@ -223,10 +208,6 @@ class WeylForm:
             return WeylForm(self.ctx, self.trunc)
         return WeylForm(self.ctx, self.trunc, {k: p.scale(c) for k, p in self.terms.items()})
 
-    def mul_poly(self, p: Poly) -> "WeylForm":
-        p = p.with_roster(self.ctx.roster)
-        return WeylForm(self.ctx, self.trunc, {k: c * p for k, c in self.terms.items()})
-
     def shift_h(self, j: int) -> "WeylForm":
         out = {}
         for (k, a, J), c in self.terms.items():
@@ -239,36 +220,28 @@ class WeylForm:
 
     def mw(self, other: "WeylForm") -> "WeylForm":
         """Fiberwise Moyal-Weyl product, wedging the form parts."""
-        self._check(other)
-        trunc = min(self.trunc, other.trunc)
-        out = {}
-        for key1, c1 in self.terms.items():
-            for key2, c2 in other.terms.items():
-                self._mw_pair(key1, c1, key2, c2, trunc, out, parity=None)
-        return WeylForm(self.ctx, trunc, out)
+        return self._pairing(other, False, False)
 
     def graded_comm(self, other: "WeylForm") -> "WeylForm":
         """a o b - (-1)^{|a||b|} b o a on form degrees, computed termwise."""
-        self._check(other)
-        trunc = min(self.trunc, other.trunc)
-        out = {}
-        for key1, c1 in self.terms.items():
-            for key2, c2 in other.terms.items():
-                self._mw_pair(key1, c1, key2, c2, trunc, out, parity=1)
-        return WeylForm(self.ctx, trunc, out)
+        return self._pairing(other, True, False)
 
     def ad_over_h(self, other: "WeylForm") -> "WeylForm":
         """(i/h) * graded_comm(self, other); exact because only odd contraction
         orders survive in the commutator."""
+        return self._pairing(other, True, True)
+
+    def _pairing(self, other, commutator, over_h):
+        """The pairing loop shared by mw, graded_comm and ad_over_h."""
         self._check(other)
         trunc = min(self.trunc, other.trunc)
         out = {}
         for key1, c1 in self.terms.items():
             for key2, c2 in other.terms.items():
-                self._mw_pair(key1, c1, key2, c2, trunc, out, parity=1, over_h=True)
+                self._mw_pair(key1, c1, key2, c2, trunc, out, commutator, over_h)
         return WeylForm(self.ctx, trunc, out)
 
-    def _mw_pair(self, key1, c1, key2, c2, trunc, out, parity, over_h=False):
+    def _mw_pair(self, key1, c1, key2, c2, trunc, out, commutator, over_h):
         k1, a1, J1 = key1
         k2, a2, J2 = key2
         if set(J1) & set(J2):
@@ -287,10 +260,9 @@ class WeylForm:
         kmax = min(sum(a1), sum(a2))
         state = {(a1, a2): ONE}
         for k in range(kmax + 1):
-            use = k % 2 == 1 if parity else True
-            if use and state:
+            if state and (k % 2 == 1 or not commutator):
                 factor = ctx.moyal_factor(k)
-                if parity:
+                if commutator:
                     factor = factor * 2  # odd orders double in the commutator
                 if over_h:
                     factor = factor * I
@@ -301,16 +273,7 @@ class WeylForm:
                     key = (h_power, tuple(e1 + e2 for e1, e2 in zip(b1, b2)), J)
                     if 2 * key[0] + sum(key[1]) > trunc:
                         continue
-                    c = cc.scale(w * factor) if sign > 0 else cc.scale(-(w * factor))
-                    s = out.get(key)
-                    if s is None:
-                        out[key] = c
-                    else:
-                        s = s + c
-                        if s.is_zero():
-                            del out[key]
-                        else:
-                            out[key] = s
+                    add_term(out, key, cc.scale(w * factor) if sign > 0 else cc.scale(-(w * factor)))
             if k == kmax:
                 break
             nxt = {}
@@ -324,17 +287,7 @@ class WeylForm:
                         continue
                     nb1 = b1[:pi_i] + (e1 - 1,) + b1[pi_i + 1:]
                     nb2 = b2[:pi_j] + (e2 - 1,) + b2[pi_j + 1:]
-                    add = (w * pv).mul_int(e1 * e2)
-                    key = (nb1, nb2)
-                    s = nxt.get(key)
-                    if s is None:
-                        nxt[key] = add
-                    else:
-                        s = s + add
-                        if s.is_zero():
-                            del nxt[key]
-                        else:
-                            nxt[key] = s
+                    add_term(nxt, (nb1, nb2), (w * pv).mul_int(e1 * e2))
             state = nxt
             if not state:
                 break
@@ -351,10 +304,7 @@ class WeylForm:
                 na = a[:i] + (e - 1,) + a[i + 1:]
                 before = sum(1 for j in J if j < i)
                 sign = -1 if before % 2 else 1
-                nc = c.scale(e if sign > 0 else -e)
-                key = (k, na, tuple(sorted(J + (i,))))
-                s = out.get(key)
-                out[key] = nc if s is None else s + nc
+                add_term(out, (k, na, tuple(sorted(J + (i,)))), c.scale(e if sign > 0 else -e))
         return WeylForm(self.ctx, self.trunc, out)
 
     def delta_star(self) -> "WeylForm":
@@ -369,10 +319,7 @@ class WeylForm:
             for pos, i in enumerate(J):
                 na = a[:i] + (a[i] + 1,) + a[i + 1:]
                 nJ = J[:pos] + J[pos + 1:]
-                nc = c if pos % 2 == 0 else -c
-                key = (k, na, nJ)
-                s = out.get(key)
-                out[key] = nc if s is None else s + nc
+                add_term(out, (k, na, nJ), c if pos % 2 == 0 else -c)
         return WeylForm(self.ctx, self.trunc + 1, out)
 
     def delta_inv(self) -> "WeylForm":
@@ -389,10 +336,7 @@ class WeylForm:
             for pos, i in enumerate(J):
                 na = a[:i] + (a[i] + 1,) + a[i + 1:]
                 nJ = J[:pos] + J[pos + 1:]
-                nc = c.scale(w) if pos % 2 == 0 else -c.scale(w)
-                key = (k, na, nJ)
-                s = out.get(key)
-                out[key] = nc if s is None else s + nc
+                add_term(out, (k, na, nJ), c.scale(w) if pos % 2 == 0 else -c.scale(w))
         return WeylForm(self.ctx, self.trunc + 1, out)
 
     def center_part(self) -> "WeylForm":
@@ -412,7 +356,7 @@ class WeylForm:
         for (k, a, J), c in self.terms.items():
             if any(a):
                 continue
-            coeffs[k] = coeffs.get(k, self.ctx.zero_poly()) + c
+            add_term(coeffs, k, c)
         return FormalFunction(self.ctx.roster, order, coeffs)
 
     # -- flat exterior derivative in x -------------------------------------------
@@ -428,11 +372,7 @@ class WeylForm:
                 if dc.is_zero():
                     continue
                 before = sum(1 for j in J if j < i)
-                if before % 2:
-                    dc = -dc
-                key = (k, a, tuple(sorted(J + (i,))))
-                s = out.get(key)
-                out[key] = dc if s is None else s + dc
+                add_term(out, (k, a, tuple(sorted(J + (i,)))), -dc if before % 2 else dc)
         return WeylForm(self.ctx, self.trunc, out)
 
     # -- parameter dependence ------------------------------------------------------
@@ -484,9 +424,7 @@ def omega_tilde(ctx: WeylContext, trunc: int) -> WeylForm:
             if v.is_zero():
                 continue
             alpha = tuple(1 if m == j else 0 for m in range(ctx.dim))
-            key = (0, alpha, (i,))
-            c = Poly.const(ctx.roster, v)
-            terms[key] = terms.get(key, ctx.zero_poly()) + c
+            add_term(terms, (0, alpha, (i,)), Poly.const(ctx.roster, v))
     return WeylForm(ctx, trunc, terms)
 
 
@@ -513,8 +451,5 @@ def poincare_potential(form: WeylForm) -> WeylForm:
                 nJ = J[:pos] + J[pos + 1:]
                 ne = exps[:j] + (exps[j] + 1,) + exps[j + 1:]
                 sign_c = coeff * w if pos % 2 == 0 else -(coeff * w)
-                key = (k, a, nJ)
-                p = terms.get(key)
-                add = Poly(ctx.roster, {ne: sign_c})
-                terms[key] = add if p is None else p + add
+                add_term(terms, (k, a, nJ), Poly(ctx.roster, {ne: sign_c}))
     return WeylForm(ctx, form.trunc, terms)

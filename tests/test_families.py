@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,9 @@ from fedconn.families import (
     lowest_order_identity, verify_curvature, derivation_identity, curvature_ops,
 )
 from fedconn.multidiff import MultiDiffOp, is_derivation
+from fedconn.scenario import Scenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +96,19 @@ def test_solve_s_lowest_component(sym2, flat2):
     A = connection_form(fam, {"t1": s})
     ok, wit = lowest_order_identity(fam, A, beta)
     assert ok, wit
+
+
+def test_s_closedness_guard_fires():
+    # with r doubled the s-recursion source stops being delta-closed
+    sc = Scenario.load(SCENARIOS / "family_r2.scn")
+    fam = sc.build_family()
+    beta = sc.build_beta(fam)
+    fam.setup.r = fam.setup.r.scale(2)
+    fam.setup._r_parts_cache = None
+    with pytest.raises(SolvabilityError) as exc:
+        solve_s(fam, beta, "t1")
+    assert exc.type is SolvabilityError
+    assert str(exc.value) == "s-recursion source fails delta-closedness at degree 3 (direction t1)"
 
 
 def test_s_postconditions(bundle_f2):

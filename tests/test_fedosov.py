@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,9 @@ from fedconn.fedosov import (
 )
 from fedconn.multidiff import StarTruncation
 from fedconn.properties import random_poly
+from fedconn.scenario import Scenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def test_flat_r_is_zero(sym2, flat2):
@@ -88,6 +92,22 @@ def test_tau_flatness_curved(curved_setup):
         defect = curved_setup.D_r(t)
         for d in range(curved_setup.trunc - 1):
             assert defect.homogeneous(d).is_zero()
+
+
+def test_tau_defect_guard_fires():
+    # a non-abelian r (perturbed by x1 y1^2 y2 dx1) leaves a flat-section
+    # source that is not delta-closed; tau stops at the first such degree
+    setup = Scenario.load(SCENARIOS / "curved_r2.scn").build_setup()
+    sym = setup.sym
+    setup.r = setup.r + WeylForm.y_monomial(
+        sym, setup.trunc, (2, 1), coeff=parse_poly("x1", sym.roster), J=(0,)
+    )
+    setup._tau_cache = {}
+    setup._r_parts_cache = None
+    with pytest.raises(AssertionError) as exc:
+        setup.tau(parse_poly("x2", sym.roster))
+    assert exc.type is AssertionError
+    assert str(exc.value) == "flat section defect at total degree 2"
 
 
 def test_flat_star_is_moyal(sym2, flat2):

@@ -71,6 +71,17 @@ def test_bad_scenario_exit_code(tmp_path, capsys):
     assert "omega" in err
     code, _, err = run_cli(capsys, "quantize", "--scenario", str(tmp_path / "missing.scn"))
     assert code == 2
+    # an h-order below 1 or a negative basis degree is rejected up front
+    for cmd, name, order in (("quantize", "flat_r2.scn", "-1"), ("quantize", "flat_r2.scn", "0"),
+                             ("family", "family_r2.scn", "0")):
+        code, out, err = run_cli(capsys, cmd, "--scenario", str(SCENARIOS / name), "--order", order)
+        assert (code, out) == (2, "")
+        assert "--order must be >= 1" in err
+    for line in ("order = 0", "order = -1", "basis_degree = -1"):
+        bad.write_text("dimension = 2\nomega = [[0, -1], [1, 0]]\n" + line + "\n")
+        code, out, err = run_cli(capsys, "quantize", "--scenario", str(bad))
+        assert (code, out) == (2, "")
+        assert "line 3:" in err and "must be >=" in err
 
 
 def test_usage_error(capsys):
