@@ -17,17 +17,14 @@ import argparse
 import os
 import random
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .polynomials import Poly, monomials_up_to
-from .symplectic import symplectic_pair_difference_symmetric
-from .fedosov import validate_star_axioms
+from .fedosov import NaturalityError, validate_star_axioms
 from .families import (
-    trivialize_alpha, solve_s, connection_form, verify_compatibility,
+    solve_s, connection_form, verify_compatibility,
     lowest_order_identity, verify_curvature, derivation_identity,
 )
-from .multidiff import is_derivation
 from .transport import (
     parallel_transport, conjugation_check, gauge_equivalence,
     self_equivalence_check, flatness_check, GaugeError,
@@ -73,6 +70,9 @@ CHECKS = {
 }
 
 
+NATURALITY = "h^k coefficient has differential order <= k"
+
+
 def list_checks() -> str:
     lines = []
     for cmd in ("quantize", "family", "gauge", "kahler", "verify-all"):
@@ -97,7 +97,7 @@ def run_quantize(sc: Scenario, report: Report):
     for name, ok, wit in validate_star_axioms(star, setup.sym, sc.basis_degree, rng=rng):
         report.add("star axioms", name, ok, wit)
     natural = all(star.op.slot_order(k) <= k for k in range(sc.order + 1))
-    report.add("naturality", "h^k coefficient has differential order <= k", natural)
+    report.add("naturality", NATURALITY, natural)
     report.note("coefficients:")
     for line in star.op.serialize().splitlines():
         report.note(f"  {line}")
@@ -293,6 +293,9 @@ def main(argv=None) -> int:
             sc.seed = args.seed
         report = Report(args.command, Path(args.scenario).name, sc.seed)
         RUNNERS[args.command](sc, report)
+    except NaturalityError as exc:
+        # raised by star extraction, after the report exists; checks run so far stay
+        report.add("naturality", NATURALITY, False, str(exc))
     except (ScenarioError, OSError, ValueError) as exc:
         sys.stderr.write(f"fedconn: {exc}\n")
         return 2

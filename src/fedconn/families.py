@@ -184,6 +184,9 @@ class ConnectionOneForm:
 def connection_form(family: FamilyContext, s_forms: dict) -> ConnectionOneForm:
     """A(V)(f) = p(ad_over_h(i_V s, tau(f))), materialized as operators.
 
+    Each value is the projection computed directly
+    (``WeylForm.projected_ad_over_h``), without forming the bracket.
+
     The h^k layer of A(V) has differential order at most 2k - 1: a scalar
     h^k term pairs i_V s (total degree 2k1 + c >= 3) with a tau component of
     degree 2k2 + c and k = k1 + k2 + c - 1, so the tau degree is at most
@@ -196,7 +199,7 @@ def connection_form(family: FamilyContext, s_forms: dict) -> ConnectionOneForm:
         s = s_forms[p]
 
         def evaluate(f, s=s):
-            return s.ad_over_h(setup.tau(f)).project_function(K)
+            return s.projected_ad_over_h(setup.tau(f), K)
 
         op = operator_from_callable(
             evaluate, family.sym.roster, 1, K,
@@ -256,7 +259,8 @@ def curvature_ops(family: FamilyContext, A: ConnectionOneForm, s_forms: dict,
 
     Returns (direct, via_s) where ``direct`` is the arity-1 operator
     V[A(W)] - W[A(V)] + [A(V), A(W)] and ``via_s`` evaluates
-    f -> p(ad_over_h(V[s_W] - W[s_V] + ad_over_h(s_V, s_W), tau(f))).
+    f -> p(ad_over_h(V[s_W] - W[s_V] + ad_over_h(s_V, s_W), tau(f))), with the
+    outer projection computed directly (``WeylForm.projected_ad_over_h``).
     """
     direct = (
         A[w].t_derivative(v)
@@ -272,7 +276,7 @@ def curvature_ops(family: FamilyContext, A: ConnectionOneForm, s_forms: dict,
     K = family.order
 
     def via_s(f):
-        return E.ad_over_h(setup.tau(f)).project_function(K)
+        return E.projected_ad_over_h(setup.tau(f), K)
 
     return direct, via_s
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import Scalar, ONE, ZERO, I
+from .scalars import Scalar, I
 from .polynomials import Poly, ParamRational, PR_ONE, PR_ZERO, monomials_up_to
 from .weylforms import WeylContext
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .scalars import Scalar, ONE, I
+from .scalars import ONE, I
 from .polynomials import (
     Poly, ParamRational, FormalFunction, monomials_up_to, merge_rosters, add_term,
     exponents_up_to,

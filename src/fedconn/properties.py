@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from .scalars import Scalar
-from .polynomials import Poly, ParamRational, ParamPoly, monomials_up_to, add_term
+from .polynomials import Poly, ParamRational, monomials_up_to, add_term
 from .weylforms import WeylForm, omega_tilde
 from .symplectic import SymplecticData
 from .multidiff import MultiDiffOp, StarTruncation, gerstenhaber, hochschild_d

@@ -36,7 +36,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .scalars import Scalar
 from .polynomials import Poly, ParamRational, parse_poly, ExprError, is_param_name, add_term
 from .weylforms import WeylForm
 from .symplectic import SymplecticData, ConnectionFamily

@@ -20,7 +20,7 @@ from fractions import Fraction
 from .polynomials import (
     Poly, ParamRational, ParamPoly, PP_ONE, mono_degree, monomials_up_to, add_term,
 )
-from .multidiff import MultiDiffOp, StarTruncation
+from .multidiff import MultiDiffOp
 from .families import FamilyContext, ConnectionOneForm
 
 

@@ -18,6 +18,13 @@ The fiberwise product is the Moyal-Weyl series
 contracted with the Poisson matrix pi carried by the WeylContext; dx parts
 multiply by wedge with the usual antisymmetry sign and no extra Koszul sign
 against the fiber part.
+
+The k-th term of the series leaves y^(a1 + a2 - b1 - b2) with |b1| = |b2| = k
+and k <= min(|a1|, |a2|), so it is y-free, that is central, only when
+|a1| = |a2| = k: a pair reaches the centre only at its full contraction
+order.  ``projected_mw`` and ``projected_ad_over_h`` compute p(a o b) and
+p(ad_over_h(a, b)) from those pairs alone, with the full-contraction weight
+of each (a1, a2) cached on the WeylContext.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import Scalar, ZERO, ONE, I
-from .polynomials import Poly, ParamRational, x_roster, add_term
+from .polynomials import Poly, ParamRational, FormalFunction, x_roster, add_term
 
 
 def invert_scalar_matrix(m):
@@ -71,12 +78,29 @@ class WeylContext:
             if not self.pi[i][j].is_zero()
         ]
         self._moyal_factor = [ONE]  # (i/2)^k / k!
+        self._full_weights = {}
 
     def moyal_factor(self, k: int) -> Scalar:
         while len(self._moyal_factor) <= k:
             n = len(self._moyal_factor)
             self._moyal_factor.append(self._moyal_factor[-1] * I * Scalar(Fraction(1, 2 * n)))
         return self._moyal_factor[k]
+
+    def full_contraction_weight(self, a1, a2) -> Scalar:
+        """The weight of y^a1 fully contracted against y^a2, for |a1| = |a2|.
+
+        This is the y-free part of the |a1|-th contraction that ``_mw_pair``
+        builds, before the Moyal factor.  It does not depend on the
+        coefficients, so it is cached per (a1, a2).
+        """
+        w = self._full_weights.get((a1, a2))
+        if w is None:
+            state = {(a1, a2): ONE}
+            for _ in range(sum(a1)):
+                state = _contract(self, state)
+            w = next(iter(state.values()), ZERO)
+            self._full_weights[(a1, a2)] = w
+        return w
 
     def __eq__(self, other):
         return isinstance(other, WeylContext) and self.omega == other.omega
@@ -96,6 +120,29 @@ def _wedge_sign(J1, J2) -> int:
 
 def _merge_J(J1, J2):
     return tuple(sorted(J1 + J2))
+
+
+def _contract(ctx: WeylContext, state: dict) -> dict:
+    """One more pi-contraction of each pair in ``state``.
+
+    ``state`` maps the leftover fiber exponents (b1, b2) of the two factors to
+    the weight their contractions have built up so far; each pi^{ij} entry
+    removes one y^i from b1 and one y^j from b2, weighted by pi^{ij} and the
+    two exponents it lowers.
+    """
+    nxt = {}
+    for (b1, b2), w in state.items():
+        for (pi_i, pi_j, pv) in ctx._pi_entries:
+            e1 = b1[pi_i]
+            if not e1:
+                continue
+            e2 = b2[pi_j]
+            if not e2:
+                continue
+            nb1 = b1[:pi_i] + (e1 - 1,) + b1[pi_i + 1:]
+            nb2 = b2[:pi_j] + (e2 - 1,) + b2[pi_j + 1:]
+            add_term(nxt, (nb1, nb2), (w * pv).mul_int(e1 * e2))
+    return nxt
 
 
 class WeylForm:
@@ -231,6 +278,49 @@ class WeylForm:
         orders survive in the commutator."""
         return self._pairing(other, True, True)
 
+    def projected_mw(self, other: "WeylForm", order: int) -> FormalFunction:
+        """p(self o other) mod h^{order+1}, without forming the product."""
+        return self._projected_pairing(other, order, False)
+
+    def projected_ad_over_h(self, other: "WeylForm", order: int) -> FormalFunction:
+        """p(ad_over_h(self, other)) mod h^{order+1}, without forming the bracket."""
+        return self._projected_pairing(other, order, True)
+
+    def _projected_pairing(self, other, order, over_h):
+        """The central part of the pairing loop, for dx-free forms.
+
+        Only pairs with |a1| = |a2| = m reach the centre, at contraction order
+        m, with h-power k1 + k2 + m (less 1 for ad_over_h, where only odd m
+        survive, doubled).  Keeps what ``project_function(order)`` keeps of
+        the full product: h-power <= order and 2 * h-power <= trunc.
+        """
+        self._check(other)
+        if any(key[2] for key in self.terms) or any(key[2] for key in other.terms):
+            raise ValueError("projection requires a form of dx-degree zero")
+        ctx = self.ctx
+        top = min(order, min(self.trunc, other.trunc) // 2)
+        by_degree = {}
+        for (k2, a2, _), c2 in other.terms.items():
+            by_degree.setdefault(sum(a2), []).append((k2, a2, c2))
+        coeffs = {}
+        for (k1, a1, _), c1 in self.terms.items():
+            m = sum(a1)
+            if over_h and m % 2 == 0:
+                continue
+            factor = ctx.moyal_factor(m)
+            if over_h:
+                factor = factor * 2 * I
+            base = k1 + m - 1 if over_h else k1 + m
+            for k2, a2, c2 in by_degree.get(m, ()):
+                h_power = base + k2
+                if h_power > top:
+                    continue
+                w = ctx.full_contraction_weight(a1, a2)
+                if w.is_zero():
+                    continue
+                add_term(coeffs, h_power, (c1 * c2).scale(w * factor))
+        return FormalFunction(ctx.roster, order, coeffs)
+
     def _pairing(self, other, commutator, over_h):
         """The pairing loop shared by mw, graded_comm and ad_over_h."""
         self._check(other)
@@ -276,19 +366,7 @@ class WeylForm:
                     add_term(out, key, cc.scale(w * factor) if sign > 0 else cc.scale(-(w * factor)))
             if k == kmax:
                 break
-            nxt = {}
-            for (b1, b2), w in state.items():
-                for (pi_i, pi_j, pv) in ctx._pi_entries:
-                    e1 = b1[pi_i]
-                    if not e1:
-                        continue
-                    e2 = b2[pi_j]
-                    if not e2:
-                        continue
-                    nb1 = b1[:pi_i] + (e1 - 1,) + b1[pi_i + 1:]
-                    nb2 = b2[:pi_j] + (e2 - 1,) + b2[pi_j + 1:]
-                    add_term(nxt, (nb1, nb2), (w * pv).mul_int(e1 * e2))
-            state = nxt
+            state = _contract(ctx, state)
             if not state:
                 break
 
@@ -345,9 +423,8 @@ class WeylForm:
             {key: c for key, c in self.terms.items() if not any(key[1]) and not key[2]},
         )
 
-    def project_function(self, order=None) -> "FormalFunctionView":
+    def project_function(self, order=None) -> FormalFunction:
         """The map p: form-degree-0 sections to formal functions."""
-        from .polynomials import FormalFunction
         if any(key[2] for key in self.terms):
             raise ValueError("projection requires a form of dx-degree zero")
         if order is None:

@@ -6,6 +6,7 @@ import pytest
 from fedconn.scalars import Scalar
 from fedconn.polynomials import Poly, parse_poly, monomials_up_to
 from fedconn.weylforms import WeylForm
+from fedconn import families
 from fedconn.families import (
     FamilyContext, TrivializationBeta, ConnectionOneForm, SolvabilityError,
     trivialize_alpha, solve_s, connection_form, verify_compatibility,
@@ -98,17 +99,31 @@ def test_solve_s_lowest_component(sym2, flat2):
     assert ok, wit
 
 
-def test_s_closedness_guard_fires():
-    # with r doubled the s-recursion source stops being delta-closed
+def test_s_closedness_guard_fires(monkeypatch):
+    # with the sign of i_V beta in the s-equation flipped, or with r doubled,
+    # the s-recursion source stops being delta-closed
     sc = Scenario.load(SCENARIOS / "family_r2.scn")
     fam = sc.build_family()
     beta = sc.build_beta(fam)
+    ivbeta = beta["t1"]
+    solve = families.solve_by_degree
+
+    def flipped_ivbeta(connection, parts, degrees, source, left, weight, fail):
+        # the source is -(V[r] + (1/2) i_V S + i_V beta)
+        return solve(connection, parts, degrees, source + ivbeta + ivbeta, left, weight, fail)
+
+    def expect_guard():
+        with pytest.raises(SolvabilityError) as exc:
+            solve_s(fam, beta, "t1")
+        assert exc.type is SolvabilityError
+        assert str(exc.value) == "s-recursion source fails delta-closedness at degree 3 (direction t1)"
+
+    with monkeypatch.context() as m:
+        m.setattr(families, "solve_by_degree", flipped_ivbeta)
+        expect_guard()
     fam.setup.r = fam.setup.r.scale(2)
     fam.setup._r_parts_cache = None
-    with pytest.raises(SolvabilityError) as exc:
-        solve_s(fam, beta, "t1")
-    assert exc.type is SolvabilityError
-    assert str(exc.value) == "s-recursion source fails delta-closedness at degree 3 (direction t1)"
+    expect_guard()
 
 
 def test_s_postconditions(bundle_f2):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ from fedconn.scalars import Scalar, I
 from fedconn.polynomials import Poly, FormalFunction, parse_poly, monomials_up_to
 from fedconn.weylforms import WeylForm
 from fedconn.symplectic import ConnectionFamily
+from fedconn import fedosov
 from fedconn.fedosov import (
     FedosovSetup, NotAbelianError, taylor_flat_section, validate_star_axioms,
 )
@@ -51,6 +53,41 @@ def test_non_abelian_r_rejected(curved_setup):
     )
     with pytest.raises(NotAbelianError):
         curved_setup.weyl_curvature(bogus)
+
+
+def test_r_mutations_are_caught(monkeypatch):
+    # each interlocking weight of the r-equation, mutated, trips the
+    # Weyl-curvature check while r is solved for curved_r2 at order 2
+    sc = Scenario.load(SCENARIOS / "curved_r2.scn")
+    sc.order = 2
+    delta_inv = WeylForm.delta_inv
+
+    def heavier_delta_inv(form):
+        # 1/(p+q+1) in place of 1/(p+q) on the (y-degree p, form-degree q) part
+        out = WeylForm.zero(form.ctx, form.trunc + 1)
+        for key, c in form.terms.items():
+            p = sum(key[1]) + len(key[2])
+            if p:
+                piece = delta_inv(WeylForm(form.ctx, form.trunc, {key: c}))
+                out = out + piece.scale(Fraction(p, p + 1))
+        return out
+
+    solve = fedosov.solve_by_degree
+
+    def full_ad_r_r(connection, parts, degrees, source, left, weight, fail):
+        # 1 in place of the 1/2 on ad(r, r)
+        return solve(connection, parts, degrees, source, left,
+                     1 if weight == Fraction(1, 2) else weight, fail)
+
+    for target, name, mutant, degree in (
+        (WeylForm, "delta_inv", heavier_delta_inv, 2),
+        (fedosov, "solve_by_degree", full_ad_r_r, 4),
+    ):
+        with monkeypatch.context() as m:
+            m.setattr(target, name, mutant)
+            with pytest.raises(NotAbelianError) as exc:
+                sc.build_setup()
+        assert str(exc.value).startswith(f"non-scalar Weyl-curvature residue at total degree {degree}:")
 
 
 def test_alpha_validation(sym2, flat2):

@@ -1,0 +1,34 @@
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "fedconn"
+
+
+def unused_imports(source: str):
+    """Names bound by an import and never read as a name or an attribute base."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items() if name not in used)
+
+
+def test_unused_imports_are_detected():
+    source = "from __future__ import annotations\nimport os\nfrom .a import b, c\nc()\n"
+    assert unused_imports(source) == [(2, "os"), (3, "b")]
+
+
+def test_no_unused_imports():
+    # __init__.py is skipped: its imports are the package's re-exports
+    found = {
+        path.name: unused_imports(path.read_text(encoding="utf-8"))
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    assert {name: hits for name, hits in found.items() if hits} == {}

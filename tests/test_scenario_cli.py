@@ -6,6 +6,9 @@ import pytest
 
 from fedconn.scenario import Scenario, ScenarioError
 from fedconn.cli import main
+from fedconn.fedosov import FedosovSetup
+from fedconn.polynomials import FormalFunction
+from fedconn.weylforms import WeylContext
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -140,3 +143,42 @@ def test_verify_all(capsys):
     assert code == 0
     assert "weyl battery" in out
     assert "cochain battery" in out
+
+
+def test_naturality_probe_failure_is_a_report_line(capsys, monkeypatch):
+    # h * d_x1^(K+1) f is invisible on a basis of degree <= K, so only the
+    # naturality probe past that bound sees it
+    star = FedosovSetup.star
+
+    def perturbed(self, f, g, order=None):
+        out = star(self, f, g, order)
+        bump = f.deriv_multi((out.order + 1,) + (0,) * (len(f.roster) - 1))
+        return out + FormalFunction.from_poly(bump, out.order, h_power=1)
+
+    monkeypatch.setattr(FedosovSetup, "star", perturbed)
+    code, out, err = run_cli(capsys, "quantize", "--scenario", str(SCENARIOS / "flat_r2.scn"))
+    assert code == 1
+    assert "[FAIL] naturality: h^k coefficient has differential order <= k\n" \
+           "       witness: extracted star differs from the star product on the probe pair " \
+           "(x1^4, x1^3) at h^1\n" in out
+    assert "Traceback" not in out + err
+
+
+def test_projected_moyal_sign_mutation_fails(capsys, monkeypatch):
+    # the odd contraction orders of the direct projections, negated
+    weight = WeylContext.full_contraction_weight
+
+    def negated_odd(self, a1, a2):
+        w = weight(self, a1, a2)
+        return -w if sum(a1) % 2 else w
+
+    monkeypatch.setattr(WeylContext, "full_contraction_weight", negated_odd)
+    for cmd, name, fails in (
+        ("quantize", "flat_r2.scn", ["star axioms: c1(f,g) - c1(g,f) = i{f,g}"]),
+        ("family", "family_r2.scn", ["low-order identity", "compatibility", "derivation identity"]),
+    ):
+        code, out, _ = run_cli(capsys, cmd, "--scenario", str(SCENARIOS / name))
+        assert code == 1
+        failed = [line[len("[FAIL] "):] for line in out.splitlines() if line.startswith("[FAIL]")]
+        assert len(failed) == len(fails)
+        assert all(line.startswith(prefix) for line, prefix in zip(failed, fails))

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from fedconn.scalars import Scalar, I
-from fedconn.polynomials import Poly, parse_poly
+from fedconn.polynomials import Poly, ParamRational, parse_poly
 from fedconn.weylforms import WeylForm, omega_tilde, poincare_potential
 from fedconn.properties import random_weyl_form
 
@@ -123,8 +123,34 @@ def test_projection(sym2):
     assert a.project_function(3).coefficient(0) == f
     hterm = WeylForm.from_poly(sym2, 8, parse_poly("x1", r), h_power=2)
     assert hterm.project_function(3).coefficient(2) == parse_poly("x1", r)
+    dx_form = WeylForm.y_monomial(sym2, 8, (0, 0), J=(0,))
     with pytest.raises(ValueError):
-        WeylForm.y_monomial(sym2, 8, (0, 0), J=(0,)).project_function(3)
+        dx_form.project_function(3)
+    with pytest.raises(ValueError):
+        dx_form.projected_mw(a, 3)
+    with pytest.raises(ValueError):
+        a.projected_ad_over_h(dx_form, 3)
+
+
+def test_projected_pairings_match_full_products(sym2, sym4):
+    # the direct projections against the full product, then project_function
+    rng = random.Random(10)
+    t_poly = ParamRational.var("t1") + 2
+    h_powers = set()
+    for sym in (sym2, sym4):
+        x1 = WeylForm.from_poly(sym, 8, Poly.var(sym.roster, "x1"))  # reaches h^0
+        for trial in range(12):
+            a = random_weyl_form(sym, 8, rng, terms=8, max_form=0) + x1
+            b = random_weyl_form(sym, 6, rng, terms=8, max_form=0) + x1
+            if trial % 2:
+                a = a.scale(t_poly)
+            for order in (2, 3, 4):  # below, at and above min(trunc) // 2
+                for fast, full in ((a.projected_mw(b, order), a.mw(b)),
+                                   (a.projected_ad_over_h(b, order), a.ad_over_h(b))):
+                    full = full.project_function(order)
+                    assert fast == full and fast.order == full.order
+                    h_powers.update(full.coeffs)
+    assert h_powers == {0, 1, 2, 3}
 
 
 def test_poincare_potential(sym2):
