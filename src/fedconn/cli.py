@@ -22,7 +22,7 @@ from pathlib import Path
 from .polynomials import Poly, monomials_up_to
 from .fedosov import NaturalityError, validate_star_axioms
 from .families import (
-    solve_s, connection_form, verify_compatibility,
+    SolvabilityError, ConnectionProbeError, solve_s, connection_form, verify_compatibility,
     lowest_order_identity, verify_curvature, derivation_identity,
 )
 from .transport import (
@@ -42,12 +42,17 @@ CHECKS = {
     "family": [
         ("beta invariant", "d_M i_V beta = V[alpha] for every direction"),
         ("s equation", "D_r(i_V s) matches its source with delta* i_V s = 0"),
+        ("connection form", "A(V) from its symbol matches its formula past its order bound "
+                            "(listed on failure)"),
         ("low-order identity", "A(V)(f) = -h i_V i_{X_f} beta_1 mod h^2"),
         ("compatibility", "d_H A(V) = V[star] on the monomial basis"),
         ("derivation identity", "D_V(f*g) = D_V(f)*g + f*D_V(g) on t-dependent sections"),
         ("curvature consistency", "direct curvature of A equals the s-expression"),
     ],
     "gauge": [
+        ("beta invariant", "d_M i_V beta = V[alpha] for both trivializations (listed on failure)"),
+        ("s equation", "D_r(i_V s) matches its source (listed on failure)"),
+        ("connection form", "A(V) from its symbol matches its formula (listed on failure)"),
         ("flatness", "direct curvature of both connections vanishes"),
         ("compatibility", "both connections satisfy d_H A(V) = V[star]"),
         ("gauge equation", "V[P] = P A'(V) - A(V) P to the requested order"),
@@ -71,6 +76,32 @@ CHECKS = {
 
 
 NATURALITY = "h^k coefficient has differential order <= k"
+CONNECTION_FORM = "A(V) from its symbol matches p(ad_over_h(i_V s, tau f)) past its order bound"
+
+
+class CheckFailed(Exception):
+    """A check failed inside the pipeline, so the steps after it cannot run."""
+
+    def __init__(self, name: str, description: str, witness: str):
+        super().__init__(witness)
+        self.name = name
+        self.description = description
+        self.witness = witness
+
+
+def _build_beta(build, family):
+    try:
+        return build(family)
+    except SolvabilityError as exc:
+        raise CheckFailed("beta invariant", "d_M i_V beta = V[alpha]", str(exc)) from None
+
+
+def _solve_s(family, beta, p):
+    try:
+        return solve_s(family, beta, p)
+    except SolvabilityError as exc:
+        raise CheckFailed("s equation", f"direction {p}: D_r equation and delta* normalization",
+                          str(exc)) from None
 
 
 def list_checks() -> str:
@@ -107,11 +138,11 @@ def run_quantize(sc: Scenario, report: Report):
 
 def _family_pipeline(sc: Scenario, report: Report):
     family = sc.build_family()
-    beta = sc.build_beta(family)
+    beta = _build_beta(sc.build_beta, family)
     report.add("beta invariant", f"d_M i_V beta = V[alpha] ({beta.provenance})", True)
     s_forms = {}
     for p in family.params:
-        s_forms[p] = solve_s(family, beta, p)
+        s_forms[p] = _solve_s(family, beta, p)
         report.add("s equation", f"direction {p}: D_r equation and delta* normalization", True)
     A = connection_form(family, s_forms)
     return family, beta, s_forms, A
@@ -149,9 +180,9 @@ def run_family(sc: Scenario, report: Report):
 
 def run_gauge(sc: Scenario, report: Report):
     family = sc.build_family()
-    base, second = sc.build_gauge_pair(family)
-    sA = {p: solve_s(family, base, p) for p in family.params}
-    sB = {p: solve_s(family, second, p) for p in family.params}
+    base, second = _build_beta(sc.build_gauge_pair, family)
+    sA = {p: _solve_s(family, base, p) for p in family.params}
+    sB = {p: _solve_s(family, second, p) for p in family.params}
     A = connection_form(family, sA)
     B = connection_form(family, sB)
     for label, conn in (("D", A), ("D'", B)):
@@ -296,6 +327,10 @@ def main(argv=None) -> int:
     except NaturalityError as exc:
         # raised by star extraction, after the report exists; checks run so far stay
         report.add("naturality", NATURALITY, False, str(exc))
+    except ConnectionProbeError as exc:
+        report.add("connection form", CONNECTION_FORM, False, str(exc))
+    except CheckFailed as exc:
+        report.add(exc.name, exc.description, False, exc.witness)
     except (ScenarioError, OSError, ValueError) as exc:
         sys.stderr.write(f"fedconn: {exc}\n")
         return 2

@@ -23,15 +23,23 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .polynomials import Poly, ParamRational, FormalFunction, monomials_up_to, is_param_name
+from .polynomials import (
+    Poly, ParamRational, FormalFunction, monomials_up_to, exponents_up_to, is_param_name,
+)
 from .weylforms import WeylForm, poincare_potential
 from .symplectic import ConnectionFamily
 from .fedosov import FedosovSetup, solve_by_degree
-from .multidiff import MultiDiffOp, StarTruncation, operator_from_callable
+from .multidiff import MultiDiffOp, StarTruncation, operator_from_symbol
 
 
 class SolvabilityError(ValueError):
-    """The necessary condition d_M i_V beta = V[alpha] failed."""
+    """The s-equation has no solution: the necessary condition
+    d_M i_V beta = V[alpha] failed, or the solved s fails the equation."""
+
+
+class ConnectionProbeError(AssertionError):
+    """A(V) read off its symbol disagrees with p(ad_over_h(i_V s, tau(f)))
+    past its order bound."""
 
 
 class FamilyContext:
@@ -146,18 +154,20 @@ def solve_s(family: FamilyContext, beta: TrivializationBeta, direction: str) -> 
     )
     parts = {}
     solve_by_degree(
-        family.connection, parts, range(2, N), -rhs, setup._r_parts, 1,
+        family.connection.cov_deriv, parts, range(2, N), -rhs, setup._r_parts, 1,
         lambda d: SolvabilityError(
             f"s-recursion source fails delta-closedness at degree {d} (direction {direction})"
         ),
     )
     s = sum(parts.values(), WeylForm.zero(family.sym, N))
     if not s.delta_star().is_zero():
-        raise AssertionError("delta* normalization of s failed")
+        raise SolvabilityError(f"delta* normalization of s failed (direction {direction})")
     defect = setup.D_r(s) - rhs
     for d in range(N - 1):
         if not defect.homogeneous(d).is_zero():
-            raise AssertionError(f"s fails its defining equation at degree {d}")
+            raise SolvabilityError(
+                f"s fails its defining equation at degree {d} (direction {direction})"
+            )
     return s
 
 
@@ -182,29 +192,33 @@ class ConnectionOneForm:
 
 
 def connection_form(family: FamilyContext, s_forms: dict) -> ConnectionOneForm:
-    """A(V)(f) = p(ad_over_h(i_V s, tau(f))), materialized as operators.
-
-    Each value is the projection computed directly
-    (``WeylForm.projected_ad_over_h``), without forming the bracket.
+    """A(V)(f) = p(ad_over_h(i_V s, tau(f))), as operators read off a symbol.
 
     The h^k layer of A(V) has differential order at most 2k - 1: a scalar
     h^k term pairs i_V s (total degree 2k1 + c >= 3) with a tau component of
     degree 2k2 + c and k = k1 + k2 + c - 1, so the tau degree is at most
-    2k - 1.  The reconstruction probes one degree past this bound.
+    2k - 1.  So A(V) is read off p(ad_over_h(i_V s, sigma)), with sigma the
+    symbol of tau at jet degree 2K - 1 (``FedosovSetup.tau_symbol``), and
+    checked against the formula on monomials one degree past that bound.
     """
     setup = family.setup
     K = family.order
+    roster = family.sym.roster
+    bound = 2 * K - 1
+    sigma = setup.tau_symbol(bound)
+    probes = [Poly.monomial(roster, a)
+              for a in exponents_up_to(len(roster), bound + 1)[-len(roster):]]
     ops = {}
     for p in family.params:
         s = s_forms[p]
-
-        def evaluate(f, s=s):
-            return s.projected_ad_over_h(setup.tau(f), K)
-
-        op = operator_from_callable(
-            evaluate, family.sym.roster, 1, K,
-            lambda k: max(2 * k - 1, 0),
-        )
+        op = operator_from_symbol(roster, K, s.projected_ad_over_h(sigma, K), (setup.jets,))
+        for m in probes:
+            diff = op.apply(m) - s.projected_ad_over_h(setup.tau(m), K)
+            if not diff.is_zero():
+                raise ConnectionProbeError(
+                    f"A({p}) from its symbol differs from p(ad_over_h(i_V s, tau f)) "
+                    f"on the probe monomial {m} at h^{min(diff.coeffs)}"
+                )
         ops[p] = op
     return ConnectionOneForm(family, ops, provenance="from-s")
 
@@ -259,8 +273,8 @@ def curvature_ops(family: FamilyContext, A: ConnectionOneForm, s_forms: dict,
 
     Returns (direct, via_s) where ``direct`` is the arity-1 operator
     V[A(W)] - W[A(V)] + [A(V), A(W)] and ``via_s`` evaluates
-    f -> p(ad_over_h(V[s_W] - W[s_V] + ad_over_h(s_V, s_W), tau(f))), with the
-    outer projection computed directly (``WeylForm.projected_ad_over_h``).
+    f -> p(ad_over_h(V[s_W] - W[s_V] + ad_over_h(s_V, s_W), tau(f))) with the
+    operator read off the symbol of tau, like A(V) in ``connection_form``.
     """
     direct = (
         A[w].t_derivative(v)
@@ -274,9 +288,18 @@ def curvature_ops(family: FamilyContext, A: ConnectionOneForm, s_forms: dict,
     )
     setup = family.setup
     K = family.order
+    ops = {}
 
     def via_s(f):
-        return E.projected_ad_over_h(setup.tau(f), K)
+        # the E-operator read off its symbol, at a jet degree that covers f
+        degree = max([2 * K - 1] + [sum(m) for m in f.terms])
+        op = ops.get(degree)
+        if op is None:
+            op = ops[degree] = operator_from_symbol(
+                family.sym.roster, K, E.projected_ad_over_h(setup.tau_symbol(degree), K),
+                (setup.jets,),
+            )
+        return op.apply(f)
 
     return direct, via_s
 

@@ -13,9 +13,12 @@ resulting abelian connection
     D_r = -delta + d_nabla + (i/h) ad(r)
 
 has flat sections tau(f), unique with fiberwise-constant part f, and the star
-product is f * g = p(tau(f) o tau(g)).  Bidifferential coefficients are
-recovered by evaluation on monomials: naturality bounds the h^k layer's
-differential order by k, so finitely many evaluations determine it.
+product is f * g = p(tau(f) o tau(g)).  The map tau is linear and a formal
+differential operator, so it has a symbol, e^{-xi.x} tau(e^{xi.x}), whose
+coefficients are polynomials in x and jet variables xi: a term
+c(x) xi^b y^a h^k stands for f -> c d^b f.  The same recursion gives that
+symbol (``FedosovSetup.tau_symbol``), and the bidifferential coefficients of
+the star are read off p(sigma_xi o sigma_eta), the star of two exponentials.
 """
 
 from __future__ import annotations
@@ -23,10 +26,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import I
-from .polynomials import Poly, FormalFunction, monomials_up_to, exponents_up_to
+from .polynomials import (
+    Poly, FormalFunction, monomials_up_to, exponents_up_to, merge_rosters, add_term,
+)
 from .weylforms import WeylForm
 from .symplectic import ConnectionFamily
-from .multidiff import StarTruncation, operator_from_values
+from .multidiff import StarTruncation, operator_from_symbol
 
 
 class NotAbelianError(ValueError):
@@ -37,22 +42,59 @@ class NaturalityError(AssertionError):
     """The extracted star disagrees with the star product past its naturality bound."""
 
 
-def solve_by_degree(connection: ConnectionFamily, parts: dict, degrees, source: WeylForm,
+def jet_names(dim: int, prefix: str):
+    """The jet variables prefix1..prefix<dim> of one argument slot."""
+    return tuple(f"{prefix}{i}" for i in range(1, dim + 1))
+
+
+def _recoefficient(form: WeylForm, fn) -> WeylForm:
+    """The form with ``fn`` applied to each coefficient Poly."""
+    return WeylForm(form.ctx, form.trunc, {key: fn(c) for key, c in form.terms.items()})
+
+
+def _jet_degree_at_most(p: Poly, positions, degree: int) -> Poly:
+    return Poly(p.roster, {m: c for m, c in p.terms.items()
+                           if sum(m[i] for i in positions) <= degree})
+
+
+def _jet_wedge(a: WeylForm, positions, degree: int) -> WeylForm:
+    """Xi ^ a with Xi = sum_i xi_i dx^i, dropping jet degree > degree.
+
+    ``positions[i]`` is the place of xi_i in the coefficients' roster; the
+    signs are those of ``WeylForm.d_x`` with d/dx^i replaced by xi_i.
+    """
+    out = {}
+    for (k, alpha, J), c in a.terms.items():
+        low = {m: v for m, v in c.terms.items() if sum(m[i] for i in positions) < degree}
+        if not low:
+            continue
+        for i, pos in enumerate(positions):
+            if i in J:
+                continue
+            raised = Poly(c.roster, {m[:pos] + (m[pos] + 1,) + m[pos + 1:]: v
+                                     for m, v in low.items()})
+            before = sum(1 for j in J if j < i)
+            add_term(out, (k, alpha, tuple(sorted(J + (i,)))), -raised if before % 2 else raised)
+    return WeylForm(a.ctx, a.trunc, out)
+
+
+def solve_by_degree(derivative, parts: dict, degrees, source: WeylForm,
                     left: dict, weight, fail):
-    """Fedosov's degree-by-degree recursion, shared by r, tau and s.
+    """Fedosov's degree-by-degree recursion, shared by r, tau, its symbol and s.
 
     For each d in ``degrees`` the degree-d source
 
-        B = source_d + d_nabla parts[d] + weight * sum ad_over_h(left[d1], parts[d + 2 - d1])
+        B = source_d + derivative(parts[d]) + weight * sum ad_over_h(left[d1], parts[d + 2 - d1])
 
     is assembled from the parts solved so far (a missing part is zero), and
-    parts[d + 1] = delta_inv(B).  B must be delta-closed, or ``fail(d)`` is
-    raised.  ``parts`` is filled in place.
+    parts[d + 1] = delta_inv(B).  ``derivative`` is d_nabla, the connection's
+    ``cov_deriv``, or for the symbol of tau d_nabla + Xi ^.  B must be
+    delta-closed, or ``fail(d)`` is raised.  ``parts`` is filled in place.
     """
     for d in degrees:
         B = source.homogeneous(d)
         if d in parts:
-            B = connection.cov_deriv(parts[d]) + B
+            B = derivative(parts[d]) + B
         for d1, a in left.items():
             b = parts.get(d + 2 - d1)
             if b is not None:
@@ -85,6 +127,9 @@ class FedosovSetup:
         self.R = connection.curvature_weyl(trunc)
         self.r = self._solve_r() if solve else None
         self._tau_cache = {}
+        self.jets = jet_names(self.sym.dim, "xi")
+        self.symbol_roster = merge_rosters(self.sym.roster, self.jets)
+        self._symbol = None  # (jet degree, tau_symbol at that degree)
 
     @property
     def _r_parts(self):
@@ -123,7 +168,7 @@ class FedosovSetup:
         N = self.trunc
         parts = {}
         solve_by_degree(
-            self.connection, parts, range(2, N), (self.alpha - self.omega_form) - self.R,
+            self.connection.cov_deriv, parts, range(2, N), (self.alpha - self.omega_form) - self.R,
             parts, Fraction(1, 2),
             lambda d: AssertionError(f"r recursion source fails delta-closedness at degree {d}"),
         )
@@ -202,14 +247,54 @@ class FedosovSetup:
         zero = WeylForm.zero(self.sym, N)
         parts = {0: WeylForm.from_poly(self.sym, N, f)}
         solve_by_degree(
-            self.connection, parts, range(N), zero, self._r_parts, 1,
+            self.connection.cov_deriv, parts, range(N), zero, self._r_parts, 1,
             lambda d: AssertionError(f"flat section defect at total degree {d}"),
         )
         t = sum(parts.values(), zero)
         self._tau_cache[key] = t
         return t
 
+    def tau_symbol(self, degree: int) -> WeylForm:
+        """The symbol e^{-xi.x} tau(e^{xi.x}) of tau, to jet degree ``degree``.
+
+        Its coefficients are Polys in x and the jet variables ``self.jets``;
+        a term c(x) xi^b y^a h^k stands for f -> c d^b f, so tau(f) for f of
+        degree <= ``degree`` is read off it.  It is tau's recursion with one
+        change, d_nabla(e^{xi.x} a) = e^{xi.x} (d_nabla a + Xi ^ a) with
+        Xi = sum xi_i dx^i: ad_over_h(r, .), delta and delta_inv are linear
+        over functions of x.  No step lowers the jet degree, so dropping jet
+        degree > ``degree`` in Xi ^ is exact, and the delta-closedness check
+        at each degree covers what tau checks on monomials of degree <=
+        ``degree``.  One symbol is kept, at the largest degree asked for;
+        smaller requests are truncations of it.
+        """
+        roster = self.symbol_roster
+        positions = [roster.index(name) for name in self.jets]
+        if self._symbol is None or self._symbol[0] < degree:
+            N = self.trunc
+            zero = WeylForm.zero(self.sym, N)
+            one = Poly.const(roster, 1)
+            parts = {0: WeylForm(self.sym, N, {(0, (0,) * self.sym.dim, ()): one})}
+            r_parts = {d: _recoefficient(a, lambda c: c.with_roster(roster))
+                       for d, a in self._r_parts.items()}
+            solve_by_degree(
+                lambda a: self.connection.cov_deriv(a) + _jet_wedge(a, positions, degree),
+                parts, range(N), zero, r_parts, 1,
+                lambda d: AssertionError(f"flat section symbol defect at total degree {d}"),
+            )
+            self._symbol = (degree, sum(parts.values(), zero))
+        top, symbol = self._symbol
+        if top == degree:
+            return symbol
+        return _recoefficient(symbol, lambda c: _jet_degree_at_most(c, positions, degree))
+
     # -- the star product ---------------------------------------------------------------
+
+    def _check_order(self, order: int):
+        if 2 * order > self.trunc:
+            raise ValueError(
+                f"h-order {order} needs internal truncation >= {2 * order}, have {self.trunc}"
+            )
 
     def star(self, f: Poly, g: Poly, order: int = None) -> FormalFunction:
         """f * g = p(tau(f) o tau(g)) mod h^{order+1}; needs trunc >= 2*order.
@@ -219,25 +304,29 @@ class FedosovSetup:
         """
         if order is None:
             order = self.trunc // 2
-        if 2 * order > self.trunc:
-            raise ValueError(
-                f"h-order {order} needs internal truncation >= {2 * order}, have {self.trunc}"
-            )
+        self._check_order(order)
         return self.tau(f).projected_mw(self.tau(g), order)
 
     def extract_star(self, order: int = None, probe: bool = True) -> StarTruncation:
-        """Recover c^0..c^order as bidifferential operators by monomial evaluation."""
+        """c^0..c^order as bidifferential operators, read off the symbol
+        p(sigma_xi o sigma_eta) of the star, where sigma_xi is ``tau_symbol``
+        and sigma_eta the same symbol in a second set of jet variables.  The
+        h^k layer has differential order <= k in each argument (naturality),
+        so jet degree ``order`` is enough; a probe past that bound checks it
+        against the star product of functions.
+        """
         if order is None:
             order = self.trunc // 2
+        self._check_order(order)
         roster = self.sym.roster
-        basis = monomials_up_to(roster, order)
-        values = {}
-        for f in basis:
-            kf = next(iter(f.terms))
-            for g in basis:
-                kg = next(iter(g.terms))
-                values[(kf, kg)] = self.star(f, g, order)
-        op = operator_from_values(roster, 2, order, lambda k: k, values)
+        sigma = self.tau_symbol(order)
+        etas = jet_names(self.sym.dim, "eta")
+        full = merge_rosters(self.symbol_roster, etas)
+        renamed = tuple(dict(zip(self.jets, etas)).get(name, name) for name in self.symbol_roster)
+        sigma_xi = _recoefficient(sigma, lambda c: c.with_roster(full))
+        sigma_eta = _recoefficient(sigma, lambda c: Poly(renamed, c.terms).with_roster(full))
+        op = operator_from_symbol(roster, order, sigma_xi.projected_mw(sigma_eta, order),
+                                  (self.jets, etas))
         star = StarTruncation(op, setup=self)
         if probe:
             # evaluation just past the naturality bound guards the order-<=-k claim
@@ -245,7 +334,7 @@ class FedosovSetup:
                 Poly.var(roster, roster[0]) ** (order + 1),
                 Poly.var(roster, roster[-1]) ** (order + 1),
             ]
-            g = basis[-1]
+            g = monomials_up_to(roster, order)[-1]
             for f in probe_polys:
                 for pair in ((f, g), (g, f)):
                     diff = op.apply(*pair) - self.star(*pair, order)

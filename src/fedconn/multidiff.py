@@ -5,7 +5,9 @@ A MultiDiffOp of arity m is a finite sum of terms
     h^k * c(x) * (d^{a_1} (x) ... (x) d^{a_m})
 
 acting on m functions; ``apply`` extends multilinearly over h so arguments may
-be Polys or FormalFunctions.  Term tables are canonical, so structural
+be Polys or FormalFunctions.  An operator with a known symbol, a polynomial
+in x and one set of jet variables per argument, is built from it
+(``operator_from_symbol``).  Term tables are canonical, so structural
 equality is exact; nevertheless equality of operators is *decided* by
 evaluation on a monomial basis (complete once the basis degree reaches the
 differential order), and brackets are built that way too.
@@ -171,26 +173,38 @@ class MultiDiffOp:
     def apply(self, *args) -> FormalFunction:
         if len(args) != self.arity:
             raise ValueError(f"expected {self.arity} arguments, got {len(args)}")
-        ffs = []
+        coeffs = []
         order = self.order
         for a in args:
             if isinstance(a, Poly):
                 a = FormalFunction.from_poly(a.with_roster(self.roster), order)
             order = min(order, a.order)
-            ffs.append(a)
-        out = FormalFunction(self.roster, order, {})
+            coeffs.append(a.coeffs)
+        # each argument is derived once per distinct multi-index of its slot
+        derived = [{} for _ in args]
+        roster = self.roster
+        out = {}
         for (k, slots), c in self.terms.items():
             if k > order:
                 continue
-            pieces = [c]
-            for s, arg in zip(slots, ffs):
-                derived = {kk: p.deriv_multi(s) for kk, p in arg.coeffs.items()}
-                pieces.append(FormalFunction(self.roster, arg.order, derived))
-            acc = FormalFunction.from_poly(pieces[0], order)
-            for piece in pieces[1:]:
-                acc = acc * piece
-            out = out + acc.shift_h(k).truncate(order)
-        return out.truncate(order)
+            roster = merge_rosters(roster, c.roster)
+            acc = {k: c}
+            for s, arg, cache in zip(slots, coeffs, derived):
+                d = cache.get(s)
+                if d is None:
+                    d = cache[s] = [(kk, dp) for kk, p in arg.items()
+                                    if not (dp := p.deriv_multi(s)).is_zero()]
+                nxt = {}
+                for k1, p1 in acc.items():
+                    for k2, p2 in d:
+                        if k1 + k2 <= order:
+                            add_term(nxt, k1 + k2, p1 * p2)
+                acc = nxt
+                if not acc:
+                    break
+            for kk, p in acc.items():
+                add_term(out, kk, p)
+        return FormalFunction(roster, order, out)
 
     def __call__(self, *args):
         return self.apply(*args)
@@ -319,6 +333,32 @@ def operator_from_values(roster, arity, order, slot_bound, values) -> MultiDiffO
         for A, D in solved.items():
             terms[(k, A)] = D
     return MultiDiffOp(roster, arity, order, terms)
+
+
+def operator_from_symbol(roster, order, symbol: FormalFunction, jets) -> MultiDiffOp:
+    """The operator whose symbol is ``symbol``, of arity ``len(jets)``.
+
+    ``symbol``'s coefficients are Polys in the base variables ``roster`` and
+    the jet variables ``jets[i]`` of each slot i, listed along ``roster``; a
+    term h^k c(x) xi_1^b_1 .. xi_m^b_m stands for h^k c d^b_1 (x) .. (x) d^b_m.
+    """
+    roster = tuple(roster)
+    known = set(roster).union(*jets)
+    terms = {}
+    for k, p in symbol.coeffs.items():
+        if k > order:
+            continue
+        if not set(p.roster) <= known:
+            raise ValueError(f"symbol has variables {set(p.roster) - known} outside x and the jets")
+        pos = {name: i for i, name in enumerate(p.roster)}
+        xs = [pos.get(name) for name in roster]
+        slots = [[pos.get(name) for name in jet] for jet in jets]
+        for m, c in p.terms.items():
+            key = (k, tuple(tuple(0 if i is None else m[i] for i in slot) for slot in slots))
+            xm = tuple(0 if i is None else m[i] for i in xs)
+            terms.setdefault(key, {})[xm] = c
+    return MultiDiffOp(roster, len(jets), order,
+                       {key: Poly(roster, t) for key, t in terms.items()})
 
 
 def _tuples_of(keys, arity):

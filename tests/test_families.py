@@ -12,7 +12,7 @@ from fedconn.families import (
     trivialize_alpha, solve_s, connection_form, verify_compatibility,
     lowest_order_identity, verify_curvature, derivation_identity, curvature_ops,
 )
-from fedconn.multidiff import MultiDiffOp, is_derivation
+from fedconn.multidiff import MultiDiffOp, is_derivation, operator_from_callable
 from fedconn.scenario import Scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -254,3 +254,38 @@ def test_affine_structure_of_connections(bundle_f1):
             for b in range(a + 1, fam.sym.dim):
                 assert eta[b].differentiate(fam.sym.roster[a]) == \
                     eta[a].differentiate(fam.sym.roster[b])
+
+
+@pytest.mark.parametrize("name", ["family_r2.scn", "family2_r2.scn"])
+def test_connection_form_matches_evaluation(name):
+    # the symbol path against the operator rebuilt from its values on monomials
+    sc = Scenario.load(SCENARIOS / name)
+    fam = sc.build_family()
+    beta = sc.build_beta(fam)
+    s_forms = {p: solve_s(fam, beta, p) for p in fam.params}
+    A = connection_form(fam, s_forms)
+    K = fam.order
+    for p in fam.params:
+        reference = operator_from_callable(
+            lambda f, s=s_forms[p]: s.projected_ad_over_h(fam.setup.tau(f), K),
+            fam.sym.roster, 1, K, lambda k: max(2 * k - 1, 0),
+        )
+        assert A[p] == reference
+        assert A[p].serialize() == reference.serialize()
+
+
+def test_curvature_via_s_matches_formula(bundle_f3):
+    # the E-operator read off the symbol against the per-function projection,
+    # also on an f past the jet degree 2K - 1 of A(V)
+    fam = bundle_f3.family
+    beta2 = bundle_f3.beta.shifted_by_closed("t1", (
+        WeylForm.from_poly(fam.sym, 8, parse_poly("t2*x1^2*x2", fam.sym.roster)).d_x().shift_h(1)
+    ))
+    s2 = {p: solve_s(fam, beta2, p) for p in fam.params}
+    _, via_s = curvature_ops(fam, connection_form(fam, s2), s2, "t1", "t2")
+    E = s2["t2"].t_derivative("t1") - s2["t1"].t_derivative("t2") + s2["t1"].ad_over_h(s2["t2"])
+    fs = monomials_up_to(fam.sym.roster, 2) + [parse_poly("x1^6 - 2*x1^3*x2^4", fam.sym.roster)]
+    for f in fs:
+        expect = E.projected_ad_over_h(fam.setup.tau(f), fam.order)
+        assert via_s(f) == expect, f
+    assert any(not via_s(f).is_zero() for f in fs)

@@ -5,14 +5,16 @@ from pathlib import Path
 import pytest
 
 from fedconn.scalars import Scalar, I
-from fedconn.polynomials import Poly, FormalFunction, parse_poly, monomials_up_to
+from fedconn.polynomials import (
+    Poly, FormalFunction, parse_poly, monomials_up_to, exponents_up_to,
+)
 from fedconn.weylforms import WeylForm
 from fedconn.symplectic import ConnectionFamily
 from fedconn import fedosov
 from fedconn.fedosov import (
     FedosovSetup, NotAbelianError, taylor_flat_section, validate_star_axioms,
 )
-from fedconn.multidiff import StarTruncation
+from fedconn.multidiff import StarTruncation, operator_from_symbol, operator_from_values
 from fedconn.properties import random_poly
 from fedconn.scenario import Scenario
 
@@ -203,3 +205,59 @@ def test_projection_of_flat_sections(curved_setup):
         f = random_poly(curved_setup.sym.roster, rng, degree=3, terms=3)
         proj = curved_setup.tau(f).project_function(3)
         assert proj == FormalFunction.from_poly(f, 3)
+
+
+def star_by_evaluation(setup, order):
+    """The star read off its values on basis pairs: the reference for the symbol path."""
+    roster = setup.sym.roster
+    basis = monomials_up_to(roster, order)
+    values = {}
+    for f in basis:
+        for g in basis:
+            values[(next(iter(f.terms)), next(iter(g.terms)))] = setup.star(f, g, order)
+    return operator_from_values(roster, 2, order, lambda k: k, values)
+
+
+@pytest.mark.parametrize("name, order", [("flat_r2.scn", 3), ("curved_r2.scn", 3),
+                                         ("family_r2.scn", 3)])
+def test_symbol_star_matches_evaluation(name, order):
+    # family_r2 has t-dependent coefficients in Gamma and alpha
+    sc = Scenario.load(SCENARIOS / name)
+    setup = sc.build_family().setup if sc.params else sc.build_setup()
+    op = setup.extract_star(order).op
+    reference = star_by_evaluation(setup, order)
+    assert op == reference
+    assert op.serialize() == reference.serialize()
+    if name == "flat_r2.scn":
+        assert op == StarTruncation.moyal(setup.sym, order).op
+
+
+def tau_from_symbol(setup, f, degree):
+    """tau(f) read off tau_symbol(degree): each Weyl term's coefficient is an
+    arity-1 symbol in the jet variables."""
+    roster = setup.sym.roster
+    terms = {}
+    for key, c in setup.tau_symbol(degree).terms.items():
+        op = operator_from_symbol(roster, 0, FormalFunction(roster, 0, {0: c}), (setup.jets,))
+        terms[key] = op.apply(f).coefficient(0)
+    return WeylForm(setup.sym, setup.trunc, terms)
+
+
+def test_tau_symbol_reproduces_tau(curved_setup):
+    sc = Scenario.load(SCENARIOS / "family_r2.scn")
+    for setup, degree in ((curved_setup, 3), (sc.build_family().setup, 2)):
+        roster = setup.sym.roster
+        for a in exponents_up_to(len(roster), degree):
+            f = Poly.monomial(roster, a)
+            assert tau_from_symbol(setup, f, degree) == setup.tau(f), (setup, a)
+
+
+def test_tau_symbol_truncates_the_larger_one():
+    # one symbol is kept per setup; a smaller request is its truncation
+    sc = Scenario.load(SCENARIOS / "curved_r2.scn")
+    fresh = sc.build_setup().tau_symbol(2)
+    setup = sc.build_setup()
+    big = setup.tau_symbol(4)
+    assert setup.tau_symbol(2) == fresh
+    assert setup.tau_symbol(4) is big
+    assert big != fresh

@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 
 from fedconn.scalars import Scalar, I
-from fedconn.polynomials import Poly, FormalFunction, parse_poly, x_roster, monomials_up_to
+from fedconn.polynomials import (
+    Poly, ParamRational, FormalFunction, parse_poly, x_roster, monomials_up_to,
+)
 from fedconn.multidiff import (
     MultiDiffOp, StarTruncation, gerstenhaber, hochschild_d, materialize,
-    is_derivation, inner_potential, operator_from_callable,
+    is_derivation, inner_potential, operator_from_callable, operator_from_symbol,
 )
 from fedconn.properties import random_multidiffop, random_poly, cochain_battery
 
@@ -167,3 +169,72 @@ def test_inner_potential_rejects_non_symplectic_field(sym2):
     B = MultiDiffOp(R2, 1, 4, {(1, ((1, 0),)): parse_poly("x1", R2)})
     with pytest.raises(ValueError, match="not symplectic|not closed"):
         inner_potential(B, star)
+
+
+def apply_termwise(op, *args):
+    """MultiDiffOp.apply as first written: one FormalFunction product per term."""
+    ffs = []
+    order = op.order
+    for a in args:
+        if isinstance(a, Poly):
+            a = FormalFunction.from_poly(a.with_roster(op.roster), order)
+        order = min(order, a.order)
+        ffs.append(a)
+    out = FormalFunction(op.roster, order, {})
+    for (k, slots), c in op.terms.items():
+        if k > order:
+            continue
+        acc = FormalFunction.from_poly(c, order)
+        for s, arg in zip(slots, ffs):
+            derived = {kk: p.deriv_multi(s) for kk, p in arg.coeffs.items()}
+            acc = acc * FormalFunction(op.roster, arg.order, derived)
+        out = out + acc.shift_h(k).truncate(order)
+    return out.truncate(order)
+
+
+def test_apply_matches_termwise_reference():
+    rng = random.Random(7)
+    R3 = x_roster(3)
+    t1 = ParamRational.var("t1")
+    for trial in range(12):
+        arity = 1 + trial % 2
+        order = rng.randint(2, 4)
+        op_roster = R3 if trial % 4 == 1 else R2
+        op = random_multidiffop(op_roster, rng, arity, order, slot_degree=3, terms=6)
+        if trial % 3 == 0:
+            # t-dependent coefficients
+            op = MultiDiffOp(op_roster, arity, order,
+                             {key: c.scale(t1 + trial) for key, c in op.terms.items()})
+        args = []
+        for _ in range(arity):
+            # formal functions in x1..x3 and polynomials in x1, x2: the
+            # rosters differ from the operator's
+            if rng.random() < 0.7:
+                roster = R3 if rng.random() < 0.4 else R2
+                coeffs = {k: random_poly(roster, rng, degree=4, terms=3, params=("t1",))
+                          for k in range(rng.randint(1, 3))}
+                args.append(FormalFunction(roster, rng.randint(1, 4), coeffs))
+            else:
+                args.append(random_poly(R2, rng, degree=4, terms=3, params=("t1",)))
+        got, expect = op.apply(*args), apply_termwise(op, *args)
+        assert got == expect
+        assert (got.order, str(got)) == (expect.order, str(expect))
+
+
+def test_operator_from_symbol():
+    # h^1 (x1 xi2 + 3 xi1 eta1^2) + h^2 x2: arity 2 in the jets (xi1, xi2), (eta1, eta2)
+    roster = ("eta1", "eta2", "x1", "x2", "xi1", "xi2")
+    sym = FormalFunction(roster, 2, {1: parse_poly("x1", roster) * Poly.var(roster, "xi2")
+                                     + Poly.monomial(roster, (2, 0, 0, 0, 1, 0), 3),
+                                     2: Poly.var(roster, "x2")})
+    jets = (("xi1", "xi2"), ("eta1", "eta2"))
+    op = operator_from_symbol(R2, 2, sym, jets)
+    assert op == MultiDiffOp(R2, 2, 2, {
+        (1, ((0, 1), Z)): parse_poly("x1", R2),
+        (1, ((1, 0), (2, 0))): Poly.const(R2, 3),
+        (2, (Z, Z)): parse_poly("x2", R2),
+    })
+    assert operator_from_symbol(R2, 1, sym, jets).terms.keys() == {
+        (1, ((0, 1), Z)), (1, ((1, 0), (2, 0)))}
+    with pytest.raises(ValueError, match="outside x and the jets"):
+        operator_from_symbol(R2, 2, sym, jets[:1])

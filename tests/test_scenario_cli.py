@@ -4,10 +4,12 @@ from pathlib import Path
 
 import pytest
 
+from fedconn import fedosov, families
 from fedconn.scenario import Scenario, ScenarioError
 from fedconn.cli import main
 from fedconn.fedosov import FedosovSetup
 from fedconn.polynomials import FormalFunction
+from fedconn.symplectic import ConnectionFamily
 from fedconn.weylforms import WeylContext
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -182,3 +184,75 @@ def test_projected_moyal_sign_mutation_fails(capsys, monkeypatch):
         failed = [line[len("[FAIL] "):] for line in out.splitlines() if line.startswith("[FAIL]")]
         assert len(failed) == len(fails)
         assert all(line.startswith(prefix) for line, prefix in zip(failed, fails))
+
+
+def failed_lines(out):
+    return [line for line in out.splitlines() if line.startswith("[FAIL]")]
+
+
+def test_family_check_failures_are_report_lines(tmp_path, capsys, monkeypatch):
+    # a beta that does not trivialize V[alpha], and s-equations that fail, end
+    # as one FAIL line with the message as witness and exit 1
+    bad = tmp_path / "family_r2.scn"
+    bad.write_text((SCENARIOS / "family_r2.scn").read_text().replace(
+        "beta = auto", "beta[t1][1][1] = x2"))
+    for cmd in ("family", "gauge"):
+        code, out, err = run_cli(capsys, cmd, "--scenario", str(bad))
+        assert (code, err) == (1, "")
+        assert failed_lines(out) == ["[FAIL] beta invariant: d_M i_V beta = V[alpha]"]
+        assert "       witness: d_M i_V beta != V[alpha] for direction t1\n" in out
+
+    variation_S = ConnectionFamily.variation_S
+    solve = families.solve_by_degree
+
+    def lowest_part_dropped(derivative, parts, *rest):
+        solve(derivative, parts, *rest)
+        parts.pop(min(parts))
+
+    for target, name, mutant, witness in (
+        # the weight of i_V S in the s-equation, 1 in place of 1/2
+        (ConnectionFamily, "variation_S",
+         lambda self, p, trunc: variation_S(self, p, trunc).scale(2),
+         "s-recursion source fails delta-closedness at degree 3 (direction t1)"),
+        # a solved s missing its lowest part fails the postcondition
+        (families, "solve_by_degree", lowest_part_dropped,
+         "s fails its defining equation at degree 2 (direction t1)"),
+    ):
+        with monkeypatch.context() as m:
+            m.setattr(target, name, mutant)
+            for cmd in ("family", "gauge"):
+                code, out, err = run_cli(capsys, cmd, "--scenario", str(SCENARIOS / "family_r2.scn"))
+                assert (code, err) == (1, "")
+                assert failed_lines(out) == [
+                    "[FAIL] s equation: direction t1: D_r equation and delta* normalization"]
+                assert f"       witness: {witness}\n" in out
+
+
+def test_jet_symbol_mutations_fail(capsys, monkeypatch):
+    jet_wedge = fedosov._jet_wedge
+    tau_symbol = FedosovSetup.tau_symbol
+
+    def flipped_xi(a, positions, degree):
+        # the sign of Xi = sum xi_i dx^i in the symbol recursion
+        return -jet_wedge(a, positions, degree)
+
+    def short_symbol(self, degree):
+        # the star read off a symbol one jet degree short
+        return tau_symbol(self, degree - 1)
+
+    probe = "A(t1) from its symbol differs from p(ad_over_h(i_V s, tau f)) on the probe monomial "
+    for target, name, mutant, cmd, scenario, fail, witness in (
+        (fedosov, "_jet_wedge", flipped_xi, "quantize", "curved_r2.scn", "naturality",
+         "extracted star differs from the star product on the probe pair"),
+        (fedosov, "_jet_wedge", flipped_xi, "family", "family_r2.scn", "connection form", probe),
+        (FedosovSetup, "tau_symbol", short_symbol, "quantize", "curved_r2.scn", "naturality",
+         "extracted star differs from the star product on the probe pair"),
+    ):
+        with monkeypatch.context() as m:
+            m.setattr(target, name, mutant)
+            code, out, err = run_cli(capsys, cmd, "--scenario", str(SCENARIOS / scenario))
+        assert code == 1
+        assert "Traceback" not in out + err
+        failed = failed_lines(out)
+        assert len(failed) == 1 and failed[0].startswith(f"[FAIL] {fail}: "), failed
+        assert f"       witness: {witness}" in out
