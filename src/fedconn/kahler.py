@@ -18,15 +18,34 @@ pinned by the tests):
   + c1(V[F], f) + V[c1](F, f), and the flatness potential is
   P1 = -(1/4) Delta_{gtilde} - c1(F, .), so that V[-P1] = A1(V) holds
   identically.
+
+Each family computes the c1 matrix M once, and per direction G(V), its
+pure-type parts, V[M] and (1/2) G(V) once (``LinearKahlerFamily.variation``).
+``gtilde_variation``'s cross-checks run before a direction is stored, so a
+failing direction is never cached.  Cached matrices are shared and never
+mutated: every ``mat_*`` helper returns a new matrix.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
+from itertools import combinations
 
 from .scalars import Scalar, I
 from .polynomials import Poly, ParamRational, PR_ONE, PR_ZERO, monomials_up_to
 from .weylforms import WeylContext
+
+HALF = Scalar(Fraction(1, 2))
+
+
+class VariationError(AssertionError):
+    """A cross-check of one direction's variation data failed: the two routes
+    to G(V), its symmetry or type decomposition, or the two routes to V[c1]."""
+
+
+# the data of one direction V: G(V), its pure-type parts, V[M] for the c1 matrix M, (1/2) G(V)
+Variation = namedtuple("Variation", "G Gh Ga Mdot half_G")
 
 
 # -- exact matrices over ParamRational ---------------------------------------
@@ -160,11 +179,11 @@ class LinearKahlerFamily:
             if not ok:
                 raise ValueError(f"metric not positive at sample {s}: {wit}")
         self.gtilde = mat_inverse(self.g)
-        half_i = Scalar(Fraction(1, 2)) * I
-        self.proj = mat_sub(mat_scale(mat_identity(n), Scalar(Fraction(1, 2))),
-                            mat_scale(self.I, half_i))
-        self.proj_bar = mat_add(mat_scale(mat_identity(n), Scalar(Fraction(1, 2))),
-                                mat_scale(self.I, half_i))
+        half_i = HALF * I
+        self.proj = mat_sub(mat_scale(mat_identity(n), HALF), mat_scale(self.I, half_i))
+        self.proj_bar = mat_add(mat_scale(mat_identity(n), HALF), mat_scale(self.I, half_i))
+        self._c1 = None
+        self._variations = {}
 
     # -- the variation bivector -------------------------------------------------
 
@@ -173,41 +192,62 @@ class LinearKahlerFamily:
 
         Returns (G, G_holo, G_anti): the bivector and its pure-type parts
         under the projections (Id -+ iI)/2; the mixed part must vanish and the
-        parts must sum back.
+        parts must sum back.  Computed afresh on every call; ``variation``
+        keeps the result.
         """
+        def fail(what):
+            return VariationError(f"{what} (direction {direction})")
+
         G = mat_neg(mat_deriv(self.gtilde, direction))
         other = mat_mul(mat_deriv(self.I, direction), self.pi_mat)
         if not mat_eq(G, other):
-            raise AssertionError("the two computations of the variation bivector disagree")
+            raise fail("the two computations of the variation bivector disagree")
         if not mat_eq(G, mat_transpose(G)):
-            raise AssertionError("variation bivector is not symmetric")
+            raise fail("variation bivector is not symmetric")
         P, Pb = self.proj, self.proj_bar
         Gh = mat_mul(mat_mul(P, G), mat_transpose(P))
         Ga = mat_mul(mat_mul(Pb, G), mat_transpose(Pb))
         mixed = mat_mul(mat_mul(P, G), mat_transpose(Pb))
         if any(not v.is_zero() for row in mixed for v in row):
-            raise AssertionError("variation bivector has a mixed-type part")
+            raise fail("variation bivector has a mixed-type part")
         if not mat_eq(mat_add(Gh, Ga), G):
-            raise AssertionError("type decomposition does not sum back")
+            raise fail("type decomposition does not sum back")
         return G, Gh, Ga
 
+    def variation(self, direction: str) -> Variation:
+        """The data of one direction, computed on first use and then kept.
+
+        gtilde_variation's cross-checks run before anything is stored, so a
+        failing direction raises VariationError on every call."""
+        v = self._variations.get(direction)
+        if v is None:
+            G, Gh, Ga = self.gtilde_variation(direction)
+            v = Variation(G, Gh, Ga, mat_deriv(self.c1_matrix(), direction), mat_scale(G, HALF))
+            self._variations[direction] = v
+        return v
+
     # -- differential operators from bivectors ------------------------------------
+
+    def _contract(self, M, F: Poly):
+        """The components sum_a M[a][b] d_a F, for b = 1..dim."""
+        roster = self.sym.roster
+        dF = [F.differentiate(x) for x in roster]
+        out = []
+        for b in range(self.sym.dim):
+            acc = Poly.zero(roster)
+            for a in range(self.sym.dim):
+                if not M[a][b].is_zero():
+                    acc = acc + dF[a].scale(M[a][b])
+            out.append(acc)
+        return out
 
     def delta_Z(self, Z, f: Poly) -> Poly:
         """Delta_Z f = Z^{ab} d_a d_b f for an x-constant symmetric bivector
         (the divergence term of the general formula vanishes here)."""
         roster = self.sym.roster
-        f = f.with_roster(roster)
         out = Poly.zero(roster)
-        for a in range(self.sym.dim):
-            da = f.differentiate(roster[a])
-            if da.is_zero():
-                continue
-            for b in range(self.sym.dim):
-                z = Z[a][b]
-                if z.is_zero():
-                    continue
-                out = out + da.differentiate(roster[b]).scale(z)
+        for x, c in zip(roster, self._contract(Z, f.with_roster(roster))):
+            out = out + c.differentiate(x)
         return out
 
     def laplacian(self, f: Poly) -> Poly:
@@ -216,25 +256,20 @@ class LinearKahlerFamily:
     # -- the first star coefficient ---------------------------------------------------
 
     def c1_matrix(self):
-        """M with c1(f,g) = df M dg, realized by the type projections of gtilde."""
-        return mat_neg(mat_mul(mat_mul(self.proj, self.gtilde), mat_transpose(self.proj_bar)))
+        """M with c1(f,g) = df M dg, realized by the type projections of gtilde;
+        computed once."""
+        if self._c1 is None:
+            self._c1 = mat_neg(mat_mul(mat_mul(self.proj, self.gtilde),
+                                       mat_transpose(self.proj_bar)))
+        return self._c1
 
     def _df_M_dg(self, M, f: Poly, g: Poly) -> Poly:
         roster = self.sym.roster
-        f = f.with_roster(roster)
         g = g.with_roster(roster)
         out = Poly.zero(roster)
-        for a in range(self.sym.dim):
-            da = f.differentiate(roster[a])
-            if da.is_zero():
-                continue
-            for b in range(self.sym.dim):
-                z = M[a][b]
-                if z.is_zero():
-                    continue
-                db = g.differentiate(roster[b])
-                if not db.is_zero():
-                    out = out + (da * db).scale(z)
+        for x, c in zip(roster, self._contract(M, f.with_roster(roster))):
+            if not c.is_zero():
+                out = out + c * g.differentiate(x)
         return out
 
     def c1(self, f: Poly, g: Poly) -> Poly:
@@ -243,12 +278,11 @@ class LinearKahlerFamily:
     def v_c1(self, direction: str, f: Poly, g: Poly) -> Poly:
         """V[c1](f, g), computed as the t-derivative of the c1 matrix and
         cross-checked against (1/2) df G(V) dg."""
-        Mdot = mat_deriv(self.c1_matrix(), direction)
-        G, _, _ = self.gtilde_variation(direction)
-        direct = self._df_M_dg(Mdot, f, g)
-        via_G = self._df_M_dg(mat_scale(G, Scalar(Fraction(1, 2))), f, g)
-        if direct != via_G:
-            raise AssertionError("V[c1] disagrees with (1/2) df G(V) dg")
+        v = self.variation(direction)
+        direct = self._df_M_dg(v.Mdot, f, g)
+        if direct != self._df_M_dg(v.half_G, f, g):
+            raise VariationError(
+                f"V[c1] disagrees with (1/2) df G(V) dg at ({f}, {g}) (direction {direction})")
         return direct
 
     # -- the order-1 formal connection --------------------------------------------------
@@ -260,23 +294,11 @@ class LinearKahlerFamily:
 
         Q is the symmetric bivector -factor * G(V); w collects the two
         first-order terms.  delta_factor exists for mutation tests."""
-        roster = self.sym.roster
-        F = F.with_roster(roster)
-        G, _, _ = self.gtilde_variation(direction)
-        Q = mat_scale(G, -Scalar(delta_factor))
-        M = self.c1_matrix()
-        Mdot = mat_deriv(M, direction)
-        VF = F.differentiate(direction)
-        w = []
-        for b in range(self.sym.dim):
-            acc = Poly.zero(roster)
-            for a in range(self.sym.dim):
-                if not M[a][b].is_zero():
-                    acc = acc + VF.differentiate(roster[a]).scale(M[a][b])
-                if not Mdot[a][b].is_zero():
-                    acc = acc + F.differentiate(roster[a]).scale(Mdot[a][b])
-            w.append(acc)
-        return Q, tuple(w)
+        F = F.with_roster(self.sym.roster)
+        v = self.variation(direction)
+        w = zip(self._contract(self.c1_matrix(), F.differentiate(direction)),
+                self._contract(v.Mdot, F))
+        return mat_scale(v.G, -Scalar(delta_factor)), tuple(a + b for a, b in w)
 
     def apply_a1(self, data, f: Poly) -> Poly:
         Q, w = data
@@ -290,37 +312,21 @@ class LinearKahlerFamily:
 
     def p1_data(self, F: Poly, delta_factor=Fraction(1, 4)):
         """Coefficients of P1 = -factor * Delta_{gtilde} - c1(F, .)."""
-        roster = self.sym.roster
-        F = F.with_roster(roster)
-        Q = mat_scale(self.gtilde, -Scalar(delta_factor))
-        M = self.c1_matrix()
-        w = []
-        for b in range(self.sym.dim):
-            acc = Poly.zero(roster)
-            for a in range(self.sym.dim):
-                if not M[a][b].is_zero():
-                    acc = acc + F.differentiate(roster[a]).scale(-M[a][b])
-            w.append(acc)
-        return Q, tuple(w)
+        F = F.with_roster(self.sym.roster)
+        w = self._contract(self.c1_matrix(), F)
+        return mat_scale(self.gtilde, -Scalar(delta_factor)), tuple(-c for c in w)
 
     def operator_E(self, direction: str, F: Poly, f: Poly) -> Poly:
         """E(V)(f) = -(1/4)(Delta_{G}(f) - 2 grad_{G dF}(f) - 2 Delta_G(F) f - 2n V[F] f)."""
         roster = self.sym.roster
         F = F.with_roster(roster)
         f = f.with_roster(roster)
-        G, _, _ = self.gtilde_variation(direction)
+        G = self.variation(direction).G
         n = self.sym.dim // 2
-        grad = Poly.zero(roster)
-        for a in range(self.sym.dim):
-            comp = Poly.zero(roster)
-            for b in range(self.sym.dim):
-                if not G[a][b].is_zero():
-                    comp = comp + F.differentiate(roster[b]).scale(G[a][b])
-            grad = grad + comp * f.differentiate(roster[a])
         VF = F.differentiate(direction)
         body = (
             self.delta_Z(G, f)
-            - grad.scale(2)
+            - self._df_M_dg(G, f, F).scale(2)
             - (self.delta_Z(G, F) * f).scale(2)
             - (VF * f).scale(2 * n)
         )
@@ -330,15 +336,15 @@ class LinearKahlerFamily:
         """H(V) = E(V)(1) = (1/2)(Delta_{G}(F) + n V[F])."""
         roster = self.sym.roster
         F = F.with_roster(roster)
-        G, _, _ = self.gtilde_variation(direction)
+        G = self.variation(direction).G
         n = self.sym.dim // 2
-        return (self.delta_Z(G, F) + F.differentiate(direction).scale(n)).scale(Scalar(Fraction(1, 2)))
+        return (self.delta_Z(G, F) + F.differentiate(direction).scale(n)).scale(HALF)
 
 
 def verify_lemma_vc1(fam: LinearKahlerFamily, direction: str, f: Poly, g: Poly,
                      factor=Fraction(1, 4)):
     """V[c1](f,g) = factor * (Delta_G(fg) - Delta_G(f) g - Delta_G(g) f); (ok, witness)."""
-    G, _, _ = fam.gtilde_variation(direction)
+    G = fam.variation(direction).G
     lhs = fam.v_c1(direction, f, g)
     rhs = (
         fam.delta_Z(G, f * g)
@@ -360,20 +366,17 @@ def order1_hitchin_check(fam: LinearKahlerFamily, F: Poly, basis_degree: int = 3
 
     Returns a list of (name, ok, witness).
     """
-    roster = fam.sym.roster
     if directions is None:
-        directions = sorted(F.param_variables() | _family_params(fam))
-        if not directions:
-            directions = ["t1"]
-    basis = monomials_up_to(roster, basis_degree)
+        directions = family_directions(fam, F)
+    basis = monomials_up_to(fam.sym.roster, basis_degree)
     pairs = [(f, g) for f in basis for g in basis]
     if pair_limit:
         pairs = pairs[:pair_limit]
+    a1 = {p: fam.a1_data(p, F, delta_factor) for p in directions}
     checks = []
 
     ok, wit = True, None
-    for p in directions:
-        data = fam.a1_data(p, F, delta_factor)
+    for p, data in a1.items():
         for f, g in pairs:
             lhs = fam.v_c1(p, f, g)
             rhs = (
@@ -389,9 +392,8 @@ def order1_hitchin_check(fam: LinearKahlerFamily, F: Poly, basis_degree: int = 3
     checks.append(("order-1 derivation identity", ok, wit))
 
     ok, wit = True, None
-    for p in directions:
-        Q1, w1 = fam.a1_data(p, F, delta_factor)
-        Qp, wp = fam.p1_data(F, delta_factor)
+    Qp, wp = fam.p1_data(F, delta_factor)
+    for p, (Q1, w1) in a1.items():
         Qd = mat_neg(mat_deriv(Qp, p))
         wd = tuple(-c.differentiate(p) for c in wp)
         if not mat_eq(Qd, Q1) or any(a != b for a, b in zip(wd, w1)):
@@ -400,25 +402,23 @@ def order1_hitchin_check(fam: LinearKahlerFamily, F: Poly, basis_degree: int = 3
     checks.append(("flatness potential V[-P1] = A1(V)", ok, wit))
 
     ok, wit = True, None
-    for a in range(len(directions)):
-        for b in range(a + 1, len(directions)):
-            v, w = directions[a], directions[b]
-            Qv, wv = fam.a1_data(v, F, delta_factor)
-            Qw, ww = fam.a1_data(w, F, delta_factor)
-            dQ = mat_sub(mat_deriv(Qw, v), mat_deriv(Qv, w))
-            dw = tuple(cw.differentiate(v) - cv.differentiate(w) for cw, cv in zip(ww, wv))
-            if any(not x.is_zero() for row in dQ for x in row) or any(not c.is_zero() for c in dw):
-                ok, wit = False, f"directions ({v},{w})"
+    for v, w in combinations(directions, 2):
+        (Qv, wv), (Qw, ww) = a1[v], a1[w]
+        dQ = mat_sub(mat_deriv(Qw, v), mat_deriv(Qv, w))
+        dw = tuple(cw.differentiate(v) - cv.differentiate(w) for cw, cv in zip(ww, wv))
+        if any(not x.is_zero() for row in dQ for x in row) or any(not c.is_zero() for c in dw):
+            ok, wit = False, f"directions ({v},{w})"
     checks.append(("closedness d_T A1 = 0", ok, wit))
     return checks
 
 
-def _family_params(fam: LinearKahlerFamily):
-    out = set()
+def family_directions(fam: LinearKahlerFamily, F: Poly):
+    """The parameters I_t or F depends on, sorted; ["t1"] when there are none."""
+    params = set(F.param_variables())
     for row in fam.I:
         for v in row:
-            out |= v.variables()
-    return out
+            params |= v.variables()
+    return sorted(params) or ["t1"]
 
 
 def rigidity_report(Z_entries):
@@ -438,5 +438,4 @@ def rigidity_check(fam: LinearKahlerFamily, direction: str):
     """Rigidity of the family in one direction: the holomorphic part of the
     variation bivector is x-constant for linear families, so the condition
     holds identically once the type decomposition validates."""
-    _, Gh, _ = fam.gtilde_variation(direction)
-    return rigidity_report(Gh)
+    return rigidity_report(fam.variation(direction).Gh)

@@ -17,6 +17,7 @@ from fedconn.fedosov import (
 from fedconn.multidiff import StarTruncation, operator_from_symbol, operator_from_values
 from fedconn.properties import random_poly
 from fedconn.scenario import Scenario
+from fedconn.cli import main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -57,9 +58,10 @@ def test_non_abelian_r_rejected(curved_setup):
         curved_setup.weyl_curvature(bogus)
 
 
-def test_r_mutations_are_caught(monkeypatch):
+def test_r_mutations_are_caught(monkeypatch, capsys):
     # each interlocking weight of the r-equation, mutated, trips the
-    # Weyl-curvature check while r is solved for curved_r2 at order 2
+    # Weyl-curvature check while r is solved for curved_r2 at order 2; the
+    # CLI reports it as a FAIL line with the message as witness, exit 1
     sc = Scenario.load(SCENARIOS / "curved_r2.scn")
     sc.order = 2
     delta_inv = WeylForm.delta_inv
@@ -89,7 +91,14 @@ def test_r_mutations_are_caught(monkeypatch):
             m.setattr(target, name, mutant)
             with pytest.raises(NotAbelianError) as exc:
                 sc.build_setup()
+            code = main(["quantize", "--scenario", str(SCENARIOS / "curved_r2.scn"), "--order", "2"])
         assert str(exc.value).startswith(f"non-scalar Weyl-curvature residue at total degree {degree}:")
+        out, err = capsys.readouterr()
+        assert (code, err) == (1, "")
+        assert [line for line in out.splitlines() if line.startswith("[")] == [
+            "[FAIL] abelian connection: the Weyl curvature of the solved r is scalar below "
+            "the truncation"]
+        assert f"       witness: {exc.value}\n" in out
 
 
 def test_alpha_validation(sym2, flat2):

@@ -6,8 +6,9 @@ import pytest
 from fedconn.scalars import Scalar, I
 from fedconn.polynomials import Poly, ParamRational, parse_poly
 from fedconn.kahler import (
-    LinearKahlerFamily, verify_lemma_vc1, order1_hitchin_check,
+    LinearKahlerFamily, verify_lemma_vc1, order1_hitchin_check, family_directions,
     rigidity_check, rigidity_report, mat, mat_eq, mat_mul, mat_inverse, mat_identity,
+    mat_deriv, mat_scale,
 )
 from fedconn.properties import random_poly
 
@@ -167,3 +168,30 @@ def test_E_H_relation(shear2, sym2):
     F = parse_poly("t1*x2^2", sym2.roster)
     one = Poly.const(sym2.roster, 1)
     assert shear2.operator_E("t1", F, one) == shear2.operator_H("t1", F)
+
+
+def test_variation_cache_matches_fresh_computation(shear2, rational2, block4):
+    half = Scalar(Fraction(1, 2))
+    rng = random.Random(5)
+    for fam in (shear2, rational2, block4):
+        roster = fam.sym.roster
+        # M = (i pi - gtilde)/2, the closed form of the c1 matrix
+        M = [[(p * I - g) * half for p, g in zip(rp, rg)] for rp, rg in zip(fam.pi_mat, fam.gtilde)]
+        assert fam.c1_matrix() is fam.c1_matrix() and mat_eq(fam.c1_matrix(), M)
+        directions = family_directions(fam, Poly.zero(roster))
+        assert directions == (["t1", "t2"] if fam is block4 else ["t1"])
+        for p in directions:
+            v = fam.variation(p)
+            assert fam.variation(p) is v
+            G, Gh, Ga = fam.gtilde_variation(p)  # uncached: every cross-check runs again
+            for cached, fresh in zip(v, (G, Gh, Ga, mat_deriv(M, p), mat_scale(G, half))):
+                assert mat_eq(cached, fresh)
+        # a new family starts with empty caches; its verdicts match the warm one's
+        cold = LinearKahlerFamily(fam.sym, fam.I)
+        F = random_poly(roster, rng, degree=3, terms=3, params=("t1",))
+        warm = order1_hitchin_check(fam, F, basis_degree=2, pair_limit=25)
+        assert order1_hitchin_check(cold, F, basis_degree=2, pair_limit=25) == warm
+        assert all(ok for _, ok, _ in warm)
+        f, g = random_poly(roster, rng, degree=3), random_poly(roster, rng, degree=3)
+        for p in directions:
+            assert verify_lemma_vc1(cold, p, f, g) == verify_lemma_vc1(fam, p, f, g) == (True, None)

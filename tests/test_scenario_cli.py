@@ -4,9 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from fedconn import fedosov, families
+from fedconn import fedosov, families, kahler
 from fedconn.scenario import Scenario, ScenarioError
-from fedconn.cli import main
+from fedconn.cli import VARIATION, main
 from fedconn.fedosov import FedosovSetup
 from fedconn.polynomials import FormalFunction
 from fedconn.symplectic import ConnectionFamily
@@ -256,3 +256,42 @@ def test_jet_symbol_mutations_fail(capsys, monkeypatch):
         failed = failed_lines(out)
         assert len(failed) == 1 and failed[0].startswith(f"[FAIL] {fail}: "), failed
         assert f"       witness: {witness}" in out
+
+
+@pytest.mark.parametrize("target, witness", [
+    # V[I] negated: the two routes to G(V) disagree
+    ("I", "the two computations of the variation bivector disagree (direction t1)"),
+    # V[M] negated: the two routes to V[c1] disagree
+    ("_c1", "V[c1] disagrees with (1/2) df G(V) dg at ("),
+])
+def test_kahler_variation_failures_are_report_lines(capsys, monkeypatch, target, witness):
+    built = []
+    init = kahler.LinearKahlerFamily.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    deriv = kahler.mat_deriv
+
+    def negated(a, name):
+        d = deriv(a, name)
+        return kahler.mat_neg(d) if any(a is getattr(f, target) for f in built) else d
+
+    monkeypatch.setattr(kahler.LinearKahlerFamily, "__init__", recording_init)
+    monkeypatch.setattr(kahler, "mat_deriv", negated)
+    code, out, err = run_cli(capsys, "kahler", "--scenario", str(SCENARIOS / "kahler_r2.scn"))
+    assert (code, err) == (1, "")
+    assert "Traceback" not in out
+    later = f"[FAIL] variation bivector: {VARIATION}"
+    if target == "I":
+        # the direction's own line, then the step that needed its data
+        assert failed_lines(out) == ["[FAIL] variation bivector: direction t1", later]
+        fam, = built
+        for _ in range(3):  # a failing direction is never cached
+            with pytest.raises(kahler.VariationError, match="two computations"):
+                fam.variation("t1")
+        assert fam._variations == {}
+    else:
+        assert failed_lines(out) == [later]
+    assert f"       witness: {witness}" in out
