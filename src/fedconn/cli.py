@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .polynomials import Poly, monomials_up_to
-from .fedosov import NaturalityError, NotAbelianError, validate_star_axioms
+from .fedosov import NaturalityError, NotAbelianError, FedosovCheckError, validate_star_axioms
 from .families import (
     SolvabilityError, ConnectionProbeError, solve_s, connection_form, verify_compatibility,
     lowest_order_identity, verify_curvature, derivation_identity,
@@ -37,16 +37,25 @@ from .reports import Report
 from .scenario import Scenario, ScenarioError
 
 ABELIAN = "the Weyl curvature of the solved r is scalar below the truncation"
-ABELIAN_CHECK = ("abelian connection", ABELIAN + " (listed on failure)")
+# the checks inside Fedosov's construction (``FedosovCheckError.check``)
+FEDOSOV = {
+    "r recursion": "the source of r is delta-closed at every degree",
+    "r normalization": "delta* r = 0",
+    "Weyl curvature": "the Weyl curvature of the solved r equals alpha below the truncation",
+    "flatness of D_r": "D_r^2 = 0 on the fiber generators below degree trunc - 1",
+    "flat sections": "the source of tau(f) and of its symbol is delta-closed at every degree",
+}
+FEDOSOV_CHECKS = [("abelian connection", ABELIAN + " (listed on failure)")] + [
+    (name, desc + " (listed on failure)") for name, desc in FEDOSOV.items()]
 
 CHECKS = {
     "quantize": [
-        ABELIAN_CHECK,
+        *FEDOSOV_CHECKS,
         ("star axioms", "unitality, c0 = product, c1 antisymmetry, associativity"),
         ("naturality", "h^k coefficient has differential order <= k per argument"),
     ],
     "family": [
-        ABELIAN_CHECK,
+        *FEDOSOV_CHECKS,
         ("beta invariant", "d_M i_V beta = V[alpha] for every direction"),
         ("s equation", "D_r(i_V s) matches its source with delta* i_V s = 0"),
         ("connection form", "A(V) from its symbol matches its formula past its order bound "
@@ -57,7 +66,7 @@ CHECKS = {
         ("curvature consistency", "direct curvature of A equals the s-expression"),
     ],
     "gauge": [
-        ABELIAN_CHECK,
+        *FEDOSOV_CHECKS,
         ("beta invariant", "d_M i_V beta = V[alpha] for both trivializations (listed on failure)"),
         ("s equation", "D_r(i_V s) matches its source (listed on failure)"),
         ("connection form", "A(V) from its symbol matches its formula (listed on failure)"),
@@ -80,7 +89,7 @@ CHECKS = {
     "verify-all": [
         ("weyl battery", "homotopy, differentials, associativity, unit, h-divisibility"),
         ("cochain battery", "[star,star] = 0, d_H^2 = 0, graded Jacobi and antisymmetry"),
-        ABELIAN_CHECK,
+        *FEDOSOV_CHECKS,
     ],
 }
 
@@ -339,6 +348,8 @@ def main(argv=None) -> int:
         report.add("connection form", CONNECTION_FORM, False, str(exc))
     except VariationError as exc:
         report.add("variation bivector", VARIATION, False, str(exc))
+    except FedosovCheckError as exc:
+        report.add(exc.check, FEDOSOV[exc.check], False, str(exc))
     except NotAbelianError as exc:
         # a ValueError, but a failed check of the math, not bad input
         report.add("abelian connection", ABELIAN, False, str(exc))

@@ -141,6 +141,8 @@ def solve_s(family: FamilyContext, beta: TrivializationBeta, direction: str) -> 
     solved by total degree.  The sign on i_V beta is the one for which D_r of
     the right-hand side has vanishing central part (-V[alpha] + d_M i_V beta
     shows up with these conventions), which the recursion checks degreewise.
+    The defining equation is then checked below degree N - 1, so the bracket
+    in D_r(s) is capped at N - 2 (exact: its degree is additive).
     """
     setup = family.setup
     N = family.trunc
@@ -162,13 +164,21 @@ def solve_s(family: FamilyContext, beta: TrivializationBeta, direction: str) -> 
     s = sum(parts.values(), WeylForm.zero(family.sym, N))
     if not s.delta_star().is_zero():
         raise SolvabilityError(f"delta* normalization of s failed (direction {direction})")
-    defect = setup.D_r(s) - rhs
+    defect = setup.D_r(s, max_degree=N - 2) - rhs
     for d in range(N - 1):
         if not defect.homogeneous(d).is_zero():
             raise SolvabilityError(
                 f"s fails its defining equation at degree {d} (direction {direction})"
             )
     return s
+
+
+def read_degree(form: WeylForm, order: int) -> int:
+    """The total degree to which p(ad_over_h(form, tau(f))) mod h^{order+1}
+    reads tau(f): a central h^k term pairs degrees summing to 2k + 2, so it
+    is 2 * order + 2 less the lowest degree of ``form``, taken from the form."""
+    low = form.lowest_degree()
+    return 0 if low is None else max(0, 2 * order + 2 - low)
 
 
 class ConnectionOneForm:
@@ -200,20 +210,22 @@ def connection_form(family: FamilyContext, s_forms: dict) -> ConnectionOneForm:
     2k - 1.  So A(V) is read off p(ad_over_h(i_V s, sigma)), with sigma the
     symbol of tau at jet degree 2K - 1 (``FedosovSetup.tau_symbol``), and
     checked against the formula on monomials one degree past that bound.
+    Both the symbol and tau are read to total degree ``read_degree(i_V s, K)``.
     """
     setup = family.setup
     K = family.order
     roster = family.sym.roster
     bound = 2 * K - 1
-    sigma = setup.tau_symbol(bound)
     probes = [Poly.monomial(roster, a)
               for a in exponents_up_to(len(roster), bound + 1)[-len(roster):]]
     ops = {}
     for p in family.params:
         s = s_forms[p]
+        read = read_degree(s, K)
+        sigma = setup.tau_symbol(bound, read)
         op = operator_from_symbol(roster, K, s.projected_ad_over_h(sigma, K), (setup.jets,))
         for m in probes:
-            diff = op.apply(m) - s.projected_ad_over_h(setup.tau(m), K)
+            diff = op.apply(m) - s.projected_ad_over_h(setup.tau(m, read), K)
             if not diff.is_zero():
                 raise ConnectionProbeError(
                     f"A({p}) from its symbol differs from p(ad_over_h(i_V s, tau f)) "
@@ -274,7 +286,8 @@ def curvature_ops(family: FamilyContext, A: ConnectionOneForm, s_forms: dict,
     Returns (direct, via_s) where ``direct`` is the arity-1 operator
     V[A(W)] - W[A(V)] + [A(V), A(W)] and ``via_s`` evaluates
     f -> p(ad_over_h(V[s_W] - W[s_V] + ad_over_h(s_V, s_W), tau(f))) with the
-    operator read off the symbol of tau, like A(V) in ``connection_form``.
+    operator read off the symbol of tau, like A(V) in ``connection_form``,
+    to total degree ``read_degree(E, K)``.
     """
     direct = (
         A[w].t_derivative(v)
@@ -288,6 +301,7 @@ def curvature_ops(family: FamilyContext, A: ConnectionOneForm, s_forms: dict,
     )
     setup = family.setup
     K = family.order
+    read = read_degree(E, K)
     ops = {}
 
     def via_s(f):
@@ -296,7 +310,7 @@ def curvature_ops(family: FamilyContext, A: ConnectionOneForm, s_forms: dict,
         op = ops.get(degree)
         if op is None:
             op = ops[degree] = operator_from_symbol(
-                family.sym.roster, K, E.projected_ad_over_h(setup.tau_symbol(degree), K),
+                family.sym.roster, K, E.projected_ad_over_h(setup.tau_symbol(degree, read), K),
                 (setup.jets,),
             )
         return op.apply(f)

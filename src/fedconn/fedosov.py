@@ -19,6 +19,17 @@ coefficients are polynomials in x and jet variables xi: a term
 c(x) xi^b y^a h^k stands for f -> c d^b f.  The same recursion gives that
 symbol (``FedosovSetup.tau_symbol``), and the bidifferential coefficients of
 the star are read off p(sigma_xi o sigma_eta), the star of two exponentials.
+
+Total degree (|y| + 2 * h-power, the filtration of Fedosov 1994) is additive
+under the Weyl product, and ad_over_h lowers it by 2.  So every computation
+here stops at the degree that is read, and that is exact.  The central part
+of a product at h^k pairs terms whose degrees sum to 2k (2k + 2 for
+ad_over_h).  So the star to order K reads tau and its symbol to degree
+2K - 1 (their only degree-0 part is y-free, and pairs only with a y-free
+term), and A(V) reads them to 2K + 2 less the lowest degree of i_V s.  The
+checks of r and s cap their brackets at the degrees they compare.  The
+truncation ``trunc`` (2K + 2 from the command line) is where r is solved and
+checked.
 """
 
 from __future__ import annotations
@@ -40,6 +51,16 @@ class NotAbelianError(ValueError):
 
 class NaturalityError(AssertionError):
     """The extracted star disagrees with the star product past its naturality bound."""
+
+
+class FedosovCheckError(AssertionError):
+    """A check of the construction failed: the recursions' delta-closedness,
+    delta* r = 0, D_r^2 = 0 or the Weyl curvature of r.  ``check`` names it
+    in reports; the message gives the degree."""
+
+    def __init__(self, check: str, message: str):
+        super().__init__(message)
+        self.check = check
 
 
 def jet_names(dim: int, prefix: str):
@@ -105,6 +126,16 @@ def solve_by_degree(derivative, parts: dict, degrees, source: WeylForm,
         parts[d + 1] = B.delta_inv()
 
 
+def star_depth(order: int) -> int:
+    """The total degree to which p(a o b) mod h^{order+1} reads flat sections
+    a and b, or their symbols.  Its h^k part pairs terms y^a h^k1 and
+    y^a' h^k2 with |a| = |a'| = m and k1 + k2 + m = k, whose total degrees
+    sum to 2k.  For m = 0 both are y-free, and the only y-free part of a flat
+    section is its degree-0 part; for m >= 1 both degrees are >= 1.  So it is
+    2 * order - 1."""
+    return max(2 * order - 1, 0)
+
+
 class FedosovSetup:
     """A symplectic connection plus a formal 2-form, with the solved r cached."""
 
@@ -129,7 +160,7 @@ class FedosovSetup:
         self._tau_cache = {}
         self.jets = jet_names(self.sym.dim, "xi")
         self.symbol_roster = merge_rosters(self.sym.roster, self.jets)
-        self._symbol = None  # (jet degree, tau_symbol at that degree)
+        self._symbol = None  # (jet degree, total degree, tau_symbol to those degrees)
 
     @property
     def _r_parts(self):
@@ -170,92 +201,133 @@ class FedosovSetup:
         solve_by_degree(
             self.connection.cov_deriv, parts, range(2, N), (self.alpha - self.omega_form) - self.R,
             parts, Fraction(1, 2),
-            lambda d: AssertionError(f"r recursion source fails delta-closedness at degree {d}"),
+            lambda d: FedosovCheckError(
+                "r recursion", f"r recursion source fails delta-closedness at degree {d}"),
         )
         r = sum(parts.values(), WeylForm.zero(self.sym, N))
-        if not r.delta_star().is_zero():
-            raise AssertionError("r normalization delta* r = 0 failed")
+        bad = r.delta_star()
+        if not bad.is_zero():
+            raise FedosovCheckError(
+                "r normalization", f"delta* r = 0 fails on the degree-{bad.lowest_degree() - 1} "
+                                   f"part of r")
         self._check_weyl_curvature(r)
         self._check_flatness(r)
         return r
 
+    def _flatness_residues(self, r: WeylForm):
+        """D_r^2(y^m) for each fiber generator y^m, below total degree trunc - 1.
+
+        The check reads degrees d < trunc - 1.  There the outer D reads
+        D(y^m) at degree d + 1 (through delta), d (through d_nabla) and
+        d + 2 - e (through ad_over_h(r_e, .)); a degree-0 term of r is
+        central and brackets to zero, so e >= 1 and no read is above
+        trunc - 1.  So the inner bracket is capped at trunc - 1 and the outer
+        at trunc - 2, and the residues below trunc - 1 are those of the
+        uncapped D(D(y^m)), for any r.
+        """
+        def D(a, cap):
+            return -a.delta() + self.connection.cov_deriv(a) + r.ad_over_h(a, max_degree=cap)
+        N, dim = self.trunc, self.sym.dim
+        generators = (WeylForm.y_monomial(self.sym, N, tuple(int(q == m) for q in range(dim)))
+                      for m in range(dim))
+        return [D(D(ym, N - 1), N - 2).truncate(N - 2) for ym in generators]
+
     def _check_flatness(self, r: WeylForm):
-        """D_r^2 = 0 up to the trustworthy degree, probed on fiber generators."""
-        def D(a):
-            return -a.delta() + self.connection.cov_deriv(a) + r.ad_over_h(a)
-        for m in range(self.sym.dim):
-            ym = WeylForm.y_monomial(self.sym, self.trunc,
-                                     tuple(1 if q == m else 0 for q in range(self.sym.dim)))
-            sq = D(D(ym))
-            for d in range(self.trunc - 1):
-                if not sq.homogeneous(d).is_zero():
-                    raise AssertionError(f"D_r fails to square to zero at degree {d}")
+        """D_r^2 = 0 below degree trunc - 1, probed on the fiber generators."""
+        for sq in self._flatness_residues(r):
+            d = sq.lowest_degree()
+            if d is not None:
+                raise FedosovCheckError("flatness of D_r",
+                                        f"D_r fails to square to zero at degree {d}")
 
     def _check_weyl_curvature(self, r: WeylForm):
-        got = self.weyl_curvature(r)
-        cutoff = self.trunc - 1
-        diff = got - self.alpha
-        for d in range(cutoff + 1):
-            if not diff.homogeneous(d).is_zero():
-                raise AssertionError(
-                    f"Weyl curvature of the solved r differs from alpha at degree {d}"
-                )
+        d = (self.weyl_curvature(r) - self.alpha).lowest_degree()
+        if d is not None:
+            raise FedosovCheckError("Weyl curvature",
+                                    f"Weyl curvature of the solved r differs from alpha at degree {d}")
+
+    def _curvature_form(self, r: WeylForm) -> WeylForm:
+        """omega + delta r + R - d_nabla r - (1/2) ad(r, r), to total degree
+        trunc - 1: ad(r, r) is capped there, exact because the bracket's
+        degree is additive, and the sum is truncated there."""
+        cap = self.trunc - 1
+        return (
+            self.omega_form
+            + r.delta()
+            + self.R
+            - self.connection.cov_deriv(r)
+            - r.ad_over_h(r, max_degree=cap).scale(Fraction(1, 2))
+        ).truncate(cap)
 
     def weyl_curvature(self, r: WeylForm) -> WeylForm:
         """The central 2-form omega + delta r + R - d_nabla r - (1/2) ad(r, r)
         whose ad_over_h-action is -D_r^2; scalar exactly when D_r is abelian.
 
-        Raises NotAbelianError when the non-scalar residue survives below the
-        truncation's trustworthy range (total degree < trunc).
+        Computed below total degree trunc, the range every check of it reads
+        (``_curvature_form``).  Raises NotAbelianError when a non-scalar
+        residue survives there.
         """
-        W = (
-            self.omega_form
-            + r.delta()
-            + self.R
-            - self.connection.cov_deriv(r)
-            - r.ad_over_h(r).scale(Fraction(1, 2))
-        )
+        W = self._curvature_form(r)
         scalar = WeylForm(self.sym, W.trunc,
                           {key: c for key, c in W.terms.items() if not any(key[1])})
-        residue = W - scalar
-        for d in range(self.trunc):
-            if not residue.homogeneous(d).is_zero():
-                raise NotAbelianError(
-                    f"non-scalar Weyl-curvature residue at total degree {d}: "
-                    f"the given r is not abelian"
-                )
+        d = (W - scalar).lowest_degree()
+        if d is not None:
+            raise NotAbelianError(
+                f"non-scalar Weyl-curvature residue at total degree {d}: "
+                f"the given r is not abelian"
+            )
         return scalar
 
     # -- the abelian connection and its flat sections -------------------------------
 
-    def D_r(self, a: WeylForm) -> WeylForm:
-        return -a.delta() + self.connection.cov_deriv(a) + self.r.ad_over_h(a)
+    def D_r(self, a: WeylForm, max_degree: int = None) -> WeylForm:
+        """-delta a + d_nabla a + ad_over_h(r, a), with the bracket capped at
+        ``max_degree`` (None: the truncation)."""
+        return -a.delta() + self.connection.cov_deriv(a) + self.r.ad_over_h(a, max_degree)
 
-    def tau(self, f: Poly) -> WeylForm:
-        """The D_r-flat section with fiberwise-constant part f.
+    def _depth(self, max_degree):
+        return self.trunc if max_degree is None else min(max_degree, self.trunc)
+
+    def _continue_flat(self, section, top, depth, derivative, left, fail):
+        """``section``, solved to total degree ``top``, continued by the
+        flat-section recursion to ``depth``.  Degree d + 1 reads only degrees
+        <= d of the section, so continuing gives what one run to ``depth``
+        gives."""
+        zero = WeylForm.zero(self.sym, self.trunc)
+        parts = {d: section.homogeneous(d) for d in range(top + 1)}
+        solve_by_degree(derivative, parts, range(top, depth), zero, left, 1,
+                        lambda d: FedosovCheckError("flat sections", fail(d)))
+        return sum(parts.values(), zero)
+
+    def tau(self, f: Poly, max_degree: int = None) -> WeylForm:
+        """The D_r-flat section with fiberwise-constant part f, to total
+        degree ``max_degree`` (None: the truncation).
 
         Degreewise fixed point tau = f + delta_inv(d_nabla tau + ad_over_h(r, tau)).
         At each degree the source is checked to be delta-closed, which is
         exactly the statement that the flat-section defect vanishes there.
+        Degree d + 1 is built from degrees <= d only, so stopping at
+        ``max_degree`` gives exactly the low-degree parts of the full
+        section; the form keeps the setup's truncation, so pairings read it
+        as far as its degrees allow.  One section is kept per f, at the
+        largest degree asked for: a deeper request continues the recursion,
+        a shallower one is a truncation.
         """
         f = f.with_roster(self.sym.roster)
         key = str(f)
+        depth = self._depth(max_degree)
         hit = self._tau_cache.get(key)
-        if hit is not None:
-            return hit
-        N = self.trunc
-        zero = WeylForm.zero(self.sym, N)
-        parts = {0: WeylForm.from_poly(self.sym, N, f)}
-        solve_by_degree(
-            self.connection.cov_deriv, parts, range(N), zero, self._r_parts, 1,
-            lambda d: AssertionError(f"flat section defect at total degree {d}"),
-        )
-        t = sum(parts.values(), zero)
-        self._tau_cache[key] = t
-        return t
+        top, t = hit or (0, WeylForm.from_poly(self.sym, self.trunc, f))
+        if hit is None or top < depth:
+            t = self._continue_flat(t, top, depth, self.connection.cov_deriv, self._r_parts,
+                                    lambda d: f"flat section defect at total degree {d}")
+            top = depth
+            self._tau_cache[key] = (top, t)
+        return t if top == depth else t.up_to_degree(depth)
 
-    def tau_symbol(self, degree: int) -> WeylForm:
-        """The symbol e^{-xi.x} tau(e^{xi.x}) of tau, to jet degree ``degree``.
+    def tau_symbol(self, degree: int, max_degree: int = None) -> WeylForm:
+        """The symbol e^{-xi.x} tau(e^{xi.x}) of tau, to jet degree ``degree``
+        and total degree ``max_degree`` (None: the truncation).
 
         Its coefficients are Polys in x and the jet variables ``self.jets``;
         a term c(x) xi^b y^a h^k stands for f -> c d^b f, so tau(f) for f of
@@ -265,28 +337,35 @@ class FedosovSetup:
         over functions of x.  No step lowers the jet degree, so dropping jet
         degree > ``degree`` in Xi ^ is exact, and the delta-closedness check
         at each degree covers what tau checks on monomials of degree <=
-        ``degree``.  One symbol is kept, at the largest degree asked for;
-        smaller requests are truncations of it.
+        ``degree``.  As in ``tau``, stopping at ``max_degree`` is exact.
+        One symbol is kept, at the largest jet and total degrees asked for:
+        a deeper request continues its recursion, a larger jet degree starts
+        it again, and smaller requests are truncations of it.
         """
         roster = self.symbol_roster
         positions = [roster.index(name) for name in self.jets]
-        if self._symbol is None or self._symbol[0] < degree:
-            N = self.trunc
-            zero = WeylForm.zero(self.sym, N)
-            one = Poly.const(roster, 1)
-            parts = {0: WeylForm(self.sym, N, {(0, (0,) * self.sym.dim, ()): one})}
+        depth = self._depth(max_degree)
+        jet, top, symbol = self._symbol or (degree, 0, None)
+        if jet < degree:
+            # Xi ^ enters every degree: start again, as deep as before
+            jet, symbol = degree, None
+        target = max(top, depth)
+        if symbol is None or top < target:
+            if symbol is None:
+                top = 0
+                symbol = WeylForm(self.sym, self.trunc,
+                                  {(0, (0,) * self.sym.dim, ()): Poly.const(roster, 1)})
             r_parts = {d: _recoefficient(a, lambda c: c.with_roster(roster))
                        for d, a in self._r_parts.items()}
-            solve_by_degree(
-                lambda a: self.connection.cov_deriv(a) + _jet_wedge(a, positions, degree),
-                parts, range(N), zero, r_parts, 1,
-                lambda d: AssertionError(f"flat section symbol defect at total degree {d}"),
+            symbol = self._continue_flat(
+                symbol, top, target,
+                lambda a: self.connection.cov_deriv(a) + _jet_wedge(a, positions, jet),
+                r_parts, lambda d: f"flat section symbol defect at total degree {d}",
             )
-            self._symbol = (degree, sum(parts.values(), zero))
-        top, symbol = self._symbol
-        if top == degree:
-            return symbol
-        return _recoefficient(symbol, lambda c: _jet_degree_at_most(c, positions, degree))
+            self._symbol = (jet, target, symbol)
+        if jet > degree:
+            symbol = _recoefficient(symbol, lambda c: _jet_degree_at_most(c, positions, degree))
+        return symbol if target == depth else symbol.up_to_degree(depth)
 
     # -- the star product ---------------------------------------------------------------
 
@@ -300,26 +379,29 @@ class FedosovSetup:
         """f * g = p(tau(f) o tau(g)) mod h^{order+1}; needs trunc >= 2*order.
 
         The projection is computed directly (``WeylForm.projected_mw``): only
-        the central part of the product is formed.
+        the central part of the product is formed, and each tau only to
+        ``star_depth(order)``.
         """
         if order is None:
             order = self.trunc // 2
         self._check_order(order)
-        return self.tau(f).projected_mw(self.tau(g), order)
+        depth = star_depth(order)
+        return self.tau(f, depth).projected_mw(self.tau(g, depth), order)
 
     def extract_star(self, order: int = None, probe: bool = True) -> StarTruncation:
         """c^0..c^order as bidifferential operators, read off the symbol
         p(sigma_xi o sigma_eta) of the star, where sigma_xi is ``tau_symbol``
         and sigma_eta the same symbol in a second set of jet variables.  The
         h^k layer has differential order <= k in each argument (naturality),
-        so jet degree ``order`` is enough; a probe past that bound checks it
-        against the star product of functions.
+        so jet degree ``order`` is enough, and total degree
+        ``star_depth(order)``; a probe past the jet bound checks it against
+        the star product of functions.
         """
         if order is None:
             order = self.trunc // 2
         self._check_order(order)
         roster = self.sym.roster
-        sigma = self.tau_symbol(order)
+        sigma = self.tau_symbol(order, star_depth(order))
         etas = jet_names(self.sym.dim, "eta")
         full = merge_rosters(self.symbol_roster, etas)
         renamed = tuple(dict(zip(self.jets, etas)).get(name, name) for name in self.symbol_roster)

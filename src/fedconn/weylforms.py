@@ -25,6 +25,11 @@ and k <= min(|a1|, |a2|), so it is y-free, that is central, only when
 order.  ``projected_mw`` and ``projected_ad_over_h`` compute p(a o b) and
 p(ad_over_h(a, b)) from those pairs alone, with the full-contraction weight
 of each (a1, a2) cached on the WeylContext.
+
+Total degree is additive: every contraction order of a pair of terms of
+degrees d1 and d2 lands at degree d1 + d2 (d1 + d2 - 2 in ad_over_h).  So a
+caller that reads a product only up to some degree passes it as
+``max_degree``, and the pairs above it are skipped, not computed and dropped.
 """
 
 from __future__ import annotations
@@ -221,6 +226,17 @@ class WeylForm:
             {key: c for key, c in self.terms.items() if 2 * key[0] + sum(key[1]) == degree},
         )
 
+    def up_to_degree(self, degree: int) -> "WeylForm":
+        """The terms of total degree <= ``degree``, at the same truncation."""
+        return WeylForm(
+            self.ctx, self.trunc,
+            {key: c for key, c in self.terms.items() if 2 * key[0] + sum(key[1]) <= degree},
+        )
+
+    def lowest_degree(self):
+        """The least total degree of a term; None for the zero form."""
+        return min((2 * k + sum(a) for (k, a, _) in self.terms), default=None)
+
     def form_degrees(self):
         return sorted({len(key[2]) for key in self.terms})
 
@@ -265,18 +281,18 @@ class WeylForm:
 
     # -- Moyal-Weyl product --------------------------------------------------------
 
-    def mw(self, other: "WeylForm") -> "WeylForm":
+    def mw(self, other: "WeylForm", max_degree=None) -> "WeylForm":
         """Fiberwise Moyal-Weyl product, wedging the form parts."""
-        return self._pairing(other, False, False)
+        return self._pairing(other, False, False, max_degree)
 
-    def graded_comm(self, other: "WeylForm") -> "WeylForm":
+    def graded_comm(self, other: "WeylForm", max_degree=None) -> "WeylForm":
         """a o b - (-1)^{|a||b|} b o a on form degrees, computed termwise."""
-        return self._pairing(other, True, False)
+        return self._pairing(other, True, False, max_degree)
 
-    def ad_over_h(self, other: "WeylForm") -> "WeylForm":
+    def ad_over_h(self, other: "WeylForm", max_degree=None) -> "WeylForm":
         """(i/h) * graded_comm(self, other); exact because only odd contraction
         orders survive in the commutator."""
-        return self._pairing(other, True, True)
+        return self._pairing(other, True, True, max_degree)
 
     def projected_mw(self, other: "WeylForm", order: int) -> FormalFunction:
         """p(self o other) mod h^{order+1}, without forming the product."""
@@ -321,25 +337,38 @@ class WeylForm:
                 add_term(coeffs, h_power, (c1 * c2).scale(w * factor))
         return FormalFunction(ctx.roster, order, coeffs)
 
-    def _pairing(self, other, commutator, over_h):
-        """The pairing loop shared by mw, graded_comm and ad_over_h."""
+    def _pairing(self, other, commutator, over_h, max_degree=None):
+        """The pairing loop shared by mw, graded_comm and ad_over_h.
+
+        Terms of total degrees d1 and d2 contribute at total degree d1 + d2
+        (d1 + d2 - 2 for ad_over_h) at every contraction order: the k-th
+        contraction removes 2k from the y-degree and adds k to the h-power.
+        So with ``max_degree`` the pairs that land above it are never
+        visited (``other`` is bucketed by degree), and the result is exactly
+        the part of degree <= ``max_degree`` of the full pairing.  None
+        computes everything up to the truncation.
+        """
         self._check(other)
         trunc = min(self.trunc, other.trunc)
+        cap = trunc if max_degree is None else min(trunc, max_degree)
+        room = cap + 2 if over_h else cap
+        by_degree = {}
+        for key2, c2 in other.terms.items():
+            by_degree.setdefault(2 * key2[0] + sum(key2[1]), []).append((key2, c2))
         out = {}
         for key1, c1 in self.terms.items():
-            for key2, c2 in other.terms.items():
-                self._mw_pair(key1, c1, key2, c2, trunc, out, commutator, over_h)
+            left = room - 2 * key1[0] - sum(key1[1])
+            for d2, bucket in by_degree.items():
+                if d2 > left:
+                    continue
+                for key2, c2 in bucket:
+                    self._mw_pair(key1, c1, key2, c2, out, commutator, over_h)
         return WeylForm(self.ctx, trunc, out)
 
-    def _mw_pair(self, key1, c1, key2, c2, trunc, out, commutator, over_h):
+    def _mw_pair(self, key1, c1, key2, c2, out, commutator, over_h):
         k1, a1, J1 = key1
         k2, a2, J2 = key2
         if set(J1) & set(J2):
-            return
-        base_degree = sum(a1) + sum(a2) + 2 * (k1 + k2)
-        if not over_h and base_degree > trunc:
-            return
-        if over_h and base_degree - 2 > trunc:
             return
         ctx = self.ctx
         sign = _wedge_sign(J1, J2)
@@ -361,8 +390,6 @@ class WeylForm:
                     raise AssertionError("h-division left a remainder in ad_over_h")
                 for (b1, b2), w in state.items():
                     key = (h_power, tuple(e1 + e2 for e1, e2 in zip(b1, b2)), J)
-                    if 2 * key[0] + sum(key[1]) > trunc:
-                        continue
                     add_term(out, key, cc.scale(w * factor) if sign > 0 else cc.scale(-(w * factor)))
             if k == kmax:
                 break

@@ -1,4 +1,6 @@
+import inspect
 import itertools
+import sys
 
 import pytest
 
@@ -28,6 +30,24 @@ def connection_from_T(sym, T):
                 if not acc.is_zero():
                     gamma[(k, i, j)] = acc
     return ConnectionFamily(sym, gamma)
+
+
+def lower_cap(monkeypatch, cls, name, caller, which=None):
+    """Patch ``cls.name`` so that its ``max_degree`` is one lower when it is
+    called from a function named ``caller`` (and ``which(frame, cap)`` holds)."""
+    method = getattr(cls, name)
+    signature = inspect.signature(method)
+
+    def mutant(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        cap = bound.arguments.get("max_degree")
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == caller and cap is not None and \
+                (which is None or which(frame, cap)):
+            bound.arguments["max_degree"] = cap - 1
+        return method(*bound.args, **bound.kwargs)
+
+    monkeypatch.setattr(cls, name, mutant)
 
 
 class FamilyBundle:

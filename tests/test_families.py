@@ -14,6 +14,8 @@ from fedconn.families import (
 )
 from fedconn.multidiff import MultiDiffOp, is_derivation, operator_from_callable
 from fedconn.scenario import Scenario
+from fedconn.fedosov import FedosovSetup
+from conftest import lower_cap
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -289,3 +291,21 @@ def test_curvature_via_s_matches_formula(bundle_f3):
         expect = E.projected_ad_over_h(fam.setup.tau(f), fam.order)
         assert via_s(f) == expect, f
     assert any(not via_s(f).is_zero() for f in fs)
+
+
+def test_curvature_cap_is_needed(bundle_f3, monkeypatch):
+    # the E-operator's symbol read one degree short of read_degree(E, K)
+    # disagrees with the per-function projection
+    lower_cap(monkeypatch, FedosovSetup, "tau_symbol", "via_s")
+    with pytest.raises(AssertionError):
+        test_curvature_via_s_matches_formula(bundle_f3)
+
+
+def test_read_degree_comes_from_the_form(sym2):
+    # 2K + 2 less the lowest total degree present, whatever that degree is
+    y = WeylForm.y_monomial(sym2, 8, (2, 1), h_power=1)  # degree 5
+    assert families.read_degree(y, 3) == 3
+    assert families.read_degree(y + WeylForm.y_monomial(sym2, 8, (1, 0)), 3) == 7
+    x1 = WeylForm.from_poly(sym2, 8, Poly.var(sym2.roster, "x1"), h_power=4)  # degree 8
+    assert families.read_degree(x1, 3) == 0
+    assert families.read_degree(WeylForm.zero(sym2, 8), 3) == 0

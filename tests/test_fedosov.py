@@ -17,7 +17,9 @@ from fedconn.fedosov import (
 from fedconn.multidiff import StarTruncation, operator_from_symbol, operator_from_values
 from fedconn.properties import random_poly
 from fedconn.scenario import Scenario
+from fedconn import cli
 from fedconn.cli import main
+from conftest import connection_from_T, lower_cap
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -154,7 +156,8 @@ def test_tau_defect_guard_fires():
     setup._r_parts_cache = None
     with pytest.raises(AssertionError) as exc:
         setup.tau(parse_poly("x2", sym.roster))
-    assert exc.type is AssertionError
+    assert exc.type is fedosov.FedosovCheckError
+    assert exc.value.check == "flat sections"
     assert str(exc.value) == "flat section defect at total degree 2"
 
 
@@ -270,3 +273,233 @@ def test_tau_symbol_truncates_the_larger_one():
     assert setup.tau_symbol(2) == fresh
     assert setup.tau_symbol(4) is big
     assert big != fresh
+
+
+# -- the degree caps against the uncapped computations ---------------------------------
+
+def curved_r4_setup(sym4):
+    """A curved R^4 setup at h-order 2 (truncation 6): Gamma = pi T with T
+    totally symmetric and x-linear in the first block, and a closed alpha."""
+    r = sym4.roster
+    conn = connection_from_T(sym4, {
+        (0, 0, 0): parse_poly("x2", r), (0, 0, 1): Poly.const(r, 2),
+        (0, 1, 1): parse_poly("-x1", r), (1, 1, 1): parse_poly("2*x2", r),
+    })
+    alpha = WeylForm.omega_form(sym4, 6) + WeylForm.two_form(sym4, 6, {
+        (1, 0, 1): parse_poly("x1", r), (1, 2, 3): parse_poly("-2*x3", r),
+        (2, 0, 2): Poly.const(r, 1),
+    })
+    return FedosovSetup(conn, alpha, trunc=6)
+
+
+def cap_case(name, sym4):
+    if name == "curved_r4 K=2":
+        return curved_r4_setup(sym4)
+    sc = Scenario.load(SCENARIOS / name.split()[0])
+    sc.order = int(name[-1])
+    sc.truncation = 2 * sc.order + 2
+    return sc.build_family().setup if sc.params else sc.build_setup()
+
+
+def uncapped_flatness_residues(setup, r):
+    def D(a):
+        return -a.delta() + setup.connection.cov_deriv(a) + r.ad_over_h(a)
+    dim = setup.sym.dim
+    return [D(D(WeylForm.y_monomial(setup.sym, setup.trunc,
+                                    tuple(1 if q == m else 0 for q in range(dim)))))
+            for m in range(dim)]
+
+
+def uncapped_curvature_form(setup, r):
+    return (setup.omega_form + r.delta() + setup.R - setup.connection.cov_deriv(r)
+            - r.ad_over_h(r).scale(Fraction(1, 2)))
+
+
+@pytest.mark.parametrize("name", ["curved_r2.scn K=4", "curved_r4 K=2", "family_r2.scn K=3"])
+def test_capped_checks_match_uncapped(name, sym4):
+    # the flatness and Weyl-curvature residues, degree by degree, against the
+    # uncapped D(D(y^m)) and curvature form, for the solved r and for
+    # r + 3 y1^2 dx^2, which fails at several degrees
+    setup = cap_case(name, sym4)
+    N, sym = setup.trunc, setup.sym
+    bump = WeylForm.y_monomial(sym, N, (2,) + (0,) * (sym.dim - 1), coeff=3, J=(1,))
+    for r, solved in ((setup.r, True), (setup.r + bump, False)):
+        failing = set()
+        first = None  # the check reports the first generator's lowest failing degree
+        for capped, full in zip(setup._flatness_residues(r), uncapped_flatness_residues(setup, r)):
+            assert capped.lowest_degree() is None or capped.lowest_degree() < N - 1
+            for d in range(N - 1):
+                assert capped.homogeneous(d) == full.homogeneous(d), (name, solved, d)
+                if not full.homogeneous(d).is_zero():
+                    failing.add(("flatness", d))
+                    first = d if first is None else first
+        capped = setup._curvature_form(r)
+        full = uncapped_curvature_form(setup, r)
+        assert capped.trunc == N - 1
+        for d in range(N):
+            assert capped.homogeneous(d) == full.homogeneous(d), (name, solved, d)
+            if not (full - setup.alpha).homogeneous(d).is_zero():
+                failing.add(("curvature", d))
+        if solved:
+            assert not failing
+            setup._check_flatness(r)
+            setup._check_weyl_curvature(r)
+        else:
+            for check in ("flatness", "curvature"):
+                assert len([d for c, d in failing if c == check]) >= 2, (name, failing)
+            with pytest.raises(fedosov.FedosovCheckError,
+                               match=f"D_r fails to square to zero at degree {first}$"):
+                setup._check_flatness(r)
+
+
+def low_parts(form, degree):
+    return WeylForm(form.ctx, form.trunc, {
+        key: c for key, c in form.terms.items() if 2 * key[0] + sum(key[1]) <= degree})
+
+
+@pytest.mark.parametrize("name", ["curved_r2.scn", "family_r2.scn"])
+def test_capped_tau_and_symbol_match_uncapped(name):
+    # tau(f, d) and tau_symbol(jet, d) are the parts of degree <= d of the
+    # uncapped ones, whether computed first, continued or truncated
+    sc = Scenario.load(SCENARIOS / name)
+    build = (lambda: sc.build_family().setup) if sc.params else sc.build_setup
+    full, rising, falling = build(), build(), build()
+    N = full.trunc
+    roster = full.sym.roster
+    for f in (parse_poly("x1^2*x2 - 3*x2", roster), parse_poly("x1", roster)):
+        reference = full.tau(f)
+        for d in range(N + 1):
+            assert rising.tau(f, d) == low_parts(reference, d), (f, d)
+            assert falling.tau(f, N - d) == low_parts(reference, N - d), (f, N - d)
+    for jet in (1, 3, 2):
+        reference = full.tau_symbol(jet)
+        for d in (3, 0, 5, N, 4):
+            assert rising.tau_symbol(jet, d) == low_parts(reference, d), (jet, d)
+    # the star reads tau to star_depth(K) = 2K - 1: the same as from full sections
+    basis = monomials_up_to(roster, 3)
+    for order in range(N // 2 + 1):
+        for f, g in zip(basis, reversed(basis)):
+            assert falling.star(f, g, order) == full.tau(f).projected_mw(full.tau(g), order)
+
+
+def test_flat_sections_continue_and_never_repeat_a_degree(monkeypatch):
+    # one section is kept per function and one symbol per setup: a deeper
+    # request continues the recursion, so no degree is solved twice
+    setup = Scenario.load(SCENARIOS / "curved_r2.scn").build_setup()
+    solved = []
+
+    def recording(derivative, parts, degrees, source, left, weight, fail):
+        solved.append((str(fail(0)).split(" at ")[0], tuple(degrees)))
+        SOLVE(derivative, parts, degrees, source, left, weight, fail)
+
+    monkeypatch.setattr(fedosov, "solve_by_degree", recording)
+    f = parse_poly("x1*x2", setup.sym.roster)
+    for d in (2, 5, 3, 8, None):
+        setup.tau(f, d)
+    assert solved == [("flat section defect", (0, 1)), ("flat section defect", (2, 3, 4)),
+                      ("flat section defect", (5, 6, 7))]
+    solved.clear()
+    for jet, d in ((2, 3), (1, 6), (2, 2), (3, 4)):
+        setup.tau_symbol(jet, d)
+    # a larger jet degree starts again, as deep as the symbol already was
+    assert solved == [("flat section symbol defect", (0, 1, 2)),
+                      ("flat section symbol defect", (3, 4, 5)),
+                      ("flat section symbol defect", tuple(range(6)))]
+
+
+# -- failures of the construction's checks are report lines ---------------------------
+
+SOLVE = fedosov.solve_by_degree
+
+
+def _with_junk(prefix, key):
+    """solve_by_degree with a non-closed or extra term in the source of the
+    recursion whose failure message starts with ``prefix``."""
+    def mutant(derivative, parts, degrees, source, left, weight, fail):
+        if str(fail(0)).startswith(prefix):
+            roster = next(iter(parts[0].terms.values())).roster if parts else source.ctx.roster
+            source = source + WeylForm(source.ctx, source.trunc, {key: Poly.const(roster, 1)})
+        SOLVE(derivative, parts, degrees, source, left, weight, fail)
+    return mutant
+
+
+def _delta_exact_top(derivative, parts, degrees, source, left, weight, fail):
+    # r plus delta(y1^(N+1)) at its top degree N: delta-closed, so only
+    # delta* r = 0 sees it
+    SOLVE(derivative, parts, degrees, source, left, weight, fail)
+    if str(fail(0)).startswith("r recursion"):
+        top = degrees[-1] + 1
+        y = WeylForm.y_monomial(source.ctx, top + 1, (top + 1,) + (0,) * (source.ctx.dim - 1))
+        parts[top] = parts.get(top, WeylForm.zero(source.ctx, top)) + y.delta()
+
+
+def _full_ad_r_r(derivative, parts, degrees, source, left, weight, fail):
+    # 1 in place of the 1/2 on ad(r, r)
+    weight = 1 if weight == Fraction(1, 2) else weight
+    SOLVE(derivative, parts, degrees, source, left, weight, fail)
+
+
+@pytest.mark.parametrize("mutant, extra, check, witness", [
+    # y1 y2 dx1 in the source of r at degree 2: not delta-closed
+    (_with_junk("r recursion", (0, (1, 1), (0,))), None, "r recursion",
+     "r recursion source fails delta-closedness at degree 2"),
+    (_delta_exact_top, None, "r normalization", "delta* r = 0 fails on the degree-8 part of r"),
+    # h dx1^dx2 in the source of r: r solves for alpha + h dx1^dx2
+    (_with_junk("r recursion", (1, (0, 0), (0, 1))), None, "Weyl curvature",
+     "Weyl curvature of the solved r differs from alpha at degree 2"),
+    # a non-abelian r, with the Weyl-curvature check that would see it first off
+    (_full_ad_r_r, "_check_weyl_curvature", "flatness of D_r",
+     "D_r fails to square to zero at degree 3"),
+    # y1 dx2 in the source of tau(f), then of its symbol: not delta-closed
+    (_with_junk("flat section defect", (0, (1, 0), (1,))), None, "flat sections",
+     "flat section defect at total degree 1"),
+    (_with_junk("flat section symbol defect", (0, (1, 0), (1,))), None, "flat sections",
+     "flat section symbol defect at total degree 1"),
+])
+def test_fedosov_check_failures_are_report_lines(monkeypatch, capsys, mutant, extra, check,
+                                                 witness):
+    monkeypatch.setattr(fedosov, "solve_by_degree", mutant)
+    if extra:
+        monkeypatch.setattr(FedosovSetup, extra, lambda self, r: None)
+    code = main(["quantize", "--scenario", str(SCENARIOS / "curved_r2.scn")])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    assert "Traceback" not in out
+    assert [line for line in out.splitlines() if line.startswith("[")] == [
+        f"[FAIL] {check}: {cli.FEDOSOV[check]}"]
+    assert f"       witness: {witness}\n" in out
+
+
+# -- each cap is needed: one lower and the result is wrong ---------------------------
+
+def _inner(frame, cap):
+    return cap == frame.f_locals["self"].trunc - 1
+
+
+def _outer(frame, cap):
+    return cap == frame.f_locals["self"].trunc - 2
+
+
+@pytest.mark.parametrize("cls, name, caller, which, cmd, scenario, check", [
+    (WeylForm, "ad_over_h", "D", _inner, "quantize", "curved_r2.scn", "flatness of D_r"),
+    (WeylForm, "ad_over_h", "D", _outer, "quantize", "curved_r2.scn", "flatness of D_r"),
+    (WeylForm, "ad_over_h", "_curvature_form", None, "quantize", "curved_r2.scn",
+     "abelian connection"),
+    (FedosovSetup, "D_r", "solve_s", None, "family", "family_r2.scn", "s equation"),
+    (FedosovSetup, "tau", "star", None, "quantize", "curved_r2.scn", "naturality"),
+    (FedosovSetup, "tau_symbol", "extract_star", None, "quantize", "curved_r2.scn",
+     "naturality"),
+    (FedosovSetup, "tau_symbol", "connection_form", None, "family", "family_r2.scn",
+     "connection form"),
+    (FedosovSetup, "tau", "connection_form", None, "family", "family_r2.scn", "connection form"),
+])
+def test_each_cap_is_needed(monkeypatch, capsys, cls, name, caller, which, cmd, scenario, check):
+    # a cap one lower turns the solved r, the s equation or a probe into a FAIL
+    code = main([cmd, "--scenario", str(SCENARIOS / scenario)])
+    assert code == 0 and "[FAIL]" not in capsys.readouterr().out
+    lower_cap(monkeypatch, cls, name, caller, which)
+    code = main([cmd, "--scenario", str(SCENARIOS / scenario)])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    failed = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+    assert len(failed) == 1 and failed[0].startswith(f"[FAIL] {check}: "), failed

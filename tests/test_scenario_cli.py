@@ -236,9 +236,9 @@ def test_jet_symbol_mutations_fail(capsys, monkeypatch):
         # the sign of Xi = sum xi_i dx^i in the symbol recursion
         return -jet_wedge(a, positions, degree)
 
-    def short_symbol(self, degree):
+    def short_symbol(self, degree, max_degree=None):
         # the star read off a symbol one jet degree short
-        return tau_symbol(self, degree - 1)
+        return tau_symbol(self, degree - 1, max_degree)
 
     probe = "A(t1) from its symbol differs from p(ad_over_h(i_V s, tau f)) on the probe monomial "
     for target, name, mutant, cmd, scenario, fail, witness in (

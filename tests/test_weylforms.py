@@ -153,6 +153,36 @@ def test_projected_pairings_match_full_products(sym2, sym4):
     assert h_powers == {0, 1, 2, 3}
 
 
+def low_parts(form, cap):
+    """The terms of total degree <= cap: the reference for a capped pairing."""
+    return WeylForm(form.ctx, form.trunc, {
+        key: c for key, c in form.terms.items() if 2 * key[0] + sum(key[1]) <= cap})
+
+
+def test_capped_pairings_match_full_products(sym2, sym4):
+    # max_degree keeps exactly the parts of degree <= cap of the full pairing,
+    # on forms with dx parts and t-dependent coefficients
+    rng = random.Random(11)
+    t_poly = ParamRational.var("t1") + 2
+    dropped = 0
+    for sym in (sym2, sym4):
+        max_y = 2 if sym.dim == 2 else 1
+        for trial in range(6):
+            a = random_weyl_form(sym, 8, rng, terms=8, max_y=max_y, max_form=1)
+            b = random_weyl_form(sym, 7, rng, terms=8, max_y=max_y, max_form=1)
+            if trial % 2:
+                a = a.scale(t_poly)
+            for name in ("mw", "graded_comm", "ad_over_h"):
+                full = getattr(a, name)(b)
+                assert getattr(a, name)(b, max_degree=None) == full
+                for cap in range(-1, 9):
+                    capped = getattr(a, name)(b, max_degree=cap)
+                    assert capped == low_parts(full, cap), (name, cap)
+                    assert capped.trunc == full.trunc
+                    dropped += len(full.terms) - len(capped.terms)
+    assert dropped > 1000
+
+
 def test_poincare_potential(sym2):
     om = WeylForm.omega_form(sym2, 8)
     pot = poincare_potential(om)
