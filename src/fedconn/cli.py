@@ -27,7 +27,7 @@ from .families import (
 )
 from .transport import (
     parallel_transport, conjugation_check, gauge_equivalence,
-    self_equivalence_check, flatness_check, GaugeError,
+    self_equivalence_check, flatness_check, GaugeError, GaugeCheckError,
 )
 from .kahler import (
     VariationError, family_directions, verify_lemma_vc1, order1_hitchin_check, rigidity_check,
@@ -36,6 +36,7 @@ from .properties import weyl_battery, cochain_battery, random_poly
 from .reports import Report
 from .scenario import Scenario, ScenarioError
 
+GAUGE_EQUATION = "V[P] = P A'(V) - A(V) P to the requested order"
 ABELIAN = "the Weyl curvature of the solved r is scalar below the truncation"
 # the checks inside Fedosov's construction (``FedosovCheckError.check``)
 FEDOSOV = {
@@ -72,7 +73,7 @@ CHECKS = {
         ("connection form", "A(V) from its symbol matches its formula (listed on failure)"),
         ("flatness", "direct curvature of both connections vanishes"),
         ("compatibility", "both connections satisfy d_H A(V) = V[star]"),
-        ("gauge equation", "V[P] = P A'(V) - A(V) P to the requested order"),
+        ("gauge equation", GAUGE_EQUATION),
         ("self-equivalence", "P(f star g) = P(f) star P(g) on the basis"),
         ("transport conjugation", "Phi(t) conjugates star_0 to star_t on the basis"),
     ],
@@ -216,7 +217,7 @@ def run_gauge(sc: Scenario, report: Report):
         report.add("gauge equation", "inductive solution of V[P] = P A'(V) - A(V) P",
                    False, str(exc))
         return report
-    report.add("gauge equation", "V[P] = P A'(V) - A(V) P to the requested order", True)
+    report.add("gauge equation", GAUGE_EQUATION, True)
     ok, wit = self_equivalence_check(family, P, min(sc.basis_degree, 2))
     report.add("self-equivalence", "P(f star g) = P(f) star P(g)", ok, wit)
     axis = family.params[0]
@@ -350,6 +351,8 @@ def main(argv=None) -> int:
         report.add("variation bivector", VARIATION, False, str(exc))
     except FedosovCheckError as exc:
         report.add(exc.check, FEDOSOV[exc.check], False, str(exc))
+    except GaugeCheckError as exc:
+        report.add("gauge equation", GAUGE_EQUATION, False, str(exc))
     except NotAbelianError as exc:
         # a ValueError, but a failed check of the math, not bad input
         report.add("abelian connection", ABELIAN, False, str(exc))

@@ -245,9 +245,10 @@ def verify_compatibility(family: FamilyContext, A: ConnectionOneForm, basis_degr
     for p in family.params:
         Ap = A[p]
         BV = family.variation_star(p)
-        for f in basis:
-            for g in basis:
-                lhs = star.apply(Ap.apply(f), g) + star.apply(f, Ap.apply(g)) - Ap.apply(star.apply(f, g))
+        applied = [Ap.apply(f) for f in basis]
+        for f, Af in zip(basis, applied):
+            for g, Ag in zip(basis, applied):
+                lhs = star.apply(Af, g) + star.apply(f, Ag) - Ap.apply(star.apply(f, g))
                 rhs = BV.apply(f, g)
                 if lhs != rhs:
                     d = lhs - rhs
@@ -306,7 +307,7 @@ def curvature_ops(family: FamilyContext, A: ConnectionOneForm, s_forms: dict,
 
     def via_s(f):
         # the E-operator read off its symbol, at a jet degree that covers f
-        degree = max([2 * K - 1] + [sum(m) for m in f.terms])
+        degree = max([2 * K - 1] + [sum(m) for m, _ in f.terms])
         op = ops.get(degree)
         if op is None:
             op = ops[degree] = operator_from_symbol(

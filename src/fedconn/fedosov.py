@@ -74,8 +74,7 @@ def _recoefficient(form: WeylForm, fn) -> WeylForm:
 
 
 def _jet_degree_at_most(p: Poly, positions, degree: int) -> Poly:
-    return Poly(p.roster, {m: c for m, c in p.terms.items()
-                           if sum(m[i] for i in positions) <= degree})
+    return p.map_x(lambda m: (m, 1) if sum(m[i] for i in positions) <= degree else None)
 
 
 def _jet_wedge(a: WeylForm, positions, degree: int) -> WeylForm:
@@ -86,14 +85,13 @@ def _jet_wedge(a: WeylForm, positions, degree: int) -> WeylForm:
     """
     out = {}
     for (k, alpha, J), c in a.terms.items():
-        low = {m: v for m, v in c.terms.items() if sum(m[i] for i in positions) < degree}
-        if not low:
+        low = _jet_degree_at_most(c, positions, degree - 1)
+        if low.is_zero():
             continue
         for i, pos in enumerate(positions):
             if i in J:
                 continue
-            raised = Poly(c.roster, {m[:pos] + (m[pos] + 1,) + m[pos + 1:]: v
-                                     for m, v in low.items()})
+            raised = low.map_x(lambda m: (m[:pos] + (m[pos] + 1,) + m[pos + 1:], 1))
             before = sum(1 for j in J if j < i)
             add_term(out, (k, alpha, tuple(sorted(J + (i,)))), -raised if before % 2 else raised)
     return WeylForm(a.ctx, a.trunc, out)
@@ -111,16 +109,24 @@ def solve_by_degree(derivative, parts: dict, degrees, source: WeylForm,
     parts[d + 1] = delta_inv(B).  ``derivative`` is d_nabla, the connection's
     ``cov_deriv``, or for the symbol of tau d_nabla + Xi ^.  B must be
     delta-closed, or ``fail(d)`` is raised.  ``parts`` is filled in place.
+
+    When ``left`` is ``parts`` (the r recursion, whose parts are 1-forms) the
+    bracket is symmetric, ad_over_h(a, b) = ad_over_h(b, a) for 1-forms, so
+    each pair d1 < d2 is bracketed once with twice the weight.
     """
+    self_bracket = left is parts
     for d in degrees:
         B = source.homogeneous(d)
         if d in parts:
             B = derivative(parts[d]) + B
         for d1, a in left.items():
-            b = parts.get(d + 2 - d1)
-            if b is not None:
-                bracket = a.ad_over_h(b)
-                B = B + (bracket if weight == 1 else bracket.scale(weight))
+            d2 = d + 2 - d1
+            b = parts.get(d2)
+            if b is None or (self_bracket and d1 > d2):
+                continue
+            w = 2 * weight if self_bracket and d1 < d2 else weight
+            bracket = a.ad_over_h(b)
+            B = B + (bracket if w == 1 else bracket.scale(w))
         if not B.delta().is_zero():
             raise fail(d)
         parts[d + 1] = B.delta_inv()
@@ -166,12 +172,7 @@ class FedosovSetup:
     def _r_parts(self):
         parts = getattr(self, "_r_parts_cache", None)
         if parts is None:
-            parts = {}
-            for d in range(self.trunc + 1):
-                h = self.r.homogeneous(d)
-                if not h.is_zero():
-                    parts[d] = h
-            self._r_parts_cache = parts
+            parts = self._r_parts_cache = self.r.by_degree()
         return parts
 
     def _validate_alpha(self, alpha: WeylForm, omega: WeylForm):
@@ -249,14 +250,24 @@ class FedosovSetup:
     def _curvature_form(self, r: WeylForm) -> WeylForm:
         """omega + delta r + R - d_nabla r - (1/2) ad(r, r), to total degree
         trunc - 1: ad(r, r) is capped there, exact because the bracket's
-        degree is additive, and the sum is truncated there."""
+        degree is additive, and the sum is truncated there.  r is a 1-form,
+        so the bracket is symmetric: (1/2) ad(r, r) is the sum of
+        ad(r_d1, r_d2) over d1 < d2 and of (1/2) ad(r_d, r_d)."""
         cap = self.trunc - 1
+        parts = r.by_degree()
+        half = WeylForm.zero(self.sym, r.trunc)
+        for d1, a in parts.items():
+            for d2, b in parts.items():
+                if d1 < d2:
+                    half = half + a.ad_over_h(b, max_degree=cap)
+                elif d1 == d2:
+                    half = half + a.ad_over_h(b, max_degree=cap).scale(Fraction(1, 2))
         return (
             self.omega_form
             + r.delta()
             + self.R
             - self.connection.cov_deriv(r)
-            - r.ad_over_h(r, max_degree=cap).scale(Fraction(1, 2))
+            - half
         ).truncate(cap)
 
     def weyl_curvature(self, r: WeylForm) -> WeylForm:
@@ -406,7 +417,7 @@ class FedosovSetup:
         full = merge_rosters(self.symbol_roster, etas)
         renamed = tuple(dict(zip(self.jets, etas)).get(name, name) for name in self.symbol_roster)
         sigma_xi = _recoefficient(sigma, lambda c: c.with_roster(full))
-        sigma_eta = _recoefficient(sigma, lambda c: Poly(renamed, c.terms).with_roster(full))
+        sigma_eta = _recoefficient(sigma, lambda c: Poly(renamed, c.terms, c.den).with_roster(full))
         op = operator_from_symbol(roster, order, sigma_xi.projected_mw(sigma_eta, order),
                                   (self.jets, etas))
         star = StarTruncation(op, setup=self)

@@ -369,7 +369,7 @@ def order1_hitchin_check(fam: LinearKahlerFamily, F: Poly, basis_degree: int = 3
     if directions is None:
         directions = family_directions(fam, F)
     basis = monomials_up_to(fam.sym.roster, basis_degree)
-    pairs = [(f, g) for f in basis for g in basis]
+    pairs = [(i, j) for i in range(len(basis)) for j in range(len(basis))]
     if pair_limit:
         pairs = pairs[:pair_limit]
     a1 = {p: fam.a1_data(p, F, delta_factor) for p in directions}
@@ -377,13 +377,11 @@ def order1_hitchin_check(fam: LinearKahlerFamily, F: Poly, basis_degree: int = 3
 
     ok, wit = True, None
     for p, data in a1.items():
-        for f, g in pairs:
+        applied = [fam.apply_a1(data, f) for f in basis]
+        for i, j in pairs:
+            f, g = basis[i], basis[j]
             lhs = fam.v_c1(p, f, g)
-            rhs = (
-                -fam.apply_a1(data, f * g)
-                + fam.apply_a1(data, f) * g
-                + f * fam.apply_a1(data, g)
-            )
+            rhs = -fam.apply_a1(data, f * g) + applied[i] * g + f * applied[j]
             if lhs != rhs:
                 ok, wit = False, f"direction {p}, ({f},{g})"
                 break

@@ -29,8 +29,8 @@ from fractions import Fraction
 
 from .scalars import ONE, I
 from .polynomials import (
-    Poly, ParamRational, FormalFunction, monomials_up_to, merge_rosters, add_term,
-    exponents_up_to,
+    Poly, FormalFunction, monomials_up_to, merge_rosters, add_term, exponents_up_to,
+    as_coefficient,
 )
 
 
@@ -132,7 +132,7 @@ class MultiDiffOp:
         return self + (-other)
 
     def scale(self, value) -> "MultiDiffOp":
-        c = ParamRational.of(value)
+        c = as_coefficient(value)
         return MultiDiffOp(self.roster, self.arity, self.order,
                            {k: p.scale(c) for k, p in self.terms.items()})
 
@@ -264,11 +264,8 @@ class MultiDiffOp:
         lines = []
         for (k, slots) in sorted(self.terms):
             c = self.terms[(k, slots)]
-            body = str(c)
-            if len(c.terms) > 1:
-                body = f"({body})"
             ds = ",".join("(" + ",".join(str(e) for e in s) + ")" for s in slots)
-            lines.append(f"h^{k} * {body} * D[{ds}]")
+            lines.append(f"h^{k} * {c.as_factor()} * D[{ds}]")
         return "\n".join(lines) if lines else "0"
 
     def __str__(self):
@@ -353,12 +350,14 @@ def operator_from_symbol(roster, order, symbol: FormalFunction, jets) -> MultiDi
         pos = {name: i for i, name in enumerate(p.roster)}
         xs = [pos.get(name) for name in roster]
         slots = [[pos.get(name) for name in jet] for jet in jets]
-        for m, c in p.terms.items():
-            key = (k, tuple(tuple(0 if i is None else m[i] for i in slot) for slot in slots))
+        split = {}
+        for (m, t), c in p.terms.items():
+            key = tuple(tuple(0 if i is None else m[i] for i in slot) for slot in slots)
             xm = tuple(0 if i is None else m[i] for i in xs)
-            terms.setdefault(key, {})[xm] = c
-    return MultiDiffOp(roster, len(jets), order,
-                       {key: Poly(roster, t) for key, t in terms.items()})
+            split.setdefault(key, {})[(xm, t)] = c
+        for key, part in split.items():
+            terms[(k, key)] = Poly(roster, part, p.den)
+    return MultiDiffOp(roster, len(jets), order, terms)
 
 
 def _tuples_of(keys, arity):
@@ -559,9 +558,10 @@ def is_derivation(B, star: StarTruncation, basis_degree=None):
     if basis_degree is None:
         basis_degree = star.slot_order() + (B.slot_bound(0) if B.slot_bound else star.order)
     basis = monomials_up_to(star.roster, basis_degree)
-    for f in basis:
-        for g in basis:
-            lhs = star.apply(B(f), g) + star.apply(f, B(g)) - B(star.apply(f, g))
+    applied = [B(f) for f in basis]
+    for f, Bf in zip(basis, applied):
+        for g, Bg in zip(basis, applied):
+            lhs = star.apply(Bf, g) + star.apply(f, Bg) - B(star.apply(f, g))
             if not lhs.is_zero():
                 k = min(k for k in lhs.coeffs)
                 return False, f"d_H B ({f}, {g}) has h^{k} coefficient {lhs.coefficient(k)}"

@@ -1,17 +1,26 @@
 """Exact polynomial arithmetic.
 
-Three layers, from the inside out:
-
-* ``ParamPoly``   -- polynomials in parameter variables (t, t1, t2, ...) over
-                     Gaussian rationals.  Monomials are keyed by sorted
-                     (name, exponent) tuples, so the representation is
-                     canonical with no roster bookkeeping.
+* ``Poly``        -- polynomials in base variables (x1, x2, ... and the jet
+                     variables of operator symbols) with coefficients rational
+                     in parameter variables (t, t1, t2, ...).  One sparse map
+                     takes (x exponents, t monomial) to a Gaussian-rational
+                     ``Scalar``; rational dependence on t is carried by one
+                     monic ``ParamPoly`` denominator per Poly, which is 1
+                     unless a coefficient needs it.
+* ``ParamPoly``   -- polynomials in the parameters alone over Scalar.
+                     Monomials are keyed by sorted (name, exponent) tuples, so
+                     the representation is canonical with no roster
+                     bookkeeping; a Poly's t monomials use the same keys.
 * ``ParamRational`` -- quotients of ParamPolys, reduced by polynomial gcd,
                      denominator normalized monic (and equal to 1 whenever the
-                     value is polynomial).
-* ``Poly``        -- polynomials in base variables (x1, x2, ...) over
-                     ParamRational coefficients.  Rational dependence is
-                     allowed only in the parameters, never in base variables.
+                     value is polynomial).  These are the t-only scalars: the
+                     entries of Kahler matrices, the values a Poly is built
+                     from or scaled by, and the coefficients a Poly reports
+                     (``coefficient``, ``constant_coefficient``).
+
+A Poly's denominator shares no factor with all of its numerators at once, so
+equal Polys are equal structurally; the gcd that keeps it so runs only when
+the denominator is not 1.
 
 ``FormalFunction`` is a finite h-expansion sum_k h^k * Poly, truncated at a
 declared order.
@@ -24,6 +33,8 @@ operators + - * / ^, parentheses.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from fractions import Fraction
 
 from .scalars import Scalar, ZERO, ONE, format_scalar, scalar_is_atomic, scalar_sign_split
@@ -66,6 +77,11 @@ def exponents_up_to(n: int, degree: int):
 EMPTY_MONO = ()
 
 
+def _mono_of(d: dict):
+    """The canonical monomial of a {name: exponent} dict with no zero exponent."""
+    return tuple(sorted(d.items(), key=lambda kv: natural_key(kv[0])))
+
+
 def mono_mul(a, b):
     if not a:
         return b
@@ -74,7 +90,7 @@ def mono_mul(a, b):
     d = dict(a)
     for name, e in b:
         d[name] = d.get(name, 0) + e
-    return tuple(sorted(d.items(), key=lambda kv: natural_key(kv[0])))
+    return _mono_of(d)
 
 
 def mono_degree(m) -> int:
@@ -91,7 +107,7 @@ def mono_div(b, a):
     d = dict(b)
     for name, e in a:
         d[name] -= e
-    return tuple(sorted(((n, e) for n, e in d.items() if e), key=lambda kv: natural_key(kv[0])))
+    return _mono_of({n: e for n, e in d.items() if e})
 
 
 def mono_gcd(a, b):
@@ -100,7 +116,16 @@ def mono_gcd(a, b):
     for name, e in da.items():
         if name in db:
             out[name] = min(e, db[name])
-    return tuple(sorted(out.items(), key=lambda kv: natural_key(kv[0])))
+    return _mono_of(out)
+
+
+def _mono_derivative(m, name):
+    """[(m with the exponent e of name lowered by one, e)], or [] when name is
+    absent; distinct monomials stay distinct, so no two results collide."""
+    for j, (n, e) in enumerate(m):
+        if n == name:
+            return [(m[:j] + (((n, e - 1),) if e > 1 else ()) + m[j + 1:], e)]
+    return []
 
 
 def _mono_sort_key(m):
@@ -227,29 +252,8 @@ class ParamPoly:
     # -- calculus ------------------------------------------------------------
 
     def derivative(self, name: str) -> "ParamPoly":
-        out = {}
-        for m, c in self.terms.items():
-            d = dict(m)
-            e = d.get(name, 0)
-            if not e:
-                continue
-            if e == 1:
-                del d[name]
-            else:
-                d[name] = e - 1
-            add_term(out, tuple(sorted(d.items(), key=lambda kv: natural_key(kv[0]))), c.mul_int(e))
-        return ParamPoly(out)
-
-    def antiderivative(self, name: str) -> "ParamPoly":
-        """Integral from 0 in the given variable (vanishes at name = 0)."""
-        out = {}
-        for m, c in self.terms.items():
-            d = dict(m)
-            e = d.get(name, 0) + 1
-            d[name] = e
-            key = tuple(sorted(d.items(), key=lambda kv: natural_key(kv[0])))
-            out[key] = c / e
-        return ParamPoly(out)
+        return ParamPoly({low: c.mul_int(e) for m, c in self.terms.items()
+                          for low, e in _mono_derivative(m, name)})
 
     def subs(self, values: dict) -> "ParamPoly":
         """Substitute Scalars for a subset of the variables."""
@@ -310,12 +314,20 @@ def _pp_divexact(a: ParamPoly, b: ParamPoly) -> ParamPoly:
     if b.is_constant():
         inv = ONE / b.constant_value()
         return a.scale(inv)
+    # graded lex along the sorted variables: a monomial order, which the
+    # division needs and the printing order of _mono_sort_key is not
+    names = sorted(a.variables() | b.variables(), key=natural_key)
+
+    def order(m):
+        d = dict(m)
+        return mono_degree(m), tuple(d.get(n, 0) for n in names)
+
     quota = {}
     rem = a
-    lb = b.leading_monomial()
+    lb = max(b.terms, key=order)
     cb = b.terms[lb]
     while not rem.is_zero():
-        lr = rem.leading_monomial()
+        lr = max(rem.terms, key=order)
         if not mono_divides(lb, lr):
             raise ValueError("polynomial division is not exact")
         qm = mono_div(lr, lb)
@@ -331,8 +343,7 @@ def _uni_view(p: ParamPoly, name: str):
     for m, c in p.terms.items():
         d = dict(m)
         e = d.pop(name, 0)
-        key = tuple(sorted(d.items(), key=lambda kv: natural_key(kv[0])))
-        coeffs.setdefault(e, {})[key] = c
+        coeffs.setdefault(e, {})[_mono_of(d)] = c
     return {e: ParamPoly(t) for e, t in coeffs.items()}
 
 
@@ -542,21 +553,19 @@ class ParamRational:
 
     def __mul__(self, other):
         if isinstance(other, (int, Scalar, Fraction)):
-            return self.mul_scalar(Scalar.of(other))
+            # scaling by a unit leaves the normalized denominator untouched
+            z = Scalar.of(other)
+            if z.is_zero():
+                return PR_ZERO
+            if z.is_one():
+                return self
+            return ParamRational(self.num.scale(z), self.den, _normalized=True)
         other = ParamRational.of(other)
         if self.den.is_one() and other.den.is_one():
             return ParamRational(self.num * other.num, PP_ONE, _normalized=True)
         return ParamRational(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
-
-    def mul_scalar(self, z: Scalar) -> "ParamRational":
-        """Fast unit scaling: leaves the normalized denominator untouched."""
-        if z.is_zero():
-            return PR_ZERO
-        if z.is_one():
-            return self
-        return ParamRational(self.num.scale(z), self.den, _normalized=True)
 
     def __truediv__(self, other):
         other = ParamRational.of(other)
@@ -589,11 +598,6 @@ class ParamRational:
             return ParamRational(self.num.derivative(name), PP_ONE, _normalized=True)
         dn = self.num.derivative(name) * self.den - self.num * self.den.derivative(name)
         return ParamRational(dn, self.den * self.den)
-
-    def antiderivative(self, name: str) -> "ParamRational":
-        if name in self.den.variables():
-            raise ValueError(f"antiderivative: {name!r} occurs in a denominator")
-        return ParamRational(self.num.antiderivative(name), self.den, _normalized=True)
 
     def subs(self, values: dict) -> "ParamRational":
         den = self.den.subs(values)
@@ -640,7 +644,7 @@ PR_ONE = ParamRational.const(1)
 
 
 # ---------------------------------------------------------------------------
-# Poly: base-variable polynomials over ParamRational
+# Poly: one sparse map from (x exponents, t monomial) to Scalar
 # ---------------------------------------------------------------------------
 
 def merge_rosters(a, b):
@@ -652,24 +656,108 @@ def merge_rosters(a, b):
 def _remap(terms, old, new):
     if old == new:
         return dict(terms)
-    pos = {name: new.index(name) for name in old}
+    pos = [new.index(name) for name in old]
     out = {}
-    for exps, c in terms.items():
+    for (exps, t), c in terms.items():
         key = [0] * len(new)
-        for i, e in enumerate(exps):
-            key[pos[old[i]]] = e
-        out[tuple(key)] = c
+        for p, e in zip(pos, exps):
+            key[p] = e
+        out[(tuple(key), t)] = c
     return out
 
 
+def _t_coefficients(terms) -> dict:
+    """x exponents -> the ParamPoly numerator of that x-monomial."""
+    out = {}
+    for (m, t), c in terms.items():
+        out.setdefault(m, {})[t] = c
+    return {m: ParamPoly(ts) for m, ts in out.items()}
+
+
+def _times_t(terms, pp: ParamPoly) -> dict:
+    """The terms multiplied by a polynomial in t."""
+    if pp is PP_ONE:
+        return terms
+    out = {}
+    for (m, t1), c1 in terms.items():
+        for t2, c2 in pp.terms.items():
+            add_term(out, (m, mono_mul(t1, t2)), c1 * c2)
+    return out
+
+
+def _sum(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for key, c in b.items():
+        add_term(out, key, c)
+    return out
+
+
+def _den_mul(d1: ParamPoly, d2: ParamPoly) -> ParamPoly:
+    """d1 * d2, kept as the PP_ONE object when both are PP_ONE."""
+    return d2 if d1 is PP_ONE else d1 if d2 is PP_ONE else d1 * d2
+
+
+def _reduce(terms, den: ParamPoly):
+    """(terms, den) over the least monic common denominator; den is PP_ONE
+    when that is 1.  The only place a Poly calls pp_gcd."""
+    if not terms:
+        return terms, PP_ONE
+    if not den.is_constant():
+        nums = _t_coefficients(terms)
+        g = den
+        for num in nums.values():
+            g = pp_gcd(g, num)
+            if g.is_constant():
+                break
+        if not g.is_constant():
+            den = _pp_divexact(den, g)
+            terms = {(m, t): c for m, num in nums.items()
+                     for t, c in _pp_divexact(num, g).terms.items()}
+    if den.is_constant():
+        inv, den = ONE / den.constant_value(), PP_ONE
+    else:
+        inv = ONE / den.leading_coefficient()
+        den = den.scale(inv)
+    if not inv.is_one():
+        terms = {key: c * inv for key, c in terms.items()}
+    return terms, den
+
+
+def as_coefficient(value):
+    """A scaling value in the form ``Poly.scale`` is fastest on: a Scalar for
+    numbers and for t-free ParamPolys and ParamRationals, else a ParamRational."""
+    if isinstance(value, (int, Fraction, Scalar)):
+        return Scalar.of(value)
+    c = ParamRational.of(value)
+    return c.constant_value() if c.is_constant() else c
+
+
+def _monomial_terms(exps: tuple, value):
+    """(terms, den) of value * x^exps, for a number, ParamPoly or ParamRational."""
+    c = as_coefficient(value)
+    if type(c) is Scalar:
+        return ({} if c.is_zero() else {(exps, EMPTY_MONO): c}), PP_ONE
+    return {(exps, t): z for t, z in c.num.terms.items()}, c.den
+
+
 class Poly:
-    """Polynomial in an ordered roster of base variables, ParamRational coefficients."""
+    """Polynomial in an ordered roster of base variables, rational in the parameters.
 
-    __slots__ = ("roster", "terms")
+    ``terms`` maps (x exponents along ``roster``, t monomial) to a nonzero
+    Scalar; the t monomial is ParamPoly's canonical key, () when t-free.
+    ``den`` is the monic ParamPoly that divides every coefficient: PP_ONE
+    unless some coefficient is rational in t, and sharing no factor with all
+    the numerators at once.
+    """
 
-    def __init__(self, roster, terms=None):
+    __slots__ = ("roster", "terms", "den")
+
+    def __init__(self, roster, terms=None, den=PP_ONE):
+        """``terms`` must hold no zero; any ``den`` but PP_ONE is reduced."""
         self.roster = tuple(roster)
-        self.terms = terms or {}
+        self.terms, self.den = terms or {}, PP_ONE
+        if den is not PP_ONE:
+            self.terms, self.den = _reduce(self.terms, den)
 
     # -- constructors -------------------------------------------------------------
 
@@ -679,41 +767,41 @@ class Poly:
 
     @staticmethod
     def const(roster, value) -> "Poly":
-        c = ParamRational.of(value) if not isinstance(value, ParamRational) else value
-        if c.is_zero():
-            return Poly(roster)
-        return Poly(roster, {(0,) * len(tuple(roster)): c})
+        return Poly(roster, *_monomial_terms((0,) * len(tuple(roster)), value))
 
     @staticmethod
     def var(roster, name: str) -> "Poly":
         roster = tuple(roster)
         if name not in roster:
             raise ValueError(f"variable {name!r} not in roster {roster}")
-        key = tuple(1 if v == name else 0 for v in roster)
-        return Poly(roster, {key: PR_ONE})
+        return Poly.monomial(roster, tuple(int(v == name) for v in roster))
 
     @staticmethod
-    def monomial(roster, exps, coeff=PR_ONE) -> "Poly":
-        c = ParamRational.of(coeff)
-        if c.is_zero():
-            return Poly(roster)
-        return Poly(roster, {tuple(exps): c})
+    def monomial(roster, exps, coeff=1) -> "Poly":
+        return Poly(roster, *_monomial_terms(tuple(exps), coeff))
 
-    # -- predicates ---------------------------------------------------------------
+    # -- predicates and coefficients ------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return all(not any(m) for m, _ in self.terms)
+
+    def coefficients(self) -> dict:
+        """x exponents -> the coefficient of that x-monomial, a reduced ParamRational."""
+        if self.den is PP_ONE:
+            return {m: ParamRational(num, PP_ONE, _normalized=True)
+                    for m, num in _t_coefficients(self.terms).items()}
+        return {m: ParamRational(num, self.den) for m, num in _t_coefficients(self.terms).items()}
 
     def constant_coefficient(self) -> ParamRational:
-        return self.terms.get((0,) * len(self.roster), PR_ZERO)
+        return self.coefficients().get((0,) * len(self.roster), PR_ZERO)
 
     def param_variables(self):
-        out = set()
-        for c in self.terms.values():
-            out |= c.variables()
+        out = self.den.variables()
+        for _, t in self.terms:
+            out.update(name for name, _ in t)
         return out
 
     # -- roster handling -----------------------------------------------------------
@@ -726,13 +814,13 @@ class Poly:
             missing = set(self.roster) - set(roster)
             if any(self.degree_in(v) for v in missing):
                 raise ValueError(f"cannot drop variables {missing} still in use")
-        return Poly(roster, _remap(self.terms, self.roster, roster))
+        return Poly(roster, _remap(self.terms, self.roster, roster), self.den)
 
     def degree_in(self, name: str) -> int:
         if name not in self.roster:
             return 0
         i = self.roster.index(name)
-        return max((e[i] for e in self.terms), default=0)
+        return max((m[i] for m, _ in self.terms), default=0)
 
     def _aligned(self, other: "Poly"):
         if self.roster == other.roster:
@@ -746,15 +834,13 @@ class Poly:
         if not isinstance(other, Poly):
             other = Poly.const(self.roster, other)
         a, b = self._aligned(other)
-        out = dict(a.terms)
-        for m, c in b.terms.items():
-            add_term(out, m, c)
-        return Poly(a.roster, out)
+        return Poly(a.roster, _sum(_times_t(a.terms, b.den), _times_t(b.terms, a.den)),
+                    _den_mul(a.den, b.den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.roster, {m: -c for m, c in self.terms.items()})
+        return Poly(self.roster, {key: -c for key, c in self.terms.items()}, self.den)
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -769,23 +855,25 @@ class Poly:
             return self.scale(other)
         a, b = self._aligned(other)
         out = {}
-        for m1, c1 in a.terms.items():
-            for m2, c2 in b.terms.items():
-                add_term(out, tuple(e1 + e2 for e1, e2 in zip(m1, m2)), c1 * c2)
-        return Poly(a.roster, out)
+        for (m1, t1), c1 in a.terms.items():
+            for (m2, t2), c2 in b.terms.items():
+                t = mono_mul(t1, t2) if t1 and t2 else t1 or t2
+                add_term(out, (tuple(map(operator.add, m1, m2)), t), c1 * c2)
+        return Poly(a.roster, out, _den_mul(a.den, b.den))
 
     __rmul__ = __mul__
 
     def scale(self, value) -> "Poly":
-        if isinstance(value, (int, Fraction, Scalar)):
-            z = Scalar.of(value)
-            if z.is_zero():
-                return Poly(self.roster)
-            return Poly(self.roster, {m: v.mul_scalar(z) for m, v in self.terms.items()})
-        c = ParamRational.of(value)
-        if c.is_zero():
-            return Poly(self.roster)
-        return Poly(self.roster, {m: v * c for m, v in self.terms.items()})
+        """self * value for a number, ParamPoly or ParamRational."""
+        if type(value) is not Scalar:
+            value = as_coefficient(value)
+        if type(value) is Scalar:
+            if value.is_zero():
+                return Poly(self.roster, {})
+            if value.is_one():
+                return self
+            return Poly(self.roster, {key: c * value for key, c in self.terms.items()}, self.den)
+        return Poly(self.roster, _times_t(self.terms, value.num), _den_mul(self.den, value.den))
 
     def __pow__(self, k: int):
         out = Poly.const(self.roster, 1)
@@ -817,7 +905,7 @@ class Poly:
                 return self.is_zero()
             other = Poly.const(self.roster, other)
         a, b = self._aligned(other)
-        return a.terms == b.terms
+        return a.terms == b.terms and a.den == b.den
 
     # -- calculus -------------------------------------------------------------------
 
@@ -825,66 +913,87 @@ class Poly:
         if name in self.roster:
             i = self.roster.index(name)
             out = {}
-            for m, c in self.terms.items():
+            for (m, t), c in self.terms.items():
                 e = m[i]
-                if not e:
-                    continue
-                add_term(out, m[:i] + (e - 1,) + m[i + 1:], c * e)
+                if e:
+                    out[(m[:i] + (e - 1,) + m[i + 1:], t)] = c.mul_int(e)
+            return Poly(self.roster, out, self.den)
+        if not is_param_name(name):
+            raise ValueError(f"unknown variable {name!r}")
+        out = {(m, low): c.mul_int(e) for (m, t), c in self.terms.items()
+               for low, e in _mono_derivative(t, name)}
+        if self.den is PP_ONE:
             return Poly(self.roster, out)
-        if is_param_name(name):
-            out = {}
-            for m, c in self.terms.items():
-                d = c.derivative(name)
-                if not d.is_zero():
-                    out[m] = d
-            return Poly(self.roster, out)
-        raise ValueError(f"unknown variable {name!r}")
+        # (N / D)' = (N' D - N D') / D^2
+        dD = -self.den.derivative(name)
+        return Poly(self.roster, _sum(_times_t(out, self.den), _times_t(self.terms, dD)),
+                    self.den * self.den)
 
     def antiderivative(self, name: str) -> "Poly":
         """Integral from 0: result q has dq/dname = self and q|_{name=0} = 0."""
+        out = {}
         if name in self.roster:
             i = self.roster.index(name)
-            out = {}
-            for m, c in self.terms.items():
+            for (m, t), c in self.terms.items():
                 e = m[i] + 1
-                key = m[:i] + (e,) + m[i + 1:]
-                out[key] = c / e
-            return Poly(self.roster, out)
-        if is_param_name(name):
-            out = {}
-            for m, c in self.terms.items():
-                out[m] = c.antiderivative(name)
-            return Poly(self.roster, out)
-        raise ValueError(f"unknown variable {name!r}")
+                out[(m[:i] + (e,) + m[i + 1:], t)] = c / e
+        elif is_param_name(name):
+            if name in self.den.variables():
+                raise ValueError(f"antiderivative: {name!r} occurs in a denominator")
+            for (m, t), c in self.terms.items():
+                d = dict(t)
+                e = d[name] = d.get(name, 0) + 1
+                out[(m, _mono_of(d))] = c / e
+        else:
+            raise ValueError(f"unknown variable {name!r}")
+        return Poly(self.roster, out, self.den)
 
     def deriv_multi(self, exps) -> "Poly":
         """Apply the mixed partial d^exps aligned with the roster."""
-        p = self
-        for name, e in zip(self.roster, exps):
-            for _ in range(e):
-                p = p.differentiate(name)
-                if p.is_zero():
-                    return p
-        return p
+        steps = [(i, e) for i, e in enumerate(exps[:len(self.roster)]) if e]
+        if not steps:
+            return self
+        out = {}
+        for (m, t), c in self.terms.items():
+            factor = 1
+            for i, e in steps:
+                if m[i] < e:
+                    break
+                factor *= math.perm(m[i], e)
+            else:
+                lowered = list(m)
+                for i, e in steps:
+                    lowered[i] -= e
+                out[(tuple(lowered), t)] = c.mul_int(factor)
+        return Poly(self.roster, out, self.den)
 
     def subs_params(self, values: dict) -> "Poly":
+        values = {name: Scalar.of(v) for name, v in values.items()}
+        den = self.den
+        if den is not PP_ONE:
+            den = den.subs(values)
+            if den.is_zero():
+                raise ZeroDivisionError("denominator vanishes at the substituted point")
         out = {}
-        for m, c in self.terms.items():
-            v = c.subs(values)
-            if not v.is_zero():
-                out[m] = v
-        return Poly(self.roster, out)
+        for (m, t), c in self.terms.items():
+            rest = []
+            for name, e in t:
+                if name in values:
+                    c = c * values[name] ** e
+                else:
+                    rest.append((name, e))
+            if not c.is_zero():
+                add_term(out, (m, tuple(rest)), c)
+        return Poly(self.roster, out, den)
 
     # -- printing -------------------------------------------------------------------
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
     def __str__(self):
         if self.is_zero():
             return "0"
         parts = []
-        for m, c in self.sorted_terms():
+        for m, c in sorted(self.coefficients().items(), key=lambda kv: (sum(kv[0]), kv[0]),
+                           reverse=True):
             mono = "*".join(
                 v if e == 1 else f"{v}^{e}"
                 for v, e in zip(self.roster, m)
@@ -904,24 +1013,42 @@ class Poly:
                 parts.append(f"{pre}{cs}*{mono}")
         return " + ".join(parts).replace("+ -", "- ")
 
+    def map_x(self, fn) -> "Poly":
+        """Each term c x^m as w c x^m2 where fn(m) = (m2, w), or dropped where
+        fn(m) is None; fn must not send two kept x-monomials to one."""
+        out = {}
+        for (m, t), c in self.terms.items():
+            image = fn(m)
+            if image is not None:
+                out[(image[0], t)] = c * image[1]
+        return Poly(self.roster, out, self.den)
+
+    def as_factor(self) -> str:
+        """str(self), in parentheses when it has more than one x-monomial."""
+        s = str(self)
+        return f"({s})" if len({m for m, _ in self.terms}) > 1 else s
+
     def __repr__(self):
         return f"Poly({self})"
 
 
 def _poly_divexact(a: Poly, b: Poly) -> Poly:
-    out = {}
+    def leading(p):
+        coeffs = p.coefficients()
+        m = max(coeffs, key=lambda m: (sum(m), m))
+        return m, coeffs[m]
+
+    out = Poly.zero(a.roster)
     rem = a
-    lb = max(b.terms, key=lambda m: (sum(m), m))
-    cb = b.terms[lb]
+    lb, cb = leading(b)
     while not rem.is_zero():
-        lr = max(rem.terms, key=lambda m: (sum(m), m))
+        lr, cr = leading(rem)
         if any(er < eb for er, eb in zip(lr, lb)):
             raise ValueError("polynomial division is not exact")
-        qm = tuple(er - eb for er, eb in zip(lr, lb))
-        qc = rem.terms[lr] / cb
-        add_term(out, qm, qc)
-        rem = rem - Poly(a.roster, {qm: qc}) * b
-    return Poly(a.roster, out)
+        q = Poly.monomial(a.roster, tuple(er - eb for er, eb in zip(lr, lb)), cr / cb)
+        out = out + q
+        rem = rem - q * b
+    return out
 
 
 def x_roster(dim: int):
@@ -1030,17 +1157,8 @@ class FormalFunction:
     def __str__(self):
         if self.is_zero():
             return "0"
-        parts = []
-        for k in sorted(self.coeffs):
-            p = self.coeffs[k]
-            body = str(p)
-            if k == 0:
-                parts.append(body)
-            else:
-                if len(p.terms) > 1:
-                    body = f"({body})"
-                parts.append(f"h^{k}*{body}")
-        return " + ".join(parts)
+        return " + ".join(str(p) if k == 0 else f"h^{k}*{p.as_factor()}"
+                          for k, p in sorted(self.coeffs.items()))
 
     def __repr__(self):
         return f"FormalFunction({self})"
@@ -1173,7 +1291,7 @@ class _Parser:
             if name in self.roster:
                 return Poly.var(self.roster, name)
             if is_param_name(name):
-                return Poly.const(self.roster, ParamRational.var(name))
+                return Poly.const(self.roster, ParamPoly.var(name))
             raise ExprError(f"unknown variable {name!r}")
         raise ExprError(f"expected a value, found {self.tokens[self.pos][1] or 'end of input'!r}")
 

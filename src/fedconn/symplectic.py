@@ -70,10 +70,8 @@ class SymplecticData(WeylContext):
                     )
         f = Poly.zero(self.roster)
         for i in range(self.dim):
-            for exps, c in eta[i].terms.items():
-                m = sum(exps)
-                ne = exps[:i] + (exps[i] + 1,) + exps[i + 1:]
-                f = f + Poly(self.roster, {ne: c * Fraction(1, m + 1)})
+            f = f + eta[i].map_x(
+                lambda e: (e[:i] + (e[i] + 1,) + e[i + 1:], Fraction(1, sum(e) + 1)))
         return f
 
     def hamiltonian_potential(self, X) -> Poly:

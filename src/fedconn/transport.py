@@ -15,10 +15,8 @@ flatness enters) and integrating it with the Poincare homotopy on R^m.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .polynomials import (
-    Poly, ParamRational, ParamPoly, PP_ONE, mono_degree, monomials_up_to, add_term,
+    Poly, PP_ONE, mono_degree, mono_mul, monomials_up_to, add_term,
 )
 from .multidiff import MultiDiffOp
 from .families import FamilyContext, ConnectionOneForm
@@ -26,6 +24,12 @@ from .families import FamilyContext, ConnectionOneForm
 
 class GaugeError(ValueError):
     """The gauge induction hit a non-closed defect: flatness hypothesis failed."""
+
+
+class GaugeCheckError(AssertionError):
+    """The solved P misses the gauge equation V[P] = P A'(V) - A(V) P at an
+    h-order the induction had already fixed, or below the truncation at the
+    end; the message names the h-order."""
 
 
 def _op_t_antiderivative(op: MultiDiffOp, name: str) -> MultiDiffOp:
@@ -98,10 +102,11 @@ def conjugation_check(family: FamilyContext, phi: MultiDiffOp, axis: str,
     star_0 = family.star.subs_params(at_zero)
     phi_inv = invert(phi)
     basis = monomials_up_to(family.sym.roster, basis_degree)
-    for f in basis:
-        for g in basis:
+    pulled = [phi_inv.apply(f) for f in basis]
+    for f, pf in zip(basis, pulled):
+        for g, pg in zip(basis, pulled):
             lhs = star_t.apply(f, g)
-            rhs = phi.apply(star_0.apply(phi_inv.apply(f), phi_inv.apply(g)))
+            rhs = phi.apply(star_0.apply(pf, pg))
             if lhs != rhs:
                 return False, f"conjugation fails on ({f}, {g})"
     return True, None
@@ -118,15 +123,11 @@ def _t_poincare_oneform(coeffs: dict, params) -> Poly:
     acc_terms = {}
     for j, c in coeffs.items():
         roster = c.roster
-        tj = ParamPoly.var(j)
-        for exps, pr in c.terms.items():
-            if not pr.is_polynomial():
-                raise ValueError("gauge data must be polynomial in the parameters")
-            for mono, z in pr.num.terms.items():
-                m = mono_degree(mono)
-                add_term(acc_terms, exps, ParamPoly({mono: z * Fraction(1, m + 1)}) * tj)
-    out = {e: ParamRational(p, PP_ONE) for e, p in acc_terms.items()}
-    return Poly(roster, out)
+        if c.den is not PP_ONE:
+            raise ValueError("gauge data must be polynomial in the parameters")
+        for (exps, mono), z in c.terms.items():
+            add_term(acc_terms, (exps, mono_mul(mono, ((j, 1),))), z / (mono_degree(mono) + 1))
+    return Poly(roster, acc_terms)
 
 
 def _op_oneform_potential(forms: dict, params, roster, arity=1) -> MultiDiffOp:
@@ -151,6 +152,7 @@ def gauge_equivalence(family: FamilyContext, A: ConnectionOneForm, A2: Connectio
     Requires both connections flat; for one parameter this is automatic, for
     more the closedness of each induction defect is exactly what flatness
     guarantees, and a non-closed defect raises GaugeError with its order.
+    GaugeCheckError guards the induction itself.
     """
     K = order if order is not None else family.order
     roster = family.sym.roster
@@ -170,8 +172,8 @@ def gauge_equivalence(family: FamilyContext, A: ConnectionOneForm, A2: Connectio
         for p in params:
             for k in range(l + 1):
                 if not E[p].h_coefficient(k).is_zero():
-                    raise AssertionError(
-                        f"gauge induction lost its invariant at order h^{k}"
+                    raise GaugeCheckError(
+                        f"gauge induction lost its invariant at order h^{k} (direction {p})"
                     )
         B = {p: E[p].h_coefficient(l + 1) for p in params}
         if all(op.is_zero() for op in B.values()):
@@ -198,7 +200,9 @@ def gauge_equivalence(family: FamilyContext, A: ConnectionOneForm, A2: Connectio
     E = defect(P)
     for p in params:
         if not E[p].is_zero():
-            raise AssertionError("gauge equation fails below the truncation order")
+            k = min(k for k, _ in E[p].terms)
+            raise GaugeCheckError(
+                f"gauge equation fails below the truncation order, at h^{k} (direction {p})")
     return P
 
 
@@ -206,10 +210,11 @@ def self_equivalence_check(family: FamilyContext, P: MultiDiffOp, basis_degree: 
     """P(f star_t g) = P(f) star_t P(g) mod h^{K+1} on the basis; (ok, witness)."""
     star = family.star
     basis = monomials_up_to(family.sym.roster, basis_degree)
-    for f in basis:
-        for g in basis:
+    applied = [P.apply(f) for f in basis]
+    for f, Pf in zip(basis, applied):
+        for g, Pg in zip(basis, applied):
             lhs = P.apply(star.apply(f, g))
-            rhs = star.apply(P.apply(f), P.apply(g))
+            rhs = star.apply(Pf, Pg)
             if lhs != rhs:
                 return False, f"self-equivalence fails on ({f}, {g})"
     return True, None

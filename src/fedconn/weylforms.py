@@ -37,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import Scalar, ZERO, ONE, I
-from .polynomials import Poly, ParamRational, FormalFunction, x_roster, add_term
+from .polynomials import Poly, FormalFunction, x_roster, add_term, as_coefficient
 
 
 def invert_scalar_matrix(m):
@@ -233,6 +233,13 @@ class WeylForm:
             {key: c for key, c in self.terms.items() if 2 * key[0] + sum(key[1]) <= degree},
         )
 
+    def by_degree(self) -> dict:
+        """The nonzero homogeneous parts, keyed by total degree in rising order."""
+        parts = {}
+        for key, c in self.terms.items():
+            parts.setdefault(2 * key[0] + sum(key[1]), {})[key] = c
+        return {d: WeylForm(self.ctx, self.trunc, t) for d, t in sorted(parts.items())}
+
     def lowest_degree(self):
         """The least total degree of a term; None for the zero form."""
         return min((2 * k + sum(a) for (k, a, _) in self.terms), default=None)
@@ -266,7 +273,7 @@ class WeylForm:
         return self + (-other)
 
     def scale(self, value) -> "WeylForm":
-        c = ParamRational.of(value)
+        c = as_coefficient(value)
         if c.is_zero():
             return WeylForm(self.ctx, self.trunc)
         return WeylForm(self.ctx, self.trunc, {k: p.scale(c) for k, p in self.terms.items()})
@@ -437,7 +444,7 @@ class WeylForm:
             p, q = sum(a), len(J)
             if p + q == 0:
                 continue
-            w = ParamRational.const(Fraction(1, p + q))
+            w = Scalar(Fraction(1, p + q))
             for pos, i in enumerate(J):
                 na = a[:i] + (a[i] + 1,) + a[i + 1:]
                 nJ = J[:pos] + J[pos + 1:]
@@ -506,10 +513,7 @@ class WeylForm:
             c = self.terms[(k, a, J)]
             alpha = ",".join(str(e) for e in a)
             dxs = ",".join(str(j + 1) for j in J)
-            body = str(c)
-            if len(c.terms) > 1:
-                body = f"({body})"
-            lines.append(f"h^{k} * {body} * y^({alpha}) * dx{{{dxs}}}")
+            lines.append(f"h^{k} * {c.as_factor()} * y^({alpha}) * dx{{{dxs}}}")
         return "\n".join(lines) if lines else "0"
 
     def __str__(self):
@@ -548,12 +552,8 @@ def poincare_potential(form: WeylForm) -> WeylForm:
         q = len(J)
         if q == 0:
             raise ValueError("Poincare potential needs form-degree >= 1")
-        for exps, coeff in c.terms.items():
-            m = sum(exps)
-            w = ParamRational.const(Fraction(1, m + q))
-            for pos, j in enumerate(J):
-                nJ = J[:pos] + J[pos + 1:]
-                ne = exps[:j] + (exps[j] + 1,) + exps[j + 1:]
-                sign_c = coeff * w if pos % 2 == 0 else -(coeff * w)
-                add_term(terms, (k, a, nJ), Poly(ctx.roster, {ne: sign_c}))
+        for pos, j in enumerate(J):
+            sign = 1 if pos % 2 == 0 else -1
+            part = c.map_x(lambda e: (e[:j] + (e[j] + 1,) + e[j + 1:], Fraction(sign, sum(e) + q)))
+            add_term(terms, (k, a, J[:pos] + J[pos + 1:]), part)
     return WeylForm(ctx, form.trunc, terms)

@@ -1,6 +1,8 @@
+import importlib.util
 import random
 from fractions import Fraction
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
@@ -226,7 +228,8 @@ def star_by_evaluation(setup, order):
     values = {}
     for f in basis:
         for g in basis:
-            values[(next(iter(f.terms)), next(iter(g.terms)))] = setup.star(f, g, order)
+            values[(next(iter(f.coefficients())), next(iter(g.coefficients())))] = setup.star(
+                f, g, order)
     return operator_from_values(roster, 2, order, lambda k: k, values)
 
 
@@ -503,3 +506,38 @@ def test_each_cap_is_needed(monkeypatch, capsys, cls, name, caller, which, cmd, 
     assert (code, err) == (1, "")
     failed = [line for line in out.splitlines() if line.startswith("[FAIL]")]
     assert len(failed) == 1 and failed[0].startswith(f"[FAIL] {check}: "), failed
+
+
+def generated_curved_r4(tmp_path):
+    """The seeded curved R^4 scenario of the benchmark (seed 0) at h-order 2."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    scenario = tmp_path / gen.NAME
+    scenario.write_text(gen.curved_r4(0), encoding="utf-8")
+    sc = Scenario.load(scenario)
+    sc.order, sc.truncation = 2, 6
+    return sc.build_setup()
+
+
+@pytest.mark.parametrize("name", ["curved_r2.scn K=4", "generated curved_r4 K=2",
+                                  "family_r2.scn K=3"])
+def test_r_self_bracket_once_per_pair_matches_both_orders(name, sym4, tmp_path):
+    # the r recursion and the curvature form bracket each unordered pair of
+    # r's parts once; the reference brackets both orders with weight 1/2
+    setup = generated_curved_r4(tmp_path) if name.startswith("generated") else cap_case(name, sym4)
+    N = setup.trunc
+    parts = {}
+    # a view of ``parts`` that is not ``parts`` itself takes the both-orders path
+    fedosov.solve_by_degree(setup.connection.cov_deriv, parts, range(2, N),
+                            (setup.alpha - setup.omega_form) - setup.R, MappingProxyType(parts),
+                            Fraction(1, 2), AssertionError)
+    assert parts == setup._r_parts
+    assert sum(parts.values(), WeylForm.zero(setup.sym, N)) == setup.r
+    assert len(parts) >= 2
+    bump = WeylForm.y_monomial(setup.sym, N, (2,) + (0,) * (setup.sym.dim - 1), coeff=3, J=(1,))
+    for r in (setup.r, setup.r + bump):
+        both_orders = (setup.omega_form + r.delta() + setup.R - setup.connection.cov_deriv(r)
+                       - r.ad_over_h(r, max_degree=N - 1).scale(Fraction(1, 2))).truncate(N - 1)
+        assert setup._curvature_form(r) == both_orders

@@ -195,3 +195,24 @@ def test_variation_cache_matches_fresh_computation(shear2, rational2, block4):
         f, g = random_poly(roster, rng, degree=3), random_poly(roster, rng, degree=3)
         for p in directions:
             assert verify_lemma_vc1(cold, p, f, g) == verify_lemma_vc1(fam, p, f, g) == (True, None)
+
+
+@pytest.mark.parametrize("pair_limit", [None, 25])
+def test_apply_a1_runs_once_per_basis_function_and_product(monkeypatch, block4, sym4,
+                                                           pair_limit):
+    # A1(V) of each basis function is computed once per direction, and only
+    # A1(V)(f*g) once per pair
+    calls = {}
+    original = LinearKahlerFamily.apply_a1
+
+    def counting(self, data, f):
+        calls[id(data)] = calls.get(id(data), 0) + 1
+        return original(self, data, f)
+
+    monkeypatch.setattr(LinearKahlerFamily, "apply_a1", counting)
+    F = parse_poly("t1*x1^2*x3 + t2*x4", sym4.roster)
+    checks = order1_hitchin_check(block4, F, basis_degree=2, pair_limit=pair_limit)
+    assert all(ok for _, ok, _ in checks)
+    basis = 15  # monomials of degree <= 2 in four variables
+    pairs = pair_limit or basis * basis
+    assert sorted(calls.values()) == [basis + pairs] * 2

@@ -1,6 +1,8 @@
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,9 @@ from fedconn.transport import (
     parallel_transport, invert, conjugation_check, gauge_equivalence,
     self_equivalence_check, flatness_check, GaugeError,
 )
+from fedconn.cli import main, GAUGE_EQUATION
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 @pytest.fixture(scope="module")
@@ -82,9 +87,9 @@ def _shift_param(op, name, offset):
     """Substitute t -> t + offset in the operator's coefficients."""
     out = {}
     for (k, slots), c in op.terms.items():
-        shifted = Poly(c.roster, {
-            e: _shift_pr(pr, name, offset) for e, pr in c.terms.items()
-        })
+        shifted = Poly.zero(c.roster)
+        for e, pr in c.coefficients().items():
+            shifted = shifted + Poly.monomial(c.roster, e, _shift_pr(pr, name, offset))
         out[(k, slots)] = shifted
     return MultiDiffOp(op.roster, op.arity, op.order, out)
 
@@ -224,3 +229,38 @@ def test_conjugation_by_self_equivalence_preserves_compatibility(sym2, flat2):
     conn = ConnectionOneForm(fam, {"t1": Aprime.truncate(3)}, provenance="user")
     ok, wit = verify_compatibility(fam, conn, basis_degree=2)
     assert ok, wit
+
+
+def _drop_h_orders_in_defect(keep):
+    """A mutant of MultiDiffOp.t_derivative for the gauge defect only: V[P]
+    keeps the h-orders up to ``keep(op)`` when called from ``defect``."""
+    original = MultiDiffOp.t_derivative
+
+    def mutant(self, name):
+        out = original(self, name)
+        # the caller is defect's dict comprehension, or defect itself
+        if "defect" in (sys._getframe(1).f_code.co_name, sys._getframe(2).f_code.co_name):
+            return MultiDiffOp(out.roster, out.arity, out.order,
+                               {key: c for key, c in out.terms.items() if key[0] <= keep(self)})
+        return out
+    return mutant
+
+
+@pytest.mark.parametrize("keep, witness", [
+    # V[P] read as 0: the order fixed at h^1 comes undone on the next step
+    (lambda op: -1, "gauge induction lost its invariant at order h^1 (direction t1)"),
+    # the top order of V[P] dropped: only the final check sees it
+    (lambda op: op.order - 1,
+     "gauge equation fails below the truncation order, at h^3 (direction t1)"),
+])
+def test_gauge_check_failures_are_report_lines(monkeypatch, capsys, keep, witness):
+    code = main(["gauge", "--scenario", str(SCENARIOS / "family_r2.scn")])
+    assert code == 0 and "[FAIL]" not in capsys.readouterr().out
+    monkeypatch.setattr(MultiDiffOp, "t_derivative", _drop_h_orders_in_defect(keep))
+    code = main(["gauge", "--scenario", str(SCENARIOS / "family_r2.scn")])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    assert "Traceback" not in out
+    assert [line for line in out.splitlines() if line.startswith("[FAIL]")] == [
+        f"[FAIL] gauge equation: {GAUGE_EQUATION}"]
+    assert f"       witness: {witness}\n" in out

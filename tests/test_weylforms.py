@@ -207,3 +207,24 @@ def test_serialization_golden(sym2):
         "h^1 * 1/2*x1 * y^(0,1) * dx{1}",
     ])
     assert WeylForm.zero(sym2, 8).serialize() == "0"
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ad_over_h_of_one_forms_is_symmetric(sym2, sym4, seed):
+    # the graded commutator of two odd forms is symmetric, which lets r be
+    # bracketed with itself once per unordered pair of parts
+    rng = random.Random(seed)
+    sym = sym2 if seed % 2 else sym4
+    t_poly = ParamRational.var("t1") + 2
+
+    def one_form():
+        form = random_weyl_form(sym, 8, rng, terms=6, max_form=1)
+        return WeylForm(sym, 8, {key: c for key, c in form.terms.items() if len(key[2]) == 1})
+
+    a, b = one_form(), one_form().scale(t_poly)
+    assert not a.is_zero() and not b.is_zero()
+    assert a.ad_over_h(b) == b.ad_over_h(a)
+    assert a.ad_over_h(b, max_degree=4) == b.ad_over_h(a, max_degree=4)
+    # an even form is antisymmetric with a 1-form, so the shortcut is for 1-forms only
+    c = random_weyl_form(sym, 8, rng, terms=6, max_form=0)
+    assert c.ad_over_h(a) == -a.ad_over_h(c)
