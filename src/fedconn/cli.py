@@ -22,8 +22,8 @@ from pathlib import Path
 from .polynomials import Poly, monomials_up_to
 from .fedosov import NaturalityError, NotAbelianError, FedosovCheckError, validate_star_axioms
 from .families import (
-    SolvabilityError, ConnectionProbeError, solve_s, connection_form, verify_compatibility,
-    lowest_order_identity, verify_curvature, derivation_identity,
+    SolvabilityError, ConnectionProbeError, PoincareCheckError, solve_s, connection_form,
+    verify_compatibility, lowest_order_identity, verify_curvature, derivation_identity,
 )
 from .transport import (
     parallel_transport, conjugation_check, gauge_equivalence,
@@ -113,7 +113,7 @@ class CheckFailed(Exception):
 def _build_beta(build, family):
     try:
         return build(family)
-    except SolvabilityError as exc:
+    except (SolvabilityError, PoincareCheckError) as exc:
         raise CheckFailed("beta invariant", "d_M i_V beta = V[alpha]", str(exc)) from None
 
 

@@ -29,12 +29,18 @@ from .polynomials import (
 from .weylforms import WeylForm, poincare_potential
 from .symplectic import ConnectionFamily
 from .fedosov import FedosovSetup, solve_by_degree
-from .multidiff import MultiDiffOp, StarTruncation, operator_from_symbol
+from .multidiff import MultiDiffOp, StarTruncation, hochschild_d1, operator_from_symbol
 
 
 class SolvabilityError(ValueError):
     """The s-equation has no solution: the necessary condition
     d_M i_V beta = V[alpha] failed, or the solved s fails the equation."""
+
+
+class PoincareCheckError(AssertionError):
+    """The Poincare potential gamma of the closed form alpha - alpha(basepoint)
+    misses d_M gamma = alpha - alpha(basepoint); the message names the lowest
+    h-order that differs."""
 
 
 class ConnectionProbeError(AssertionError):
@@ -114,7 +120,8 @@ def trivialize_alpha(family: FamilyContext, basepoint: dict = None) -> Trivializ
     """Build beta from the primitive of alpha - alpha(basepoint).
 
     gamma is the Poincare potential of the (closed, h >= 1) difference, and
-    i_V beta = V[gamma]; the defining property is then checked exactly.
+    i_V beta = V[gamma]; the defining property is then checked exactly, and
+    a potential that misses it raises PoincareCheckError.
     """
     base = dict(basepoint or {})
     for p in family.params:
@@ -127,8 +134,11 @@ def trivialize_alpha(family: FamilyContext, basepoint: dict = None) -> Trivializ
         gamma = WeylForm.zero(family.sym, family.trunc)
     else:
         gamma = poincare_potential(diff)
-        if gamma.d_x() != diff:
-            raise AssertionError("Poincare potential failed on a closed form")
+        miss = gamma.d_x() - diff
+        if not miss.is_zero():
+            raise PoincareCheckError(
+                f"Poincare potential failed on a closed form: d_M gamma differs from "
+                f"alpha - alpha(basepoint) at h^{min(k for k, _, _ in miss.terms)}")
     forms = {p: gamma.t_derivative(p) for p in family.params}
     return TrivializationBeta(family, forms, provenance="auto")
 
@@ -238,25 +248,26 @@ def connection_form(family: FamilyContext, s_forms: dict) -> ConnectionOneForm:
 def verify_compatibility(family: FamilyContext, A: ConnectionOneForm, basis_degree: int = 3):
     """d_H A(V) = V[star] on the monomial basis, for every coordinate V.
 
-    Returns (ok, witness).
+    Per direction the difference is formed as an operator,
+
+        D = star o_0 A(V) + star o_1 A(V) - A(V) o_0 star - V[star]
+
+    (``hochschild_d1``), capped at ``basis_degree``.  D vanishes on every
+    pair of basis monomials exactly when it has no term with both slot orders
+    <= basis_degree (``MultiDiffOp.basis_witness``), and only then is it
+    evaluated, pair by pair, for the witness.  Returns (ok, witness).
     """
-    star = family.star
-    basis = monomials_up_to(family.sym.roster, basis_degree)
+    star = family.star.op
     for p in family.params:
-        Ap = A[p]
-        BV = family.variation_star(p)
-        applied = [Ap.apply(f) for f in basis]
-        for f, Af in zip(basis, applied):
-            for g, Ag in zip(basis, applied):
-                lhs = star.apply(Af, g) + star.apply(f, Ag) - Ap.apply(star.apply(f, g))
-                rhs = BV.apply(f, g)
-                if lhs != rhs:
-                    d = lhs - rhs
-                    k = min(d.coeffs)
-                    return False, (
-                        f"direction {p}: (d_H A - V[star])({f}, {g}) has h^{k} "
-                        f"coefficient {d.coefficient(k)}"
-                    )
+        D = hochschild_d1(A[p], star, basis_degree) - family.variation_star(p)
+        found = D.basis_witness(basis_degree)
+        if found is not None:
+            (f, g), value = found
+            k = min(value.coeffs)
+            return False, (
+                f"direction {p}: (d_H A - V[star])({f}, {g}) has h^{k} "
+                f"coefficient {value.coefficient(k)}"
+            )
     return True, None
 
 

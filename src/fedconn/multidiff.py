@@ -7,10 +7,16 @@ A MultiDiffOp of arity m is a finite sum of terms
 acting on m functions; ``apply`` extends multilinearly over h so arguments may
 be Polys or FormalFunctions.  An operator with a known symbol, a polynomial
 in x and one set of jet variables per argument, is built from it
-(``operator_from_symbol``).  Term tables are canonical, so structural
-equality is exact; nevertheless equality of operators is *decided* by
-evaluation on a monomial basis (complete once the basis degree reaches the
-differential order), and brackets are built that way too.
+(``operator_from_symbol``).  Term tables are canonical, so equality of
+operators is structural.  ``compose_at`` is the partial composition
+phi o_i psi, expanded by the multinomial Leibniz rule, so identities such as
+d_H A(V) = V[star] are formed as one difference operator and decided on its
+terms: it vanishes on every tuple of monomials of degree <= d exactly when
+no term has all its slot orders <= d (``MultiDiffOp.basis_witness``).
+
+The Gerstenhaber bracket below is still lazy: a ``Cochain`` is evaluated on
+arguments, and ``materialize`` rebuilds an operator from its values on a
+monomial basis.
 
 The Gerstenhaber bracket follows the double-sum sign rule: for psi of arity
 r+1 and phi of arity s+1,
@@ -24,7 +30,9 @@ and the Hochschild differential of a star truncation m is d_H(phi) = [m, phi].
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .scalars import ONE, I
@@ -209,33 +217,93 @@ class MultiDiffOp:
     def __call__(self, *args):
         return self.apply(*args)
 
-    # -- composition (arity 1) ----------------------------------------------------------
+    def basis_witness(self, degree: int):
+        """Where self is nonzero on monomials of degree <= ``degree``: None
+        when it is zero on every tuple of them, else the first nonzero tuple
+        in nested-loop order over ``monomials_up_to(roster, degree)`` (the
+        first argument outermost), with its value.
 
-    def compose(self, other: "MultiDiffOp") -> "MultiDiffOp":
-        """self after other, both arity 1, by the Leibniz expansion."""
-        if self.arity != 1 or other.arity != 1:
-            raise ValueError("compose needs arity-1 operators")
-        order = min(self.order, other.order)
-        roster = merge_rosters(self.roster, other.roster)
+        The verdict reads the terms alone: self is zero on all these tuples
+        exactly when no term has every slot order <= degree.  A term of
+        higher order in some slot kills every monomial of lower degree.  For
+        a term h^k c d^a_1 .. d^a_m whose slots are all within ``degree`` and
+        componentwise minimal among such terms, self(x^a_1, .., x^a_m) has
+        h^k coefficient a_1! .. a_m! c: every other term of that h-power has
+        a slot b_j not componentwise below a_j, and d^b_j x^a_j = 0.  Only when
+        such a term exists is self evaluated, to find the witness.
+        """
+        if all(any(sum(s) > degree for s in slots) for _, slots in self.terms):
+            return None
+        basis = monomials_up_to(self.roster, degree)
+        for args in itertools.product(basis, repeat=self.arity):
+            value = self.apply(*args)
+            if not value.is_zero():
+                return args, value
+        raise AssertionError("a term within the degree vanished on every monomial tuple")
+
+    # -- composition ----------------------------------------------------------------
+
+    def compose_at(self, i: int, psi: "MultiDiffOp", max_slot: int = None) -> "MultiDiffOp":
+        """The partial composition self o_i psi, of arity m + n - 1 for m = self.arity
+        and n = psi.arity:
+
+            (self o_i psi)(f_1..f_{m+n-1}) = self(f_1..f_i, psi(f_{i+1}..f_{i+n}), ..)
+
+        Slot i's d^a falls on psi's coefficient q and arguments by the
+        multinomial Leibniz rule,
+
+            d^a (q * prod_j d^{b_j} f_j)
+                = sum_{a = e + e_1 + .. + e_n} a!/(e! e_1! .. e_n!) d^e q * prod_j d^{b_j + e_j} f_j,
+
+        and the result is truncated at the lower h-order of the two.
+
+        With ``max_slot``, a term is dropped when one of its slots has order
+        above it.  Such a term is zero on every tuple of monomials of degree
+        <= max_slot, and it stays so in any later composition that takes the
+        result as its inner operator (composing after an operator only raises
+        slot orders).  A later composition *into* a slot of the result can
+        lower that slot's order, so the caller passes ``max_slot`` only when
+        no slot of the result is composed into afterwards.
+        """
+        if not 0 <= i < self.arity:
+            raise ValueError(f"no slot {i} in an arity-{self.arity} operator")
+        n = psi.arity
+        order = min(self.order, psi.order)
+        roster = merge_rosters(self.roster, psi.roster)
+        cap = math.inf if max_slot is None else max_slot
+        # psi's terms within the cap; each coefficient is derived once per multi-index
+        inner = [(k2, bs, q.with_roster(roster), {}) for (k2, bs), q in psi.terms.items()
+                 if all(sum(b) <= cap for b in bs)]
         out = {}
-        for (k1, (a,)), p in self.terms.items():
-            for (k2, (b,)), q in other.terms.items():
+        for (k1, slots), c in self.terms.items():
+            head, a, tail = slots[:i], slots[i], slots[i + 1:]
+            if any(sum(s) > cap for s in head + tail):
+                continue
+            c = c.with_roster(roster)
+            for k2, bs, q, derived in inner:
                 k = k1 + k2
                 if k > order:
                     continue
-                # d^a (q * d^b f) = sum_{e <= a} C(a, e) d^{a-e} q * d^{b+e} f
-                for e in _sub_multiindices(a):
-                    binom = 1
-                    for ea, ee in zip(a, e):
-                        binom *= math.comb(ea, ee)
-                    dq = q.with_roster(roster).deriv_multi(tuple(x - y for x, y in zip(a, e)))
-                    if dq.is_zero():
+                products = {}
+                for weight, (e, *parts) in _leibniz_splits(a, n + 1):
+                    new = tuple(tuple(map(operator.add, b, part)) for b, part in zip(bs, parts))
+                    if any(sum(s) > cap for s in new):
                         continue
-                    coeff = p.with_roster(roster) * dq
-                    if binom != 1:
-                        coeff = coeff.scale(binom)
-                    add_term(out, (k, (tuple(x + y for x, y in zip(b, e)),)), coeff)
-        return MultiDiffOp(roster, 1, order, out)
+                    cq = products.get(e)
+                    if cq is None:
+                        dq = derived.get(e)
+                        if dq is None:
+                            dq = derived[e] = q.deriv_multi(e)
+                        cq = products[e] = c * dq
+                    if not cq.is_zero():
+                        add_term(out, (k, head + new + tail), cq.scale(weight))
+        return MultiDiffOp(roster, self.arity + n - 1, order, out)
+
+    def compose(self, other: "MultiDiffOp") -> "MultiDiffOp":
+        """self after other, both arity 1: ``compose_at(0, other)``."""
+        if self.arity != 1 or other.arity != 1:
+            raise ValueError("compose needs arity-1 operators")
+        return self.compose_at(0, other)
 
     def commutator(self, other: "MultiDiffOp") -> "MultiDiffOp":
         return self.compose(other) - other.compose(self)
@@ -285,6 +353,18 @@ def _sub_multiindices(a):
             yield (e,) + rest
 
 
+def _leibniz_splits(a, parts):
+    """(a!/(e_1! .. e_p!), (e_1, .., e_p)) for every way of writing the
+    multi-index a as a sum of ``parts`` multi-indices."""
+    if parts == 1:
+        yield 1, (a,)
+        return
+    for e in _sub_multiindices(a):
+        weight = math.prod(map(math.comb, a, e))
+        for w, rest in _leibniz_splits(tuple(map(operator.sub, a, e)), parts - 1):
+            yield weight * w, (e,) + rest
+
+
 # ---------------------------------------------------------------------------
 # reconstruction of operators from their action on monomials
 # ---------------------------------------------------------------------------
@@ -297,7 +377,6 @@ def operator_from_values(roster, arity, order, slot_bound, values) -> MultiDiffO
     The subtraction step enumerates componentwise sub-multi-indices directly,
     which keeps the solve fast on larger bases.
     """
-    import itertools
     roster = tuple(roster)
     bounds = [slot_bound(k) for k in range(order + 1)]
     terms = {}
@@ -552,19 +631,31 @@ def materialize(cochain: Cochain, roster, slot_bound=None) -> MultiDiffOp:
     return operator_from_callable(cochain.apply, roster, cochain.arity, cochain.order, bound)
 
 
-def is_derivation(B, star: StarTruncation, basis_degree=None):
-    """(ok, witness): whether d_H B = 0 mod h^{K+1} on the monomial basis."""
-    B = _as_cochain(B)
+def hochschild_d1(B: MultiDiffOp, m: MultiDiffOp, max_slot: int = None) -> MultiDiffOp:
+    """d_H B = [m, B] = m o_0 B + m o_1 B - B o_0 m for an arity-1 B and an
+    arity-2 m, as an explicit operator, with ``compose_at``'s ``max_slot``."""
+    return m.compose_at(0, B, max_slot) + m.compose_at(1, B, max_slot) - B.compose_at(0, m, max_slot)
+
+
+def is_derivation(B: MultiDiffOp, star: StarTruncation, basis_degree=None):
+    """(ok, witness): whether d_H B = 0 mod h^{K+1} on the monomial basis.
+
+    d_H B is formed as an operator (``hochschild_d1``), capped at
+    ``basis_degree``; it vanishes on every pair of basis monomials
+    exactly when it has no term with both slot orders <= basis_degree
+    (``MultiDiffOp.basis_witness``), and only then is it evaluated, pair by
+    pair, for the witness.  The default basis degree is the sum of the slot
+    orders of star and B.
+    """
+    if not isinstance(B, MultiDiffOp):
+        raise TypeError(f"is_derivation needs a MultiDiffOp, not {type(B).__name__}")
     if basis_degree is None:
-        basis_degree = star.slot_order() + (B.slot_bound(0) if B.slot_bound else star.order)
-    basis = monomials_up_to(star.roster, basis_degree)
-    applied = [B(f) for f in basis]
-    for f, Bf in zip(basis, applied):
-        for g, Bg in zip(basis, applied):
-            lhs = star.apply(Bf, g) + star.apply(f, Bg) - B(star.apply(f, g))
-            if not lhs.is_zero():
-                k = min(k for k in lhs.coeffs)
-                return False, f"d_H B ({f}, {g}) has h^{k} coefficient {lhs.coefficient(k)}"
+        basis_degree = star.slot_order() + B.slot_order()
+    found = hochschild_d1(B, star.op, basis_degree).basis_witness(basis_degree)
+    if found is not None:
+        (f, g), value = found
+        k = min(value.coeffs)
+        return False, f"d_H B ({f}, {g}) has h^{k} coefficient {value.coefficient(k)}"
     return True, None
 
 

@@ -612,7 +612,9 @@ class ParamRational:
             return str(self.num)
         num = str(self.num)
         den = str(self.den)
-        if len(self.num.terms) > 1 or num.startswith("-"):
+        # a lone complex constant such as 2/3-i prints as a sum, which / would split
+        if len(self.num.terms) > 1 or num.startswith("-") or (
+                self.num.is_constant() and not scalar_is_atomic(self.num.constant_value())):
             num = f"({num})"
         den = f"({den})"
         return f"{num}/{den}"

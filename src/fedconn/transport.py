@@ -16,7 +16,7 @@ flatness enters) and integrating it with the Poincare homotopy on R^m.
 from __future__ import annotations
 
 from .polynomials import (
-    Poly, PP_ONE, mono_degree, mono_mul, monomials_up_to, add_term,
+    Poly, PP_ONE, mono_degree, mono_mul, add_term,
 )
 from .multidiff import MultiDiffOp
 from .families import FamilyContext, ConnectionOneForm
@@ -91,24 +91,29 @@ def invert(P: MultiDiffOp) -> MultiDiffOp:
 
 def conjugation_check(family: FamilyContext, phi: MultiDiffOp, axis: str,
                       freeze: dict = None, basis_degree: int = 2):
-    """star_t = Phi o star_0 o (Phi^{-1} (x) Phi^{-1}) on the basis; (ok, witness)."""
+    """star_t = Phi o star_0 o (Phi^{-1} (x) Phi^{-1}) on the basis; (ok, witness).
+
+    The difference star_t - Phi o_0 ((star_0 o_0 Phi^{-1}) o_1 Phi^{-1}) is
+    formed as an operator and capped at ``basis_degree``; it vanishes on every
+    pair of basis monomials exactly when it has no term with both slot orders
+    <= basis_degree (``MultiDiffOp.basis_witness``), and only then is it
+    evaluated, pair by pair, for the witness.
+    """
     values = dict(freeze or {})
     for p in family.params:
         if p != axis:
             values.setdefault(p, 0)
-    star_t = family.star.subs_params(values)
+    star_t = family.star.subs_params(values).op
     at_zero = dict(values)
     at_zero[axis] = 0
-    star_0 = family.star.subs_params(at_zero)
+    star_0 = family.star.subs_params(at_zero).op
     phi_inv = invert(phi)
-    basis = monomials_up_to(family.sym.roster, basis_degree)
-    pulled = [phi_inv.apply(f) for f in basis]
-    for f, pf in zip(basis, pulled):
-        for g, pg in zip(basis, pulled):
-            lhs = star_t.apply(f, g)
-            rhs = phi.apply(star_0.apply(pf, pg))
-            if lhs != rhs:
-                return False, f"conjugation fails on ({f}, {g})"
+    d = basis_degree
+    pulled = star_0.compose_at(0, phi_inv).compose_at(1, phi_inv, d)
+    found = (star_t - phi.compose_at(0, pulled, d)).basis_witness(d)
+    if found is not None:
+        (f, g), _ = found
+        return False, f"conjugation fails on ({f}, {g})"
     return True, None
 
 
@@ -207,16 +212,21 @@ def gauge_equivalence(family: FamilyContext, A: ConnectionOneForm, A2: Connectio
 
 
 def self_equivalence_check(family: FamilyContext, P: MultiDiffOp, basis_degree: int = 2):
-    """P(f star_t g) = P(f) star_t P(g) mod h^{K+1} on the basis; (ok, witness)."""
-    star = family.star
-    basis = monomials_up_to(family.sym.roster, basis_degree)
-    applied = [P.apply(f) for f in basis]
-    for f, Pf in zip(basis, applied):
-        for g, Pg in zip(basis, applied):
-            lhs = P.apply(star.apply(f, g))
-            rhs = star.apply(Pf, Pg)
-            if lhs != rhs:
-                return False, f"self-equivalence fails on ({f}, {g})"
+    """P(f star_t g) = P(f) star_t P(g) mod h^{K+1} on the basis; (ok, witness).
+
+    The difference P o_0 star - (star o_0 P) o_1 P is formed as an operator
+    and capped at ``basis_degree``; it vanishes on every pair of basis
+    monomials exactly when it has no term with both slot orders <=
+    basis_degree (``MultiDiffOp.basis_witness``), and only then is it
+    evaluated, pair by pair, for the witness.
+    """
+    star = family.star.op
+    d = basis_degree
+    D = P.compose_at(0, star, d) - star.compose_at(0, P).compose_at(1, P, d)
+    found = D.basis_witness(d)
+    if found is not None:
+        (f, g), _ = found
+        return False, f"self-equivalence fails on ({f}, {g})"
     return True, None
 
 

@@ -8,9 +8,9 @@ from fedconn import fedosov, families, kahler
 from fedconn.scenario import Scenario, ScenarioError
 from fedconn.cli import VARIATION, main
 from fedconn.fedosov import FedosovSetup
-from fedconn.polynomials import FormalFunction
+from fedconn.polynomials import FormalFunction, Poly
 from fedconn.symplectic import ConnectionFamily
-from fedconn.weylforms import WeylContext
+from fedconn.weylforms import WeylContext, WeylForm
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -295,3 +295,20 @@ def test_kahler_variation_failures_are_report_lines(capsys, monkeypatch, target,
     else:
         assert failed_lines(out) == [later]
     assert f"       witness: {witness}" in out
+
+
+def test_poincare_potential_failure_is_a_report_line(capsys, monkeypatch):
+    # a potential that misses d_M gamma = alpha - alpha(basepoint) by h dx1^dx2
+    potential = families.poincare_potential
+
+    def off_by_h_x1_dx2(form):
+        return potential(form) + WeylForm.from_poly(
+            form.ctx, form.trunc, Poly.var(form.ctx.roster, "x1"), h_power=1, J=(1,))
+
+    monkeypatch.setattr(families, "poincare_potential", off_by_h_x1_dx2)
+    code, out, err = run_cli(capsys, "family", "--scenario", str(SCENARIOS / "family_r2.scn"))
+    assert (code, err) == (1, "")
+    assert failed_lines(out) == ["[FAIL] beta invariant: d_M i_V beta = V[alpha]"]
+    assert ("       witness: Poincare potential failed on a closed form: d_M gamma differs "
+            "from alpha - alpha(basepoint) at h^1\n") in out
+    assert "Traceback" not in out
