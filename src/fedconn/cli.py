@@ -29,6 +29,7 @@ from .transport import (
     parallel_transport, conjugation_check, gauge_equivalence,
     self_equivalence_check, flatness_check, GaugeError, GaugeCheckError,
 )
+from .symplectic import SymplecticCheckError
 from .kahler import (
     VariationError, family_directions, verify_lemma_vc1, order1_hitchin_check, rigidity_check,
 )
@@ -46,8 +47,23 @@ FEDOSOV = {
     "flatness of D_r": "D_r^2 = 0 on the fiber generators below degree trunc - 1",
     "flat sections": "the source of tau(f) and of its symbol is delta-closed at every degree",
 }
-FEDOSOV_CHECKS = [("abelian connection", ABELIAN + " (listed on failure)")] + [
-    (name, desc + " (listed on failure)") for name, desc in FEDOSOV.items()]
+# the checks inside the symplectic calculus (``SymplecticCheckError.check``);
+# no command recovers a Hamiltonian potential, so that one is listed nowhere
+SYMPLECTIC = {
+    "curvature action": "d_nabla^2 acts y-linearly on the fiber generators",
+    "curvature symmetry": "the Weyl curvature solved from d_nabla^2 is a symmetric tensor",
+    "variation symmetry": "i_V S solved from V[d_nabla] is a symmetric tensor",
+    "Hamiltonian potential": "the Hamiltonian field of the recovered potential is the given field",
+}
+
+
+def _listed_on_failure(*names):
+    table = {"abelian connection": ABELIAN, **FEDOSOV, **SYMPLECTIC}
+    return [(name, table[name] + " (listed on failure)") for name in names]
+
+
+FEDOSOV_CHECKS = _listed_on_failure(
+    "curvature action", "curvature symmetry", "abelian connection", *FEDOSOV)
 
 CHECKS = {
     "quantize": [
@@ -57,6 +73,7 @@ CHECKS = {
     ],
     "family": [
         *FEDOSOV_CHECKS,
+        *_listed_on_failure("variation symmetry"),
         ("beta invariant", "d_M i_V beta = V[alpha] for every direction"),
         ("s equation", "D_r(i_V s) matches its source with delta* i_V s = 0"),
         ("connection form", "A(V) from its symbol matches its formula past its order bound "
@@ -68,6 +85,7 @@ CHECKS = {
     ],
     "gauge": [
         *FEDOSOV_CHECKS,
+        *_listed_on_failure("variation symmetry"),
         ("beta invariant", "d_M i_V beta = V[alpha] for both trivializations (listed on failure)"),
         ("s equation", "D_r(i_V s) matches its source (listed on failure)"),
         ("connection form", "A(V) from its symbol matches its formula (listed on failure)"),
@@ -351,6 +369,8 @@ def main(argv=None) -> int:
         report.add("variation bivector", VARIATION, False, str(exc))
     except FedosovCheckError as exc:
         report.add(exc.check, FEDOSOV[exc.check], False, str(exc))
+    except SymplecticCheckError as exc:
+        report.add(exc.check, SYMPLECTIC[exc.check], False, str(exc))
     except GaugeCheckError as exc:
         report.add("gauge equation", GAUGE_EQUATION, False, str(exc))
     except NotAbelianError as exc:

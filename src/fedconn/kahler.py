@@ -19,22 +19,35 @@ pinned by the tests):
   P1 = -(1/4) Delta_{gtilde} - c1(F, .), so that V[-P1] = A1(V) holds
   identically.
 
-Each family computes the c1 matrix M once, and per direction G(V), its
-pure-type parts, V[M] and (1/2) G(V) once (``LinearKahlerFamily.variation``).
-``gtilde_variation``'s cross-checks run before a direction is stored, so a
-failing direction is never cached.  Cached matrices are shared and never
-mutated: every ``mat_*`` helper returns a new matrix.
+The order-1 checks are identities between explicit operators (``multidiff``).
+c1 and V[c1] are arity-2 operators with terms (e_a, e_b) -> M[a][b]; A1(V)
+and P1 are arity-1, h^0 operators with Q^{ab} on e_a + e_b (both orders
+folded into one term) and w^b on e_b.  The Leibniz identity is
+V[c1] = d_H A1(V) for the pointwise product (the order-1 part of
+d_H A(V) = V[star]), decided on the terms of the difference; flatness and
+closedness compare t-derivatives of the operators.  An operator is
+evaluated only to find the witness of a failure.
+
+Each family computes the c1 matrix M and its operator once, and per
+direction G(V), its pure-type parts, V[M] and (1/2) G(V) once
+(``LinearKahlerFamily.variation``), and the two V[c1] operators on first use
+(``variation_operators``).  ``gtilde_variation``'s cross-checks run before a
+direction is stored, so a failing direction is never cached.  Cached
+matrices and operators are shared and never mutated: every ``mat_*`` helper
+returns a new matrix.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
 from .scalars import Scalar, I
-from .polynomials import Poly, ParamRational, PR_ONE, PR_ZERO, monomials_up_to
+from .polynomials import Poly, ParamRational, PR_ONE, PR_ZERO, monomials_up_to, add_term
 from .weylforms import WeylContext
+from .multidiff import MultiDiffOp, StarTruncation, hochschild_d1
 
 HALF = Scalar(Fraction(1, 2))
 
@@ -157,6 +170,10 @@ def _leading_minors_positive(m):
     return True, None
 
 
+def _unit_vectors(n):
+    return [tuple(int(i == a) for i in range(n)) for a in range(n)]
+
+
 class LinearKahlerFamily:
     """x-constant family I_t of compatible complex structures over a WeylContext."""
 
@@ -183,7 +200,9 @@ class LinearKahlerFamily:
         self.proj = mat_sub(mat_scale(mat_identity(n), HALF), mat_scale(self.I, half_i))
         self.proj_bar = mat_add(mat_scale(mat_identity(n), HALF), mat_scale(self.I, half_i))
         self._c1 = None
+        self._c1_op = None
         self._variations = {}
+        self._variation_ops = {}
 
     # -- the variation bivector -------------------------------------------------
 
@@ -287,34 +306,57 @@ class LinearKahlerFamily:
 
     # -- the order-1 formal connection --------------------------------------------------
 
-    def a1_data(self, direction: str, F: Poly, delta_factor=Fraction(1, 4)):
-        """Coefficients (Q, w) of A1(V) = Delta_Q + w^b d_b:
+    def variation_operators(self, direction: str):
+        """V[c1] as arity-2 operators by its two routes, V[M] and (1/2) G(V):
+        computed on first use and then kept, like ``variation``."""
+        ops = self._variation_ops.get(direction)
+        if ops is None:
+            v = self.variation(direction)
+            ops = self._variation_ops[direction] = (self._pairing(v.Mdot), self._pairing(v.half_G))
+        return ops
 
-            A1(V)(f) = -factor * Delta_{G(V)}(f) + c1(V[F], f) + V[c1](F, f).
+    def c1_operator(self) -> MultiDiffOp:
+        """c1 as the arity-2 operator with terms (e_a, e_b) -> M[a][b]; built once."""
+        if self._c1_op is None:
+            self._c1_op = self._pairing(self.c1_matrix())
+        return self._c1_op
 
-        Q is the symmetric bivector -factor * G(V); w collects the two
-        first-order terms.  delta_factor exists for mutation tests."""
+    def _pairing(self, M) -> MultiDiffOp:
+        """(f, g) -> df M dg for an x-constant matrix M."""
+        roster, e = self.sym.roster, _unit_vectors(self.sym.dim)
+        return MultiDiffOp(roster, 2, 0, {(0, (e[a], e[b])): Poly.const(roster, M[a][b])
+                                          for a in range(self.sym.dim)
+                                          for b in range(self.sym.dim)})
+
+    def _second_order(self, Z) -> MultiDiffOp:
+        """Delta_Z = Z^{ab} d_a d_b, both orders of a pair folded into one term."""
+        roster, e = self.sym.roster, _unit_vectors(self.sym.dim)
+        terms = {}
+        for a in range(self.sym.dim):
+            for b in range(self.sym.dim):
+                add_term(terms, (0, (tuple(map(operator.add, e[a], e[b])),)),
+                         Poly.const(roster, Z[a][b]))
+        return MultiDiffOp(roster, 1, 0, terms)
+
+    def a1_data(self, direction: str, F: Poly, delta_factor=Fraction(1, 4)) -> MultiDiffOp:
+        """A1(V) as an arity-1, h^0 operator:
+
+            A1(V)(f) = -factor * Delta_{G(V)}(f) + c1(V[F], f) + V[c1](F, f),
+
+        that is Delta_Q + w^b d_b with Q = -factor * G(V) and w collecting
+        the two first-order terms.  delta_factor exists for mutation tests."""
         F = F.with_roster(self.sym.roster)
         v = self.variation(direction)
-        w = zip(self._contract(self.c1_matrix(), F.differentiate(direction)),
-                self._contract(v.Mdot, F))
-        return mat_scale(v.G, -Scalar(delta_factor)), tuple(a + b for a, b in w)
+        vc1, _ = self.variation_operators(direction)
+        return (self._second_order(mat_scale(v.G, -Scalar(delta_factor)))
+                + self.c1_operator().partial_apply(0, F.differentiate(direction))
+                + vc1.partial_apply(0, F))
 
-    def apply_a1(self, data, f: Poly) -> Poly:
-        Q, w = data
-        roster = self.sym.roster
-        f = f.with_roster(roster)
-        out = self.delta_Z(Q, f)
-        for b in range(self.sym.dim):
-            if not w[b].is_zero():
-                out = out + w[b] * f.differentiate(roster[b])
-        return out
-
-    def p1_data(self, F: Poly, delta_factor=Fraction(1, 4)):
-        """Coefficients of P1 = -factor * Delta_{gtilde} - c1(F, .)."""
+    def p1_data(self, F: Poly, delta_factor=Fraction(1, 4)) -> MultiDiffOp:
+        """P1 = -factor * Delta_{gtilde} - c1(F, .) as an arity-1, h^0 operator."""
         F = F.with_roster(self.sym.roster)
-        w = self._contract(self.c1_matrix(), F)
-        return mat_scale(self.gtilde, -Scalar(delta_factor)), tuple(-c for c in w)
+        return (self._second_order(mat_scale(self.gtilde, -Scalar(delta_factor)))
+                - self.c1_operator().partial_apply(0, F))
 
     def operator_E(self, direction: str, F: Poly, f: Poly) -> Poly:
         """E(V)(f) = -(1/4)(Delta_{G}(f) - 2 grad_{G dF}(f) - 2 Delta_G(F) f - 2n V[F] f)."""
@@ -357,54 +399,62 @@ def verify_lemma_vc1(fam: LinearKahlerFamily, direction: str, f: Poly, g: Poly,
 
 
 def order1_hitchin_check(fam: LinearKahlerFamily, F: Poly, basis_degree: int = 3,
-                         delta_factor=Fraction(1, 4), directions=None, pair_limit=None):
+                         delta_factor=Fraction(1, 4), directions=None):
     """Three verdicts for the order-1 formal connection built from A1:
 
-    (a) derivation identity: V[c1](f,g) = -A1(fg) + A1(f) g + f A1(g);
-    (b) flatness potential:  V[-P1] = A1(V), compared coefficientwise;
-    (c) d_T A1 = 0 across direction pairs, compared coefficientwise.
+    (a) derivation identity: V[c1](f,g) = -A1(fg) + A1(f) g + f A1(g) on the
+        monomial basis of degree <= basis_degree;
+    (b) flatness potential:  V[-P1] = A1(V);
+    (c) d_T A1 = 0 across direction pairs.
+
+    Each is an identity between explicit operators.  (a) forms
+    D = V[c1] - d_H A1(V) for the pointwise product and reads the verdict off
+    D's terms (``MultiDiffOp.basis_witness``); with it, the two routes to
+    V[c1] are compared as operators, and a disagreement raises
+    VariationError at its first basis pair.  Where one direction fails both,
+    the failure at the earlier pair in nested-loop order (f outermost) is
+    reported, VariationError on a tie.  Operators are evaluated only to find
+    the witness of a failure.
 
     Returns a list of (name, ok, witness).
     """
     if directions is None:
         directions = family_directions(fam, F)
-    basis = monomials_up_to(fam.sym.roster, basis_degree)
-    pairs = [(i, j) for i in range(len(basis)) for j in range(len(basis))]
-    if pair_limit:
-        pairs = pairs[:pair_limit]
     a1 = {p: fam.a1_data(p, F, delta_factor) for p in directions}
-    checks = []
+    basis = monomials_up_to(fam.sym.roster, basis_degree)
+    product = StarTruncation.pointwise(fam.sym.roster, 0).op
 
+    def position(found):
+        f, g = found[0]
+        return basis.index(f), basis.index(g)
+
+    checks = []
     ok, wit = True, None
-    for p, data in a1.items():
-        applied = [fam.apply_a1(data, f) for f in basis]
-        for i, j in pairs:
-            f, g = basis[i], basis[j]
-            lhs = fam.v_c1(p, f, g)
-            rhs = -fam.apply_a1(data, f * g) + applied[i] * g + f * applied[j]
-            if lhs != rhs:
-                ok, wit = False, f"direction {p}, ({f},{g})"
-                break
-        if not ok:
+    for p, A in a1.items():
+        vc1, half_G = fam.variation_operators(p)
+        routes = (vc1 - half_G).basis_witness(basis_degree)
+        leibniz = (vc1 - hochschild_d1(A, product, basis_degree)).basis_witness(basis_degree)
+        if routes is not None and (leibniz is None or position(routes) <= position(leibniz)):
+            (f, g), _ = routes
+            raise VariationError(
+                f"V[c1] disagrees with (1/2) df G(V) dg at ({f}, {g}) (direction {p})")
+        if leibniz is not None:
+            (f, g), _ = leibniz
+            ok, wit = False, f"direction {p}, ({f},{g})"
             break
     checks.append(("order-1 derivation identity", ok, wit))
 
     ok, wit = True, None
-    Qp, wp = fam.p1_data(F, delta_factor)
-    for p, (Q1, w1) in a1.items():
-        Qd = mat_neg(mat_deriv(Qp, p))
-        wd = tuple(-c.differentiate(p) for c in wp)
-        if not mat_eq(Qd, Q1) or any(a != b for a, b in zip(wd, w1)):
+    P1 = fam.p1_data(F, delta_factor)
+    for p, A in a1.items():
+        if -P1.t_derivative(p) != A:
             ok, wit = False, f"direction {p}"
             break
     checks.append(("flatness potential V[-P1] = A1(V)", ok, wit))
 
     ok, wit = True, None
     for v, w in combinations(directions, 2):
-        (Qv, wv), (Qw, ww) = a1[v], a1[w]
-        dQ = mat_sub(mat_deriv(Qw, v), mat_deriv(Qv, w))
-        dw = tuple(cw.differentiate(v) - cv.differentiate(w) for cw, cv in zip(ww, wv))
-        if any(not x.is_zero() for row in dQ for x in row) or any(not c.is_zero() for c in dw):
+        if not (a1[w].t_derivative(v) - a1[v].t_derivative(w)).is_zero():
             ok, wit = False, f"directions ({v},{w})"
     checks.append(("closedness d_T A1 = 0", ok, wit))
     return checks

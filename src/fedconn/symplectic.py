@@ -12,7 +12,8 @@ Sign conventions (fixed once, verified by the test suite):
 The Weyl curvature element R and the variation element i_V S are not given by
 a guessed index formula: they are solved from their defining operator
 identities  d_nabla^2 = -ad_over_h(R, .)  and  V[d_nabla] = (1/2) ad_over_h(i_V S, .)
-acting on the fiber generators y^m, then checked for symmetry.
+acting on the fiber generators y^m, then checked for symmetry.  A failed
+internal check raises SymplecticCheckError.
 """
 
 from __future__ import annotations
@@ -22,6 +23,17 @@ from fractions import Fraction
 from .scalars import Scalar
 from .polynomials import Poly, is_param_name, add_term
 from .weylforms import WeylContext, WeylForm
+
+
+class SymplecticCheckError(AssertionError):
+    """An internal check of the symplectic calculus failed: the Hamiltonian
+    potential, the y-linear action of d_nabla^2, or the symmetry of the
+    solved curvature or variation tensor.  ``check`` names it in reports;
+    the message gives the witness."""
+
+    def __init__(self, check: str, message: str):
+        super().__init__(message)
+        self.check = check
 
 
 class SymplecticData(WeylContext):
@@ -81,8 +93,12 @@ class SymplecticData(WeylContext):
         """
         eta = tuple(-p for p in self.gradient_of_potential(X))
         f = self.potential_of_gradient(eta)
-        if self.hamiltonian_vf(f) != tuple(X):
-            raise AssertionError("hamiltonian potential failed its defining check")
+        for j, (got, want) in enumerate(zip(self.hamiltonian_vf(f), X)):
+            if got != want:
+                raise SymplecticCheckError(
+                    "Hamiltonian potential",
+                    f"X_f of the recovered potential f differs from X in component {j + 1}: "
+                    f"{got} != {want}")
         return f
 
 
@@ -179,7 +195,9 @@ class ConnectionFamily:
             d2 = self.cov_deriv(self.cov_deriv(ym))
             for (k, alpha, J), c in d2.terms.items():
                 if k != 0 or sum(alpha) != 1:
-                    raise AssertionError("curvature action must stay y-linear")
+                    raise SymplecticCheckError(
+                        "curvature action",
+                        f"d_nabla^2 y{m + 1} has a term of y-degree {sum(alpha)} at h^{k}")
                 b = alpha.index(1)
                 C.setdefault(J, {})[(m, b)] = c
         terms = {}
@@ -200,7 +218,10 @@ class ConnectionFamily:
             for a in range(n):
                 for c_idx in range(a, n):
                     if rhat[(a, c_idx)] != rhat[(c_idx, a)]:
-                        raise AssertionError("curvature solve produced a non-symmetric tensor")
+                        raise SymplecticCheckError(
+                            "curvature symmetry",
+                            f"entries ({a + 1},{c_idx + 1}) and ({c_idx + 1},{a + 1}) of the "
+                            f"curvature tensor on {'^'.join(f'dx{q + 1}' for q in J)} differ")
                     coeff = rhat[(a, c_idx)] if a == c_idx else rhat[(a, c_idx)] + rhat[(c_idx, a)]
                     if coeff.is_zero():
                         continue
@@ -238,7 +259,10 @@ class ConnectionFamily:
             for a in range(n):
                 for c_idx in range(a, n):
                     if qhat[(a, c_idx)] != qhat[(c_idx, a)]:
-                        raise AssertionError("variation solve produced a non-symmetric tensor")
+                        raise SymplecticCheckError(
+                            "variation symmetry",
+                            f"entries ({a + 1},{c_idx + 1}) and ({c_idx + 1},{a + 1}) of i_V S "
+                            f"on dx{i + 1} differ (direction {name})")
                     coeff = qhat[(a, c_idx)] if a == c_idx else qhat[(a, c_idx)] + qhat[(c_idx, a)]
                     if coeff.is_zero():
                         continue

@@ -1,12 +1,13 @@
 import inspect
 import itertools
 import sys
+from fractions import Fraction
 
 import pytest
 
 from fedconn import (
     SymplecticData, ConnectionFamily, FedosovSetup, FamilyContext,
-    Poly, WeylForm, parse_poly,
+    Poly, ParamRational, WeylForm, LinearKahlerFamily, parse_poly,
     trivialize_alpha, solve_s, connection_form,
 )
 
@@ -123,3 +124,48 @@ def bundle_f3(sym2):
         + WeylForm.two_form(sym2, 8, {(2, 0, 1): parse_poly("t1*t2", r)})
     )
     return FamilyBundle(FamilyContext(conn, alpha, ["t1", "t2"], trunc=8, order=3))
+
+
+# -- linear Kahler families ---------------------------------------------------
+
+def pr(expr):
+    return parse_poly(expr, ()).constant_coefficient()
+
+
+@pytest.fixture(scope="module")
+def shear2(sym2):
+    """Polynomial shear family on R^2: I = [[-t1, 1+t1^2], [-1, t1]]."""
+    return LinearKahlerFamily(
+        sym2,
+        [[pr("-t1"), pr("1+t1^2")], [pr("-1"), pr("t1")]],
+        samples=[{"t1": 0}, {"t1": Fraction(1, 2)}, {"t1": -2}],
+    )
+
+
+@pytest.fixture(scope="module")
+def rational2(sym2):
+    """Rational family I = [[0, 1+t1], [-1/(1+t1), 0]]."""
+    return LinearKahlerFamily(
+        sym2,
+        [[pr("0"), pr("1+t1")], [parse_poly("-1/(1+t1)", ()).constant_coefficient(), pr("0")]],
+        samples=[{"t1": 0}, {"t1": Fraction(1, 3)}],
+    )
+
+
+@pytest.fixture(scope="module")
+def block4(sym4):
+    """R^4 family: two shear blocks driven by t1+t2 and t1*t2."""
+    def shear(uexpr):
+        u = parse_poly(uexpr, ()).constant_coefficient()
+        one = ParamRational.const(1)
+        return [[-u, u * u + one], [ParamRational.const(-1), u]]
+
+    B1, B2 = shear("t1 + t2"), shear("t1*t2")
+    z = ParamRational.const(0)
+    I4 = [
+        [B1[0][0], B1[0][1], z, z],
+        [B1[1][0], B1[1][1], z, z],
+        [z, z, B2[0][0], B2[0][1]],
+        [z, z, B2[1][0], B2[1][1]],
+    ]
+    return LinearKahlerFamily(sym4, I4, samples=[{"t1": 0, "t2": 0}, {"t1": 1, "t2": Fraction(1, 2)}])

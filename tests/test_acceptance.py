@@ -249,11 +249,11 @@ def test_criterion_09_order1_hitchin(sym2, sym4):
         ]
         for F in Fs:
             for name, ok, wit in order1_hitchin_check(fam, F, basis_degree=2,
-                                                      directions=list(dirs), pair_limit=25):
+                                                      directions=list(dirs)):
                 assert ok, (name, wit)
         mutated = order1_hitchin_check(fam, Fs[1], basis_degree=2,
                                        delta_factor=Fraction(1, 2),
-                                       directions=list(dirs), pair_limit=25)
+                                       directions=list(dirs))
         assert not mutated[0][1]
     verdict(9, "order-1 variation lemma on 20 random pairs, derivation + flatness for F = 0 "
                "and 3 random F on R^2 and R^4 families; quarter-factor mutation fails")

@@ -4,56 +4,16 @@ from fractions import Fraction
 import pytest
 
 from fedconn.scalars import Scalar, I
-from fedconn.polynomials import Poly, ParamRational, parse_poly
+from fedconn.polynomials import Poly, parse_poly
 from fedconn.kahler import (
     LinearKahlerFamily, verify_lemma_vc1, order1_hitchin_check, family_directions,
     rigidity_check, rigidity_report, mat, mat_eq, mat_mul, mat_inverse, mat_identity,
     mat_deriv, mat_scale,
 )
+from fedconn.multidiff import MultiDiffOp
 from fedconn.properties import random_poly
 
-
-def pr(expr):
-    return parse_poly(expr, ()).constant_coefficient()
-
-
-@pytest.fixture(scope="module")
-def shear2(sym2):
-    """Polynomial shear family on R^2: I = [[-t1, 1+t1^2], [-1, t1]]."""
-    return LinearKahlerFamily(
-        sym2,
-        [[pr("-t1"), pr("1+t1^2")], [pr("-1"), pr("t1")]],
-        samples=[{"t1": 0}, {"t1": Fraction(1, 2)}, {"t1": -2}],
-    )
-
-
-@pytest.fixture(scope="module")
-def rational2(sym2):
-    """Rational family I = [[0, 1+t1], [-1/(1+t1), 0]]."""
-    return LinearKahlerFamily(
-        sym2,
-        [[pr("0"), pr("1+t1")], [parse_poly("-1/(1+t1)", ()).constant_coefficient(), pr("0")]],
-        samples=[{"t1": 0}, {"t1": Fraction(1, 3)}],
-    )
-
-
-@pytest.fixture(scope="module")
-def block4(sym4):
-    """R^4 family: two shear blocks driven by t1+t2 and t1*t2."""
-    def shear(uexpr):
-        u = parse_poly(uexpr, ()).constant_coefficient()
-        one = ParamRational.const(1)
-        return [[-u, u * u + one], [ParamRational.const(-1), u]]
-
-    B1, B2 = shear("t1 + t2"), shear("t1*t2")
-    z = ParamRational.const(0)
-    I4 = [
-        [B1[0][0], B1[0][1], z, z],
-        [B1[1][0], B1[1][1], z, z],
-        [z, z, B2[0][0], B2[0][1]],
-        [z, z, B2[1][0], B2[1][1]],
-    ]
-    return LinearKahlerFamily(sym4, I4, samples=[{"t1": 0, "t2": 0}, {"t1": 1, "t2": Fraction(1, 2)}])
+from conftest import pr
 
 
 def test_family_validation_rejects_bad_structures(sym2):
@@ -148,7 +108,7 @@ def test_order1_checks(shear2, rational2, block4, sym2, sym4):
             random_poly(sym.roster, rng, degree=3, terms=3, params=("t1",))
             for _ in range(3)
         ]:
-            for name, ok, wit in order1_hitchin_check(fam, F, basis_degree=2, pair_limit=25):
+            for name, ok, wit in order1_hitchin_check(fam, F, basis_degree=2):
                 assert ok, (name, wit)
 
 
@@ -189,30 +149,28 @@ def test_variation_cache_matches_fresh_computation(shear2, rational2, block4):
         # a new family starts with empty caches; its verdicts match the warm one's
         cold = LinearKahlerFamily(fam.sym, fam.I)
         F = random_poly(roster, rng, degree=3, terms=3, params=("t1",))
-        warm = order1_hitchin_check(fam, F, basis_degree=2, pair_limit=25)
-        assert order1_hitchin_check(cold, F, basis_degree=2, pair_limit=25) == warm
+        warm = order1_hitchin_check(fam, F, basis_degree=2)
+        assert order1_hitchin_check(cold, F, basis_degree=2) == warm
         assert all(ok for _, ok, _ in warm)
         f, g = random_poly(roster, rng, degree=3), random_poly(roster, rng, degree=3)
         for p in directions:
             assert verify_lemma_vc1(cold, p, f, g) == verify_lemma_vc1(fam, p, f, g) == (True, None)
 
 
-@pytest.mark.parametrize("pair_limit", [None, 25])
-def test_apply_a1_runs_once_per_basis_function_and_product(monkeypatch, block4, sym4,
-                                                           pair_limit):
-    # A1(V) of each basis function is computed once per direction, and only
-    # A1(V)(f*g) once per pair
-    calls = {}
-    original = LinearKahlerFamily.apply_a1
-
-    def counting(self, data, f):
-        calls[id(data)] = calls.get(id(data), 0) + 1
-        return original(self, data, f)
-
-    monkeypatch.setattr(LinearKahlerFamily, "apply_a1", counting)
+def test_passing_order1_checks_evaluate_no_operator(monkeypatch, block4, sym4):
+    # all three verdicts are read off operator terms; nothing is evaluated
     F = parse_poly("t1*x1^2*x3 + t2*x4", sym4.roster)
-    checks = order1_hitchin_check(block4, F, basis_degree=2, pair_limit=pair_limit)
+    calls = []
+    apply = MultiDiffOp.apply
+
+    def counting(self, *args):
+        calls.append(self.arity)
+        return apply(self, *args)
+
+    monkeypatch.setattr(MultiDiffOp, "apply", counting)
+    checks = order1_hitchin_check(block4, F, basis_degree=2)
     assert all(ok for _, ok, _ in checks)
-    basis = 15  # monomials of degree <= 2 in four variables
-    pairs = pair_limit or basis * basis
-    assert sorted(calls.values()) == [basis + pairs] * 2
+    assert calls == []
+    # a failing derivation identity evaluates its difference operator for the witness
+    checks = order1_hitchin_check(block4, F, basis_degree=2, delta_factor=Fraction(1, 2))
+    assert not checks[0][1] and calls

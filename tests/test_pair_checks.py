@@ -1,20 +1,29 @@
 """The pair checks as identities between operators, against their pair loops.
 
-``verify_compatibility``, ``self_equivalence_check``, ``conjugation_check``
-and ``is_derivation`` form one difference operator by partial composition
-(``MultiDiffOp.compose_at``) and read its verdict off its terms.  The
-functions below are the evaluation loops they replaced: every pair of basis
-monomials, in the same order, with the same witness text.
+``verify_compatibility``, ``self_equivalence_check``, ``conjugation_check``,
+``is_derivation`` and Kahler's ``order1_hitchin_check`` form difference
+operators by partial composition (``MultiDiffOp.compose_at``) and read their
+verdicts off the terms.  The functions below are the evaluation loops they
+replaced: every pair of basis monomials, in the same order, with the same
+witness text.
 """
 
 import itertools
 import math
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from fedconn.polynomials import FormalFunction, parse_poly, x_roster, monomials_up_to, add_term
+from fedconn.scalars import Scalar
+from fedconn.polynomials import (
+    Poly, FormalFunction, PR_ZERO, parse_poly, x_roster, monomials_up_to, add_term,
+)
+from fedconn.kahler import (
+    LinearKahlerFamily, VariationError, order1_hitchin_check, family_directions,
+    mat_add, mat_sub, mat_neg, mat_eq, mat_deriv, mat_scale,
+)
 from fedconn.weylforms import WeylForm
 from fedconn.multidiff import MultiDiffOp, StarTruncation, hochschild_d1, is_derivation
 from fedconn.families import connection_form, solve_s, verify_compatibility
@@ -23,6 +32,8 @@ from fedconn.transport import (
 )
 from fedconn.properties import random_multidiffop, random_poly
 from fedconn.scenario import Scenario
+
+from conftest import pr
 
 R2 = x_roster(2)
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -299,3 +310,237 @@ def test_passing_pair_checks_evaluate_no_operator(bundle_f1, bundle_f3, gauge_pa
     ok, _ = self_equivalence_check(bundle_f1.family,
                                    gauge_pair + extra_term(R2, 2, (1, 1)), 2)
     assert not ok and calls
+
+
+# -- Kahler's order-1 checks against their pair loop ---------------------------------------
+
+def a1_matrices(fam, p, F, delta_factor=Fraction(1, 4)):
+    """(Q, w) with A1(V) = Delta_Q + w^b d_b, from the family's matrices."""
+    F = F.with_roster(fam.sym.roster)
+    v = fam.variation(p)
+    w = zip(fam._contract(fam.c1_matrix(), F.differentiate(p)), fam._contract(v.Mdot, F))
+    return mat_scale(v.G, -Scalar(delta_factor)), [a + b for a, b in w]
+
+
+def p1_matrices(fam, F, delta_factor=Fraction(1, 4)):
+    F = F.with_roster(fam.sym.roster)
+    return (mat_scale(fam.gtilde, -Scalar(delta_factor)),
+            [-c for c in fam._contract(fam.c1_matrix(), F)])
+
+
+def apply_a1(fam, data, f):
+    Q, w = data
+    roster = fam.sym.roster
+    f = f.with_roster(roster)
+    out = fam.delta_Z(Q, f)
+    for b in range(fam.sym.dim):
+        if not w[b].is_zero():
+            out = out + w[b] * f.differentiate(roster[b])
+    return out
+
+
+def matrices_operator(fam, Q, w):
+    """Delta_Q + w^b d_b as an operator, term by term."""
+    roster, n = fam.sym.roster, fam.sym.dim
+    unit = [tuple(int(i == a) for i in range(n)) for a in range(n)]
+    terms = {}
+    for a, b in itertools.product(range(n), repeat=2):
+        slot = tuple(x + y for x, y in zip(unit[a], unit[b]))
+        add_term(terms, (0, (slot,)), Poly.const(roster, Q[a][b]))
+    for b in range(n):
+        add_term(terms, (0, (unit[b],)), w[b])
+    return MultiDiffOp(roster, 1, 0, terms)
+
+
+def order1_by_pairs(fam, F, basis_degree, delta_factor=Fraction(1, 4), shift=None):
+    """The three order-1 verdicts by the loops the operator checks replaced.
+
+    The Leibniz identity is evaluated on every pair of basis monomials, with
+    V[c1] by ``v_c1`` (which raises VariationError where its two routes
+    disagree); flatness and closedness compare (Q, w) coefficientwise.
+    ``shift`` maps a direction to a (dQ, dw) added to its (Q, w)."""
+    directions = family_directions(fam, F)
+    basis = monomials_up_to(fam.sym.roster, basis_degree)
+    a1 = {}
+    for p in directions:
+        Q, w = a1_matrices(fam, p, F, delta_factor)
+        if shift and p in shift:
+            dQ, dw = shift[p]
+            Q, w = mat_add(Q, dQ), [a + b for a, b in zip(w, dw)]
+        a1[p] = Q, w
+    checks = []
+
+    ok, wit = True, None
+    for p, data in a1.items():
+        applied = [apply_a1(fam, data, f) for f in basis]
+        for (f, Af), (g, Ag) in itertools.product(zip(basis, applied), repeat=2):
+            lhs = fam.v_c1(p, f, g)
+            if lhs != -apply_a1(fam, data, f * g) + Af * g + f * Ag:
+                ok, wit = False, f"direction {p}, ({f},{g})"
+                break
+        if not ok:
+            break
+    checks.append(("order-1 derivation identity", ok, wit))
+
+    ok, wit = True, None
+    Qp, wp = p1_matrices(fam, F, delta_factor)
+    for p, (Q1, w1) in a1.items():
+        Qd = mat_neg(mat_deriv(Qp, p))
+        wd = [-c.differentiate(p) for c in wp]
+        if not mat_eq(Qd, Q1) or any(a != b for a, b in zip(wd, w1)):
+            ok, wit = False, f"direction {p}"
+            break
+    checks.append(("flatness potential V[-P1] = A1(V)", ok, wit))
+
+    ok, wit = True, None
+    for v, w in itertools.combinations(directions, 2):
+        (Qv, wv), (Qw, ww) = a1[v], a1[w]
+        dQ = mat_sub(mat_deriv(Qw, v), mat_deriv(Qv, w))
+        dw = [cw.differentiate(v) - cv.differentiate(w) for cw, cv in zip(ww, wv)]
+        if any(not x.is_zero() for row in dQ for x in row) or any(not c.is_zero() for c in dw):
+            ok, wit = False, f"directions ({v},{w})"
+    checks.append(("closedness d_T A1 = 0", ok, wit))
+    return checks
+
+
+def outcome(check, *args, **kwargs):
+    try:
+        return check(*args, **kwargs)
+    except VariationError as exc:
+        return "VariationError", str(exc)
+
+
+def shift_a1(monkeypatch, shift):
+    """Add each direction's (dQ, dw) of ``shift`` to the operator a1_data returns."""
+    a1_data = LinearKahlerFamily.a1_data
+
+    def shifted(self, p, F, delta_factor=Fraction(1, 4)):
+        out = a1_data(self, p, F, delta_factor)
+        return out + matrices_operator(self, *shift[p]) if p in shift else out
+
+    monkeypatch.setattr(LinearKahlerFamily, "a1_data", shifted)
+
+
+def fresh(fam, **perturbed):
+    """A family with empty caches whose variation data has fields replaced,
+    each field by a function of the computed one."""
+    cold = LinearKahlerFamily(fam.sym, fam.I)
+    variation = cold.variation
+
+    def mutated(p):
+        v = variation(p)
+        return v._replace(**{name: fn(getattr(v, name)) for name, fn in perturbed.items()})
+
+    cold.variation = mutated
+    return cold
+
+
+@pytest.fixture(scope="module")
+def kahler_cases(shear2, rational2, block4):
+    """(name, family, [F]): the fixture families with F = 0 and random F, and
+    the shipped Kahler scenarios with their own F."""
+    rng = random.Random(1200)
+    cases = []
+    for name, fam in (("shear2", shear2), ("rational2", rational2), ("block4", block4)):
+        params = ("t1",) if fam.sym.dim == 2 else ("t1", "t2")
+        Fs = [Poly.zero(fam.sym.roster)] + [
+            random_poly(fam.sym.roster, rng, degree=3, terms=3, params=params) for _ in range(2)]
+        cases.append((name, fam, Fs))
+    for name in ("kahler_r2.scn", "kahler_r4.scn"):
+        sc = Scenario.load(SCENARIOS / name)
+        fam = sc.build_kahler()
+        cases.append((name, fam, [sc.build_F(fam.sym)]))
+    return cases
+
+
+def zero_shift(fam):
+    n = fam.sym.dim
+    return [[PR_ZERO] * n for _ in range(n)], [Poly.zero(fam.sym.roster)] * n
+
+
+def test_order1_operators_match_their_matrices(kahler_cases):
+    for name, fam, Fs in kahler_cases:
+        for F in Fs:
+            for p in family_directions(fam, F):
+                assert fam.a1_data(p, F) == matrices_operator(fam, *a1_matrices(fam, p, F)), name
+                vc1, half_G = fam.variation_operators(p)
+                assert vc1 == half_G and fam.variation_operators(p) == (vc1, half_G)
+            assert fam.p1_data(F) == matrices_operator(fam, *p1_matrices(fam, F)), name
+
+
+def test_order1_matches_the_pair_loop(kahler_cases):
+    for name, fam, Fs in kahler_cases:
+        for F in Fs:
+            for d in (1, 2):
+                got = order1_hitchin_check(fam, F, d)
+                assert got == order1_by_pairs(fam, F, d), (name, F, d)
+                assert all(ok for _, ok, _ in got), (name, got)
+            # the quarter factor mutated to a half, in A1 and P1 alike: only
+            # the Leibniz identity fails
+            got = order1_hitchin_check(fam, F, 2, delta_factor=Fraction(1, 2))
+            assert got == order1_by_pairs(fam, F, 2, delta_factor=Fraction(1, 2)), name
+            assert [ok for _, ok, _ in got] == [False, True, True], (name, got)
+            if name == "kahler_r4.scn":
+                assert got[0][2] == "direction t1, (x4,x3)"
+
+
+def verdicts(checks):
+    return checks if checks[0] == "VariationError" else [ok for _, ok, _ in checks]
+
+
+@pytest.mark.parametrize("mutant", ["Q entry", "w", "mixed w"])
+def test_order1_shift_mutants_match_the_pair_loop(kahler_cases, monkeypatch, mutant):
+    expect = {"Q entry": [False, False, True], "w": [True, False, True],
+              "mixed w": [True, False, False]}[mutant]
+    seen = 0
+    for name, fam, Fs in kahler_cases:
+        directions = family_directions(fam, Fs[-1])
+        if mutant == "mixed w" and len(directions) < 2:
+            continue
+        dQ, dw = zero_shift(fam)
+        r = fam.sym.roster
+        if mutant == "Q entry":
+            dQ[0][1] = pr("t1 + 1")
+        else:
+            dw = [parse_poly("x2" if mutant == "w" else "t2*x1", r)] + dw[1:]
+        shift = {directions[0]: (dQ, dw)}
+        with monkeypatch.context() as m:
+            shift_a1(m, shift)
+            for F in Fs:
+                got = order1_hitchin_check(fam, F, 2)
+                assert got == order1_by_pairs(fam, F, 2, shift=shift), (name, F)
+                assert verdicts(got) == expect, (name, got)
+                seen += 1
+    assert seen
+
+
+def test_order1_variation_mutants_match_the_pair_loop(kahler_cases):
+    for name, fam, Fs in kahler_cases:
+        # V[c1] by V[M] negated: the routes disagree at the same first pair
+        # as the Leibniz identity, and the tie goes to VariationError
+        for F in Fs:
+            negated = fresh(fam, Mdot=mat_neg)
+            got = outcome(order1_hitchin_check, negated, F, 2)
+            assert got == outcome(order1_by_pairs, fresh(fam, Mdot=mat_neg), F, 2), name
+            assert got[0] == "VariationError" and "V[c1] disagrees" in got[1], (name, got)
+
+
+def test_order1_reports_the_earlier_of_two_failures(shear2, monkeypatch):
+    # V[M] perturbed on one diagonal entry and Q on the other: the failure at
+    # the earlier pair in the loop order wins, either way round
+    F = parse_poly("t1*x1^2*x2", shear2.sym.roster)
+    one = pr("1")
+    kinds = set()
+    for a, b in ((0, 1), (1, 0)):
+        def bump(M, a=a):
+            return mat_add(M, [[one if (i, j) == (a, a) else PR_ZERO for j in range(2)]
+                               for i in range(2)])
+        dQ, dw = zero_shift(shear2)
+        dQ[b][b] = one
+        shift = {"t1": (dQ, dw)}
+        with monkeypatch.context() as m:
+            shift_a1(m, shift)
+            got = outcome(order1_hitchin_check, fresh(shear2, Mdot=bump), F, 2)
+            assert got == outcome(order1_by_pairs, fresh(shear2, Mdot=bump), F, 2, shift=shift)
+        kinds.add(got[0] if got[0] == "VariationError" else got[0][0])
+    assert kinds == {"VariationError", "order-1 derivation identity"}

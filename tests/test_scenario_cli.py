@@ -4,12 +4,12 @@ from pathlib import Path
 
 import pytest
 
-from fedconn import fedosov, families, kahler
+from fedconn import cli, fedosov, families, kahler
 from fedconn.scenario import Scenario, ScenarioError
 from fedconn.cli import VARIATION, main
 from fedconn.fedosov import FedosovSetup
 from fedconn.polynomials import FormalFunction, Poly
-from fedconn.symplectic import ConnectionFamily
+from fedconn.symplectic import ConnectionFamily, SymplecticData, SymplecticCheckError
 from fedconn.weylforms import WeylContext, WeylForm
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -312,3 +312,74 @@ def test_poincare_potential_failure_is_a_report_line(capsys, monkeypatch):
     assert ("       witness: Poincare potential failed on a closed form: d_M gamma differs "
             "from alpha - alpha(basepoint) at h^1\n") in out
     assert "Traceback" not in out
+
+
+def _extra_y2_on_two_forms(cov):
+    def mutant(self, a):
+        # y2 dx1^dx2 added to d_nabla of every 1-form: still y-linear, but the
+        # curvature tensor read off d_nabla^2 loses its symmetry
+        out = cov(self, a)
+        if any(len(J) == 1 for _, _, J in a.terms):
+            one = Poly.const(self.sym.roster, 1)
+            out = out + WeylForm(self.sym, a.trunc, {(0, (0, 1), (0, 1)): one})
+        return out
+    return mutant
+
+
+def _extra_y1_squared(cov):
+    def mutant(self, a):
+        # y1^2 dx1 added to every d_nabla: d_nabla^2 is no longer y-linear
+        return cov(self, a) + WeylForm(self.sym, a.trunc,
+                                       {(0, (2, 0), (0,)): Poly.const(self.sym.roster, 1)})
+    return mutant
+
+
+def _asymmetric_dgamma(table):
+    def mutant(self, name):
+        # 1 added to V[Gamma]^1_11: the i_V S read off V[d_nabla] loses its symmetry
+        out = dict(table(self, name))
+        one = Poly.const(self.sym.roster, 1)
+        out[(0, 0, 0)] = out[(0, 0, 0)] + one if (0, 0, 0) in out else one
+        return out
+    return mutant
+
+
+@pytest.mark.parametrize("name, mutant, commands, scenario, check, witness", [
+    ("cov_deriv", _extra_y1_squared, ("quantize", "verify-all"), "curved_r2.scn",
+     "curvature action", "d_nabla^2 y1 has a term of y-degree 2 at h^0"),
+    ("cov_deriv", _extra_y2_on_two_forms, ("quantize",), "curved_r2.scn",
+     "curvature symmetry", "entries (1,2) and (2,1) of the curvature tensor on dx1^dx2 differ"),
+    ("t_derivative_table", _asymmetric_dgamma, ("family", "gauge"), "family_r2.scn",
+     "variation symmetry", "entries (1,2) and (2,1) of i_V S on dx1 differ (direction t1)"),
+])
+def test_symplectic_check_failures_are_report_lines(capsys, monkeypatch, name, mutant, commands,
+                                                    scenario, check, witness):
+    monkeypatch.setattr(ConnectionFamily, name, mutant(getattr(ConnectionFamily, name)))
+    for cmd in commands:
+        code, out, err = run_cli(capsys, cmd, "--scenario", str(SCENARIOS / scenario))
+        assert (code, err) == (1, "")
+        assert "Traceback" not in out
+        assert failed_lines(out) == [f"[FAIL] {check}: {cli.SYMPLECTIC[check]}"]
+        assert f"       witness: {witness}\n" in out
+
+
+def test_hamiltonian_potential_check_raises_a_named_error(monkeypatch, capsys):
+    sym = Scenario.load(SCENARIOS / "flat_r2.scn").build_symplectic()
+    X = sym.hamiltonian_vf(Poly.var(sym.roster, "x1") * Poly.var(sym.roster, "x2"))
+    assert sym.hamiltonian_potential(X) == Poly.var(sym.roster, "x1") * Poly.var(sym.roster, "x2")
+    field = SymplecticData.hamiltonian_vf
+    monkeypatch.setattr(SymplecticData, "hamiltonian_vf",
+                        lambda self, f: (field(self, f)[0] + Poly.const(self.roster, 1),)
+                        + field(self, f)[1:])
+    with pytest.raises(SymplecticCheckError) as exc:
+        sym.hamiltonian_potential(X)
+    assert exc.value.check == "Hamiltonian potential"
+    assert str(exc.value) == \
+        "X_f of the recovered potential f differs from X in component 1: -x1 + 1 != -x1"
+    # no command recovers a potential; raised inside one, it is a report line
+    monkeypatch.setattr(ConnectionFamily, "curvature_weyl",
+                        lambda self, trunc: self.sym.hamiltonian_potential(X))
+    code, out, err = run_cli(capsys, "quantize", "--scenario", str(SCENARIOS / "flat_r2.scn"))
+    assert (code, err) == (1, "") and "Traceback" not in out
+    check = "Hamiltonian potential"
+    assert failed_lines(out) == [f"[FAIL] {check}: {cli.SYMPLECTIC[check]}"]
