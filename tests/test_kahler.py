@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from fedconn.scalars import Scalar, I
-from fedconn.polynomials import Poly, parse_poly
+from fedconn.polynomials import Poly, parse_poly, monomials_up_to
 from fedconn.kahler import (
     LinearKahlerFamily, verify_lemma_vc1, order1_hitchin_check, family_directions,
     rigidity_check, rigidity_report, mat, mat_eq, mat_mul, mat_inverse, mat_identity,
@@ -157,9 +157,8 @@ def test_variation_cache_matches_fresh_computation(shear2, rational2, block4):
             assert verify_lemma_vc1(cold, p, f, g) == verify_lemma_vc1(fam, p, f, g) == (True, None)
 
 
-def test_passing_order1_checks_evaluate_no_operator(monkeypatch, block4, sym4):
-    # all three verdicts are read off operator terms; nothing is evaluated
-    F = parse_poly("t1*x1^2*x3 + t2*x4", sym4.roster)
+def count_applies(monkeypatch):
+    """The arity of each MultiDiffOp.apply call, from here on."""
     calls = []
     apply = MultiDiffOp.apply
 
@@ -168,9 +167,27 @@ def test_passing_order1_checks_evaluate_no_operator(monkeypatch, block4, sym4):
         return apply(self, *args)
 
     monkeypatch.setattr(MultiDiffOp, "apply", counting)
+    return calls
+
+
+def test_passing_order1_checks_evaluate_no_operator(monkeypatch, block4, sym4):
+    # all three verdicts are read off operator terms; nothing is evaluated
+    F = parse_poly("t1*x1^2*x3 + t2*x4", sym4.roster)
+    calls = count_applies(monkeypatch)
     checks = order1_hitchin_check(block4, F, basis_degree=2)
     assert all(ok for _, ok, _ in checks)
     assert calls == []
-    # a failing derivation identity evaluates its difference operator for the witness
+
+
+def test_failing_order1_check_evaluates_pairs_up_to_its_witness(monkeypatch, block4, sym4):
+    # a failing derivation identity evaluates its difference operator on the
+    # basis pairs in loop order, up to and including the witness, and no further
+    F = parse_poly("t1*x1^2*x3 + t2*x4", sym4.roster)
+    calls = count_applies(monkeypatch)
     checks = order1_hitchin_check(block4, F, basis_degree=2, delta_factor=Fraction(1, 2))
-    assert not checks[0][1] and calls
+    name, ok, wit = checks[0]
+    assert not ok and wit.startswith("direction t1, (")
+    f, g = (parse_poly(m, sym4.roster) for m in wit.split("(")[1].rstrip(")").split(","))
+    basis = monomials_up_to(sym4.roster, 2)
+    assert calls == [2] * (basis.index(f) * len(basis) + basis.index(g) + 1)
+    assert len(calls) < len(basis) ** 2
