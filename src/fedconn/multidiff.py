@@ -12,7 +12,11 @@ operators is structural.  ``compose_at`` is the partial composition
 phi o_i psi, expanded by the multinomial Leibniz rule, so identities such as
 d_H A(V) = V[star] are formed as one difference operator and decided on its
 terms: it vanishes on every tuple of monomials of degree <= d exactly when
-no term has all its slot orders <= d (``MultiDiffOp.basis_witness``).
+no term has all its slot orders <= d (``MultiDiffOp.basis_witness``).  The
+values on all those tuples at once (``MultiDiffOp.basis_table``) are summed
+term by term: each term lands on the tuples it does not annihilate as a
+shifted, weighted copy of its coefficient, with no evaluation of the
+operator.
 
 The Gerstenhaber bracket below is still lazy: a ``Cochain`` is evaluated on
 arguments, and ``materialize`` rebuilds an operator from its values on a
@@ -40,6 +44,12 @@ from .polynomials import (
     Poly, FormalFunction, monomials_up_to, merge_rosters, add_term, exponents_up_to,
     as_coefficient,
 )
+
+
+class ReconstructionError(AssertionError):
+    """An operator rebuilt by ``operator_from_callable`` disagrees with its
+    callable on a probe past the declared differential-order bound.  The
+    message names the probe and the h-order."""
 
 
 def _falling(a, b):
@@ -217,6 +227,57 @@ class MultiDiffOp:
     def __call__(self, *args):
         return self.apply(*args)
 
+    def basis_table(self, degree: int, roster=None):
+        """self on every tuple of monomials of degree <= ``degree`` in
+        ``roster`` (None: self's roster; a wider one leaves its extra
+        variables undifferentiated), yielded as (args, value) in nested-loop
+        order over ``monomials_up_to(roster, degree)``, the first argument
+        outermost: the values ``apply`` gives, tuple by tuple.
+
+        They are summed term by term instead.  A term h^k c d^s_1 .. d^s_m
+        adds h^k perm(a_1, s_1) .. perm(a_m, s_m) c x^{(a_1 - s_1) + .. + (a_m - s_m)}
+        to the tuple (x^a_1, .., x^a_m) wherever every a_j >= s_j, so a term
+        with a slot order above ``degree`` adds nothing.  The tuples are
+        summed one first argument at a time, so only that block is held.
+        """
+        if self.arity < 1:
+            raise ValueError("basis_table needs an operator of arity >= 1")
+        roster = self.roster if roster is None else tuple(roster)
+        full = merge_rosters(self.roster, roster)
+        for c in self.terms.values():
+            full = merge_rosters(full, c.roster)
+        exps = exponents_up_to(len(roster), degree)
+        bases = list(map(_placer(roster, full), exps))
+        place_slot = _placer(self.roster, full)
+        n, m = len(exps), self.arity
+
+        def hits(s, stride):
+            # (stride * index of x^a, perm(a, s), a - s) for each basis exponent a >= s
+            return [(i * stride, w, tuple(map(operator.sub, a, s)))
+                    for i, a in enumerate(bases) if (w := _falling(a, s))]
+
+        live = []
+        for (k, slots), c in self.terms.items():
+            if all(sum(s) <= degree for s in slots):
+                first, *rest = map(place_slot, slots)
+                live.append((k, c.with_roster(full), {i: (w, e) for i, w, e in hits(first, 1)},
+                             [hits(s, n ** (m - 2 - j)) for j, s in enumerate(rest)]))
+        monomials = [Poly.monomial(roster, a) for a in exps]
+        tails = list(itertools.product(monomials, repeat=m - 1))
+        for i, f in enumerate(monomials):
+            block = [{} for _ in tails]
+            for k, c, first, rest in live:
+                if i not in first:
+                    continue
+                w, e = first[i]
+                for picks in itertools.product(*rest):
+                    weight = w * math.prod(p[1] for p in picks)
+                    shift = tuple(map(sum, zip(e, *(p[2] for p in picks))))
+                    add_term(block[sum(p[0] for p in picks)], k,
+                             c.map_x(lambda x: (tuple(map(operator.add, x, shift)), weight)))
+            for tail, value in zip(tails, block):
+                yield (f, *tail), FormalFunction(full, self.order, value)
+
     def basis_witness(self, degree: int):
         """Where self is nonzero on monomials of degree <= ``degree``: None
         when it is zero on every tuple of them, else the first nonzero tuple
@@ -343,6 +404,21 @@ class MultiDiffOp:
         return f"MultiDiffOp(arity={self.arity}, order={self.order}: {self})"
 
 
+def _placer(names, full):
+    """The map from exponents along the roster ``names`` to exponents along
+    ``full``, a roster that contains it."""
+    if names == full:
+        return lambda e: e
+    pos = [full.index(name) for name in names]
+
+    def place(e):
+        out = [0] * len(full)
+        for p, x in zip(pos, e):
+            out[p] = x
+        return tuple(out)
+    return place
+
+
 def _sub_multiindices(a):
     if not a:
         yield ()
@@ -467,8 +543,11 @@ def operator_from_callable(fn, roster, arity, order, slot_bound) -> MultiDiffOp:
     probe = exponents_up_to(len(roster), bound + 1)[-len(roster):]
     for a in probe:
         args = [Poly.monomial(roster, a)] * arity
-        if op.apply(*args) != fn(*args):
-            raise AssertionError("operator reconstruction bound was too small")
+        diff = op.apply(*args) - fn(*args)
+        if not diff.is_zero():
+            raise ReconstructionError(
+                f"the operator rebuilt to slot order {bound} differs from its values on "
+                f"({', '.join(map(str, args))}) at h^{min(diff.coeffs)}")
     return op
 
 

@@ -40,6 +40,11 @@ from .scalars import Scalar, ZERO, ONE, I
 from .polynomials import Poly, FormalFunction, x_roster, add_term, as_coefficient
 
 
+class HDivisionError(AssertionError):
+    """ad_over_h met a pair of terms whose bracket has an h^0 part, so the
+    division by h left a remainder.  The message names the pair."""
+
+
 def invert_scalar_matrix(m):
     """Exact inverse of a square Scalar matrix (Gauss-Jordan)."""
     n = len(m)
@@ -394,7 +399,9 @@ class WeylForm:
                     factor = factor * I
                 h_power = k1 + k2 + k + (-1 if over_h else 0)
                 if h_power < 0:
-                    raise AssertionError("h-division left a remainder in ad_over_h")
+                    raise HDivisionError(
+                        f"the bracket of h^{k1} y^{a1} and h^{k2} y^{a2} has an h^0 part "
+                        f"at contraction order {k}")
                 for (b1, b2), w in state.items():
                     key = (h_power, tuple(e1 + e2 for e1, e2 in zip(b1, b2)), J)
                     add_term(out, key, cc.scale(w * factor) if sign > 0 else cc.scale(-(w * factor)))

@@ -1,14 +1,16 @@
+import importlib.util
 import inspect
 import itertools
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from fedconn import (
     SymplecticData, ConnectionFamily, FedosovSetup, FamilyContext,
     Poly, ParamRational, WeylForm, LinearKahlerFamily, parse_poly,
-    trivialize_alpha, solve_s, connection_form,
+    trivialize_alpha, solve_s, connection_form, Scenario,
 )
 
 
@@ -31,6 +33,24 @@ def connection_from_T(sym, T):
                 if not acc.is_zero():
                     gamma[(k, i, j)] = acc
     return ConnectionFamily(sym, gamma)
+
+
+def generated_curved_r4_scenario(tmp_path, seed=0):
+    """The seeded curved R^4 scenario file of the benchmark (``perfbench/gen.py``)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    scenario = tmp_path / gen.NAME
+    scenario.write_text(gen.curved_r4(seed), encoding="utf-8")
+    return scenario
+
+
+def generated_curved_r4(tmp_path):
+    """The seeded curved R^4 scenario of the benchmark (seed 0) at h-order 2."""
+    sc = Scenario.load(generated_curved_r4_scenario(tmp_path))
+    sc.order, sc.truncation = 2, 6
+    return sc.build_setup()
 
 
 def lower_cap(monkeypatch, cls, name, caller, which=None):

@@ -1,4 +1,3 @@
-import importlib.util
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -21,7 +20,7 @@ from fedconn.properties import random_poly
 from fedconn.scenario import Scenario
 from fedconn import cli
 from fedconn.cli import main
-from conftest import connection_from_T, lower_cap
+from conftest import connection_from_T, generated_curved_r4, lower_cap
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -506,19 +505,6 @@ def test_each_cap_is_needed(monkeypatch, capsys, cls, name, caller, which, cmd, 
     assert (code, err) == (1, "")
     failed = [line for line in out.splitlines() if line.startswith("[FAIL]")]
     assert len(failed) == 1 and failed[0].startswith(f"[FAIL] {check}: "), failed
-
-
-def generated_curved_r4(tmp_path):
-    """The seeded curved R^4 scenario of the benchmark (seed 0) at h-order 2."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    scenario = tmp_path / gen.NAME
-    scenario.write_text(gen.curved_r4(0), encoding="utf-8")
-    sc = Scenario.load(scenario)
-    sc.order, sc.truncation = 2, 6
-    return sc.build_setup()
 
 
 @pytest.mark.parametrize("name", ["curved_r2.scn K=4", "generated curved_r4 K=2",

@@ -1,11 +1,13 @@
 """The pair checks as identities between operators, against their pair loops.
 
 ``verify_compatibility``, ``self_equivalence_check``, ``conjugation_check``,
-``is_derivation`` and Kahler's ``order1_hitchin_check`` form difference
-operators by partial composition (``MultiDiffOp.compose_at``) and read their
-verdicts off the terms.  The functions below are the evaluation loops they
-replaced: every pair of basis monomials, in the same order, with the same
-witness text.
+``is_derivation``, Kahler's ``order1_hitchin_check`` and the first three
+star axioms of ``validate_star_axioms`` form difference operators and read
+their verdicts off the terms.  The functions below are the evaluation loops
+they replaced: every pair of basis monomials, in the same order, with the
+same witness text.  ``MultiDiffOp.basis_table``, which sums an operator's
+values on the monomial basis term by term, is checked against ``apply`` on
+every tuple.
 """
 
 import itertools
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from fedconn.scalars import Scalar
+from fedconn.scalars import Scalar, I
 from fedconn.polynomials import (
     Poly, FormalFunction, PR_ZERO, parse_poly, x_roster, monomials_up_to, add_term,
 )
@@ -26,6 +28,10 @@ from fedconn.kahler import (
 )
 from fedconn.weylforms import WeylForm
 from fedconn.multidiff import MultiDiffOp, StarTruncation, hochschild_d1, is_derivation
+from fedconn.fedosov import c1_antisymmetry_witness, validate_star_axioms
+from fedconn.symplectic import SymplecticData
+from fedconn import cli
+from fedconn.cli import main
 from fedconn.families import connection_form, solve_s, verify_compatibility
 from fedconn.transport import (
     parallel_transport, gauge_equivalence, self_equivalence_check, conjugation_check, invert,
@@ -33,7 +39,7 @@ from fedconn.transport import (
 from fedconn.properties import random_multidiffop, random_poly
 from fedconn.scenario import Scenario
 
-from conftest import pr
+from conftest import generated_curved_r4, generated_curved_r4_scenario, pr
 
 R2 = x_roster(2)
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -175,6 +181,50 @@ def test_basis_witness_is_the_first_nonzero_pair(seed):
         expect = next(((args, v) for args in itertools.product(basis, repeat=2)
                        if not (v := D.apply(*args)).is_zero()), None)
         assert D.basis_witness(degree) == expect
+
+
+def renamed(op, roster):
+    """op with its roster's names replaced, in order, by those of ``roster``."""
+    return MultiDiffOp(roster, op.arity, op.order,
+                       {key: Poly(roster, c.terms, c.den) for key, c in op.terms.items()})
+
+
+def widened(op, roster):
+    """op on the wider ``roster``, not differentiating the variables it adds."""
+    pos = [roster.index(name) for name in op.roster]
+
+    def place(s):
+        out = [0] * len(roster)
+        for p, e in zip(pos, s):
+            out[p] = e
+        return tuple(out)
+    return MultiDiffOp(roster, op.arity, op.order,
+                       {(k, tuple(map(place, slots))): c.with_roster(roster)
+                        for (k, slots), c in op.terms.items()})
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_basis_table_is_apply_on_every_tuple(seed):
+    # t-rational coefficients, slot orders up to 3 (above some degrees, so
+    # terms are skipped), and arguments on the operator's roster and on a
+    # wider one that adds x2 between its x1 and x3
+    rng = random.Random(1000 + seed)
+    wide = ("x1", "x2", "x3")
+    for arity in (1, 2, 3):
+        op = random_op(rng, arity, 3, slot_degree=3)
+        narrow = renamed(op, ("x1", "x3"))
+        for degree in range(4):
+            cases = [(op, None, op)]
+            if arity < 3 or degree < 3:
+                cases.append((narrow, wide, widened(narrow, wide)))
+            for D, roster, ref in cases:
+                table = list(D.basis_table(degree, roster))
+                basis = monomials_up_to(ref.roster, degree)
+                tuples = list(itertools.product(basis, repeat=arity))
+                assert [args for args, _ in table] == tuples
+                for args, value in table:
+                    expect = ref.apply(*args)
+                    assert value == expect and str(value) == str(expect), (arity, degree, args)
 
 
 # -- the checks against their pair loops --------------------------------------------------
@@ -544,3 +594,160 @@ def test_order1_reports_the_earlier_of_two_failures(shear2, monkeypatch):
             assert got == outcome(order1_by_pairs, fresh(shear2, Mdot=bump), F, 2, shift=shift)
         kinds.add(got[0] if got[0] == "VariationError" else got[0][0])
     assert kinds == {"VariationError", "order-1 derivation identity"}
+
+
+# -- the star axioms against their loops ----------------------------------------------------
+
+def star_axioms_by_loops(star, sym, basis_degree, rng, triples=5):
+    roster = star.roster
+    checks = []
+    basis = monomials_up_to(roster, basis_degree)
+    one = Poly.const(roster, 1)
+
+    ok, wit = True, None
+    for f in basis:
+        lhs = star.apply(f, one)
+        rhs = star.apply(one, f)
+        expect = FormalFunction.from_poly(f, star.order)
+        if lhs != expect or rhs != expect:
+            ok, wit = False, f"unit fails on {f}"
+            break
+    checks.append(("unitality f*1 = f = 1*f", ok, wit))
+
+    ok, wit = True, None
+    for f in basis:
+        for g in basis:
+            if star.coefficient(0).apply(f, g).coefficient(0) != f * g:
+                ok, wit = False, f"c0({f},{g}) != product"
+                break
+        if not ok:
+            break
+    checks.append(("c0 is the pointwise product", ok, wit))
+
+    c1 = star.coefficient(1)
+    ok, wit = True, None
+    for f in basis:
+        for g in basis:
+            lhs = (c1.apply(f, g) - c1.apply(g, f)).coefficient(0)
+            if lhs != sym.poisson(f, g).scale(I):
+                ok, wit = False, f"c1 antisymmetry fails on ({f},{g})"
+                break
+        if not ok:
+            break
+    checks.append(("c1(f,g) - c1(g,f) = i{f,g}", ok, wit))
+
+    ok, wit = True, None
+    for _ in range(triples):
+        f, g, k = (rng.choice(basis) for _ in range(3))
+        if star.apply(star.apply(f, g), k) != star.apply(f, star.apply(g, k)):
+            ok, wit = False, f"associativity fails on ({f},{g},{k})"
+            break
+    checks.append(("associativity mod h^(K+1)", ok, wit))
+    return checks
+
+
+@pytest.fixture(scope="module")
+def quantized(tmp_path_factory):
+    """(name, star, symplectic data, basis degree): the shipped curved and flat
+    R^2 at their orders and the benchmark's generated curved R^4 at order 2."""
+    cases = []
+    for name in ("curved_r2.scn", "flat_r2.scn"):
+        sc = Scenario.load(SCENARIOS / name)
+        setup = sc.build_setup()
+        cases.append((name, setup.extract_star(sc.order), setup.sym, sc.basis_degree))
+    setup = generated_curved_r4(tmp_path_factory.mktemp("r4"))
+    cases.append(("curved_r4", setup.extract_star(2), setup.sym, 2))
+    return cases
+
+
+def unit(n, i=None):
+    return tuple(int(q == i) for q in range(n))
+
+
+# extra terms (h-power, slot of f, slot of g) -> (failing axiom, witness on curved_r2)
+STAR_MUTANTS = {
+    "c1": ([(1, 0, 1)], "c1(f,g) - c1(g,f) = i{f,g}", "c1 antisymmetry fails on (x2,x1)"),
+    "c0": ([(0, 0, 0)], "c0 is the pointwise product", "c0(x1,x1) != product"),
+    "unit, right": ([(2, None, 1)], "unitality f*1 = f = 1*f", "unit fails on x2"),
+    # the left side fails first on x1, the right side on x2, which comes first
+    "unit, both sides": ([(2, 0, None), (2, None, 1)], "unitality f*1 = f = 1*f",
+                         "unit fails on x2"),
+}
+
+
+def mutated(star, extra):
+    roster, n = star.roster, len(star.roster)
+    terms = {(k, (unit(n, i), unit(n, j))): Poly.const(roster, 1) for k, i, j in extra}
+    return StarTruncation(star.op + MultiDiffOp(roster, 2, star.order, terms),
+                          symplectic=star.symplectic)
+
+
+@pytest.mark.parametrize("mutant", [None, *STAR_MUTANTS])
+def test_star_axioms_match_the_loops(quantized, mutant):
+    for name, star, sym, degree in quantized:
+        if mutant is not None:
+            extra, axiom, witness = STAR_MUTANTS[mutant]
+            star = mutated(star, extra)
+        for d in (degree, degree + 1):
+            got = validate_star_axioms(star, sym, d, rng=random.Random(d))
+            assert got == star_axioms_by_loops(star, sym, d, random.Random(d)), (name, d)
+            failed = {n: wit for n, ok, wit in got[:3] if not ok}
+            if mutant is None:
+                assert all(ok for _, ok, _ in got), (name, got)
+            else:
+                assert list(failed) == [axiom], (name, d, got)
+                if name == "curved_r2.scn":
+                    assert failed[axiom] == witness
+
+
+def test_star_axioms_match_the_loops_with_a_negated_poisson_bracket(quantized, monkeypatch):
+    poisson, operator = SymplecticData.poisson, SymplecticData.poisson_operator
+    monkeypatch.setattr(SymplecticData, "poisson", lambda self, f, g: -poisson(self, f, g))
+    monkeypatch.setattr(SymplecticData, "poisson_operator", lambda self: -operator(self))
+    for name, star, sym, degree in quantized:
+        got = validate_star_axioms(star, sym, degree, rng=random.Random(0))
+        assert got == star_axioms_by_loops(star, sym, degree, random.Random(0)), name
+        assert [n for n, ok, _ in got if not ok] == ["c1(f,g) - c1(g,f) = i{f,g}"]
+
+
+def test_passing_quantize_applies_operators_only_for_associativity_and_the_probe(
+        monkeypatch, capsys, tmp_path):
+    # 5 associativity triples of 4 star products each, and extract_star's 4 probe pairs
+    calls = []
+    apply = MultiDiffOp.apply
+
+    def counting(self, *args):
+        calls.append(self.arity)
+        return apply(self, *args)
+
+    monkeypatch.setattr(MultiDiffOp, "apply", counting)
+    for scenario, order in ((SCENARIOS / "curved_r2.scn", "3"),
+                            (generated_curved_r4_scenario(tmp_path), "2")):
+        calls.clear()
+        assert main(["quantize", "--scenario", str(scenario), "--order", order]) == 0
+        assert "[FAIL]" not in capsys.readouterr().out
+        assert calls == [2] * 24, scenario.name
+
+
+def test_kahler_c1_antisymmetry_holds_on_every_basis_pair(kahler_cases):
+    for name, fam, _ in kahler_cases:
+        for d in (1, 2, 3):
+            assert c1_antisymmetry_witness(fam.c1_operator(), fam.sym, d) is None, (name, d)
+
+
+def test_kahler_c1_antisymmetry_failure_has_a_witness(monkeypatch, capsys):
+    # c1 gains d3 (x) d4 on kahler_r4: the one pair (x1, x4^2) checked before
+    # cannot see it, every basis pair can
+    c1_operator = LinearKahlerFamily.c1_operator
+    extra = MultiDiffOp(x_roster(4), 2, 0, {(0, (unit(4, 2), unit(4, 3))): Poly.const(x_roster(4), 1)})
+    monkeypatch.setattr(LinearKahlerFamily, "c1_operator", lambda self: c1_operator(self) + extra)
+    fam = Scenario.load(SCENARIOS / "kahler_r4.scn").build_kahler()
+    f0, g0 = parse_poly("x1", fam.sym.roster), parse_poly("x4^2", fam.sym.roster)
+    c1 = fam.c1_operator()
+    assert (c1.apply(f0, g0) - c1.apply(g0, f0)).coefficient(0) == fam.sym.poisson(f0, g0).scale(I)
+    code = main(["kahler", "--scenario", str(SCENARIOS / "kahler_r4.scn")])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "") and "Traceback" not in out
+    assert "[FAIL] c1 antisymmetry: c1(f,g) - c1(g,f) = i{f,g}\n" \
+           "       witness: c1 antisymmetry fails on (x4,x3)\n" in out
+    assert cli.CHECKS["kahler"][1][0] == "c1 antisymmetry"

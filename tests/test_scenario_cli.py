@@ -10,7 +10,8 @@ from fedconn.cli import VARIATION, main
 from fedconn.fedosov import FedosovSetup
 from fedconn.polynomials import FormalFunction, Poly
 from fedconn.symplectic import ConnectionFamily, SymplecticData, SymplecticCheckError
-from fedconn.weylforms import WeylContext, WeylForm
+from fedconn.weylforms import HDivisionError, WeylContext, WeylForm
+from fedconn.multidiff import ReconstructionError, operator_from_callable
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -383,3 +384,50 @@ def test_hamiltonian_potential_check_raises_a_named_error(monkeypatch, capsys):
     assert (code, err) == (1, "") and "Traceback" not in out
     check = "Hamiltonian potential"
     assert failed_lines(out) == [f"[FAIL] {check}: {cli.SYMPLECTIC[check]}"]
+
+
+def test_h_division_remainder_is_a_report_line(capsys, monkeypatch):
+    # every left factor of ad_over_h lowered by one power of h: a pair at
+    # h^0 now brackets to an h^0 part, which h cannot divide
+    pair = WeylForm._mw_pair
+
+    def mutant(self, key1, c1, key2, c2, out, commutator, over_h):
+        if over_h:
+            key1 = (key1[0] - 1,) + key1[1:]
+        return pair(self, key1, c1, key2, c2, out, commutator, over_h)
+
+    monkeypatch.setattr(WeylForm, "_mw_pair", mutant)
+    with pytest.raises(HDivisionError):
+        Scenario.load(SCENARIOS / "curved_r2.scn").build_setup()
+    check = "h-division"
+    assert (check, cli.ALGEBRA[check] + " (listed on failure)") in cli.CHECKS["quantize"]
+    for cmd in ("quantize", "family"):
+        scenario = "curved_r2.scn" if cmd == "quantize" else "family_r2.scn"
+        code, out, err = run_cli(capsys, cmd, "--scenario", str(SCENARIOS / scenario))
+        assert (code, err) == (1, "") and "Traceback" not in out
+        assert failed_lines(out) == [f"[FAIL] {check}: {cli.ALGEBRA[check]}"]
+        assert "       witness: the bracket of h^-1 y^(" in out
+
+
+def test_operator_reconstruction_bound_raises_a_named_error(capsys, monkeypatch):
+    # d1^2 rebuilt with slot order 1 is zero, and the probe x1^2 tells it apart
+    roster = ("x1", "x2")
+
+    def second(f):
+        return FormalFunction.from_poly(f.differentiate("x1").differentiate("x1"), 0)
+
+    assert operator_from_callable(second, roster, 1, 0, lambda k: 2).apply(
+        Poly.var(roster, "x1") ** 2) == FormalFunction.from_poly(Poly.const(roster, 2), 0)
+    with pytest.raises(ReconstructionError) as exc:
+        operator_from_callable(second, roster, 1, 0, lambda k: 1)
+    witness = "the operator rebuilt to slot order 1 differs from its values on (x1^2) at h^0"
+    assert str(exc.value) == witness
+    # no command rebuilds an operator from its values; raised inside one, it is a report line
+    monkeypatch.setattr(ConnectionFamily, "curvature_weyl",
+                        lambda self, trunc: operator_from_callable(second, roster, 1, 0,
+                                                                   lambda k: 1))
+    code, out, err = run_cli(capsys, "quantize", "--scenario", str(SCENARIOS / "flat_r2.scn"))
+    assert (code, err) == (1, "") and "Traceback" not in out
+    check = "operator reconstruction"
+    assert failed_lines(out) == [f"[FAIL] {check}: {cli.ALGEBRA[check]}"]
+    assert f"       witness: {witness}\n" in out
