@@ -21,7 +21,6 @@ from pathlib import Path
 
 from .polynomials import Poly
 from .weylforms import HDivisionError
-from .multidiff import ReconstructionError
 from .fedosov import (
     NaturalityError, NotAbelianError, FedosovCheckError, c1_antisymmetry_witness,
     validate_star_axioms,
@@ -60,12 +59,9 @@ SYMPLECTIC = {
     "variation symmetry": "i_V S solved from V[d_nabla] is a symmetric tensor",
     "Hamiltonian potential": "the Hamiltonian field of the recovered potential is the given field",
 }
-# checks of the operator algebra itself (``HDivisionError``, ``ReconstructionError``);
-# no command rebuilds an operator from its values, so that one is listed nowhere
+# checks of the operator algebra itself (``HDivisionError``)
 ALGEBRA = {
     "h-division": "every bracket ad_over_h divides by h is O(h)",
-    "operator reconstruction": "an operator rebuilt from its values on monomials agrees with "
-                               "them past its order bound",
 }
 
 
@@ -222,7 +218,7 @@ def run_family(sc: Scenario, report: Report):
         for line in A[p].serialize().splitlines():
             report.note(f"  {line}")
         report.note(f"A({p}) on the monomial basis:")
-        for (f,), value in A[p].basis_table(min(sc.basis_degree, 2), family.sym.roster):
+        for (f,), value in A[p].basis_table(min(sc.basis_degree, 2)):
             report.note(f"  A({p})({f}) = {value}")
     return report
 
@@ -380,8 +376,6 @@ def main(argv=None) -> int:
         report.add(exc.check, SYMPLECTIC[exc.check], False, str(exc))
     except HDivisionError as exc:
         report.add("h-division", ALGEBRA["h-division"], False, str(exc))
-    except ReconstructionError as exc:
-        report.add("operator reconstruction", ALGEBRA["operator reconstruction"], False, str(exc))
     except GaugeCheckError as exc:
         report.add("gauge equation", GAUGE_EQUATION, False, str(exc))
     except NotAbelianError as exc:

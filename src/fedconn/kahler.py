@@ -47,7 +47,7 @@ from itertools import combinations
 from .scalars import Scalar, I
 from .polynomials import Poly, ParamRational, PR_ONE, PR_ZERO, monomials_up_to, add_term
 from .weylforms import WeylContext
-from .multidiff import MultiDiffOp, StarTruncation, hochschild_d1
+from .multidiff import MultiDiffOp, StarTruncation, hochschild_d1, unit_vectors
 
 HALF = Scalar(Fraction(1, 2))
 
@@ -168,10 +168,6 @@ def _leading_minors_positive(m):
         if d <= 0:
             return False, f"leading {k}x{k} minor is {d}"
     return True, None
-
-
-def _unit_vectors(n):
-    return [tuple(int(i == a) for i in range(n)) for a in range(n)]
 
 
 class LinearKahlerFamily:
@@ -323,14 +319,13 @@ class LinearKahlerFamily:
 
     def _pairing(self, M) -> MultiDiffOp:
         """(f, g) -> df M dg for an x-constant matrix M."""
-        roster, e = self.sym.roster, _unit_vectors(self.sym.dim)
-        return MultiDiffOp(roster, 2, 0, {(0, (e[a], e[b])): Poly.const(roster, M[a][b])
-                                          for a in range(self.sym.dim)
-                                          for b in range(self.sym.dim)})
+        n = self.sym.dim
+        return MultiDiffOp.pairing(self.sym.roster, ((a, b, M[a][b])
+                                                     for a in range(n) for b in range(n)))
 
     def _second_order(self, Z) -> MultiDiffOp:
         """Delta_Z = Z^{ab} d_a d_b, both orders of a pair folded into one term."""
-        roster, e = self.sym.roster, _unit_vectors(self.sym.dim)
+        roster, e = self.sym.roster, unit_vectors(self.sym.dim)
         terms = {}
         for a in range(self.sym.dim):
             for b in range(self.sym.dim):

@@ -52,6 +52,11 @@ class ReconstructionError(AssertionError):
     message names the probe and the h-order."""
 
 
+def unit_vectors(n):
+    """The multi-indices of the n first-order derivatives d_1 .. d_n."""
+    return [tuple(int(i == a) for i in range(n)) for a in range(n)]
+
+
 def _falling(a, b):
     """Scalar factor of d^b applied to x^a (0 when b exceeds a somewhere)."""
     out = 1
@@ -89,6 +94,15 @@ class MultiDiffOp:
         roster = tuple(roster)
         z = (0,) * len(roster)
         return MultiDiffOp(roster, 1, order, {(0, (z,)): Poly.const(roster, 1)})
+
+    @staticmethod
+    def pairing(roster, entries) -> "MultiDiffOp":
+        """(f, g) -> sum M^{ab} d_a f d_b g as an arity-2, h^0 operator: one
+        term d_a (x) d_b per entry (a, b, M^{ab}) of an x-constant matrix M."""
+        roster = tuple(roster)
+        e = unit_vectors(len(roster))
+        return MultiDiffOp(roster, 2, 0, {(0, (e[a], e[b])): Poly.const(roster, v)
+                                          for a, b, v in entries})
 
     # -- inspection ----------------------------------------------------------------
 
@@ -227,11 +241,10 @@ class MultiDiffOp:
     def __call__(self, *args):
         return self.apply(*args)
 
-    def basis_table(self, degree: int, roster=None):
-        """self on every tuple of monomials of degree <= ``degree`` in
-        ``roster`` (None: self's roster; a wider one leaves its extra
-        variables undifferentiated), yielded as (args, value) in nested-loop
-        order over ``monomials_up_to(roster, degree)``, the first argument
+    def basis_table(self, degree: int):
+        """self on every tuple of monomials of degree <= ``degree``, yielded
+        as (args, value) in nested-loop order over
+        ``monomials_up_to(self.roster, degree)``, the first argument
         outermost: the values ``apply`` gives, tuple by tuple.
 
         They are summed term by term instead.  A term h^k c d^s_1 .. d^s_m
@@ -239,28 +252,24 @@ class MultiDiffOp:
         to the tuple (x^a_1, .., x^a_m) wherever every a_j >= s_j, so a term
         with a slot order above ``degree`` adds nothing.  The tuples are
         summed one first argument at a time, so only that block is held.
+        The coefficients must be Polys in self's roster.
         """
         if self.arity < 1:
             raise ValueError("basis_table needs an operator of arity >= 1")
-        roster = self.roster if roster is None else tuple(roster)
-        full = merge_rosters(self.roster, roster)
-        for c in self.terms.values():
-            full = merge_rosters(full, c.roster)
+        roster = self.roster
         exps = exponents_up_to(len(roster), degree)
-        bases = list(map(_placer(roster, full), exps))
-        place_slot = _placer(self.roster, full)
         n, m = len(exps), self.arity
 
         def hits(s, stride):
             # (stride * index of x^a, perm(a, s), a - s) for each basis exponent a >= s
             return [(i * stride, w, tuple(map(operator.sub, a, s)))
-                    for i, a in enumerate(bases) if (w := _falling(a, s))]
+                    for i, a in enumerate(exps) if (w := _falling(a, s))]
 
         live = []
         for (k, slots), c in self.terms.items():
             if all(sum(s) <= degree for s in slots):
-                first, *rest = map(place_slot, slots)
-                live.append((k, c.with_roster(full), {i: (w, e) for i, w, e in hits(first, 1)},
+                first, *rest = slots
+                live.append((k, c.with_roster(roster), {i: (w, e) for i, w, e in hits(first, 1)},
                              [hits(s, n ** (m - 2 - j)) for j, s in enumerate(rest)]))
         monomials = [Poly.monomial(roster, a) for a in exps]
         tails = list(itertools.product(monomials, repeat=m - 1))
@@ -276,7 +285,7 @@ class MultiDiffOp:
                     add_term(block[sum(p[0] for p in picks)], k,
                              c.map_x(lambda x: (tuple(map(operator.add, x, shift)), weight)))
             for tail, value in zip(tails, block):
-                yield (f, *tail), FormalFunction(full, self.order, value)
+                yield (f, *tail), FormalFunction(roster, self.order, value)
 
     def basis_witness(self, degree: int):
         """Where self is nonzero on monomials of degree <= ``degree``: None
@@ -402,21 +411,6 @@ class MultiDiffOp:
 
     def __repr__(self):
         return f"MultiDiffOp(arity={self.arity}, order={self.order}: {self})"
-
-
-def _placer(names, full):
-    """The map from exponents along the roster ``names`` to exponents along
-    ``full``, a roster that contains it."""
-    if names == full:
-        return lambda e: e
-    pos = [full.index(name) for name in names]
-
-    def place(e):
-        out = [0] * len(full)
-        for p, x in zip(pos, e):
-            out[p] = x
-        return tuple(out)
-    return place
 
 
 def _sub_multiindices(a):

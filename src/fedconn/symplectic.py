@@ -54,9 +54,7 @@ class SymplecticData(WeylContext):
     def poisson_operator(self) -> MultiDiffOp:
         """The Poisson bivector as the arity-2, h^0 operator (f, g) -> {f, g}:
         one term pi^{ij} d_i (x) d_j per nonzero entry."""
-        units = [tuple(int(q == i) for q in range(self.dim)) for i in range(self.dim)]
-        return MultiDiffOp(self.roster, 2, 0, {(0, (units[i], units[j])): Poly.const(self.roster, v)
-                                               for i, j, v in self._pi_entries})
+        return MultiDiffOp.pairing(self.roster, self._pi_entries)
 
     def hamiltonian_vf(self, f: Poly):
         """Components of X_f, the field with X_f(g) = {f, g}: X^j = pi^{ij} d_i f."""
