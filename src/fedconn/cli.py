@@ -51,13 +51,11 @@ FEDOSOV = {
     "flatness of D_r": "D_r^2 = 0 on the fiber generators below degree trunc - 1",
     "flat sections": "the source of tau(f) and of its symbol is delta-closed at every degree",
 }
-# the checks inside the symplectic calculus (``SymplecticCheckError.check``);
-# no command recovers a Hamiltonian potential, so that one is listed nowhere
+# the checks inside the symplectic calculus (``SymplecticCheckError.check``)
 SYMPLECTIC = {
     "curvature action": "d_nabla^2 acts y-linearly on the fiber generators",
     "curvature symmetry": "the Weyl curvature solved from d_nabla^2 is a symmetric tensor",
     "variation symmetry": "i_V S solved from V[d_nabla] is a symmetric tensor",
-    "Hamiltonian potential": "the Hamiltonian field of the recovered potential is the given field",
 }
 # checks of the operator algebra itself (``HDivisionError``)
 ALGEBRA = {

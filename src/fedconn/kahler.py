@@ -47,7 +47,7 @@ from itertools import combinations
 from .scalars import Scalar, I
 from .polynomials import Poly, ParamRational, PR_ONE, PR_ZERO, monomials_up_to, add_term
 from .weylforms import WeylContext
-from .multidiff import MultiDiffOp, StarTruncation, hochschild_d1, unit_vectors
+from .multidiff import MultiDiffOp, StarTruncation, unit_vectors
 
 HALF = Scalar(Fraction(1, 2))
 
@@ -428,7 +428,7 @@ def order1_hitchin_check(fam: LinearKahlerFamily, F: Poly, basis_degree: int = 3
     for p, A in a1.items():
         vc1, half_G = fam.variation_operators(p)
         routes = (vc1 - half_G).basis_witness(basis_degree)
-        leibniz = (vc1 - hochschild_d1(A, product, basis_degree)).basis_witness(basis_degree)
+        leibniz = (vc1 - product.bracket(A, basis_degree)).basis_witness(basis_degree)
         if routes is not None and (leibniz is None or position(routes) <= position(leibniz)):
             (f, g), _ = routes
             raise VariationError(

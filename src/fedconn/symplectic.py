@@ -27,10 +27,10 @@ from .multidiff import MultiDiffOp
 
 
 class SymplecticCheckError(AssertionError):
-    """An internal check of the symplectic calculus failed: the Hamiltonian
-    potential, the y-linear action of d_nabla^2, or the symmetry of the
-    solved curvature or variation tensor.  ``check`` names it in reports;
-    the message gives the witness."""
+    """An internal check of the symplectic calculus failed: the y-linear
+    action of d_nabla^2, or the symmetry of the solved curvature or
+    variation tensor.  ``check`` names it in reports; the message gives the
+    witness."""
 
     def __init__(self, check: str, message: str):
         super().__init__(message)
@@ -90,21 +90,6 @@ class SymplecticData(WeylContext):
         for i in range(self.dim):
             f = f + eta[i].map_x(
                 lambda e: (e[:i] + (e[i] + 1,) + e[i + 1:], Fraction(1, sum(e) + 1)))
-        return f
-
-    def hamiltonian_potential(self, X) -> Poly:
-        """f with hamiltonian_vf(f) = X and f(0) = 0.
-
-        X_f^j = pi^{ij} d_i f says X = pi^T grad f, so grad f = -omega * X.
-        """
-        eta = tuple(-p for p in self.gradient_of_potential(X))
-        f = self.potential_of_gradient(eta)
-        for j, (got, want) in enumerate(zip(self.hamiltonian_vf(f), X)):
-            if got != want:
-                raise SymplecticCheckError(
-                    "Hamiltonian potential",
-                    f"X_f of the recovered potential f differs from X in component {j + 1}: "
-                    f"{got} != {want}")
         return f
 
 

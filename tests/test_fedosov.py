@@ -15,12 +15,13 @@ from fedconn import fedosov
 from fedconn.fedosov import (
     FedosovSetup, NotAbelianError, taylor_flat_section, validate_star_axioms,
 )
-from fedconn.multidiff import StarTruncation, operator_from_symbol, operator_from_values
+from fedconn.multidiff import StarTruncation, operator_from_symbol
 from fedconn.properties import random_poly
 from fedconn.scenario import Scenario
 from fedconn import cli
 from fedconn.cli import main
 from conftest import connection_from_T, generated_curved_r4, lower_cap
+from reference_cochains import operator_from_values
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 

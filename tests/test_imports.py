@@ -1,6 +1,8 @@
 import ast
 from pathlib import Path
 
+import fedconn
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "fedconn"
 
 
@@ -32,3 +34,20 @@ def test_no_unused_imports():
         if path.name != "__init__.py"
     }
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+# the lazy cochain layer lives in tests/reference_cochains.py, as a reference
+MOVED = {
+    "Cochain", "_as_cochain", "gerstenhaber", "hochschild_d", "hochschild_d1", "materialize",
+    "operator_from_callable", "operator_from_values", "_tuples_of", "ReconstructionError",
+}
+
+
+def test_the_lazy_cochain_layer_is_not_in_the_package():
+    assert MOVED.isdisjoint(fedconn.__all__)
+    defined = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in MOVED:
+                defined.setdefault(path.name, []).append(node.name)
+    assert defined == {}

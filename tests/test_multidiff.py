@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,13 +9,16 @@ from fedconn.polynomials import (
     Poly, ParamRational, FormalFunction, parse_poly, x_roster, monomials_up_to,
 )
 from fedconn.multidiff import (
-    MultiDiffOp, StarTruncation, gerstenhaber, hochschild_d, materialize,
-    is_derivation, inner_potential, operator_from_callable, operator_from_symbol,
+    MultiDiffOp, StarTruncation, is_derivation, inner_potential, operator_from_symbol,
 )
 from fedconn.properties import random_multidiffop, random_poly, cochain_battery
+from fedconn.cli import main
+
+from reference_cochains import gerstenhaber, hochschild_d, materialize, operator_from_callable
 
 R2 = x_roster(2)
 Z = (0, 0)
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def d_op(a, coeff=1, h=0, order=4):
@@ -42,6 +46,46 @@ def test_graded_jacobi_and_antisymmetry(sym2):
     results = cochain_battery(sym2, 3, rng, count=8)
     for name, ok, wit in results:
         assert ok, (name, wit)
+
+
+def flawed_bracket(flaw):
+    """MultiDiffOp.bracket with one sign or one composition left out."""
+    def bracket(self, phi, max_slot=None):
+        r, s = self.arity - 1, phi.arity - 1
+        out = MultiDiffOp.zero(self.roster, r + s + 1, min(self.order, phi.order))
+        for i in range(r + 1):
+            if not (flaw == "psi o_r phi dropped" and i == r):
+                sign = 1 if flaw == "(-1)^{is} dropped" else (-1) ** (i * s)
+                out = out + self.compose_at(i, phi, max_slot).scale(sign)
+        for j in range(s + 1):
+            if not (flaw == "phi o_s psi dropped" and j == s):
+                sign = (-1) ** (j * r + (0 if flaw == "(-1)^{rs} dropped" else r * s))
+                out = out - phi.compose_at(j, self, max_slot).scale(sign)
+        return out
+    return bracket
+
+
+# each identity of the cochain battery, with a flaw of the bracket that breaks it
+BATTERY_MUTANTS = {
+    "[star, star] vanishes": "(-1)^{is} dropped",
+    "d_H squared vanishes": "(-1)^{rs} dropped",
+    "graded Jacobi identity": "psi o_r phi dropped",
+    "graded antisymmetry": "phi o_s psi dropped",
+}
+
+
+@pytest.mark.parametrize("identity", BATTERY_MUTANTS)
+def test_cochain_battery_fails_on_a_flawed_bracket(sym2, monkeypatch, capsys, identity):
+    monkeypatch.setattr(MultiDiffOp, "bracket", flawed_bracket(BATTERY_MUTANTS[identity]))
+    results = {name: (ok, wit) for name, ok, wit in cochain_battery(sym2, 3, random.Random(0), 5)}
+    ok, wit = results[identity]
+    assert not ok and wit.startswith("failed on seeded instance ")
+    # through verify-all it is a FAIL line with that witness, and exit 1
+    code = main(["verify-all", "--scenario", str(SCENARIOS / "flat_r2.scn")])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "") and "Traceback" not in out
+    line = out.index(f"[FAIL] cochain battery: {identity}\n")
+    assert out[line:].splitlines()[1].startswith("       witness: failed on seeded instance ")
 
 
 def test_hochschild_formula():
@@ -134,7 +178,7 @@ def test_compose_and_leibniz():
     q = MultiDiffOp(R2, 1, 4, {(0, ((0, 1),)): parse_poly("x1", R2)})
     f = parse_poly("x1^2*x2^2", R2)
     assert p.compose(q).apply(f) == p.apply(q.apply(f).coefficient(0))
-    comm = p.commutator(q)
+    comm = p.bracket(q)
     assert comm.apply(f) == p.apply(q.apply(f).coefficient(0)) - q.apply(p.apply(f).coefficient(0))
 
 

@@ -1,13 +1,16 @@
 """The pair checks as identities between operators, against their pair loops.
 
-``verify_compatibility``, ``self_equivalence_check``, ``conjugation_check``,
-``is_derivation``, Kahler's ``order1_hitchin_check`` and the first three
-star axioms of ``validate_star_axioms`` form difference operators and read
-their verdicts off the terms.  The functions below are the evaluation loops
-they replaced: every pair of basis monomials, in the same order, with the
-same witness text.  ``MultiDiffOp.basis_table``, which sums an operator's
-values on the monomial basis term by term, is checked against ``apply`` on
-every tuple.
+``verify_compatibility``, ``derivation_identity``, ``verify_curvature``,
+``self_equivalence_check``, ``conjugation_check``, ``is_derivation``,
+Kahler's ``order1_hitchin_check`` and the first three star axioms of
+``validate_star_axioms`` form difference operators and read their verdicts
+off the terms.  The functions below are the evaluation loops they replaced:
+every pair of basis monomials (every section pair, every basis monomial),
+in the same order, with the same witness text.  ``MultiDiffOp.bracket`` is
+checked against the lazy bracket of ``reference_cochains``, materialized,
+and against the compositions it replaced; ``MultiDiffOp.basis_table``, which
+sums an operator's values on the monomial basis term by term, is checked
+against ``apply`` on every tuple.
 """
 
 import itertools
@@ -20,19 +23,22 @@ import pytest
 
 from fedconn.scalars import Scalar, I
 from fedconn.polynomials import (
-    Poly, FormalFunction, PR_ZERO, parse_poly, x_roster, monomials_up_to, add_term,
+    Poly, FormalFunction, ParamRational, PR_ZERO, parse_poly, x_roster, monomials_up_to,
+    add_term,
 )
 from fedconn.kahler import (
     LinearKahlerFamily, VariationError, order1_hitchin_check, family_directions,
     mat_add, mat_sub, mat_neg, mat_eq, mat_deriv, mat_scale,
 )
 from fedconn.weylforms import WeylForm
-from fedconn.multidiff import MultiDiffOp, StarTruncation, hochschild_d1, is_derivation, unit_vectors
+from fedconn.multidiff import MultiDiffOp, StarTruncation, is_derivation, unit_vectors
 from fedconn.fedosov import c1_antisymmetry_witness, validate_star_axioms
 from fedconn.symplectic import SymplecticData
 from fedconn import cli
 from fedconn.cli import main
-from fedconn.families import connection_form, solve_s, verify_compatibility
+from fedconn.families import (
+    connection_form, solve_s, verify_compatibility, derivation_identity, verify_curvature,
+)
 from fedconn.transport import (
     parallel_transport, gauge_equivalence, self_equivalence_check, conjugation_check, invert,
 )
@@ -40,6 +46,7 @@ from fedconn.properties import random_multidiffop, random_poly
 from fedconn.scenario import Scenario
 
 from conftest import generated_curved_r4, generated_curved_r4_scenario, pr
+from reference_cochains import gerstenhaber, materialize
 
 R2 = x_roster(2)
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -110,6 +117,54 @@ def derivation_by_pairs(B, star, basis_degree=None):
     return True, None
 
 
+def derivation_by_sections(family, A, basis_degree=2):
+    """D_V(f*g) = D_V(f)*g + f*D_V(g) on f = f0 * T(t), g = g0, for f0 and g0
+    in the first half (at least 3) of the basis, T = prod_p (t_p + 1)."""
+    star = family.star
+    roster = family.sym.roster
+    basis = monomials_up_to(roster, basis_degree)
+    tpoly = Poly.const(roster, 1)
+    for p in family.params:
+        tpoly = tpoly * Poly.const(roster, ParamRational.var(p) + 1)
+
+    def DV(p, f):
+        return FormalFunction.from_poly(f.differentiate(p), family.order) + A[p].apply(f)
+
+    for p in family.params:
+        for f0 in basis[: max(3, len(basis) // 2)]:
+            f = f0 * tpoly
+            for g in basis[: max(3, len(basis) // 2)]:
+                fg = star.apply(f, g)
+                lhs = fg.t_derivative(p) + A[p].apply(fg)
+                rhs = star.apply(DV(p, f), g) + star.apply(f, DV(p, g))
+                if lhs != rhs:
+                    return False, f"direction {p}, f = {f}, g = {g}"
+    return True, None
+
+
+def curvature_by_basis(family, A, s_forms, basis_degree=3):
+    """V[A(W)] - W[A(V)] + A(V)A(W) - A(W)A(V) against p(ad_over_h(E, tau(f)))
+    for E = V[s_W] - W[s_V] + ad_over_h(s_V, s_W), on each basis monomial f."""
+    basis = monomials_up_to(family.sym.roster, basis_degree)
+    for v, w in itertools.combinations(family.params, 2):
+        direct = (A[w].t_derivative(v) - A[v].t_derivative(w)
+                  + A[v].compose(A[w]) - A[w].compose(A[v]))
+        E = s_forms[w].t_derivative(v) - s_forms[v].t_derivative(w) \
+            + s_forms[v].ad_over_h(s_forms[w])
+        for f in basis:
+            lhs = direct.apply(f)
+            rhs = E.projected_ad_over_h(family.setup.tau(f), family.order)
+            if lhs != rhs:
+                return False, f"directions ({v},{w}), f = {f}: {lhs} != {rhs}"
+    return True, None
+
+
+def hochschild_d1(B, m, max_slot=None):
+    """d_H B for an arity-1 B and an arity-2 m, as three compositions."""
+    return m.compose_at(0, B, max_slot) + m.compose_at(1, B, max_slot) \
+        - B.compose_at(0, m, max_slot)
+
+
 def leibniz_compose(p_op, q_op):
     """The arity-1 composition by the binomial Leibniz rule, term by term."""
     order = min(p_op.order, q_op.order)
@@ -171,6 +226,31 @@ def test_compose_is_compose_at_zero_and_the_leibniz_loop(seed):
         assert p.compose(q) == p.compose_at(0, q) == leibniz_compose(p, q)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_bracket_is_the_lazy_bracket_materialized(seed):
+    # operators of arity 1-3 with x-linear coefficients, as in the cochain
+    # battery; the lazy bracket is read off its values on every tuple of
+    # monomials up to the summed slot order, so slot orders stay at 1 where
+    # the bracket has arity 3
+    rng = random.Random(1100 + seed)
+    for m, n in ((1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1)):
+        slot = 1 if m + n > 3 else 2
+        a, b = (random_multidiffop(R2, rng, arity, 3, slot_degree=slot) for arity in (m, n))
+        assert a.bracket(b) == materialize(gerstenhaber(a, b), R2), (m, n)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_bracket_is_d_H_and_the_commutator(sym2, seed):
+    rng = random.Random(1150 + seed)
+    for m in (StarTruncation.moyal(sym2, 3).op, random_op(rng, 2, 3)):
+        B = random_op(rng, 1, 3, slot_degree=3)
+        for cap in (None, 1, 2, 3):
+            assert m.bracket(B, cap) == hochschild_d1(B, m, cap), cap
+    P, Q = random_op(rng, 1, 3, slot_degree=3), random_op(rng, 1, 3, slot_degree=3)
+    assert P.bracket(Q) == P.compose(Q) - Q.compose(P) \
+        == leibniz_compose(P, Q) - leibniz_compose(Q, P)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_basis_witness_is_the_first_nonzero_pair(seed):
     # zero on the basis exactly when no term has every slot within the degree
@@ -226,7 +306,7 @@ def test_compatibility_matches_the_pair_loop(bundle_f1, bundle_f2, bundle_f3, mo
     # at h^K a term of slot order 2d + 3 has a coboundary whose every term
     # has a slot above d: d_H A - V[star] is no longer zero, yet both pass
     tall = A.shifted("t1", extra_term(r, 3, (7, 0)))
-    assert not (hochschild_d1(tall["t1"], fam.star.op) - fam.variation_star("t1")).is_zero()
+    assert not (fam.star.op.bracket(tall["t1"]) - fam.variation_star("t1")).is_zero()
     assert verify_compatibility(fam, tall, 2) == compatibility_by_pairs(fam, tall, 2) == (True, None)
     # a term of slot order basis_degree + 1 in V[star] is invisible on the basis
     variation = fam.variation_star
@@ -296,6 +376,64 @@ def test_is_derivation_matches_the_pair_loop(sym2, bundle_f1, gauge_pair):
     assert verdicts == [True, True, True, False, False, True, True]
 
 
+@pytest.fixture(scope="module")
+def twisted_f3(bundle_f3):
+    """(A, s) of bundle_f3 with beta twisted by a t2-dependent closed form in
+    the t1 slot: a connection with genuine curvature."""
+    fam = bundle_f3.family
+    twist = WeylForm.from_poly(fam.sym, 8, parse_poly("t2*x1^2*x2", R2)).d_x().shift_h(1)
+    beta2 = bundle_f3.beta.shifted_by_closed("t1", twist)
+    s2 = {p: solve_s(fam, beta2, p) for p in fam.params}
+    return connection_form(fam, s2), s2
+
+
+def test_derivation_identity_matches_the_section_loop(bundle_f1, bundle_f2, bundle_f3,
+                                                      twisted_f3):
+    f1, f3 = bundle_f1.family, bundle_f3.family
+    # d1^3 has a coboundary of slot orders (1, 2) and (2, 1): terms remain
+    # at basis degree 2, yet the first half of the basis, degree <= 1, misses them
+    outside = bundle_f1.A.shifted("t1", extra_term(R2, 2, (3, 0)))
+    assert (f1.star.op.bracket(outside["t1"], 2) - f1.variation_star("t1")).basis_witness(2)
+    cases = [
+        (f1, bundle_f1.A), (bundle_f2.family, bundle_f2.A), (f3, bundle_f3.A),
+        (f3, twisted_f3[0]),
+        (f1, bundle_f1.A.shifted("t1", extra_term(R2, 2, (1, 1)))),
+        (f1, outside),
+        # the second direction fails
+        (f3, bundle_f3.A.shifted("t2", extra_term(R2, 2, (1, 1), "t2*x1"))),
+    ]
+    verdicts = []
+    for fam, A in cases:
+        for d in (1, 2):
+            got = derivation_identity(fam, A, d)
+            assert got == derivation_by_sections(fam, A, d), d
+        verdicts.append(got)
+    assert [ok for ok, _ in verdicts] == [True, True, True, True, False, True, False]
+    assert verdicts[4][1] == "direction t1, f = (t1 + 1)*x2, g = x1"
+    assert verdicts[6][1].startswith("direction t2, ")
+
+
+def test_curvature_matches_the_basis_loop(bundle_f1, bundle_f2, bundle_f3, twisted_f3):
+    f3 = bundle_f3.family
+    A2, s2 = twisted_f3
+    cases = [
+        (bundle_f1.family, bundle_f1.A, bundle_f1.s), (bundle_f2.family, bundle_f2.A, bundle_f2.s),
+        (f3, bundle_f3.A, bundle_f3.s), (f3, A2, s2),
+        (f3, bundle_f3.A.shifted("t1", extra_term(R2, 1, (1, 0), "t2*x2")), bundle_f3.s),
+        (f3, A2.shifted("t2", extra_term(R2, 2, (0, 2), "t1")), s2),
+        # slot order 4 is invisible on the basis, at both degrees
+        (f3, A2.shifted("t1", extra_term(R2, 3, (4, 0), "t2*x2")), s2),
+    ]
+    verdicts = []
+    for fam, A, s in cases:
+        for d in (2, 3):
+            got = verify_curvature(fam, A, s, d)
+            assert got == curvature_by_basis(fam, A, s, d), d
+        verdicts.append(got)
+    assert [ok for ok, _ in verdicts] == [True, True, True, True, False, False, True]
+    assert verdicts[4][1] == "directions (t1,t2), f = x2: h^3*1/3*t1*t2*x2^3 != 0"
+
+
 # -- the identity itself, and no evaluation on passing data -------------------------------
 
 @pytest.mark.parametrize("name", ["family_r2.scn", "family2_r2.scn"])
@@ -307,7 +445,7 @@ def test_compatibility_holds_as_an_operator_identity(name):
     beta = sc.build_beta(family)
     A = connection_form(family, {p: solve_s(family, beta, p) for p in family.params})
     for p in family.params:
-        assert (hochschild_d1(A[p], family.star.op) - family.variation_star(p)).is_zero(), p
+        assert (family.star.op.bracket(A[p]) - family.variation_star(p)).is_zero(), p
 
 
 def test_passing_pair_checks_evaluate_no_operator(bundle_f1, bundle_f3, gauge_pair, monkeypatch):
@@ -325,6 +463,8 @@ def test_passing_pair_checks_evaluate_no_operator(bundle_f1, bundle_f3, gauge_pa
     monkeypatch.setattr(MultiDiffOp, "apply", counting)
     for bundle in (bundle_f1, bundle_f3):
         assert verify_compatibility(bundle.family, bundle.A, 3) == (True, None)
+        assert derivation_identity(bundle.family, bundle.A, 2) == (True, None)
+        assert verify_curvature(bundle.family, bundle.A, bundle.s, 3) == (True, None)
     assert self_equivalence_check(bundle_f1.family, gauge_pair, 2) == (True, None)
     assert conjugation_check(bundle_f1.family, phi, "t1") == (True, None)
     assert calls == []

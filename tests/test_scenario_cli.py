@@ -9,9 +9,10 @@ from fedconn.scenario import Scenario, ScenarioError
 from fedconn.cli import VARIATION, main
 from fedconn.fedosov import FedosovSetup
 from fedconn.polynomials import FormalFunction, Poly
-from fedconn.symplectic import ConnectionFamily, SymplecticData, SymplecticCheckError
+from fedconn.symplectic import ConnectionFamily
 from fedconn.weylforms import HDivisionError, WeylContext, WeylForm
-from fedconn.multidiff import ReconstructionError, operator_from_callable
+
+from reference_cochains import ReconstructionError, operator_from_callable
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -362,28 +363,6 @@ def test_symplectic_check_failures_are_report_lines(capsys, monkeypatch, name, m
         assert "Traceback" not in out
         assert failed_lines(out) == [f"[FAIL] {check}: {cli.SYMPLECTIC[check]}"]
         assert f"       witness: {witness}\n" in out
-
-
-def test_hamiltonian_potential_check_raises_a_named_error(monkeypatch, capsys):
-    sym = Scenario.load(SCENARIOS / "flat_r2.scn").build_symplectic()
-    X = sym.hamiltonian_vf(Poly.var(sym.roster, "x1") * Poly.var(sym.roster, "x2"))
-    assert sym.hamiltonian_potential(X) == Poly.var(sym.roster, "x1") * Poly.var(sym.roster, "x2")
-    field = SymplecticData.hamiltonian_vf
-    monkeypatch.setattr(SymplecticData, "hamiltonian_vf",
-                        lambda self, f: (field(self, f)[0] + Poly.const(self.roster, 1),)
-                        + field(self, f)[1:])
-    with pytest.raises(SymplecticCheckError) as exc:
-        sym.hamiltonian_potential(X)
-    assert exc.value.check == "Hamiltonian potential"
-    assert str(exc.value) == \
-        "X_f of the recovered potential f differs from X in component 1: -x1 + 1 != -x1"
-    # no command recovers a potential; raised inside one, it is a report line
-    monkeypatch.setattr(ConnectionFamily, "curvature_weyl",
-                        lambda self, trunc: self.sym.hamiltonian_potential(X))
-    code, out, err = run_cli(capsys, "quantize", "--scenario", str(SCENARIOS / "flat_r2.scn"))
-    assert (code, err) == (1, "") and "Traceback" not in out
-    check = "Hamiltonian potential"
-    assert failed_lines(out) == [f"[FAIL] {check}: {cli.SYMPLECTIC[check]}"]
 
 
 def test_h_division_remainder_is_a_report_line(capsys, monkeypatch):
