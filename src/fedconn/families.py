@@ -202,9 +202,26 @@ class ConnectionOneForm:
         for p, op in ops.items():
             if not op.is_O_h():
                 raise ValueError(f"A({p}) has an h^0 part")
+        self._coboundaries = {}  # direction -> (basis_degree, d_H A(V) capped there)
 
     def __getitem__(self, direction: str) -> MultiDiffOp:
         return self.ops[direction]
+
+    def coboundary(self, direction: str, basis_degree: int) -> MultiDiffOp:
+        """d_H A(V) = [star, A(V)] (``MultiDiffOp.bracket``), capped at ``basis_degree``.
+
+        Formed once per direction: a request at a lower cap reuses the
+        operator formed at a higher one.  The cap only drops terms with a
+        slot above it, and the checks read the difference with V[star] by
+        ``basis_witness(d)``, which reads only the terms whose slots are all
+        <= d, and every cap >= d keeps those.  It depends on A(V) and the
+        family's star alone, so the memo cannot go stale.
+        """
+        cached = self._coboundaries.get(direction)
+        if cached is None or cached[0] < basis_degree:
+            op = self.family.star.op.bracket(self[direction], basis_degree)
+            cached = self._coboundaries[direction] = (basis_degree, op)
+        return cached[1]
 
     def shifted(self, direction: str, delta_op: MultiDiffOp) -> "ConnectionOneForm":
         ops = dict(self.ops)
@@ -253,14 +270,14 @@ def verify_compatibility(family: FamilyContext, A: ConnectionOneForm, basis_degr
 
         D = star o_0 A(V) + star o_1 A(V) - A(V) o_0 star - V[star]
 
-    (``MultiDiffOp.bracket``), capped at ``basis_degree``.  D vanishes on every
-    pair of basis monomials exactly when it has no term with both slot orders
-    <= basis_degree (``MultiDiffOp.basis_witness``), and only then is it
-    evaluated, pair by pair, for the witness.  Returns (ok, witness).
+    (``MultiDiffOp.bracket``, through ``ConnectionOneForm.coboundary``),
+    capped at ``basis_degree``.  D vanishes on every pair of basis monomials
+    exactly when it has no term with both slot orders <= basis_degree
+    (``MultiDiffOp.basis_witness``), and only then is it evaluated, pair by
+    pair, for the witness.  Returns (ok, witness).
     """
-    star = family.star.op
     for p in family.params:
-        D = star.bracket(A[p], basis_degree) - family.variation_star(p)
+        D = A.coboundary(p, basis_degree) - family.variation_star(p)
         found = D.basis_witness(basis_degree)
         if found is not None:
             (f, g), value = found
@@ -352,9 +369,10 @@ def derivation_identity(family: FamilyContext, A: ConnectionOneForm, basis_degre
     For f = f0 * T(t) with T = prod_p (t_p + 1), and g = g0, the defect
     D_V(f*g) - D_V(f)*g - f*D_V(g) is -T * (d_H A(V) - V[star])(f0, g0).  So
     each direction is decided on the terms of [star, A(V)] - V[star],
-    capped at ``basis_degree`` (``MultiDiffOp.basis_witness``).  Only a
-    direction with terms left is evaluated: both sides, on f0 and g0 from
-    the first half (at least 3) of the monomial basis, for the witness.
+    capped at ``basis_degree`` (``MultiDiffOp.basis_witness``); the bracket
+    is the one ``verify_compatibility`` formed (``ConnectionOneForm.coboundary``).
+    Only a direction with terms left is evaluated: both sides, on f0 and g0
+    from the first half (at least 3) of the monomial basis, for the witness.
     """
     star = family.star
     roster = family.sym.roster
@@ -368,7 +386,7 @@ def derivation_identity(family: FamilyContext, A: ConnectionOneForm, basis_degre
         return FormalFunction.from_poly(f.differentiate(p), family.order) + A[p].apply(f)
 
     for p in family.params:
-        D = star.op.bracket(A[p], basis_degree) - family.variation_star(p)
+        D = A.coboundary(p, basis_degree) - family.variation_star(p)
         if D.basis_witness(basis_degree) is None:
             continue
         for f0 in half:

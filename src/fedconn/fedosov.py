@@ -417,7 +417,8 @@ class FedosovSetup:
         full = merge_rosters(self.symbol_roster, etas)
         renamed = tuple(dict(zip(self.jets, etas)).get(name, name) for name in self.symbol_roster)
         sigma_xi = _recoefficient(sigma, lambda c: c.with_roster(full))
-        sigma_eta = _recoefficient(sigma, lambda c: Poly(renamed, c.terms, c.den).with_roster(full))
+        sigma_eta = _recoefficient(
+            sigma, lambda c: Poly(renamed, c.scalar_terms(), c.den).with_roster(full))
         op = operator_from_symbol(roster, order, sigma_xi.projected_mw(sigma_eta, order),
                                   (self.jets, etas))
         star = StarTruncation(op, setup=self)

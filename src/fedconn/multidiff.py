@@ -458,7 +458,7 @@ def operator_from_symbol(roster, order, symbol: FormalFunction, jets) -> MultiDi
         xs = [pos.get(name) for name in roster]
         slots = [[pos.get(name) for name in jet] for jet in jets]
         split = {}
-        for (m, t), c in p.terms.items():
+        for (m, t), c in p.scalar_terms().items():
             key = tuple(tuple(0 if i is None else m[i] for i in slot) for slot in slots)
             xm = tuple(0 if i is None else m[i] for i in xs)
             split.setdefault(key, {})[(xm, t)] = c

@@ -3,10 +3,13 @@
 * ``Poly``        -- polynomials in base variables (x1, x2, ... and the jet
                      variables of operator symbols) with coefficients rational
                      in parameter variables (t, t1, t2, ...).  One sparse map
-                     takes (x exponents, t monomial) to a Gaussian-rational
-                     ``Scalar``; rational dependence on t is carried by one
+                     takes (x exponents, t monomial) to a Gaussian-integer
+                     numerator pair over one positive integer denominator per
+                     Poly, so arithmetic runs on plain ints and reduces each
+                     result once; rational dependence on t is carried by one
                      monic ``ParamPoly`` denominator per Poly, which is 1
-                     unless a coefficient needs it.
+                     unless a coefficient needs it.  ``Scalar`` is the exact
+                     type a Poly takes and hands out at its boundary.
 * ``ParamPoly``   -- polynomials in the parameters alone over Scalar.
                      Monomials are keyed by sorted (name, exponent) tuples, so
                      the representation is canonical with no roster
@@ -18,9 +21,9 @@
                      from or scaled by, and the coefficients a Poly reports
                      (``coefficient``, ``constant_coefficient``).
 
-A Poly's denominator shares no factor with all of its numerators at once, so
-equal Polys are equal structurally; the gcd that keeps it so runs only when
-the denominator is not 1.
+Each of a Poly's two denominators shares no factor with all of its
+numerators at once, so equal Polys are equal structurally; the gcd that keeps
+it so runs only when that denominator is not 1.
 
 ``FormalFunction`` is a finite h-expansion sum_k h^k * Poly, truncated at a
 declared order.
@@ -36,8 +39,12 @@ import itertools
 import math
 import operator
 from fractions import Fraction
+from math import gcd
 
-from .scalars import Scalar, ZERO, ONE, format_scalar, scalar_is_atomic, scalar_sign_split
+from .scalars import (
+    Scalar, ZERO, ONE, format_scalar, format_gaussian, gaussian_is_atomic, gaussian_is_negative,
+    scalar_is_atomic, scalar_sign_split,
+)
 
 
 def natural_key(name: str):
@@ -87,6 +94,8 @@ def mono_mul(a, b):
         return b
     if not b:
         return a
+    if len(a) == 1 and len(b) == 1 and a[0][0] == b[0][0]:
+        return ((a[0][0], a[0][1] + b[0][1]),)
     d = dict(a)
     for name, e in b:
         d[name] = d.get(name, 0) + e
@@ -646,7 +655,7 @@ PR_ONE = ParamRational.const(1)
 
 
 # ---------------------------------------------------------------------------
-# Poly: one sparse map from (x exponents, t monomial) to Scalar
+# Poly: Gaussian-integer numerators over one integer and one t denominator
 # ---------------------------------------------------------------------------
 
 def merge_rosters(a, b):
@@ -668,30 +677,93 @@ def _remap(terms, old, new):
     return out
 
 
-def _t_coefficients(terms) -> dict:
+# The helpers below work on a Poly's layout: ``terms`` maps keys to nonzero
+# Gaussian-integer pairs (a, b) over one positive integer q.  Those marked
+# unreduced leave the common content of q and the numerators to the caller.
+
+def _acc(out: dict, key, a: int, b: int):
+    """Accumulate the pair (a, b) into out at key; a sum that cancels is dropped."""
+    s = out.get(key)
+    if s is not None:
+        a += s[0]
+        b += s[1]
+    if a or b:
+        out[key] = (a, b)
+    elif s is not None:
+        del out[key]
+
+
+def _content(terms: dict, q: int):
+    """(terms, q) with gcd(q, every numerator) divided out; the gcd stops at 1."""
+    g = q
+    for a, b in terms.values():
+        g = gcd(g, a, b)
+        if g == 1:
+            return terms, q
+    return {key: (a // g, b // g) for key, (a, b) in terms.items()}, q // g
+
+
+def _numerators(scalars: dict):
+    """(terms, q) of a map to nonzero Scalars over their least common q.  Each
+    Scalar is reduced, so the result is too."""
+    q = math.lcm(*(c.q for c in scalars.values()))
+    terms = {}
+    for key, c in scalars.items():
+        f = q // c.q
+        terms[key] = (c.a * f, c.b * f)
+    return terms, q
+
+
+def _times_gaussian(terms: dict, c: int, d: int):
+    """Every numerator times c + d*i, unreduced."""
+    if d:
+        return {key: (a * c - b * d, a * d + b * c) for key, (a, b) in terms.items()}
+    return {key: (a * c, b * c) for key, (a, b) in terms.items()}
+
+
+def _sum(ta: dict, qa: int, tb: dict, qb: int, sign: int):
+    """(terms, q) of ta/qa + sign * tb/qb over q = lcm(qa, qb), unreduced."""
+    if qa == qb:
+        fa = fb = 1
+    else:
+        g = gcd(qa, qb)
+        fa, fb = qb // g, qa // g
+    out = dict(ta) if fa == 1 else _times_gaussian(ta, fa, 0)
+    fb *= sign
+    for key, (a, b) in tb.items():
+        _acc(out, key, a * fb, b * fb)
+    return out, qa * fa
+
+
+def _over(items, q: int):
+    """(terms, q * L) of items (key, a, b, d), each adding (a + b*i)/(q*d) at
+    key, where L is the lcm of the d; unreduced."""
+    lcm = math.lcm(*(item[3] for item in items))
+    out = {}
+    for key, a, b, d in items:
+        f = lcm // d
+        _acc(out, key, a * f, b * f)
+    return out, q * lcm
+
+
+def _t_coefficients(terms: dict, q: int) -> dict:
     """x exponents -> the ParamPoly numerator of that x-monomial."""
     out = {}
-    for (m, t), c in terms.items():
-        out.setdefault(m, {})[t] = c
+    for (m, t), (a, b) in terms.items():
+        out.setdefault(m, {})[t] = Scalar._make(a, b, q)
     return {m: ParamPoly(ts) for m, ts in out.items()}
 
 
-def _times_t(terms, pp: ParamPoly) -> dict:
-    """The terms multiplied by a polynomial in t."""
+def _times_t(terms: dict, q: int, pp: ParamPoly):
+    """(terms, q) multiplied by a polynomial in t, unreduced."""
     if pp is PP_ONE:
-        return terms
+        return terms, q
+    pterms, pq = _numerators(pp.terms)
     out = {}
-    for (m, t1), c1 in terms.items():
-        for t2, c2 in pp.terms.items():
-            add_term(out, (m, mono_mul(t1, t2)), c1 * c2)
-    return out
-
-
-def _sum(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for key, c in b.items():
-        add_term(out, key, c)
-    return out
+    for (m, t1), (a1, b1) in terms.items():
+        for t2, (a2, b2) in pterms.items():
+            _acc(out, (m, mono_mul(t1, t2)), a1 * a2 - b1 * b2, a1 * b2 + b1 * a2)
+    return out, q * pq
 
 
 def _den_mul(d1: ParamPoly, d2: ParamPoly) -> ParamPoly:
@@ -699,13 +771,13 @@ def _den_mul(d1: ParamPoly, d2: ParamPoly) -> ParamPoly:
     return d2 if d1 is PP_ONE else d1 if d2 is PP_ONE else d1 * d2
 
 
-def _reduce(terms, den: ParamPoly):
-    """(terms, den) over the least monic common denominator; den is PP_ONE
+def _reduce(terms: dict, q: int, den: ParamPoly):
+    """(terms, q, den) over the least monic common denominator; den is PP_ONE
     when that is 1.  The only place a Poly calls pp_gcd."""
     if not terms:
-        return terms, PP_ONE
+        return terms, 1, PP_ONE
     if not den.is_constant():
-        nums = _t_coefficients(terms)
+        nums = _t_coefficients(terms, q)
         g = den
         for num in nums.values():
             g = pp_gcd(g, num)
@@ -713,16 +785,16 @@ def _reduce(terms, den: ParamPoly):
                 break
         if not g.is_constant():
             den = _pp_divexact(den, g)
-            terms = {(m, t): c for m, num in nums.items()
-                     for t, c in _pp_divexact(num, g).terms.items()}
+            terms, q = _numerators({(m, t): c for m, num in nums.items()
+                                    for t, c in _pp_divexact(num, g).terms.items()})
     if den.is_constant():
         inv, den = ONE / den.constant_value(), PP_ONE
     else:
         inv = ONE / den.leading_coefficient()
         den = den.scale(inv)
     if not inv.is_one():
-        terms = {key: c * inv for key, c in terms.items()}
-    return terms, den
+        terms, q = _times_gaussian(terms, inv.a, inv.b), q * inv.q
+    return (*_content(terms, q), den)
 
 
 def as_coefficient(value):
@@ -735,31 +807,61 @@ def as_coefficient(value):
 
 
 def _monomial_terms(exps: tuple, value):
-    """(terms, den) of value * x^exps, for a number, ParamPoly or ParamRational."""
+    """(terms, q, den) of value * x^exps, for a number, ParamPoly or ParamRational."""
     c = as_coefficient(value)
     if type(c) is Scalar:
-        return ({} if c.is_zero() else {(exps, EMPTY_MONO): c}), PP_ONE
-    return {(exps, t): z for t, z in c.num.terms.items()}, c.den
+        return ({} if c.is_zero() else {(exps, EMPTY_MONO): (c.a, c.b)}), c.q, PP_ONE
+    return (*_numerators({(exps, t): z for t, z in c.num.terms.items()}), c.den)
 
 
 class Poly:
     """Polynomial in an ordered roster of base variables, rational in the parameters.
 
-    ``terms`` maps (x exponents along ``roster``, t monomial) to a nonzero
-    Scalar; the t monomial is ParamPoly's canonical key, () when t-free.
-    ``den`` is the monic ParamPoly that divides every coefficient: PP_ONE
-    unless some coefficient is rational in t, and sharing no factor with all
-    the numerators at once.
+    The value is the sum of (a + b*i) x^m t^u / (q * den) over ``terms``,
+    which maps (x exponents m along ``roster``, t monomial u) to a nonzero
+    Gaussian-integer numerator pair (a, b); u is ParamPoly's canonical key,
+    () when t-free.  ``q`` is a positive integer sharing no factor with all
+    the numerators at once, so it is 1 exactly when every coefficient is a
+    Gaussian integer.  ``den`` is the monic ParamPoly that divides every
+    coefficient: PP_ONE unless some coefficient is rational in t, and sharing
+    no factor with all the numerators at once.  Equal Polys are therefore
+    equal structurally.
+
+    Arithmetic runs on plain ints, and each result is reduced once: one gcd
+    pass over its numerators that stops at 1, skipped when its q is 1.
+    Scalars are made only at the boundary (the constructor, ``scalar_terms``,
+    ``coefficients``, ``constant_coefficient``, the printing of a Poly with
+    t) and where ``pp_gcd`` reduces a t denominator.
     """
 
-    __slots__ = ("roster", "terms", "den")
+    __slots__ = ("roster", "terms", "q", "den")
 
     def __init__(self, roster, terms=None, den=PP_ONE):
-        """``terms`` must hold no zero; any ``den`` but PP_ONE is reduced."""
+        """``terms`` maps keys to nonzero Scalars, the numerators over ``den``;
+        any ``den`` but PP_ONE is reduced."""
         self.roster = tuple(roster)
-        self.terms, self.den = terms or {}, PP_ONE
+        self.terms, self.q = _numerators(terms) if terms else ({}, 1)
+        self.den = PP_ONE
         if den is not PP_ONE:
-            self.terms, self.den = _reduce(self.terms, den)
+            self.terms, self.q, self.den = _reduce(self.terms, self.q, den)
+
+    @staticmethod
+    def _new(roster: tuple, terms: dict, q: int, den: ParamPoly) -> "Poly":
+        """The Poly of parts already reduced, without re-validating them."""
+        p = object.__new__(Poly)
+        p.roster, p.terms, p.q, p.den = roster, terms, q, den
+        return p
+
+    @staticmethod
+    def _make(roster: tuple, terms: dict, q: int, den: ParamPoly) -> "Poly":
+        """The Poly of integer numerators over q and den, reduced once."""
+        if den is not PP_ONE:
+            terms, q, den = _reduce(terms, q, den)
+        elif q != 1:
+            terms, q = _content(terms, q)
+        p = object.__new__(Poly)
+        p.roster, p.terms, p.q, p.den = roster, terms, q, den
+        return p
 
     # -- constructors -------------------------------------------------------------
 
@@ -769,7 +871,8 @@ class Poly:
 
     @staticmethod
     def const(roster, value) -> "Poly":
-        return Poly(roster, *_monomial_terms((0,) * len(tuple(roster)), value))
+        roster = tuple(roster)
+        return Poly._make(roster, *_monomial_terms((0,) * len(roster), value))
 
     @staticmethod
     def var(roster, name: str) -> "Poly":
@@ -780,7 +883,7 @@ class Poly:
 
     @staticmethod
     def monomial(roster, exps, coeff=1) -> "Poly":
-        return Poly(roster, *_monomial_terms(tuple(exps), coeff))
+        return Poly._make(tuple(roster), *_monomial_terms(tuple(exps), coeff))
 
     # -- predicates and coefficients ------------------------------------------------
 
@@ -790,12 +893,18 @@ class Poly:
     def is_constant(self) -> bool:
         return all(not any(m) for m, _ in self.terms)
 
+    def scalar_terms(self) -> dict:
+        """(x exponents, t monomial) -> the Scalar numerator of that term over ``den``."""
+        q = self.q
+        return {key: Scalar._make(a, b, q) for key, (a, b) in self.terms.items()}
+
     def coefficients(self) -> dict:
         """x exponents -> the coefficient of that x-monomial, a reduced ParamRational."""
         if self.den is PP_ONE:
             return {m: ParamRational(num, PP_ONE, _normalized=True)
-                    for m, num in _t_coefficients(self.terms).items()}
-        return {m: ParamRational(num, self.den) for m, num in _t_coefficients(self.terms).items()}
+                    for m, num in _t_coefficients(self.terms, self.q).items()}
+        return {m: ParamRational(num, self.den)
+                for m, num in _t_coefficients(self.terms, self.q).items()}
 
     def constant_coefficient(self) -> ParamRational:
         return self.coefficients().get((0,) * len(self.roster), PR_ZERO)
@@ -816,7 +925,7 @@ class Poly:
             missing = set(self.roster) - set(roster)
             if any(self.degree_in(v) for v in missing):
                 raise ValueError(f"cannot drop variables {missing} still in use")
-        return Poly(roster, _remap(self.terms, self.roster, roster), self.den)
+        return Poly._new(roster, _remap(self.terms, self.roster, roster), self.q, self.den)
 
     def degree_in(self, name: str) -> int:
         if name not in self.roster:
@@ -832,22 +941,30 @@ class Poly:
 
     # -- arithmetic ---------------------------------------------------------------
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int) -> "Poly":
+        """self + sign * other."""
         if not isinstance(other, Poly):
             other = Poly.const(self.roster, other)
         a, b = self._aligned(other)
-        return Poly(a.roster, _sum(_times_t(a.terms, b.den), _times_t(b.terms, a.den)),
-                    _den_mul(a.den, b.den))
+        if not b.terms:
+            return a
+        if a.den is PP_ONE and b.den is PP_ONE:
+            return Poly._make(a.roster, *_sum(a.terms, a.q, b.terms, b.q, sign), PP_ONE)
+        ta, qa = _times_t(a.terms, a.q, b.den)
+        tb, qb = _times_t(b.terms, b.q, a.den)
+        return Poly._make(a.roster, *_sum(ta, qa, tb, qb, sign), _den_mul(a.den, b.den))
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.roster, {key: -c for key, c in self.terms.items()}, self.den)
+        return Poly._new(self.roster, {key: (-a, -b) for key, (a, b) in self.terms.items()},
+                         self.q, self.den)
 
     def __sub__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly.const(self.roster, other)
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -856,26 +973,44 @@ class Poly:
         if not isinstance(other, Poly):
             return self.scale(other)
         a, b = self._aligned(other)
+        if not a.terms or not b.terms:
+            return Poly._new(a.roster, {}, 1, PP_ONE)
         out = {}
-        for (m1, t1), c1 in a.terms.items():
-            for (m2, t2), c2 in b.terms.items():
+        for (m1, t1), (a1, b1) in a.terms.items():
+            for (m2, t2), (a2, b2) in b.terms.items():
                 t = mono_mul(t1, t2) if t1 and t2 else t1 or t2
-                add_term(out, (tuple(map(operator.add, m1, m2)), t), c1 * c2)
-        return Poly(a.roster, out, _den_mul(a.den, b.den))
+                key = (tuple(map(operator.add, m1, m2)), t)
+                _acc(out, key, a1 * a2 - b1 * b2, a1 * b2 + b1 * a2)
+        return Poly._make(a.roster, out, a.q * b.q, _den_mul(a.den, b.den))
 
     __rmul__ = __mul__
 
     def scale(self, value) -> "Poly":
         """self * value for a number, ParamPoly or ParamRational."""
-        if type(value) is not Scalar:
-            value = as_coefficient(value)
-        if type(value) is Scalar:
-            if value.is_zero():
-                return Poly(self.roster, {})
-            if value.is_one():
-                return self
-            return Poly(self.roster, {key: c * value for key, c in self.terms.items()}, self.den)
-        return Poly(self.roster, _times_t(self.terms, value.num), _den_mul(self.den, value.den))
+        if type(value) is int:
+            c, d, r = value, 0, 1
+        else:
+            if type(value) is not Scalar:
+                value = as_coefficient(value)
+                if type(value) is not Scalar:
+                    return Poly._make(self.roster, *_times_t(self.terms, self.q, value.num),
+                                      _den_mul(self.den, value.den))
+            c, d, r = value.a, value.b, value.q
+        if c and d:
+            return Poly._make(self.roster, _times_gaussian(self.terms, c, d), self.q * r, self.den)
+        if not c and not d:
+            return Poly._new(self.roster, {}, 1, PP_ONE)
+        if c == r:
+            return self
+        # a real or imaginary value s/r: with g = gcd(s, q), s/g and q/g share
+        # no factor, so only r can share one with the numerators
+        s = c or d
+        g = gcd(s, self.q)
+        s //= g
+        terms = _times_gaussian(self.terms, s, 0) if c else _times_gaussian(self.terms, 0, s)
+        if r == 1:
+            return Poly._new(self.roster, terms, self.q // g, self.den)
+        return Poly._make(self.roster, terms, self.q // g * r, self.den)
 
     def __pow__(self, k: int):
         out = Poly.const(self.roster, 1)
@@ -907,7 +1042,7 @@ class Poly:
                 return self.is_zero()
             other = Poly.const(self.roster, other)
         a, b = self._aligned(other)
-        return a.terms == b.terms and a.den == b.den
+        return a.terms == b.terms and a.q == b.q and a.den == b.den
 
     # -- calculus -------------------------------------------------------------------
 
@@ -915,40 +1050,40 @@ class Poly:
         if name in self.roster:
             i = self.roster.index(name)
             out = {}
-            for (m, t), c in self.terms.items():
+            for (m, t), (a, b) in self.terms.items():
                 e = m[i]
                 if e:
-                    out[(m[:i] + (e - 1,) + m[i + 1:], t)] = c.mul_int(e)
-            return Poly(self.roster, out, self.den)
+                    out[(m[:i] + (e - 1,) + m[i + 1:], t)] = (a * e, b * e)
+            return Poly._make(self.roster, out, self.q, self.den)
         if not is_param_name(name):
             raise ValueError(f"unknown variable {name!r}")
-        out = {(m, low): c.mul_int(e) for (m, t), c in self.terms.items()
+        out = {(m, low): (a * e, b * e) for (m, t), (a, b) in self.terms.items()
                for low, e in _mono_derivative(t, name)}
         if self.den is PP_ONE:
-            return Poly(self.roster, out)
+            return Poly._make(self.roster, out, self.q, PP_ONE)
         # (N / D)' = (N' D - N D') / D^2
-        dD = -self.den.derivative(name)
-        return Poly(self.roster, _sum(_times_t(out, self.den), _times_t(self.terms, dD)),
-                    self.den * self.den)
+        dn = _times_t(out, self.q, self.den)
+        ndd = _times_t(self.terms, self.q, self.den.derivative(name))
+        return Poly._make(self.roster, *_sum(*dn, *ndd, -1), self.den * self.den)
 
     def antiderivative(self, name: str) -> "Poly":
         """Integral from 0: result q has dq/dname = self and q|_{name=0} = 0."""
-        out = {}
+        items = []
         if name in self.roster:
             i = self.roster.index(name)
-            for (m, t), c in self.terms.items():
+            for (m, t), (a, b) in self.terms.items():
                 e = m[i] + 1
-                out[(m[:i] + (e,) + m[i + 1:], t)] = c / e
+                items.append(((m[:i] + (e,) + m[i + 1:], t), a, b, e))
         elif is_param_name(name):
             if name in self.den.variables():
                 raise ValueError(f"antiderivative: {name!r} occurs in a denominator")
-            for (m, t), c in self.terms.items():
+            for (m, t), (a, b) in self.terms.items():
                 d = dict(t)
                 e = d[name] = d.get(name, 0) + 1
-                out[(m, _mono_of(d))] = c / e
+                items.append(((m, _mono_of(d)), a, b, e))
         else:
             raise ValueError(f"unknown variable {name!r}")
-        return Poly(self.roster, out, self.den)
+        return Poly._make(self.roster, *_over(items, self.q), self.den)
 
     def deriv_multi(self, exps) -> "Poly":
         """Apply the mixed partial d^exps aligned with the roster."""
@@ -956,7 +1091,7 @@ class Poly:
         if not steps:
             return self
         out = {}
-        for (m, t), c in self.terms.items():
+        for (m, t), (a, b) in self.terms.items():
             factor = 1
             for i, e in steps:
                 if m[i] < e:
@@ -966,8 +1101,8 @@ class Poly:
                 lowered = list(m)
                 for i, e in steps:
                     lowered[i] -= e
-                out[(tuple(lowered), t)] = c.mul_int(factor)
-        return Poly(self.roster, out, self.den)
+                out[(tuple(lowered), t)] = (a * factor, b * factor)
+        return Poly._make(self.roster, out, self.q, self.den)
 
     def subs_params(self, values: dict) -> "Poly":
         values = {name: Scalar.of(v) for name, v in values.items()}
@@ -976,31 +1111,33 @@ class Poly:
             den = den.subs(values)
             if den.is_zero():
                 raise ZeroDivisionError("denominator vanishes at the substituted point")
-        out = {}
-        for (m, t), c in self.terms.items():
+        items = []
+        for (m, t), (a, b) in self.terms.items():
             rest = []
+            r = 1
             for name, e in t:
                 if name in values:
-                    c = c * values[name] ** e
+                    z = values[name] ** e
+                    a, b, r = a * z.a - b * z.b, a * z.b + b * z.a, r * z.q
                 else:
                     rest.append((name, e))
-            if not c.is_zero():
-                add_term(out, (m, tuple(rest)), c)
-        return Poly(self.roster, out, den)
+            items.append(((m, tuple(rest)), a, b, r))
+        return Poly._make(self.roster, *_over(items, self.q), den)
 
     # -- printing -------------------------------------------------------------------
+
+    def _x_monomial(self, m) -> str:
+        return "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(self.roster, m) if e)
 
     def __str__(self):
         if self.is_zero():
             return "0"
+        if self.den is PP_ONE and not any(t for _, t in self.terms):
+            return self._str_t_free()
         parts = []
         for m, c in sorted(self.coefficients().items(), key=lambda kv: (sum(kv[0]), kv[0]),
                            reverse=True):
-            mono = "*".join(
-                v if e == 1 else f"{v}^{e}"
-                for v, e in zip(self.roster, m)
-                if e
-            )
+            mono = self._x_monomial(m)
             if not mono:
                 parts.append(str(c))
                 continue
@@ -1015,15 +1152,38 @@ class Poly:
                 parts.append(f"{pre}{cs}*{mono}")
         return " + ".join(parts).replace("+ -", "- ")
 
+    def _str_t_free(self) -> str:
+        """str(self) formatted straight from the numerators, for a Poly with no t."""
+        q = self.q
+        parts = []
+        for (m, _), (a, b) in sorted(self.terms.items(), key=lambda kv: (sum(kv[0][0]), kv[0][0]),
+                                     reverse=True):
+            mono = self._x_monomial(m)
+            if not mono:
+                parts.append(format_gaussian(a, b, q))
+                continue
+            pre = ""
+            if gaussian_is_negative(a, b):
+                pre, a, b = "-", -a, -b
+            if a == q and not b:
+                parts.append(pre + mono)
+            else:
+                cs = format_gaussian(a, b, q)
+                if not gaussian_is_atomic(a, b):
+                    cs = f"({cs})"
+                parts.append(f"{pre}{cs}*{mono}")
+        return " + ".join(parts).replace("+ -", "- ")
+
     def map_x(self, fn) -> "Poly":
         """Each term c x^m as w c x^m2 where fn(m) = (m2, w), or dropped where
         fn(m) is None; fn must not send two kept x-monomials to one."""
-        out = {}
-        for (m, t), c in self.terms.items():
+        items = []
+        for (m, t), (a, b) in self.terms.items():
             image = fn(m)
             if image is not None:
-                out[(image[0], t)] = c * image[1]
-        return Poly(self.roster, out, self.den)
+                w = Scalar.of(image[1])
+                items.append(((image[0], t), a * w.a - b * w.b, a * w.b + b * w.a, w.q))
+        return Poly._make(self.roster, *_over(items, self.q), self.den)
 
     def as_factor(self) -> str:
         """str(self), in parentheses when it has more than one x-monomial."""

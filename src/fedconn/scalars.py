@@ -2,9 +2,14 @@
 
 A Scalar is (a + b*i)/q with integers a, b and q > 0, kept reduced so that
 gcd(a, b, q) = 1.  All arithmetic is exact; there is no float anywhere in
-this package.  The single-gcd normalization makes these considerably faster
-than a pair of Fractions, which matters: every polynomial coefficient in the
-Weyl-algebra arithmetic passes through here.
+this package.  The single-gcd normalization makes these faster than a pair
+of Fractions.  Scalars are the coefficients of the t-only ring
+(``ParamPoly``, ``ParamRational``), the Weyl and Moyal weights, and the
+exact type a ``Poly`` hands out at its boundary; a Poly itself computes on
+Gaussian-integer numerators over one common denominator and makes a Scalar
+only when a coefficient is read.  The formatting functions work on such a
+numerator pair and denominator directly, so a Poly prints without building
+Scalars.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ class Scalar:
     def _make(a: int, b: int, q: int) -> "Scalar":
         if q < 0:
             a, b, q = -a, -b, -q
-        g = gcd(gcd(a, b), q)
+        g = gcd(a, b, q)
         if g > 1:
             a //= g
             b //= g
@@ -190,41 +195,57 @@ I = Scalar(0, 1)
 HALF = Scalar(Fraction(1, 2))
 
 
-def _frac_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+def _frac_str(n: int, d: int) -> str:
+    g = gcd(n, d)
+    if g > 1:
+        n //= g
+        d //= g
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
-def _imag_str(q: Fraction) -> str:
-    if q == 1:
+def _imag_str(n: int, d: int) -> str:
+    if n == d:
         return "i"
-    if q == -1:
+    if n == -d:
         return "-i"
-    return f"{_frac_str(q)}*i"
+    return f"{_frac_str(n, d)}*i"
+
+
+def format_gaussian(a: int, b: int, q: int) -> str:
+    """Canonical string of (a + b*i)/q, q > 0, in any terms: '0', '5/4', '-2',
+    'i', '1/2-i', '3+2*i'."""
+    if not b:
+        return _frac_str(a, q) if a else "0"
+    if not a:
+        return _imag_str(b, q)
+    im = "+" + _imag_str(b, q) if b > 0 else _imag_str(b, q)
+    return _frac_str(a, q) + im
 
 
 def format_scalar(z: Scalar) -> str:
-    """Canonical string: '0', '5/4', '-2', 'i', '1/2-i', '3+2*i'."""
-    if z.is_zero():
-        return "0"
-    if not z.b:
-        return _frac_str(z.re)
-    if not z.a:
-        return _imag_str(z.im)
-    im = "+" + _imag_str(z.im) if z.b > 0 else _imag_str(z.im)
-    return _frac_str(z.re) + im
+    """The canonical string of z (``format_gaussian``)."""
+    return format_gaussian(z.a, z.b, z.q)
+
+
+def gaussian_is_atomic(a: int, b: int) -> bool:
+    """True when format_gaussian(a, b, q) can sit inside a product without parentheses."""
+    if a and b:
+        return False
+    return a >= 0 and b >= 0
+
+
+def gaussian_is_negative(a: int, b: int) -> bool:
+    """True for a strictly negative real or pure imaginary (a + b*i)/q."""
+    return (not b and a < 0) or (not a and b < 0)
 
 
 def scalar_is_atomic(z: Scalar) -> bool:
     """True when format_scalar(z) can sit inside a product without parentheses."""
-    if z.is_zero():
-        return True
-    if z.a and z.b:
-        return False
-    return (z.a if z.a else z.b) > 0
+    return gaussian_is_atomic(z.a, z.b)
 
 
 def scalar_sign_split(z: Scalar):
     """(-1, -z) when z is a strictly negative real or pure imaginary, else (1, z)."""
-    if (not z.b and z.a < 0) or (not z.a and z.b < 0):
+    if gaussian_is_negative(z.a, z.b):
         return -1, -z
     return 1, z

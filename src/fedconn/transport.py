@@ -130,7 +130,7 @@ def _t_poincare_oneform(coeffs: dict, params) -> Poly:
         roster = c.roster
         if c.den is not PP_ONE:
             raise ValueError("gauge data must be polynomial in the parameters")
-        for (exps, mono), z in c.terms.items():
+        for (exps, mono), z in c.scalar_terms().items():
             add_term(acc_terms, (exps, mono_mul(mono, ((j, 1),))), z / (mono_degree(mono) + 1))
     return Poly(roster, acc_terms)
 

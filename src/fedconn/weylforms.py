@@ -89,6 +89,7 @@ class WeylContext:
         ]
         self._moyal_factor = [ONE]  # (i/2)^k / k!
         self._full_weights = {}
+        self._contractions = {}
 
     def moyal_factor(self, k: int) -> Scalar:
         while len(self._moyal_factor) <= k:
@@ -111,6 +112,38 @@ class WeylContext:
             w = next(iter(state.values()), ZERO)
             self._full_weights[(a1, a2)] = w
         return w
+
+    def contractions(self, a1, a2, commutator: bool, over_h: bool):
+        """The contraction orders of y^a1 against y^a2 that ``_mw_pair`` keeps:
+        (k, ((b, w), ..)) for each order k whose contraction is not empty, the
+        leftover exponent b = b1 + b2 with its summed weight w, the Moyal
+        factor (doubled in a commutator, times i for ad_over_h) included.
+        They do not depend on the coefficients, so they are cached.
+        """
+        key = (a1, a2, commutator, over_h)
+        out = self._contractions.get(key)
+        if out is None:
+            out = []
+            kmax = min(sum(a1), sum(a2))
+            state = {(a1, a2): ONE}
+            for k in range(kmax + 1):
+                if k % 2 == 1 or not commutator:
+                    factor = self.moyal_factor(k)
+                    if commutator:
+                        factor = factor * 2  # odd orders double in the commutator
+                    if over_h:
+                        factor = factor * I
+                    weights = {}
+                    for (b1, b2), w in state.items():
+                        add_term(weights, tuple(e1 + e2 for e1, e2 in zip(b1, b2)), w * factor)
+                    out.append((k, tuple(weights.items())))
+                if k == kmax:
+                    break
+                state = _contract(self, state)
+                if not state:
+                    break
+            self._contractions[key] = out = tuple(out)
+        return out
 
     def __eq__(self, other):
         return isinstance(other, WeylContext) and self.omega == other.omega
@@ -382,34 +415,19 @@ class WeylForm:
         k2, a2, J2 = key2
         if set(J1) & set(J2):
             return
-        ctx = self.ctx
         sign = _wedge_sign(J1, J2)
         J = _merge_J(J1, J2)
         cc = c1 * c2
         if cc.is_zero():
             return
-        kmax = min(sum(a1), sum(a2))
-        state = {(a1, a2): ONE}
-        for k in range(kmax + 1):
-            if state and (k % 2 == 1 or not commutator):
-                factor = ctx.moyal_factor(k)
-                if commutator:
-                    factor = factor * 2  # odd orders double in the commutator
-                if over_h:
-                    factor = factor * I
-                h_power = k1 + k2 + k + (-1 if over_h else 0)
-                if h_power < 0:
-                    raise HDivisionError(
-                        f"the bracket of h^{k1} y^{a1} and h^{k2} y^{a2} has an h^0 part "
-                        f"at contraction order {k}")
-                for (b1, b2), w in state.items():
-                    key = (h_power, tuple(e1 + e2 for e1, e2 in zip(b1, b2)), J)
-                    add_term(out, key, cc.scale(w * factor) if sign > 0 else cc.scale(-(w * factor)))
-            if k == kmax:
-                break
-            state = _contract(ctx, state)
-            if not state:
-                break
+        for k, weights in self.ctx.contractions(a1, a2, commutator, over_h):
+            h_power = k1 + k2 + k + (-1 if over_h else 0)
+            if h_power < 0:
+                raise HDivisionError(
+                    f"the bracket of h^{k1} y^{a1} and h^{k2} y^{a2} has an h^0 part "
+                    f"at contraction order {k}")
+            for b, w in weights:
+                add_term(out, (h_power, b, J), cc.scale(w if sign > 0 else -w))
 
     # -- delta calculus ---------------------------------------------------------
 

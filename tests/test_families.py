@@ -15,6 +15,7 @@ from fedconn.families import (
 from fedconn.multidiff import MultiDiffOp, is_derivation
 from fedconn.scenario import Scenario
 from fedconn.fedosov import FedosovSetup
+from fedconn.cli import main
 from conftest import lower_cap
 from reference_cochains import operator_from_callable
 
@@ -189,6 +190,58 @@ def test_compatibility_fails_for_perturbed_A(bundle_f1):
     ok, wit = verify_compatibility(fam, perturbed, basis_degree=2)
     assert not ok
     assert wit
+
+
+def test_mutated_connections_fail_both_checks_on_one_coboundary(bundle_f1, bundle_f3,
+                                                               monkeypatch):
+    """The derivation identity reads the coboundary that verify_compatibility
+    formed at the higher cap, and fails as it does on a connection of its own."""
+    r = bundle_f1.family.sym.roster
+    cases = [
+        (bundle_f1, "t1", {(2, ((1, 1),)): parse_poly("x1", r)}),
+        (bundle_f1, "t1", {(1, ((0, 0),)): parse_poly("x1", r)}),
+        (bundle_f3, "t2", {(2, ((1, 1),)): parse_poly("t2*x1", r)}),
+    ]
+    expected = []
+    for bundle, direction, terms in cases:
+        fresh = bundle.A.shifted(direction, MultiDiffOp(r, 1, 3, terms))
+        expected.append(derivation_identity(bundle.family, fresh, 2))
+    calls = []
+    bracket = MultiDiffOp.bracket
+
+    def counting(self, phi, max_slot=None):
+        calls.append(self.arity)
+        return bracket(self, phi, max_slot)
+
+    monkeypatch.setattr(MultiDiffOp, "bracket", counting)
+    for (bundle, direction, terms), derivation in zip(cases, expected):
+        fam = bundle.family
+        shared = bundle.A.shifted(direction, MultiDiffOp(r, 1, 3, terms))
+        calls.clear()
+        ok, wit = verify_compatibility(fam, shared, 3)
+        assert not ok and wit.startswith(f"direction {direction}: ")
+        formed = len(calls)
+        assert formed == fam.params.index(direction) + 1
+        assert derivation_identity(fam, shared, 2) == derivation
+        assert derivation[0] is False
+        assert len(calls) == formed
+
+
+@pytest.mark.parametrize("name, directions", [("family_r2.scn", 1), ("family2_r2.scn", 2)])
+def test_a_family_run_brackets_the_star_once_per_direction(name, directions, monkeypatch,
+                                                           capsys):
+    calls = []
+    bracket = MultiDiffOp.bracket
+
+    def counting(self, phi, max_slot=None):
+        calls.append((self.arity, phi.arity))
+        return bracket(self, phi, max_slot)
+
+    monkeypatch.setattr(MultiDiffOp, "bracket", counting)
+    monkeypatch.delenv("FEDCONN_REPORT_DIR", raising=False)
+    assert main(["family", "--scenario", str(SCENARIOS / name)]) == 0
+    capsys.readouterr()
+    assert calls.count((2, 1)) == directions
 
 
 def test_constant_family_zero_A_compatible(constant_family):

@@ -1,12 +1,16 @@
 """The flat coefficient ring against a slow reference, and its printed forms.
 
-``Poly`` stores one sparse map from (x exponents, t monomial) to Scalar plus
+``Poly`` stores one sparse map from (x exponents, t monomial) to a
+Gaussian-integer numerator pair, one positive integer denominator ``q`` and
 one monic denominator in t.  The reference here is independent of it: a
 polynomial is a dict from exponent tuples over x1..x3, t, t1, t2 to pairs of
 ``fractions.Fraction`` (real and imaginary part), and a rational function is a
 pair (numerator, denominator) of such dicts, compared by cross-multiplying.
+A Poly is read into the reference through its boundary accessor
+``scalar_terms``; the tests of the storage itself read ``terms`` and ``q``.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -14,7 +18,7 @@ import pytest
 
 from fedconn.scalars import Scalar
 from fedconn.polynomials import (
-    ParamPoly, ParamRational, Poly, FormalFunction, parse_poly, pp_gcd,
+    PP_ONE, ParamPoly, ParamRational, Poly, FormalFunction, parse_poly, pp_gcd,
 )
 from fedconn.multidiff import MultiDiffOp, operator_from_symbol
 
@@ -121,7 +125,7 @@ def to_ref(p: Poly):
     """The reference of a Poly over x1..x3, read off its stored terms."""
     assert p.roster == X
     num = {}
-    for (xs, tm), c in p.terms.items():
+    for (xs, tm), c in p.scalar_terms().items():
         ts = dict(tm)
         _acc(num, xs + tuple(ts.get(n, 0) for n in T), (c.re, c.im))
     return num, pp_to_ref(p.den)
@@ -169,10 +173,13 @@ def random_flat(rng):
 
 def _canonical(p: Poly):
     """The stored denominator is monic and shares no factor with all the
-    numerators at once, so it is 1 exactly when p is polynomial in t."""
+    numerators at once, so it is 1 exactly when p is polynomial in t; the
+    integer denominator q shares no factor with every integer numerator."""
+    assert p.q > 0 and math.gcd(p.q, *(n for pair in p.terms.values() for n in pair)) == 1
+    assert all(pair != (0, 0) for pair in p.terms.values())
     assert p.den.leading_coefficient().is_one()
     numerators = {}
-    for (xs, tm), c in p.terms.items():
+    for (xs, tm), c in p.scalar_terms().items():
         numerators.setdefault(xs, {})[tm] = c
     g = p.den
     for num in numerators.values():
@@ -289,6 +296,148 @@ def test_constant_coefficient_and_views_reduce_each_coefficient():
     q = parse_poly("x1 + 1/(t+1)", X)
     assert q.differentiate("x1") == 1 and q.differentiate("x1").den.is_one()
     assert not (q - parse_poly("1/(t+1)", X)).den.variables()
+
+
+# -- the integer-numerator storage -------------------------------------------------
+
+def _stored(p: Poly):
+    return p.roster, p.terms, p.q, p.den
+
+
+# products of large distinct primes, so that the denominators pass 2^64
+PRIMES = (2 ** 61 - 1, 2 ** 31 - 1, 1_000_000_007, 998_244_353, 1_000_000_009, 2 ** 89 - 1)
+
+
+def _large_flat(rng):
+    p = Poly.zero(X)
+    for _ in range(rng.randint(1, 3)):
+        exps = tuple(rng.randint(0, 2) for _ in X)
+        den = math.prod(rng.sample(PRIMES, 2))
+        c = Scalar(Fraction(rng.randint(-10 ** 20, 10 ** 20), den),
+                   Fraction(rng.randint(-3, 3) * rng.choice(PRIMES), rng.choice(PRIMES)))
+        p = p + Poly.monomial(X, exps, c) * Poly.monomial(X, (0, 0, 0), random_pp(rng, 1))
+    return p
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_denominators_past_64_bits_match_reference(seed):
+    rng = random.Random(500 + seed)
+    a, b = _large_flat(rng), _large_flat(rng)
+    ra, rb = to_ref(a), to_ref(b)
+    assert max(a.q, b.q) > 2 ** 64
+    for p in (a, b, a + b, a - b, a * b, a.scale(Scalar(Fraction(PRIMES[0], PRIMES[-1]))),
+              a.differentiate("x1"), a.antiderivative("t1"), a.subs_params({"t": 3})):
+        _canonical(p)
+    assert q_eq(to_ref(a + b), q_add(ra, rb))
+    assert q_eq(to_ref(a - b), q_add(ra, q_neg(rb)))
+    assert q_eq(to_ref(a * b), q_mul(ra, rb))
+    assert (a * b).q > 2 ** 128
+    assert _stored((a + b) - b) == _stored(a)
+    assert (a * b).scale(Scalar(Fraction(1, b.q))).scale(b.q) == a * b
+
+
+def test_sums_that_cancel():
+    x1, x2, x3 = (Poly.var(X, v) for v in X)
+    a = x1.scale(Fraction(1, 6)) + x2.scale(Scalar(Fraction(1, 4), Fraction(1, 3))) + x3.scale(7)
+    b = x1.scale(Fraction(1, 6)) - x2.scale(Scalar(Fraction(1, 4), Fraction(1, 3)))
+    # per coefficient: the x1 term cancels, the others add, and q drops from 12 to 6
+    s = a - b
+    _canonical(s)
+    assert a.q == 12 and s.q == 6
+    assert s.terms == {((0, 1, 0), ()): (3, 4), ((0, 0, 1), ()): (42, 0)}
+    assert str(s) == "(1/2+2/3*i)*x2 + 7*x3"
+    assert q_eq(to_ref(s), q_add(to_ref(a), q_neg(to_ref(b))))
+    # a whole Poly: zero with q == 1, also over a t denominator
+    for p in (a, a * b, random_flat(random.Random(7)), _large_flat(random.Random(8))):
+        z = p - p
+        assert z.is_zero() and z.q == 1 and z.den is PP_ONE and z.terms == {}
+        assert _stored(p + (-p)) == _stored(Poly.zero(X))
+    # cancelling every fraction leaves integer numerators over q == 1
+    half = x1.scale(Fraction(1, 2)) + x2.scale(Scalar(Fraction(1, 2), Fraction(1, 2)))
+    whole = half + half
+    assert whole.q == 1 and whole.terms == {((1, 0, 0), ()): (1, 0), ((0, 1, 0), ()): (1, 1)}
+
+
+def test_storage_is_canonical_across_routes():
+    for seed in SEEDS:
+        rng = random.Random(600 + seed)
+        p, q, r = random_flat(rng), random_flat(rng), random_flat(rng)
+        assert _stored((p * q) * r) == _stored(p * (q * r))
+        assert _stored((p + q) - q) == _stored(p)
+        assert _stored(p * q + p * r) == _stored(p * (q + r))
+        assert _stored(p.scale(Fraction(2, 3)).scale(Fraction(3, 2))) == _stored(p)
+        assert _stored(parse_poly(str(p), X)) == _stored(p)
+
+
+def test_shared_content_of_real_and_imaginary_parts_is_divided_out():
+    x1, x2 = Poly.var(X, "x1"), Poly.var(X, "x2")
+    # (1 + 2i)/6 * 2 = (1 + 2i)/3: the 2 in both parts cancels against q
+    p = x1.scale(Scalar(Fraction(1, 6), Fraction(1, 3))).scale(2)
+    assert p.q == 3 and p.terms == {((1, 0, 0), ()): (1, 2)}
+    # (3 + 6i)/9 = (1 + 2i)/3, built as a sum of its two parts
+    p = x1.scale(Fraction(3, 9)) + x1.scale(Scalar(0, Fraction(6, 9)))
+    assert p.q == 3 and p.terms == {((1, 0, 0), ()): (1, 2)}
+    # the content is shared across terms: x1/3 + 2i/3 x2, from sixths
+    p = x1.scale(Fraction(2, 6)) + x2.scale(Scalar(0, Fraction(4, 6)))
+    assert p.q == 3 and p.terms == {((1, 0, 0), ()): (1, 0), ((0, 1, 0), ()): (0, 2)}
+    # a product: (1 + i)/2 * (1 - i)/2 = 1/2, and (1 + i)^2/2 = i
+    z = Scalar(Fraction(1, 2), Fraction(1, 2))
+    assert (x1.scale(z) * x2.scale(Scalar(Fraction(1, 2), Fraction(-1, 2)))).terms == \
+        {((1, 1, 0), ()): (1, 0)}
+    square = x1.scale(z) * x1.scale(z).scale(2)
+    assert square.q == 1 and square.terms == {((2, 0, 0), ()): (0, 1)}
+    for p in (square, x1.scale(z)):
+        _canonical(p)
+
+
+# -- printing a t-free Poly straight from its numerators ------------------------------
+
+def str_by_coefficients(p: Poly) -> str:
+    """str(p) through ``coefficients()``, one ParamRational per x-monomial: the
+    route ``Poly.__str__`` takes for a Poly with t, and took for every Poly."""
+    if p.is_zero():
+        return "0"
+    parts = []
+    for m, c in sorted(p.coefficients().items(), key=lambda kv: (sum(kv[0]), kv[0]),
+                       reverse=True):
+        mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(p.roster, m) if e)
+        if not mono:
+            parts.append(str(c))
+            continue
+        sign, c = c.sign_split()
+        pre = "-" if sign < 0 else ""
+        if c.is_one():
+            parts.append(pre + mono)
+        else:
+            cs = str(c)
+            if not c.atomic_in_product():
+                cs = f"({cs})"
+            parts.append(f"{pre}{cs}*{mono}")
+    return " + ".join(parts).replace("+ -", "- ")
+
+
+SPECIAL = [Scalar(1), Scalar(-1), Scalar(0, 1), Scalar(0, -1), Scalar(2, -3),
+           Scalar(Fraction(-1, 2), Fraction(1, 3)), Scalar(Fraction(4, 6)), Scalar(0, Fraction(-9, 12)),
+           Scalar(Fraction(PRIMES[0], PRIMES[1] * PRIMES[2]), -1)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_t_free_printing_matches_the_coefficient_route(seed):
+    rng = random.Random(700 + seed)
+    polys = []
+    for _ in range(4):
+        p = Poly.zero(X)
+        for _ in range(rng.randint(1, 5)):
+            c = rng.choice(SPECIAL) if rng.random() < 0.5 else random_scalar(rng)
+            p = p + Poly.monomial(X, tuple(rng.randint(0, 2) for _ in X), c)
+        polys.append(p)
+    a, b, c, d = polys
+    for p in (a, b, c, d, a * b - c, -d, a.scale(Scalar(0, -1)), (a - a) + Poly.const(X, -1)):
+        assert not p.param_variables()
+        assert str(p) == str_by_coefficients(p)
+        assert parse_poly(str(p), X) == p
+    t_dependent = a + Poly.const(X, ParamPoly.var("t1"))
+    assert str(t_dependent) == str_by_coefficients(t_dependent)
 
 
 # -- printed forms, captured before the flat ring replaced the coefficient tower --

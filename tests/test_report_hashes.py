@@ -1,0 +1,37 @@
+"""Every shipped scenario command prints the same text report, byte for byte.
+
+The hashes are the sha256 of each command's text report at the scenario's own
+seed, recorded before the coefficient ring stored integer numerators.  A
+change that keeps every result exact and every printed form the same leaves
+them all in place; a change to a report's wording updates them on purpose.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from fedconn.cli import main
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+REPORT_SHA256 = {
+    ("quantize", "flat_r2.scn"): "1ad4c6149a0b43a985a895103512d20830607476d4ce40bd59f5fb455c04e0cc",
+    ("quantize", "curved_r2.scn"): "f6e56d3b6fa8557b9c10e3ecdc4b19828b2e0471d60fdbefe3651461549d53cc",
+    ("family", "family_r2.scn"): "2a21768221ceae4db78ded44bc8bc3655363534d62b82b96329722b37c1ec6ae",
+    ("family", "family2_r2.scn"): "9984f12ce1cbb2c4433ff15441a1d486f852c5457386f1493e416068009dcc1f",
+    ("gauge", "family_r2.scn"): "d2db6994787d0deb7fac68860653d281e1962dfd2bac827ac25ed5517eae82ab",
+    ("verify-all", "family_r2.scn"): "2d7337091bfa3fb496abe3634fe78a9c29f0e631aa13fb60136efe5755257c31",
+    ("kahler", "kahler_r2.scn"): "ac6611ee368bdd3877ccf3a8e38111e6810a87b3f8f2be7c8fc28b3a9351fec6",
+    ("kahler", "kahler_r4.scn"): "8765fb2f81f46afd319341d541e8a5c70ed9556bd99f4116067c3eeb22a18a05",
+}
+
+
+@pytest.mark.parametrize("command, scenario", sorted(REPORT_SHA256),
+                         ids=[f"{c} {s}" for c, s in sorted(REPORT_SHA256)])
+def test_text_report_is_unchanged(capsys, monkeypatch, command, scenario):
+    monkeypatch.delenv("FEDCONN_REPORT_DIR", raising=False)
+    code = main([command, "--scenario", str(SCENARIOS / scenario)])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == REPORT_SHA256[(command, scenario)]

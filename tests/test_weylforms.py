@@ -3,8 +3,8 @@ import random
 import pytest
 
 from fedconn.scalars import Scalar, I
-from fedconn.polynomials import Poly, ParamRational, parse_poly
-from fedconn.weylforms import WeylForm, omega_tilde, poincare_potential
+from fedconn.polynomials import Poly, ParamRational, parse_poly, add_term
+from fedconn.weylforms import WeylForm, omega_tilde, poincare_potential, _contract, _wedge_sign
 from fedconn.properties import random_weyl_form
 
 
@@ -228,3 +228,42 @@ def test_ad_over_h_of_one_forms_is_symmetric(sym2, sym4, seed):
     # an even form is antisymmetric with a 1-form, so the shortcut is for 1-forms only
     c = random_weyl_form(sym, 8, rng, terms=6, max_form=0)
     assert c.ad_over_h(a) == -a.ad_over_h(c)
+
+
+def mw_pair_by_states(self, key1, c1, key2, c2, out, commutator, over_h):
+    """``WeylForm._mw_pair`` as a loop over the contraction states, one
+    scaled product per state: the reference for the cached contractions."""
+    (k1, a1, J1), (k2, a2, J2) = key1, key2
+    if set(J1) & set(J2):
+        return
+    ctx = self.ctx
+    sign = _wedge_sign(J1, J2)
+    J = tuple(sorted(J1 + J2))
+    cc = c1 * c2
+    kmax = min(sum(a1), sum(a2))
+    state = {(a1, a2): Scalar(1)}
+    for k in range(kmax + 1):
+        if state and (k % 2 == 1 or not commutator):
+            factor = ctx.moyal_factor(k) * (2 if commutator else 1) * (I if over_h else 1)
+            h_power = k1 + k2 + k - (1 if over_h else 0)
+            for (b1, b2), w in state.items():
+                key = (h_power, tuple(e1 + e2 for e1, e2 in zip(b1, b2)), J)
+                add_term(out, key, cc.scale(w * factor * sign))
+        state = _contract(ctx, state)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cached_contractions_match_the_state_loop(sym2, sym4, seed, monkeypatch):
+    rng = random.Random(30 + seed)
+    sym = sym4 if seed % 2 else sym2
+    t_poly = ParamRational.var("t1") + 2
+    pairs = []
+    for _ in range(3):
+        a = random_weyl_form(sym, 8, rng, terms=6, max_y=2, max_form=1)
+        b = random_weyl_form(sym, 8, rng, terms=6, max_y=2, max_form=1).scale(t_poly)
+        pairs.append((a, b, [a.mw(b), a.graded_comm(b), a.ad_over_h(b), a.mw(b, max_degree=5)]))
+    monkeypatch.setattr(WeylForm, "_mw_pair", mw_pair_by_states)
+    assert any(not cached[0].is_zero() for _, _, cached in pairs)
+    assert any(not cached[2].is_zero() for _, _, cached in pairs)
+    for a, b, cached in pairs:
+        assert cached == [a.mw(b), a.graded_comm(b), a.ad_over_h(b), a.mw(b, max_degree=5)]
