@@ -25,7 +25,7 @@ import itertools
 from fractions import Fraction
 
 from .polynomials import (
-    Poly, ParamRational, FormalFunction, monomials_up_to, exponents_up_to, is_param_name,
+    Poly, FormalFunction, monomials_up_to, exponents_up_to, is_param_name,
 )
 from .weylforms import WeylForm, poincare_potential
 from .symplectic import ConnectionFamily
@@ -380,7 +380,7 @@ def derivation_identity(family: FamilyContext, A: ConnectionOneForm, basis_degre
     half = basis[: max(3, len(basis) // 2)]
     tpoly = Poly.const(roster, 1)
     for p in family.params:
-        tpoly = tpoly * Poly.const(roster, ParamRational.var(p) + 1)
+        tpoly = tpoly * (Poly.var(roster, p) + 1)
 
     def DV(p, f):
         return FormalFunction.from_poly(f.differentiate(p), family.order) + A[p].apply(f)

@@ -3,7 +3,7 @@
 A linear family is a t-dependent, x-constant complex structure I_t compatible
 with the fixed omega: I_t^2 = -Id, g_t = omega * I_t symmetric, positive at
 declared sample parameters.  Everything below is exact matrix calculus over
-rational functions of t.
+rational functions of t, each a t-only ``Poly`` (one over the empty roster).
 
 Conventions (calibrated against the Poisson orientation of this package and
 pinned by the tests):
@@ -45,7 +45,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .scalars import Scalar, I
-from .polynomials import Poly, ParamRational, PR_ONE, PR_ZERO, monomials_up_to, add_term
+from .polynomials import Poly, monomials_up_to, add_term
 from .weylforms import WeylContext
 from .multidiff import MultiDiffOp, StarTruncation, unit_vectors
 
@@ -61,15 +61,14 @@ class VariationError(AssertionError):
 Variation = namedtuple("Variation", "G Gh Ga Mdot half_G")
 
 
-# -- exact matrices over ParamRational ---------------------------------------
+# -- exact matrices over t-only Polys -------------------------------------------
 
 def mat(entries):
-    return [[ParamRational.of(v) if not isinstance(v, ParamRational) else v for v in row]
-            for row in entries]
+    return [[v if isinstance(v, Poly) else Poly.const((), v) for v in row] for row in entries]
 
 
 def mat_identity(n):
-    return [[PR_ONE if i == j else PR_ZERO for j in range(n)] for i in range(n)]
+    return [[Poly.const((), int(i == j)) for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a, b):
@@ -78,7 +77,7 @@ def mat_mul(a, b):
     for i in range(n):
         row = []
         for j in range(m):
-            acc = PR_ZERO
+            acc = Poly.zero(())
             for k in range(p):
                 if not a[i][k].is_zero() and not b[k][j].is_zero():
                     acc = acc + a[i][k] * b[k][j]
@@ -112,11 +111,11 @@ def mat_eq(a, b):
 
 
 def mat_deriv(a, name):
-    return [[x.derivative(name) for x in row] for row in a]
+    return [[x.differentiate(name) for x in row] for row in a]
 
 
 def mat_subs(a, values):
-    return [[x.subs(values) for x in row] for row in a]
+    return [[x.subs_params(values) for x in row] for row in a]
 
 
 def mat_inverse(a):
@@ -144,9 +143,9 @@ def _leading_minors_positive(m):
         row = []
         for c in range(n):
             e = m[r][c]
-            if not e.is_constant():
+            if e.param_variables():
                 raise ValueError("positivity check needs constant entries")
-            z = e.constant_value()
+            z = e.as_scalar()
             if not z.is_real():
                 return False, f"entry ({r+1},{c+1}) is not real: {z}"
             row.append(z.re)
@@ -179,8 +178,8 @@ class LinearKahlerFamily:
         self.I = mat(I_matrix)
         if len(self.I) != n or any(len(row) != n for row in self.I):
             raise ValueError("complex structure has the wrong shape")
-        self.pi_mat = [[ParamRational.const(v) for v in row] for row in sym.pi]
-        self.omega_mat = [[ParamRational.const(v) for v in row] for row in sym.omega]
+        self.pi_mat = mat(sym.pi)
+        self.omega_mat = mat(sym.omega)
         if not mat_eq(mat_mul(self.I, self.I), mat_neg(mat_identity(n))):
             raise ValueError("I^2 = -Id fails identically in t")
         self.g = mat_mul(self.omega_mat, self.I)
@@ -188,9 +187,14 @@ class LinearKahlerFamily:
             raise ValueError("g = omega * I is not symmetric")
         self.samples = [dict(s) for s in samples]
         for s in self.samples:
-            ok, wit = _leading_minors_positive(mat_subs(self.g, s))
+            at = ", ".join(f"{name}={value}" for name, value in s.items())
+            try:
+                g = mat_subs(self.g, s)
+            except ZeroDivisionError:
+                raise ValueError(f"metric has a pole at sample {at}") from None
+            ok, wit = _leading_minors_positive(g)
             if not ok:
-                raise ValueError(f"metric not positive at sample {s}: {wit}")
+                raise ValueError(f"metric not positive at sample {at}: {wit}")
         self.gtilde = mat_inverse(self.g)
         half_i = HALF * I
         self.proj = mat_sub(mat_scale(mat_identity(n), HALF), mat_scale(self.I, half_i))
@@ -460,7 +464,7 @@ def family_directions(fam: LinearKahlerFamily, F: Poly):
     params = set(F.param_variables())
     for row in fam.I:
         for v in row:
-            params |= v.variables()
+            params |= v.param_variables()
     return sorted(params) or ["t1"]
 
 

@@ -29,10 +29,9 @@ import itertools
 import math
 import operator
 
-from .scalars import ONE, I
+from .scalars import Scalar, ONE, I
 from .polynomials import (
     Poly, FormalFunction, monomials_up_to, merge_rosters, add_term, exponents_up_to,
-    as_coefficient,
 )
 
 
@@ -148,7 +147,7 @@ class MultiDiffOp:
         return self + (-other)
 
     def scale(self, value) -> "MultiDiffOp":
-        c = as_coefficient(value)
+        c = value if isinstance(value, Poly) else Scalar.of(value)
         return MultiDiffOp(self.roster, self.arity, self.order,
                            {k: p.scale(c) for k, p in self.terms.items()})
 

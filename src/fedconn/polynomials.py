@@ -1,29 +1,24 @@
 """Exact polynomial arithmetic.
 
-* ``Poly``        -- polynomials in base variables (x1, x2, ... and the jet
-                     variables of operator symbols) with coefficients rational
-                     in parameter variables (t, t1, t2, ...).  One sparse map
-                     takes (x exponents, t monomial) to a Gaussian-integer
-                     numerator pair over one positive integer denominator per
-                     Poly, so arithmetic runs on plain ints and reduces each
-                     result once; rational dependence on t is carried by one
-                     monic ``ParamPoly`` denominator per Poly, which is 1
-                     unless a coefficient needs it.  ``Scalar`` is the exact
-                     type a Poly takes and hands out at its boundary.
-* ``ParamPoly``   -- polynomials in the parameters alone over Scalar.
-                     Monomials are keyed by sorted (name, exponent) tuples, so
-                     the representation is canonical with no roster
-                     bookkeeping; a Poly's t monomials use the same keys.
-* ``ParamRational`` -- quotients of ParamPolys, reduced by polynomial gcd,
-                     denominator normalized monic (and equal to 1 whenever the
-                     value is polynomial).  These are the t-only scalars: the
-                     entries of Kahler matrices, the values a Poly is built
-                     from or scaled by, and the coefficients a Poly reports
-                     (``coefficient``, ``constant_coefficient``).
+``Poly`` is a polynomial in base variables (x1, x2, ... and the jet variables
+of operator symbols) with coefficients rational in parameter variables (t, t1,
+t2, ...).  One sparse map takes (x exponents, t monomial) to a
+Gaussian-integer numerator pair over one positive integer denominator per
+Poly, so arithmetic runs on plain ints and reduces each result once; rational
+dependence on t is carried by one monic denominator per Poly, which is
+``T_ONE`` unless a coefficient needs it.  ``Scalar`` is the exact type a Poly
+takes and hands out at its boundary.
+
+A Poly over the empty roster () is a t-only value, and the one coefficient
+ring of the package: the entries of Kahler matrices, the values a Poly is
+built from or scaled by, the coefficients a Poly reports (``coefficients``,
+``constant_coefficient``) and every t denominator are such Polys.  t monomials
+are keyed by sorted (name, exponent) tuples, so the representation is
+canonical with no roster bookkeeping.  ``pp_gcd`` is their monic gcd.
 
 Each of a Poly's two denominators shares no factor with all of its
 numerators at once, so equal Polys are equal structurally; the gcd that keeps
-it so runs only when that denominator is not 1.
+it so runs only when the t denominator is not 1.
 
 ``FormalFunction`` is a finite h-expansion sum_k h^k * Poly, truncated at a
 declared order.
@@ -38,13 +33,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from fractions import Fraction
 from math import gcd
 
-from .scalars import (
-    Scalar, ZERO, ONE, format_scalar, format_gaussian, gaussian_is_atomic, gaussian_is_negative,
-    scalar_is_atomic, scalar_sign_split,
-)
+from .scalars import Scalar, ONE, format_gaussian, gaussian_is_atomic, gaussian_is_negative
 
 
 def natural_key(name: str):
@@ -119,15 +110,6 @@ def mono_div(b, a):
     return _mono_of({n: e for n, e in d.items() if e})
 
 
-def mono_gcd(a, b):
-    da, db = dict(a), dict(b)
-    out = {}
-    for name, e in da.items():
-        if name in db:
-            out[name] = min(e, db[name])
-    return _mono_of(out)
-
-
 def _mono_derivative(m, name):
     """[(m with the exponent e of name lowered by one, e)], or [] when name is
     absent; distinct monomials stay distinct, so no two results collide."""
@@ -142,516 +124,8 @@ def _mono_sort_key(m):
     return (mono_degree(m), tuple((natural_key(n), e) for n, e in m))
 
 
-class ParamPoly:
-    """Polynomial in parameter variables over Scalar, canonically represented."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = terms or {}
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def const(z) -> "ParamPoly":
-        z = Scalar.of(z)
-        return ParamPoly({} if z.is_zero() else {EMPTY_MONO: z})
-
-    @staticmethod
-    def var(name: str) -> "ParamPoly":
-        if not is_param_name(name):
-            raise ValueError(f"{name!r} is not a parameter variable")
-        return ParamPoly({((name, 1),): ONE})
-
-    # -- predicates --------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_constant(self) -> bool:
-        return all(m == EMPTY_MONO for m in self.terms)
-
-    def is_one(self) -> bool:
-        return len(self.terms) == 1 and EMPTY_MONO in self.terms and self.terms[EMPTY_MONO].is_one()
-
-    def constant_value(self) -> Scalar:
-        if not self.is_constant():
-            raise ValueError("not a constant ParamPoly")
-        return self.terms.get(EMPTY_MONO, ZERO)
-
-    def variables(self):
-        out = set()
-        for m in self.terms:
-            for name, _ in m:
-                out.add(name)
-        return out
-
-    def degree(self) -> int:
-        return max((mono_degree(m) for m in self.terms), default=0)
-
-    def degree_in(self, name: str) -> int:
-        d = 0
-        for m in self.terms:
-            for n, e in m:
-                if n == name:
-                    d = max(d, e)
-        return d
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, ParamPoly):
-            other = ParamPoly.const(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            add_term(out, m, c)
-        return ParamPoly(out)
-
-    def __neg__(self):
-        return ParamPoly({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, ParamPoly):
-            other = ParamPoly.const(other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, ParamPoly):
-            other = ParamPoly.const(other)
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                add_term(out, mono_mul(m1, m2), c1 * c2)
-        return ParamPoly(out)
-
-    def scale(self, z: Scalar) -> "ParamPoly":
-        z = Scalar.of(z)
-        if z.is_zero():
-            return ParamPoly()
-        return ParamPoly({m: c * z for m, c in self.terms.items()})
-
-    def __pow__(self, k: int):
-        out = ParamPoly.const(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, ParamPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset((m, c.a, c.b, c.q) for m, c in self.terms.items()))
-
-    # -- leading data (graded lex) ------------------------------------------
-
-    def leading_monomial(self):
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=_mono_sort_key)
-
-    def leading_coefficient(self) -> Scalar:
-        return self.terms[self.leading_monomial()]
-
-    # -- calculus ------------------------------------------------------------
-
-    def derivative(self, name: str) -> "ParamPoly":
-        return ParamPoly({low: c.mul_int(e) for m, c in self.terms.items()
-                          for low, e in _mono_derivative(m, name)})
-
-    def subs(self, values: dict) -> "ParamPoly":
-        """Substitute Scalars for a subset of the variables."""
-        out = ParamPoly()
-        for m, c in self.terms.items():
-            z = c
-            rest = []
-            for name, e in m:
-                if name in values:
-                    z = z * (Scalar.of(values[name]) ** e)
-                else:
-                    rest.append((name, e))
-            out = out + ParamPoly({tuple(rest): z} if not z.is_zero() else {})
-        return out
-
-    # -- printing ------------------------------------------------------------
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: _mono_sort_key(kv[0]), reverse=True)
-
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for m, c in self.sorted_terms():
-            mono = "*".join(n if e == 1 else f"{n}^{e}" for n, e in m)
-            if not mono:
-                parts.append(format_scalar(c))
-                continue
-            sign, c = scalar_sign_split(c)
-            pre = "-" if sign < 0 else ""
-            if c.is_one():
-                parts.append(pre + mono)
-            else:
-                cs = format_scalar(c)
-                if not scalar_is_atomic(c):
-                    cs = f"({cs})"
-                parts.append(f"{pre}{cs}*{mono}")
-        s = " + ".join(parts)
-        return s.replace("+ -", "- ")
-
-    def __repr__(self):
-        return f"ParamPoly({self})"
-
-
-PP_ZERO = ParamPoly()
-PP_ONE = ParamPoly.const(1)
-
-
-# ---------------------------------------------------------------------------
-# polynomial gcd (primitive Euclidean algorithm)
-# ---------------------------------------------------------------------------
-
-def _pp_divexact(a: ParamPoly, b: ParamPoly) -> ParamPoly:
-    """Exact division a / b; raises ValueError when not exact."""
-    if b.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    if b.is_constant():
-        inv = ONE / b.constant_value()
-        return a.scale(inv)
-    # graded lex along the sorted variables: a monomial order, which the
-    # division needs and the printing order of _mono_sort_key is not
-    names = sorted(a.variables() | b.variables(), key=natural_key)
-
-    def order(m):
-        d = dict(m)
-        return mono_degree(m), tuple(d.get(n, 0) for n in names)
-
-    quota = {}
-    rem = a
-    lb = max(b.terms, key=order)
-    cb = b.terms[lb]
-    while not rem.is_zero():
-        lr = max(rem.terms, key=order)
-        if not mono_divides(lb, lr):
-            raise ValueError("polynomial division is not exact")
-        qm = mono_div(lr, lb)
-        qc = rem.terms[lr] / cb
-        add_term(quota, qm, qc)
-        rem = rem - ParamPoly({qm: qc}) * b
-    return ParamPoly(quota)
-
-
-def _uni_view(p: ParamPoly, name: str):
-    """View p as a univariate polynomial in `name` with ParamPoly coefficients."""
-    coeffs = {}
-    for m, c in p.terms.items():
-        d = dict(m)
-        e = d.pop(name, 0)
-        coeffs.setdefault(e, {})[_mono_of(d)] = c
-    return {e: ParamPoly(t) for e, t in coeffs.items()}
-
-
-def _uni_assemble(coeffs: dict, name: str) -> ParamPoly:
-    out = ParamPoly()
-    for e, c in coeffs.items():
-        out = out + c * (ParamPoly.var(name) ** e if e else PP_ONE)
-    return out
-
-
-def _uni_mul_coeff(coeffs, c: ParamPoly):
-    return {e: v * c for e, v in coeffs.items()}
-
-
-def _uni_sub(a, b):
-    out = dict(a)
-    for e, v in b.items():
-        add_term(out, e, -v)
-    return out
-
-
-def _uni_content(coeffs) -> ParamPoly:
-    g = PP_ZERO
-    for v in coeffs.values():
-        g = pp_gcd(g, v)
-    return g
-
-
-def pp_gcd(a: ParamPoly, b: ParamPoly) -> ParamPoly:
-    """Monic gcd over Q(i); gcd with 0 returns the other argument made monic."""
-    if a.is_zero():
-        return _make_monic(b)
-    if b.is_zero():
-        return _make_monic(a)
-    # common monomial factor first
-    ga = mono_gcd_of(a)
-    gb = mono_gcd_of(b)
-    common = mono_gcd(ga, gb)
-    a = ParamPoly({mono_div(m, ga): c for m, c in a.terms.items()}) if ga else a
-    b = ParamPoly({mono_div(m, gb): c for m, c in b.terms.items()}) if gb else b
-    if a.is_constant() or b.is_constant():
-        return ParamPoly({common: ONE})
-    names = sorted(a.variables() | b.variables(), key=natural_key)
-    g = _pp_gcd_rec(a, b, names)
-    return _make_monic(g * ParamPoly({common: ONE}))
-
-
-def mono_gcd_of(p: ParamPoly):
-    it = iter(p.terms)
-    g = next(it)
-    for m in it:
-        g = mono_gcd(g, m)
-        if not g:
-            break
-    return g
-
-
-def _make_monic(p: ParamPoly) -> ParamPoly:
-    if p.is_zero():
-        return p
-    return p.scale(ONE / p.leading_coefficient())
-
-
-def _pp_gcd_rec(a: ParamPoly, b: ParamPoly, names) -> ParamPoly:
-    if a.is_constant() or b.is_constant():
-        return PP_ONE
-    v = names[-1]
-    da, db = a.degree_in(v), b.degree_in(v)
-    if da == 0 or db == 0:
-        # v missing from one argument: gcd divides the v-free content
-        ua, ub = _uni_view(a, v), _uni_view(b, v)
-        return _pp_gcd_rec_content(_uni_content(ua), _uni_content(ub))
-    A, B = (_uni_view(a, v), _uni_view(b, v)) if da >= db else (_uni_view(b, v), _uni_view(a, v))
-    cont_a, cont_b = _uni_content(A), _uni_content(B)
-    gc = _pp_gcd_rec_content(cont_a, cont_b)
-    A = {e: _pp_divexact(c, cont_a) for e, c in A.items()}
-    B = {e: _pp_divexact(c, cont_b) for e, c in B.items()}
-    while B:
-        R = _uni_pseudo_rem(A, B, v)
-        A = B
-        if R:
-            cont = _uni_content(R)
-            R = {e: _pp_divexact(c, cont) for e, c in R.items()}
-        B = R
-    prim = _uni_assemble(A, v)
-    return _make_monic(gc * prim)
-
-
-def _pp_gcd_rec_content(a: ParamPoly, b: ParamPoly) -> ParamPoly:
-    if a.is_constant() or b.is_constant():
-        return PP_ONE
-    return pp_gcd(a, b)
-
-
-def _uni_pseudo_rem(A, B, v):
-    dB = max(B)
-    lB = B[dB]
-    R = dict(A)
-    while R and max(R) >= dB:
-        dR = max(R)
-        lR = R[dR]
-        R = _uni_mul_coeff(R, lB)
-        shifted = {e + dR - dB: c * lR for e, c in B.items()}
-        R = _uni_sub(R, shifted)
-    return R
-
-
-# ---------------------------------------------------------------------------
-# ParamRational
-# ---------------------------------------------------------------------------
-
-class ParamRational:
-    """num / den with ParamPoly parts, gcd-reduced, denominator monic."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: ParamPoly, den: ParamPoly, _normalized=False):
-        if _normalized:
-            self.num, self.den = num, den
-            return
-        if den.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        if num.is_zero():
-            self.num, self.den = PP_ZERO, PP_ONE
-            return
-        if den.is_constant():
-            c = den.constant_value()
-            self.num = num if c.is_one() else num.scale(ONE / c)
-            self.den = PP_ONE
-            return
-        g = pp_gcd(num, den)
-        if not g.is_one():
-            num = _pp_divexact(num, g)
-            den = _pp_divexact(den, g)
-        if den.is_constant():
-            c = den.constant_value()
-            self.num = num if c.is_one() else num.scale(ONE / c)
-            self.den = PP_ONE
-        else:
-            lc = den.leading_coefficient()
-            if lc.is_one():
-                self.num, self.den = num, den
-            else:
-                inv = ONE / lc
-                self.num, self.den = num.scale(inv), den.scale(inv)
-
-    # -- constructors ---------------------------------------------------------
-
-    @staticmethod
-    def of(value) -> "ParamRational":
-        if isinstance(value, ParamRational):
-            return value
-        if isinstance(value, ParamPoly):
-            return ParamRational(value, PP_ONE)
-        if isinstance(value, (int, Fraction, Scalar)):
-            return ParamRational(ParamPoly.const(value), PP_ONE)
-        raise TypeError(f"cannot build ParamRational from {value!r}")
-
-    @staticmethod
-    def const(z) -> "ParamRational":
-        return ParamRational(ParamPoly.const(z), PP_ONE)
-
-    @staticmethod
-    def var(name: str) -> "ParamRational":
-        return ParamRational(ParamPoly.var(name), PP_ONE)
-
-    # -- predicates -------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_one(self) -> bool:
-        return self.den.is_one() and self.num.is_one()
-
-    def is_polynomial(self) -> bool:
-        return self.den.is_one()
-
-    def is_constant(self) -> bool:
-        return self.den.is_one() and self.num.is_constant()
-
-    def constant_value(self) -> Scalar:
-        if not self.is_constant():
-            raise ValueError("not a constant")
-        return self.num.constant_value()
-
-    def variables(self):
-        return self.num.variables() | self.den.variables()
-
-    # -- arithmetic ---------------------------------------------------------------
-
-    def __add__(self, other):
-        other = ParamRational.of(other)
-        if self.den.is_one() and other.den.is_one():
-            return ParamRational(self.num + other.num, PP_ONE, _normalized=True)
-        return ParamRational(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ParamRational(-self.num, self.den, _normalized=True)
-
-    def __sub__(self, other):
-        return self + (-ParamRational.of(other))
-
-    def __rsub__(self, other):
-        return ParamRational.of(other) - self
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Scalar, Fraction)):
-            # scaling by a unit leaves the normalized denominator untouched
-            z = Scalar.of(other)
-            if z.is_zero():
-                return PR_ZERO
-            if z.is_one():
-                return self
-            return ParamRational(self.num.scale(z), self.den, _normalized=True)
-        other = ParamRational.of(other)
-        if self.den.is_one() and other.den.is_one():
-            return ParamRational(self.num * other.num, PP_ONE, _normalized=True)
-        return ParamRational(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = ParamRational.of(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        return ParamRational(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return ParamRational.of(other) / self
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return ParamRational.const(1) / (self ** (-k))
-        return ParamRational(self.num ** k, self.den ** k)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            other = ParamRational.const(other)
-        if not isinstance(other, ParamRational):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    # -- calculus ---------------------------------------------------------------
-
-    def derivative(self, name: str) -> "ParamRational":
-        if self.den.is_one():
-            return ParamRational(self.num.derivative(name), PP_ONE, _normalized=True)
-        dn = self.num.derivative(name) * self.den - self.num * self.den.derivative(name)
-        return ParamRational(dn, self.den * self.den)
-
-    def subs(self, values: dict) -> "ParamRational":
-        den = self.den.subs(values)
-        if den.is_zero():
-            raise ZeroDivisionError("denominator vanishes at the substituted point")
-        return ParamRational(self.num.subs(values), den)
-
-    # -- printing ---------------------------------------------------------------
-
-    def __str__(self):
-        if self.den.is_one():
-            return str(self.num)
-        num = str(self.num)
-        den = str(self.den)
-        # a lone complex constant such as 2/3-i prints as a sum, which / would split
-        if len(self.num.terms) > 1 or num.startswith("-") or (
-                self.num.is_constant() and not scalar_is_atomic(self.num.constant_value())):
-            num = f"({num})"
-        den = f"({den})"
-        return f"{num}/{den}"
-
-    def __repr__(self):
-        return f"ParamRational({self})"
-
-    def atomic_in_product(self) -> bool:
-        """True when str(self) needs no parentheses inside a '*' chain."""
-        if not self.den.is_one():
-            return True  # printed as num/den which binds like a factor chain
-        if len(self.num.terms) != 1:
-            return False
-        ((m, c),) = self.num.terms.items()
-        return scalar_is_atomic(c)
-
-    def sign_split(self):
-        """(-1, -self) when the single-term numerator carries a bare minus sign."""
-        if len(self.num.terms) == 1:
-            ((m, c),) = self.num.terms.items()
-            sign, _ = scalar_sign_split(c)
-            if sign < 0:
-                return -1, -self
-        return 1, self
-
-
-PR_ZERO = ParamRational.const(0)
-PR_ONE = ParamRational.const(1)
+def _mono_str(m) -> str:
+    return "*".join(n if e == 1 else f"{n}^{e}" for n, e in m)
 
 
 # ---------------------------------------------------------------------------
@@ -659,8 +133,10 @@ PR_ONE = ParamRational.const(1)
 # ---------------------------------------------------------------------------
 
 def merge_rosters(a, b):
-    if a == b:
+    if a == b or not b:
         return a
+    if not a:
+        return b
     return tuple(sorted(set(a) | set(b), key=natural_key))
 
 
@@ -746,72 +222,81 @@ def _over(items, q: int):
     return out, q * lcm
 
 
-def _t_coefficients(terms: dict, q: int) -> dict:
-    """x exponents -> the ParamPoly numerator of that x-monomial."""
+def _t_coefficients(terms: dict, q: int, den: "Poly") -> dict:
+    """x exponents -> the t-only Poly coefficient of that x-monomial over q and den."""
     out = {}
-    for (m, t), (a, b) in terms.items():
-        out.setdefault(m, {})[t] = Scalar._make(a, b, q)
-    return {m: ParamPoly(ts) for m, ts in out.items()}
+    for (m, t), c in terms.items():
+        out.setdefault(m, {})[((), t)] = c
+    return {m: Poly._make((), ts, q, den) for m, ts in out.items()}
 
 
-def _times_t(terms: dict, q: int, pp: ParamPoly):
-    """(terms, q) multiplied by a polynomial in t, unreduced."""
-    if pp is PP_ONE:
+def _times_t(terms: dict, q: int, p: "Poly"):
+    """(terms, q) times the numerators of the t-only Poly p, unreduced."""
+    if p is T_ONE:
         return terms, q
-    pterms, pq = _numerators(pp.terms)
     out = {}
     for (m, t1), (a1, b1) in terms.items():
-        for t2, (a2, b2) in pterms.items():
+        for (_, t2), (a2, b2) in p.terms.items():
             _acc(out, (m, mono_mul(t1, t2)), a1 * a2 - b1 * b2, a1 * b2 + b1 * a2)
-    return out, q * pq
+    return out, q * p.q
 
 
-def _den_mul(d1: ParamPoly, d2: ParamPoly) -> ParamPoly:
-    """d1 * d2, kept as the PP_ONE object when both are PP_ONE."""
-    return d2 if d1 is PP_ONE else d1 if d2 is PP_ONE else d1 * d2
+def _den_mul(d1: "Poly", d2: "Poly") -> "Poly":
+    """d1 * d2, kept as the T_ONE object when both are T_ONE."""
+    return d2 if d1 is T_ONE else d1 if d2 is T_ONE else d1 * d2
 
 
-def _reduce(terms: dict, q: int, den: ParamPoly):
-    """(terms, q, den) over the least monic common denominator; den is PP_ONE
+def _reduce(terms: dict, q: int, den: "Poly"):
+    """(terms, q, den) over the least monic common denominator; den is T_ONE
     when that is 1.  The only place a Poly calls pp_gcd."""
     if not terms:
-        return terms, 1, PP_ONE
-    if not den.is_constant():
-        nums = _t_coefficients(terms, q)
+        return terms, 1, T_ONE
+    if den.param_variables():
+        nums = _t_coefficients(terms, q, T_ONE)
         g = den
         for num in nums.values():
             g = pp_gcd(g, num)
-            if g.is_constant():
+            if not g.param_variables():
                 break
-        if not g.is_constant():
-            den = _pp_divexact(den, g)
-            terms, q = _numerators({(m, t): c for m, num in nums.items()
-                                    for t, c in _pp_divexact(num, g).terms.items()})
-    if den.is_constant():
-        inv, den = ONE / den.constant_value(), PP_ONE
-    else:
-        inv = ONE / den.leading_coefficient()
-        den = den.scale(inv)
+        if g.param_variables():
+            den = _t_divexact(den, g)
+            quotients = [(m, _t_divexact(num, g)) for m, num in nums.items()]
+            terms, q = _over([((m, t), a, b, p.q) for m, p in quotients
+                              for (_, t), (a, b) in p.terms.items()], 1)
+    inv = ONE / _leading(den)
+    den = den.scale(inv) if den.param_variables() else T_ONE
     if not inv.is_one():
         terms, q = _times_gaussian(terms, inv.a, inv.b), q * inv.q
     return (*_content(terms, q), den)
 
 
-def as_coefficient(value):
-    """A scaling value in the form ``Poly.scale`` is fastest on: a Scalar for
-    numbers and for t-free ParamPolys and ParamRationals, else a ParamRational."""
-    if isinstance(value, (int, Fraction, Scalar)):
-        return Scalar.of(value)
-    c = ParamRational.of(value)
-    return c.constant_value() if c.is_constant() else c
-
-
 def _monomial_terms(exps: tuple, value):
-    """(terms, q, den) of value * x^exps, for a number, ParamPoly or ParamRational."""
-    c = as_coefficient(value)
-    if type(c) is Scalar:
-        return ({} if c.is_zero() else {(exps, EMPTY_MONO): (c.a, c.b)}), c.q, PP_ONE
-    return (*_numerators({(exps, t): z for t, z in c.num.terms.items()}), c.den)
+    """(terms, q, den), reduced, of value * x^exps for a number or a t-only Poly."""
+    if isinstance(value, Poly):
+        return {(exps, t): c for (_, t), c in value.terms.items()}, value.q, value.den
+    c = Scalar.of(value)
+    return ({(exps, EMPTY_MONO): (c.a, c.b)} if c.a or c.b else {}), c.q, T_ONE
+
+
+def _format_terms(items) -> str:
+    """The sum of the terms (monomial string, a, b, q), each (a + b*i)/q times
+    its monomial, in the given order."""
+    parts = []
+    for mono, a, b, q in items:
+        if not mono:
+            parts.append(format_gaussian(a, b, q))
+            continue
+        pre = ""
+        if gaussian_is_negative(a, b):
+            pre, a, b = "-", -a, -b
+        if a == q and not b:
+            parts.append(pre + mono)
+        else:
+            cs = format_gaussian(a, b, q)
+            if not gaussian_is_atomic(a, b):
+                cs = f"({cs})"
+            parts.append(f"{pre}{cs}*{mono}")
+    return " + ".join(parts).replace("+ -", "- ")
 
 
 class Poly:
@@ -819,43 +304,41 @@ class Poly:
 
     The value is the sum of (a + b*i) x^m t^u / (q * den) over ``terms``,
     which maps (x exponents m along ``roster``, t monomial u) to a nonzero
-    Gaussian-integer numerator pair (a, b); u is ParamPoly's canonical key,
-    () when t-free.  ``q`` is a positive integer sharing no factor with all
-    the numerators at once, so it is 1 exactly when every coefficient is a
-    Gaussian integer.  ``den`` is the monic ParamPoly that divides every
-    coefficient: PP_ONE unless some coefficient is rational in t, and sharing
-    no factor with all the numerators at once.  Equal Polys are therefore
-    equal structurally.
+    Gaussian-integer numerator pair (a, b); u is () when t-free.  ``q`` is a
+    positive integer sharing no factor with all the numerators at once, so it
+    is 1 exactly when every coefficient is a Gaussian integer.  ``den`` is the
+    monic t-only Poly that divides every coefficient: T_ONE unless some
+    coefficient is rational in t, and sharing no factor with all the
+    numerators at once.  Equal Polys are therefore equal structurally.
 
     Arithmetic runs on plain ints, and each result is reduced once: one gcd
     pass over its numerators that stops at 1, skipped when its q is 1.
     Scalars are made only at the boundary (the constructor, ``scalar_terms``,
-    ``coefficients``, ``constant_coefficient``, the printing of a Poly with
-    t) and where ``pp_gcd`` reduces a t denominator.
+    ``as_scalar``) and where ``pp_gcd`` divides by a leading coefficient.
     """
 
     __slots__ = ("roster", "terms", "q", "den")
 
-    def __init__(self, roster, terms=None, den=PP_ONE):
-        """``terms`` maps keys to nonzero Scalars, the numerators over ``den``;
-        any ``den`` but PP_ONE is reduced."""
+    def __init__(self, roster, terms=None, den=None):
+        """``terms`` maps keys to nonzero Scalars, the numerators over ``den``,
+        a t-only Poly that is 1 when omitted and is reduced otherwise."""
         self.roster = tuple(roster)
         self.terms, self.q = _numerators(terms) if terms else ({}, 1)
-        self.den = PP_ONE
-        if den is not PP_ONE:
+        self.den = T_ONE
+        if den is not None and den is not T_ONE:
             self.terms, self.q, self.den = _reduce(self.terms, self.q, den)
 
     @staticmethod
-    def _new(roster: tuple, terms: dict, q: int, den: ParamPoly) -> "Poly":
+    def _new(roster: tuple, terms: dict, q: int, den: "Poly") -> "Poly":
         """The Poly of parts already reduced, without re-validating them."""
         p = object.__new__(Poly)
         p.roster, p.terms, p.q, p.den = roster, terms, q, den
         return p
 
     @staticmethod
-    def _make(roster: tuple, terms: dict, q: int, den: ParamPoly) -> "Poly":
+    def _make(roster: tuple, terms: dict, q: int, den: "Poly") -> "Poly":
         """The Poly of integer numerators over q and den, reduced once."""
-        if den is not PP_ONE:
+        if den is not T_ONE:
             terms, q, den = _reduce(terms, q, den)
         elif q != 1:
             terms, q = _content(terms, q)
@@ -871,19 +354,23 @@ class Poly:
 
     @staticmethod
     def const(roster, value) -> "Poly":
+        """value, a number or a t-only Poly, over roster."""
         roster = tuple(roster)
-        return Poly._make(roster, *_monomial_terms((0,) * len(roster), value))
+        return Poly._new(roster, *_monomial_terms((0,) * len(roster), value))
 
     @staticmethod
     def var(roster, name: str) -> "Poly":
+        """The variable name over roster: one of the roster, or a parameter."""
         roster = tuple(roster)
-        if name not in roster:
+        if name in roster:
+            return Poly.monomial(roster, tuple(int(v == name) for v in roster))
+        if not is_param_name(name):
             raise ValueError(f"variable {name!r} not in roster {roster}")
-        return Poly.monomial(roster, tuple(int(v == name) for v in roster))
+        return Poly._new(roster, {((0,) * len(roster), ((name, 1),)): (1, 0)}, 1, T_ONE)
 
     @staticmethod
     def monomial(roster, exps, coeff=1) -> "Poly":
-        return Poly._make(tuple(roster), *_monomial_terms(tuple(exps), coeff))
+        return Poly._new(tuple(roster), *_monomial_terms(tuple(exps), coeff))
 
     # -- predicates and coefficients ------------------------------------------------
 
@@ -891,7 +378,15 @@ class Poly:
         return not self.terms
 
     def is_constant(self) -> bool:
+        """Free of x; a constant Poly may still depend on t."""
         return all(not any(m) for m, _ in self.terms)
+
+    def as_scalar(self) -> Scalar:
+        """The number this Poly is; ValueError when it depends on x or t."""
+        if self.den is not T_ONE or any(any(m) or t for m, t in self.terms):
+            raise ValueError(f"{self} is not a number")
+        a, b = next(iter(self.terms.values()), (0, 0))
+        return Scalar._make(a, b, self.q)
 
     def scalar_terms(self) -> dict:
         """(x exponents, t monomial) -> the Scalar numerator of that term over ``den``."""
@@ -899,18 +394,17 @@ class Poly:
         return {key: Scalar._make(a, b, q) for key, (a, b) in self.terms.items()}
 
     def coefficients(self) -> dict:
-        """x exponents -> the coefficient of that x-monomial, a reduced ParamRational."""
-        if self.den is PP_ONE:
-            return {m: ParamRational(num, PP_ONE, _normalized=True)
-                    for m, num in _t_coefficients(self.terms, self.q).items()}
-        return {m: ParamRational(num, self.den)
-                for m, num in _t_coefficients(self.terms, self.q).items()}
+        """x exponents -> the coefficient of that x-monomial, a reduced t-only Poly."""
+        if not self.roster:
+            return {(): self} if self.terms else {}
+        return _t_coefficients(self.terms, self.q, self.den)
 
-    def constant_coefficient(self) -> ParamRational:
-        return self.coefficients().get((0,) * len(self.roster), PR_ZERO)
+    def constant_coefficient(self) -> "Poly":
+        """The coefficient of x^0, a reduced t-only Poly."""
+        return self.coefficients().get((0,) * len(self.roster), Poly.zero(()))
 
-    def param_variables(self):
-        out = self.den.variables()
+    def param_variables(self) -> set:
+        out = set() if self.den is T_ONE else self.den.param_variables()
         for _, t in self.terms:
             out.update(name for name, _ in t)
         return out
@@ -948,8 +442,8 @@ class Poly:
         a, b = self._aligned(other)
         if not b.terms:
             return a
-        if a.den is PP_ONE and b.den is PP_ONE:
-            return Poly._make(a.roster, *_sum(a.terms, a.q, b.terms, b.q, sign), PP_ONE)
+        if a.den is T_ONE and b.den is T_ONE:
+            return Poly._make(a.roster, *_sum(a.terms, a.q, b.terms, b.q, sign), T_ONE)
         ta, qa = _times_t(a.terms, a.q, b.den)
         tb, qb = _times_t(b.terms, b.q, a.den)
         return Poly._make(a.roster, *_sum(ta, qa, tb, qb, sign), _den_mul(a.den, b.den))
@@ -974,7 +468,7 @@ class Poly:
             return self.scale(other)
         a, b = self._aligned(other)
         if not a.terms or not b.terms:
-            return Poly._new(a.roster, {}, 1, PP_ONE)
+            return Poly._new(a.roster, {}, 1, T_ONE)
         out = {}
         for (m1, t1), (a1, b1) in a.terms.items():
             for (m2, t2), (a2, b2) in b.terms.items():
@@ -986,20 +480,21 @@ class Poly:
     __rmul__ = __mul__
 
     def scale(self, value) -> "Poly":
-        """self * value for a number, ParamPoly or ParamRational."""
+        """self * value for a number or a t-only Poly."""
         if type(value) is int:
             c, d, r = value, 0, 1
+        elif type(value) is Poly:
+            if value.den is not T_ONE or any(t for _, t in value.terms):
+                return Poly._make(self.roster, *_times_t(self.terms, self.q, value),
+                                  _den_mul(self.den, value.den))
+            (c, d), r = next(iter(value.terms.values()), (0, 0)), value.q
         else:
-            if type(value) is not Scalar:
-                value = as_coefficient(value)
-                if type(value) is not Scalar:
-                    return Poly._make(self.roster, *_times_t(self.terms, self.q, value.num),
-                                      _den_mul(self.den, value.den))
+            value = Scalar.of(value)
             c, d, r = value.a, value.b, value.q
         if c and d:
             return Poly._make(self.roster, _times_gaussian(self.terms, c, d), self.q * r, self.den)
         if not c and not d:
-            return Poly._new(self.roster, {}, 1, PP_ONE)
+            return Poly._new(self.roster, {}, 1, T_ONE)
         if c == r:
             return self
         # a real or imaginary value s/r: with g = gcd(s, q), s/g and q/g share
@@ -1025,15 +520,15 @@ class Poly:
     def __truediv__(self, other):
         """Division where defined: by constants (in x) always, otherwise exact."""
         if not isinstance(other, Poly):
-            c = ParamRational.of(other)
-            if c.is_zero():
-                raise ZeroDivisionError("division by the zero polynomial")
-            return self.scale(PR_ONE / c)
-        a, b = self._aligned(other)
-        if b.is_zero():
+            other = Poly.const((), other)
+        if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        if b.is_constant():
-            return a.scale(PR_ONE / b.constant_coefficient())
+        if other.is_constant():
+            # c = N / (q D) for the integer numerators N of c: 1/c = q D / N
+            c = other.constant_coefficient()
+            return self.scale(Poly._make((), _times_gaussian(c.den.terms, c.q, 0), c.den.q,
+                                         Poly._new((), c.terms, 1, T_ONE)))
+        a, b = self._aligned(other)
         return _poly_divexact(a, b)
 
     def __eq__(self, other):
@@ -1042,7 +537,7 @@ class Poly:
                 return self.is_zero()
             other = Poly.const(self.roster, other)
         a, b = self._aligned(other)
-        return a.terms == b.terms and a.q == b.q and a.den == b.den
+        return a.terms == b.terms and a.q == b.q and (a.den is b.den or a.den == b.den)
 
     # -- calculus -------------------------------------------------------------------
 
@@ -1059,11 +554,11 @@ class Poly:
             raise ValueError(f"unknown variable {name!r}")
         out = {(m, low): (a * e, b * e) for (m, t), (a, b) in self.terms.items()
                for low, e in _mono_derivative(t, name)}
-        if self.den is PP_ONE:
-            return Poly._make(self.roster, out, self.q, PP_ONE)
+        if self.den is T_ONE:
+            return Poly._make(self.roster, out, self.q, T_ONE)
         # (N / D)' = (N' D - N D') / D^2
         dn = _times_t(out, self.q, self.den)
-        ndd = _times_t(self.terms, self.q, self.den.derivative(name))
+        ndd = _times_t(self.terms, self.q, self.den.differentiate(name))
         return Poly._make(self.roster, *_sum(*dn, *ndd, -1), self.den * self.den)
 
     def antiderivative(self, name: str) -> "Poly":
@@ -1075,7 +570,7 @@ class Poly:
                 e = m[i] + 1
                 items.append(((m[:i] + (e,) + m[i + 1:], t), a, b, e))
         elif is_param_name(name):
-            if name in self.den.variables():
+            if name in self.den.param_variables():
                 raise ValueError(f"antiderivative: {name!r} occurs in a denominator")
             for (m, t), (a, b) in self.terms.items():
                 d = dict(t)
@@ -1107,8 +602,8 @@ class Poly:
     def subs_params(self, values: dict) -> "Poly":
         values = {name: Scalar.of(v) for name, v in values.items()}
         den = self.den
-        if den is not PP_ONE:
-            den = den.subs(values)
+        if den is not T_ONE:
+            den = den.subs_params(values)
             if den.is_zero():
                 raise ZeroDivisionError("denominator vanishes at the substituted point")
         items = []
@@ -1132,8 +627,13 @@ class Poly:
     def __str__(self):
         if self.is_zero():
             return "0"
-        if self.den is PP_ONE and not any(t for _, t in self.terms):
-            return self._str_t_free()
+        if self.den is T_ONE and not any(t for _, t in self.terms):
+            # t-free: straight from the numerators
+            return _format_terms((self._x_monomial(m), a, b, self.q) for (m, _), (a, b) in
+                                 sorted(self.terms.items(), key=lambda kv: (sum(kv[0][0]), kv[0][0]),
+                                        reverse=True))
+        if not self.roster:
+            return self._str_t_only()
         parts = []
         for m, c in sorted(self.coefficients().items(), key=lambda kv: (sum(kv[0]), kv[0]),
                            reverse=True):
@@ -1141,38 +641,32 @@ class Poly:
             if not mono:
                 parts.append(str(c))
                 continue
-            sign, c = c.sign_split()
-            pre = "-" if sign < 0 else ""
-            if c.is_one():
+            pre = ""
+            if len(c.terms) == 1 and gaussian_is_negative(*next(iter(c.terms.values()))):
+                pre, c = "-", -c
+            if c == 1:
                 parts.append(pre + mono)
-            else:
-                cs = str(c)
-                if not c.atomic_in_product():
-                    cs = f"({cs})"
-                parts.append(f"{pre}{cs}*{mono}")
+                continue
+            cs = str(c)
+            # num/(den) binds like a factor chain; a polynomial needs one term
+            if c.den is T_ONE and (len(c.terms) != 1
+                                   or not gaussian_is_atomic(*next(iter(c.terms.values())))):
+                cs = f"({cs})"
+            parts.append(f"{pre}{cs}*{mono}")
         return " + ".join(parts).replace("+ -", "- ")
 
-    def _str_t_free(self) -> str:
-        """str(self) formatted straight from the numerators, for a Poly with no t."""
-        q = self.q
-        parts = []
-        for (m, _), (a, b) in sorted(self.terms.items(), key=lambda kv: (sum(kv[0][0]), kv[0][0]),
-                                     reverse=True):
-            mono = self._x_monomial(m)
-            if not mono:
-                parts.append(format_gaussian(a, b, q))
-                continue
-            pre = ""
-            if gaussian_is_negative(a, b):
-                pre, a, b = "-", -a, -b
-            if a == q and not b:
-                parts.append(pre + mono)
-            else:
-                cs = format_gaussian(a, b, q)
-                if not gaussian_is_atomic(a, b):
-                    cs = f"({cs})"
-                parts.append(f"{pre}{cs}*{mono}")
-        return " + ".join(parts).replace("+ -", "- ")
+    def _str_t_only(self) -> str:
+        """str(self) for a t-only Poly with t: num or num/(den)."""
+        num = _format_terms((_mono_str(t), a, b, self.q) for (_, t), (a, b) in
+                            sorted(self.terms.items(), key=lambda kv: _mono_sort_key(kv[0][1]),
+                                   reverse=True))
+        if self.den is T_ONE:
+            return num
+        # a lone complex constant such as 2/3-i prints as a sum, which / would split
+        ((_, t), (a, b)), *rest = self.terms.items()
+        if rest or num.startswith("-") or (not t and not gaussian_is_atomic(a, b)):
+            num = f"({num})"
+        return f"{num}/({self.den})"
 
     def map_x(self, fn) -> "Poly":
         """Each term c x^m as w c x^m2 where fn(m) = (m2, w), or dropped where
@@ -1192,6 +686,106 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self})"
+
+
+# the t-only Poly 1: the denominator of every Poly polynomial in t, its own
+# denominator, and recognized by identity
+T_ONE = Poly._new((), {((), EMPTY_MONO): (1, 0)}, 1, None)
+T_ONE.den = T_ONE
+
+
+# ---------------------------------------------------------------------------
+# t-only polynomials: leading terms, exact division, gcd
+# ---------------------------------------------------------------------------
+
+def _leading(p: Poly) -> Scalar:
+    """The coefficient of p's leading t monomial in the order _mono_sort_key."""
+    a, b = p.terms[max(p.terms, key=lambda key: _mono_sort_key(key[1]))]
+    return Scalar._make(a, b, p.q)
+
+
+def _monic(p: Poly) -> Poly:
+    return p.scale(ONE / _leading(p)) if p.terms else p
+
+
+def _t_term(t, z: Scalar) -> Poly:
+    """The t-only Poly z * t for a t monomial t and a nonzero z."""
+    return Poly._new((), {((), t): (z.a, z.b)}, z.q, T_ONE)
+
+
+def _in_powers(p: Poly, name: str) -> dict:
+    """p as {e: the coefficient of name^e}, each a t-only Poly free of name."""
+    out = {}
+    for (_, t), c in p.terms.items():
+        e = dict(t).get(name, 0)
+        out.setdefault(e, {})[((), tuple(kv for kv in t if kv[0] != name))] = c
+    return {e: Poly._make((), terms, p.q, T_ONE) for e, terms in out.items()}
+
+
+def _t_divexact(a: Poly, b: Poly) -> Poly:
+    """a / b for t-only polynomials where b divides a; ValueError otherwise."""
+    # graded lex along the sorted variables: a monomial order, which the
+    # division needs and the printing order of _mono_sort_key is not
+    names = sorted(a.param_variables() | b.param_variables(), key=natural_key)
+
+    def order(key):
+        d = dict(key[1])
+        return mono_degree(key[1]), tuple(d.get(n, 0) for n in names)
+
+    lb = max(b.terms, key=order)
+    cb = Scalar._make(*b.terms[lb], b.q)
+    quot, rem = Poly.zero(()), a
+    while rem.terms:
+        lr = max(rem.terms, key=order)
+        if not mono_divides(lb[1], lr[1]):
+            raise ValueError("polynomial division is not exact")
+        step = _t_term(mono_div(lr[1], lb[1]), Scalar._make(*rem.terms[lr], rem.q) / cb)
+        quot, rem = quot + step, rem - step * b
+    return quot
+
+
+def _content_in(p: Poly, name: str) -> Poly:
+    """The monic gcd of p's coefficients as a polynomial in name."""
+    g = Poly.zero(())
+    for c in _in_powers(p, name).values():
+        g = pp_gcd(g, c)
+    return g
+
+
+def _pseudo_remainder(a: Poly, b: Poly, name: str) -> Poly:
+    """a times a power of b's leading coefficient in name, reduced by b below
+    b's degree in name."""
+    cb = _in_powers(b, name)
+    db = max(cb)
+    while a.terms:
+        ca = _in_powers(a, name)
+        da = max(ca)
+        if da < db:
+            break
+        shift = _t_term(((name, da - db),) if da > db else EMPTY_MONO, ONE)
+        a = a * cb[db] - ca[da] * shift * b
+    return a
+
+
+def pp_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd over Q(i) of two t-only polynomials, by the primitive
+    Euclidean algorithm in their last variable; the gcd with 0 is the other
+    argument made monic."""
+    if a.is_zero() or b.is_zero():
+        return _monic(a + b)
+    va, vb = a.param_variables(), b.param_variables()
+    if not va or not vb:
+        return T_ONE
+    v = max(va | vb, key=natural_key)
+    ca, cb = _content_in(a, v), _content_in(b, v)
+    g = pp_gcd(ca, cb)
+    if v in va and v in vb:
+        a, b = _t_divexact(a, ca), _t_divexact(b, cb)
+        while b.terms:
+            r = _pseudo_remainder(a, b, v)
+            a, b = b, _t_divexact(r, _content_in(r, v)) if r.terms else r
+        g = g * a
+    return _monic(g)
 
 
 def _poly_divexact(a: Poly, b: Poly) -> Poly:
@@ -1413,8 +1007,6 @@ class _Parser:
     def _divide(self, a: Poly, b: Poly) -> Poly:
         if b.is_zero():
             raise ExprError("division by zero")
-        if b.is_constant():
-            return a / b
         try:
             return a / b
         except ValueError as exc:
@@ -1450,10 +1042,8 @@ class _Parser:
             name = self.take()
             if name == "i":
                 return Poly.const(self.roster, Scalar(0, 1))
-            if name in self.roster:
+            if name in self.roster or is_param_name(name):
                 return Poly.var(self.roster, name)
-            if is_param_name(name):
-                return Poly.const(self.roster, ParamPoly.var(name))
             raise ExprError(f"unknown variable {name!r}")
         raise ExprError(f"expected a value, found {self.tokens[self.pos][1] or 'end of input'!r}")
 

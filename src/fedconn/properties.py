@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from .scalars import Scalar
-from .polynomials import Poly, ParamRational, add_term
+from .polynomials import Poly, add_term
 from .weylforms import WeylForm, omega_tilde
 from .symplectic import SymplecticData
 from .multidiff import MultiDiffOp, StarTruncation
@@ -32,10 +32,10 @@ def random_poly(roster, rng: random.Random, degree: int = 2, terms: int = 3,
         budget = rng.randint(0, degree)
         for _ in range(budget):
             exps[rng.randrange(len(roster))] += 1
-        coeff = ParamRational.const(random_scalar(rng))
+        coeff = Poly.const((), random_scalar(rng))
         for p in params:
             if rng.random() < 0.5:
-                coeff = coeff * (ParamRational.var(p) ** rng.randint(1, param_degree))
+                coeff = coeff * Poly.var((), p) ** rng.randint(1, param_degree)
         out = out + Poly.monomial(roster, tuple(exps), coeff)
     return out
 

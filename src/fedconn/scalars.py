@@ -3,13 +3,12 @@
 A Scalar is (a + b*i)/q with integers a, b and q > 0, kept reduced so that
 gcd(a, b, q) = 1.  All arithmetic is exact; there is no float anywhere in
 this package.  The single-gcd normalization makes these faster than a pair
-of Fractions.  Scalars are the coefficients of the t-only ring
-(``ParamPoly``, ``ParamRational``), the Weyl and Moyal weights, and the
-exact type a ``Poly`` hands out at its boundary; a Poly itself computes on
-Gaussian-integer numerators over one common denominator and makes a Scalar
-only when a coefficient is read.  The formatting functions work on such a
-numerator pair and denominator directly, so a Poly prints without building
-Scalars.
+of Fractions.  Scalars are the Weyl and Moyal weights and the exact type a
+``Poly`` takes and hands out at its boundary; a Poly, t-only values
+included, computes on Gaussian-integer numerators over one common
+denominator and makes a Scalar only when a number is read.  The formatting
+functions work on such a numerator pair and denominator directly, so a Poly
+prints without building Scalars.
 """
 
 from __future__ import annotations
@@ -237,15 +236,3 @@ def gaussian_is_atomic(a: int, b: int) -> bool:
 def gaussian_is_negative(a: int, b: int) -> bool:
     """True for a strictly negative real or pure imaginary (a + b*i)/q."""
     return (not b and a < 0) or (not a and b < 0)
-
-
-def scalar_is_atomic(z: Scalar) -> bool:
-    """True when format_scalar(z) can sit inside a product without parentheses."""
-    return gaussian_is_atomic(z.a, z.b)
-
-
-def scalar_sign_split(z: Scalar):
-    """(-1, -z) when z is a strictly negative real or pure imaginary, else (1, z)."""
-    if gaussian_is_negative(z.a, z.b):
-        return -1, -z
-    return 1, z

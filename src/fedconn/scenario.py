@@ -36,7 +36,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .polynomials import Poly, ParamRational, parse_poly, ExprError, is_param_name, add_term
+from .polynomials import Poly, parse_poly, ExprError, is_param_name, add_term
 from .weylforms import WeylForm
 from .symplectic import SymplecticData, ConnectionFamily
 from .fedosov import FedosovSetup
@@ -78,10 +78,9 @@ def _parse_matrix(text, lineno):
                 p = parse_poly(cell, ())
             except ExprError as exc:
                 raise ScenarioError(f"bad matrix entry {cell!r}: {exc}", lineno) from None
-            c = p.constant_coefficient()
-            if not c.is_constant():
+            if p.param_variables():
                 raise ScenarioError(f"matrix entry {cell!r} must be a constant", lineno)
-            row.append(c.constant_value())
+            row.append(p.as_scalar())
         rows.append(row)
     if not rows or any(len(r) != len(rows) for r in rows):
         raise ScenarioError("matrix literal must be square", lineno)
@@ -330,11 +329,7 @@ class Scenario:
             row = []
             for b in range(n):
                 entry = self.I_entries.get((a, b))
-                if entry is None:
-                    row.append(ParamRational.const(0))
-                else:
-                    p = self._poly(entry, ())
-                    row.append(p.constant_coefficient())
+                row.append(Poly.zero(()) if entry is None else self._poly(entry, ()))
             rows.append(row)
         try:
             return LinearKahlerFamily(sym, rows, samples=self.samples)

@@ -16,7 +16,7 @@ flatness enters) and integrating it with the Poincare homotopy on R^m.
 from __future__ import annotations
 
 from .polynomials import (
-    Poly, PP_ONE, mono_degree, mono_mul, add_term,
+    Poly, T_ONE, mono_degree, mono_mul, add_term,
 )
 from .multidiff import MultiDiffOp
 from .families import FamilyContext, ConnectionOneForm
@@ -128,7 +128,7 @@ def _t_poincare_oneform(coeffs: dict, params) -> Poly:
     acc_terms = {}
     for j, c in coeffs.items():
         roster = c.roster
-        if c.den is not PP_ONE:
+        if c.den is not T_ONE:
             raise ValueError("gauge data must be polynomial in the parameters")
         for (exps, mono), z in c.scalar_terms().items():
             add_term(acc_terms, (exps, mono_mul(mono, ((j, 1),))), z / (mono_degree(mono) + 1))

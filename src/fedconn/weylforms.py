@@ -37,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import Scalar, ZERO, ONE, I
-from .polynomials import Poly, FormalFunction, x_roster, add_term, as_coefficient
+from .polynomials import Poly, FormalFunction, x_roster, add_term
 
 
 class HDivisionError(AssertionError):
@@ -311,7 +311,7 @@ class WeylForm:
         return self + (-other)
 
     def scale(self, value) -> "WeylForm":
-        c = as_coefficient(value)
+        c = value if isinstance(value, Poly) else Scalar.of(value)
         if c.is_zero():
             return WeylForm(self.ctx, self.trunc)
         return WeylForm(self.ctx, self.trunc, {k: p.scale(c) for k, p in self.terms.items()})

@@ -211,18 +211,17 @@ def test_criterion_08_inner_potentials(sym2, bundle_f1):
 
 def test_criterion_09_order1_hitchin(sym2, sym4):
     def pr(expr):
-        return parse_poly(expr, ()).constant_coefficient()
+        return parse_poly(expr, ())
 
     fam2 = LinearKahlerFamily(
         sym2, [[pr("-t1"), pr("1+t1^2")], [pr("-1"), pr("t1")]],
         samples=[{"t1": 0}, {"t1": Fraction(1, 2)}],
     )
-    from fedconn.polynomials import ParamRational
-    z = ParamRational.const(0)
+    z = pr("0")
 
     def shear(uexpr):
-        u = parse_poly(uexpr, ()).constant_coefficient()
-        return [[-u, u * u + ParamRational.const(1)], [ParamRational.const(-1), u]]
+        u = pr(uexpr)
+        return [[-u, u * u + 1], [pr("-1"), u]]
 
     B1, B2 = shear("t1 + t2"), shear("t1*t2")
     fam4 = LinearKahlerFamily(

@@ -51,3 +51,27 @@ def test_the_lazy_cochain_layer_is_not_in_the_package():
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in MOVED:
                 defined.setdefault(path.name, []).append(node.name)
     assert defined == {}
+
+
+# a t-only value is a Poly over the empty roster, with no class of its own
+T_ONLY = {"ParamPoly", "ParamRational", "PP_ONE", "PP_ZERO", "PR_ONE", "PR_ZERO", "as_coefficient"}
+
+
+def bound_names(source: str):
+    """Every name a module binds: functions, classes, assignment targets, imports."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    return out
+
+
+def test_the_t_only_classes_are_gone():
+    assert T_ONLY.isdisjoint(fedconn.__all__)
+    found = {path.name: sorted(bound_names(path.read_text(encoding="utf-8")) & T_ONLY)
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}

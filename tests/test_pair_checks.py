@@ -23,7 +23,7 @@ import pytest
 
 from fedconn.scalars import Scalar, I
 from fedconn.polynomials import (
-    Poly, FormalFunction, ParamRational, PR_ZERO, parse_poly, x_roster, monomials_up_to,
+    Poly, FormalFunction, parse_poly, x_roster, monomials_up_to,
     add_term,
 )
 from fedconn.kahler import (
@@ -125,7 +125,7 @@ def derivation_by_sections(family, A, basis_degree=2):
     basis = monomials_up_to(roster, basis_degree)
     tpoly = Poly.const(roster, 1)
     for p in family.params:
-        tpoly = tpoly * Poly.const(roster, ParamRational.var(p) + 1)
+        tpoly = tpoly * (Poly.var(roster, p) + 1)
 
     def DV(p, f):
         return FormalFunction.from_poly(f.differentiate(p), family.order) + A[p].apply(f)
@@ -617,7 +617,7 @@ def kahler_cases(shear2, rational2, block4):
 
 def zero_shift(fam):
     n = fam.sym.dim
-    return [[PR_ZERO] * n for _ in range(n)], [Poly.zero(fam.sym.roster)] * n
+    return [[pr("0")] * n for _ in range(n)], [Poly.zero(fam.sym.roster)] * n
 
 
 def test_order1_operators_match_their_matrices(kahler_cases):
@@ -695,7 +695,7 @@ def test_order1_reports_the_earlier_of_two_failures(shear2, monkeypatch):
     kinds = set()
     for a, b in ((0, 1), (1, 0)):
         def bump(M, a=a):
-            return mat_add(M, [[one if (i, j) == (a, a) else PR_ZERO for j in range(2)]
+            return mat_add(M, [[one if (i, j) == (a, a) else pr("0") for j in range(2)]
                                for i in range(2)])
         dQ, dw = zero_shift(shear2)
         dQ[b][b] = one

@@ -5,7 +5,7 @@ import pytest
 
 from fedconn.scalars import Scalar
 from fedconn.polynomials import (
-    ParamPoly, ParamRational, Poly, FormalFunction,
+    T_ONE, Poly, FormalFunction,
     parse_poly, x_roster, monomials_up_to, pp_gcd, ExprError,
 )
 from fedconn.properties import random_poly
@@ -18,16 +18,17 @@ def test_basic_cancellation():
     assert (x1 * x1 - x1 ** 2).is_zero()
 
 
+# t-only values are Polys over the empty roster ()
+
 def test_gcd_normalization():
-    t = ParamPoly.var("t")
-    one = ParamPoly.const(1)
-    pr = ParamRational(t * t - one, t - one)
-    assert pr.is_polynomial()
-    assert pr == ParamRational.of(t + one)
+    t = Poly.var((), "t")
+    pr = (t * t - 1) / (t - 1)
+    assert pr.den is T_ONE
+    assert pr == t + 1
 
 
 def test_gcd_multivariate():
-    t1, t2 = ParamPoly.var("t1"), ParamPoly.var("t2")
+    t1, t2 = Poly.var((), "t1"), Poly.var((), "t2")
     a = (t1 + t2) * (t1 - t2)
     b = (t1 + t2) * t1
     g = pp_gcd(a, b)
@@ -35,11 +36,11 @@ def test_gcd_multivariate():
 
 
 def test_denominator_normalized_monic():
-    t = ParamPoly.var("t")
-    pr = ParamRational(ParamPoly.const(1), t.scale(2) + ParamPoly.const(2))
+    t = Poly.var((), "t")
+    pr = Poly.const((), 1) / (t.scale(2) + 2)
     # denominator is monic, the 1/2 moved into the numerator
-    assert pr.den == t + ParamPoly.const(1)
-    assert pr.num == ParamPoly.const(Fraction(1, 2))
+    assert pr.den == t + 1
+    assert pr.scalar_terms() == {((), ()): Scalar(Fraction(1, 2))}
 
 
 def test_ring_axioms_randomized():

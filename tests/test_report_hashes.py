@@ -13,6 +13,8 @@ import pytest
 
 from fedconn.cli import main
 
+from conftest import RATIONAL_KAHLER
+
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 REPORT_SHA256 = {
@@ -35,3 +37,18 @@ def test_text_report_is_unchanged(capsys, monkeypatch, command, scenario):
     out = capsys.readouterr().out
     assert code == 0, out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == REPORT_SHA256[(command, scenario)]
+
+
+# recorded before t-only values became Polys over the empty roster
+RATIONAL_KAHLER_SHA256 = "14681509d458f56e74cf0f86549498f162a36706fb9a064fc7888137978ef442"
+
+
+def test_rational_kahler_report_is_unchanged(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("FEDCONN_REPORT_DIR", raising=False)
+    scenario = tmp_path / "kahler_rational.scn"
+    scenario.write_text(RATIONAL_KAHLER, encoding="utf-8")
+    code = main(["kahler", "--scenario", str(scenario)])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "summary: 7 passed, 0 failed, 0 n/a" in out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == RATIONAL_KAHLER_SHA256

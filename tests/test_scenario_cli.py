@@ -12,6 +12,7 @@ from fedconn.polynomials import FormalFunction, Poly
 from fedconn.symplectic import ConnectionFamily
 from fedconn.weylforms import HDivisionError, WeylContext, WeylForm
 
+from conftest import RATIONAL_KAHLER
 from reference_cochains import ReconstructionError, operator_from_callable
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -89,6 +90,18 @@ def test_bad_scenario_exit_code(tmp_path, capsys):
         code, out, err = run_cli(capsys, "quantize", "--scenario", str(bad))
         assert (code, out) == (2, "")
         assert "line 3:" in err and "must be >=" in err
+
+
+@pytest.mark.parametrize("samples, why", [
+    ("t1=0", "metric has a pole at sample t1=0"),
+    ("t1=1/2 ; t1=-1", "metric not positive at sample t1=-1: leading 1x1 minor is -1"),
+])
+def test_bad_kahler_sample_is_a_diagnostic(tmp_path, capsys, samples, why):
+    bad = tmp_path / "bad.scn"
+    bad.write_text(RATIONAL_KAHLER.replace("samples = t1=1 ; t1=2", f"samples = {samples}"))
+    code, out, err = run_cli(capsys, "kahler", "--scenario", str(bad))
+    assert (code, out) == (2, "")
+    assert err == f"fedconn: bad Kahler family: {why}\n"
 
 
 def test_usage_error(capsys):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from fedconn.polynomials import Poly, ParamRational, FormalFunction, parse_poly, monomials_up_to
+from fedconn.polynomials import T_ONE, Poly, FormalFunction, parse_poly, monomials_up_to
 from fedconn.weylforms import WeylForm
 from fedconn.families import FamilyContext, ConnectionOneForm, connection_form, solve_s
 from fedconn.multidiff import MultiDiffOp, StarTruncation
@@ -48,7 +48,7 @@ def test_transport_exponential_oracle(constant_family):
         provenance="user",
     )
     phi = parallel_transport(constant_family, A, "t1")
-    t = ParamRational.var("t1")
+    t = Poly.var((), "t1")
     power = MultiDiffOp.identity(r, 0)
     for l in range(4):
         expect = power.scale(t ** l * Fraction((-1) ** l, math.factorial(l)))
@@ -95,16 +95,16 @@ def _shift_param(op, name, offset):
 
 
 def _shift_pr(pr, name, offset):
-    assert pr.is_polynomial()
-    from fedconn.polynomials import ParamPoly, PP_ONE, ParamRational
-    shifted = ParamPoly()
-    base = ParamPoly.var(name) + ParamPoly.const(offset)
-    for mono, z in pr.num.terms.items():
-        term = ParamPoly.const(z)
+    """pr(t -> t + offset) for a t-only pr, polynomial in t."""
+    assert pr.den is T_ONE
+    shifted = Poly.zero(())
+    base = Poly.var((), name) + offset
+    for (_, mono), z in pr.scalar_terms().items():
+        term = Poly.const((), z)
         for var, e in mono:
-            term = term * (base ** e if var == name else ParamPoly.var(var) ** e)
+            term = term * (base ** e if var == name else Poly.var((), var) ** e)
         shifted = shifted + term
-    return ParamRational(shifted, PP_ONE)
+    return shifted
 
 
 def test_invert(sym2):
@@ -168,7 +168,7 @@ def test_gauge_exponential_case(sym2, flat2):
     ok, _ = flatness_check(fam, A2)
     assert ok
     P = gauge_equivalence(fam, A, A2, 3)
-    t = ParamRational.var("t1")
+    t = Poly.var((), "t1")
     expect = MultiDiffOp.identity(fam.sym.roster, 3)
     power = MultiDiffOp.identity(fam.sym.roster, 3)
     for l in range(1, 4):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from fedconn.scalars import Scalar, I
-from fedconn.polynomials import Poly, ParamRational, parse_poly, add_term
+from fedconn.polynomials import Poly, parse_poly, add_term
 from fedconn.weylforms import WeylForm, omega_tilde, poincare_potential, _contract, _wedge_sign
 from fedconn.properties import random_weyl_form
 
@@ -135,7 +135,7 @@ def test_projection(sym2):
 def test_projected_pairings_match_full_products(sym2, sym4):
     # the direct projections against the full product, then project_function
     rng = random.Random(10)
-    t_poly = ParamRational.var("t1") + 2
+    t_poly = Poly.var((), "t1") + 2
     h_powers = set()
     for sym in (sym2, sym4):
         x1 = WeylForm.from_poly(sym, 8, Poly.var(sym.roster, "x1"))  # reaches h^0
@@ -163,7 +163,7 @@ def test_capped_pairings_match_full_products(sym2, sym4):
     # max_degree keeps exactly the parts of degree <= cap of the full pairing,
     # on forms with dx parts and t-dependent coefficients
     rng = random.Random(11)
-    t_poly = ParamRational.var("t1") + 2
+    t_poly = Poly.var((), "t1") + 2
     dropped = 0
     for sym in (sym2, sym4):
         max_y = 2 if sym.dim == 2 else 1
@@ -215,7 +215,7 @@ def test_ad_over_h_of_one_forms_is_symmetric(sym2, sym4, seed):
     # bracketed with itself once per unordered pair of parts
     rng = random.Random(seed)
     sym = sym2 if seed % 2 else sym4
-    t_poly = ParamRational.var("t1") + 2
+    t_poly = Poly.var((), "t1") + 2
 
     def one_form():
         form = random_weyl_form(sym, 8, rng, terms=6, max_form=1)
@@ -256,7 +256,7 @@ def mw_pair_by_states(self, key1, c1, key2, c2, out, commutator, over_h):
 def test_cached_contractions_match_the_state_loop(sym2, sym4, seed, monkeypatch):
     rng = random.Random(30 + seed)
     sym = sym4 if seed % 2 else sym2
-    t_poly = ParamRational.var("t1") + 2
+    t_poly = Poly.var((), "t1") + 2
     pairs = []
     for _ in range(3):
         a = random_weyl_form(sym, 8, rng, terms=6, max_y=2, max_form=1)
