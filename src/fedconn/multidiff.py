@@ -21,6 +21,13 @@ operator.
 The Gerstenhaber bracket (``MultiDiffOp.bracket``) is formed from
 ``compose_at`` in the same way, and the Hochschild differential of a star
 truncation m is d_H(phi) = [m, phi].
+
+``compose_at`` multiplies only what lands: the Leibniz splits of a slot
+multi-index are enumerated once per call and grouped by the share e that
+falls on the inner coefficient q, and c * d^e q is formed only when d^e q is
+not zero and some split with that e keeps every slot within ``max_slot``.
+Each landing split adds the product with its multinomial weight to a
+``PolySums``, so each output coefficient is reduced once.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ import operator
 
 from .scalars import Scalar, ONE, I
 from .polynomials import (
-    Poly, FormalFunction, monomials_up_to, merge_rosters, add_term, exponents_up_to,
+    Poly, PolySums, FormalFunction, monomials_up_to, merge_rosters, add_term, exponents_up_to,
 )
 
 
@@ -324,33 +331,38 @@ class MultiDiffOp:
         order = min(self.order, psi.order)
         roster = merge_rosters(self.roster, psi.roster)
         cap = math.inf if max_slot is None else max_slot
-        # psi's terms within the cap; each coefficient is derived once per multi-index
-        inner = [(k2, bs, q.with_roster(roster), {}) for (k2, bs), q in psi.terms.items()
-                 if all(sum(b) <= cap for b in bs)]
-        out = {}
+        # psi's terms within the cap, with the room each slot leaves under it;
+        # each coefficient is derived once per multi-index
+        inner = [(k2, bs, [cap - sum(b) for b in bs], q.with_roster(roster), {})
+                 for (k2, bs), q in psi.terms.items() if all(sum(b) <= cap for b in bs)]
+        splits = {}  # slot multi-index -> its Leibniz splits by e, enumerated once per call
+        out = PolySums()
         for (k1, slots), c in self.terms.items():
             head, a, tail = slots[:i], slots[i], slots[i + 1:]
             if any(sum(s) > cap for s in head + tail):
                 continue
+            by_e = splits.get(a)
+            if by_e is None:
+                by_e = splits[a] = _leibniz_table(a, n)
             c = c.with_roster(roster)
-            for k2, bs, q, derived in inner:
+            for k2, bs, room, q, derived in inner:
                 k = k1 + k2
                 if k > order:
                     continue
-                products = {}
-                for weight, (e, *parts) in _leibniz_splits(a, n + 1):
-                    new = tuple(tuple(map(operator.add, b, part)) for b, part in zip(bs, parts))
-                    if any(sum(s) > cap for s in new):
+                for e, parts in by_e.items():
+                    landed = [(weight, shifts) for weight, shifts, orders in parts
+                              if all(map(operator.le, orders, room))]
+                    if not landed:
                         continue
-                    cq = products.get(e)
-                    if cq is None:
-                        dq = derived.get(e)
-                        if dq is None:
-                            dq = derived[e] = q.deriv_multi(e)
-                        cq = products[e] = c * dq
-                    if not cq.is_zero():
-                        add_term(out, (k, head + new + tail), cq.scale(weight))
-        return MultiDiffOp(roster, self.arity + n - 1, order, out)
+                    dq = derived.get(e)
+                    if dq is None:
+                        dq = derived[e] = q.deriv_multi(e)
+                    if not dq.terms:
+                        continue
+                    cq = c * dq
+                    for weight, shifts in landed:
+                        out.add((k, head + tuple(map(_add_slots, bs, shifts)) + tail), cq, weight)
+        return MultiDiffOp(roster, self.arity + n - 1, order, out.polys())
 
     def compose(self, other: "MultiDiffOp") -> "MultiDiffOp":
         """self after other, both arity 1: ``compose_at(0, other)``."""
@@ -424,6 +436,19 @@ def _sub_multiindices(a):
     for rest in _sub_multiindices(a[1:]):
         for e in range(head + 1):
             yield (e,) + rest
+
+
+def _add_slots(b, e):
+    return tuple(map(operator.add, b, e))
+
+
+def _leibniz_table(a, n):
+    """The Leibniz splits of a over a coefficient and n arguments, grouped by
+    the coefficient's share e: {e: [(weight, (e_1, .., e_n), (|e_1|, .., |e_n|))]}."""
+    table = {}
+    for weight, (e, *shifts) in _leibniz_splits(a, n + 1):
+        table.setdefault(e, []).append((weight, tuple(shifts), [sum(s) for s in shifts]))
+    return table
 
 
 def _leibniz_splits(a, parts):

@@ -20,6 +20,10 @@ Each of a Poly's two denominators shares no factor with all of its
 numerators at once, so equal Polys are equal structurally; the gcd that keeps
 it so runs only when the t denominator is not 1.
 
+``PolySums`` adds up weighted Polys per key on their integer numerators and
+reduces each sum once; the product kernels of ``weylforms`` and ``multidiff``
+accumulate through it.
+
 ``FormalFunction`` is a finite h-expansion sum_k h^k * Poly, truncated at a
 declared order.
 
@@ -239,6 +243,11 @@ def _times_t(terms: dict, q: int, p: "Poly"):
         for (_, t2), (a2, b2) in p.terms.items():
             _acc(out, (m, mono_mul(t1, t2)), a1 * a2 - b1 * b2, a1 * b2 + b1 * a2)
     return out, q * p.q
+
+
+def _is_constant_key(key) -> bool:
+    """Whether a term key (x exponents, t monomial) is free of x and t."""
+    return not key[1] and not any(key[0])
 
 
 def _den_mul(d1: "Poly", d2: "Poly") -> "Poly":
@@ -469,12 +478,25 @@ class Poly:
         a, b = self._aligned(other)
         if not a.terms or not b.terms:
             return Poly._new(a.roster, {}, 1, T_ONE)
+        if len(a.terms) == 1 and a.den is T_ONE and _is_constant_key(next(iter(a.terms))):
+            return b.scale(a)
+        if len(b.terms) == 1 and b.den is T_ONE and _is_constant_key(next(iter(b.terms))):
+            return a.scale(b)
         out = {}
+        get = out.get
         for (m1, t1), (a1, b1) in a.terms.items():
             for (m2, t2), (a2, b2) in b.terms.items():
-                t = mono_mul(t1, t2) if t1 and t2 else t1 or t2
-                key = (tuple(map(operator.add, m1, m2)), t)
-                _acc(out, key, a1 * a2 - b1 * b2, a1 * b2 + b1 * a2)
+                key = (tuple(map(operator.add, m1, m2)),
+                       mono_mul(t1, t2) if t1 and t2 else t1 or t2)
+                re, im = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+                s = get(key)
+                # a product of nonzero Gaussian integers is not zero
+                if s is None:
+                    out[key] = (re, im)
+                elif re + s[0] or im + s[1]:
+                    out[key] = (re + s[0], im + s[1])
+                else:
+                    del out[key]
         return Poly._make(a.roster, out, a.q * b.q, _den_mul(a.den, b.den))
 
     __rmul__ = __mul__
@@ -692,6 +714,99 @@ class Poly:
 # denominator, and recognized by identity
 T_ONE = Poly._new((), {((), EMPTY_MONO): (1, 0)}, 1, None)
 T_ONE.den = T_ONE
+
+
+class PolySums:
+    """Sums of weighted Polys, one per key, each reduced once.
+
+    ``add(key, p, w)`` adds w * p at key for a number w, an int or a Scalar,
+    and ``add_product(key, p1, p2, w)`` adds w * p1 * p2 without making the
+    product.  Each key keeps one map of unreduced Gaussian-integer numerators
+    over one integer denominator, the lcm of its contributions'
+    denominators, on the merged roster of its contributions.  The numerators
+    of a contribution go straight into that map, so it makes no Poly of its
+    own, and ``polys()`` makes one Poly per key.  A contribution rational in
+    t (``den`` not T_ONE) is added as an exact Poly sum instead.
+    """
+
+    __slots__ = ("_sums", "_exact")
+
+    def __init__(self):
+        self._sums = {}   # key -> [roster, q, {(x exponents, t monomial): (a, b)}]
+        self._exact = {}  # key -> the Poly sum of the contributions rational in t
+
+    def _slot(self, key, roster: tuple, q: int):
+        """(numerator map at key, its roster, factor): the map is on a roster
+        that contains ``roster``, and a contribution over q joins its
+        denominator once its numerators are multiplied by the factor."""
+        acc = self._sums.get(key)
+        if acc is None:
+            acc = self._sums[key] = [roster, q, {}]
+            return acc[2], roster, 1
+        if roster != acc[0]:
+            merged = merge_rosters(acc[0], roster)
+            if merged != acc[0]:
+                acc[2] = _remap(acc[2], acc[0], merged)
+                acc[0] = merged
+        total = acc[1]
+        if total % q:
+            lcm = total // gcd(total, q) * q
+            f = lcm // total
+            acc[2] = {k: (a * f, b * f) for k, (a, b) in acc[2].items()}
+            acc[1] = total = lcm
+        return acc[2], acc[0], total // q
+
+    def add(self, key, p: Poly, w):
+        if p.den is not T_ONE:
+            add_term(self._exact, key, p.scale(w))
+            return
+        wa, wb, q = (w, 0, 1) if type(w) is int else (w.a, w.b, w.q)
+        if not wa and not wb:
+            return
+        out, roster, f = self._slot(key, p.roster, p.q * q)
+        terms = p.terms if roster == p.roster else _remap(p.terms, p.roster, roster)
+        wa, wb = wa * f, wb * f
+        if wb:
+            for k, (a, b) in terms.items():
+                _acc(out, k, a * wa - b * wb, a * wb + b * wa)
+        else:
+            for k, (a, b) in terms.items():
+                _acc(out, k, a * wa, b * wa)
+
+    def add_product(self, key, p1: Poly, p2: Poly, w):
+        if p1.den is not T_ONE or p2.den is not T_ONE:
+            self.add(key, p1 * p2, w)
+            return
+        wa, wb, q = (w, 0, 1) if type(w) is int else (w.a, w.b, w.q)
+        if not wa and not wb:
+            return
+        if p1.roster != p2.roster:
+            p1, p2 = p1._aligned(p2)
+        out, roster, f = self._slot(key, p1.roster, p1.q * p2.q * q)
+        if roster != p1.roster:
+            p1, p2 = p1.with_roster(roster), p2.with_roster(roster)
+        wa, wb = wa * f, wb * f
+        add = operator.add
+        for (m1, t1), (a1, b1) in p1.terms.items():
+            a, b = a1 * wa - b1 * wb, a1 * wb + b1 * wa
+            for (m2, t2), (a2, b2) in p2.terms.items():
+                _acc(out, (tuple(map(add, m1, m2)), mono_mul(t1, t2) if t1 and t2 else t1 or t2),
+                     a * a2 - b * b2, a * b2 + b * a2)
+
+    def polys(self) -> dict:
+        """key -> the sum at that key, for every key whose sum is not zero."""
+        out = {}
+        for key, (roster, q, terms) in self._sums.items():
+            p = Poly._make(roster, terms, q, T_ONE) if terms else None
+            exact = self._exact.get(key)
+            if exact is not None:
+                p = exact if p is None else p + exact
+            if p is not None and p.terms:
+                out[key] = p
+        for key, p in self._exact.items():
+            if key not in self._sums:
+                out[key] = p
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import Scalar
-from .polynomials import Poly, is_param_name, add_term
+from .polynomials import Poly, PolySums, is_param_name, add_term
 from .weylforms import WeylContext, WeylForm
 from .multidiff import MultiDiffOp
 
@@ -157,7 +157,7 @@ class ConnectionFamily:
         out = a.d_x()
         if not self.gamma:
             return out
-        extra = {}
+        extra = PolySums()
         for (k, alpha, J), c in a.terms.items():
             for (m, i, j, g) in self.entries:
                 e = alpha[m]
@@ -167,9 +167,9 @@ class ConnectionFamily:
                 na[m] -= 1
                 na[j] += 1
                 before = sum(1 for q in J if q < i)
-                coeff = (g * c).scale(-e if before % 2 == 0 else e)
-                add_term(extra, (k, tuple(na), tuple(sorted(J + (i,)))), coeff)
-        return out + WeylForm(self.sym, a.trunc, extra)
+                extra.add_product((k, tuple(na), tuple(sorted(J + (i,)))), g, c,
+                                  -e if before % 2 == 0 else e)
+        return out + WeylForm(self.sym, a.trunc, extra.polys())
 
     # -- curvature and its variation ------------------------------------------------
 

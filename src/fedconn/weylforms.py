@@ -30,6 +30,15 @@ Total degree is additive: every contraction order of a pair of terms of
 degrees d1 and d2 lands at degree d1 + d2 (d1 + d2 - 2 in ad_over_h).  So a
 caller that reads a product only up to some degree passes it as
 ``max_degree``, and the pairs above it are skipped, not computed and dropped.
+
+The pairing multiplies only what lands.  A pair is skipped before its
+coefficients are multiplied when its form indices meet (tested on bitmasks),
+when either term is y-free in a commutator (order 0, the only one such a
+term has, cancels there), and when no contraction order of its exponents
+survives (``WeylContext.contractions``, cached per exponent pair).  The
+coefficient product c1 * c2 of a surviving pair is formed once, and every
+(order, leftover exponent) adds it with its weight to a ``PolySums``, which
+reduces each output coefficient once, not once per contribution.
 """
 
 from __future__ import annotations
@@ -37,7 +46,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import Scalar, ZERO, ONE, I
-from .polynomials import Poly, FormalFunction, x_roster, add_term
+from .polynomials import Poly, PolySums, FormalFunction, x_roster, add_term
 
 
 class HDivisionError(AssertionError):
@@ -136,7 +145,8 @@ class WeylContext:
                     weights = {}
                     for (b1, b2), w in state.items():
                         add_term(weights, tuple(e1 + e2 for e1, e2 in zip(b1, b2)), w * factor)
-                    out.append((k, tuple(weights.items())))
+                    if weights:
+                        out.append((k, tuple(weights.items())))
                 if k == kmax:
                     break
                 state = _contract(self, state)
@@ -163,6 +173,15 @@ def _wedge_sign(J1, J2) -> int:
 
 def _merge_J(J1, J2):
     return tuple(sorted(J1 + J2))
+
+
+def _mask(J) -> int:
+    """The form indices J as a bitmask, so that two terms share an index
+    exactly when their masks do."""
+    m = 0
+    for j in J:
+        m |= 1 << j
+    return m
 
 
 def _contract(ctx: WeylContext, state: dict) -> dict:
@@ -363,7 +382,7 @@ class WeylForm:
         by_degree = {}
         for (k2, a2, _), c2 in other.terms.items():
             by_degree.setdefault(sum(a2), []).append((k2, a2, c2))
-        coeffs = {}
+        coeffs = PolySums()
         for (k1, a1, _), c1 in self.terms.items():
             m = sum(a1)
             if over_h and m % 2 == 0:
@@ -379,8 +398,8 @@ class WeylForm:
                 w = ctx.full_contraction_weight(a1, a2)
                 if w.is_zero():
                     continue
-                add_term(coeffs, h_power, (c1 * c2).scale(w * factor))
-        return FormalFunction(ctx.roster, order, coeffs)
+                coeffs.add_product(h_power, c1, c2, w * factor)
+        return FormalFunction(ctx.roster, order, coeffs.polys())
 
     def _pairing(self, other, commutator, over_h, max_degree=None):
         """The pairing loop shared by mw, graded_comm and ad_over_h.
@@ -392,6 +411,11 @@ class WeylForm:
         visited (``other`` is bucketed by degree), and the result is exactly
         the part of degree <= ``max_degree`` of the full pairing.  None
         computes everything up to the truncation.
+
+        A pair reaches ``_mw_pair`` only if it can contribute: its form
+        indices are disjoint (tested on bitmasks), and in a commutator
+        neither term is y-free, since a y-free term has only the contraction
+        order 0, which the commutator cancels.
         """
         self._check(other)
         trunc = min(self.trunc, other.trunc)
@@ -399,35 +423,46 @@ class WeylForm:
         room = cap + 2 if over_h else cap
         by_degree = {}
         for key2, c2 in other.terms.items():
-            by_degree.setdefault(2 * key2[0] + sum(key2[1]), []).append((key2, c2))
-        out = {}
+            if commutator and not any(key2[1]):
+                continue
+            by_degree.setdefault(2 * key2[0] + sum(key2[1]), []).append(
+                (key2, _mask(key2[2]), c2))
+        out = PolySums()
         for key1, c1 in self.terms.items():
+            if commutator and not any(key1[1]):
+                continue
             left = room - 2 * key1[0] - sum(key1[1])
+            mask1 = _mask(key1[2])
             for d2, bucket in by_degree.items():
                 if d2 > left:
                     continue
-                for key2, c2 in bucket:
-                    self._mw_pair(key1, c1, key2, c2, out, commutator, over_h)
-        return WeylForm(self.ctx, trunc, out)
+                for key2, mask2, c2 in bucket:
+                    if not mask1 & mask2:
+                        self._mw_pair(key1, c1, key2, c2, out, commutator, over_h)
+        return WeylForm(self.ctx, trunc, out.polys())
 
     def _mw_pair(self, key1, c1, key2, c2, out, commutator, over_h):
+        """Add the pairing of two terms with disjoint form indices to the
+        PolySums ``out``: the product c1 * c2 is formed only when some
+        contraction order survives, and each (order, leftover exponent) adds
+        it with its cached weight."""
         k1, a1, J1 = key1
         k2, a2, J2 = key2
-        if set(J1) & set(J2):
+        orders = self.ctx.contractions(a1, a2, commutator, over_h)
+        if not orders:
             return
-        sign = _wedge_sign(J1, J2)
-        J = _merge_J(J1, J2)
-        cc = c1 * c2
-        if cc.is_zero():
-            return
-        for k, weights in self.ctx.contractions(a1, a2, commutator, over_h):
+        if J1 and J2:
+            sign, J = _wedge_sign(J1, J2), _merge_J(J1, J2)
+        else:
+            sign, J = 1, J1 or J2
+        for k, weights in orders:
             h_power = k1 + k2 + k + (-1 if over_h else 0)
             if h_power < 0:
                 raise HDivisionError(
                     f"the bracket of h^{k1} y^{a1} and h^{k2} y^{a2} has an h^0 part "
                     f"at contraction order {k}")
             for b, w in weights:
-                add_term(out, (h_power, b, J), cc.scale(w if sign > 0 else -w))
+                out.add_product((h_power, b, J), c1, c2, w if sign > 0 else -w)
 
     # -- delta calculus ---------------------------------------------------------
 

@@ -39,6 +39,27 @@ def test_text_report_is_unchanged(capsys, monkeypatch, command, scenario):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == REPORT_SHA256[(command, scenario)]
 
 
+# one order above each scenario's own, so the Weyl pairings and the Leibniz
+# compositions reach more contraction orders and splits; recorded before the
+# product kernels skipped the pairs that cannot contribute
+DEEPER_REPORT_SHA256 = {
+    ("gauge", "family_r2.scn", 4): "b7c017ae4d30484dea2ca8e24bd50fe2554de69e272c86398070f023894646b8",
+    ("family", "family2_r2.scn", 4): "8944293d28876d7691c80d3a7f42dd2d47c125a172390c7cedd3f1545721807d",
+    ("quantize", "curved_r2.scn", 4): "22e87125a235878bfcc58edb7fdbc61076ba6efd051378f97c7db792956cd8a8",
+}
+
+
+@pytest.mark.parametrize("command, scenario, order", sorted(DEEPER_REPORT_SHA256),
+                         ids=[f"{c} {s} --order {k}" for c, s, k in sorted(DEEPER_REPORT_SHA256)])
+def test_deeper_text_report_is_unchanged(capsys, monkeypatch, command, scenario, order):
+    monkeypatch.delenv("FEDCONN_REPORT_DIR", raising=False)
+    code = main([command, "--scenario", str(SCENARIOS / scenario), "--order", str(order)])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        DEEPER_REPORT_SHA256[(command, scenario, order)]
+
+
 # recorded before t-only values became Polys over the empty roster
 RATIONAL_KAHLER_SHA256 = "14681509d458f56e74cf0f86549498f162a36706fb9a064fc7888137978ef442"
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from fedconn.scalars import Scalar, I
-from fedconn.polynomials import Poly, parse_poly, add_term
+from fedconn.polynomials import Poly, parse_poly
 from fedconn.weylforms import WeylForm, omega_tilde, poincare_potential, _contract, _wedge_sign
 from fedconn.properties import random_weyl_form
 
@@ -232,7 +232,8 @@ def test_ad_over_h_of_one_forms_is_symmetric(sym2, sym4, seed):
 
 def mw_pair_by_states(self, key1, c1, key2, c2, out, commutator, over_h):
     """``WeylForm._mw_pair`` as a loop over the contraction states, one
-    scaled product per state: the reference for the cached contractions."""
+    weighted product per state into the ``PolySums`` out: the reference for
+    the cached contractions."""
     (k1, a1, J1), (k2, a2, J2) = key1, key2
     if set(J1) & set(J2):
         return
@@ -248,7 +249,7 @@ def mw_pair_by_states(self, key1, c1, key2, c2, out, commutator, over_h):
             h_power = k1 + k2 + k - (1 if over_h else 0)
             for (b1, b2), w in state.items():
                 key = (h_power, tuple(e1 + e2 for e1, e2 in zip(b1, b2)), J)
-                add_term(out, key, cc.scale(w * factor * sign))
+                out.add(key, cc, w * factor * sign)
         state = _contract(ctx, state)
 
 
