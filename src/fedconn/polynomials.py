@@ -483,20 +483,11 @@ class Poly:
         if len(b.terms) == 1 and b.den is T_ONE and _is_constant_key(next(iter(b.terms))):
             return a.scale(b)
         out = {}
-        get = out.get
         for (m1, t1), (a1, b1) in a.terms.items():
             for (m2, t2), (a2, b2) in b.terms.items():
-                key = (tuple(map(operator.add, m1, m2)),
-                       mono_mul(t1, t2) if t1 and t2 else t1 or t2)
-                re, im = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
-                s = get(key)
-                # a product of nonzero Gaussian integers is not zero
-                if s is None:
-                    out[key] = (re, im)
-                elif re + s[0] or im + s[1]:
-                    out[key] = (re + s[0], im + s[1])
-                else:
-                    del out[key]
+                t = mono_mul(t1, t2) if t1 and t2 else t1 or t2
+                key = (tuple(map(operator.add, m1, m2)), t)
+                _acc(out, key, a1 * a2 - b1 * b2, a1 * b2 + b1 * a2)
         return Poly._make(a.roster, out, a.q * b.q, _den_mul(a.den, b.den))
 
     __rmul__ = __mul__
@@ -719,30 +710,33 @@ T_ONE.den = T_ONE
 class PolySums:
     """Sums of weighted Polys, one per key, each reduced once.
 
-    ``add(key, p, w)`` adds w * p at key for a number w, an int or a Scalar,
-    and ``add_product(key, p1, p2, w)`` adds w * p1 * p2 without making the
-    product.  Each key keeps one map of unreduced Gaussian-integer numerators
-    over one integer denominator, the lcm of its contributions'
-    denominators, on the merged roster of its contributions.  The numerators
-    of a contribution go straight into that map, so it makes no Poly of its
-    own, and ``polys()`` makes one Poly per key.  A contribution rational in
-    t (``den`` not T_ONE) is added as an exact Poly sum instead.
+    ``add(key, p, w)`` adds w * p at key for a number w, an int or a Scalar.
+    Each key keeps one map of unreduced Gaussian-integer numerators over one
+    integer denominator, the lcm of its contributions' denominators.  The
+    numerators of a contribution go straight into that map, so it makes no
+    Poly of its own, and ``polys()`` makes one Poly per key.  A contribution
+    rational in t (``den`` not T_ONE) joins an exact Poly sum kept beside the
+    map instead, and moves into the map once that sum is polynomial.
+
+    A key's roster merges the rosters of its contributions since its sum was
+    last zero, as adding them one by one with ``add_term`` would.
     """
 
-    __slots__ = ("_sums", "_exact")
+    __slots__ = ("_sums",)
 
     def __init__(self):
-        self._sums = {}   # key -> [roster, q, {(x exponents, t monomial): (a, b)}]
-        self._exact = {}  # key -> the Poly sum of the contributions rational in t
+        # key -> [roster, q, {(x exponents, t monomial): (a, b)},
+        #         the Poly sum of the contributions rational in t, or None]
+        self._sums = {}
 
     def _slot(self, key, roster: tuple, q: int):
-        """(numerator map at key, its roster, factor): the map is on a roster
-        that contains ``roster``, and a contribution over q joins its
-        denominator once its numerators are multiplied by the factor."""
+        """(slot at key, factor): the slot's map is on a roster that contains
+        ``roster``, and a contribution over q joins its denominator once its
+        numerators are multiplied by the factor."""
         acc = self._sums.get(key)
         if acc is None:
-            acc = self._sums[key] = [roster, q, {}]
-            return acc[2], roster, 1
+            acc = self._sums[key] = [roster, q, {}, None]
+            return acc, 1
         if roster != acc[0]:
             merged = merge_rosters(acc[0], roster)
             if merged != acc[0]:
@@ -754,16 +748,22 @@ class PolySums:
             f = lcm // total
             acc[2] = {k: (a * f, b * f) for k, (a, b) in acc[2].items()}
             acc[1] = total = lcm
-        return acc[2], acc[0], total // q
+        return acc, total // q
 
     def add(self, key, p: Poly, w):
-        if p.den is not T_ONE:
-            add_term(self._exact, key, p.scale(w))
-            return
         wa, wb, q = (w, 0, 1) if type(w) is int else (w.a, w.b, w.q)
         if not wa and not wb:
             return
-        out, roster, f = self._slot(key, p.roster, p.q * q)
+        if p.den is not T_ONE:
+            acc, _ = self._slot(key, p.roster, 1)
+            exact = p.scale(w) if acc[3] is None else acc[3] + p.scale(w)
+            if exact.den is not T_ONE:
+                acc[3] = exact
+                return
+            acc[3] = None
+            p, wa, wb, q = exact, 1, 0, 1
+        acc, f = self._slot(key, p.roster, p.q * q)
+        out, roster = acc[2], acc[0]
         terms = p.terms if roster == p.roster else _remap(p.terms, p.roster, roster)
         wa, wb = wa * f, wb * f
         if wb:
@@ -772,40 +772,15 @@ class PolySums:
         else:
             for k, (a, b) in terms.items():
                 _acc(out, k, a * wa, b * wa)
-
-    def add_product(self, key, p1: Poly, p2: Poly, w):
-        if p1.den is not T_ONE or p2.den is not T_ONE:
-            self.add(key, p1 * p2, w)
-            return
-        wa, wb, q = (w, 0, 1) if type(w) is int else (w.a, w.b, w.q)
-        if not wa and not wb:
-            return
-        if p1.roster != p2.roster:
-            p1, p2 = p1._aligned(p2)
-        out, roster, f = self._slot(key, p1.roster, p1.q * p2.q * q)
-        if roster != p1.roster:
-            p1, p2 = p1.with_roster(roster), p2.with_roster(roster)
-        wa, wb = wa * f, wb * f
-        add = operator.add
-        for (m1, t1), (a1, b1) in p1.terms.items():
-            a, b = a1 * wa - b1 * wb, a1 * wb + b1 * wa
-            for (m2, t2), (a2, b2) in p2.terms.items():
-                _acc(out, (tuple(map(add, m1, m2)), mono_mul(t1, t2) if t1 and t2 else t1 or t2),
-                     a * a2 - b * b2, a * b2 + b * a2)
+        if not out and acc[3] is None:
+            del self._sums[key]
 
     def polys(self) -> dict:
         """key -> the sum at that key, for every key whose sum is not zero."""
         out = {}
-        for key, (roster, q, terms) in self._sums.items():
-            p = Poly._make(roster, terms, q, T_ONE) if terms else None
-            exact = self._exact.get(key)
-            if exact is not None:
-                p = exact if p is None else p + exact
-            if p is not None and p.terms:
-                out[key] = p
-        for key, p in self._exact.items():
-            if key not in self._sums:
-                out[key] = p
+        for key, (roster, q, terms, exact) in self._sums.items():
+            p = Poly._make(roster, terms, q, T_ONE)
+            out[key] = p if exact is None else p + exact
         return out
 
 

@@ -57,6 +57,14 @@ def with_central_terms(form, rng):
 BRACKETS = {"mw": (False, False), "graded_comm": (True, False), "ad_over_h": (True, True)}
 
 
+def assert_same(fast, reference, *context):
+    """Equal terms, each coefficient on the roster, in the order, that the
+    reference's one-by-one sums give it (``Poly.__eq__`` aligns rosters)."""
+    assert fast == reference, context
+    assert ({key: c.roster for key, c in fast.terms.items()}
+            == {key: c.roster for key, c in reference.terms.items()}), context
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_pairing_matches_the_scaled_products(sym2, sym4, seed):
     rng = random.Random(1400 + seed)
@@ -67,7 +75,7 @@ def test_pairing_matches_the_scaled_products(sym2, sym4, seed):
         for name, (commutator, over_h) in BRACKETS.items():
             for cap in (None, 2, 4, 6):
                 fast = getattr(a, name)(b, max_degree=cap)
-                assert fast == pairing_by_products(a, b, commutator, over_h, cap), (name, cap)
+                assert_same(fast, pairing_by_products(a, b, commutator, over_h, cap), name, cap)
                 assert fast.trunc == min(a.trunc, b.trunc)
 
 
@@ -85,7 +93,7 @@ def test_pairing_merges_rosters_within_a_key(sym2, seed):
     for a in (f + g, g + f):
         for name, (commutator, over_h) in BRACKETS.items():
             fast = getattr(a, name)(b)
-            assert fast == pairing_by_products(a, b, commutator, over_h), name
+            assert_same(fast, pairing_by_products(a, b, commutator, over_h), name)
             assert any(set(c.roster) == set(symbol) for c in fast.terms.values())
 
 
@@ -95,7 +103,8 @@ def test_pairing_skips_central_terms_only_in_brackets(sym2):
     a = with_central_terms(WeylForm.zero(sym2, 6), rng)
     b = mixed_form(sym2, rng, trunc=6, terms=6)
     assert a.graded_comm(b).is_zero() and a.ad_over_h(b).is_zero() and b.ad_over_h(a).is_zero()
-    assert a.mw(b) == pairing_by_products(a, b, False, False) and not a.mw(b).is_zero()
+    assert_same(a.mw(b), pairing_by_products(a, b, False, False))
+    assert not a.mw(b).is_zero()
 
 
 def test_pairing_with_zero_and_constant_operands(sym2):
@@ -105,8 +114,8 @@ def test_pairing_with_zero_and_constant_operands(sym2):
     half_t = WeylForm.from_poly(sym2, 8, parse_poly("1/(t1 + 2)", sym2.roster))
     for other in (zero, one, half_t, a.scale(Scalar(0, 3))):
         for name, (commutator, over_h) in BRACKETS.items():
-            assert getattr(a, name)(other) == pairing_by_products(a, other, commutator, over_h)
-            assert getattr(other, name)(a) == pairing_by_products(other, a, commutator, over_h)
+            assert_same(getattr(a, name)(other), pairing_by_products(a, other, commutator, over_h))
+            assert_same(getattr(other, name)(a), pairing_by_products(other, a, commutator, over_h))
     assert a.mw(zero).is_zero() and a.mw(one) == a and one.mw(a) == a
     assert a.ad_over_h(one).is_zero()
 
@@ -129,7 +138,7 @@ def test_compose_at_matches_the_scaled_products(seed):
         for i in range(m):
             for cap in (None, 0, 1, 2, 3):
                 fast = phi.compose_at(i, psi, cap)
-                assert fast == compose_at_by_products(phi, i, psi, cap), (m, n, i, cap)
+                assert_same(fast, compose_at_by_products(phi, i, psi, cap), m, n, i, cap)
                 assert (fast.arity, fast.order) == (m + n - 1, min(phi.order, psi.order))
 
 
@@ -143,42 +152,67 @@ def test_compose_at_with_zero_and_constant_operands():
                                    (0, ((0, 0),)): Poly.const(R2, 5)})
     for inner in (ident, zero, const, psi):
         for i in range(2):
-            assert phi.compose_at(i, inner) == compose_at_by_products(phi, i, inner)
-        assert inner.compose_at(0, phi) == compose_at_by_products(inner, 0, phi)
+            assert_same(phi.compose_at(i, inner), compose_at_by_products(phi, i, inner))
+        assert_same(inner.compose_at(0, phi), compose_at_by_products(inner, 0, phi))
     assert phi.compose_at(1, ident) == phi and ident.compose_at(0, phi) == phi
     assert phi.compose_at(0, zero).is_zero()
 
 
-@pytest.mark.parametrize("seed", range(4))
+# rosters a sum meets, one unsorted as a jet roster may be
+ROSTERS = (R2, SYMBOL2, ("x2",), ("xi1", "x2", "x1"), ())
+
+
+@pytest.mark.parametrize("seed", range(6))
 def test_poly_sums_match_add_term_of_scaled_polys(seed):
-    # sums and products on mixed rosters, t-rational parts, complex and integer
-    # weights, cancellation
+    # sums of products on mixed rosters, t-rational parts, complex and integer
+    # weights, and sums that cancel, some before a contribution on a new roster
     rng = random.Random(1480 + seed)
     sums, reference = PolySums(), {}
-    for _ in range(40):
+    for _ in range(60):
         key = rng.randrange(4)
-        roster = rng.choice((R2, SYMBOL2, ("x2",)))
-        p = random_poly(roster, rng, degree=2, terms=3, params=("t1",))
+        roster = rng.choice(ROSTERS)
+        p = (random_poly(roster, rng, degree=2, terms=3, params=("t1",)) if roster
+             else Poly.const((), random_scalar(rng)))
         if rng.random() < 0.3:
             p = p * t_factor(rng)
-        w = rng.choice((random_scalar(rng), rng.randint(-3, 3)))
         if rng.random() < 0.5:
-            sums.add(key, p, w)
-            add_term(reference, key, p.scale(w))
-        else:
-            other = rng.choice((random_poly(R2, rng, degree=1, terms=2),
-                                random_poly(("x1",), rng, degree=1, terms=2),
+            p = p * rng.choice((random_poly(R2, rng, degree=1, terms=2),
                                 Poly.const((), random_scalar(rng))))
-            if rng.random() < 0.3:
-                other = other * t_factor(rng)
-            sums.add_product(key, p, other, w)
-            add_term(reference, key, (p * other).scale(w))
+        w = rng.choice((random_scalar(rng), rng.randint(-3, 3)))
+        if p.is_zero() or Scalar.of(w).is_zero():
+            continue  # no kernel adds a zero contribution
+        sums.add(key, p, w)
+        add_term(reference, key, p.scale(w))
         if rng.random() < 0.2:
             sums.add(key, p, -w)
             add_term(reference, key, p.scale(-w))
+        if rng.random() < 0.1 and key in reference:
+            # cancel the whole sum, polynomial and rational parts at once
+            sums.add(key, reference[key], -1)
+            add_term(reference, key, -reference[key])
     got = sums.polys()
     assert got == reference
+    assert {key: p.roster for key, p in got.items()} == {
+        key: p.roster for key, p in reference.items()}
     assert all(not p.is_zero() for p in got.values())
+
+
+def test_poly_sums_roster_restarts_when_a_sum_cancels():
+    # x-roster parts that cancel leave no mark on the roster of what follows,
+    # whether they were polynomial or rational in t
+    rng = random.Random(1485)
+    jet = ("xi1", "x2", "x1")
+    for factor in ("1", "1/(t1 + 2)"):
+        p = random_poly(R2, rng, degree=2, terms=3) * parse_poly(factor, R2)
+        q = random_poly(jet, rng, degree=2, terms=3) * parse_poly("1/(t1 + 3)", jet)
+        r = random_poly(jet, rng, degree=2, terms=3)
+        sums = PolySums()
+        sums.add("k", p, 2)
+        sums.add("k", p, -2)
+        sums.add("k", q, 1)
+        sums.add("k", r, 1)
+        got = sums.polys()["k"]
+        assert got == q + r and got.roster == jet
     # a zero weight adds nothing, and a sum that cancels leaves no key
     sums, p, far = PolySums(), random_poly(R2, rng, degree=2, terms=3), Poly.monomial(R2, (5, 0))
     sums.add("zero first", p, 0)

@@ -1,17 +1,16 @@
 """Write the scale table: wall time and peak RSS of fedconn runs past desk scale.
 
     python3 tools/scale_table.py --side parent=../parent-checkout --side change=. \
-        [--repeat 3] [--seed 0] [--out SCALE_TABLE.md]
+        [--out SCALE_TABLE.md]
 
 Each ``--side LABEL=PATH`` names a checkout whose ``src`` is run.  The runs
 are ``quantize`` on the generated curved R^4 (``perfbench/gen.py`` of this
-checkout, at ``--seed``) at orders K = 2..5, and ``family`` on
+checkout, at seed 0) at orders K = 2..5, and ``family`` on
 ``scenarios/family_r2.scn`` at orders 3..6; every side runs the same
 scenario files.  Each run is a fresh ``python`` child, one at a time, with
 the sides alternating; its wall time counts interpreter start and imports,
 and its peak RSS is the child's own ``VmHWM``.  The table gives the median of
-``--repeat`` runs per side, and says whether every side printed the same
-report.
+five runs per side, and says whether every side printed the same report.
 """
 
 from __future__ import annotations
@@ -29,8 +28,10 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+REPEAT = 5  # runs per side and job
+SEED = 0  # of the generated R^4; every seed gives the same term counts and sizes
 
-# runs one fedconn command and prints its exit code, report hash and VmHWM as JSON
+# runs one fedconn command and prints its exit code,  and VmHWM as JSON
 CHILD = """
 import contextlib, hashlib, io, json, sys
 from fedconn.cli import main
@@ -86,18 +87,16 @@ def cpu_model() -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--side", action="append", required=True, metavar="LABEL=PATH")
-    parser.add_argument("--repeat", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", type=Path, default=ROOT / "SCALE_TABLE.md")
     args = parser.parse_args(argv)
     sides = [(label, Path(path).resolve() / "src")
              for label, path in (s.split("=", 1) for s in args.side)]
     with tempfile.TemporaryDirectory() as tmp:
         generated = Path(tmp) / "curved_r4.scn"
-        generated.write_text(load_gen().curved_r4(args.seed), encoding="utf-8")
+        generated.write_text(load_gen().curved_r4(SEED), encoding="utf-8")
         results = {}
         for name, cli_args in jobs(generated):
-            for r in range(args.repeat):
+            for r in range(REPEAT):
                 order = sides if r % 2 == 0 else sides[::-1]
                 for label, src in order:
                     results.setdefault((name, label), []).append(run(src, cli_args))
@@ -108,11 +107,11 @@ def main(argv=None) -> int:
     lines = [
         "# Scale table",
         "",
-        f"Written by `tools/scale_table.py --repeat {args.repeat} --seed {args.seed}`: the",
-        "median wall time (child launch to exit, interpreter start included) and peak",
-        f"RSS (`VmHWM`) of {args.repeat} fresh runs per side, one run at a time, sides",
+        "Written by `tools/scale_table.py`: the median wall time (child launch to",
+        "exit, interpreter start included) and peak RSS (`VmHWM`) of",
+        f"{REPEAT} fresh runs per side, one run at a time, sides",
         f"alternating. Python {platform.python_version()}, {os.cpu_count()} CPUs, {cpu_model()}.",
-        "`quantize R^4` runs the generated curved R^4 of `perfbench/gen.py`.",
+        f"`quantize R^4` runs the generated curved R^4 of `perfbench/gen.py` at seed {SEED}.",
         "",
         "| run | " + " | ".join(f"{lb} s" for lb in labels) + " | "
         + " | ".join(f"{lb} MiB" for lb in labels) + " | same report |",
