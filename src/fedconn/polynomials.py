@@ -201,6 +201,17 @@ def _times_gaussian(terms: dict, c: int, d: int):
     return {key: (a * c, b * c) for key, (a, b) in terms.items()}
 
 
+def _acc_product(out: dict, ta: dict, tb: dict, c: int, d: int):
+    """Accumulate (c + d*i) * ta * tb into out, for term maps on one roster;
+    unreduced."""
+    add = operator.add
+    for (m1, t1), (a1, b1) in ta.items():
+        a, b = (a1 * c - b1 * d, a1 * d + b1 * c) if d else (a1 * c, b1 * c)
+        for (m2, t2), (a2, b2) in tb.items():
+            t = mono_mul(t1, t2) if t1 and t2 else t1 or t2
+            _acc(out, (tuple(map(add, m1, m2)), t), a * a2 - b * b2, a * b2 + b * a2)
+
+
 def _sum(ta: dict, qa: int, tb: dict, qb: int, sign: int):
     """(terms, q) of ta/qa + sign * tb/qb over q = lcm(qa, qb), unreduced."""
     if qa == qb:
@@ -483,11 +494,7 @@ class Poly:
         if len(b.terms) == 1 and b.den is T_ONE and _is_constant_key(next(iter(b.terms))):
             return a.scale(b)
         out = {}
-        for (m1, t1), (a1, b1) in a.terms.items():
-            for (m2, t2), (a2, b2) in b.terms.items():
-                t = mono_mul(t1, t2) if t1 and t2 else t1 or t2
-                key = (tuple(map(operator.add, m1, m2)), t)
-                _acc(out, key, a1 * a2 - b1 * b2, a1 * b2 + b1 * a2)
+        _acc_product(out, a.terms, b.terms, 1, 0)
         return Poly._make(a.roster, out, a.q * b.q, _den_mul(a.den, b.den))
 
     __rmul__ = __mul__
@@ -710,13 +717,16 @@ T_ONE.den = T_ONE
 class PolySums:
     """Sums of weighted Polys, one per key, each reduced once.
 
-    ``add(key, p, w)`` adds w * p at key for a number w, an int or a Scalar.
-    Each key keeps one map of unreduced Gaussian-integer numerators over one
-    integer denominator, the lcm of its contributions' denominators.  The
-    numerators of a contribution go straight into that map, so it makes no
-    Poly of its own, and ``polys()`` makes one Poly per key.  A contribution
-    rational in t (``den`` not T_ONE) joins an exact Poly sum kept beside the
-    map instead, and moves into the map once that sum is polynomial.
+    ``add(key, p, w)`` adds w * p at key for a number w, an int or a Scalar,
+    and ``add_product(key, p1, p2, w)`` adds w * p1 * p2.  Each key keeps one
+    map of unreduced Gaussian-integer numerators over one integer
+    denominator, the lcm of its contributions' denominators.  The numerators
+    of a contribution go straight into that map, those of a product as they
+    are multiplied (``_acc_product``, the loop of ``Poly.__mul__``), so a
+    contribution makes no Poly of its own, and ``polys()`` makes one Poly per
+    key.  A contribution rational in t (``den`` not T_ONE) joins an exact
+    Poly sum kept beside the map instead, and moves into the map once that
+    sum is polynomial.
 
     A key's roster merges the rosters of its contributions since its sum was
     last zero, as adding them one by one with ``add_term`` would.
@@ -773,6 +783,22 @@ class PolySums:
             for k, (a, b) in terms.items():
                 _acc(out, k, a * wa, b * wa)
         if not out and acc[3] is None:
+            del self._sums[key]
+
+    def add_product(self, key, p1: Poly, p2: Poly, w):
+        if p1.den is not T_ONE or p2.den is not T_ONE:
+            self.add(key, p1 * p2, w)
+            return
+        wa, wb, q = (w, 0, 1) if type(w) is int else (w.a, w.b, w.q)
+        if not wa and not wb:
+            return
+        if p1.roster != p2.roster:
+            p1, p2 = p1._aligned(p2)
+        acc, f = self._slot(key, p1.roster, p1.q * p2.q * q)
+        if acc[0] != p1.roster:
+            p1, p2 = p1.with_roster(acc[0]), p2.with_roster(acc[0])
+        _acc_product(acc[2], p1.terms, p2.terms, wa * f, wb * f)
+        if not acc[2] and acc[3] is None:
             del self._sums[key]
 
     def polys(self) -> dict:

@@ -167,8 +167,8 @@ class ConnectionFamily:
                 na[m] -= 1
                 na[j] += 1
                 before = sum(1 for q in J if q < i)
-                extra.add((k, tuple(na), tuple(sorted(J + (i,)))), g * c,
-                          -e if before % 2 == 0 else e)
+                extra.add_product((k, tuple(na), tuple(sorted(J + (i,)))), g, c,
+                                  -e if before % 2 == 0 else e)
         return out + WeylForm(self.sym, a.trunc, extra.polys())
 
     # -- curvature and its variation ------------------------------------------------

@@ -36,10 +36,12 @@ coefficients are multiplied when its form indices meet (tested on bitmasks),
 when either term is y-free in a commutator (order 0, the only one such a
 term has, cancels there), and when no contraction order of its exponents
 survives (``WeylContext.contractions``, cached per exponent pair).  The
-coefficient product c1 * c2 of a surviving pair is formed once, and every
-(order, leftover exponent) adds it with its weight to a ``PolySums``, which
-sums the numerators and reduces each output coefficient once, not once per
-contribution.
+coefficient product c1 * c2 of a surviving pair is not made as a Poly: each
+(order, leftover exponent) accumulates its weight times c1 * c2 into a
+``PolySums`` as the terms are multiplied, which reduces each output
+coefficient once, not once per contribution.  So a pair with several
+surviving (order, exponent) multiplies its coefficients once per weight;
+nearly every surviving pair has a single one.
 """
 
 from __future__ import annotations
@@ -399,7 +401,7 @@ class WeylForm:
                 w = ctx.full_contraction_weight(a1, a2)
                 if w.is_zero():
                     continue
-                coeffs.add(h_power, c1 * c2, w * factor)
+                coeffs.add_product(h_power, c1, c2, w * factor)
         return FormalFunction(ctx.roster, order, coeffs.polys())
 
     def _pairing(self, other, commutator, over_h, max_degree=None):
@@ -444,9 +446,9 @@ class WeylForm:
 
     def _mw_pair(self, key1, c1, key2, c2, out, commutator, over_h):
         """Add the pairing of two terms with disjoint form indices to the
-        PolySums ``out``: the product c1 * c2 is formed once, and only when
-        some contraction order survives, and each (order, leftover exponent)
-        adds it with its cached weight."""
+        PolySums ``out``: only when some contraction order survives, each
+        (order, leftover exponent) accumulates c1 * c2 times its cached
+        weight."""
         k1, a1, J1 = key1
         k2, a2, J2 = key2
         orders = self.ctx.contractions(a1, a2, commutator, over_h)
@@ -456,7 +458,6 @@ class WeylForm:
             sign, J = _wedge_sign(J1, J2), _merge_J(J1, J2)
         else:
             sign, J = 1, J1 or J2
-        cc = c1 * c2
         for k, weights in orders:
             h_power = k1 + k2 + k + (-1 if over_h else 0)
             if h_power < 0:
@@ -464,7 +465,7 @@ class WeylForm:
                     f"the bracket of h^{k1} y^{a1} and h^{k2} y^{a2} has an h^0 part "
                     f"at contraction order {k}")
             for b, w in weights:
-                out.add((h_power, b, J), cc, w if sign > 0 else -w)
+                out.add_product((h_power, b, J), c1, c2, w if sign > 0 else -w)
 
     # -- delta calculus ---------------------------------------------------------
 

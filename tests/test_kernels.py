@@ -164,8 +164,9 @@ ROSTERS = (R2, SYMBOL2, ("x2",), ("xi1", "x2", "x1"), ())
 
 @pytest.mark.parametrize("seed", range(6))
 def test_poly_sums_match_add_term_of_scaled_polys(seed):
-    # sums of products on mixed rosters, t-rational parts, complex and integer
-    # weights, and sums that cancel, some before a contribution on a new roster
+    # sums and products on mixed rosters, t-rational parts, complex and
+    # integer weights, and sums that cancel, some before a contribution on a
+    # new roster
     rng = random.Random(1480 + seed)
     sums, reference = PolySums(), {}
     for _ in range(60):
@@ -175,14 +176,24 @@ def test_poly_sums_match_add_term_of_scaled_polys(seed):
              else Poly.const((), random_scalar(rng)))
         if rng.random() < 0.3:
             p = p * t_factor(rng)
-        if rng.random() < 0.5:
-            p = p * rng.choice((random_poly(R2, rng, degree=1, terms=2),
-                                Poly.const((), random_scalar(rng))))
+        other = rng.choice((random_poly(R2, rng, degree=1, terms=2),
+                            random_poly(("x1",), rng, degree=1, terms=2),
+                            Poly.const((), random_scalar(rng))))
+        if rng.random() < 0.3:
+            other = other * t_factor(rng)
         w = rng.choice((random_scalar(rng), rng.randint(-3, 3)))
-        if p.is_zero() or Scalar.of(w).is_zero():
+        if p.is_zero() or other.is_zero() or Scalar.of(w).is_zero():
             continue  # no kernel adds a zero contribution
-        sums.add(key, p, w)
-        add_term(reference, key, p.scale(w))
+        pick = rng.randrange(3)
+        if pick == 0:
+            sums.add(key, p, w)
+            add_term(reference, key, p.scale(w))
+        else:
+            if pick == 1:
+                sums.add_product(key, p, other, w)
+            else:
+                sums.add(key, p * other, w)
+            add_term(reference, key, (p * other).scale(w))
         if rng.random() < 0.2:
             sums.add(key, p, -w)
             add_term(reference, key, p.scale(-w))
@@ -208,7 +219,7 @@ def test_poly_sums_roster_restarts_when_a_sum_cancels():
         r = random_poly(jet, rng, degree=2, terms=3)
         sums = PolySums()
         sums.add("k", p, 2)
-        sums.add("k", p, -2)
+        sums.add_product("k", p, Poly.const((), -2), 1)
         sums.add("k", q, 1)
         sums.add("k", r, 1)
         got = sums.polys()["k"]
