@@ -108,9 +108,9 @@ def main(argv=None) -> int:
         "# Scale table",
         "",
         "Written by `tools/scale_table.py`: the median wall time (child launch to",
-        "exit, interpreter start included) and peak RSS (`VmHWM`) of",
-        f"{REPEAT} fresh runs per side, one run at a time, sides",
-        f"alternating. Python {platform.python_version()}, {os.cpu_count()} CPUs, {cpu_model()}.",
+        f"exit, interpreter start included) and peak RSS (`VmHWM`) of {REPEAT} fresh",
+        "runs per side, one run at a time, sides alternating.",
+        f"Python {platform.python_version()}, {os.cpu_count()} CPUs, {cpu_model()}.",
         f"`quantize R^4` runs the generated curved R^4 of `perfbench/gen.py` at seed {SEED}.",
         "",
         "| run | " + " | ".join(f"{lb} s" for lb in labels) + " | "
