@@ -38,7 +38,7 @@ from fractions import Fraction
 
 from .scalars import I
 from .polynomials import (
-    Poly, FormalFunction, monomials_up_to, exponents_up_to, merge_rosters, add_term,
+    Poly, PolySums, FormalFunction, monomials_up_to, exponents_up_to, merge_rosters, add_term,
 )
 from .weylforms import WeylForm
 from .symplectic import ConnectionFamily
@@ -103,30 +103,38 @@ def solve_by_degree(derivative, parts: dict, degrees, source: WeylForm,
 
     For each d in ``degrees`` the degree-d source
 
-        B = source_d + derivative(parts[d]) + weight * sum ad_over_h(left[d1], parts[d + 2 - d1])
+        B = derivative(parts[d]) + source_d + weight * sum ad_over_h(left[d1], parts[d + 2 - d1])
 
     is assembled from the parts solved so far (a missing part is zero), and
-    parts[d + 1] = delta_inv(B).  ``derivative`` is d_nabla, the connection's
-    ``cov_deriv``, or for the symbol of tau d_nabla + Xi ^.  B must be
-    delta-closed, or ``fail(d)`` is raised.  ``parts`` is filled in place.
+    parts[d + 1] = delta_inv(B).  ``derivative(a, sink)`` adds d_nabla a into
+    the PolySums ``sink``: it is the connection's ``cov_deriv``, or for the
+    symbol of tau d_nabla + Xi ^.  The derivative, the source and every
+    bracket add into one PolySums, so each coefficient of B is reduced once.
+    B must be delta-closed, or ``fail(d)`` is raised.  ``parts`` is filled in
+    place.
 
     When ``left`` is ``parts`` (the r recursion, whose parts are 1-forms) the
     bracket is symmetric, ad_over_h(a, b) = ad_over_h(b, a) for 1-forms, so
     each pair d1 < d2 is bracketed once with twice the weight.
     """
     self_bracket = left is parts
+    sources = source.by_degree()
     for d in degrees:
-        B = source.homogeneous(d)
+        out = PolySums()
+        trunc = source.trunc
         if d in parts:
-            B = derivative(parts[d]) + B
+            derivative(parts[d], out)
+            trunc = min(trunc, parts[d].trunc)
+        if d in sources:
+            sources[d].add_to(out)
         for d1, a in left.items():
             d2 = d + 2 - d1
             b = parts.get(d2)
             if b is None or (self_bracket and d1 > d2):
                 continue
-            w = 2 * weight if self_bracket and d1 < d2 else weight
-            bracket = a.ad_over_h(b)
-            B = B + (bracket if w == 1 else bracket.scale(w))
+            a.ad_over_h(b, sink=out, weight=2 * weight if self_bracket and d1 < d2 else weight)
+            trunc = min(trunc, a.trunc, b.trunc)
+        B = WeylForm(source.ctx, trunc, out.polys())
         if not B.delta().is_zero():
             raise fail(d)
         parts[d + 1] = B.delta_inv()
@@ -224,10 +232,15 @@ class FedosovSetup:
         central and brackets to zero, so e >= 1 and no read is above
         trunc - 1.  So the inner bracket is capped at trunc - 1 and the outer
         at trunc - 2, and the residues below trunc - 1 are those of the
-        uncapped D(D(y^m)), for any r.
+        uncapped D(D(y^m)), for any r.  Each D sums its three terms in one
+        PolySums.
         """
         def D(a, cap):
-            return -a.delta() + self.connection.cov_deriv(a) + r.ad_over_h(a, max_degree=cap)
+            out = PolySums()
+            a.delta().add_to(out, -1)
+            self.connection.cov_deriv(a, out)
+            r.ad_over_h(a, max_degree=cap, sink=out)
+            return WeylForm(self.sym, min(a.trunc, r.trunc), out.polys())
         N, dim = self.trunc, self.sym.dim
         generators = (WeylForm.y_monomial(self.sym, N, tuple(int(q == m) for q in range(dim)))
                       for m in range(dim))
@@ -252,23 +265,22 @@ class FedosovSetup:
         trunc - 1: ad(r, r) is capped there, exact because the bracket's
         degree is additive, and the sum is truncated there.  r is a 1-form,
         so the bracket is symmetric: (1/2) ad(r, r) is the sum of
-        ad(r_d1, r_d2) over d1 < d2 and of (1/2) ad(r_d, r_d)."""
+        ad(r_d1, r_d2) over d1 < d2 and of (1/2) ad(r_d, r_d).  Every term
+        adds into one PolySums."""
         cap = self.trunc - 1
+        out = PolySums()
+        self.omega_form.add_to(out)
+        r.delta().add_to(out)
+        self.R.add_to(out)
+        self.connection.cov_deriv(r, out, -1)
         parts = r.by_degree()
-        half = WeylForm.zero(self.sym, r.trunc)
         for d1, a in parts.items():
             for d2, b in parts.items():
                 if d1 < d2:
-                    half = half + a.ad_over_h(b, max_degree=cap)
+                    a.ad_over_h(b, max_degree=cap, sink=out, weight=-1)
                 elif d1 == d2:
-                    half = half + a.ad_over_h(b, max_degree=cap).scale(Fraction(1, 2))
-        return (
-            self.omega_form
-            + r.delta()
-            + self.R
-            - self.connection.cov_deriv(r)
-            - half
-        ).truncate(cap)
+                    a.ad_over_h(b, max_degree=cap, sink=out, weight=Fraction(-1, 2))
+        return WeylForm(self.sym, min(r.trunc, cap), out.polys())
 
     def weyl_curvature(self, r: WeylForm) -> WeylForm:
         """The central 2-form omega + delta r + R - d_nabla r - (1/2) ad(r, r)
@@ -293,8 +305,13 @@ class FedosovSetup:
 
     def D_r(self, a: WeylForm, max_degree: int = None) -> WeylForm:
         """-delta a + d_nabla a + ad_over_h(r, a), with the bracket capped at
-        ``max_degree`` (None: the truncation)."""
-        return -a.delta() + self.connection.cov_deriv(a) + self.r.ad_over_h(a, max_degree)
+        ``max_degree`` (None: the truncation), its terms summed in one
+        PolySums."""
+        out = PolySums()
+        a.delta().add_to(out, -1)
+        self.connection.cov_deriv(a, out)
+        self.r.ad_over_h(a, max_degree, sink=out)
+        return WeylForm(self.sym, min(a.trunc, self.r.trunc), out.polys())
 
     def _depth(self, max_degree):
         return self.trunc if max_degree is None else min(max_degree, self.trunc)
@@ -368,10 +385,13 @@ class FedosovSetup:
                                   {(0, (0,) * self.sym.dim, ()): Poly.const(roster, 1)})
             r_parts = {d: _recoefficient(a, lambda c: c.with_roster(roster))
                        for d, a in self._r_parts.items()}
+            def derivative(a, sink):
+                self.connection.cov_deriv(a, sink)
+                _jet_wedge(a, positions, jet).add_to(sink)
+
             symbol = self._continue_flat(
-                symbol, top, target,
-                lambda a: self.connection.cov_deriv(a) + _jet_wedge(a, positions, jet),
-                r_parts, lambda d: f"flat section symbol defect at total degree {d}",
+                symbol, top, target, derivative, r_parts,
+                lambda d: f"flat section symbol defect at total degree {d}",
             )
             self._symbol = (jet, target, symbol)
         if jet > degree:

@@ -24,10 +24,14 @@ truncation m is d_H(phi) = [m, phi].
 
 ``compose_at`` multiplies only what lands: the Leibniz splits of a slot
 multi-index are enumerated once per call and grouped by the share e that
-falls on the inner coefficient q, and c * d^e q is formed only when d^e q is
-not zero and some split with that e keeps every slot within ``max_slot``.
+falls on the inner coefficient q, and c * d^e q is multiplied only when d^e q
+is not zero and some split with that e keeps every slot within ``max_slot``.
 Each landing split adds the product with its multinomial weight to a
-``PolySums``, so each output coefficient is reduced once.
+``PolySums``: a product with a single landing split is accumulated as it is
+multiplied (``PolySums.add_product``), one with several is formed once.  The
+bracket passes one PolySums, and each composition's sign, to all of its
+compositions, so each coefficient of the bracket is reduced once, in its
+``polys()``.  ``apply`` sums its products per h-power the same way.
 """
 
 from __future__ import annotations
@@ -216,12 +220,12 @@ class MultiDiffOp:
                 if d is None:
                     d = cache[s] = [(kk, dp) for kk, p in arg.items()
                                     if not (dp := p.deriv_multi(s)).is_zero()]
-                nxt = {}
+                nxt = PolySums()
                 for k1, p1 in acc.items():
                     for k2, p2 in d:
                         if k1 + k2 <= order:
-                            add_term(nxt, k1 + k2, p1 * p2)
-                acc = nxt
+                            nxt.add_product(k1 + k2, p1, p2, 1)
+                acc = nxt.polys()
                 if not acc:
                     break
             for kk, p in acc.items():
@@ -303,7 +307,8 @@ class MultiDiffOp:
 
     # -- composition ----------------------------------------------------------------
 
-    def compose_at(self, i: int, psi: "MultiDiffOp", max_slot: int = None) -> "MultiDiffOp":
+    def compose_at(self, i: int, psi: "MultiDiffOp", max_slot: int = None, sink=None,
+                   weight: int = 1):
         """The partial composition self o_i psi, of arity m + n - 1 for m = self.arity
         and n = psi.arity:
 
@@ -324,6 +329,9 @@ class MultiDiffOp:
         slot orders).  A later composition *into* a slot of the result can
         lower that slot's order, so the caller passes ``max_slot`` only when
         no slot of the result is composed into afterwards.
+
+        With a ``sink``, the composition times ``weight`` is added into that
+        PolySums, keyed by (h-power, slots), and nothing is returned.
         """
         if not 0 <= i < self.arity:
             raise ValueError(f"no slot {i} in an arity-{self.arity} operator")
@@ -336,7 +344,7 @@ class MultiDiffOp:
         inner = [(k2, bs, [cap - sum(b) for b in bs], q.with_roster(roster), {})
                  for (k2, bs), q in psi.terms.items() if all(sum(b) <= cap for b in bs)]
         splits = {}  # slot multi-index -> its Leibniz splits by e, enumerated once per call
-        out = PolySums()
+        out = PolySums() if sink is None else sink
         for (k1, slots), c in self.terms.items():
             head, a, tail = slots[:i], slots[i], slots[i + 1:]
             if any(sum(s) > cap for s in head + tail):
@@ -359,10 +367,17 @@ class MultiDiffOp:
                         dq = derived[e] = q.deriv_multi(e)
                     if not dq.terms:
                         continue
+                    if len(landed) == 1:
+                        w, shifts = landed[0]
+                        out.add_product((k, head + tuple(map(_add_slots, bs, shifts)) + tail),
+                                        c, dq, w * weight)
+                        continue
                     cq = c * dq
-                    for weight, shifts in landed:
-                        out.add((k, head + tuple(map(_add_slots, bs, shifts)) + tail), cq, weight)
-        return MultiDiffOp(roster, self.arity + n - 1, order, out.polys())
+                    for w, shifts in landed:
+                        out.add((k, head + tuple(map(_add_slots, bs, shifts)) + tail), cq,
+                                w * weight)
+        if sink is None:
+            return MultiDiffOp(roster, self.arity + n - 1, order, out.polys())
 
     def compose(self, other: "MultiDiffOp") -> "MultiDiffOp":
         """self after other, both arity 1: ``compose_at(0, other)``."""
@@ -380,18 +395,17 @@ class MultiDiffOp:
         so [m, B] = m o_0 B + m o_1 B - B o_0 m = d_H B for an arity-2 m and
         an arity-1 B, and [P, Q] = PQ - QP for arity-1 P and Q.  ``max_slot``
         is ``compose_at``'s, with its caveat: a bracket whose result is
-        bracketed again takes none.
+        bracketed again takes none.  Every composition adds into one
+        PolySums with its sign, so each coefficient is reduced once.
         """
         r, s = self.arity - 1, phi.arity - 1
-        out = MultiDiffOp.zero(merge_rosters(self.roster, phi.roster), r + s + 1,
-                               min(self.order, phi.order))
+        out = PolySums()
         for i in range(r + 1):
-            term = self.compose_at(i, phi, max_slot)
-            out = out - term if i * s % 2 else out + term
+            self.compose_at(i, phi, max_slot, out, -1 if i * s % 2 else 1)
         for j in range(s + 1):
-            term = phi.compose_at(j, self, max_slot)
-            out = out + term if (r * s + j * r) % 2 else out - term
-        return out
+            phi.compose_at(j, self, max_slot, out, 1 if (r * s + j * r) % 2 else -1)
+        return MultiDiffOp(merge_rosters(self.roster, phi.roster), r + s + 1,
+                           min(self.order, phi.order), out.polys())
 
     def partial_apply(self, slot: int, value) -> "MultiDiffOp":
         """Freeze one argument slot at a fixed Poly or FormalFunction."""

@@ -21,8 +21,9 @@ numerators at once, so equal Polys are equal structurally; the gcd that keeps
 it so runs only when the t denominator is not 1.
 
 ``PolySums`` adds up weighted Polys per key on their integer numerators and
-reduces each sum once; the product kernels of ``weylforms`` and ``multidiff``
-accumulate through it.
+reduces each sum once: the product kernels of ``weylforms`` and
+``multidiff``, the degree recursions and D_r of ``fedosov``, ``cov_deriv``
+and the Gerstenhaber bracket accumulate through it.
 
 ``FormalFunction`` is a finite h-expansion sum_k h^k * Poly, truncated at a
 declared order.
@@ -707,6 +708,13 @@ class Poly:
     def __repr__(self):
         return f"Poly({self})"
 
+    def __reduce__(self):
+        # T_ONE is recognized by identity, so it pickles by name and comes
+        # back as the module's own object
+        if self is T_ONE:
+            return "T_ONE"
+        return Poly._new, (self.roster, self.terms, self.q, self.den)
+
 
 # the t-only Poly 1: the denominator of every Poly polynomial in t, its own
 # denominator, and recognized by identity
@@ -717,16 +725,24 @@ T_ONE.den = T_ONE
 class PolySums:
     """Sums of weighted Polys, one per key, each reduced once.
 
+    This is where the package's linear combinations are summed: the product
+    kernels, the degree recursions of ``fedosov``, ``cov_deriv``, D_r and the
+    Gerstenhaber bracket add into one PolySums, and each coefficient is
+    reduced once, in ``polys()``.
+
     ``add(key, p, w)`` adds w * p at key for a number w, an int or a Scalar,
-    and ``add_product(key, p1, p2, w)`` adds w * p1 * p2.  Each key keeps one
-    map of unreduced Gaussian-integer numerators over one integer
-    denominator, the lcm of its contributions' denominators.  The numerators
-    of a contribution go straight into that map, those of a product as they
-    are multiplied (``_acc_product``, the loop of ``Poly.__mul__``), so a
-    contribution makes no Poly of its own, and ``polys()`` makes one Poly per
-    key.  A contribution rational in t (``den`` not T_ONE) joins an exact
-    Poly sum kept beside the map instead, and moves into the map once that
-    sum is polynomial.
+    and ``add_product(key, p1, p2, w)`` adds w * p1 * p2.  A key's first
+    contribution, when it is a Poly of weight 1 or -1, is kept as that Poly
+    (negated for -1): a key that nothing else touches costs no reduction.
+    Once a second contribution joins, the key keeps one map of unreduced
+    Gaussian-integer numerators over one integer denominator, the lcm of its
+    contributions' denominators.  The numerators of a contribution go
+    straight into that map, those of a product as they are multiplied
+    (``_acc_product``, the loop of ``Poly.__mul__``), so a contribution
+    makes no Poly of its own, and ``polys()`` makes one Poly per key.  A
+    contribution rational in t (``den`` not T_ONE) joins an exact Poly sum
+    kept beside the map instead, and moves into the map once that sum is
+    polynomial.
 
     A key's roster merges the rosters of its contributions since its sum was
     last zero, as adding them one by one with ``add_term`` would.
@@ -735,7 +751,8 @@ class PolySums:
     __slots__ = ("_sums",)
 
     def __init__(self):
-        # key -> [roster, q, {(x exponents, t monomial): (a, b)},
+        # key -> a lone contribution, kept as its Poly, or
+        #        [roster, q, {(x exponents, t monomial): (a, b)},
         #         the Poly sum of the contributions rational in t, or None]
         self._sums = {}
 
@@ -747,6 +764,10 @@ class PolySums:
         if acc is None:
             acc = self._sums[key] = [roster, q, {}, None]
             return acc, 1
+        if type(acc) is Poly:
+            # a second contribution: the lone Poly becomes the slot's start
+            acc = self._sums[key] = ([acc.roster, acc.q, dict(acc.terms), None]
+                                     if acc.den is T_ONE else [acc.roster, 1, {}, acc])
         if roster != acc[0]:
             merged = merge_rosters(acc[0], roster)
             if merged != acc[0]:
@@ -763,6 +784,9 @@ class PolySums:
     def add(self, key, p: Poly, w):
         wa, wb, q = (w, 0, 1) if type(w) is int else (w.a, w.b, w.q)
         if not wa and not wb:
+            return
+        if q == 1 and not wb and (wa == 1 or wa == -1) and p.terms and key not in self._sums:
+            self._sums[key] = p if wa == 1 else -p
             return
         if p.den is not T_ONE:
             acc, _ = self._slot(key, p.roster, 1)
@@ -804,7 +828,11 @@ class PolySums:
     def polys(self) -> dict:
         """key -> the sum at that key, for every key whose sum is not zero."""
         out = {}
-        for key, (roster, q, terms, exact) in self._sums.items():
+        for key, acc in self._sums.items():
+            if type(acc) is Poly:
+                out[key] = acc
+                continue
+            roster, q, terms, exact = acc
             p = Poly._make(roster, terms, q, T_ONE)
             out[key] = p if exact is None else p + exact
         return out
@@ -987,14 +1015,13 @@ class FormalFunction:
         if not isinstance(other, FormalFunction):
             return self.scale(other)
         order = min(self.order, other.order)
-        out = {}
+        out = PolySums()
         for k1, p1 in self.coeffs.items():
             for k2, p2 in other.coeffs.items():
                 k = k1 + k2
-                if k > order:
-                    continue
-                add_term(out, k, p1 * p2)
-        return FormalFunction(merge_rosters(self.roster, other.roster), order, out)
+                if k <= order:
+                    out.add_product(k, p1, p2, 1)
+        return FormalFunction(merge_rosters(self.roster, other.roster), order, out.polys())
 
     def scale(self, value) -> "FormalFunction":
         return FormalFunction(self.roster, self.order, {k: p.scale(value) for k, p in self.coeffs.items()})

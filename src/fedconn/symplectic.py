@@ -150,14 +150,16 @@ class ConnectionFamily:
 
     # -- covariant derivative ----------------------------------------------------
 
-    def cov_deriv(self, a: WeylForm) -> WeylForm:
-        """d_nabla a = dx^i wedge (d_i - Gamma^m_ij y^j d/dy^m) a."""
+    def cov_deriv(self, a: WeylForm, sink=None, weight=1):
+        """d_nabla a = dx^i wedge (d_i - Gamma^m_ij y^j d/dy^m) a.
+
+        Its d_x and Gamma terms are summed in one PolySums: with a ``sink``,
+        the caller's, into which d_nabla a times ``weight`` (an int or a
+        Scalar) is added and nothing is returned."""
         if a.ctx != self.sym:
             raise ValueError("form does not live over this symplectic data")
-        out = a.d_x()
-        if not self.gamma:
-            return out
-        extra = PolySums()
+        out = PolySums() if sink is None else sink
+        a.d_x(out, weight)
         for (k, alpha, J), c in a.terms.items():
             for (m, i, j, g) in self.entries:
                 e = alpha[m]
@@ -167,9 +169,10 @@ class ConnectionFamily:
                 na[m] -= 1
                 na[j] += 1
                 before = sum(1 for q in J if q < i)
-                extra.add_product((k, tuple(na), tuple(sorted(J + (i,)))), g, c,
-                                  -e if before % 2 == 0 else e)
-        return out + WeylForm(self.sym, a.trunc, extra.polys())
+                out.add_product((k, tuple(na), tuple(sorted(J + (i,)))), g, c,
+                                -e * weight if before % 2 == 0 else e * weight)
+        if sink is None:
+            return WeylForm(self.sym, a.trunc, out.polys())
 
     # -- curvature and its variation ------------------------------------------------
 

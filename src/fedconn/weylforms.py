@@ -42,6 +42,12 @@ coefficient product c1 * c2 of a surviving pair is not made as a Poly: each
 coefficient once, not once per contribution.  So a pair with several
 surviving (order, exponent) multiplies its coefficients once per weight;
 nearly every surviving pair has a single one.
+
+A caller that sums brackets with other terms passes its own PolySums as
+``ad_over_h``'s ``sink``, with a weight, and ``d_x`` and ``add_to`` add into
+a sink the same way: the degree recursion, D_r and the Weyl curvature form
+of ``fedosov`` reduce each coefficient of their sum once, in the sink's
+``polys()``, and not once per ``WeylForm.__add__``.
 """
 
 from __future__ import annotations
@@ -326,6 +332,12 @@ class WeylForm:
             add_term(out, key, c)
         return WeylForm(self.ctx, trunc, out)
 
+    def add_to(self, sink, weight=1):
+        """Add each term times ``weight``, an int or a Scalar, into the
+        PolySums ``sink``."""
+        for key, c in self.terms.items():
+            sink.add(key, c, weight)
+
     def __neg__(self):
         return WeylForm(self.ctx, self.trunc, {k: -c for k, c in self.terms.items()})
 
@@ -356,10 +368,11 @@ class WeylForm:
         """a o b - (-1)^{|a||b|} b o a on form degrees, computed termwise."""
         return self._pairing(other, True, False, max_degree)
 
-    def ad_over_h(self, other: "WeylForm", max_degree=None) -> "WeylForm":
+    def ad_over_h(self, other: "WeylForm", max_degree=None, sink=None, weight=1):
         """(i/h) * graded_comm(self, other); exact because only odd contraction
-        orders survive in the commutator."""
-        return self._pairing(other, True, True, max_degree)
+        orders survive in the commutator.  With a ``sink``, the bracket times
+        ``weight`` is added into that PolySums and nothing is returned."""
+        return self._pairing(other, True, True, max_degree, sink, weight)
 
     def projected_mw(self, other: "WeylForm", order: int) -> FormalFunction:
         """p(self o other) mod h^{order+1}, without forming the product."""
@@ -404,7 +417,7 @@ class WeylForm:
                 coeffs.add_product(h_power, c1, c2, w * factor)
         return FormalFunction(ctx.roster, order, coeffs.polys())
 
-    def _pairing(self, other, commutator, over_h, max_degree=None):
+    def _pairing(self, other, commutator, over_h, max_degree=None, sink=None, weight=1):
         """The pairing loop shared by mw, graded_comm and ad_over_h.
 
         Terms of total degrees d1 and d2 contribute at total degree d1 + d2
@@ -419,6 +432,11 @@ class WeylForm:
         indices are disjoint (tested on bitmasks), and in a commutator
         neither term is y-free, since a y-free term has only the contraction
         order 0, which the commutator cancels.
+
+        Without a ``sink`` the result is a form, each coefficient reduced
+        once in its own PolySums.  With one, the pairing times ``weight`` is
+        added into it, for a caller that sums several terms and reduces them
+        once; the weight scales each coefficient of self that pairs.
         """
         self._check(other)
         trunc = min(self.trunc, other.trunc)
@@ -430,11 +448,13 @@ class WeylForm:
                 continue
             by_degree.setdefault(2 * key2[0] + sum(key2[1]), []).append(
                 (key2, _mask(key2[2]), c2))
-        out = PolySums()
+        out = PolySums() if sink is None else sink
         for key1, c1 in self.terms.items():
             if commutator and not any(key1[1]):
                 continue
             left = room - 2 * key1[0] - sum(key1[1])
+            if weight != 1:
+                c1 = c1.scale(weight)
             mask1 = _mask(key1[2])
             for d2, bucket in by_degree.items():
                 if d2 > left:
@@ -442,7 +462,8 @@ class WeylForm:
                 for key2, mask2, c2 in bucket:
                     if not mask1 & mask2:
                         self._mw_pair(key1, c1, key2, c2, out, commutator, over_h)
-        return WeylForm(self.ctx, trunc, out.polys())
+        if sink is None:
+            return WeylForm(self.ctx, trunc, out.polys())
 
     def _mw_pair(self, key1, c1, key2, c2, out, commutator, over_h):
         """Add the pairing of two terms with disjoint form indices to the
@@ -535,9 +556,11 @@ class WeylForm:
 
     # -- flat exterior derivative in x -------------------------------------------
 
-    def d_x(self) -> "WeylForm":
-        """sum_i dx^i wedge da/dx^i (the de Rham part of a covariant derivative)."""
-        out = {}
+    def d_x(self, sink=None, weight=1):
+        """sum_i dx^i wedge da/dx^i (the de Rham part of a covariant
+        derivative).  With a ``sink``, it times ``weight`` is added into that
+        PolySums and nothing is returned."""
+        out = PolySums() if sink is None else sink
         for (k, a, J), c in self.terms.items():
             for i in range(self.ctx.dim):
                 if i in J:
@@ -546,8 +569,9 @@ class WeylForm:
                 if dc.is_zero():
                     continue
                 before = sum(1 for j in J if j < i)
-                add_term(out, (k, a, tuple(sorted(J + (i,)))), -dc if before % 2 else dc)
-        return WeylForm(self.ctx, self.trunc, out)
+                out.add((k, a, tuple(sorted(J + (i,)))), dc, -weight if before % 2 else weight)
+        if sink is None:
+            return WeylForm(self.ctx, self.trunc, out.polys())
 
     # -- parameter dependence ------------------------------------------------------
 

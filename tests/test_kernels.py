@@ -1,33 +1,49 @@
-"""The product kernels against their slow references, for exact equality.
+"""The product kernels and the sums built from them against their slow
+references, for exact equality.
 
 ``WeylForm._pairing`` (under ``mw``, ``graded_comm`` and ``ad_over_h``) and
 ``MultiDiffOp.compose_at`` skip the pairs that cannot contribute before
 multiplying and sum each output coefficient once through ``PolySums``;
 ``reference_kernels`` scales and adds every contribution on its own.  The
-cases cover coefficients rational in t, coefficients on a jet-symbol roster
-mixed with x-roster ones (as in the tau symbol), the degree and slot caps,
-y-free (central) terms under the brackets, and zero and constant operands.
+degree recursion, ``cov_deriv``, D_r, the Weyl curvature form and the
+Gerstenhaber bracket add their terms into one ``PolySums``; the references
+add whole forms and operators one at a time.  The cases cover coefficients
+rational in t, coefficients on a jet-symbol roster mixed with x-roster ones
+(as in the tau symbol), the degree and slot caps, y-free (central) terms
+under the brackets, weights, sums that cancel, and zero and constant
+operands.
 """
 
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from fedconn import fedosov, families
 from fedconn.polynomials import Poly, PolySums, parse_poly, x_roster, add_term
 from fedconn.scalars import Scalar
 from fedconn.weylforms import WeylForm
-from fedconn.multidiff import MultiDiffOp
+from fedconn.symplectic import ConnectionFamily
+from fedconn.multidiff import MultiDiffOp, StarTruncation
+from fedconn.families import solve_s
+from fedconn.scenario import Scenario
 from fedconn.properties import random_weyl_form, random_multidiffop, random_poly, random_scalar
 
-from reference_kernels import pairing_by_products, compose_at_by_products
+from reference_kernels import (
+    pairing_by_products, compose_at_by_products, cov_deriv_by_sums, solve_by_degree_by_sums,
+    D_r_by_sums, curvature_form_by_sums, bracket_by_sums,
+)
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 R2 = x_roster(2)
 SYMBOL2 = R2 + ("xi1", "xi2")
 T_FACTORS = ["1", "t1 + 2", "1/(t1 + 2)", "i*t1^2 - 1/3", "(2 - i)*t1/(t1^2 + 2)"]
 
 
-def t_factor(rng, roster=()):
-    return parse_poly(rng.choice(T_FACTORS), roster)
+def t_factor(rng, roster=(), factors=T_FACTORS):
+    return parse_poly(rng.choice(factors), roster)
 
 
 def mixed_form(sym, rng, trunc=8, **kwargs):
@@ -59,10 +75,13 @@ BRACKETS = {"mw": (False, False), "graded_comm": (True, False), "ad_over_h": (Tr
 
 def assert_same(fast, reference, *context):
     """Equal terms, each coefficient on the roster, in the order, that the
-    reference's one-by-one sums give it (``Poly.__eq__`` aligns rosters)."""
+    reference's one-by-one sums give it (``Poly.__eq__`` aligns rosters), and
+    the same truncation, or order, arity and roster for an operator."""
     assert fast == reference, context
     assert ({key: c.roster for key, c in fast.terms.items()}
             == {key: c.roster for key, c in reference.terms.items()}), context
+    for attr in ("trunc", "order", "arity", "roster"):
+        assert getattr(fast, attr, None) == getattr(reference, attr, None), (attr, *context)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -244,3 +263,181 @@ def test_product_with_a_constant_is_the_general_product(seed):
         general = (c + x1) * p - x1 * p
         assert c * p == p * c == general
         assert p * Poly.const(R2, 0) == Poly.zero(SYMBOL2)
+
+
+def test_poly_sums_keep_a_lone_contribution_until_another_joins():
+    # a key's first contribution of weight 1 or -1 is kept as its Poly; a
+    # later contribution joins it, or cancels it and restarts the roster
+    rng = random.Random(1495)
+    for factor in ("1", "1/(t1 + 2)"):
+        p = random_poly(R2, rng, degree=2, terms=3, params=("t1",)) * parse_poly(factor, R2)
+        q = random_poly(SYMBOL2, rng, degree=2, terms=3) * t_factor(rng, SYMBOL2)
+        other = random_poly(("x1",), rng, degree=1, terms=2)
+        sums, reference = PolySums(), {}
+
+        def add(key, poly, w):
+            sums.add(key, poly, w)
+            add_term(reference, key, poly.scale(w))
+
+        add("lone", p, 1)
+        add("lone negated", p, Scalar(-1))
+        add("joined", p, 1)
+        add("joined", q, Scalar(1, -2))
+        add("joined by a product", p, -1)
+        sums.add_product("joined by a product", q, other, 3)
+        add_term(reference, "joined by a product", (q * other).scale(3))
+        add("cancelled", p.with_roster(SYMBOL2), 1)
+        add("cancelled", p, -1)
+        add("restarted", q, -1)
+        add("restarted", q, 1)
+        add("restarted", p, 2)
+        got = sums.polys()
+        assert got["lone"] is p
+        assert got == reference and "cancelled" not in got
+        assert {key: c.roster for key, c in got.items()} == {
+            key: c.roster for key, c in reference.items()}
+        assert got["restarted"].roster == R2 and got["joined"].roster == SYMBOL2
+
+
+def random_connection(sym, rng, factors=T_FACTORS):
+    """Christoffels symmetric in (i, j): x-polynomials scaled by ``factors``,
+    by default some of them rational in t; cov_deriv does not need them to
+    be symplectic."""
+    gamma = {}
+    for _ in range(3):
+        m, i, j = (rng.randrange(sym.dim) for _ in range(3))
+        gamma[(m, min(i, j), max(i, j))] = (random_poly(sym.roster, rng, degree=1, terms=2)
+                                            * t_factor(rng, sym.roster, factors))
+    return ConnectionFamily(sym, gamma)
+
+
+def form_degree(form, q):
+    """The terms of ``form`` of form degree q."""
+    return WeylForm(form.ctx, form.trunc, {key: c for key, c in form.terms.items()
+                                           if len(key[2]) == q})
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cov_deriv_matches_the_chained_sums(sym2, sym4, seed):
+    rng = random.Random(1500 + seed)
+    sym = sym4 if seed % 2 else sym2
+    conn = random_connection(sym, rng)
+    for _ in range(3):
+        a = mixed_form(sym, rng, terms=6, max_y=3)
+        reference = cov_deriv_by_sums(conn, a)
+        assert_same(conn.cov_deriv(a), reference)
+        # into a sink that already holds terms, with a weight
+        before = mixed_form(sym, rng, terms=6, max_y=3)
+        for w in (1, -1, Scalar(2, -1)):
+            sink = PolySums()
+            before.add_to(sink)
+            assert conn.cov_deriv(a, sink, w) is None
+            assert_same(WeylForm(sym, a.trunc, sink.polys()), before + reference.scale(w), w)
+
+
+def _solved(solve, conn, source, start, left, weight):
+    parts = dict(start)
+    solve(conn.cov_deriv, parts, range(2, 5), source, parts if left is None else left, weight,
+          AssertionError)
+    return parts
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_solve_by_degree_matches_the_chained_sums(sym2, seed):
+    # on R^2 every 2-form is delta-closed, so a recursion on 1-forms runs on
+    # any source 2-form: coefficients rational in t and on the symbol
+    # roster, a self bracket with its weight 1/2 and brackets with given
+    # left parts, and a source that cancels all or part of a degree's sum
+    rng = random.Random(1510 + seed)
+    conn = random_connection(sym2, rng, T_FACTORS[:2])
+    source = form_degree(mixed_form(sym2, rng, trunc=6, terms=12, max_y=3), 2)
+    p2 = WeylForm(sym2, 6, {(0, (2, 0), (1,)): random_poly(R2, rng, degree=1, terms=2),
+                            (0, (1, 1), (0,)): random_poly(SYMBOL2, rng, degree=1, terms=2)
+                            * parse_poly("1/(t1 + 2)", SYMBOL2),
+                            (1, (0, 0), (1,)): Poly.const(R2, random_scalar(rng))})
+    # left parts truncated lower than the source, as a bracket's truncation is
+    left = form_degree(mixed_form(sym2, rng, trunc=5, terms=8, max_y=3), 1).by_degree()
+    left[2] = p2
+    cancels_derivative = source - source.homogeneous(2) - conn.cov_deriv(p2)
+    for weight, lefts in ((Fraction(1, 2), None), (1, left), (Scalar(1, -2), left)):
+        bracket = (p2 if lefts is None else lefts[2]).ad_over_h(p2).scale(weight)
+        for src in (source, cancels_derivative, cancels_derivative - bracket):
+            fast = _solved(fedosov.solve_by_degree, conn, src, {2: p2}, lefts, weight)
+            slow = _solved(solve_by_degree_by_sums, conn, src, {2: p2}, lefts, weight)
+            assert fast.keys() == slow.keys()
+            for d in fast:
+                assert_same(fast[d], slow[d], weight, d)
+            if src is not source:
+                # degree 2 of the source cancels the derivative: degree 3 comes
+                # from the bracket alone, or is zero when the source cancels it too
+                assert fast[3] == (bracket if src is cancels_derivative
+                                   else WeylForm.zero(sym2, 6)).delta_inv()
+
+
+@pytest.mark.parametrize("name", ["curved_r2.scn", "family_r2.scn", "family2_r2.scn"])
+def test_recursions_match_the_chained_sums(monkeypatch, name):
+    # r, tau of a t-rational f, the tau symbol (its coefficients on the
+    # symbol roster meet the x-roster Christoffels) and each direction's s
+    def solve_all():
+        sc = Scenario.load(SCENARIOS / name)
+        sc.order, sc.truncation = 3, 8
+        if sc.params:
+            family = sc.build_family()
+            beta = sc.build_beta(family)
+            setup, s = family.setup, [solve_s(family, beta, p) for p in family.params]
+        else:
+            setup, s = sc.build_setup(), []
+        f = parse_poly("x1^2*x2/(t1 + 2) - i*t1*x2 + 3", setup.sym.roster)
+        return [setup.r, setup.tau(f), setup.tau_symbol(3, 5), *s], setup
+
+    fast, setup = solve_all()
+    monkeypatch.setattr(fedosov, "solve_by_degree", solve_by_degree_by_sums)
+    monkeypatch.setattr(families, "solve_by_degree", solve_by_degree_by_sums)
+    slow, _ = solve_all()
+    assert len(fast) == len(slow) >= 3
+    for got, want in zip(fast, slow):
+        assert_same(got, want)
+    assert any(c.roster == setup.symbol_roster for c in fast[2].terms.values())
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_D_r_matches_the_chained_sums(curved_setup, bundle_f2, seed):
+    rng = random.Random(1520 + seed)
+    setup = bundle_f2.family.setup if seed % 2 else curved_setup
+    for _ in range(2):
+        a = with_central_terms(mixed_form(setup.sym, rng, terms=6, max_y=3), rng)
+        for cap in (None, 2, 5):
+            assert_same(setup.D_r(a, cap), D_r_by_sums(setup, a, cap), cap)
+
+
+@pytest.mark.parametrize("which", ["curved", "family"])
+def test_curvature_form_matches_the_chained_sums(curved_setup, bundle_f2, which):
+    setup = curved_setup if which == "curved" else bundle_f2.family.setup
+    bump = WeylForm.y_monomial(setup.sym, setup.trunc, (2, 0), coeff=3, J=(1,))
+    for r in (setup.r, setup.r + bump):
+        assert_same(setup._curvature_form(r), curvature_form_by_sums(setup, r))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_bracket_matches_the_chained_sums(seed):
+    rng = random.Random(1540 + seed)
+    for m, n in ((1, 1), (2, 1), (1, 2), (2, 2)):
+        psi = random_op(rng, m, 3, ("x2",) if seed % 2 else R2)
+        phi = random_op(rng, n, rng.choice((2, 3)))
+        for cap in (None, 1, 2, 3):
+            assert_same(psi.bracket(phi, cap), bracket_by_sums(psi, phi, cap), m, n, cap)
+
+
+def test_bracket_sums_that_cancel(sym2):
+    # [P, P] = 0 and [P, Q] = -[Q, P] for arity 1; the Moyal star is
+    # associative, so its self-bracket, twice its associator, cancels
+    rng = random.Random(1560)
+    P, Q = random_op(rng, 1, 3), random_op(rng, 1, 2)
+    assert P.bracket(P).is_zero() and bracket_by_sums(P, P).is_zero()
+    assert_same(P.bracket(Q), -Q.bracket(P))
+    moyal = StarTruncation.moyal(sym2, 3).op
+    B = random_op(rng, 1, 3)
+    assert moyal.bracket(moyal).is_zero()
+    assert_same(moyal.bracket(B, 2), bracket_by_sums(moyal, B, 2))
+    C = moyal + random_op(rng, 2, 3)
+    assert_same(C.bracket(C), bracket_by_sums(C, C))

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -157,3 +159,18 @@ def test_param_substitution():
     assert q == parse_poly("3/2*x1 + 1/4*x2", R2)
     with pytest.raises(ZeroDivisionError):
         parse_poly("1/(1+t1)*x1", R2).subs_params({"t1": -1})
+
+
+@pytest.mark.parametrize("text", ["x1^2 - 2/3*x2 + i", "(t1 + 2)*x1 + i*t1^2*x2 - t2",
+                                  "(2 - i)*t1/(t1^2 + 2)*x1 + x2/(t1 + 1)"])
+def test_pickle_round_trip_keeps_the_t_one_sentinel(text):
+    # T_ONE is recognized by identity: a copy of it as a den would make
+    # every den-is-T_ONE test fail and multiplication recurse without end
+    p = parse_poly(text, R2)
+    for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+        q = pickle.loads(pickle.dumps(p, proto))
+        assert (q.den is T_ONE) == (p.den is T_ONE)
+        assert q == p and str(q) == str(p)
+        assert q * q == p * p and q * p + q == p * p + p
+    assert copy.deepcopy(p) == p and copy.deepcopy(p).den == p.den
+    assert pickle.loads(pickle.dumps(T_ONE)) is T_ONE
