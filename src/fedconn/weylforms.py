@@ -491,17 +491,16 @@ class WeylForm:
     # -- delta calculus ---------------------------------------------------------
 
     def delta(self) -> "WeylForm":
-        """delta(a) = sum_i dx^i wedge da/dy^i."""
-        out = {}
+        """delta(a) = sum_i dx^i wedge da/dy^i, summed in one PolySums."""
+        out = PolySums()
         for (k, a, J), c in self.terms.items():
             for i, e in enumerate(a):
                 if not e or i in J:
                     continue
                 na = a[:i] + (e - 1,) + a[i + 1:]
                 before = sum(1 for j in J if j < i)
-                sign = -1 if before % 2 else 1
-                add_term(out, (k, na, tuple(sorted(J + (i,)))), c.scale(e if sign > 0 else -e))
-        return WeylForm(self.ctx, self.trunc, out)
+                out.add((k, na, tuple(sorted(J + (i,)))), c, -e if before % 2 else e)
+        return WeylForm(self.ctx, self.trunc, out.polys())
 
     def delta_star(self) -> "WeylForm":
         """delta*(a) = sum_i y^i iota_{d/dx^i}(a).
@@ -521,19 +520,20 @@ class WeylForm:
     def delta_inv(self) -> "WeylForm":
         """(1/(p+q)) delta* on the (y-degree p, form-degree q) component; 0 on p+q=0.
 
-        Like delta*, complete one degree past the input truncation.
+        Like delta*, complete one degree past the input truncation.  The
+        terms are summed in one PolySums.
         """
-        out = {}
+        out = PolySums()
         for (k, a, J), c in self.terms.items():
             p, q = sum(a), len(J)
             if p + q == 0:
                 continue
-            w = Scalar(Fraction(1, p + q))
+            w = Scalar._make(1, 0, p + q)
             for pos, i in enumerate(J):
                 na = a[:i] + (a[i] + 1,) + a[i + 1:]
                 nJ = J[:pos] + J[pos + 1:]
-                add_term(out, (k, na, nJ), c.scale(w) if pos % 2 == 0 else -c.scale(w))
-        return WeylForm(self.ctx, self.trunc + 1, out)
+                out.add((k, na, nJ), c, w if pos % 2 == 0 else -w)
+        return WeylForm(self.ctx, self.trunc + 1, out.polys())
 
     def center_part(self) -> "WeylForm":
         return WeylForm(

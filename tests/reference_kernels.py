@@ -9,9 +9,9 @@ every pair of terms and every ``c * d^e q`` formed before it is known to land.
 
 The ``*_by_sums`` references add whole forms and operators one
 ``WeylForm.__add__`` or ``MultiDiffOp.__add__`` at a time, which reduces every
-shared coefficient once per sum: the degree recursion, ``cov_deriv``, D_r, the
-Weyl curvature form and the Gerstenhaber bracket, where ``src`` sums each of
-them in one ``PolySums``.  The code in ``src`` must give exactly the same
+shared coefficient once per sum: delta and delta_inv, the degree recursion,
+``cov_deriv``, D_r, the Weyl curvature form and the Gerstenhaber bracket,
+where ``src`` sums each of them in one ``PolySums``.  The code in ``src`` must give exactly the same
 results.
 """
 
@@ -71,6 +71,33 @@ def compose_at_by_products(phi, i, psi, max_slot=None):
                 if not cq.is_zero():
                     add_term(out, (k1 + k2, head + new + tail), cq.scale(weight))
     return MultiDiffOp(roster, phi.arity + n - 1, order, out)
+
+
+def delta_by_sums(a):
+    """``WeylForm.delta``, each term scaled and added on its own."""
+    out = {}
+    for (k, alpha, J), c in a.terms.items():
+        for i, e in enumerate(alpha):
+            if not e or i in J:
+                continue
+            na = alpha[:i] + (e - 1,) + alpha[i + 1:]
+            before = sum(1 for j in J if j < i)
+            add_term(out, (k, na, tuple(sorted(J + (i,)))), c.scale(-e if before % 2 else e))
+    return WeylForm(a.ctx, a.trunc, out)
+
+
+def delta_inv_by_sums(a):
+    """``WeylForm.delta_inv``, each term scaled and added on its own."""
+    out = {}
+    for (k, alpha, J), c in a.terms.items():
+        p, q = sum(alpha), len(J)
+        if p + q == 0:
+            continue
+        for pos, i in enumerate(J):
+            na = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
+            add_term(out, (k, na, J[:pos] + J[pos + 1:]),
+                     c.scale(Fraction(1 if pos % 2 == 0 else -1, p + q)))
+    return WeylForm(a.ctx, a.trunc + 1, out)
 
 
 def d_x_by_sums(a):

@@ -4,10 +4,10 @@ references, for exact equality.
 ``WeylForm._pairing`` (under ``mw``, ``graded_comm`` and ``ad_over_h``) and
 ``MultiDiffOp.compose_at`` skip the pairs that cannot contribute before
 multiplying and sum each output coefficient once through ``PolySums``;
-``reference_kernels`` scales and adds every contribution on its own.  The
-degree recursion, ``cov_deriv``, D_r, the Weyl curvature form and the
-Gerstenhaber bracket add their terms into one ``PolySums``; the references
-add whole forms and operators one at a time.  The cases cover coefficients
+``reference_kernels`` scales and adds every contribution on its own.  delta,
+delta_inv, the degree recursion, ``cov_deriv``, D_r, the Weyl curvature form
+and the Gerstenhaber bracket add their terms into one ``PolySums``; the
+references add scaled terms, whole forms and operators one at a time.  The cases cover coefficients
 rational in t, coefficients on a jet-symbol roster mixed with x-roster ones
 (as in the tau symbol), the degree and slot caps, y-free (central) terms
 under the brackets, weights, sums that cancel, and zero and constant
@@ -32,7 +32,7 @@ from fedconn.properties import random_weyl_form, random_multidiffop, random_poly
 
 from reference_kernels import (
     pairing_by_products, compose_at_by_products, cov_deriv_by_sums, solve_by_degree_by_sums,
-    D_r_by_sums, curvature_form_by_sums, bracket_by_sums,
+    D_r_by_sums, curvature_form_by_sums, bracket_by_sums, delta_by_sums, delta_inv_by_sums,
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -315,6 +315,29 @@ def form_degree(form, q):
     """The terms of ``form`` of form degree q."""
     return WeylForm(form.ctx, form.trunc, {key: c for key, c in form.terms.items()
                                            if len(key[2]) == q})
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_delta_and_delta_inv_match_the_chained_sums(sym2, sym4, seed):
+    # -c y^(alpha + e_j - e_i) dx^i beside c y^alpha dx^j: both reach
+    # y^(alpha - e_i) dx^i dx^j under delta and y^(alpha + e_j) under
+    # delta_inv, where they cancel
+    rng = random.Random(1505 + seed)
+    sym = sym4 if seed % 2 else sym2
+    cancelled = False
+    for _ in range(3):
+        a = mixed_form(sym, rng, terms=8, max_y=3)
+        moved = {}
+        for (k, y, J), c in a.terms.items():
+            i = rng.randrange(sym.dim)
+            if len(J) == 1 and J[0] != i and y[i]:
+                moved[(k, tuple(e + (m == J[0]) - (m == i) for m, e in enumerate(y)), (i,))] = -c
+        b = a + WeylForm(sym, a.trunc, moved)
+        for form in (a, b):
+            assert_same(form.delta(), delta_by_sums(form))
+            assert_same(form.delta_inv(), delta_inv_by_sums(form))
+        cancelled |= len(b.delta_inv().terms) < len(a.delta_inv().terms) + len(moved)
+    assert cancelled
 
 
 @pytest.mark.parametrize("seed", range(4))
