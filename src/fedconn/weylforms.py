@@ -47,7 +47,8 @@ A caller that sums brackets with other terms passes its own PolySums as
 ``ad_over_h``'s ``sink``, with a weight, and ``d_x`` and ``add_to`` add into
 a sink the same way: the degree recursion, D_r and the Weyl curvature form
 of ``fedosov`` reduce each coefficient of their sum once, in the sink's
-``polys()``, and not once per ``WeylForm.__add__``.
+``polys()``, and not once per ``WeylForm.__add__``.  ``delta`` and
+``delta_inv`` sum their weighted terms in one PolySums too.
 """
 
 from __future__ import annotations
