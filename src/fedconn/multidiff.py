@@ -4,11 +4,13 @@ A MultiDiffOp of arity m is a finite sum of terms
 
     h^k * c(x) * (d^{a_1} (x) ... (x) d^{a_m})
 
-acting on m functions; ``apply`` extends multilinearly over h so arguments may
-be Polys or FormalFunctions.  An operator with a known symbol, a polynomial
-in x and one set of jet variables per argument, is built from it
-(``operator_from_symbol``).  Term tables are canonical, so equality of
-operators is structural.  ``compose_at`` is the partial composition
+acting on m functions, each d^a read along the operator's roster (operands on
+different rosters meet on the merged one, ``with_roster``).  A function is an
+operator of arity 0, a 0-cochain (``MultiDiffOp.function``), so ``apply`` is
+composition: each argument is composed into slot 0 in turn.  An operator with
+a known symbol, a polynomial in x and one set of jet variables per argument,
+is built from it (``operator_from_symbol``).  Term tables are canonical, so
+equality of operators is structural.  ``compose_at`` is the partial composition
 phi o_i psi, expanded by the multinomial Leibniz rule, so identities such as
 d_H A(V) = V[star] are formed as one difference operator and decided on its
 terms: it vanishes on every tuple of monomials of degree <= d exactly when
@@ -20,22 +22,26 @@ operator.
 
 The Gerstenhaber bracket (``MultiDiffOp.bracket``) is formed from
 ``compose_at`` in the same way, and the Hochschild differential of a star
-truncation m is d_H(phi) = [m, phi].
+truncation m is d_H(phi) = [m, phi].  For a function b it is the inner
+derivation [m, b] = m o_0 b - m o_1 b (``StarTruncation.ad_over_h``).
 
 ``compose_at`` multiplies only what lands: the Leibniz splits of a slot
-multi-index are enumerated once per call and grouped by the share e that
-falls on the inner coefficient q, and c * d^e q is multiplied only when d^e q
-is not zero and some split with that e keeps every slot within ``max_slot``.
+multi-index are enumerated once per (multi-index, arity), cached across calls
+(``_leibniz_table``), and grouped by the share e that falls on the inner
+coefficient q, and c * d^e q is multiplied only when d^e q is not zero and
+some split with that e keeps every slot within ``max_slot``.
 Each landing split adds the product with its multinomial weight to a
 ``PolySums``: a product with a single landing split is accumulated as it is
 multiplied (``PolySums.add_product``), one with several is formed once.  The
 bracket passes one PolySums, and each composition's sign, to all of its
 compositions, so each coefficient of the bracket is reduced once, in its
-``polys()``.  ``apply`` sums its products per h-power the same way.
+``polys()``.  ``apply`` reduces each coefficient once per argument, in the
+PolySums of the composition that takes that argument in.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -85,7 +91,6 @@ class MultiDiffOp:
 
     @staticmethod
     def identity(roster, order) -> "MultiDiffOp":
-        roster = tuple(roster)
         z = (0,) * len(roster)
         return MultiDiffOp(roster, 1, order, {(0, (z,)): Poly.const(roster, 1)})
 
@@ -93,10 +98,19 @@ class MultiDiffOp:
     def pairing(roster, entries) -> "MultiDiffOp":
         """(f, g) -> sum M^{ab} d_a f d_b g as an arity-2, h^0 operator: one
         term d_a (x) d_b per entry (a, b, M^{ab}) of an x-constant matrix M."""
-        roster = tuple(roster)
         e = unit_vectors(len(roster))
         return MultiDiffOp(roster, 2, 0, {(0, (e[a], e[b])): Poly.const(roster, v)
                                           for a, b, v in entries})
+
+    @staticmethod
+    def function(roster, value, order) -> "MultiDiffOp":
+        """A Poly or FormalFunction sum_k h^k p_k as an arity-0 operator over
+        ``roster`` and its own, truncated at ``order`` and its own order."""
+        if isinstance(value, Poly):
+            value = FormalFunction.from_poly(value, order)
+        roster = merge_rosters(roster, value.roster)
+        return MultiDiffOp(roster, 0, min(order, value.order),
+                           {(k, ()): p.with_roster(roster) for k, p in value.coeffs.items()})
 
     # -- inspection ----------------------------------------------------------------
 
@@ -115,12 +129,8 @@ class MultiDiffOp:
         return all(k >= 1 for (k, _) in self.terms)
 
     def slot_order(self, k=None) -> int:
-        orders = [
-            max(sum(s) for s in slots)
-            for (kk, slots) in self.terms
-            if k is None or kk == k
-        ]
-        return max(orders, default=0)
+        return max((sum(s) for (kk, slots) in self.terms if k is None or kk == k for s in slots),
+                   default=0)
 
     def first_order_part(self, k: int):
         """(vector field components, leftover) of the h^k layer of an arity-1 op."""
@@ -139,16 +149,33 @@ class MultiDiffOp:
                 leftover[(0, slots)] = c
         return tuple(comps), MultiDiffOp(self.roster, 1, 0, leftover)
 
+    def with_roster(self, roster) -> "MultiDiffOp":
+        """self over ``roster``, which contains self's: the coefficients and
+        the slot multi-indices are both re-indexed along it."""
+        roster = tuple(roster)
+        if roster == self.roster:
+            return self
+        if missing := set(self.roster) - set(roster):
+            raise ValueError(f"roster {roster} lacks {missing}")
+
+        def along(s):
+            named = dict(zip(self.roster, s))
+            return tuple(named.get(name, 0) for name in roster)
+
+        return MultiDiffOp(roster, self.arity, self.order,
+                           {(k, tuple(map(along, slots))): c.with_roster(roster)
+                            for (k, slots), c in self.terms.items()})
+
     # -- linear structure -------------------------------------------------------------
 
     def __add__(self, other: "MultiDiffOp") -> "MultiDiffOp":
         if self.arity != other.arity:
             raise ValueError("arity mismatch")
-        order = min(self.order, other.order)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
+        roster = merge_rosters(self.roster, other.roster)
+        out = dict(self.with_roster(roster).terms)
+        for key, c in other.with_roster(roster).terms.items():
             add_term(out, key, c)
-        return MultiDiffOp(merge_rosters(self.roster, other.roster), self.arity, order, out)
+        return MultiDiffOp(roster, self.arity, min(self.order, other.order), out)
 
     def __neg__(self):
         return MultiDiffOp(self.roster, self.arity, self.order,
@@ -174,63 +201,31 @@ class MultiDiffOp:
         return MultiDiffOp(self.roster, self.arity, min(self.order, order), self.terms)
 
     def t_derivative(self, name: str) -> "MultiDiffOp":
-        out = {}
-        for key, c in self.terms.items():
-            d = c.differentiate(name)
-            if not d.is_zero():
-                out[key] = d
-        return MultiDiffOp(self.roster, self.arity, self.order, out)
+        return MultiDiffOp(self.roster, self.arity, self.order,
+                           {key: c.differentiate(name) for key, c in self.terms.items()})
 
     def subs_params(self, values: dict) -> "MultiDiffOp":
-        out = {}
-        for key, c in self.terms.items():
-            v = c.subs_params(values)
-            if not v.is_zero():
-                out[key] = v
-        return MultiDiffOp(self.roster, self.arity, self.order, out)
+        return MultiDiffOp(self.roster, self.arity, self.order,
+                           {key: c.subs_params(values) for key, c in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, MultiDiffOp):
             return NotImplemented
-        return self.arity == other.arity and self.terms == other.terms
+        roster = merge_rosters(self.roster, other.roster)
+        return (self.arity == other.arity
+                and self.with_roster(roster).terms == other.with_roster(roster).terms)
 
     # -- action ----------------------------------------------------------------------
 
     def apply(self, *args) -> FormalFunction:
+        """self on Poly or FormalFunction arguments: each is composed into
+        slot 0 in turn (``function``), and the arity-0 result read back."""
         if len(args) != self.arity:
             raise ValueError(f"expected {self.arity} arguments, got {len(args)}")
-        coeffs = []
-        order = self.order
+        op = self
         for a in args:
-            if isinstance(a, Poly):
-                a = FormalFunction.from_poly(a.with_roster(self.roster), order)
-            order = min(order, a.order)
-            coeffs.append(a.coeffs)
-        # each argument is derived once per distinct multi-index of its slot
-        derived = [{} for _ in args]
-        roster = self.roster
-        out = {}
-        for (k, slots), c in self.terms.items():
-            if k > order:
-                continue
-            roster = merge_rosters(roster, c.roster)
-            acc = {k: c}
-            for s, arg, cache in zip(slots, coeffs, derived):
-                d = cache.get(s)
-                if d is None:
-                    d = cache[s] = [(kk, dp) for kk, p in arg.items()
-                                    if not (dp := p.deriv_multi(s)).is_zero()]
-                nxt = PolySums()
-                for k1, p1 in acc.items():
-                    for k2, p2 in d:
-                        if k1 + k2 <= order:
-                            nxt.add_product(k1 + k2, p1, p2, 1)
-                acc = nxt.polys()
-                if not acc:
-                    break
-            for kk, p in acc.items():
-                add_term(out, kk, p)
-        return FormalFunction(roster, order, out)
+            op = op.compose_at(0, MultiDiffOp.function(op.roster, a, op.order))
+        return FormalFunction(op.roster, op.order, {k: c for (k, _), c in op.terms.items()})
 
     def __call__(self, *args):
         return self.apply(*args)
@@ -341,18 +336,15 @@ class MultiDiffOp:
         cap = math.inf if max_slot is None else max_slot
         # psi's terms within the cap, with the room each slot leaves under it;
         # each coefficient is derived once per multi-index
-        inner = [(k2, bs, [cap - sum(b) for b in bs], q.with_roster(roster), {})
-                 for (k2, bs), q in psi.terms.items() if all(sum(b) <= cap for b in bs)]
-        splits = {}  # slot multi-index -> its Leibniz splits by e, enumerated once per call
+        inner = [(k2, bs, [cap - sum(b) for b in bs], q, {})
+                 for (k2, bs), q in psi.with_roster(roster).terms.items()
+                 if all(sum(b) <= cap for b in bs)]
         out = PolySums() if sink is None else sink
-        for (k1, slots), c in self.terms.items():
+        for (k1, slots), c in self.with_roster(roster).terms.items():
             head, a, tail = slots[:i], slots[i], slots[i + 1:]
             if any(sum(s) > cap for s in head + tail):
                 continue
-            by_e = splits.get(a)
-            if by_e is None:
-                by_e = splits[a] = _leibniz_table(a, n)
-            c = c.with_roster(roster)
+            by_e = _leibniz_table(a, n)
             for k2, bs, room, q, derived in inner:
                 k = k1 + k2
                 if k > order:
@@ -408,22 +400,9 @@ class MultiDiffOp:
                            min(self.order, phi.order), out.polys())
 
     def partial_apply(self, slot: int, value) -> "MultiDiffOp":
-        """Freeze one argument slot at a fixed Poly or FormalFunction."""
-        if isinstance(value, Poly):
-            value = FormalFunction.from_poly(value.with_roster(self.roster), self.order)
-        out = {}
-        order = min(self.order, value.order)
-        for (k, slots), c in self.terms.items():
-            a = slots[slot]
-            rest = slots[:slot] + slots[slot + 1:]
-            for kv, p in value.coeffs.items():
-                if k + kv > order:
-                    continue
-                dp = p.deriv_multi(a)
-                if dp.is_zero():
-                    continue
-                add_term(out, (k + kv, rest), c * dp)
-        return MultiDiffOp(self.roster, self.arity - 1, order, out)
+        """Freeze one argument slot at a fixed Poly or FormalFunction:
+        ``compose_at(slot, function(value))``."""
+        return self.compose_at(slot, MultiDiffOp.function(self.roster, value, self.order))
 
     # -- printing -----------------------------------------------------------------------
 
@@ -456,13 +435,15 @@ def _add_slots(b, e):
     return tuple(map(operator.add, b, e))
 
 
+@functools.cache
 def _leibniz_table(a, n):
     """The Leibniz splits of a over a coefficient and n arguments, grouped by
-    the coefficient's share e: {e: [(weight, (e_1, .., e_n), (|e_1|, .., |e_n|))]}."""
+    the coefficient's share e: {e: ((weight, (e_1, .., e_n), (|e_1|, .., |e_n|)), ..)}.
+    It depends only on (a, n), so it is cached and shared by every call."""
     table = {}
     for weight, (e, *shifts) in _leibniz_splits(a, n + 1):
-        table.setdefault(e, []).append((weight, tuple(shifts), [sum(s) for s in shifts]))
-    return table
+        table.setdefault(e, []).append((weight, tuple(shifts), tuple(sum(s) for s in shifts)))
+    return {e: tuple(parts) for e, parts in table.items()}
 
 
 def _leibniz_splits(a, parts):
@@ -580,10 +561,9 @@ class StarTruncation:
         return StarTruncation(self.op.subs_params(values), setup=self.setup)
 
     def ad_over_h(self, b) -> MultiDiffOp:
-        """(1/h) ad_star(b) as an arity-1 operator (order drops by one)."""
-        left = self.op.partial_apply(0, b)
-        right = self.op.partial_apply(1, b)
-        return (left - right).shift_h(-1)
+        """(1/h) ad_star(b) as an arity-1 operator (order drops by one): the
+        bracket [star, b] = star o_0 b - star o_1 b with the function b."""
+        return self.op.bracket(MultiDiffOp.function(self.roster, b, self.order)).shift_h(-1)
 
     def slot_order(self) -> int:
         return self.op.slot_order()

@@ -43,13 +43,8 @@ class SymplecticData(WeylContext):
     # -- Poisson calculus ----------------------------------------------------
 
     def poisson(self, f: Poly, g: Poly) -> Poly:
-        """{f, g} = pi^{ij} d_i f d_j g."""
-        f = f.with_roster(self.roster)
-        g = g.with_roster(self.roster)
-        out = Poly.zero(self.roster)
-        for i, j, v in self._pi_entries:
-            out = out + (f.differentiate(self.roster[i]) * g.differentiate(self.roster[j])).scale(v)
-        return out
+        """{f, g} = pi^{ij} d_i f d_j g: ``poisson_operator`` applied to (f, g)."""
+        return self.poisson_operator().apply(f, g).coefficient(0)
 
     def poisson_operator(self) -> MultiDiffOp:
         """The Poisson bivector as the arity-2, h^0 operator (f, g) -> {f, g}:

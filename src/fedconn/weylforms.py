@@ -23,8 +23,9 @@ The k-th term of the series leaves y^(a1 + a2 - b1 - b2) with |b1| = |b2| = k
 and k <= min(|a1|, |a2|), so it is y-free, that is central, only when
 |a1| = |a2| = k: a pair reaches the centre only at its full contraction
 order.  ``projected_mw`` and ``projected_ad_over_h`` compute p(a o b) and
-p(ad_over_h(a, b)) from those pairs alone, with the full-contraction weight
-of each (a1, a2) cached on the WeylContext.
+p(ad_over_h(a, b)) from those pairs alone: the weight of each (a1, a2) is the
+order-|a1| entry of ``WeylContext.contractions``, the cache the full pairing
+reads too.
 
 Total degree is additive: every contraction order of a pair of terms of
 degrees d1 and d2 lands at degree d1 + d2 (d1 + d2 - 2 in ad_over_h).  So a
@@ -107,7 +108,6 @@ class WeylContext:
             if not self.pi[i][j].is_zero()
         ]
         self._moyal_factor = [ONE]  # (i/2)^k / k!
-        self._full_weights = {}
         self._contractions = {}
 
     def moyal_factor(self, k: int) -> Scalar:
@@ -116,28 +116,13 @@ class WeylContext:
             self._moyal_factor.append(self._moyal_factor[-1] * I * Scalar(Fraction(1, 2 * n)))
         return self._moyal_factor[k]
 
-    def full_contraction_weight(self, a1, a2) -> Scalar:
-        """The weight of y^a1 fully contracted against y^a2, for |a1| = |a2|.
-
-        This is the y-free part of the |a1|-th contraction that ``_mw_pair``
-        builds, before the Moyal factor.  It does not depend on the
-        coefficients, so it is cached per (a1, a2).
-        """
-        w = self._full_weights.get((a1, a2))
-        if w is None:
-            state = {(a1, a2): ONE}
-            for _ in range(sum(a1)):
-                state = _contract(self, state)
-            w = next(iter(state.values()), ZERO)
-            self._full_weights[(a1, a2)] = w
-        return w
-
     def contractions(self, a1, a2, commutator: bool, over_h: bool):
         """The contraction orders of y^a1 against y^a2 that ``_mw_pair`` keeps:
         (k, ((b, w), ..)) for each order k whose contraction is not empty, the
         leftover exponent b = b1 + b2 with its summed weight w, the Moyal
         factor (doubled in a commutator, times i for ad_over_h) included.
-        They do not depend on the coefficients, so they are cached.
+        They do not depend on the coefficients, so they are cached; the
+        projected pairings read the y-free order |a1| of a pair with |a1| = |a2|.
         """
         key = (a1, a2, commutator, over_h)
         out = self._contractions.get(key)
@@ -404,18 +389,17 @@ class WeylForm:
             m = sum(a1)
             if over_h and m % 2 == 0:
                 continue
-            factor = ctx.moyal_factor(m)
-            if over_h:
-                factor = factor * 2 * I
             base = k1 + m - 1 if over_h else k1 + m
             for k2, a2, c2 in by_degree.get(m, ()):
                 h_power = base + k2
                 if h_power > top:
                     continue
-                w = ctx.full_contraction_weight(a1, a2)
-                if w.is_zero():
-                    continue
-                coeffs.add_product(h_power, c1, c2, w * factor)
+                # the order-m contraction, the last one kept when not empty,
+                # is y-free: its one weight carries the Moyal factor
+                found = ctx.contractions(a1, a2, over_h, over_h)
+                if found and found[-1][0] == m:
+                    ((_, w),) = found[-1][1]
+                    coeffs.add_product(h_power, c1, c2, w)
         return FormalFunction(ctx.roster, order, coeffs.polys())
 
     def _pairing(self, other, commutator, over_h, max_degree=None, sink=None, weight=1):

@@ -6,6 +6,9 @@ pair of terms within the degree cap: it tests the form indices on sets, forms
 each contribution as ``add_term(out, key, cc.scale(w))``.  ``compose_at_by_products``
 is ``MultiDiffOp.compose_at`` with the Leibniz splits enumerated again for
 every pair of terms and every ``c * d^e q`` formed before it is known to land.
+Both move every operand onto the merged roster by variable name
+(``terms_on``).  ``partial_apply_by_loops`` freezes a slot at a function by
+its own loop, where ``src`` composes the function in as an arity-0 operator.
 
 The ``*_by_sums`` references add whole forms and operators one
 ``WeylForm.__add__`` or ``MultiDiffOp.__add__`` at a time, which reduces every
@@ -19,7 +22,7 @@ import math
 import operator
 from fractions import Fraction
 
-from fedconn.polynomials import PolySums, add_term, merge_rosters
+from fedconn.polynomials import Poly, PolySums, FormalFunction, add_term, merge_rosters
 from fedconn.weylforms import WeylForm, HDivisionError, _wedge_sign, _merge_J
 from fedconn.multidiff import MultiDiffOp, _leibniz_splits
 
@@ -47,6 +50,17 @@ def pairing_by_products(a, b, commutator, over_h, max_degree=None):
     return WeylForm(a.ctx, trunc, out)
 
 
+def terms_on(op, roster):
+    """op's terms with every slot multi-index and coefficient moved onto
+    ``roster``, each exponent placed by its variable's name."""
+    def along(s):
+        named = dict(zip(op.roster, s))
+        return tuple(named.get(name, 0) for name in roster)
+
+    return {(k, tuple(map(along, slots))): c.with_roster(roster)
+            for (k, slots), c in op.terms.items()}
+
+
 def compose_at_by_products(phi, i, psi, max_slot=None):
     """phi o_i psi by the multinomial Leibniz rule, pair of terms by pair of terms."""
     n = psi.arity
@@ -54,15 +68,13 @@ def compose_at_by_products(phi, i, psi, max_slot=None):
     roster = merge_rosters(phi.roster, psi.roster)
     cap = math.inf if max_slot is None else max_slot
     out = {}
-    for (k1, slots), c in phi.terms.items():
+    for (k1, slots), c in terms_on(phi, roster).items():
         head, a, tail = slots[:i], slots[i], slots[i + 1:]
         if any(sum(s) > cap for s in head + tail):
             continue
-        c = c.with_roster(roster)
-        for (k2, bs), q in psi.terms.items():
+        for (k2, bs), q in terms_on(psi, roster).items():
             if k1 + k2 > order or any(sum(b) > cap for b in bs):
                 continue
-            q = q.with_roster(roster)
             for weight, (e, *parts) in _leibniz_splits(a, n + 1):
                 new = tuple(tuple(map(operator.add, b, part)) for b, part in zip(bs, parts))
                 if any(sum(s) > cap for s in new):
@@ -71,6 +83,25 @@ def compose_at_by_products(phi, i, psi, max_slot=None):
                 if not cq.is_zero():
                     add_term(out, (k1 + k2, head + new + tail), cq.scale(weight))
     return MultiDiffOp(roster, phi.arity + n - 1, order, out)
+
+
+def partial_apply_by_loops(op, slot, value):
+    """op with argument ``slot`` frozen at the Poly or FormalFunction ``value``:
+    each term's slot derivative of each coefficient of the value, multiplied
+    by the term's coefficient and added on its own."""
+    if isinstance(value, Poly):
+        value = FormalFunction.from_poly(value, op.order)
+    order = min(op.order, value.order)
+    out = {}
+    for (k, slots), c in op.terms.items():
+        rest = slots[:slot] + slots[slot + 1:]
+        for kv, p in value.coeffs.items():
+            if k + kv > order:
+                continue
+            dp = p.with_roster(op.roster).deriv_multi(slots[slot])
+            if not dp.is_zero():
+                add_term(out, (k + kv, rest), c * dp)
+    return MultiDiffOp(op.roster, op.arity - 1, order, out)
 
 
 def delta_by_sums(a):

@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from fedconn import fedosov, families
-from fedconn.polynomials import Poly, PolySums, parse_poly, x_roster, add_term
+from fedconn.polynomials import Poly, PolySums, FormalFunction, parse_poly, x_roster, add_term
 from fedconn.scalars import Scalar
 from fedconn.weylforms import WeylForm
 from fedconn.symplectic import ConnectionFamily
@@ -33,6 +33,7 @@ from fedconn.properties import random_weyl_form, random_multidiffop, random_poly
 from reference_kernels import (
     pairing_by_products, compose_at_by_products, cov_deriv_by_sums, solve_by_degree_by_sums,
     D_r_by_sums, curvature_form_by_sums, bracket_by_sums, delta_by_sums, delta_inv_by_sums,
+    partial_apply_by_loops,
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -169,7 +170,10 @@ def test_compose_at_with_zero_and_constant_operands():
     # constant coefficients, and a psi whose coefficient every slot derivative kills
     const = MultiDiffOp(R2, 1, 3, {(1, ((1, 0),)): Poly.const(R2, Scalar(2, -1)),
                                    (0, ((0, 0),)): Poly.const(R2, 5)})
-    for inner in (ident, zero, const, psi):
+    # an operator on part of the roster, whose slots are read along its own
+    on_x2 = MultiDiffOp(("x2",), 1, 3, {(0, ((1,),)): parse_poly("x2^2", ("x2",)),
+                                        (1, ((2,),)): Poly.const(("x2",), 3)})
+    for inner in (ident, zero, const, psi, on_x2):
         for i in range(2):
             assert_same(phi.compose_at(i, inner), compose_at_by_products(phi, i, inner))
         assert_same(inner.compose_at(0, phi), compose_at_by_products(inner, 0, phi))
@@ -449,6 +453,27 @@ def test_bracket_matches_the_chained_sums(seed):
         phi = random_op(rng, n, rng.choice((2, 3)))
         for cap in (None, 1, 2, 3):
             assert_same(psi.bracket(phi, cap), bracket_by_sums(psi, phi, cap), m, n, cap)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bracket_with_a_function_is_the_difference_of_partial_applications(sym2, seed):
+    # a function b is an arity-0 operator, and [m, b] = m o_0 b - m o_1 b for
+    # an arity-2 m; b is a Poly or a FormalFunction, on R2 or on part of it,
+    # with coefficients rational in t
+    rng = random.Random(1580 + seed)
+    m = random_op(rng, 2, 3)
+    moyal = StarTruncation.moyal(sym2, 3)
+    for roster in (R2, ("x2",)):
+        b = FormalFunction(roster, rng.choice((2, 3)), {
+            k: random_poly(roster, rng, degree=3, terms=2) * t_factor(rng) for k in range(3)})
+        for value in (b, b.coefficient(1)):
+            expect = partial_apply_by_loops(m, 0, value) - partial_apply_by_loops(m, 1, value)
+            assert_same(m.bracket(MultiDiffOp.function(R2, value, m.order)), expect, seed, roster)
+            for slot in (0, 1):
+                assert_same(m.partial_apply(slot, value), partial_apply_by_loops(m, slot, value))
+            expect = (partial_apply_by_loops(moyal.op, 0, value)
+                      - partial_apply_by_loops(moyal.op, 1, value)).shift_h(-1)
+            assert_same(moyal.ad_over_h(value), expect, seed, roster)
 
 
 def test_bracket_sums_that_cancel(sym2):

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -6,7 +7,7 @@ import pytest
 
 from fedconn.scalars import Scalar, I
 from fedconn.polynomials import (
-    Poly, FormalFunction, parse_poly, x_roster, monomials_up_to,
+    Poly, FormalFunction, parse_poly, x_roster, monomials_up_to, merge_rosters,
 )
 from fedconn.multidiff import (
     MultiDiffOp, StarTruncation, is_derivation, inner_potential, operator_from_symbol,
@@ -15,6 +16,7 @@ from fedconn.properties import random_multidiffop, random_poly, cochain_battery
 from fedconn.cli import main
 
 from reference_cochains import gerstenhaber, hochschild_d, materialize, operator_from_callable
+from reference_kernels import terms_on
 
 R2 = x_roster(2)
 Z = (0, 0)
@@ -216,22 +218,24 @@ def test_inner_potential_rejects_non_symplectic_field(sym2):
 
 
 def apply_termwise(op, *args):
-    """MultiDiffOp.apply as first written: one FormalFunction product per term."""
+    """MultiDiffOp.apply as first written: one FormalFunction product per term,
+    with the operator's slots and the arguments moved onto the merged roster."""
+    roster = functools.reduce(merge_rosters, (a.roster for a in args), op.roster)
     ffs = []
     order = op.order
     for a in args:
         if isinstance(a, Poly):
-            a = FormalFunction.from_poly(a.with_roster(op.roster), order)
+            a = FormalFunction.from_poly(a, order)
         order = min(order, a.order)
-        ffs.append(a)
-    out = FormalFunction(op.roster, order, {})
-    for (k, slots), c in op.terms.items():
+        ffs.append({k: p.with_roster(roster) for k, p in a.coeffs.items()})
+    out = FormalFunction(roster, order, {})
+    for (k, slots), c in terms_on(op, roster).items():
         if k > order:
             continue
         acc = FormalFunction.from_poly(c, order)
-        for s, arg in zip(slots, ffs):
-            derived = {kk: p.deriv_multi(s) for kk, p in arg.coeffs.items()}
-            acc = acc * FormalFunction(op.roster, arg.order, derived)
+        for s, coeffs in zip(slots, ffs):
+            derived = {kk: p.deriv_multi(s) for kk, p in coeffs.items()}
+            acc = acc * FormalFunction(roster, order, derived)
         out = out + acc.shift_h(k).truncate(order)
     return out.truncate(order)
 
@@ -260,9 +264,64 @@ def test_apply_matches_termwise_reference():
                 args.append(FormalFunction(roster, rng.randint(1, 4), coeffs))
             else:
                 args.append(random_poly(R2, rng, degree=4, terms=3, params=("t1",)))
+        if trial % 3:
+            # formal functions with coefficients rational in t
+            over = parse_poly("(2 - i)/(t1^2 + 2)", ())
+            args = [FormalFunction(a.roster, a.order, {k: p * over for k, p in a.coeffs.items()})
+                    if isinstance(a, FormalFunction) else a for a in args]
         got, expect = op.apply(*args), apply_termwise(op, *args)
         assert got == expect
         assert (got.order, str(got)) == (expect.order, str(expect))
+
+
+# operands on different rosters: slots are read along each operand's own roster
+D1 = MultiDiffOp(R2, 1, 0, {(0, ((1, 0),)): Poly.const(R2, 1)})
+DX2 = MultiDiffOp(("x2",), 1, 0, {(0, ((1,),)): Poly.const(("x2",), 1)})
+
+
+def test_apply_reads_slots_along_the_operator_roster():
+    x2 = FormalFunction(("x2",), 0, {0: parse_poly("x2", ("x2",))})
+    assert D1.apply(x2).is_zero()
+    R3 = x_roster(3)
+    d3 = MultiDiffOp(R3, 1, 0, {(0, ((0, 0, 1),)): Poly.const(R3, 1)})
+    x1x2 = FormalFunction(R2, 0, {0: parse_poly("x1*x2", R2)})
+    assert d3.apply(x1x2).is_zero()
+    assert d3.partial_apply(0, x1x2).is_zero()
+
+
+def test_compose_and_sum_align_slots_on_the_merged_roster():
+    x1 = MultiDiffOp(R2, 1, 0, {(0, (Z,)): parse_poly("x1", R2)})
+    assert DX2.compose(x1).serialize() == "h^0 * x1 * D[(0,1)]"
+    for total in (DX2 + D1, D1 + DX2):
+        assert total.apply(parse_poly("x2^2", R2)) == parse_poly("2*x2", R2)
+        assert total.terms.keys() == {(0, ((0, 1),)), (0, ((1, 0),))}
+
+
+def test_with_roster_moves_slots_and_coefficients():
+    op = MultiDiffOp(("x2",), 2, 1, {(1, ((1,), (2,))): parse_poly("x2^2", ("x2",))})
+    moved = op.with_roster(x_roster(3))
+    assert moved.roster == x_roster(3) and (moved.arity, moved.order) == (2, 1)
+    assert moved.terms == {(1, ((0, 1, 0), (0, 2, 0))): parse_poly("x2^2", x_roster(3))}
+    assert op.with_roster(("x2",)) is op
+    # equality reads the slots along each roster too
+    assert DX2 == MultiDiffOp(R2, 1, 0, {(0, ((0, 1),)): Poly.const(R2, 1)})
+    assert DX2 != MultiDiffOp(("x1",), 1, 0, {(0, ((1,),)): Poly.const(("x1",), 1)})
+    with pytest.raises(ValueError, match="lacks"):
+        D1.with_roster(("x2",))
+
+
+def test_functions_are_arity_0_operators():
+    b = FormalFunction(("x2",), 2, {0: parse_poly("x2", ("x2",)), 2: parse_poly("x2^2", ("x2",))})
+    f = MultiDiffOp.function(R2, b, 1)
+    assert (f.roster, f.arity, f.order, f.slot_order()) == (R2, 0, 1, 0)
+    assert f.terms == {(0, ()): parse_poly("x2", R2)}
+    assert MultiDiffOp.function(R2, b, 3).order == 2
+    assert f.apply() == FormalFunction.from_poly(parse_poly("x2", R2), 1)
+    assert MultiDiffOp.function(R2, parse_poly("x1", R2), 4).h_coefficient(0).slot_order() == 0
+    assert MultiDiffOp.zero(R2, 0, 2).slot_order() == 0
+    # composing a function into a slot is partial_apply
+    assert D1.compose_at(0, MultiDiffOp.function(R2, parse_poly("x1^2", R2), 0)).apply() \
+        == parse_poly("2*x1", R2)
 
 
 def test_operator_from_symbol():

@@ -182,14 +182,20 @@ def test_naturality_probe_failure_is_a_report_line(capsys, monkeypatch):
 
 
 def test_projected_moyal_sign_mutation_fails(capsys, monkeypatch):
-    # the odd contraction orders of the direct projections, negated
-    weight = WeylContext.full_contraction_weight
+    # the odd contraction orders that the direct projections read, negated;
+    # the full pairing reads the same contractions and is left as it is
+    contractions, projected = WeylContext.contractions, WeylForm._projected_pairing
 
-    def negated_odd(self, a1, a2):
-        w = weight(self, a1, a2)
-        return -w if sum(a1) % 2 else w
+    def negated_odd(ctx, a1, a2, commutator, over_h):
+        return tuple((k, tuple((b, -w) for b, w in ws) if k % 2 else ws)
+                     for k, ws in contractions(ctx, a1, a2, commutator, over_h))
 
-    monkeypatch.setattr(WeylContext, "full_contraction_weight", negated_odd)
+    def mutated(self, other, order, over_h):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(WeylContext, "contractions", negated_odd)
+            return projected(self, other, order, over_h)
+
+    monkeypatch.setattr(WeylForm, "_projected_pairing", mutated)
     for cmd, name, fails in (
         ("quantize", "flat_r2.scn", ["star axioms: c1(f,g) - c1(g,f) = i{f,g}"]),
         ("family", "family_r2.scn", ["low-order identity", "compatibility", "derivation identity"]),
