@@ -25,12 +25,12 @@ import itertools
 from fractions import Fraction
 
 from .polynomials import (
-    Poly, FormalFunction, monomials_up_to, exponents_up_to, is_param_name,
+    Poly, PolySums, FormalFunction, monomials_up_to, exponents_up_to, is_param_name,
 )
 from .weylforms import WeylForm, poincare_potential
 from .symplectic import ConnectionFamily
 from .fedosov import FedosovSetup, solve_by_degree
-from .multidiff import MultiDiffOp, StarTruncation, operator_from_symbol
+from .multidiff import MultiDiffOp, StarTruncation, operator_from_symbol, unit_vectors
 
 
 class SolvabilityError(ValueError):
@@ -223,6 +223,10 @@ class ConnectionOneForm:
             cached = self._coboundaries[direction] = (basis_degree, op)
         return cached[1]
 
+    def curvature(self, v: str, w: str) -> MultiDiffOp:
+        """The direct curvature V[A(W)] - W[A(V)] + [A(V), A(W)] in directions (v, w)."""
+        return self[w].t_derivative(v) - self[v].t_derivative(w) + self[v].bracket(self[w])
+
     def shifted(self, direction: str, delta_op: MultiDiffOp) -> "ConnectionOneForm":
         ops = dict(self.ops)
         ops[direction] = ops[direction] + delta_op
@@ -293,19 +297,26 @@ def lowest_order_identity(family: FamilyContext, A: ConnectionOneForm,
                           beta: TrivializationBeta, basis_degree: int = 3):
     """A(V)(f) = -h i_V i_{X_f} beta_1 mod h^2, with X_f(g) = {g, f}.
 
-    Returns (ok, witness)."""
+    With X_f^j = pi^{ij} d_i f, the right side is h L_V(f) for the vector
+    field L_V = -sum_{i,j} pi^{ij} beta1_j d_i, so the identity says that the
+    h^1 layer of A(V) is L_V.  Per direction the difference of the two
+    operators is decided on its terms (``MultiDiffOp.basis_witness``), and
+    only a failure applies both sides, to the first basis monomial on which
+    they differ.  Returns (ok, witness)."""
     sym = family.sym
-    basis = monomials_up_to(sym.roster, basis_degree)
+    e = unit_vectors(sym.dim)
     for p in family.params:
-        beta1 = {key: c for key, c in beta[p].terms.items() if key[0] == 1}
-        for f in basis:
-            X = sym.hamiltonian_vf(f)
-            expect = Poly.zero(sym.roster)
-            for (k, a, J), c in beta1.items():
-                expect = expect - c * X[J[0]]
-            got = A[p].apply(f).coefficient(1)
-            if got != expect:
-                return False, f"direction {p}, f = {f}: h^1 part {got} != {expect}"
+        beta1 = {J[0]: c for (k, _, J), c in beta[p].terms.items() if k == 1}
+        field = PolySums()
+        for i, j, v in sym._pi_entries:
+            if j in beta1:
+                field.add((0, (e[i],)), beta1[j], -v)
+        L = MultiDiffOp(sym.roster, 1, 0, field.polys())
+        found = (A[p].h_coefficient(1) - L).basis_witness(basis_degree)
+        if found is not None:
+            (f,), _ = found
+            got, expect = A[p].apply(f).coefficient(1), L.apply(f).coefficient(0)
+            return False, f"direction {p}, f = {f}: h^1 part {got} != {expect}"
     return True, None
 
 
@@ -320,11 +331,7 @@ def curvature_ops(family: FamilyContext, A: ConnectionOneForm, s_forms: dict,
     degree max(2K - 1, degree), so that it is exact on every f of degree <=
     ``degree``, and to total degree ``read_degree(E, K)``.
     """
-    direct = (
-        A[w].t_derivative(v)
-        - A[v].t_derivative(w)
-        + A[v].bracket(A[w])
-    )
+    direct = A.curvature(v, w)
     E = (
         s_forms[w].t_derivative(v)
         - s_forms[v].t_derivative(w)

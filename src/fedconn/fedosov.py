@@ -38,7 +38,7 @@ from fractions import Fraction
 
 from .scalars import I
 from .polynomials import (
-    Poly, PolySums, FormalFunction, monomials_up_to, exponents_up_to, merge_rosters, add_term,
+    Poly, PolySums, FormalFunction, monomials_up_to, exponents_up_to, merge_rosters,
 )
 from .weylforms import WeylForm
 from .symplectic import ConnectionFamily
@@ -77,13 +77,13 @@ def _jet_degree_at_most(p: Poly, positions, degree: int) -> Poly:
     return p.map_x(lambda m: (m, 1) if sum(m[i] for i in positions) <= degree else None)
 
 
-def _jet_wedge(a: WeylForm, positions, degree: int) -> WeylForm:
-    """Xi ^ a with Xi = sum_i xi_i dx^i, dropping jet degree > degree.
+def _jet_wedge(a: WeylForm, positions, degree: int, sink: PolySums):
+    """Add Xi ^ a, with Xi = sum_i xi_i dx^i, into the PolySums ``sink``,
+    dropping jet degree > degree.
 
     ``positions[i]`` is the place of xi_i in the coefficients' roster; the
     signs are those of ``WeylForm.d_x`` with d/dx^i replaced by xi_i.
     """
-    out = {}
     for (k, alpha, J), c in a.terms.items():
         low = _jet_degree_at_most(c, positions, degree - 1)
         if low.is_zero():
@@ -93,8 +93,7 @@ def _jet_wedge(a: WeylForm, positions, degree: int) -> WeylForm:
                 continue
             raised = low.map_x(lambda m: (m[:pos] + (m[pos] + 1,) + m[pos + 1:], 1))
             before = sum(1 for j in J if j < i)
-            add_term(out, (k, alpha, tuple(sorted(J + (i,)))), -raised if before % 2 else raised)
-    return WeylForm(a.ctx, a.trunc, out)
+            sink.add((k, alpha, tuple(sorted(J + (i,)))), raised, -1 if before % 2 else 1)
 
 
 def solve_by_degree(derivative, parts: dict, degrees, source: WeylForm,
@@ -387,7 +386,7 @@ class FedosovSetup:
                        for d, a in self._r_parts.items()}
             def derivative(a, sink):
                 self.connection.cov_deriv(a, sink)
-                _jet_wedge(a, positions, jet).add_to(sink)
+                _jet_wedge(a, positions, jet, sink)
 
             symbol = self._continue_flat(
                 symbol, top, target, derivative, r_parts,

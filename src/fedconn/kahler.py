@@ -25,8 +25,11 @@ and P1 are arity-1, h^0 operators with Q^{ab} on e_a + e_b (both orders
 folded into one term) and w^b on e_b.  The Leibniz identity is
 V[c1] = d_H A1(V) for the pointwise product (the order-1 part of
 d_H A(V) = V[star]), decided on the terms of the difference; flatness and
-closedness compare t-derivatives of the operators.  An operator is
-evaluated only to find the witness of a failure.
+closedness compare t-derivatives of the operators.  The variation lemma is
+an identity of the same kind: V[c1] = -(1/4) [m0, Delta_G] for the pointwise
+product m0 and Delta_G = G^{ab} d_a d_b, an arity-1 operator.  An operator is
+evaluated only to find the witness of a failure, and for the report notes
+H(V) and E(V)(f), which apply Delta_G and its companions to F and f.
 
 Each family computes the c1 matrix M and its operator once, and per
 direction G(V), its pure-type parts, V[M] and (1/2) G(V) once
@@ -245,33 +248,6 @@ class LinearKahlerFamily:
             self._variations[direction] = v
         return v
 
-    # -- differential operators from bivectors ------------------------------------
-
-    def _contract(self, M, F: Poly):
-        """The components sum_a M[a][b] d_a F, for b = 1..dim."""
-        roster = self.sym.roster
-        dF = [F.differentiate(x) for x in roster]
-        out = []
-        for b in range(self.sym.dim):
-            acc = Poly.zero(roster)
-            for a in range(self.sym.dim):
-                if not M[a][b].is_zero():
-                    acc = acc + dF[a].scale(M[a][b])
-            out.append(acc)
-        return out
-
-    def delta_Z(self, Z, f: Poly) -> Poly:
-        """Delta_Z f = Z^{ab} d_a d_b f for an x-constant symmetric bivector
-        (the divergence term of the general formula vanishes here)."""
-        roster = self.sym.roster
-        out = Poly.zero(roster)
-        for x, c in zip(roster, self._contract(Z, f.with_roster(roster))):
-            out = out + c.differentiate(x)
-        return out
-
-    def laplacian(self, f: Poly) -> Poly:
-        return self.delta_Z(self.gtilde, f)
-
     # -- the first star coefficient ---------------------------------------------------
 
     def c1_matrix(self):
@@ -281,28 +257,6 @@ class LinearKahlerFamily:
             self._c1 = mat_neg(mat_mul(mat_mul(self.proj, self.gtilde),
                                        mat_transpose(self.proj_bar)))
         return self._c1
-
-    def _df_M_dg(self, M, f: Poly, g: Poly) -> Poly:
-        roster = self.sym.roster
-        g = g.with_roster(roster)
-        out = Poly.zero(roster)
-        for x, c in zip(roster, self._contract(M, f.with_roster(roster))):
-            if not c.is_zero():
-                out = out + c * g.differentiate(x)
-        return out
-
-    def c1(self, f: Poly, g: Poly) -> Poly:
-        return self._df_M_dg(self.c1_matrix(), f, g)
-
-    def v_c1(self, direction: str, f: Poly, g: Poly) -> Poly:
-        """V[c1](f, g), computed as the t-derivative of the c1 matrix and
-        cross-checked against (1/2) df G(V) dg."""
-        v = self.variation(direction)
-        direct = self._df_M_dg(v.Mdot, f, g)
-        if direct != self._df_M_dg(v.half_G, f, g):
-            raise VariationError(
-                f"V[c1] disagrees with (1/2) df G(V) dg at ({f}, {g}) (direction {direction})")
-        return direct
 
     # -- the order-1 formal connection --------------------------------------------------
 
@@ -358,43 +312,82 @@ class LinearKahlerFamily:
                 - self.c1_operator().partial_apply(0, F))
 
     def operator_E(self, direction: str, F: Poly, f: Poly) -> Poly:
-        """E(V)(f) = -(1/4)(Delta_{G}(f) - 2 grad_{G dF}(f) - 2 Delta_G(F) f - 2n V[F] f)."""
+        """E(V)(f) = -(1/4)(Delta_{G}(f) - 2 grad_{G dF}(f) - 2 Delta_G(F) f - 2n V[F] f).
+
+        Delta_G is ``_second_order(G)``, grad_{G dF} is ``_pairing(G)`` with F
+        frozen in its second slot, and the last two terms multiply f by a
+        function: the pointwise product with that function frozen in slot 0."""
         roster = self.sym.roster
         F = F.with_roster(roster)
-        f = f.with_roster(roster)
         G = self.variation(direction).G
         n = self.sym.dim // 2
-        VF = F.differentiate(direction)
-        body = (
-            self.delta_Z(G, f)
-            - self._df_M_dg(G, f, F).scale(2)
-            - (self.delta_Z(G, F) * f).scale(2)
-            - (VF * f).scale(2 * n)
-        )
-        return body.scale(-Scalar(Fraction(1, 4)))
+        delta_G = self._second_order(G)
+        potential = delta_G.apply(F).coefficient(0).scale(2) + F.differentiate(direction).scale(2 * n)
+        body = (delta_G
+                - self._pairing(G).partial_apply(1, F).scale(2)
+                - StarTruncation.pointwise(roster, 0).op.partial_apply(0, potential))
+        return body.scale(-Scalar(Fraction(1, 4))).apply(f).coefficient(0)
 
     def operator_H(self, direction: str, F: Poly) -> Poly:
-        """H(V) = E(V)(1) = (1/2)(Delta_{G}(F) + n V[F])."""
-        roster = self.sym.roster
-        F = F.with_roster(roster)
+        """H(V) = E(V)(1) = (1/2)(Delta_{G}(F) + n V[F]), Delta_G = ``_second_order(G)``."""
+        F = F.with_roster(self.sym.roster)
         G = self.variation(direction).G
         n = self.sym.dim // 2
-        return (self.delta_Z(G, F) + F.differentiate(direction).scale(n)).scale(HALF)
+        return (self._second_order(G).apply(F).coefficient(0)
+                + F.differentiate(direction).scale(n)).scale(HALF)
 
 
-def verify_lemma_vc1(fam: LinearKahlerFamily, direction: str, f: Poly, g: Poly,
+def _vc1_witness(fam: LinearKahlerFamily, direction: str, other: MultiDiffOp, basis_degree: int):
+    """The first pair of basis monomials on which V[c1] and the arity-2
+    operator ``other`` differ, with the difference there; None when there is
+    none.  Both are decided on the terms (``MultiDiffOp.basis_witness``), in
+    nested-loop order over ``monomials_up_to(roster, basis_degree)``, f
+    outermost.
+
+    V[c1] is taken by its V[M] route.  Its two routes are compared as
+    operators too, and where they disagree at an earlier pair, or at the
+    same one, VariationError is raised at that pair instead."""
+    vc1, half_G = fam.variation_operators(direction)
+    routes = (vc1 - half_G).basis_witness(basis_degree)
+    found = (vc1 - other).basis_witness(basis_degree)
+    if routes is not None:
+        basis = monomials_up_to(fam.sym.roster, basis_degree)
+
+        def position(witness):
+            f, g = witness[0]
+            return basis.index(f), basis.index(g)
+
+        if found is None or position(routes) <= position(found):
+            (f, g), _ = routes
+            raise VariationError(
+                f"V[c1] disagrees with (1/2) df G(V) dg at ({f}, {g}) (direction {direction})")
+    return found
+
+
+def verify_lemma_vc1(fam: LinearKahlerFamily, direction: str, basis_degree: int,
                      factor=Fraction(1, 4)):
-    """V[c1](f,g) = factor * (Delta_G(fg) - Delta_G(f) g - Delta_G(g) f); (ok, witness)."""
-    G = fam.variation(direction).G
-    lhs = fam.v_c1(direction, f, g)
-    rhs = (
-        fam.delta_Z(G, f * g)
-        - fam.delta_Z(G, f) * g
-        - fam.delta_Z(G, g) * f
-    ).scale(Scalar(factor))
-    if lhs != rhs:
-        return False, f"({f}, {g}): {lhs} != {rhs}"
-    return True, None
+    """V[c1](f,g) = factor * (Delta_G(fg) - Delta_G(f) g - Delta_G(g) f) for
+    all f and g; (ok, witness).
+
+    The right side is -factor * [m0, Delta_G](f, g) for the pointwise product
+    m0 (``MultiDiffOp.bracket``), so the lemma is the operator identity
+    V[c1] + factor * [m0, Delta_G] = 0.  Every slot of that operator has
+    order at most 1, so its terms on the monomials of degree <= basis_degree,
+    raised to 1 if it is 0, decide it for all f and g (``_vc1_witness``,
+    which also compares the two routes to V[c1]).  Only a failure evaluates
+    the two sides, at the witness pair.
+    """
+    basis_degree = max(basis_degree, 1)
+    product = StarTruncation.pointwise(fam.sym.roster, 0).op
+    delta_G = fam._second_order(fam.variation(direction).G)
+    right = product.bracket(delta_G, basis_degree).scale(-Scalar(factor))
+    found = _vc1_witness(fam, direction, right, basis_degree)
+    if found is None:
+        return True, None
+    (f, g), _ = found
+    vc1, _ = fam.variation_operators(direction)
+    lhs, rhs = (op.apply(f, g).coefficient(0) for op in (vc1, right))
+    return False, f"({f}, {g}): {lhs} != {rhs}"
 
 
 def order1_hitchin_check(fam: LinearKahlerFamily, F: Poly, basis_degree: int = 3,
@@ -406,39 +399,26 @@ def order1_hitchin_check(fam: LinearKahlerFamily, F: Poly, basis_degree: int = 3
     (b) flatness potential:  V[-P1] = A1(V);
     (c) d_T A1 = 0 across direction pairs.
 
-    Each is an identity between explicit operators.  (a) forms
-    D = V[c1] - d_H A1(V) for the pointwise product and reads the verdict off
-    D's terms (``MultiDiffOp.basis_witness``); with it, the two routes to
-    V[c1] are compared as operators, and a disagreement raises
-    VariationError at its first basis pair.  Where one direction fails both,
-    the failure at the earlier pair in nested-loop order (f outermost) is
-    reported, VariationError on a tie.  Operators are evaluated only to find
-    the witness of a failure.
+    Each is an identity between explicit operators.  (a) compares V[c1]
+    with d_H A1(V) = [m0, A1(V)] for the pointwise product m0 and reads the
+    verdict off the terms of the difference (``_vc1_witness``, which also
+    compares the two routes to V[c1] and raises VariationError where they
+    disagree first).  Operators are evaluated only to find the witness of a
+    failure.
 
     Returns a list of (name, ok, witness).
     """
     if directions is None:
         directions = family_directions(fam, F)
     a1 = {p: fam.a1_data(p, F, delta_factor) for p in directions}
-    basis = monomials_up_to(fam.sym.roster, basis_degree)
     product = StarTruncation.pointwise(fam.sym.roster, 0).op
-
-    def position(found):
-        f, g = found[0]
-        return basis.index(f), basis.index(g)
 
     checks = []
     ok, wit = True, None
     for p, A in a1.items():
-        vc1, half_G = fam.variation_operators(p)
-        routes = (vc1 - half_G).basis_witness(basis_degree)
-        leibniz = (vc1 - product.bracket(A, basis_degree)).basis_witness(basis_degree)
-        if routes is not None and (leibniz is None or position(routes) <= position(leibniz)):
-            (f, g), _ = routes
-            raise VariationError(
-                f"V[c1] disagrees with (1/2) df G(V) dg at ({f}, {g}) (direction {p})")
-        if leibniz is not None:
-            (f, g), _ = leibniz
+        found = _vc1_witness(fam, p, product.bracket(A, basis_degree), basis_degree)
+        if found is not None:
+            (f, g), _ = found
             ok, wit = False, f"direction {p}, ({f},{g})"
             break
     checks.append(("order-1 derivation identity", ok, wit))

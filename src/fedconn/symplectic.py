@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import Scalar
-from .polynomials import Poly, PolySums, is_param_name, add_term
+from .polynomials import Poly, PolySums, is_param_name
 from .weylforms import WeylContext, WeylForm
 from .multidiff import MultiDiffOp
 
@@ -50,14 +50,6 @@ class SymplecticData(WeylContext):
         """The Poisson bivector as the arity-2, h^0 operator (f, g) -> {f, g}:
         one term pi^{ij} d_i (x) d_j per nonzero entry."""
         return MultiDiffOp.pairing(self.roster, self._pi_entries)
-
-    def hamiltonian_vf(self, f: Poly):
-        """Components of X_f, the field with X_f(g) = {f, g}: X^j = pi^{ij} d_i f."""
-        f = f.with_roster(self.roster)
-        comps = [Poly.zero(self.roster) for _ in range(self.dim)]
-        for i, j, v in self._pi_entries:
-            comps[j] = comps[j] + f.differentiate(self.roster[i]).scale(v)
-        return tuple(comps)
 
     def gradient_of_potential(self, X):
         """The 1-form eta with eta_i = sum_j omega_ij X^j."""
@@ -190,34 +182,10 @@ class ConnectionFamily:
                 b = alpha.index(1)
                 C.setdefault(J, {})[(m, b)] = c
         terms = {}
-        zero = Poly.zero(sym.roster)
         for J, table in C.items():
-            rhat = {}
-            for a in range(n):
-                for c_idx in range(n):
-                    acc = zero
-                    for m in range(n):
-                        w = sym.omega[a][m]
-                        if w.is_zero():
-                            continue
-                        p = table.get((m, c_idx))
-                        if p is not None:
-                            acc = acc + p.scale(w * Scalar(Fraction(-1, 2)))
-                    rhat[(a, c_idx)] = acc
-            for a in range(n):
-                for c_idx in range(a, n):
-                    if rhat[(a, c_idx)] != rhat[(c_idx, a)]:
-                        raise SymplecticCheckError(
-                            "curvature symmetry",
-                            f"entries ({a + 1},{c_idx + 1}) and ({c_idx + 1},{a + 1}) of the "
-                            f"curvature tensor on {'^'.join(f'dx{q + 1}' for q in J)} differ")
-                    coeff = rhat[(a, c_idx)] if a == c_idx else rhat[(a, c_idx)] + rhat[(c_idx, a)]
-                    if coeff.is_zero():
-                        continue
-                    alpha = [0] * n
-                    alpha[a] += 1
-                    alpha[c_idx] += 1
-                    terms[(0, tuple(alpha), J)] = coeff
+            _add_symmetric_quadratic(
+                sym, terms, J, table, Scalar(Fraction(-1, 2)), "curvature symmetry",
+                f"the curvature tensor on {'^'.join(f'dx{q + 1}' for q in J)}", "")
         return WeylForm(sym, trunc, terms)
 
     def variation_S(self, name: str, trunc: int) -> WeylForm:
@@ -226,68 +194,47 @@ class ConnectionFamily:
         if not is_param_name(name):
             raise ValueError(f"{name!r} is not a parameter direction")
         sym = self.sym
-        n = sym.dim
         dgamma = self.t_derivative_table(name)
         if not dgamma:
             return WeylForm.zero(sym, trunc)
         terms = {}
-        zero = Poly.zero(sym.roster)
-        for i in range(n):
-            qhat = {}
-            for a in range(n):
-                for c_idx in range(n):
-                    acc = zero
-                    for m in range(n):
-                        w = sym.omega[a][m]
-                        if w.is_zero():
-                            continue
-                        p = dgamma.get((m, i, c_idx))
-                        if p is not None:
-                            acc = acc + p.scale(-w)
-                    qhat[(a, c_idx)] = acc
-            for a in range(n):
-                for c_idx in range(a, n):
-                    if qhat[(a, c_idx)] != qhat[(c_idx, a)]:
-                        raise SymplecticCheckError(
-                            "variation symmetry",
-                            f"entries ({a + 1},{c_idx + 1}) and ({c_idx + 1},{a + 1}) of i_V S "
-                            f"on dx{i + 1} differ (direction {name})")
-                    coeff = qhat[(a, c_idx)] if a == c_idx else qhat[(a, c_idx)] + qhat[(c_idx, a)]
-                    if coeff.is_zero():
-                        continue
-                    alpha = [0] * n
-                    alpha[a] += 1
-                    alpha[c_idx] += 1
-                    add_term(terms, (0, tuple(alpha), (i,)), coeff)
+        for i in range(sym.dim):
+            table = {(m, c): p for (m, j, c), p in dgamma.items() if j == i}
+            _add_symmetric_quadratic(sym, terms, (i,), table, Scalar(-1), "variation symmetry",
+                                     f"i_V S on dx{i + 1}", f" (direction {name})")
         return WeylForm(sym, trunc, terms)
 
 
-def symplectic_pair_difference_symmetric(c1: ConnectionFamily, c2: ConnectionFamily) -> bool:
-    """Whether omega-contraction of (Gamma1 - Gamma2) is totally symmetric in
-    all three indices (the affine-space parametrization of symplectic
-    connections)."""
-    sym = c1.sym
+def _add_symmetric_quadratic(sym: SymplecticData, terms: dict, J, table: dict, weight,
+                             check: str, what: str, tail: str):
+    """Lower the first index of ``table`` (m, c) -> Poly with omega, times
+    ``weight``: T_ac = weight * sum_m omega_am table[m, c], a missing entry
+    counting as zero.  T must be symmetric, or SymplecticCheckError(``check``)
+    names the first pair of entries of ``what`` that differ.  Each nonzero
+    y^a y^c coefficient (T_ac + T_ca off the diagonal) is stored in ``terms``
+    at (0, y^a y^c, J)."""
     n = sym.dim
-    zero = Poly.zero(sym.roster)
-
-    def T(l, i, j):
-        acc = zero
-        for m in range(n):
-            w = sym.omega[l][m]
-            if w.is_zero():
+    T = {}
+    for a in range(n):
+        for c in range(n):
+            acc = Poly.zero(sym.roster)
+            for m in range(n):
+                w = sym.omega[a][m]
+                if w.is_zero():
+                    continue
+                p = table.get((m, c))
+                if p is not None:
+                    acc = acc + p.scale(w * weight)
+            T[(a, c)] = acc
+    for a in range(n):
+        for c in range(a, n):
+            if T[(a, c)] != T[(c, a)]:
+                raise SymplecticCheckError(
+                    check, f"entries ({a + 1},{c + 1}) and ({c + 1},{a + 1}) of {what} differ{tail}")
+            coeff = T[(a, c)] if a == c else T[(a, c)] + T[(c, a)]
+            if coeff.is_zero():
                 continue
-            g1 = c1.gamma.get((m, i, j))
-            g2 = c2.gamma.get((m, i, j))
-            if g1 is not None:
-                acc = acc + g1.scale(w)
-            if g2 is not None:
-                acc = acc - g2.scale(w)
-        return acc
-
-    for l in range(n):
-        for i in range(n):
-            for j in range(n):
-                t = T(l, i, j)
-                if t != T(i, l, j) or t != T(l, j, i):
-                    return False
-    return True
+            alpha = [0] * n
+            alpha[a] += 1
+            alpha[c] += 1
+            terms[(0, tuple(alpha), J)] = coeff

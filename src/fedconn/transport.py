@@ -236,7 +236,7 @@ def flatness_check(family: FamilyContext, A: ConnectionOneForm):
     for a in range(len(params)):
         for b in range(a + 1, len(params)):
             v, w = params[a], params[b]
-            F = A[w].t_derivative(v) - A[v].t_derivative(w) + A[v].bracket(A[w])
+            F = A.curvature(v, w)
             if not F.is_zero():
                 return False, f"curvature in directions ({v},{w}) is {F}"
     return True, None

@@ -10,6 +10,13 @@ Both move every operand onto the merged roster by variable name
 (``terms_on``).  ``partial_apply_by_loops`` freezes a slot at a function by
 its own loop, where ``src`` composes the function in as an arity-0 operator.
 
+``contract``, ``delta_Z`` and ``df_M_dg`` are the Kahler evaluators that
+applied an x-constant bivector to sample functions, and ``hamiltonian_vf``
+gives the components of a Hamiltonian vector field; ``lemma_by_pairs``,
+``lowest_order_by_loops`` and the note references evaluate through them
+where ``src`` decides, or applies, operators.  ``jet_wedge_by_terms`` forms
+Xi ^ a as a WeylForm where ``src`` adds it into a sink.
+
 The ``*_by_sums`` references add whole forms and operators one
 ``WeylForm.__add__`` or ``MultiDiffOp.__add__`` at a time, which reduces every
 shared coefficient once per sum: delta and delta_inv, the degree recursion,
@@ -22,9 +29,14 @@ import math
 import operator
 from fractions import Fraction
 
-from fedconn.polynomials import Poly, PolySums, FormalFunction, add_term, merge_rosters
+from fedconn.scalars import Scalar
+from fedconn.polynomials import (
+    Poly, PolySums, FormalFunction, add_term, merge_rosters, monomials_up_to,
+)
 from fedconn.weylforms import WeylForm, HDivisionError, _wedge_sign, _merge_J
 from fedconn.multidiff import MultiDiffOp, _leibniz_splits
+from fedconn.fedosov import _jet_degree_at_most
+from fedconn.kahler import VariationError
 
 
 def pairing_by_products(a, b, commutator, over_h, max_degree=None):
@@ -225,3 +237,137 @@ def bracket_by_sums(psi, phi, max_slot=None):
         term = phi.compose_at(j, psi, max_slot)
         out = out + term if (r * s + j * r) % 2 else out - term
     return out
+
+
+def jet_wedge_by_terms(a, positions, degree):
+    """Xi ^ a with Xi = sum_i xi_i dx^i, dropping jet degree > degree, as a
+    WeylForm summed term by term (``fedosov._jet_wedge`` adds into a sink)."""
+    out = {}
+    for (k, alpha, J), c in a.terms.items():
+        low = _jet_degree_at_most(c, positions, degree - 1)
+        if low.is_zero():
+            continue
+        for i, pos in enumerate(positions):
+            if i in J:
+                continue
+            raised = low.map_x(lambda m: (m[:pos] + (m[pos] + 1,) + m[pos + 1:], 1))
+            before = sum(1 for j in J if j < i)
+            add_term(out, (k, alpha, tuple(sorted(J + (i,)))), -raised if before % 2 else raised)
+    return WeylForm(a.ctx, a.trunc, out)
+
+
+# -- evaluators on sample functions ---------------------------------------------------------
+
+def hamiltonian_vf(sym, f):
+    """Components of X_f, the field with X_f(g) = {f, g}: X^j = pi^{ij} d_i f."""
+    f = f.with_roster(sym.roster)
+    comps = [Poly.zero(sym.roster) for _ in range(sym.dim)]
+    for i, j, v in sym._pi_entries:
+        comps[j] = comps[j] + f.differentiate(sym.roster[i]).scale(v)
+    return tuple(comps)
+
+
+def contract(fam, M, F):
+    """The components sum_a M[a][b] d_a F, for b = 1..dim, of a Kahler family."""
+    roster = fam.sym.roster
+    dF = [F.differentiate(x) for x in roster]
+    out = []
+    for b in range(fam.sym.dim):
+        acc = Poly.zero(roster)
+        for a in range(fam.sym.dim):
+            if not M[a][b].is_zero():
+                acc = acc + dF[a].scale(M[a][b])
+        out.append(acc)
+    return out
+
+
+def delta_Z(fam, Z, f):
+    """Delta_Z f = Z^{ab} d_a d_b f for an x-constant symmetric bivector."""
+    roster = fam.sym.roster
+    out = Poly.zero(roster)
+    for x, c in zip(roster, contract(fam, Z, f.with_roster(roster))):
+        out = out + c.differentiate(x)
+    return out
+
+
+def df_M_dg(fam, M, f, g):
+    """df M dg for an x-constant matrix M."""
+    roster = fam.sym.roster
+    g = g.with_roster(roster)
+    out = Poly.zero(roster)
+    for x, c in zip(roster, contract(fam, M, f.with_roster(roster))):
+        if not c.is_zero():
+            out = out + c * g.differentiate(x)
+    return out
+
+
+def v_c1(fam, direction, f, g):
+    """V[c1](f, g) by the t-derivative V[M] of the c1 matrix, cross-checked
+    against (1/2) df G(V) dg: VariationError where they differ."""
+    v = fam.variation(direction)
+    direct = df_M_dg(fam, v.Mdot, f, g)
+    if direct != df_M_dg(fam, v.half_G, f, g):
+        raise VariationError(
+            f"V[c1] disagrees with (1/2) df G(V) dg at ({f}, {g}) (direction {direction})")
+    return direct
+
+
+def lemma_at(fam, direction, f, g, factor=Fraction(1, 4)):
+    """V[c1](f,g) = factor * (Delta_G(fg) - Delta_G(f) g - Delta_G(g) f) at
+    one pair; (ok, witness)."""
+    G = fam.variation(direction).G
+    lhs = v_c1(fam, direction, f, g)
+    rhs = (delta_Z(fam, G, f * g) - delta_Z(fam, G, f) * g
+           - delta_Z(fam, G, g) * f).scale(Scalar(factor))
+    if lhs != rhs:
+        return False, f"({f}, {g}): {lhs} != {rhs}"
+    return True, None
+
+
+def lemma_by_pairs(fam, direction, basis_degree, factor=Fraction(1, 4)):
+    """``kahler.verify_lemma_vc1`` as a loop of ``lemma_at`` over every pair
+    of basis monomials, f outermost."""
+    basis = monomials_up_to(fam.sym.roster, basis_degree)
+    for f in basis:
+        for g in basis:
+            ok, wit = lemma_at(fam, direction, f, g, factor)
+            if not ok:
+                return ok, wit
+    return True, None
+
+
+def operator_E_by_loops(fam, direction, F, f):
+    """E(V)(f) = -(1/4)(Delta_G(f) - 2 grad_{G dF}(f) - 2 Delta_G(F) f - 2n V[F] f)."""
+    roster = fam.sym.roster
+    F, f = F.with_roster(roster), f.with_roster(roster)
+    G = fam.variation(direction).G
+    n = fam.sym.dim // 2
+    body = (delta_Z(fam, G, f) - df_M_dg(fam, G, f, F).scale(2)
+            - (delta_Z(fam, G, F) * f).scale(2) - (F.differentiate(direction) * f).scale(2 * n))
+    return body.scale(-Scalar(Fraction(1, 4)))
+
+
+def operator_H_by_loops(fam, direction, F):
+    """H(V) = (1/2)(Delta_G(F) + n V[F])."""
+    F = F.with_roster(fam.sym.roster)
+    G = fam.variation(direction).G
+    n = fam.sym.dim // 2
+    return (delta_Z(fam, G, F) + F.differentiate(direction).scale(n)).scale(Scalar(Fraction(1, 2)))
+
+
+def lowest_order_by_loops(family, A, beta, basis_degree=3):
+    """``families.lowest_order_identity`` as the loop it replaced: the h^1
+    part of A(V)(f) against -i_V i_{X_f} beta_1, basis monomial by monomial."""
+    sym = family.sym
+    basis = monomials_up_to(sym.roster, basis_degree)
+    for p in family.params:
+        beta1 = {key: c for key, c in beta[p].terms.items() if key[0] == 1}
+        for f in basis:
+            X = hamiltonian_vf(sym, f)
+            expect = Poly.zero(sym.roster)
+            for (k, a, J), c in beta1.items():
+                expect = expect - c * X[J[0]]
+            got = A[p].apply(f).coefficient(1)
+            if got != expect:
+                return False, f"direction {p}, f = {f}: h^1 part {got} != {expect}"
+    return True, None

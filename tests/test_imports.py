@@ -75,3 +75,24 @@ def test_the_t_only_classes_are_gone():
     found = {path.name: sorted(bound_names(path.read_text(encoding="utf-8")) & T_ONLY)
              for path in sorted(SRC.glob("*.py"))}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+# evaluators of sample functions, replaced by operators; the loops are
+# references in tests/reference_kernels.py (``_contract`` is checked on
+# LinearKahlerFamily only: weylforms has a contraction of its own by that name)
+EVALUATORS = {"delta_Z", "laplacian", "_df_M_dg", "c1", "v_c1", "hamiltonian_vf",
+              "symplectic_pair_difference_symmetric"}
+
+
+def test_the_evaluators_are_not_defined_again():
+    assert EVALUATORS.isdisjoint(fedconn.__all__)
+    defined = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in EVALUATORS:
+                defined.setdefault(path.name, []).append(node.name)
+            if isinstance(node, ast.ClassDef) and node.name == "LinearKahlerFamily":
+                defined.setdefault(path.name, []).extend(
+                    item.name for item in node.body
+                    if isinstance(item, ast.FunctionDef) and item.name == "_contract")
+    assert {name: hits for name, hits in defined.items() if hits} == {}

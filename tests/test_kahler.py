@@ -14,6 +14,9 @@ from fedconn.multidiff import MultiDiffOp
 from fedconn.properties import random_poly
 
 from conftest import pr
+from reference_kernels import (
+    delta_Z, df_M_dg, v_c1, lemma_at, lemma_by_pairs, operator_E_by_loops, operator_H_by_loops,
+)
 
 
 def test_family_validation_rejects_bad_structures(sym2):
@@ -43,17 +46,24 @@ def test_t_constant_family_variation_vanishes(sym2):
     G, _, _ = fam.gtilde_variation("t1")
     assert all(v.is_zero() for row in G for v in row)
     f = parse_poly("x1^2", sym2.roster)
-    assert fam.v_c1("t1", f, f).is_zero()
+    assert v_c1(fam, "t1", f, f).is_zero()
+    vc1, half_G = fam.variation_operators("t1")
+    assert vc1.is_zero() and half_G.is_zero()
+    assert verify_lemma_vc1(fam, "t1", 2) == (True, None)
 
 
 def test_delta_Z_examples(sym2):
+    # Delta_Z = Z^{ab} d_a d_b as an operator, against the evaluator it replaced
     fam = LinearKahlerFamily(sym2, [[pr("0"), pr("1")], [pr("-1"), pr("0")]])
     f = parse_poly("x1^3*x2^2", sym2.roster)
     Z = mat([[1, 0], [0, 0]])
-    assert fam.delta_Z(Z, f) == f.differentiate("x1").differentiate("x1")
+    assert fam._second_order(Z).apply(f).coefficient(0) == f.differentiate("x1").differentiate("x1")
     lap = f.differentiate("x1").differentiate("x1") + f.differentiate("x2").differentiate("x2")
-    assert fam.laplacian(f) == lap
-    assert fam.laplacian(Poly.const(sym2.roster, 7)).is_zero()
+    laplacian = fam._second_order(fam.gtilde)
+    assert laplacian.apply(f).coefficient(0) == lap == delta_Z(fam, fam.gtilde, f)
+    assert laplacian.apply(Poly.const(sym2.roster, 7)).is_zero()
+    Z = mat([[pr("t1"), 2], [2, pr("-1/(1+t1)")]])
+    assert fam._second_order(Z).apply(f).coefficient(0) == delta_Z(fam, Z, f)
 
 
 def test_c1_poisson_compatibility(shear2, sym2):
@@ -61,7 +71,9 @@ def test_c1_poisson_compatibility(shear2, sym2):
     for _ in range(6):
         f = random_poly(sym2.roster, rng)
         g = random_poly(sym2.roster, rng)
-        assert shear2.c1(f, g) - shear2.c1(g, f) == sym2.poisson(f, g).scale(I)
+        c1 = shear2.c1_operator()
+        assert (c1.apply(f, g) - c1.apply(g, f)).coefficient(0) == sym2.poisson(f, g).scale(I)
+        assert c1.apply(f, g).coefficient(0) == df_M_dg(shear2, shear2.c1_matrix(), f, g)
 
 
 def test_c1_closed_form(shear2):
@@ -78,27 +90,40 @@ def test_vc1_symmetry_and_routes(shear2, sym2):
     for _ in range(6):
         f = random_poly(sym2.roster, rng)
         g = random_poly(sym2.roster, rng)
-        assert shear2.v_c1("t1", f, g) == shear2.v_c1("t1", g, f)
+        assert v_c1(shear2, "t1", f, g) == v_c1(shear2, "t1", g, f)
+        vc1, half_G = shear2.variation_operators("t1")
+        assert vc1.apply(f, g) == vc1.apply(g, f) == half_G.apply(f, g)
+        assert vc1.apply(f, g).coefficient(0) == v_c1(shear2, "t1", f, g)
 
 
 def test_lemma_randomized(shear2, rational2, block4, sym2, sym4):
+    # decided on the terms for all f and g; the evaluators agree on random pairs
     rng = random.Random(3)
     for fam, sym in ((shear2, sym2), (rational2, sym2), (block4, sym4)):
+        directions = ("t1",) if sym is sym2 else ("t1", "t2")
+        for direction in directions:
+            for d in (1, 2):
+                assert verify_lemma_vc1(fam, direction, d) == (True, None)
         for _ in range(8):
             f = random_poly(sym.roster, rng, degree=3)
             g = random_poly(sym.roster, rng, degree=3)
-            for direction in (("t1",) if sym is sym2 else ("t1", "t2")):
-                ok, wit = verify_lemma_vc1(fam, direction, f, g)
+            for direction in directions:
+                ok, wit = lemma_at(fam, direction, f, g)
                 assert ok, wit
 
 
 def test_lemma_trivial_and_mutated(shear2, sym2):
     g = parse_poly("x1*x2", sym2.roster)
-    ok, _ = verify_lemma_vc1(shear2, "t1", Poly.const(sym2.roster, 5), g)
-    assert ok
-    ok, _ = verify_lemma_vc1(shear2, "t1", parse_poly("x1^2", sym2.roster), g,
-                             factor=Fraction(1, 2))
-    assert not ok
+    assert lemma_at(shear2, "t1", Poly.const(sym2.roster, 5), g) == (True, None)
+    assert not lemma_at(shear2, "t1", parse_poly("x1^2", sym2.roster), g, Fraction(1, 2))[0]
+    assert verify_lemma_vc1(shear2, "t1", 2) == (True, None)
+    # a basis degree of 0 is raised to 1, where the lemma is decided
+    assert verify_lemma_vc1(shear2, "t1", 0) == (True, None)
+    got = verify_lemma_vc1(shear2, "t1", 2, factor=Fraction(1, 2))
+    assert not got[0]
+    assert got == lemma_by_pairs(shear2, "t1", 2, factor=Fraction(1, 2))
+    assert verify_lemma_vc1(shear2, "t1", 0, factor=Fraction(1, 2)) == \
+        lemma_by_pairs(shear2, "t1", 1, factor=Fraction(1, 2))
 
 
 def test_order1_checks(shear2, rational2, block4, sym2, sym4):
@@ -128,6 +153,10 @@ def test_E_H_relation(shear2, sym2):
     F = parse_poly("t1*x2^2", sym2.roster)
     one = Poly.const(sym2.roster, 1)
     assert shear2.operator_E("t1", F, one) == shear2.operator_H("t1", F)
+    x1 = Poly.var(sym2.roster, "x1")
+    for f in (one, x1, parse_poly("x1^2*x2 - t1*x2", sym2.roster)):
+        assert shear2.operator_E("t1", F, f) == operator_E_by_loops(shear2, "t1", F, f)
+    assert shear2.operator_H("t1", F) == operator_H_by_loops(shear2, "t1", F)
 
 
 def test_variation_cache_matches_fresh_computation(shear2, rational2, block4):
@@ -154,7 +183,8 @@ def test_variation_cache_matches_fresh_computation(shear2, rational2, block4):
         assert all(ok for _, ok, _ in warm)
         f, g = random_poly(roster, rng, degree=3), random_poly(roster, rng, degree=3)
         for p in directions:
-            assert verify_lemma_vc1(cold, p, f, g) == verify_lemma_vc1(fam, p, f, g) == (True, None)
+            assert verify_lemma_vc1(cold, p, 2) == verify_lemma_vc1(fam, p, 2) == (True, None)
+            assert lemma_at(cold, p, f, g) == (True, None)
 
 
 def count_applies(monkeypatch):
@@ -171,11 +201,14 @@ def count_applies(monkeypatch):
 
 
 def test_passing_order1_checks_evaluate_no_operator(monkeypatch, block4, sym4):
-    # all three verdicts are read off operator terms; nothing is evaluated
+    # all three verdicts and the variation lemma are read off operator terms;
+    # nothing is evaluated
     F = parse_poly("t1*x1^2*x3 + t2*x4", sym4.roster)
     calls = count_applies(monkeypatch)
     checks = order1_hitchin_check(block4, F, basis_degree=2)
     assert all(ok for _, ok, _ in checks)
+    for p in ("t1", "t2"):
+        assert verify_lemma_vc1(block4, p, 2) == (True, None)
     assert calls == []
 
 

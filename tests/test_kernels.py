@@ -33,7 +33,7 @@ from fedconn.properties import random_weyl_form, random_multidiffop, random_poly
 from reference_kernels import (
     pairing_by_products, compose_at_by_products, cov_deriv_by_sums, solve_by_degree_by_sums,
     D_r_by_sums, curvature_form_by_sums, bracket_by_sums, delta_by_sums, delta_inv_by_sums,
-    partial_apply_by_loops,
+    partial_apply_by_loops, jet_wedge_by_terms,
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -360,6 +360,22 @@ def test_cov_deriv_matches_the_chained_sums(sym2, sym4, seed):
             before.add_to(sink)
             assert conn.cov_deriv(a, sink, w) is None
             assert_same(WeylForm(sym, a.trunc, sink.polys()), before + reference.scale(w), w)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_jet_wedge_matches_the_term_sums(sym2, seed):
+    # Xi ^ a added into a sink that already holds terms, at jet degrees 0..3
+    rng = random.Random(1550 + seed)
+    positions = [SYMBOL2.index(name) for name in ("xi1", "xi2")]
+    for _ in range(3):
+        a, before = (fedosov._recoefficient(mixed_form(sym2, rng, terms=6, max_y=3),
+                                            lambda c: c.with_roster(SYMBOL2)) for _ in range(2))
+        for degree in range(4):
+            sink = PolySums()
+            before.add_to(sink)
+            assert fedosov._jet_wedge(a, positions, degree, sink) is None
+            assert_same(WeylForm(sym2, a.trunc, sink.polys()),
+                        before + jet_wedge_by_terms(a, positions, degree))
 
 
 def _solved(solve, conn, source, start, left, weight):

@@ -2,7 +2,8 @@
 
 ``verify_compatibility``, ``derivation_identity``, ``verify_curvature``,
 ``self_equivalence_check``, ``conjugation_check``, ``is_derivation``,
-Kahler's ``order1_hitchin_check`` and the first three star axioms of
+``lowest_order_identity``, Kahler's ``order1_hitchin_check`` and
+``verify_lemma_vc1``, and the first three star axioms of
 ``validate_star_axioms`` form difference operators and read their verdicts
 off the terms.  The functions below are the evaluation loops they replaced:
 every pair of basis monomials (every section pair, every basis monomial),
@@ -27,7 +28,7 @@ from fedconn.polynomials import (
     add_term,
 )
 from fedconn.kahler import (
-    LinearKahlerFamily, VariationError, order1_hitchin_check, family_directions,
+    LinearKahlerFamily, VariationError, order1_hitchin_check, verify_lemma_vc1, family_directions,
     mat_add, mat_sub, mat_neg, mat_eq, mat_deriv, mat_scale,
 )
 from fedconn.weylforms import WeylForm
@@ -38,6 +39,7 @@ from fedconn import cli
 from fedconn.cli import main
 from fedconn.families import (
     connection_form, solve_s, verify_compatibility, derivation_identity, verify_curvature,
+    lowest_order_identity,
 )
 from fedconn.transport import (
     parallel_transport, gauge_equivalence, self_equivalence_check, conjugation_check, invert,
@@ -47,6 +49,7 @@ from fedconn.scenario import Scenario
 
 from conftest import generated_curved_r4, generated_curved_r4_scenario, pr
 from reference_cochains import gerstenhaber, materialize
+from reference_kernels import contract, delta_Z, v_c1, lemma_by_pairs, lowest_order_by_loops
 
 R2 = x_roster(2)
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -462,6 +465,7 @@ def test_passing_pair_checks_evaluate_no_operator(bundle_f1, bundle_f3, gauge_pa
 
     monkeypatch.setattr(MultiDiffOp, "apply", counting)
     for bundle in (bundle_f1, bundle_f3):
+        assert lowest_order_identity(bundle.family, bundle.A, bundle.beta, 3) == (True, None)
         assert verify_compatibility(bundle.family, bundle.A, 3) == (True, None)
         assert derivation_identity(bundle.family, bundle.A, 2) == (True, None)
         assert verify_curvature(bundle.family, bundle.A, bundle.s, 3) == (True, None)
@@ -480,21 +484,21 @@ def a1_matrices(fam, p, F, delta_factor=Fraction(1, 4)):
     """(Q, w) with A1(V) = Delta_Q + w^b d_b, from the family's matrices."""
     F = F.with_roster(fam.sym.roster)
     v = fam.variation(p)
-    w = zip(fam._contract(fam.c1_matrix(), F.differentiate(p)), fam._contract(v.Mdot, F))
+    w = zip(contract(fam, fam.c1_matrix(), F.differentiate(p)), contract(fam, v.Mdot, F))
     return mat_scale(v.G, -Scalar(delta_factor)), [a + b for a, b in w]
 
 
 def p1_matrices(fam, F, delta_factor=Fraction(1, 4)):
     F = F.with_roster(fam.sym.roster)
     return (mat_scale(fam.gtilde, -Scalar(delta_factor)),
-            [-c for c in fam._contract(fam.c1_matrix(), F)])
+            [-c for c in contract(fam, fam.c1_matrix(), F)])
 
 
 def apply_a1(fam, data, f):
     Q, w = data
     roster = fam.sym.roster
     f = f.with_roster(roster)
-    out = fam.delta_Z(Q, f)
+    out = delta_Z(fam, Q, f)
     for b in range(fam.sym.dim):
         if not w[b].is_zero():
             out = out + w[b] * f.differentiate(roster[b])
@@ -518,7 +522,7 @@ def order1_by_pairs(fam, F, basis_degree, delta_factor=Fraction(1, 4), shift=Non
     """The three order-1 verdicts by the loops the operator checks replaced.
 
     The Leibniz identity is evaluated on every pair of basis monomials, with
-    V[c1] by ``v_c1`` (which raises VariationError where its two routes
+    V[c1] by the evaluator ``v_c1`` (which raises VariationError where its two routes
     disagree); flatness and closedness compare (Q, w) coefficientwise.
     ``shift`` maps a direction to a (dQ, dw) added to its (Q, w)."""
     directions = family_directions(fam, F)
@@ -536,7 +540,7 @@ def order1_by_pairs(fam, F, basis_degree, delta_factor=Fraction(1, 4), shift=Non
     for p, data in a1.items():
         applied = [apply_a1(fam, data, f) for f in basis]
         for (f, Af), (g, Ag) in itertools.product(zip(basis, applied), repeat=2):
-            lhs = fam.v_c1(p, f, g)
+            lhs = v_c1(fam, p, f, g)
             if lhs != -apply_a1(fam, data, f * g) + Af * g + f * Ag:
                 ok, wit = False, f"direction {p}, ({f},{g})"
                 break
@@ -706,6 +710,74 @@ def test_order1_reports_the_earlier_of_two_failures(shear2, monkeypatch):
             assert got == outcome(order1_by_pairs, fresh(shear2, Mdot=bump), F, 2, shift=shift)
         kinds.add(got[0] if got[0] == "VariationError" else got[0][0])
     assert kinds == {"VariationError", "order-1 derivation identity"}
+
+
+def test_variation_lemma_matches_the_pair_loop(kahler_cases):
+    # passing, with the factor mutated to a half, and with V[c1] by V[M]
+    # negated, where the two routes disagree at the lemma's first failing pair
+    for name, fam, Fs in kahler_cases:
+        for p in sorted({p for F in Fs for p in family_directions(fam, F)}):
+            for d in (1, 2):
+                assert verify_lemma_vc1(fam, p, d) == lemma_by_pairs(fam, p, d) == (True, None)
+                half = Fraction(1, 2)
+                got = verify_lemma_vc1(fam, p, d, factor=half)
+                assert got == lemma_by_pairs(fam, p, d, factor=half), (name, p, d)
+                assert not got[0] and " != " in got[1], (name, got)
+            got = outcome(verify_lemma_vc1, fresh(fam, Mdot=mat_neg), p, 2)
+            assert got == outcome(lemma_by_pairs, fresh(fam, Mdot=mat_neg), p, 2), name
+            assert got[0] == "VariationError" and "V[c1] disagrees" in got[1], (name, got)
+
+
+def test_variation_lemma_reports_the_earlier_of_two_failures(shear2):
+    # V[M] perturbed on one diagonal entry, the factor mutated to a half: the
+    # routes first disagree on (x1, x1) or on (x2, x2), the lemma fails at (x1, x1)
+    kinds = set()
+    for a in (0, 1):
+        def bump(M, a=a):
+            return mat_add(M, [[pr("1") if (i, j) == (a, a) else pr("0") for j in range(2)]
+                               for i in range(2)])
+        half = Fraction(1, 2)
+        got = outcome(verify_lemma_vc1, fresh(shear2, Mdot=bump), "t1", 2, half)
+        assert got == outcome(lemma_by_pairs, fresh(shear2, Mdot=bump), "t1", 2, half)
+        kinds.add(got[0])
+    assert kinds == {"VariationError", False}
+
+
+@pytest.fixture(scope="module")
+def family_cases(bundle_f1, bundle_f2, bundle_f3):
+    """(name, family, beta, A): the three fixture bundles and the shipped
+    family scenarios at order 3."""
+    cases = [(name, b.family, b.beta, b.A)
+             for name, b in (("f1", bundle_f1), ("f2", bundle_f2), ("f3", bundle_f3))]
+    for name in ("family_r2.scn", "family2_r2.scn"):
+        sc = Scenario.load(SCENARIOS / name)
+        sc.order = 3
+        sc.truncation = max(sc.truncation, 2 * sc.order + 2)
+        family = sc.build_family()
+        beta = sc.build_beta(family)
+        A = connection_form(family, {p: solve_s(family, beta, p) for p in family.params})
+        cases.append((name, family, beta, A))
+    return cases
+
+
+def test_low_order_identity_matches_the_loop(family_cases):
+    # passing, and with h x2 d1 or h^2 x1 d2 added to A(V) in one direction:
+    # only the h^1 term is seen
+    for name, family, beta, A in family_cases:
+        for d in (1, 3):
+            got = lowest_order_identity(family, A, beta, d)
+            assert got == lowest_order_by_loops(family, A, beta, d) == (True, None), name
+        roster = family.sym.roster
+        for p in family.params:
+            for k, slot, coeff, fails in ((1, (1, 0), "x2", True), (2, (0, 1), "x1", False)):
+                extra = MultiDiffOp(roster, 1, A[p].order,
+                                    {(k, (slot,)): parse_poly(coeff, roster)})
+                mutant = A.shifted(p, extra)
+                got = lowest_order_identity(family, mutant, beta, 3)
+                assert got == lowest_order_by_loops(family, mutant, beta, 3), (name, p, k)
+                assert got[0] is not fails, (name, p, got)
+                if fails:
+                    assert got[1].startswith(f"direction {p}, f = x1: h^1 part "), got
 
 
 # -- the star axioms against their loops ----------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,9 +12,12 @@ from fedconn.fedosov import FedosovSetup
 from fedconn.polynomials import FormalFunction, Poly
 from fedconn.symplectic import ConnectionFamily
 from fedconn.weylforms import HDivisionError, WeylContext, WeylForm
+from fedconn.kahler import family_directions, verify_lemma_vc1
+from fedconn.multidiff import MultiDiffOp
 
 from conftest import RATIONAL_KAHLER
 from reference_cochains import ReconstructionError, operator_from_callable
+from reference_kernels import lemma_by_pairs, lowest_order_by_loops
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -253,9 +257,9 @@ def test_jet_symbol_mutations_fail(capsys, monkeypatch):
     jet_wedge = fedosov._jet_wedge
     tau_symbol = FedosovSetup.tau_symbol
 
-    def flipped_xi(a, positions, degree):
+    def flipped_xi(a, positions, degree, sink):
         # the sign of Xi = sum xi_i dx^i in the symbol recursion
-        return -jet_wedge(a, positions, degree)
+        jet_wedge(-a, positions, degree, sink)
 
     def short_symbol(self, degree, max_degree=None):
         # the star read off a symbol one jet degree short
@@ -277,6 +281,48 @@ def test_jet_symbol_mutations_fail(capsys, monkeypatch):
         failed = failed_lines(out)
         assert len(failed) == 1 and failed[0].startswith(f"[FAIL] {fail}: "), failed
         assert f"       witness: {witness}" in out
+
+
+def test_variation_lemma_failure_is_a_report_line(capsys, monkeypatch):
+    # the lemma checked with the factor 1/2: one FAIL line, the witness of the pair loop
+    def half_factor(fam, direction, basis_degree):
+        return verify_lemma_vc1(fam, direction, basis_degree, Fraction(1, 2))
+
+    monkeypatch.setattr(cli, "verify_lemma_vc1", half_factor)
+    for name in ("kahler_r2.scn", "kahler_r4.scn"):
+        code, out, err = run_cli(capsys, "kahler", "--scenario", str(SCENARIOS / name))
+        assert (code, err) == (1, "") and "Traceback" not in out
+        assert failed_lines(out) == [
+            "[FAIL] variation lemma: V[c1] = (1/4)(Delta_G(fg) - Delta_G(f)g - Delta_G(g)f)"]
+        sc = Scenario.load(SCENARIOS / name)
+        fam = sc.build_kahler()
+        p = family_directions(fam, sc.build_F(fam.sym))[0]
+        ok, wit = lemma_by_pairs(fam, p, sc.basis_degree, Fraction(1, 2))
+        assert not ok
+        assert f"       witness: direction {p}: {wit}\n" in out
+
+
+def test_low_order_identity_failure_is_a_report_line(capsys, monkeypatch):
+    # the identity checked on A(t1) + h x2 d1: one FAIL line, the witness of the loop
+    lowest_order_identity = cli.lowest_order_identity
+    seen = []
+
+    def shifted(family, A, beta, basis_degree):
+        roster = family.sym.roster
+        extra = MultiDiffOp(roster, 1, A["t1"].order, {(1, ((1, 0),)): Poly.var(roster, "x2")})
+        mutant = A.shifted("t1", extra)
+        seen.append(lowest_order_by_loops(family, mutant, beta, basis_degree))
+        return lowest_order_identity(family, mutant, beta, basis_degree)
+
+    monkeypatch.setattr(cli, "lowest_order_identity", shifted)
+    for name in ("family_r2.scn", "family2_r2.scn"):
+        code, out, err = run_cli(capsys, "family", "--scenario", str(SCENARIOS / name))
+        assert (code, err) == (1, "") and "Traceback" not in out
+        assert failed_lines(out) == [
+            "[FAIL] low-order identity: A(V)(f) = -h i_V i_{X_f} beta_1 mod h^2"]
+        ok, wit = seen.pop()
+        assert not ok and wit.startswith("direction t1, f = x1: h^1 part ")
+        assert f"       witness: {wit}\n" in out
 
 
 @pytest.mark.parametrize("target, witness", [

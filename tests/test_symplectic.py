@@ -5,10 +5,11 @@ import pytest
 from fedconn.scalars import Scalar
 from fedconn.polynomials import Poly, parse_poly
 from fedconn.weylforms import WeylForm
-from fedconn.symplectic import ConnectionFamily, symplectic_pair_difference_symmetric
+from fedconn.symplectic import ConnectionFamily
 from fedconn.properties import random_weyl_form, random_poly
 
 from conftest import connection_from_T
+from reference_kernels import hamiltonian_vf
 
 
 def test_poisson_convention(sym2):
@@ -32,10 +33,13 @@ def test_poisson_antisymmetry_and_jacobi(sym2):
 
 
 def test_hamiltonian_field_and_potential(sym2):
+    # X_f is the Poisson operator with f frozen in slot 0, read as a vector field
     rng = random.Random(2)
     for _ in range(8):
         f = random_poly(sym2.roster, rng)
-        X = sym2.hamiltonian_vf(f)
+        X = hamiltonian_vf(sym2, f)
+        comps, rest = sym2.poisson_operator().partial_apply(0, f).first_order_part(0)
+        assert comps == X and rest.is_zero()
         # defining property X_f(g) = {f, g}
         g = random_poly(sym2.roster, rng)
         Xg = Poly.zero(sym2.roster)
@@ -147,7 +151,41 @@ def test_variation_of_constant_family(sym2):
     assert conn.variation_S("t1", 8).is_zero()
 
 
+def symplectic_pair_difference_symmetric(c1, c2) -> bool:
+    """Whether omega-contraction of (Gamma1 - Gamma2) is totally symmetric in
+    all three indices (the affine-space parametrization of symplectic
+    connections)."""
+    sym = c1.sym
+    n = sym.dim
+    zero = Poly.zero(sym.roster)
+
+    def T(l, i, j):
+        acc = zero
+        for m in range(n):
+            w = sym.omega[l][m]
+            if w.is_zero():
+                continue
+            g1 = c1.gamma.get((m, i, j))
+            g2 = c2.gamma.get((m, i, j))
+            if g1 is not None:
+                acc = acc + g1.scale(w)
+            if g2 is not None:
+                acc = acc - g2.scale(w)
+        return acc
+
+    for l in range(n):
+        for i in range(n):
+            for j in range(n):
+                t = T(l, i, j)
+                if t != T(i, l, j) or t != T(l, j, i):
+                    return False
+    return True
+
+
 def test_affine_space_of_connections(sym2):
     c1 = connection_from_T(sym2, {(0, 0, 0): parse_poly("x2", sym2.roster)})
     c2 = connection_from_T(sym2, {(0, 0, 1): parse_poly("x1", sym2.roster)})
     assert symplectic_pair_difference_symmetric(c1, c2)
+    # Gamma^1_11 = 1 alone is not omega-symmetric: T_211 != T_121
+    assert not symplectic_pair_difference_symmetric(
+        c1, ConnectionFamily(sym2, {(0, 0, 0): Poly.const(sym2.roster, 1)}))
