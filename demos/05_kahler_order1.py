@@ -39,12 +39,12 @@ print("holomorphic part =", [[str(v) for v in row] for row in Gh])
 f = parse_poly("x1^2*x2", sym.roster)
 g = parse_poly("x2^2 - x1", sym.roster)
 c1 = fam.c1_operator()
-print("\nc1(f,g) =", c1.apply(f, g).coefficient(0))
+print("\nc1(f,g) =", c1.apply(f, g).poly(0))
 print("c1(f,g) - c1(g,f) = i{f,g}:",
-      (c1.apply(f, g) - c1.apply(g, f)).coefficient(0) == sym.poisson(f, g).scale(I))
+      (c1.apply(f, g) - c1.apply(g, f)).poly(0) == sym.poisson(f, g).scale(I))
 
 vc1, _ = fam.variation_operators("t1")
-print("V[c1](f,g) =", vc1.apply(f, g).coefficient(0))
+print("V[c1](f,g) =", vc1.apply(f, g).poly(0))
 print("variation lemma, for all f and g:", verify_lemma_vc1(fam, "t1", basis_degree=2))
 
 F = parse_poly("t1*x1^2*x2", sym.roster)

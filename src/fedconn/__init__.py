@@ -7,8 +7,7 @@ exact equality of coefficients.
 
 from .scalars import Scalar
 from .polynomials import (
-    Poly, FormalFunction,
-    parse_poly, x_roster, monomials_up_to,
+    Poly, parse_poly, x_roster, monomials_up_to,
 )
 from .weylforms import WeylContext, WeylForm, omega_tilde, poincare_potential
 from .symplectic import SymplecticData, ConnectionFamily

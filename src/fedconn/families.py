@@ -25,7 +25,7 @@ import itertools
 from fractions import Fraction
 
 from .polynomials import (
-    Poly, PolySums, FormalFunction, monomials_up_to, exponents_up_to, is_param_name,
+    Poly, PolySums, monomials_up_to, exponents_up_to, is_param_name,
 )
 from .weylforms import WeylForm, poincare_potential
 from .symplectic import ConnectionFamily
@@ -261,7 +261,7 @@ def connection_form(family: FamilyContext, s_forms: dict) -> ConnectionOneForm:
             if not diff.is_zero():
                 raise ConnectionProbeError(
                     f"A({p}) from its symbol differs from p(ad_over_h(i_V s, tau f)) "
-                    f"on the probe monomial {m} at h^{min(diff.coeffs)}"
+                    f"on the probe monomial {m} at h^{min(diff.terms)[0]}"
                 )
         ops[p] = op
     return ConnectionOneForm(family, ops, provenance="from-s")
@@ -285,10 +285,10 @@ def verify_compatibility(family: FamilyContext, A: ConnectionOneForm, basis_degr
         found = D.basis_witness(basis_degree)
         if found is not None:
             (f, g), value = found
-            k = min(value.coeffs)
+            k = min(value.terms)[0]
             return False, (
                 f"direction {p}: (d_H A - V[star])({f}, {g}) has h^{k} "
-                f"coefficient {value.coefficient(k)}"
+                f"coefficient {value.poly(k)}"
             )
     return True, None
 
@@ -315,7 +315,7 @@ def lowest_order_identity(family: FamilyContext, A: ConnectionOneForm,
         found = (A[p].h_coefficient(1) - L).basis_witness(basis_degree)
         if found is not None:
             (f,), _ = found
-            got, expect = A[p].apply(f).coefficient(1), L.apply(f).coefficient(0)
+            got, expect = A[p].apply(f).poly(1), L.apply(f).poly(0)
             return False, f"direction {p}, f = {f}: h^1 part {got} != {expect}"
     return True, None
 
@@ -390,7 +390,7 @@ def derivation_identity(family: FamilyContext, A: ConnectionOneForm, basis_degre
         tpoly = tpoly * (Poly.var(roster, p) + 1)
 
     def DV(p, f):
-        return FormalFunction.from_poly(f.differentiate(p), family.order) + A[p].apply(f)
+        return MultiDiffOp.function(roster, f.differentiate(p), family.order) + A[p].apply(f)
 
     for p in family.params:
         D = A.coboundary(p, basis_degree) - family.variation_star(p)

@@ -38,7 +38,7 @@ from fractions import Fraction
 
 from .scalars import I
 from .polynomials import (
-    Poly, PolySums, FormalFunction, monomials_up_to, exponents_up_to, merge_rosters,
+    Poly, PolySums, monomials_up_to, exponents_up_to, merge_rosters,
 )
 from .weylforms import WeylForm
 from .symplectic import ConnectionFamily
@@ -405,7 +405,7 @@ class FedosovSetup:
                 f"h-order {order} needs internal truncation >= {2 * order}, have {self.trunc}"
             )
 
-    def star(self, f: Poly, g: Poly, order: int = None) -> FormalFunction:
+    def star(self, f: Poly, g: Poly, order: int = None) -> MultiDiffOp:
         """f * g = p(tau(f) o tau(g)) mod h^{order+1}; needs trunc >= 2*order.
 
         The projection is computed directly (``WeylForm.projected_mw``): only
@@ -440,7 +440,7 @@ class FedosovSetup:
             sigma, lambda c: Poly(renamed, c.scalar_terms(), c.den).with_roster(full))
         op = operator_from_symbol(roster, order, sigma_xi.projected_mw(sigma_eta, order),
                                   (self.jets, etas))
-        star = StarTruncation(op, setup=self)
+        star = StarTruncation(op, symplectic=self.sym)
         if probe:
             # evaluation just past the naturality bound guards the order-<=-k claim
             probe_polys = [
@@ -454,7 +454,7 @@ class FedosovSetup:
                     if not diff.is_zero():
                         raise NaturalityError(
                             f"extracted star differs from the star product on the probe pair "
-                            f"({pair[0]}, {pair[1]}) at h^{min(diff.coeffs)}"
+                            f"({pair[0]}, {pair[1]}) at h^{min(diff.terms)[0]}"
                         )
         return star
 

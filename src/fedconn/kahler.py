@@ -322,18 +322,18 @@ class LinearKahlerFamily:
         G = self.variation(direction).G
         n = self.sym.dim // 2
         delta_G = self._second_order(G)
-        potential = delta_G.apply(F).coefficient(0).scale(2) + F.differentiate(direction).scale(2 * n)
+        potential = delta_G.apply(F).poly(0).scale(2) + F.differentiate(direction).scale(2 * n)
         body = (delta_G
                 - self._pairing(G).partial_apply(1, F).scale(2)
                 - StarTruncation.pointwise(roster, 0).op.partial_apply(0, potential))
-        return body.scale(-Scalar(Fraction(1, 4))).apply(f).coefficient(0)
+        return body.scale(-Scalar(Fraction(1, 4))).apply(f).poly(0)
 
     def operator_H(self, direction: str, F: Poly) -> Poly:
         """H(V) = E(V)(1) = (1/2)(Delta_{G}(F) + n V[F]), Delta_G = ``_second_order(G)``."""
         F = F.with_roster(self.sym.roster)
         G = self.variation(direction).G
         n = self.sym.dim // 2
-        return (self._second_order(G).apply(F).coefficient(0)
+        return (self._second_order(G).apply(F).poly(0)
                 + F.differentiate(direction).scale(n)).scale(HALF)
 
 
@@ -386,7 +386,7 @@ def verify_lemma_vc1(fam: LinearKahlerFamily, direction: str, basis_degree: int,
         return True, None
     (f, g), _ = found
     vc1, _ = fam.variation_operators(direction)
-    lhs, rhs = (op.apply(f, g).coefficient(0) for op in (vc1, right))
+    lhs, rhs = (op.apply(f, g).poly(0) for op in (vc1, right))
     return False, f"({f}, {g}): {lhs} != {rhs}"
 
 

@@ -6,10 +6,12 @@ A MultiDiffOp of arity m is a finite sum of terms
 
 acting on m functions, each d^a read along the operator's roster (operands on
 different rosters meet on the merged one, ``with_roster``).  A function is an
-operator of arity 0, a 0-cochain (``MultiDiffOp.function``), so ``apply`` is
-composition: each argument is composed into slot 0 in turn.  An operator with
-a known symbol, a polynomial in x and one set of jet variables per argument,
-is built from it (``operator_from_symbol``).  Term tables are canonical, so
+operator of arity 0, a 0-cochain: an h-series sum_k h^k p_k of Polys
+(``MultiDiffOp.function``, read back with ``poly``).  ``apply`` is
+composition: each argument is composed into slot 0 in turn, and the arity-0
+result is the value.  An operator with a known symbol, a polynomial in x and
+one set of jet variables per argument, is built from it
+(``operator_from_symbol``).  Term tables are canonical, so
 equality of operators is structural.  ``compose_at`` is the partial composition
 phi o_i psi, expanded by the multinomial Leibniz rule, so identities such as
 d_H A(V) = V[star] are formed as one difference operator and decided on its
@@ -48,7 +50,7 @@ import operator
 
 from .scalars import Scalar, ONE, I
 from .polynomials import (
-    Poly, PolySums, FormalFunction, monomials_up_to, merge_rosters, add_term, exponents_up_to,
+    Poly, PolySums, monomials_up_to, merge_rosters, add_term, exponents_up_to,
 )
 
 
@@ -104,18 +106,26 @@ class MultiDiffOp:
 
     @staticmethod
     def function(roster, value, order) -> "MultiDiffOp":
-        """A Poly or FormalFunction sum_k h^k p_k as an arity-0 operator over
-        ``roster`` and its own, truncated at ``order`` and its own order."""
-        if isinstance(value, Poly):
-            value = FormalFunction.from_poly(value, order)
+        """A Poly, or an arity-0 operator sum_k h^k p_k, as an arity-0
+        operator over ``roster`` and its own, truncated at ``order`` and its
+        own order."""
         roster = merge_rosters(roster, value.roster)
-        return MultiDiffOp(roster, 0, min(order, value.order),
-                           {(k, ()): p.with_roster(roster) for k, p in value.coeffs.items()})
+        if isinstance(value, Poly):
+            return MultiDiffOp(roster, 0, order, {(0, ()): value.with_roster(roster)})
+        if value.arity != 0:
+            raise ValueError(f"a function is an arity-0 operator, not arity {value.arity}")
+        return value.with_roster(roster).truncate(order)
 
     # -- inspection ----------------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def poly(self, k: int) -> Poly:
+        """The h^k coefficient p_k of an arity-0 operator sum_k h^k p_k."""
+        if self.arity != 0:
+            raise ValueError("poly reads an arity-0 operator")
+        return self.terms.get((k, ()), Poly.zero(self.roster))
 
     def h_coefficient(self, k: int) -> "MultiDiffOp":
         """The h^k layer as an operator concentrated at h-power 0."""
@@ -217,15 +227,15 @@ class MultiDiffOp:
 
     # -- action ----------------------------------------------------------------------
 
-    def apply(self, *args) -> FormalFunction:
-        """self on Poly or FormalFunction arguments: each is composed into
-        slot 0 in turn (``function``), and the arity-0 result read back."""
+    def apply(self, *args) -> "MultiDiffOp":
+        """self on Poly or arity-0 operator arguments: each is composed into
+        slot 0 in turn (``function``), and the arity-0 result is the value."""
         if len(args) != self.arity:
             raise ValueError(f"expected {self.arity} arguments, got {len(args)}")
         op = self
         for a in args:
             op = op.compose_at(0, MultiDiffOp.function(op.roster, a, op.order))
-        return FormalFunction(op.roster, op.order, {k: c for (k, _), c in op.terms.items()})
+        return op
 
     def __call__(self, *args):
         return self.apply(*args)
@@ -271,10 +281,10 @@ class MultiDiffOp:
                 for picks in itertools.product(*rest):
                     weight = w * math.prod(p[1] for p in picks)
                     shift = tuple(map(sum, zip(e, *(p[2] for p in picks))))
-                    add_term(block[sum(p[0] for p in picks)], k,
+                    add_term(block[sum(p[0] for p in picks)], (k, ()),
                              c.map_x(lambda x: (tuple(map(operator.add, x, shift)), weight)))
             for tail, value in zip(tails, block):
-                yield (f, *tail), FormalFunction(roster, self.order, value)
+                yield (f, *tail), MultiDiffOp(roster, 0, self.order, value)
 
     def basis_witness(self, degree: int):
         """Where self is nonzero on monomials of degree <= ``degree``: None
@@ -400,7 +410,7 @@ class MultiDiffOp:
                            min(self.order, phi.order), out.polys())
 
     def partial_apply(self, slot: int, value) -> "MultiDiffOp":
-        """Freeze one argument slot at a fixed Poly or FormalFunction:
+        """Freeze one argument slot at a fixed Poly or arity-0 operator:
         ``compose_at(slot, function(value))``."""
         return self.compose_at(slot, MultiDiffOp.function(self.roster, value, self.order))
 
@@ -415,7 +425,13 @@ class MultiDiffOp:
         return "\n".join(lines) if lines else "0"
 
     def __str__(self):
-        return self.serialize().replace("\n", "  +  ")
+        """An arity-0 operator prints as its h-series p0 + h^k*(pk)."""
+        if self.arity:
+            return self.serialize().replace("\n", "  +  ")
+        if not self.terms:
+            return "0"
+        return " + ".join(str(p) if k == 0 else f"h^{k}*{p.as_factor()}"
+                          for (k, _), p in sorted(self.terms.items()))
 
     def __repr__(self):
         return f"MultiDiffOp(arity={self.arity}, order={self.order}: {self})"
@@ -458,17 +474,18 @@ def _leibniz_splits(a, parts):
             yield weight * w, (e,) + rest
 
 
-def operator_from_symbol(roster, order, symbol: FormalFunction, jets) -> MultiDiffOp:
+def operator_from_symbol(roster, order, symbol: MultiDiffOp, jets) -> MultiDiffOp:
     """The operator whose symbol is ``symbol``, of arity ``len(jets)``.
 
-    ``symbol``'s coefficients are Polys in the base variables ``roster`` and
-    the jet variables ``jets[i]`` of each slot i, listed along ``roster``; a
-    term h^k c(x) xi_1^b_1 .. xi_m^b_m stands for h^k c d^b_1 (x) .. (x) d^b_m.
+    ``symbol`` is an arity-0 operator whose coefficients are Polys in the
+    base variables ``roster`` and the jet variables ``jets[i]`` of each slot
+    i, listed along ``roster``; a term h^k c(x) xi_1^b_1 .. xi_m^b_m stands
+    for h^k c d^b_1 (x) .. (x) d^b_m.
     """
     roster = tuple(roster)
     known = set(roster).union(*jets)
     terms = {}
-    for k, p in symbol.coeffs.items():
+    for (k, _), p in symbol.terms.items():
         if k > order:
             continue
         if not set(p.roster) <= known:
@@ -493,13 +510,12 @@ def operator_from_symbol(roster, order, symbol: FormalFunction, jets) -> MultiDi
 class StarTruncation:
     """A star product to order K: arity-2 h-graded operator with c^0 = product."""
 
-    def __init__(self, op: MultiDiffOp, setup=None, symplectic=None):
+    def __init__(self, op: MultiDiffOp, symplectic=None):
         if op.arity != 2:
             raise ValueError("a star truncation is an arity-2 operator")
         self.op = op
         self.order = op.order
-        self.setup = setup
-        self.symplectic = symplectic if symplectic is not None else getattr(setup, "sym", None)
+        self.symplectic = symplectic
 
     @staticmethod
     def pointwise(roster, order) -> "StarTruncation":
@@ -547,7 +563,7 @@ class StarTruncation:
     def coefficient(self, k: int) -> MultiDiffOp:
         return self.op.h_coefficient(k)
 
-    def apply(self, f, g) -> FormalFunction:
+    def apply(self, f, g) -> MultiDiffOp:
         return self.op.apply(f, g)
 
     def __call__(self, f, g):
@@ -558,7 +574,7 @@ class StarTruncation:
         return self.op.t_derivative(name)
 
     def subs_params(self, values: dict) -> "StarTruncation":
-        return StarTruncation(self.op.subs_params(values), setup=self.setup)
+        return StarTruncation(self.op.subs_params(values), symplectic=self.symplectic)
 
     def ad_over_h(self, b) -> MultiDiffOp:
         """(1/h) ad_star(b) as an arity-1 operator (order drops by one): the
@@ -586,12 +602,12 @@ def is_derivation(B: MultiDiffOp, star: StarTruncation, basis_degree=None):
     found = star.op.bracket(B, basis_degree).basis_witness(basis_degree)
     if found is not None:
         (f, g), value = found
-        k = min(value.coeffs)
-        return False, f"d_H B ({f}, {g}) has h^{k} coefficient {value.coefficient(k)}"
+        k = min(value.terms)[0]
+        return False, f"d_H B ({f}, {g}) has h^{k} coefficient {value.poly(k)}"
     return True, None
 
 
-def inner_potential(B: MultiDiffOp, star: StarTruncation) -> FormalFunction:
+def inner_potential(B: MultiDiffOp, star: StarTruncation) -> MultiDiffOp:
     """Recover b with (1/h) ad_star(b) = B mod h^K, normalized by b_k(0) = 0.
 
     Works order by order: the h^k residual must be a vector field, which is
@@ -606,7 +622,7 @@ def inner_potential(B: MultiDiffOp, star: StarTruncation) -> FormalFunction:
         raise ValueError("a formal-series derivation must vanish at h^0")
     roster = star.roster
     K = star.order
-    b = FormalFunction(roster, K, {})
+    b = MultiDiffOp.zero(roster, 0, K)
     residual = B
     for k in range(1, K):
         comps, leftover = residual.first_order_part(k)
@@ -623,6 +639,6 @@ def inner_potential(B: MultiDiffOp, star: StarTruncation) -> FormalFunction:
             bk = sym.potential_of_gradient(eta)
         except ValueError as exc:
             raise ValueError(f"not a derivation / not symplectic at order h^{k}: {exc}") from None
-        b = b + FormalFunction.from_poly(bk, K, h_power=k)
+        b = b + MultiDiffOp.function(roster, bk, K - k).shift_h(k)
         residual = B - star.ad_over_h(b)
     return b

@@ -25,9 +25,6 @@ reduces each sum once: the product kernels of ``weylforms`` and
 ``multidiff``, the degree recursions and D_r of ``fedosov``, ``cov_deriv``
 and the Gerstenhaber bracket accumulate through it.
 
-``FormalFunction`` is a finite h-expansion sum_k h^k * Poly, truncated at a
-declared order.
-
 The module also provides the expression grammar used by scenario files and
 reports: variables x1..xn and t1..tm, imaginary unit i, rational literals,
 operators + - * / ^, parentheses.
@@ -959,108 +956,6 @@ def monomials_up_to(roster, degree: int):
     """All monomial Polys of total degree <= degree, graded-lex order."""
     roster = tuple(roster)
     return [Poly.monomial(roster, k) for k in exponents_up_to(len(roster), degree)]
-
-
-# ---------------------------------------------------------------------------
-# FormalFunction: finite h-expansions of Polys
-# ---------------------------------------------------------------------------
-
-class FormalFunction:
-    """sum_k h^k * p_k with Poly coefficients, truncated at h^order."""
-
-    __slots__ = ("roster", "order", "coeffs")
-
-    def __init__(self, roster, order: int, coeffs=None):
-        self.roster = tuple(roster)
-        self.order = order
-        self.coeffs = {}
-        if coeffs:
-            for k, p in coeffs.items():
-                if k <= order and not p.is_zero():
-                    self.coeffs[k] = p
-
-    @staticmethod
-    def from_poly(p: Poly, order: int, h_power: int = 0) -> "FormalFunction":
-        return FormalFunction(p.roster, order, {h_power: p})
-
-    def coefficient(self, k: int) -> Poly:
-        return self.coeffs.get(k, Poly.zero(self.roster))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def truncate(self, order: int) -> "FormalFunction":
-        return FormalFunction(self.roster, min(self.order, order), self.coeffs)
-
-    def __add__(self, other):
-        if isinstance(other, Poly):
-            other = FormalFunction.from_poly(other, self.order)
-        order = min(self.order, other.order)
-        out = dict(self.coeffs)
-        for k, p in other.coeffs.items():
-            add_term(out, k, p)
-        return FormalFunction(merge_rosters(self.roster, other.roster), order, out)
-
-    def __neg__(self):
-        return FormalFunction(self.roster, self.order, {k: -p for k, p in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, Poly):
-            other = FormalFunction.from_poly(other, self.order)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, Poly):
-            other = FormalFunction.from_poly(other, self.order)
-        if not isinstance(other, FormalFunction):
-            return self.scale(other)
-        order = min(self.order, other.order)
-        out = PolySums()
-        for k1, p1 in self.coeffs.items():
-            for k2, p2 in other.coeffs.items():
-                k = k1 + k2
-                if k <= order:
-                    out.add_product(k, p1, p2, 1)
-        return FormalFunction(merge_rosters(self.roster, other.roster), order, out.polys())
-
-    def scale(self, value) -> "FormalFunction":
-        return FormalFunction(self.roster, self.order, {k: p.scale(value) for k, p in self.coeffs.items()})
-
-    def shift_h(self, j: int) -> "FormalFunction":
-        """Multiply by h^j (j may be negative; dropping below h^0 must be exact)."""
-        out = {}
-        for k, p in self.coeffs.items():
-            nk = k + j
-            if nk < 0:
-                raise ValueError("h-division leaves a remainder")
-            out[nk] = p
-        return FormalFunction(self.roster, self.order + j, out)
-
-    def t_derivative(self, name: str) -> "FormalFunction":
-        return FormalFunction(self.roster, self.order, {k: p.differentiate(name) for k, p in self.coeffs.items()})
-
-    def subs_params(self, values: dict) -> "FormalFunction":
-        return FormalFunction(self.roster, self.order, {k: p.subs_params(values) for k, p in self.coeffs.items()})
-
-    def __eq__(self, other):
-        if isinstance(other, Poly):
-            other = FormalFunction.from_poly(other, self.order)
-        if not isinstance(other, FormalFunction):
-            return NotImplemented
-        upto = min(self.order, other.order)
-        for k in range(upto + 1):
-            if self.coefficient(k) != other.coefficient(k):
-                return False
-        return True
-
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-        return " + ".join(str(p) if k == 0 else f"h^{k}*{p.as_factor()}"
-                          for k, p in sorted(self.coeffs.items()))
-
-    def __repr__(self):
-        return f"FormalFunction({self})"
 
 
 # ---------------------------------------------------------------------------

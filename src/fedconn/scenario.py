@@ -164,9 +164,8 @@ class Scenario:
             self.params = self._int(value, lineno, "params")
         elif name in ("order", "basis_degree"):
             v = self._int(value, lineno, name)
-            least = 1 if name == "order" else 0
-            if v < least:
-                raise ScenarioError(f"{name} must be >= {least}, got {v}", lineno)
+            if v < 1:
+                raise ScenarioError(f"{name} must be >= 1, got {v}", lineno)
             setattr(self, name, v)
         elif name == "truncation":
             self.truncation = self._int(value, lineno, "truncation")

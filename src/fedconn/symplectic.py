@@ -44,7 +44,7 @@ class SymplecticData(WeylContext):
 
     def poisson(self, f: Poly, g: Poly) -> Poly:
         """{f, g} = pi^{ij} d_i f d_j g: ``poisson_operator`` applied to (f, g)."""
-        return self.poisson_operator().apply(f, g).coefficient(0)
+        return self.poisson_operator().apply(f, g).poly(0)
 
     def poisson_operator(self) -> MultiDiffOp:
         """The Poisson bivector as the arity-2, h^0 operator (f, g) -> {f, g}:

@@ -25,7 +25,8 @@ and k <= min(|a1|, |a2|), so it is y-free, that is central, only when
 order.  ``projected_mw`` and ``projected_ad_over_h`` compute p(a o b) and
 p(ad_over_h(a, b)) from those pairs alone: the weight of each (a1, a2) is the
 order-|a1| entry of ``WeylContext.contractions``, the cache the full pairing
-reads too.
+reads too.  A projection p, like ``project_function``, is a formal function
+sum_k h^k p_k, returned as the arity-0 ``MultiDiffOp`` that represents it.
 
 Total degree is additive: every contraction order of a pair of terms of
 degrees d1 and d2 lands at degree d1 + d2 (d1 + d2 - 2 in ad_over_h).  So a
@@ -57,7 +58,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import Scalar, ZERO, ONE, I
-from .polynomials import Poly, PolySums, FormalFunction, x_roster, add_term
+from .polynomials import Poly, PolySums, x_roster, add_term
+from .multidiff import MultiDiffOp
 
 
 class HDivisionError(AssertionError):
@@ -360,11 +362,11 @@ class WeylForm:
         ``weight`` is added into that PolySums and nothing is returned."""
         return self._pairing(other, True, True, max_degree, sink, weight)
 
-    def projected_mw(self, other: "WeylForm", order: int) -> FormalFunction:
+    def projected_mw(self, other: "WeylForm", order: int) -> MultiDiffOp:
         """p(self o other) mod h^{order+1}, without forming the product."""
         return self._projected_pairing(other, order, False)
 
-    def projected_ad_over_h(self, other: "WeylForm", order: int) -> FormalFunction:
+    def projected_ad_over_h(self, other: "WeylForm", order: int) -> MultiDiffOp:
         """p(ad_over_h(self, other)) mod h^{order+1}, without forming the bracket."""
         return self._projected_pairing(other, order, True)
 
@@ -399,8 +401,8 @@ class WeylForm:
                 found = ctx.contractions(a1, a2, over_h, over_h)
                 if found and found[-1][0] == m:
                     ((_, w),) = found[-1][1]
-                    coeffs.add_product(h_power, c1, c2, w)
-        return FormalFunction(ctx.roster, order, coeffs.polys())
+                    coeffs.add_product((h_power, ()), c1, c2, w)
+        return MultiDiffOp(ctx.roster, 0, order, coeffs.polys())
 
     def _pairing(self, other, commutator, over_h, max_degree=None, sink=None, weight=1):
         """The pairing loop shared by mw, graded_comm and ad_over_h.
@@ -526,8 +528,9 @@ class WeylForm:
             {key: c for key, c in self.terms.items() if not any(key[1]) and not key[2]},
         )
 
-    def project_function(self, order=None) -> FormalFunction:
-        """The map p: form-degree-0 sections to formal functions."""
+    def project_function(self, order=None) -> MultiDiffOp:
+        """The map p: form-degree-0 sections to formal functions, as arity-0
+        operators."""
         if any(key[2] for key in self.terms):
             raise ValueError("projection requires a form of dx-degree zero")
         if order is None:
@@ -536,8 +539,8 @@ class WeylForm:
         for (k, a, J), c in self.terms.items():
             if any(a):
                 continue
-            add_term(coeffs, k, c)
-        return FormalFunction(self.ctx.roster, order, coeffs)
+            add_term(coeffs, (k, ()), c)
+        return MultiDiffOp(self.ctx.roster, 0, order, coeffs)
 
     # -- flat exterior derivative in x -------------------------------------------
 

@@ -9,9 +9,15 @@ import pytest
 
 from fedconn import (
     SymplecticData, ConnectionFamily, FedosovSetup, FamilyContext,
-    Poly, WeylForm, LinearKahlerFamily, parse_poly,
+    Poly, WeylForm, LinearKahlerFamily, MultiDiffOp, parse_poly,
     trivialize_alpha, solve_s, connection_form, Scenario,
 )
+
+
+def series(roster, order, coeffs):
+    """The formal function sum_k h^k coeffs[k], truncated at h^order, as the
+    arity-0 operator that represents it."""
+    return MultiDiffOp(roster, 0, order, {(k, ()): p for k, p in coeffs.items()})
 
 
 def connection_from_T(sym, T):

@@ -31,7 +31,8 @@ class ReconstructionError(AssertionError):
 
 
 def operator_from_values(roster, arity, order, slot_bound, values) -> MultiDiffOp:
-    """Triangular solve: values maps tuples of exponent keys to FormalFunctions.
+    """Triangular solve: values maps tuples of exponent keys to formal
+    functions, arity-0 operators.
 
     ``slot_bound(k)`` bounds the differential order of the h^k layer; values
     must cover all argument tuples of monomials with degree <= max bound.
@@ -46,7 +47,7 @@ def operator_from_values(roster, arity, order, slot_bound, values) -> MultiDiffO
         keys = exponents_up_to(len(roster), d)
         solved = {}
         for A in sorted(_tuples_of(keys, arity), key=lambda tt: sum(sum(s) for s in tt)):
-            val = values[A].coefficient(k)
+            val = values[A].poly(k)
             for B in itertools.product(*(list(_sub_multiindices(a)) for a in A)):
                 if B == A:
                     continue
@@ -104,7 +105,7 @@ def operator_from_callable(fn, roster, arity, order, slot_bound) -> MultiDiffOp:
         if not diff.is_zero():
             raise ReconstructionError(
                 f"the operator rebuilt to slot order {bound} differs from its values on "
-                f"({', '.join(map(str, args))}) at h^{min(diff.coeffs)}")
+                f"({', '.join(map(str, args))}) at h^{min(diff.terms)[0]}")
     return op
 
 

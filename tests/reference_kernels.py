@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from fedconn.scalars import Scalar
 from fedconn.polynomials import (
-    Poly, PolySums, FormalFunction, add_term, merge_rosters, monomials_up_to,
+    Poly, PolySums, add_term, merge_rosters, monomials_up_to,
 )
 from fedconn.weylforms import WeylForm, HDivisionError, _wedge_sign, _merge_J
 from fedconn.multidiff import MultiDiffOp, _leibniz_splits
@@ -98,16 +98,16 @@ def compose_at_by_products(phi, i, psi, max_slot=None):
 
 
 def partial_apply_by_loops(op, slot, value):
-    """op with argument ``slot`` frozen at the Poly or FormalFunction ``value``:
+    """op with argument ``slot`` frozen at the Poly or arity-0 operator ``value``:
     each term's slot derivative of each coefficient of the value, multiplied
     by the term's coefficient and added on its own."""
     if isinstance(value, Poly):
-        value = FormalFunction.from_poly(value, op.order)
+        value = MultiDiffOp.function(value.roster, value, op.order)
     order = min(op.order, value.order)
     out = {}
     for (k, slots), c in op.terms.items():
         rest = slots[:slot] + slots[slot + 1:]
-        for kv, p in value.coeffs.items():
+        for (kv, _), p in value.terms.items():
             if k + kv > order:
                 continue
             dp = p.with_roster(op.roster).deriv_multi(slots[slot])
@@ -367,7 +367,7 @@ def lowest_order_by_loops(family, A, beta, basis_degree=3):
             expect = Poly.zero(sym.roster)
             for (k, a, J), c in beta1.items():
                 expect = expect - c * X[J[0]]
-            got = A[p].apply(f).coefficient(1)
+            got = A[p].apply(f).poly(1)
             if got != expect:
                 return False, f"direction {p}, f = {f}: h^1 part {got} != {expect}"
     return True, None

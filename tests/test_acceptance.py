@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from fedconn.scalars import Scalar, I
-from fedconn.polynomials import Poly, FormalFunction, parse_poly, monomials_up_to
+from fedconn.polynomials import Poly, parse_poly, monomials_up_to
 from fedconn.weylforms import WeylForm
 from fedconn.symplectic import ConnectionFamily
 from fedconn.fedosov import FedosovSetup
@@ -28,7 +28,7 @@ from fedconn.transport import (
 from fedconn.kahler import LinearKahlerFamily, verify_lemma_vc1, order1_hitchin_check
 from fedconn.properties import weyl_battery, cochain_battery, random_poly
 
-from conftest import connection_from_T
+from conftest import connection_from_T, series
 from reference_kernels import hamiltonian_vf, lemma_at
 
 
@@ -115,7 +115,7 @@ def test_criterion_04_lowest_order_formula(bundle_f1, bundle_f2, bundle_f3):
                 expect = Poly.zero(fam.sym.roster)
                 for (k, a, J), c in beta1.items():
                     expect = expect - c * X[J[0]]
-                assert bundle.A[p].apply(f).coefficient(1) == expect
+                assert bundle.A[p].apply(f).poly(1) == expect
     verdict(4, "A(V)(f) = -h i_V i_{X_f} beta_1 mod h^2 exactly, for random f in every family")
 
 
@@ -184,10 +184,10 @@ def test_criterion_08_inner_potentials(sym2, bundle_f1):
             for k in range(1, 4):
                 p = random_poly(sym2.roster, rng, degree=3, terms=2)
                 coeffs[k] = p - Poly.const(sym2.roster, p.constant_coefficient())
-            b = FormalFunction(sym2.roster, 4, coeffs)
+            b = series(sym2.roster, 4, coeffs)
             back = inner_potential(star.ad_over_h(b), star)
             for k in range(1, 4):
-                assert back.coefficient(k) == b.coefficient(k)
+                assert back.poly(k) == b.poly(k)
     # difference of two compatible connections is a derivation, and its
     # h-layers have symplectic first-order parts
     fam = bundle_f1.family

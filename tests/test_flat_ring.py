@@ -18,9 +18,11 @@ import pytest
 
 from fedconn.scalars import Scalar, gaussian_is_atomic, gaussian_is_negative
 from fedconn.polynomials import (
-    T_ONE, Poly, FormalFunction, parse_poly, pp_gcd, _mono_sort_key,
+    T_ONE, Poly, parse_poly, pp_gcd, _mono_sort_key,
 )
 from fedconn.multidiff import MultiDiffOp, operator_from_symbol
+
+from conftest import series
 
 X = ("x1", "x2", "x3")
 T = ("t", "t1", "t2")
@@ -472,12 +474,11 @@ def golden_strings():
         (k % 4, ((k % 2, k % 3 % 2, 0), (k // 3 % 2, 0, k % 5 // 3))): p
         for k, p in enumerate(polys)})
     out.extend(op.serialize().splitlines())
-    symbol = FormalFunction(R3J, 3, {k: parse_poly(expr, R3J)
-                                      for k, (_, expr) in enumerate(CORPUS[-3:])})
+    symbol = series(R3J, 3, {k: parse_poly(expr, R3J) for k, (_, expr) in enumerate(CORPUS[-3:])})
     out.append(str(symbol))
     sym_op = operator_from_symbol(("x1", "x2"), 3, symbol, (("xi1", "xi2"), ("eta1", "eta2")))
     out.extend(sym_op.serialize().splitlines())
-    out.append(str(FormalFunction(X, 4, {k: p for k, p in enumerate(polys[10:15])})))
+    out.append(str(series(X, 4, {k: p for k, p in enumerate(polys[10:15])})))
     return out
 
 

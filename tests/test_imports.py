@@ -96,3 +96,14 @@ def test_the_evaluators_are_not_defined_again():
                     item.name for item in node.body
                     if isinstance(item, ast.FunctionDef) and item.name == "_contract")
     assert {name: hits for name, hits in defined.items() if hits} == {}
+
+
+# a function, an h-series sum_k h^k p_k, is an arity-0 MultiDiffOp
+FUNCTION_CLASSES = {"FormalFunction"}
+
+
+def test_a_function_has_no_class_of_its_own():
+    assert FUNCTION_CLASSES.isdisjoint(fedconn.__all__)
+    found = {path.name: sorted(bound_names(path.read_text(encoding="utf-8")) & FUNCTION_CLASSES)
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}

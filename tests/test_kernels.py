@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from fedconn import fedosov, families
-from fedconn.polynomials import Poly, PolySums, FormalFunction, parse_poly, x_roster, add_term
+from fedconn.polynomials import Poly, PolySums, parse_poly, x_roster, add_term
 from fedconn.scalars import Scalar
 from fedconn.weylforms import WeylForm
 from fedconn.symplectic import ConnectionFamily
@@ -30,6 +30,7 @@ from fedconn.families import solve_s
 from fedconn.scenario import Scenario
 from fedconn.properties import random_weyl_form, random_multidiffop, random_poly, random_scalar
 
+from conftest import series
 from reference_kernels import (
     pairing_by_products, compose_at_by_products, cov_deriv_by_sums, solve_by_degree_by_sums,
     D_r_by_sums, curvature_form_by_sums, bracket_by_sums, delta_by_sums, delta_inv_by_sums,
@@ -474,15 +475,15 @@ def test_bracket_matches_the_chained_sums(seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_bracket_with_a_function_is_the_difference_of_partial_applications(sym2, seed):
     # a function b is an arity-0 operator, and [m, b] = m o_0 b - m o_1 b for
-    # an arity-2 m; b is a Poly or a FormalFunction, on R2 or on part of it,
+    # an arity-2 m; b is a Poly or an arity-0 operator, on R2 or on part of it,
     # with coefficients rational in t
     rng = random.Random(1580 + seed)
     m = random_op(rng, 2, 3)
     moyal = StarTruncation.moyal(sym2, 3)
     for roster in (R2, ("x2",)):
-        b = FormalFunction(roster, rng.choice((2, 3)), {
+        b = series(roster, rng.choice((2, 3)), {
             k: random_poly(roster, rng, degree=3, terms=2) * t_factor(rng) for k in range(3)})
-        for value in (b, b.coefficient(1)):
+        for value in (b, b.poly(1)):
             expect = partial_apply_by_loops(m, 0, value) - partial_apply_by_loops(m, 1, value)
             assert_same(m.bracket(MultiDiffOp.function(R2, value, m.order)), expect, seed, roster)
             for slot in (0, 1):

@@ -7,7 +7,7 @@ import pytest
 
 from fedconn.scalars import Scalar, I
 from fedconn.polynomials import (
-    Poly, FormalFunction, parse_poly, x_roster, monomials_up_to, merge_rosters,
+    Poly, parse_poly, x_roster, monomials_up_to, merge_rosters, add_term,
 )
 from fedconn.multidiff import (
     MultiDiffOp, StarTruncation, is_derivation, inner_potential, operator_from_symbol,
@@ -15,6 +15,7 @@ from fedconn.multidiff import (
 from fedconn.properties import random_multidiffop, random_poly, cochain_battery
 from fedconn.cli import main
 
+from conftest import series
 from reference_cochains import gerstenhaber, hochschild_d, materialize, operator_from_callable
 from reference_kernels import terms_on
 
@@ -96,12 +97,13 @@ def test_hochschild_formula():
     dh = hochschild_d(phi, m0)
     f, g = parse_poly("x1^2*x2", R2), parse_poly("x2^3 - x1", R2)
     lhs = dh.apply(f, g)
-    rhs = (
-        FormalFunction.from_poly(f, 4) * phi.apply(g)
-        + phi.apply(f) * FormalFunction.from_poly(g, 4)
-        - phi.apply(f * g)
-    )
-    assert lhs == rhs
+
+    def value(x):
+        # phi has an h^0 layer only
+        return phi.apply(x).poly(0)
+
+    rhs = f * value(g) + value(f) * g - value(f * g)
+    assert lhs == MultiDiffOp.function(R2, rhs, 4) and lhs.order == 4
 
 
 def test_hochschild_square_zero(sym2):
@@ -117,7 +119,7 @@ def test_hochschild_square_zero(sym2):
 
 def test_inner_derivations_are_derivations(sym2):
     star = StarTruncation.moyal(sym2, 4)
-    b = FormalFunction.from_poly(parse_poly("x1", R2), 4, h_power=1)
+    b = series(R2, 4, {1: parse_poly("x1", R2)})
     B = star.ad_over_h(b)
     # (1/h) ad(h x1) acts at lowest order as i d/dx2
     assert B.h_coefficient(1) == d_op((0, 1), coeff=I, order=0)
@@ -137,9 +139,9 @@ def test_multiplication_operator_fails_with_witness(sym2):
 
 def test_inner_potential_examples(sym2):
     star = StarTruncation.moyal(sym2, 4)
-    B = star.ad_over_h(FormalFunction.from_poly(parse_poly("x1", R2), 4, h_power=1))
+    B = star.ad_over_h(series(R2, 4, {1: parse_poly("x1", R2)}))
     b = inner_potential(B, star)
-    assert b.coefficient(1) == parse_poly("x1", R2)
+    assert b.poly(1) == parse_poly("x1", R2)
     assert inner_potential(MultiDiffOp.zero(R2, 1, 4), star).is_zero()
 
 
@@ -151,11 +153,21 @@ def test_inner_potential_round_trip(sym2):
         for k in range(1, 4):
             p = random_poly(R2, rng, degree=3, terms=2)
             coeffs[k] = p - Poly.const(R2, p.constant_coefficient())
-        b = FormalFunction(R2, 4, coeffs)
+        b = series(R2, 4, coeffs)
         B = star.ad_over_h(b)
         back = inner_potential(B, star)
         for k in range(1, 4):
-            assert back.coefficient(k) == b.coefficient(k)
+            assert back.poly(k) == b.poly(k)
+
+
+def test_subs_params_keeps_the_symplectic_data(sym2, curved_setup):
+    # a substituted star still recovers inner potentials: the Moyal star has
+    # no Fedosov setup, and an extracted one keeps its setup's symplectic data
+    b = series(R2, 4, {1: parse_poly("x1^2*x2", R2)})
+    for star in (StarTruncation.moyal(sym2, 4), curved_setup.extract_star(4)):
+        for s in (star, star.subs_params({}), star.subs_params({"t1": 1})):
+            assert s.symplectic is star.symplectic is not None
+            assert inner_potential(s.ad_over_h(b), s) == b
 
 
 def test_inner_potential_rejects_non_derivation(sym2):
@@ -179,9 +191,9 @@ def test_compose_and_leibniz():
     p = MultiDiffOp(R2, 1, 4, {(0, ((2, 0),)): parse_poly("x2", R2)})
     q = MultiDiffOp(R2, 1, 4, {(0, ((0, 1),)): parse_poly("x1", R2)})
     f = parse_poly("x1^2*x2^2", R2)
-    assert p.compose(q).apply(f) == p.apply(q.apply(f).coefficient(0))
+    assert p.compose(q).apply(f) == p.apply(q.apply(f).poly(0))
     comm = p.bracket(q)
-    assert comm.apply(f) == p.apply(q.apply(f).coefficient(0)) - q.apply(p.apply(f).coefficient(0))
+    assert comm.apply(f) == p.apply(q.apply(f).poly(0)) - q.apply(p.apply(f).poly(0))
 
 
 def test_partial_apply(sym2):
@@ -205,7 +217,7 @@ def test_operator_serialization_golden():
 
 def test_moyal_matches_pointwise_at_h0(sym2):
     star = StarTruncation.moyal(sym2, 3)
-    assert star.coefficient(0).apply(parse_poly("x1", R2), parse_poly("x2", R2)).coefficient(0) \
+    assert star.coefficient(0).apply(parse_poly("x1", R2), parse_poly("x2", R2)).poly(0) \
         == parse_poly("x1*x2", R2)
 
 
@@ -217,27 +229,37 @@ def test_inner_potential_rejects_non_symplectic_field(sym2):
         inner_potential(B, star)
 
 
+def series_product(a, b, order):
+    """The product of two h-series {k: Poly}, truncated at h^order."""
+    out = {}
+    for k1, p1 in a.items():
+        for k2, p2 in b.items():
+            if k1 + k2 <= order:
+                add_term(out, k1 + k2, p1 * p2)
+    return out
+
+
 def apply_termwise(op, *args):
-    """MultiDiffOp.apply as first written: one FormalFunction product per term,
-    with the operator's slots and the arguments moved onto the merged roster."""
+    """MultiDiffOp.apply as first written: one series product per term, with
+    the operator's slots and the arguments moved onto the merged roster."""
     roster = functools.reduce(merge_rosters, (a.roster for a in args), op.roster)
     ffs = []
     order = op.order
     for a in args:
         if isinstance(a, Poly):
-            a = FormalFunction.from_poly(a, order)
+            a = MultiDiffOp.function(a.roster, a, order)
         order = min(order, a.order)
-        ffs.append({k: p.with_roster(roster) for k, p in a.coeffs.items()})
-    out = FormalFunction(roster, order, {})
+        ffs.append({k: p.with_roster(roster) for (k, _), p in a.terms.items()})
+    out = {}
     for (k, slots), c in terms_on(op, roster).items():
         if k > order:
             continue
-        acc = FormalFunction.from_poly(c, order)
+        acc = {0: c}
         for s, coeffs in zip(slots, ffs):
-            derived = {kk: p.deriv_multi(s) for kk, p in coeffs.items()}
-            acc = acc * FormalFunction(roster, order, derived)
-        out = out + acc.shift_h(k).truncate(order)
-    return out.truncate(order)
+            acc = series_product(acc, {kk: p.deriv_multi(s) for kk, p in coeffs.items()}, order - k)
+        for kk, p in acc.items():
+            add_term(out, k + kk, p)
+    return series(roster, order, out)
 
 
 def test_apply_matches_termwise_reference():
@@ -261,14 +283,14 @@ def test_apply_matches_termwise_reference():
                 roster = R3 if rng.random() < 0.4 else R2
                 coeffs = {k: random_poly(roster, rng, degree=4, terms=3, params=("t1",))
                           for k in range(rng.randint(1, 3))}
-                args.append(FormalFunction(roster, rng.randint(1, 4), coeffs))
+                args.append(series(roster, rng.randint(1, 4), coeffs))
             else:
                 args.append(random_poly(R2, rng, degree=4, terms=3, params=("t1",)))
         if trial % 3:
             # formal functions with coefficients rational in t
             over = parse_poly("(2 - i)/(t1^2 + 2)", ())
-            args = [FormalFunction(a.roster, a.order, {k: p * over for k, p in a.coeffs.items()})
-                    if isinstance(a, FormalFunction) else a for a in args]
+            args = [series(a.roster, a.order, {k: p * over for (k, _), p in a.terms.items()})
+                    if isinstance(a, MultiDiffOp) else a for a in args]
         got, expect = op.apply(*args), apply_termwise(op, *args)
         assert got == expect
         assert (got.order, str(got)) == (expect.order, str(expect))
@@ -280,11 +302,11 @@ DX2 = MultiDiffOp(("x2",), 1, 0, {(0, ((1,),)): Poly.const(("x2",), 1)})
 
 
 def test_apply_reads_slots_along_the_operator_roster():
-    x2 = FormalFunction(("x2",), 0, {0: parse_poly("x2", ("x2",))})
+    x2 = series(("x2",), 0, {0: parse_poly("x2", ("x2",))})
     assert D1.apply(x2).is_zero()
     R3 = x_roster(3)
     d3 = MultiDiffOp(R3, 1, 0, {(0, ((0, 0, 1),)): Poly.const(R3, 1)})
-    x1x2 = FormalFunction(R2, 0, {0: parse_poly("x1*x2", R2)})
+    x1x2 = series(R2, 0, {0: parse_poly("x1*x2", R2)})
     assert d3.apply(x1x2).is_zero()
     assert d3.partial_apply(0, x1x2).is_zero()
 
@@ -293,7 +315,7 @@ def test_compose_and_sum_align_slots_on_the_merged_roster():
     x1 = MultiDiffOp(R2, 1, 0, {(0, (Z,)): parse_poly("x1", R2)})
     assert DX2.compose(x1).serialize() == "h^0 * x1 * D[(0,1)]"
     for total in (DX2 + D1, D1 + DX2):
-        assert total.apply(parse_poly("x2^2", R2)) == parse_poly("2*x2", R2)
+        assert total.apply(parse_poly("x2^2", R2)) == series(R2, 0, {0: parse_poly("2*x2", R2)})
         assert total.terms.keys() == {(0, ((0, 1),)), (0, ((1, 0),))}
 
 
@@ -311,25 +333,25 @@ def test_with_roster_moves_slots_and_coefficients():
 
 
 def test_functions_are_arity_0_operators():
-    b = FormalFunction(("x2",), 2, {0: parse_poly("x2", ("x2",)), 2: parse_poly("x2^2", ("x2",))})
+    b = series(("x2",), 2, {0: parse_poly("x2", ("x2",)), 2: parse_poly("x2^2", ("x2",))})
     f = MultiDiffOp.function(R2, b, 1)
     assert (f.roster, f.arity, f.order, f.slot_order()) == (R2, 0, 1, 0)
     assert f.terms == {(0, ()): parse_poly("x2", R2)}
     assert MultiDiffOp.function(R2, b, 3).order == 2
-    assert f.apply() == FormalFunction.from_poly(parse_poly("x2", R2), 1)
+    assert f.apply() is f and f == series(R2, 1, {0: parse_poly("x2", R2)})
     assert MultiDiffOp.function(R2, parse_poly("x1", R2), 4).h_coefficient(0).slot_order() == 0
     assert MultiDiffOp.zero(R2, 0, 2).slot_order() == 0
     # composing a function into a slot is partial_apply
     assert D1.compose_at(0, MultiDiffOp.function(R2, parse_poly("x1^2", R2), 0)).apply() \
-        == parse_poly("2*x1", R2)
+        == series(R2, 0, {0: parse_poly("2*x1", R2)})
 
 
 def test_operator_from_symbol():
     # h^1 (x1 xi2 + 3 xi1 eta1^2) + h^2 x2: arity 2 in the jets (xi1, xi2), (eta1, eta2)
     roster = ("eta1", "eta2", "x1", "x2", "xi1", "xi2")
-    sym = FormalFunction(roster, 2, {1: parse_poly("x1", roster) * Poly.var(roster, "xi2")
-                                     + Poly.monomial(roster, (2, 0, 0, 0, 1, 0), 3),
-                                     2: Poly.var(roster, "x2")})
+    sym = series(roster, 2, {1: parse_poly("x1", roster) * Poly.var(roster, "xi2")
+                             + Poly.monomial(roster, (2, 0, 0, 0, 1, 0), 3),
+                             2: Poly.var(roster, "x2")})
     jets = (("xi1", "xi2"), ("eta1", "eta2"))
     op = operator_from_symbol(R2, 2, sym, jets)
     assert op == MultiDiffOp(R2, 2, 2, {

@@ -7,9 +7,10 @@ import pytest
 
 from fedconn.scalars import Scalar
 from fedconn.polynomials import (
-    T_ONE, Poly, FormalFunction,
+    T_ONE, Poly,
     parse_poly, x_roster, monomials_up_to, pp_gcd, ExprError,
 )
+from fedconn.multidiff import MultiDiffOp, StarTruncation
 from fedconn.properties import random_poly
 
 R2 = x_roster(2)
@@ -142,13 +143,15 @@ def test_monomials_up_to():
 
 
 def test_formal_function_algebra():
-    f = FormalFunction.from_poly(parse_poly("x1", R2), 3)
-    g = FormalFunction.from_poly(parse_poly("x2", R2), 3, h_power=2)
-    prod = (f + g) * (f - g)
-    assert prod.coefficient(0) == parse_poly("x1^2", R2)
-    assert prod.coefficient(2).is_zero()
+    # a formal function is an arity-0 operator, multiplied by the pointwise star
+    f = MultiDiffOp.function(R2, parse_poly("x1", R2), 3)
+    g = MultiDiffOp.function(R2, parse_poly("x2", R2), 1).shift_h(2)
+    prod = StarTruncation.pointwise(R2, 3).apply(f + g, f - g)
+    assert prod.order == 3
+    assert prod.poly(0) == parse_poly("x1^2", R2)
+    assert prod.poly(2).is_zero()
     # h^4 term x2^2 is beyond the truncation order 3
-    assert prod.coefficient(4).is_zero()
+    assert prod.poly(4).is_zero()
     with pytest.raises(ValueError):
         g.shift_h(-3)
 

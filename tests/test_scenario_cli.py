@@ -9,13 +9,13 @@ from fedconn import cli, fedosov, families, kahler
 from fedconn.scenario import Scenario, ScenarioError
 from fedconn.cli import VARIATION, main
 from fedconn.fedosov import FedosovSetup
-from fedconn.polynomials import FormalFunction, Poly
+from fedconn.polynomials import Poly
 from fedconn.symplectic import ConnectionFamily
 from fedconn.weylforms import HDivisionError, WeylContext, WeylForm
 from fedconn.kahler import family_directions, verify_lemma_vc1
 from fedconn.multidiff import MultiDiffOp
 
-from conftest import RATIONAL_KAHLER
+from conftest import RATIONAL_KAHLER, series
 from reference_cochains import ReconstructionError, operator_from_callable
 from reference_kernels import lemma_by_pairs, lowest_order_by_loops
 
@@ -83,13 +83,13 @@ def test_bad_scenario_exit_code(tmp_path, capsys):
     assert "omega" in err
     code, _, err = run_cli(capsys, "quantize", "--scenario", str(tmp_path / "missing.scn"))
     assert code == 2
-    # an h-order below 1 or a negative basis degree is rejected up front
+    # an h-order or a basis degree below 1 is rejected up front
     for cmd, name, order in (("quantize", "flat_r2.scn", "-1"), ("quantize", "flat_r2.scn", "0"),
                              ("family", "family_r2.scn", "0")):
         code, out, err = run_cli(capsys, cmd, "--scenario", str(SCENARIOS / name), "--order", order)
         assert (code, out) == (2, "")
         assert "--order must be >= 1" in err
-    for line in ("order = 0", "order = -1", "basis_degree = -1"):
+    for line in ("order = 0", "order = -1", "basis_degree = 0", "basis_degree = -1"):
         bad.write_text("dimension = 2\nomega = [[0, -1], [1, 0]]\n" + line + "\n")
         code, out, err = run_cli(capsys, "quantize", "--scenario", str(bad))
         assert (code, out) == (2, "")
@@ -174,7 +174,7 @@ def test_naturality_probe_failure_is_a_report_line(capsys, monkeypatch):
     def perturbed(self, f, g, order=None):
         out = star(self, f, g, order)
         bump = f.deriv_multi((out.order + 1,) + (0,) * (len(f.roster) - 1))
-        return out + FormalFunction.from_poly(bump, out.order, h_power=1)
+        return out + series(out.roster, out.order, {1: bump})
 
     monkeypatch.setattr(FedosovSetup, "star", perturbed)
     code, out, err = run_cli(capsys, "quantize", "--scenario", str(SCENARIOS / "flat_r2.scn"))
@@ -325,6 +325,25 @@ def test_low_order_identity_failure_is_a_report_line(capsys, monkeypatch):
         assert f"       witness: {wit}\n" in out
 
 
+def test_curvature_consistency_failure_is_a_report_line(capsys, monkeypatch):
+    # the direct curvature formed from A(t1) + h x1 d2: one FAIL line whose
+    # witness prints both sides as h-series, exit 1
+    verify_curvature = cli.verify_curvature
+
+    def shifted(family, A, s_forms, basis_degree):
+        roster = family.sym.roster
+        extra = MultiDiffOp(roster, 1, A["t1"].order, {(1, ((0, 1),)): Poly.var(roster, "x1")})
+        return verify_curvature(family, A.shifted("t1", extra), s_forms, basis_degree)
+
+    monkeypatch.setattr(cli, "verify_curvature", shifted)
+    code, out, err = run_cli(capsys, "family", "--scenario", str(SCENARIOS / "family2_r2.scn"))
+    assert (code, err) == (1, "") and "Traceback" not in out
+    assert failed_lines(out) == [
+        "[FAIL] curvature consistency: direct curvature equals the s-expression"]
+    assert ("       witness: directions (t1,t2), f = x2: "
+            "h^2*-1/3*x1*x2 + h^3*(1/3*t1*x1^2*x2 + 2/3*t2*x1*x2^2) != 0\n") in out
+
+
 @pytest.mark.parametrize("target, witness", [
     # V[I] negated: the two routes to G(V) disagree
     ("I", "the two computations of the variation bivector disagree (direction t1)"),
@@ -458,10 +477,10 @@ def test_operator_reconstruction_bound_raises_a_named_error():
     roster = ("x1", "x2")
 
     def second(f):
-        return FormalFunction.from_poly(f.differentiate("x1").differentiate("x1"), 0)
+        return MultiDiffOp.function(roster, f.differentiate("x1").differentiate("x1"), 0)
 
     assert operator_from_callable(second, roster, 1, 0, lambda k: 2).apply(
-        Poly.var(roster, "x1") ** 2) == FormalFunction.from_poly(Poly.const(roster, 2), 0)
+        Poly.var(roster, "x1") ** 2) == MultiDiffOp.function(roster, Poly.const(roster, 2), 0)
     with pytest.raises(ReconstructionError) as exc:
         operator_from_callable(second, roster, 1, 0, lambda k: 1)
     witness = "the operator rebuilt to slot order 1 differs from its values on (x1^2) at h^0"

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from fedconn.polynomials import T_ONE, Poly, FormalFunction, parse_poly, monomials_up_to
+from fedconn.polynomials import T_ONE, Poly, parse_poly, monomials_up_to
 from fedconn.weylforms import WeylForm
 from fedconn.families import FamilyContext, ConnectionOneForm, connection_form, solve_s
 from fedconn.multidiff import MultiDiffOp, StarTruncation
@@ -15,6 +15,8 @@ from fedconn.transport import (
     self_equivalence_check, flatness_check, GaugeError,
 )
 from fedconn.cli import main, GAUGE_EQUATION
+
+from conftest import series
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -161,7 +163,7 @@ def test_gauge_exponential_case(sym2, flat2):
     )
     fam = FamilyContext(flat2, alpha, ["t1"], trunc=10, order=4)
     star = fam.star
-    b = FormalFunction.from_poly(parse_poly("x1^2", fam.sym.roster), 4, h_power=1)
+    b = series(fam.sym.roster, 4, {1: parse_poly("x1^2", fam.sym.roster)})
     ad_b = star.ad_over_h(b)
     A = ConnectionOneForm(fam, {"t1": MultiDiffOp.zero(fam.sym.roster, 1, 3)}, "user")
     A2 = ConnectionOneForm(fam, {"t1": ad_b}, provenance="user")
@@ -213,7 +215,7 @@ def test_conjugation_by_self_equivalence_preserves_compatibility(sym2, flat2):
     from fedconn.families import verify_compatibility
     alpha = WeylForm.omega_form(sym2, 10)
     fam = FamilyContext(flat2, alpha, ["t1"], trunc=10, order=4)
-    b = FormalFunction(
+    b = series(
         sym2.roster, 4,
         {1: parse_poly("t1*x1^2 + x2^2", sym2.roster), 2: parse_poly("t1^2*x1*x2", sym2.roster)},
     )

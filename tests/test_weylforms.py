@@ -120,9 +120,9 @@ def test_projection(sym2):
     r = sym2.roster
     f = parse_poly("x1^2 - 3*x2", r)
     a = WeylForm.from_poly(sym2, 8, f) + WeylForm.y_monomial(sym2, 8, (1, 0), coeff=parse_poly("x2", r))
-    assert a.project_function(3).coefficient(0) == f
+    assert a.project_function(3).poly(0) == f
     hterm = WeylForm.from_poly(sym2, 8, parse_poly("x1", r), h_power=2)
-    assert hterm.project_function(3).coefficient(2) == parse_poly("x1", r)
+    assert hterm.project_function(3).poly(2) == parse_poly("x1", r)
     dx_form = WeylForm.y_monomial(sym2, 8, (0, 0), J=(0,))
     with pytest.raises(ValueError):
         dx_form.project_function(3)
@@ -149,7 +149,7 @@ def test_projected_pairings_match_full_products(sym2, sym4):
                                    (a.projected_ad_over_h(b, order), a.ad_over_h(b))):
                     full = full.project_function(order)
                     assert fast == full and fast.order == full.order
-                    h_powers.update(full.coeffs)
+                    h_powers.update(k for k, _ in full.terms)
     assert h_powers == {0, 1, 2, 3}
 
 
