@@ -436,8 +436,9 @@ class FedosovSetup:
         full = merge_rosters(self.symbol_roster, etas)
         renamed = tuple(dict(zip(self.jets, etas)).get(name, name) for name in self.symbol_roster)
         sigma_xi = _recoefficient(sigma, lambda c: c.with_roster(full))
+        # the renaming keeps every position, so each coefficient keeps its terms
         sigma_eta = _recoefficient(
-            sigma, lambda c: Poly(renamed, c.scalar_terms(), c.den).with_roster(full))
+            sigma, lambda c: Poly._new(renamed, c.terms, c.q, c.den).with_roster(full))
         op = operator_from_symbol(roster, order, sigma_xi.projected_mw(sigma_eta, order),
                                   (self.jets, etas))
         star = StarTruncation(op, symplectic=self.sym)

@@ -222,7 +222,7 @@ class MultiDiffOp:
         if not isinstance(other, MultiDiffOp):
             return NotImplemented
         roster = merge_rosters(self.roster, other.roster)
-        return (self.arity == other.arity
+        return (self.arity == other.arity and self.order == other.order
                 and self.with_roster(roster).terms == other.with_roster(roster).terms)
 
     # -- action ----------------------------------------------------------------------

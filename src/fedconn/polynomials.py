@@ -2,19 +2,52 @@
 
 ``Poly`` is a polynomial in base variables (x1, x2, ... and the jet variables
 of operator symbols) with coefficients rational in parameter variables (t, t1,
-t2, ...).  One sparse map takes (x exponents, t monomial) to a
-Gaussian-integer numerator pair over one positive integer denominator per
-Poly, so arithmetic runs on plain ints and reduces each result once; rational
-dependence on t is carried by one monic denominator per Poly, which is
-``T_ONE`` unless a coefficient needs it.  ``Scalar`` is the exact type a Poly
-takes and hands out at its boundary.
+t2, ...).  One sparse map takes a packed monomial key to a Gaussian-integer
+numerator pair over one positive integer denominator per Poly, so arithmetic
+runs on plain ints and reduces each result once; rational dependence on t is
+carried by one monic denominator per Poly, which is ``T_ONE`` unless a
+coefficient needs it.  ``Scalar`` is the exact type a Poly takes and hands out
+at its boundary.
 
 A Poly over the empty roster () is a t-only value, and the one coefficient
 ring of the package: the entries of Kahler matrices, the values a Poly is
 built from or scaled by, the coefficients a Poly reports (``coefficients``,
-``constant_coefficient``) and every t denominator are such Polys.  t monomials
-are keyed by sorted (name, exponent) tuples, so the representation is
-canonical with no roster bookkeeping.  ``pp_gcd`` is their monic gcd.
+``constant_coefficient``) and every t denominator are such Polys.  ``pp_gcd``
+is their monic gcd.
+
+Packed keys.  A term key is one int, the exponent vector packed into fields of
+``FIELD_BITS`` = 16 bits (Monagan and Pearce, "Polynomial division using
+dynamic arrays, heaps, and packed exponent vectors", CASC 2007).  For a Poly
+over a roster of n variables, field i (bits 16i to 16i + 15) holds the
+exponent of the roster's i-th variable, and field n + j holds the exponent of
+the parameter of index j: 0 for t, k for tk, in the order of ``natural_key``.
+Every t field sits above the x fields, so a t-only Poly's keys are its t
+parts, and a key's t part is ``key >> 16n``.  The key of a product term is the
+sum of its factors' keys, one int addition.  The key is canonical, so equal
+Polys are equal structurally, and the packing is private to this module: the
+constructor, ``scalar_terms``, ``coefficients``, printing and the keys of
+``PolySums`` take and give (x exponents, t monomial) tuples, t monomials as
+sorted (name, exponent) pairs.  Sorting and printing read the unpacked
+exponents, so they order terms as the tuples did.  Two parameter names never
+share a field: a parameter is t or t followed by 1 to 4 digits without a
+leading zero (``is_param_name``), so t0 and t01, which would land on the
+fields of t and t1, are not parameters, and no key passes field n + 9999.
+
+No carries.  The top bit of each field is its guard bit, and a stored
+exponent stays below it: at most ``MAX_EXPONENT`` = 2^15 - 1.  The sum of two
+fields below the guard is below 2^16, so it never carries into the next
+field; a sum that reaches the guard sets the guard bit.  So no per-term test
+is needed: the guard bits are tested once per result, on the OR of its keys,
+where exponents grow (products and ``_times_t``, ``PolySums.polys``,
+``antiderivative``, ``map_x`` and the constructors; the pseudo-remainder of
+``pp_gcd`` multiplies), and an exponent past ``MAX_EXPONENT`` raises
+``ExponentOverflowError`` (a ``ValueError``; the scenario parser reports it
+as bad input on its line) instead of giving a wrong key.  The width is 16
+bits so that a field is one unsigned short of ``struct`` and the sum of two
+stored exponents fits in it.  The engine's exponents are far below the
+bound: they are the degrees written in a scenario and degrees up to the Weyl
+truncation (2K + 2 by default, 14 at K = 6), and the jet and t degrees are
+lower still.
 
 Each of a Poly's two denominators shares no factor with all of its
 numerators at once, so equal Polys are equal structurally; the gcd that keeps
@@ -26,16 +59,19 @@ reduces each sum once: the product kernels of ``weylforms`` and
 and the Gerstenhaber bracket accumulate through it.
 
 The module also provides the expression grammar used by scenario files and
-reports: variables x1..xn and t1..tm, imaginary unit i, rational literals,
-operators + - * / ^, parentheses.
+reports: variables x1..xn and t, t1, t2, ..., imaginary unit i, rational
+literals, operators + - * / ^, parentheses.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-import operator
+import struct
+from functools import reduce
 from math import gcd
+from operator import or_
 
 from .scalars import Scalar, ONE, format_gaussian, gaussian_is_atomic, gaussian_is_negative
 
@@ -48,7 +84,11 @@ def natural_key(name: str):
 
 
 def is_param_name(name: str) -> bool:
-    return name[:1] == "t" and (len(name) == 1 or name[1:].isdigit())
+    """t, or t followed by a positive integer of at most 4 digits without a
+    leading zero: the names that own a key field (see the module docstring)."""
+    tail = name[1:]
+    return name[:1] == "t" and (not tail or (len(tail) <= 4 and tail.isascii() and tail.isdigit()
+                                             and tail[0] != "0"))
 
 
 def add_term(out: dict, key, c):
@@ -71,11 +111,9 @@ def exponents_up_to(n: int, degree: int):
 
 
 # ---------------------------------------------------------------------------
-# monomials in parameter variables: sorted tuples of (name, positive exponent)
+# monomials in parameter variables at the boundary: sorted tuples of
+# (name, positive exponent)
 # ---------------------------------------------------------------------------
-
-EMPTY_MONO = ()
-
 
 def _mono_of(d: dict):
     """The canonical monomial of a {name: exponent} dict with no zero exponent."""
@@ -87,8 +125,6 @@ def mono_mul(a, b):
         return b
     if not b:
         return a
-    if len(a) == 1 and len(b) == 1 and a[0][0] == b[0][0]:
-        return ((a[0][0], a[0][1] + b[0][1]),)
     d = dict(a)
     for name, e in b:
         d[name] = d.get(name, 0) + e
@@ -99,28 +135,6 @@ def mono_degree(m) -> int:
     return sum(e for _, e in m)
 
 
-def mono_divides(a, b) -> bool:
-    db = dict(b)
-    return all(db.get(name, 0) >= e for name, e in a)
-
-
-def mono_div(b, a):
-    """b / a, assuming mono_divides(a, b)."""
-    d = dict(b)
-    for name, e in a:
-        d[name] -= e
-    return _mono_of({n: e for n, e in d.items() if e})
-
-
-def _mono_derivative(m, name):
-    """[(m with the exponent e of name lowered by one, e)], or [] when name is
-    absent; distinct monomials stay distinct, so no two results collide."""
-    for j, (n, e) in enumerate(m):
-        if n == name:
-            return [(m[:j] + (((n, e - 1),) if e > 1 else ()) + m[j + 1:], e)]
-    return []
-
-
 def _mono_sort_key(m):
     # graded lex: total degree first, then exponents along the sorted roster
     return (mono_degree(m), tuple((natural_key(n), e) for n, e in m))
@@ -128,6 +142,88 @@ def _mono_sort_key(m):
 
 def _mono_str(m) -> str:
     return "*".join(n if e == 1 else f"{n}^{e}" for n, e in m)
+
+
+# ---------------------------------------------------------------------------
+# packed keys: one FIELD_BITS-wide field per exponent, x fields below t fields
+# ---------------------------------------------------------------------------
+
+FIELD_BITS = 16
+MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
+_FIELD = (1 << FIELD_BITS) - 1
+# the guard bits of 64 fields, tested block by block on longer keys
+_GUARD_BLOCK = 64 * FIELD_BITS
+_GUARDS = sum(1 << (FIELD_BITS * i + FIELD_BITS - 1) for i in range(64))
+
+
+class ExponentOverflowError(ValueError):
+    """An exponent passed MAX_EXPONENT, the largest a key field holds."""
+
+
+def _check_guards(bits: int):
+    """Raise ExponentOverflowError when a field of bits, the OR of some keys,
+    has its guard bit set."""
+    while bits:
+        if bits & _GUARDS:
+            raise ExponentOverflowError(f"an exponent passed {MAX_EXPONENT}, the largest "
+                                        f"a {FIELD_BITS}-bit key field holds")
+        bits >>= _GUARD_BLOCK
+
+
+def _param_index(name: str) -> int:
+    """The field of a parameter above the x fields: 0 for t, k for tk."""
+    if not is_param_name(name):
+        raise ValueError(f"{name!r} is not a parameter name")
+    return int(name[1:]) if len(name) > 1 else 0
+
+
+@functools.lru_cache(maxsize=None)
+def _fields(n: int) -> struct.Struct:
+    """n key fields as bytes: little-endian unsigned 16-bit integers."""
+    return struct.Struct(f"<{n}H")
+
+
+def _pack(exps, t_mono, n: int) -> int:
+    """The key of x exponents along a roster of n variables and a t monomial,
+    each exponent in 0..MAX_EXPONENT."""
+    if len(exps) != n:
+        raise ValueError(f"{len(exps)} exponents for a roster of {n} variables")
+    try:
+        key = int.from_bytes(_fields(n).pack(*exps), "little")
+    except struct.error:
+        raise ExponentOverflowError(f"exponents {tuple(exps)} are not all in 0..{MAX_EXPONENT}") \
+            from None
+    for name, e in t_mono:
+        if not 0 <= e <= MAX_EXPONENT:
+            raise ExponentOverflowError(f"exponent {e} of {name} is not in 0..{MAX_EXPONENT}")
+        key |= e << (FIELD_BITS * (n + _param_index(name)))
+    _check_guards(key)
+    return key
+
+
+def _x_exps(key: int, n: int) -> tuple:
+    """The first n fields of a key: its x exponents along a roster of n variables."""
+    return _fields(n).unpack((key & ((1 << (FIELD_BITS * n)) - 1)).to_bytes(2 * n, "little"))
+
+
+@functools.lru_cache(maxsize=4096)
+def _t_mono(t: int) -> tuple:
+    """The sorted (name, exponent) monomial of a key's t part."""
+    out = []
+    j = 0
+    while t:
+        e = t & _FIELD
+        if e:
+            out.append((f"t{j}" if j else "t", e))
+        t >>= FIELD_BITS
+        j += 1
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=4096)
+def _t_order(t: int):
+    """The printing order of a key's t part: _mono_sort_key of its monomial."""
+    return _mono_sort_key(_t_mono(t))
 
 
 # ---------------------------------------------------------------------------
@@ -142,22 +238,35 @@ def merge_rosters(a, b):
     return tuple(sorted(set(a) | set(b), key=natural_key))
 
 
+@functools.lru_cache(maxsize=1024)
+def _moves(old: tuple, new: tuple):
+    """(t shift of old, t shift of new, [(shift in old, shift in new)] of
+    every x field that moves from roster old to roster new)."""
+    pos = {name: j for j, name in enumerate(new)}
+    return (FIELD_BITS * len(old), FIELD_BITS * len(new),
+            tuple((FIELD_BITS * i, FIELD_BITS * pos[name])
+                  for i, name in enumerate(old) if name in pos))
+
+
 def _remap(terms, old, new):
+    """terms moved from roster old onto roster new; a variable of old that is
+    not in new must have exponent 0."""
     if old == new:
         return dict(terms)
-    pos = [new.index(name) for name in old]
+    s_old, s_new, moves = _moves(old, new)
     out = {}
-    for (exps, t), c in terms.items():
-        key = [0] * len(new)
-        for p, e in zip(pos, exps):
-            key[p] = e
-        out[(tuple(key), t)] = c
+    for key, c in terms.items():
+        k = (key >> s_old) << s_new
+        for src, dst in moves:
+            k |= ((key >> src) & _FIELD) << dst
+        out[k] = c
     return out
 
 
-# The helpers below work on a Poly's layout: ``terms`` maps keys to nonzero
-# Gaussian-integer pairs (a, b) over one positive integer q.  Those marked
-# unreduced leave the common content of q and the numerators to the caller.
+# The helpers below work on a Poly's layout: ``terms`` maps packed keys to
+# nonzero Gaussian-integer pairs (a, b) over one positive integer q.  Those
+# marked unreduced leave the common content of q and the numerators to the
+# caller.
 
 def _acc(out: dict, key, a: int, b: int):
     """Accumulate the pair (a, b) into out at key; a sum that cancels is dropped."""
@@ -200,14 +309,27 @@ def _times_gaussian(terms: dict, c: int, d: int):
 
 
 def _acc_product(out: dict, ta: dict, tb: dict, c: int, d: int):
-    """Accumulate (c + d*i) * ta * tb into out, for term maps on one roster;
-    unreduced."""
-    add = operator.add
-    for (m1, t1), (a1, b1) in ta.items():
+    """Accumulate (c + d*i) * ta * tb into out, for term maps on one roster
+    and c + d*i nonzero; unreduced.
+
+    A product key is the sum of two keys, so its fields may reach the guard
+    bit; the caller tests the guards once on the finished result."""
+    get = out.get
+    for k1, (a1, b1) in ta.items():
         a, b = (a1 * c - b1 * d, a1 * d + b1 * c) if d else (a1 * c, b1 * c)
-        for (m2, t2), (a2, b2) in tb.items():
-            t = mono_mul(t1, t2) if t1 and t2 else t1 or t2
-            _acc(out, (tuple(map(add, m1, m2)), t), a * a2 - b * b2, a * b2 + b * a2)
+        for k2, (a2, b2) in tb.items():
+            k = k1 + k2
+            s = get(k)
+            if s is None:
+                # a product of nonzero Gaussian integers is nonzero
+                out[k] = (a * a2 - b * b2, a * b2 + b * a2)
+            else:
+                x = s[0] + a * a2 - b * b2
+                y = s[1] + a * b2 + b * a2
+                if x or y:
+                    out[k] = (x, y)
+                else:
+                    del out[k]
 
 
 def _sum(ta: dict, qa: int, tb: dict, qb: int, sign: int):
@@ -235,28 +357,27 @@ def _over(items, q: int):
     return out, q * lcm
 
 
-def _t_coefficients(terms: dict, q: int, den: "Poly") -> dict:
-    """x exponents -> the t-only Poly coefficient of that x-monomial over q and den."""
+def _t_coefficients(terms: dict, q: int, den: "Poly", n: int) -> dict:
+    """The x part of each key (n x fields) -> the t-only Poly coefficient of
+    that x-monomial over q and den."""
+    s = FIELD_BITS * n
+    xmask = (1 << s) - 1
     out = {}
-    for (m, t), c in terms.items():
-        out.setdefault(m, {})[((), t)] = c
-    return {m: Poly._make((), ts, q, den) for m, ts in out.items()}
+    for key, c in terms.items():
+        out.setdefault(key & xmask, {})[key >> s] = c
+    return {x: Poly._make((), ts, q, den) for x, ts in out.items()}
 
 
-def _times_t(terms: dict, q: int, p: "Poly"):
-    """(terms, q) times the numerators of the t-only Poly p, unreduced."""
+def _times_t(terms: dict, q: int, p: "Poly", n: int):
+    """(terms, q) on a roster of n variables times the numerators of the
+    t-only Poly p, unreduced."""
     if p is T_ONE:
         return terms, q
+    s = FIELD_BITS * n
     out = {}
-    for (m, t1), (a1, b1) in terms.items():
-        for (_, t2), (a2, b2) in p.terms.items():
-            _acc(out, (m, mono_mul(t1, t2)), a1 * a2 - b1 * b2, a1 * b2 + b1 * a2)
+    _acc_product(out, terms, {key << s: c for key, c in p.terms.items()} if s else p.terms, 1, 0)
+    _check_guards(reduce(or_, out, 0))
     return out, q * p.q
-
-
-def _is_constant_key(key) -> bool:
-    """Whether a term key (x exponents, t monomial) is free of x and t."""
-    return not key[1] and not any(key[0])
 
 
 def _den_mul(d1: "Poly", d2: "Poly") -> "Poly":
@@ -264,36 +385,45 @@ def _den_mul(d1: "Poly", d2: "Poly") -> "Poly":
     return d2 if d1 is T_ONE else d1 if d2 is T_ONE else d1 * d2
 
 
-def _reduce(terms: dict, q: int, den: "Poly"):
+def _reduce(terms: dict, q: int, den: "Poly", n: int):
     """(terms, q, den) over the least monic common denominator; den is T_ONE
     when that is 1.  The only place a Poly calls pp_gcd."""
     if not terms:
         return terms, 1, T_ONE
-    if den.param_variables():
-        nums = _t_coefficients(terms, q, T_ONE)
+    if any(den.terms):
+        nums = _t_coefficients(terms, q, T_ONE, n)
         g = den
         for num in nums.values():
             g = pp_gcd(g, num)
-            if not g.param_variables():
+            if not any(g.terms):
                 break
-        if g.param_variables():
+        if any(g.terms):
             den = _t_divexact(den, g)
-            quotients = [(m, _t_divexact(num, g)) for m, num in nums.items()]
-            terms, q = _over([((m, t), a, b, p.q) for m, p in quotients
-                              for (_, t), (a, b) in p.terms.items()], 1)
+            quotients = [(x, _t_divexact(num, g)) for x, num in nums.items()]
+            s = FIELD_BITS * n
+            terms, q = _over([(x | (t << s), a, b, p.q) for x, p in quotients
+                              for t, (a, b) in p.terms.items()], 1)
     inv = ONE / _leading(den)
-    den = den.scale(inv) if den.param_variables() else T_ONE
+    den = den.scale(inv) if any(den.terms) else T_ONE
     if not inv.is_one():
         terms, q = _times_gaussian(terms, inv.a, inv.b), q * inv.q
     return (*_content(terms, q), den)
 
 
-def _monomial_terms(exps: tuple, value):
-    """(terms, q, den), reduced, of value * x^exps for a number or a t-only Poly."""
+def _t_only(value: "Poly") -> "Poly":
+    """value over the empty roster; ValueError when it depends on x."""
+    return value.with_roster(()) if value.roster else value
+
+
+def _monomial_terms(x: int, n: int, value):
+    """(terms, q, den), reduced, of value * x^m for the x part x of a key on a
+    roster of n variables and a number or a t-only Poly value."""
     if isinstance(value, Poly):
-        return {(exps, t): c for (_, t), c in value.terms.items()}, value.q, value.den
+        value = _t_only(value)
+        s = FIELD_BITS * n
+        return {x | (t << s): c for t, c in value.terms.items()}, value.q, value.den
     c = Scalar.of(value)
-    return ({(exps, EMPTY_MONO): (c.a, c.b)} if c.a or c.b else {}), c.q, T_ONE
+    return ({x: (c.a, c.b)} if c.a or c.b else {}), c.q, T_ONE
 
 
 def _format_terms(items) -> str:
@@ -321,13 +451,21 @@ class Poly:
     """Polynomial in an ordered roster of base variables, rational in the parameters.
 
     The value is the sum of (a + b*i) x^m t^u / (q * den) over ``terms``,
-    which maps (x exponents m along ``roster``, t monomial u) to a nonzero
-    Gaussian-integer numerator pair (a, b); u is () when t-free.  ``q`` is a
-    positive integer sharing no factor with all the numerators at once, so it
-    is 1 exactly when every coefficient is a Gaussian integer.  ``den`` is the
-    monic t-only Poly that divides every coefficient: T_ONE unless some
-    coefficient is rational in t, and sharing no factor with all the
-    numerators at once.  Equal Polys are therefore equal structurally.
+    which maps the packed key of (x exponents m along ``roster``, t monomial
+    u) to a nonzero Gaussian-integer numerator pair (a, b).  A key is one int
+    of 16-bit fields, the x exponents in fields 0..n-1 and the exponent of t,
+    t1, t2, ... in fields n, n+1, n+2, ... (see the module docstring), so a
+    product term's key is the sum of its factors' keys; ``scalar_terms``
+    reads the keys back as tuples.  Every stored exponent is at most
+    ``MAX_EXPONENT``, below its field's guard bit; an operation that raises
+    exponents tests the guard bits once, on the OR of its result's keys, and
+    raises ``ExponentOverflowError`` instead of letting a field carry.
+
+    ``q`` is a positive integer sharing no factor with all the numerators at
+    once, so it is 1 exactly when every coefficient is a Gaussian integer.
+    ``den`` is the monic t-only Poly that divides every coefficient: T_ONE
+    unless some coefficient is rational in t, and sharing no factor with all
+    the numerators at once.  Equal Polys are therefore equal structurally.
 
     Arithmetic runs on plain ints, and each result is reduced once: one gcd
     pass over its numerators that stops at 1, skipped when its q is 1.
@@ -338,13 +476,16 @@ class Poly:
     __slots__ = ("roster", "terms", "q", "den")
 
     def __init__(self, roster, terms=None, den=None):
-        """``terms`` maps keys to nonzero Scalars, the numerators over ``den``,
-        a t-only Poly that is 1 when omitted and is reduced otherwise."""
+        """``terms`` maps (x exponents along ``roster``, t monomial) to nonzero
+        Scalars, the numerators over ``den``, a t-only Poly that is 1 when
+        omitted and is reduced otherwise."""
         self.roster = tuple(roster)
-        self.terms, self.q = _numerators(terms) if terms else ({}, 1)
+        n = len(self.roster)
+        self.terms, self.q = (_numerators({_pack(m, t, n): c for (m, t), c in terms.items()})
+                              if terms else ({}, 1))
         self.den = T_ONE
         if den is not None and den is not T_ONE:
-            self.terms, self.q, self.den = _reduce(self.terms, self.q, den)
+            self.terms, self.q, self.den = _reduce(self.terms, self.q, den, n)
 
     @staticmethod
     def _new(roster: tuple, terms: dict, q: int, den: "Poly") -> "Poly":
@@ -357,7 +498,7 @@ class Poly:
     def _make(roster: tuple, terms: dict, q: int, den: "Poly") -> "Poly":
         """The Poly of integer numerators over q and den, reduced once."""
         if den is not T_ONE:
-            terms, q, den = _reduce(terms, q, den)
+            terms, q, den = _reduce(terms, q, den, len(roster))
         elif q != 1:
             terms, q = _content(terms, q)
         p = object.__new__(Poly)
@@ -374,48 +515,57 @@ class Poly:
     def const(roster, value) -> "Poly":
         """value, a number or a t-only Poly, over roster."""
         roster = tuple(roster)
-        return Poly._new(roster, *_monomial_terms((0,) * len(roster), value))
+        return Poly._new(roster, *_monomial_terms(0, len(roster), value))
 
     @staticmethod
     def var(roster, name: str) -> "Poly":
         """The variable name over roster: one of the roster, or a parameter."""
         roster = tuple(roster)
         if name in roster:
-            return Poly.monomial(roster, tuple(int(v == name) for v in roster))
+            return Poly._new(roster, {1 << (FIELD_BITS * roster.index(name)): (1, 0)}, 1, T_ONE)
         if not is_param_name(name):
             raise ValueError(f"variable {name!r} not in roster {roster}")
-        return Poly._new(roster, {((0,) * len(roster), ((name, 1),)): (1, 0)}, 1, T_ONE)
+        return Poly._new(roster, {1 << (FIELD_BITS * (len(roster) + _param_index(name))): (1, 0)},
+                         1, T_ONE)
 
     @staticmethod
     def monomial(roster, exps, coeff=1) -> "Poly":
-        return Poly._new(tuple(roster), *_monomial_terms(tuple(exps), coeff))
+        roster = tuple(roster)
+        n = len(roster)
+        return Poly._new(roster, *_monomial_terms(_pack(exps, (), n), n, coeff))
 
     # -- predicates and coefficients ------------------------------------------------
+
+    def _xmask(self) -> int:
+        return (1 << (FIELD_BITS * len(self.roster))) - 1
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_constant(self) -> bool:
         """Free of x; a constant Poly may still depend on t."""
-        return all(not any(m) for m, _ in self.terms)
+        return not reduce(or_, self.terms, 0) & self._xmask()
 
     def as_scalar(self) -> Scalar:
         """The number this Poly is; ValueError when it depends on x or t."""
-        if self.den is not T_ONE or any(any(m) or t for m, t in self.terms):
+        if self.den is not T_ONE or any(self.terms):
             raise ValueError(f"{self} is not a number")
-        a, b = next(iter(self.terms.values()), (0, 0))
+        a, b = self.terms.get(0, (0, 0))
         return Scalar._make(a, b, self.q)
 
     def scalar_terms(self) -> dict:
         """(x exponents, t monomial) -> the Scalar numerator of that term over ``den``."""
-        q = self.q
-        return {key: Scalar._make(a, b, q) for key, (a, b) in self.terms.items()}
+        q, n = self.q, len(self.roster)
+        return {(_x_exps(key, n), _t_mono(key >> (FIELD_BITS * n))): Scalar._make(a, b, q)
+                for key, (a, b) in self.terms.items()}
 
     def coefficients(self) -> dict:
         """x exponents -> the coefficient of that x-monomial, a reduced t-only Poly."""
         if not self.roster:
             return {(): self} if self.terms else {}
-        return _t_coefficients(self.terms, self.q, self.den)
+        n = len(self.roster)
+        return {_x_exps(x, n): c
+                for x, c in _t_coefficients(self.terms, self.q, self.den, n).items()}
 
     def constant_coefficient(self) -> "Poly":
         """The coefficient of x^0, a reduced t-only Poly."""
@@ -423,8 +573,8 @@ class Poly:
 
     def param_variables(self) -> set:
         out = set() if self.den is T_ONE else self.den.param_variables()
-        for _, t in self.terms:
-            out.update(name for name, _ in t)
+        out.update(name for name, _ in _t_mono(reduce(or_, self.terms, 0)
+                                               >> (FIELD_BITS * len(self.roster))))
         return out
 
     # -- roster handling -----------------------------------------------------------
@@ -442,14 +592,23 @@ class Poly:
     def degree_in(self, name: str) -> int:
         if name not in self.roster:
             return 0
-        i = self.roster.index(name)
-        return max((m[i] for m, _ in self.terms), default=0)
+        s = FIELD_BITS * self.roster.index(name)
+        return max(((key >> s) & _FIELD for key in self.terms), default=0)
 
     def _aligned(self, other: "Poly"):
         if self.roster == other.roster:
             return self, other
         r = merge_rosters(self.roster, other.roster)
         return self.with_roster(r), other.with_roster(r)
+
+    def _shift(self, name: str) -> int:
+        """The bit offset of the field of name, a variable of the roster or a
+        parameter."""
+        if name in self.roster:
+            return FIELD_BITS * self.roster.index(name)
+        if not is_param_name(name):
+            raise ValueError(f"unknown variable {name!r}")
+        return FIELD_BITS * (len(self.roster) + _param_index(name))
 
     # -- arithmetic ---------------------------------------------------------------
 
@@ -462,8 +621,9 @@ class Poly:
             return a
         if a.den is T_ONE and b.den is T_ONE:
             return Poly._make(a.roster, *_sum(a.terms, a.q, b.terms, b.q, sign), T_ONE)
-        ta, qa = _times_t(a.terms, a.q, b.den)
-        tb, qb = _times_t(b.terms, b.q, a.den)
+        n = len(a.roster)
+        ta, qa = _times_t(a.terms, a.q, b.den, n)
+        tb, qb = _times_t(b.terms, b.q, a.den, n)
         return Poly._make(a.roster, *_sum(ta, qa, tb, qb, sign), _den_mul(a.den, b.den))
 
     def __add__(self, other):
@@ -487,12 +647,13 @@ class Poly:
         a, b = self._aligned(other)
         if not a.terms or not b.terms:
             return Poly._new(a.roster, {}, 1, T_ONE)
-        if len(a.terms) == 1 and a.den is T_ONE and _is_constant_key(next(iter(a.terms))):
+        if len(a.terms) == 1 and a.den is T_ONE and 0 in a.terms:
             return b.scale(a)
-        if len(b.terms) == 1 and b.den is T_ONE and _is_constant_key(next(iter(b.terms))):
+        if len(b.terms) == 1 and b.den is T_ONE and 0 in b.terms:
             return a.scale(b)
         out = {}
         _acc_product(out, a.terms, b.terms, 1, 0)
+        _check_guards(reduce(or_, out, 0))
         return Poly._make(a.roster, out, a.q * b.q, _den_mul(a.den, b.den))
 
     __rmul__ = __mul__
@@ -502,10 +663,12 @@ class Poly:
         if type(value) is int:
             c, d, r = value, 0, 1
         elif type(value) is Poly:
-            if value.den is not T_ONE or any(t for _, t in value.terms):
-                return Poly._make(self.roster, *_times_t(self.terms, self.q, value),
+            if value.den is not T_ONE or any(value.terms):
+                value = _t_only(value)
+                return Poly._make(self.roster,
+                                  *_times_t(self.terms, self.q, value, len(self.roster)),
                                   _den_mul(self.den, value.den))
-            (c, d), r = next(iter(value.terms.values()), (0, 0)), value.q
+            (c, d), r = value.terms.get(0, (0, 0)), value.q
         else:
             value = Scalar.of(value)
             c, d, r = value.a, value.b, value.q
@@ -531,8 +694,9 @@ class Poly:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def __truediv__(self, other):
@@ -560,61 +724,48 @@ class Poly:
     # -- calculus -------------------------------------------------------------------
 
     def differentiate(self, name: str) -> "Poly":
-        if name in self.roster:
-            i = self.roster.index(name)
-            out = {}
-            for (m, t), (a, b) in self.terms.items():
-                e = m[i]
-                if e:
-                    out[(m[:i] + (e - 1,) + m[i + 1:], t)] = (a * e, b * e)
+        s = self._shift(name)
+        one = 1 << s
+        out = {}
+        for key, (a, b) in self.terms.items():
+            e = (key >> s) & _FIELD
+            if e:
+                out[key - one] = (a * e, b * e)
+        if self.den is T_ONE or name in self.roster:
             return Poly._make(self.roster, out, self.q, self.den)
-        if not is_param_name(name):
-            raise ValueError(f"unknown variable {name!r}")
-        out = {(m, low): (a * e, b * e) for (m, t), (a, b) in self.terms.items()
-               for low, e in _mono_derivative(t, name)}
-        if self.den is T_ONE:
-            return Poly._make(self.roster, out, self.q, T_ONE)
         # (N / D)' = (N' D - N D') / D^2
-        dn = _times_t(out, self.q, self.den)
-        ndd = _times_t(self.terms, self.q, self.den.differentiate(name))
+        n = len(self.roster)
+        dn = _times_t(out, self.q, self.den, n)
+        ndd = _times_t(self.terms, self.q, self.den.differentiate(name), n)
         return Poly._make(self.roster, *_sum(*dn, *ndd, -1), self.den * self.den)
 
     def antiderivative(self, name: str) -> "Poly":
         """Integral from 0: result q has dq/dname = self and q|_{name=0} = 0."""
-        items = []
-        if name in self.roster:
-            i = self.roster.index(name)
-            for (m, t), (a, b) in self.terms.items():
-                e = m[i] + 1
-                items.append(((m[:i] + (e,) + m[i + 1:], t), a, b, e))
-        elif is_param_name(name):
-            if name in self.den.param_variables():
-                raise ValueError(f"antiderivative: {name!r} occurs in a denominator")
-            for (m, t), (a, b) in self.terms.items():
-                d = dict(t)
-                e = d[name] = d.get(name, 0) + 1
-                items.append(((m, _mono_of(d)), a, b, e))
-        else:
-            raise ValueError(f"unknown variable {name!r}")
+        s = self._shift(name)
+        if name not in self.roster and name in self.den.param_variables():
+            raise ValueError(f"antiderivative: {name!r} occurs in a denominator")
+        one = 1 << s
+        items = [(key + one, a, b, ((key >> s) & _FIELD) + 1)
+                 for key, (a, b) in self.terms.items()]
+        _check_guards(reduce(or_, (item[0] for item in items), 0))
         return Poly._make(self.roster, *_over(items, self.q), self.den)
 
     def deriv_multi(self, exps) -> "Poly":
         """Apply the mixed partial d^exps aligned with the roster."""
-        steps = [(i, e) for i, e in enumerate(exps[:len(self.roster)]) if e]
+        steps = [(FIELD_BITS * i, e) for i, e in enumerate(exps[:len(self.roster)]) if e]
         if not steps:
             return self
+        drop = sum(e << s for s, e in steps)
         out = {}
-        for (m, t), (a, b) in self.terms.items():
+        for key, (a, b) in self.terms.items():
             factor = 1
-            for i, e in steps:
-                if m[i] < e:
+            for s, e in steps:
+                f = (key >> s) & _FIELD
+                if f < e:
                     break
-                factor *= math.perm(m[i], e)
+                factor *= math.perm(f, e)
             else:
-                lowered = list(m)
-                for i, e in steps:
-                    lowered[i] -= e
-                out[(tuple(lowered), t)] = (a * factor, b * factor)
+                out[key - drop] = (a * factor, b * factor)
         return Poly._make(self.roster, out, self.q, self.den)
 
     def subs_params(self, values: dict) -> "Poly":
@@ -624,17 +775,19 @@ class Poly:
             den = den.subs_params(values)
             if den.is_zero():
                 raise ZeroDivisionError("denominator vanishes at the substituted point")
+        n = len(self.roster)
+        fields = [(FIELD_BITS * (n + _param_index(name)), z)
+                  for name, z in values.items() if is_param_name(name)]
         items = []
-        for (m, t), (a, b) in self.terms.items():
-            rest = []
+        for key, (a, b) in self.terms.items():
             r = 1
-            for name, e in t:
-                if name in values:
-                    z = values[name] ** e
-                    a, b, r = a * z.a - b * z.b, a * z.b + b * z.a, r * z.q
-                else:
-                    rest.append((name, e))
-            items.append(((m, tuple(rest)), a, b, r))
+            for s, z in fields:
+                e = (key >> s) & _FIELD
+                if e:
+                    w = z ** e
+                    a, b, r = a * w.a - b * w.b, a * w.b + b * w.a, r * w.q
+                    key -= e << s
+            items.append((key, a, b, r))
         return Poly._make(self.roster, *_over(items, self.q), den)
 
     # -- printing -------------------------------------------------------------------
@@ -645,11 +798,12 @@ class Poly:
     def __str__(self):
         if self.is_zero():
             return "0"
-        if self.den is T_ONE and not any(t for _, t in self.terms):
+        n = len(self.roster)
+        if self.den is T_ONE and not reduce(or_, self.terms) >> (FIELD_BITS * n):
             # t-free: straight from the numerators
-            return _format_terms((self._x_monomial(m), a, b, self.q) for (m, _), (a, b) in
-                                 sorted(self.terms.items(), key=lambda kv: (sum(kv[0][0]), kv[0][0]),
-                                        reverse=True))
+            rows = sorted(((_x_exps(key, n), a, b) for key, (a, b) in self.terms.items()),
+                          key=lambda row: (sum(row[0]), row[0]), reverse=True)
+            return _format_terms((self._x_monomial(m), a, b, self.q) for m, a, b in rows)
         if not self.roster:
             return self._str_t_only()
         parts = []
@@ -675,32 +829,37 @@ class Poly:
 
     def _str_t_only(self) -> str:
         """str(self) for a t-only Poly with t: num or num/(den)."""
-        num = _format_terms((_mono_str(t), a, b, self.q) for (_, t), (a, b) in
-                            sorted(self.terms.items(), key=lambda kv: _mono_sort_key(kv[0][1]),
-                                   reverse=True))
+        keys = sorted(self.terms, key=_t_order, reverse=True)
+        num = _format_terms((_mono_str(_t_mono(key)), *self.terms[key], self.q) for key in keys)
         if self.den is T_ONE:
             return num
         # a lone complex constant such as 2/3-i prints as a sum, which / would split
-        ((_, t), (a, b)), *rest = self.terms.items()
-        if rest or num.startswith("-") or (not t and not gaussian_is_atomic(a, b)):
+        (key, (a, b)), *rest = self.terms.items()
+        if rest or num.startswith("-") or (not key and not gaussian_is_atomic(a, b)):
             num = f"({num})"
         return f"{num}/({self.den})"
 
     def map_x(self, fn) -> "Poly":
         """Each term c x^m as w c x^m2 where fn(m) = (m2, w), or dropped where
         fn(m) is None; fn must not send two kept x-monomials to one."""
+        n = len(self.roster)
+        xmask = self._xmask()
         items = []
-        for (m, t), (a, b) in self.terms.items():
+        for key, (a, b) in self.terms.items():
+            m = _x_exps(key, n)
             image = fn(m)
             if image is not None:
                 w = Scalar.of(image[1])
-                items.append(((image[0], t), a * w.a - b * w.b, a * w.b + b * w.a, w.q))
+                if image[0] is not m:
+                    key = (key & ~xmask) | _pack(image[0], (), n)
+                items.append((key, a * w.a - b * w.b, a * w.b + b * w.a, w.q))
         return Poly._make(self.roster, *_over(items, self.q), self.den)
 
     def as_factor(self) -> str:
         """str(self), in parentheses when it has more than one x-monomial."""
         s = str(self)
-        return f"({s})" if len({m for m, _ in self.terms}) > 1 else s
+        xmask = self._xmask()
+        return f"({s})" if len({key & xmask for key in self.terms}) > 1 else s
 
     def __repr__(self):
         return f"Poly({self})"
@@ -715,7 +874,7 @@ class Poly:
 
 # the t-only Poly 1: the denominator of every Poly polynomial in t, its own
 # denominator, and recognized by identity
-T_ONE = Poly._new((), {((), EMPTY_MONO): (1, 0)}, 1, None)
+T_ONE = Poly._new((), {0: (1, 0)}, 1, None)
 T_ONE.den = T_ONE
 
 
@@ -733,13 +892,14 @@ class PolySums:
     (negated for -1): a key that nothing else touches costs no reduction.
     Once a second contribution joins, the key keeps one map of unreduced
     Gaussian-integer numerators over one integer denominator, the lcm of its
-    contributions' denominators.  The numerators of a contribution go
-    straight into that map, those of a product as they are multiplied
-    (``_acc_product``, the loop of ``Poly.__mul__``), so a contribution
-    makes no Poly of its own, and ``polys()`` makes one Poly per key.  A
-    contribution rational in t (``den`` not T_ONE) joins an exact Poly sum
-    kept beside the map instead, and moves into the map once that sum is
-    polynomial.
+    contributions' denominators.  The map has the packed keys of ``Poly``:
+    the numerators of a contribution go straight into it, those of a product
+    as they are multiplied (``_acc_product``, the loop of ``Poly.__mul__``,
+    which adds the two keys of each product term), so a contribution makes no
+    Poly of its own, and ``polys()`` makes one Poly per key, testing the
+    guard bits of its keys once.  A contribution rational in t (``den`` not
+    T_ONE) joins an exact Poly sum kept beside the map instead, and moves into
+    the map once that sum is polynomial.
 
     A key's roster merges the rosters of its contributions since its sum was
     last zero, as adding them one by one with ``add_term`` would.
@@ -749,7 +909,7 @@ class PolySums:
 
     def __init__(self):
         # key -> a lone contribution, kept as its Poly, or
-        #        [roster, q, {(x exponents, t monomial): (a, b)},
+        #        [roster, q, {packed key: (a, b)},
         #         the Poly sum of the contributions rational in t, or None]
         self._sums = {}
 
@@ -830,6 +990,7 @@ class PolySums:
                 out[key] = acc
                 continue
             roster, q, terms, exact = acc
+            _check_guards(reduce(or_, terms, 0))
             p = Poly._make(roster, terms, q, T_ONE)
             out[key] = p if exact is None else p + exact
         return out
@@ -841,7 +1002,7 @@ class PolySums:
 
 def _leading(p: Poly) -> Scalar:
     """The coefficient of p's leading t monomial in the order _mono_sort_key."""
-    a, b = p.terms[max(p.terms, key=lambda key: _mono_sort_key(key[1]))]
+    a, b = p.terms[max(p.terms, key=_t_order)]
     return Scalar._make(a, b, p.q)
 
 
@@ -849,17 +1010,18 @@ def _monic(p: Poly) -> Poly:
     return p.scale(ONE / _leading(p)) if p.terms else p
 
 
-def _t_term(t, z: Scalar) -> Poly:
-    """The t-only Poly z * t for a t monomial t and a nonzero z."""
-    return Poly._new((), {((), t): (z.a, z.b)}, z.q, T_ONE)
+def _t_term(key: int, z: Scalar) -> Poly:
+    """The t-only Poly z * t^u for the key of a t monomial u and a nonzero z."""
+    return Poly._new((), {key: (z.a, z.b)}, z.q, T_ONE)
 
 
 def _in_powers(p: Poly, name: str) -> dict:
     """p as {e: the coefficient of name^e}, each a t-only Poly free of name."""
+    s = FIELD_BITS * _param_index(name)
     out = {}
-    for (_, t), c in p.terms.items():
-        e = dict(t).get(name, 0)
-        out.setdefault(e, {})[((), tuple(kv for kv in t if kv[0] != name))] = c
+    for key, c in p.terms.items():
+        e = (key >> s) & _FIELD
+        out.setdefault(e, {})[key - (e << s)] = c
     return {e: Poly._make((), terms, p.q, T_ONE) for e, terms in out.items()}
 
 
@@ -867,20 +1029,25 @@ def _t_divexact(a: Poly, b: Poly) -> Poly:
     """a / b for t-only polynomials where b divides a; ValueError otherwise."""
     # graded lex along the sorted variables: a monomial order, which the
     # division needs and the printing order of _mono_sort_key is not
-    names = sorted(a.param_variables() | b.param_variables(), key=natural_key)
+    shifts = [FIELD_BITS * _param_index(name)
+              for name in sorted(a.param_variables() | b.param_variables(), key=natural_key)]
+
+    def exps(key):
+        return tuple((key >> s) & _FIELD for s in shifts)
 
     def order(key):
-        d = dict(key[1])
-        return mono_degree(key[1]), tuple(d.get(n, 0) for n in names)
+        e = exps(key)
+        return sum(e), e
 
     lb = max(b.terms, key=order)
+    eb = exps(lb)
     cb = Scalar._make(*b.terms[lb], b.q)
     quot, rem = Poly.zero(()), a
     while rem.terms:
         lr = max(rem.terms, key=order)
-        if not mono_divides(lb[1], lr[1]):
+        if any(x < y for x, y in zip(exps(lr), eb)):
             raise ValueError("polynomial division is not exact")
-        step = _t_term(mono_div(lr[1], lb[1]), Scalar._make(*rem.terms[lr], rem.q) / cb)
+        step = _t_term(lr - lb, Scalar._make(*rem.terms[lr], rem.q) / cb)
         quot, rem = quot + step, rem - step * b
     return quot
 
@@ -896,6 +1063,7 @@ def _content_in(p: Poly, name: str) -> Poly:
 def _pseudo_remainder(a: Poly, b: Poly, name: str) -> Poly:
     """a times a power of b's leading coefficient in name, reduced by b below
     b's degree in name."""
+    s = FIELD_BITS * _param_index(name)
     cb = _in_powers(b, name)
     db = max(cb)
     while a.terms:
@@ -903,8 +1071,7 @@ def _pseudo_remainder(a: Poly, b: Poly, name: str) -> Poly:
         da = max(ca)
         if da < db:
             break
-        shift = _t_term(((name, da - db),) if da > db else EMPTY_MONO, ONE)
-        a = a * cb[db] - ca[da] * shift * b
+        a = a * cb[db] - ca[da] * _t_term((da - db) << s, ONE) * b
     return a
 
 
@@ -1014,7 +1181,10 @@ class _Parser:
         return v
 
     def parse(self) -> Poly:
-        p = self.expr()
+        try:
+            p = self.expr()
+        except ExponentOverflowError as exc:
+            raise ExprError(str(exc)) from None
         if self.peek() != "end":
             raise ExprError(f"unexpected trailing input {self.tokens[self.pos][1]!r}")
         return p

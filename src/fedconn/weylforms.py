@@ -24,9 +24,10 @@ and k <= min(|a1|, |a2|), so it is y-free, that is central, only when
 |a1| = |a2| = k: a pair reaches the centre only at its full contraction
 order.  ``projected_mw`` and ``projected_ad_over_h`` compute p(a o b) and
 p(ad_over_h(a, b)) from those pairs alone: the weight of each (a1, a2) is the
-order-|a1| entry of ``WeylContext.contractions``, the cache the full pairing
-reads too.  A projection p, like ``project_function``, is a formal function
-sum_k h^k p_k, returned as the arity-0 ``MultiDiffOp`` that represents it.
+order-|a1| entry of ``WeylContext.contractions``, which
+``WeylContext.central_weight`` keeps without the orders below it.  A
+projection p, like ``project_function``, is a formal function sum_k h^k p_k,
+returned as the arity-0 ``MultiDiffOp`` that represents it.
 
 Total degree is additive: every contraction order of a pair of terms of
 degrees d1 and d2 lands at degree d1 + d2 (d1 + d2 - 2 in ad_over_h).  So a
@@ -111,6 +112,7 @@ class WeylContext:
         ]
         self._moyal_factor = [ONE]  # (i/2)^k / k!
         self._contractions = {}
+        self._central = {}
 
     def moyal_factor(self, k: int) -> Scalar:
         while len(self._moyal_factor) <= k:
@@ -124,7 +126,7 @@ class WeylContext:
         leftover exponent b = b1 + b2 with its summed weight w, the Moyal
         factor (doubled in a commutator, times i for ad_over_h) included.
         They do not depend on the coefficients, so they are cached; the
-        projected pairings read the y-free order |a1| of a pair with |a1| = |a2|.
+        projected pairings read only the y-free order (``central_weight``).
         """
         key = (a1, a2, commutator, over_h)
         out = self._contractions.get(key)
@@ -151,6 +153,23 @@ class WeylContext:
                     break
             self._contractions[key] = out = tuple(out)
         return out
+
+    def central_weight(self, a1, a2, over_h: bool):
+        """The weight of the y-free contraction of y^a1 against y^a2 for
+        |a1| = |a2| = m, the order-m entry of ``contractions(a1, a2, over_h,
+        over_h)``, or None when that order is empty: what the projected
+        pairings read.  Of the plain product's orders only this weight is
+        kept: the orders below it are read only by ``mw``, which caches them
+        when it runs.  The over_h orders stay cached for the full bracket."""
+        key = (a1, a2, over_h)
+        if key not in self._central:
+            full = (a1, a2, over_h, over_h)
+            cached = full in self._contractions
+            found = self.contractions(a1, a2, over_h, over_h)
+            if not (over_h or cached):
+                self._contractions.pop(full, None)
+            self._central[key] = found[-1][1][0][1] if found and found[-1][0] == sum(a1) else None
+        return self._central[key]
 
     def __eq__(self, other):
         return isinstance(other, WeylContext) and self.omega == other.omega
@@ -396,11 +415,10 @@ class WeylForm:
                 h_power = base + k2
                 if h_power > top:
                     continue
-                # the order-m contraction, the last one kept when not empty,
-                # is y-free: its one weight carries the Moyal factor
-                found = ctx.contractions(a1, a2, over_h, over_h)
-                if found and found[-1][0] == m:
-                    ((_, w),) = found[-1][1]
+                # the order-m contraction is y-free: its one weight carries
+                # the Moyal factor
+                w = ctx.central_weight(a1, a2, over_h)
+                if w is not None:
                     coeffs.add_product((h_power, ()), c1, c2, w)
         return MultiDiffOp(ctx.roster, 0, order, coeffs.polys())
 

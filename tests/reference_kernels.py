@@ -10,6 +10,12 @@ Both move every operand onto the merged roster by variable name
 (``terms_on``).  ``partial_apply_by_loops`` freezes a slot at a function by
 its own loop, where ``src`` composes the function in as an arity-0 operator.
 
+``acc_product_by_tuples`` is the product loop of ``Poly`` on term keys that
+are (x exponents, t monomial) tuples instead of packed ints: each product key
+is two new tuples, the exponents added place by place and the t monomials
+merged by name.
+``tuple_terms`` reads a Poly's packed keys back as such tuples.
+
 ``contract``, ``delta_Z`` and ``df_M_dg`` are the Kahler evaluators that
 applied an x-constant bivector to sample functions, and ``hamiltonian_vf``
 gives the components of a Hamiltonian vector field; ``lemma_by_pairs``,
@@ -31,12 +37,43 @@ from fractions import Fraction
 
 from fedconn.scalars import Scalar
 from fedconn.polynomials import (
-    Poly, PolySums, add_term, merge_rosters, monomials_up_to,
+    Poly, PolySums, add_term, merge_rosters, monomials_up_to, natural_key,
 )
 from fedconn.weylforms import WeylForm, HDivisionError, _wedge_sign, _merge_J
 from fedconn.multidiff import MultiDiffOp, _leibniz_splits
 from fedconn.fedosov import _jet_degree_at_most
 from fedconn.kahler import VariationError
+
+
+def tuple_terms(p):
+    """p's numerator pairs keyed by (x exponents, t monomial), in stored order."""
+    return dict(zip(p.scalar_terms(), p.terms.values()))
+
+
+def _t_mono_mul(u, v):
+    """The product of two sorted (name, exponent) t monomials."""
+    exps = dict(u)
+    for name, e in v:
+        exps[name] = exps.get(name, 0) + e
+    return tuple(sorted(exps.items(), key=lambda kv: natural_key(kv[0])))
+
+
+def acc_product_by_tuples(out, ta, tb, c, d):
+    """Accumulate (c + d*i) * ta * tb into out for term maps keyed by
+    (x exponents, t monomial) tuples on one roster; a sum that cancels is
+    dropped."""
+    for (m1, u1), (a1, b1) in ta.items():
+        a, b = a1 * c - b1 * d, a1 * d + b1 * c
+        for (m2, u2), (a2, b2) in tb.items():
+            key = (tuple(map(operator.add, m1, m2)), _t_mono_mul(u1, u2))
+            x, y = a * a2 - b * b2, a * b2 + b * a2
+            s = out.get(key)
+            if s is not None:
+                x, y = x + s[0], y + s[1]
+            if x or y:
+                out[key] = (x, y)
+            elif s is not None:
+                del out[key]
 
 
 def pairing_by_products(a, b, commutator, over_h, max_degree=None):

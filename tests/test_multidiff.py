@@ -332,6 +332,14 @@ def test_with_roster_moves_slots_and_coefficients():
         D1.with_roster(("x2",))
 
 
+def test_operators_of_different_order_differ():
+    # x1 known to h^1 is not x1 known to h^4, though their terms agree
+    x1 = parse_poly("x1", R2)
+    assert MultiDiffOp.function(R2, x1, 1) != MultiDiffOp.function(R2, x1, 4)
+    assert MultiDiffOp.function(R2, x1, 4).truncate(1) == MultiDiffOp.function(R2, x1, 1)
+    assert D1 != MultiDiffOp(R2, 1, 3, D1.terms) and D1 == MultiDiffOp(R2, 1, D1.order, D1.terms)
+
+
 def test_functions_are_arity_0_operators():
     b = series(("x2",), 2, {0: parse_poly("x2", ("x2",)), 2: parse_poly("x2^2", ("x2",))})
     f = MultiDiffOp.function(R2, b, 1)

@@ -485,3 +485,48 @@ def test_operator_reconstruction_bound_raises_a_named_error():
         operator_from_callable(second, roster, 1, 0, lambda k: 1)
     witness = "the operator rebuilt to slot order 1 differs from its values on (x1^2) at h^0"
     assert str(exc.value) == witness
+
+
+def test_weyl_battery_failure_is_a_report_line(capsys, monkeypatch):
+    # the plain Moyal product without its second-order contraction: no longer
+    # associative.  Only WeylForm.mw reads the plain product in full, and only
+    # the battery calls it, so every other check of verify-all still passes.
+    contractions, mw = WeylContext.contractions, WeylForm.mw
+
+    def no_second_order(ctx, a1, a2, commutator, over_h):
+        return tuple(order for order in contractions(ctx, a1, a2, commutator, over_h)
+                     if order[0] != 2)
+
+    def mutated(self, other, max_degree=None):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(WeylContext, "contractions", no_second_order)
+            return mw(self, other, max_degree)
+
+    monkeypatch.setattr(WeylForm, "mw", mutated)
+    code, out, err = run_cli(capsys, "verify-all", "--scenario", str(SCENARIOS / "flat_r2.scn"))
+    assert (code, err) == (1, "") and "Traceback" not in out
+    assert failed_lines(out) == ["[FAIL] weyl battery: Moyal-Weyl associativity"]
+    assert "       witness: failed on seeded instance 6\n" in out
+
+
+def test_order1_closedness_failure_is_a_report_line(capsys, monkeypatch):
+    # A1(t2) plus t1 d/dx1, a vector field: d_t1 A1(t2) - d_t2 A1(t1) = d/dx1.
+    # A vector field brackets to zero with the pointwise product, so the
+    # derivation identity still holds.  Flatness fails too: A1 = -V[P1] in
+    # every direction would make d_T A1 = 0, since t-derivatives commute.
+    a1_data = kahler.LinearKahlerFamily.a1_data
+
+    def shifted(self, direction, F, delta_factor=Fraction(1, 4)):
+        A = a1_data(self, direction, F, delta_factor)
+        if direction != "t2":
+            return A
+        roster = self.sym.roster
+        return A + MultiDiffOp(roster, 1, 0, {(0, ((1, 0, 0, 0),)): Poly.var(roster, "t1")})
+
+    monkeypatch.setattr(kahler.LinearKahlerFamily, "a1_data", shifted)
+    code, out, err = run_cli(capsys, "kahler", "--scenario", str(SCENARIOS / "kahler_r4.scn"))
+    assert (code, err) == (1, "") and "Traceback" not in out
+    assert failed_lines(out) == ["[FAIL] order-1 flatness: flatness potential V[-P1] = A1(V)",
+                                 "[FAIL] order-1 closedness: closedness d_T A1 = 0"]
+    assert "       witness: direction t2\n" in out
+    assert "       witness: directions (t1,t2)\n" in out
