@@ -27,7 +27,7 @@ from .kahler import (
     rigidity_check, rigidity_report,
 )
 from .scenario import Scenario, ScenarioError
-from .reports import Report, Check
+from .reports import Report, Check, CheckError
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

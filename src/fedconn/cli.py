@@ -7,7 +7,9 @@
     fedconn verify-all --scenario FILE [--order K]   infrastructure battery + all applicable
 
 Common flags: --report text|json, --seed N, --list-checks.  Exit code 0 when
-every check passes, 1 on check failures, 2 on scenario/usage errors.  With
+every check passes, 1 on check failures, 2 on scenario/usage errors.  A check
+that fails inside a runner raises ``CheckError``, which ends the run as one
+FAIL line (``main``), after the checks that ran.  With
 FEDCONN_REPORT_DIR set, reports are also written there in both formats.
 """
 
@@ -20,25 +22,20 @@ import sys
 from pathlib import Path
 
 from .polynomials import Poly
-from .weylforms import HDivisionError
-from .fedosov import (
-    NaturalityError, NotAbelianError, FedosovCheckError, c1_antisymmetry_witness,
-    validate_star_axioms,
-)
+from .fedosov import c1_antisymmetry_witness, validate_star_axioms
 from .families import (
-    SolvabilityError, ConnectionProbeError, PoincareCheckError, solve_s, connection_form,
-    verify_compatibility, lowest_order_identity, verify_curvature, derivation_identity,
+    solve_s, connection_form, verify_compatibility, lowest_order_identity, verify_curvature,
+    derivation_identity,
 )
 from .transport import (
     parallel_transport, conjugation_check, gauge_equivalence,
-    self_equivalence_check, flatness_check, GaugeError, GaugeCheckError,
+    self_equivalence_check, flatness_check,
 )
-from .symplectic import SymplecticCheckError
 from .kahler import (
     VariationError, family_directions, verify_lemma_vc1, order1_hitchin_check, rigidity_check,
 )
 from .properties import weyl_battery, cochain_battery
-from .reports import Report
+from .reports import CheckError, Report
 from .scenario import Scenario, ScenarioError
 
 GAUGE_EQUATION = "V[P] = P A'(V) - A(V) P to the requested order"
@@ -51,7 +48,7 @@ FEDOSOV = {
     "flatness of D_r": "D_r^2 = 0 on the fiber generators below degree trunc - 1",
     "flat sections": "the source of tau(f) and of its symbol is delta-closed at every degree",
 }
-# the checks inside the symplectic calculus (``SymplecticCheckError.check``)
+# the checks inside the symplectic calculus
 SYMPLECTIC = {
     "curvature action": "d_nabla^2 acts y-linearly on the fiber generators",
     "curvature symmetry": "the Weyl curvature solved from d_nabla^2 is a symmetric tensor",
@@ -61,11 +58,23 @@ SYMPLECTIC = {
 ALGEBRA = {
     "h-division": "every bracket ad_over_h divides by h is O(h)",
 }
+NATURALITY = "h^k coefficient has differential order <= k"
+CONNECTION_FORM = "A(V) from its symbol matches p(ad_over_h(i_V s, tau f)) past its order bound"
+VARIATION = "G(V) by both routes, symmetric, pure type, and V[c1] = (1/2) df G(V) dg"
+# the FAIL line's description of each check that can end a run (``CheckError.check``),
+# for a CheckError that brings none of its own
+FAILURES = {
+    "abelian connection": ABELIAN, **FEDOSOV, **SYMPLECTIC, **ALGEBRA,
+    "naturality": NATURALITY,
+    "beta invariant": "d_M i_V beta = V[alpha]",
+    "connection form": CONNECTION_FORM,
+    "gauge equation": GAUGE_EQUATION,
+    "variation bivector": VARIATION,
+}
 
 
 def _listed_on_failure(*names):
-    table = {"abelian connection": ABELIAN, **FEDOSOV, **SYMPLECTIC, **ALGEBRA}
-    return [(name, table[name] + " (listed on failure)") for name in names]
+    return [(name, FAILURES[name] + " (listed on failure)") for name in names]
 
 
 FEDOSOV_CHECKS = _listed_on_failure(
@@ -119,36 +128,6 @@ CHECKS = {
 }
 
 
-NATURALITY = "h^k coefficient has differential order <= k"
-CONNECTION_FORM = "A(V) from its symbol matches p(ad_over_h(i_V s, tau f)) past its order bound"
-VARIATION = "G(V) by both routes, symmetric, pure type, and V[c1] = (1/2) df G(V) dg"
-
-
-class CheckFailed(Exception):
-    """A check failed inside the pipeline, so the steps after it cannot run."""
-
-    def __init__(self, name: str, description: str, witness: str):
-        super().__init__(witness)
-        self.name = name
-        self.description = description
-        self.witness = witness
-
-
-def _build_beta(build, family):
-    try:
-        return build(family)
-    except (SolvabilityError, PoincareCheckError) as exc:
-        raise CheckFailed("beta invariant", "d_M i_V beta = V[alpha]", str(exc)) from None
-
-
-def _solve_s(family, beta, p):
-    try:
-        return solve_s(family, beta, p)
-    except SolvabilityError as exc:
-        raise CheckFailed("s equation", f"direction {p}: D_r equation and delta* normalization",
-                          str(exc)) from None
-
-
 def list_checks() -> str:
     lines = []
     for cmd in ("quantize", "family", "gauge", "kahler", "verify-all"):
@@ -181,11 +160,11 @@ def run_quantize(sc: Scenario, report: Report):
 
 def _family_pipeline(sc: Scenario, report: Report):
     family = sc.build_family()
-    beta = _build_beta(sc.build_beta, family)
+    beta = sc.build_beta(family)
     report.add("beta invariant", f"d_M i_V beta = V[alpha] ({beta.provenance})", True)
     s_forms = {}
     for p in family.params:
-        s_forms[p] = _solve_s(family, beta, p)
+        s_forms[p] = solve_s(family, beta, p)
         report.add("s equation", f"direction {p}: D_r equation and delta* normalization", True)
     A = connection_form(family, s_forms)
     return family, beta, s_forms, A
@@ -223,9 +202,9 @@ def run_family(sc: Scenario, report: Report):
 
 def run_gauge(sc: Scenario, report: Report):
     family = sc.build_family()
-    base, second = _build_beta(sc.build_gauge_pair, family)
-    sA = {p: _solve_s(family, base, p) for p in family.params}
-    sB = {p: _solve_s(family, second, p) for p in family.params}
+    base, second = sc.build_gauge_pair(family)
+    sA = {p: solve_s(family, base, p) for p in family.params}
+    sB = {p: solve_s(family, second, p) for p in family.params}
     A = connection_form(family, sA)
     B = connection_form(family, sB)
     for label, conn in (("D", A), ("D'", B)):
@@ -233,12 +212,7 @@ def run_gauge(sc: Scenario, report: Report):
         report.add("flatness", f"{label}: direct curvature vanishes", ok, wit)
         ok, wit = verify_compatibility(family, conn, min(sc.basis_degree, 2))
         report.add("compatibility", f"{label}: d_H A(V) = V[star]", ok, wit)
-    try:
-        P = gauge_equivalence(family, A, B, sc.order)
-    except GaugeError as exc:
-        report.add("gauge equation", "inductive solution of V[P] = P A'(V) - A(V) P",
-                   False, str(exc))
-        return report
+    P = gauge_equivalence(family, A, B, sc.order)
     report.add("gauge equation", GAUGE_EQUATION, True)
     ok, wit = self_equivalence_check(family, P, min(sc.basis_degree, 2))
     report.add("self-equivalence", "P(f star g) = P(f) star P(g)", ok, wit)
@@ -355,26 +329,11 @@ def main(argv=None) -> int:
             sc.seed = args.seed
         report = Report(args.command, Path(args.scenario).name, sc.seed)
         RUNNERS[args.command](sc, report)
-    except NaturalityError as exc:
-        # raised by star extraction, after the report exists; checks run so far stay
-        report.add("naturality", NATURALITY, False, str(exc))
-    except ConnectionProbeError as exc:
-        report.add("connection form", CONNECTION_FORM, False, str(exc))
-    except VariationError as exc:
-        report.add("variation bivector", VARIATION, False, str(exc))
-    except FedosovCheckError as exc:
-        report.add(exc.check, FEDOSOV[exc.check], False, str(exc))
-    except SymplecticCheckError as exc:
-        report.add(exc.check, SYMPLECTIC[exc.check], False, str(exc))
-    except HDivisionError as exc:
-        report.add("h-division", ALGEBRA["h-division"], False, str(exc))
-    except GaugeCheckError as exc:
-        report.add("gauge equation", GAUGE_EQUATION, False, str(exc))
-    except NotAbelianError as exc:
-        # a ValueError, but a failed check of the math, not bad input
-        report.add("abelian connection", ABELIAN, False, str(exc))
-    except CheckFailed as exc:
-        report.add(exc.name, exc.description, False, exc.witness)
+    except CheckError as exc:
+        # raised after the report exists, so the checks run so far stay; caught
+        # first, since some (NotAbelianError, SolvabilityError, GaugeError) are
+        # ValueErrors too, but failed checks of the math, not bad input
+        report.add(exc.check, exc.description or FAILURES[exc.check], False, str(exc))
     except (ScenarioError, OSError, ValueError) as exc:
         sys.stderr.write(f"fedconn: {exc}\n")
         return 2

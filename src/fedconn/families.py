@@ -31,22 +31,15 @@ from .weylforms import WeylForm, poincare_potential
 from .symplectic import ConnectionFamily
 from .fedosov import FedosovSetup, solve_by_degree
 from .multidiff import MultiDiffOp, StarTruncation, operator_from_symbol, unit_vectors
+from .reports import CheckError
 
 
-class SolvabilityError(ValueError):
+class SolvabilityError(CheckError, ValueError):
     """The s-equation has no solution: the necessary condition
-    d_M i_V beta = V[alpha] failed, or the solved s fails the equation."""
+    d_M i_V beta = V[alpha] failed (check ``beta invariant``), or the solved
+    s fails the equation (``s equation``, raised by ``solve_s``)."""
 
-
-class PoincareCheckError(AssertionError):
-    """The Poincare potential gamma of the closed form alpha - alpha(basepoint)
-    misses d_M gamma = alpha - alpha(basepoint); the message names the lowest
-    h-order that differs."""
-
-
-class ConnectionProbeError(AssertionError):
-    """A(V) read off its symbol disagrees with p(ad_over_h(i_V s, tau(f)))
-    past its order bound."""
+    check = "beta invariant"
 
 
 class FamilyContext:
@@ -117,18 +110,15 @@ class TrivializationBeta:
         return TrivializationBeta(self.family, forms, provenance=f"{self.provenance}+shift")
 
 
-def trivialize_alpha(family: FamilyContext, basepoint: dict = None) -> TrivializationBeta:
-    """Build beta from the primitive of alpha - alpha(basepoint).
+def trivialize_alpha(family: FamilyContext) -> TrivializationBeta:
+    """Build beta from the primitive of alpha - alpha(basepoint), the
+    basepoint t = 0.
 
     gamma is the Poincare potential of the (closed, h >= 1) difference, and
     i_V beta = V[gamma]; the defining property is then checked exactly, and
-    a potential that misses it raises PoincareCheckError.
+    a potential that misses it fails the ``beta invariant`` check.
     """
-    base = dict(basepoint or {})
-    for p in family.params:
-        base.setdefault(p, 0)
-    alpha0 = family.alpha.subs_params(base)
-    diff = family.alpha - alpha0
+    diff = family.alpha - family.alpha.subs_params(dict.fromkeys(family.params, 0))
     if not diff.d_x().is_zero():
         raise SolvabilityError("alpha variation is not closed")
     if diff.is_zero():
@@ -137,7 +127,7 @@ def trivialize_alpha(family: FamilyContext, basepoint: dict = None) -> Trivializ
         gamma = poincare_potential(diff)
         miss = gamma.d_x() - diff
         if not miss.is_zero():
-            raise PoincareCheckError(
+            raise SolvabilityError(
                 f"Poincare potential failed on a closed form: d_M gamma differs from "
                 f"alpha - alpha(basepoint) at h^{min(k for k, _, _ in miss.terms)}")
     forms = {p: gamma.t_derivative(p) for p in family.params}
@@ -155,11 +145,15 @@ def solve_s(family: FamilyContext, beta: TrivializationBeta, direction: str) -> 
     The defining equation is then checked below degree N - 1, so the bracket
     in D_r(s) is capped at N - 2 (exact: its degree is additive).
     """
+    def failed(message):
+        return SolvabilityError(message, "s equation",
+                                f"direction {direction}: D_r equation and delta* normalization")
+
     setup = family.setup
     N = family.trunc
     ivbeta = beta[direction]
     if ivbeta.d_x() != family.alpha.t_derivative(direction):
-        raise SolvabilityError(f"d_M i_V beta != V[alpha] for direction {direction}")
+        raise failed(f"d_M i_V beta != V[alpha] for direction {direction}")
     rhs = (
         setup.r.t_derivative(direction)
         + family.connection.variation_S(direction, N).scale(Fraction(1, 2))
@@ -168,19 +162,16 @@ def solve_s(family: FamilyContext, beta: TrivializationBeta, direction: str) -> 
     parts = {}
     solve_by_degree(
         family.connection.cov_deriv, parts, range(2, N), -rhs, setup._r_parts, 1,
-        lambda d: SolvabilityError(
-            f"s-recursion source fails delta-closedness at degree {d} (direction {direction})"
-        ),
+        lambda d: failed(
+            f"s-recursion source fails delta-closedness at degree {d} (direction {direction})"),
     )
     s = sum(parts.values(), WeylForm.zero(family.sym, N))
     if not s.delta_star().is_zero():
-        raise SolvabilityError(f"delta* normalization of s failed (direction {direction})")
+        raise failed(f"delta* normalization of s failed (direction {direction})")
     defect = setup.D_r(s, max_degree=N - 2) - rhs
     for d in range(N - 1):
         if not defect.homogeneous(d).is_zero():
-            raise SolvabilityError(
-                f"s fails its defining equation at degree {d} (direction {direction})"
-            )
+            raise failed(f"s fails its defining equation at degree {d} (direction {direction})")
     return s
 
 
@@ -259,10 +250,9 @@ def connection_form(family: FamilyContext, s_forms: dict) -> ConnectionOneForm:
         for m in probes:
             diff = op.apply(m) - s.projected_ad_over_h(setup.tau(m, read), K)
             if not diff.is_zero():
-                raise ConnectionProbeError(
+                raise CheckError(
                     f"A({p}) from its symbol differs from p(ad_over_h(i_V s, tau f)) "
-                    f"on the probe monomial {m} at h^{min(diff.terms)[0]}"
-                )
+                    f"on the probe monomial {m} at h^{min(diff.terms)[0]}", "connection form")
         ops[p] = op
     return ConnectionOneForm(family, ops, provenance="from-s")
 

@@ -48,31 +48,27 @@ from fractions import Fraction
 from itertools import combinations
 
 from .scalars import Scalar, I
-from .polynomials import Poly, monomials_up_to, add_term
+from .polynomials import Poly, monomials_up_to, add_term, mat, mat_identity, mat_inverse
 from .weylforms import WeylContext
 from .multidiff import MultiDiffOp, StarTruncation, unit_vectors
+from .reports import CheckError
 
 HALF = Scalar(Fraction(1, 2))
 
 
-class VariationError(AssertionError):
+class VariationError(CheckError):
     """A cross-check of one direction's variation data failed: the two routes
     to G(V), its symmetry or type decomposition, or the two routes to V[c1]."""
+
+    check = "variation bivector"
 
 
 # the data of one direction V: G(V), its pure-type parts, V[M] for the c1 matrix M, (1/2) G(V)
 Variation = namedtuple("Variation", "G Gh Ga Mdot half_G")
 
 
-# -- exact matrices over t-only Polys -------------------------------------------
-
-def mat(entries):
-    return [[v if isinstance(v, Poly) else Poly.const((), v) for v in row] for row in entries]
-
-
-def mat_identity(n):
-    return [[Poly.const((), int(i == j)) for j in range(n)] for i in range(n)]
-
+# -- exact matrices over t-only Polys (``mat``, ``mat_identity`` and
+#    ``mat_inverse`` live in ``polynomials``) -----------------------------------
 
 def mat_mul(a, b):
     n, m, p = len(a), len(b[0]), len(b)
@@ -119,23 +115,6 @@ def mat_deriv(a, name):
 
 def mat_subs(a, values):
     return [[x.subs_params(values) for x in row] for row in a]
-
-
-def mat_inverse(a):
-    n = len(a)
-    work = [row[:] + ident_row[:] for row, ident_row in zip(a, mat_identity(n))]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not work[r][col].is_zero()), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        work[col], work[piv] = work[piv], work[col]
-        d = work[col][col]
-        work[col] = [v / d for v in work[col]]
-        for r in range(n):
-            if r != col and not work[r][col].is_zero():
-                f = work[r][col]
-                work[r] = [v - f * w for v, w in zip(work[r], work[col])]
-    return [row[n:] for row in work]
 
 
 def _leading_minors_positive(m):

@@ -39,7 +39,7 @@ fields below the guard is below 2^16, so it never carries into the next
 field; a sum that reaches the guard sets the guard bit.  So no per-term test
 is needed: the guard bits are tested once per result, on the OR of its keys,
 where exponents grow (products and ``_times_t``, ``PolySums.polys``,
-``antiderivative``, ``map_x`` and the constructors; the pseudo-remainder of
+``euler_step``, ``map_x`` and the constructors; the pseudo-remainder of
 ``pp_gcd`` multiplies), and an exponent past ``MAX_EXPONENT`` raises
 ``ExponentOverflowError`` (a ``ValueError``; the scenario parser reports it
 as bad input on its line) instead of giving a wrong key.  The width is 16
@@ -114,22 +114,6 @@ def exponents_up_to(n: int, degree: int):
 # monomials in parameter variables at the boundary: sorted tuples of
 # (name, positive exponent)
 # ---------------------------------------------------------------------------
-
-def _mono_of(d: dict):
-    """The canonical monomial of a {name: exponent} dict with no zero exponent."""
-    return tuple(sorted(d.items(), key=lambda kv: natural_key(kv[0])))
-
-
-def mono_mul(a, b):
-    if not a:
-        return b
-    if not b:
-        return a
-    d = dict(a)
-    for name, e in b:
-        d[name] = d.get(name, 0) + e
-    return _mono_of(d)
-
 
 def mono_degree(m) -> int:
     return sum(e for _, e in m)
@@ -739,16 +723,24 @@ class Poly:
         ndd = _times_t(self.terms, self.q, self.den.differentiate(name), n)
         return Poly._make(self.roster, *_sum(*dn, *ndd, -1), self.den * self.den)
 
-    def antiderivative(self, name: str) -> "Poly":
-        """Integral from 0: result q has dq/dname = self and q|_{name=0} = 0."""
+    def euler_step(self, name: str, over, q: int = 1) -> "Poly":
+        """Each term c m as name * c m / (deg m + q), deg m the degree of m in
+        the variables ``over``: the part of the Euler homotopy (the
+        Poincare lemma's inverse of d on q-forms) that contracts one dx^name
+        or dt^name.  With over = (name,) and q = 1 it is the antiderivative."""
         s = self._shift(name)
         if name not in self.roster and name in self.den.param_variables():
-            raise ValueError(f"antiderivative: {name!r} occurs in a denominator")
+            raise ValueError(f"{name!r} occurs in a denominator")
+        shifts = [self._shift(v) for v in over]
         one = 1 << s
-        items = [(key + one, a, b, ((key >> s) & _FIELD) + 1)
+        items = [(key + one, a, b, sum((key >> t) & _FIELD for t in shifts) + q)
                  for key, (a, b) in self.terms.items()]
         _check_guards(reduce(or_, (item[0] for item in items), 0))
         return Poly._make(self.roster, *_over(items, self.q), self.den)
+
+    def antiderivative(self, name: str) -> "Poly":
+        """Integral from 0: result q has dq/dname = self and q|_{name=0} = 0."""
+        return self.euler_step(name, (name,))
 
     def deriv_multi(self, exps) -> "Poly":
         """Apply the mixed partial d^exps aligned with the roster."""
@@ -1123,6 +1115,36 @@ def monomials_up_to(roster, degree: int):
     """All monomial Polys of total degree <= degree, graded-lex order."""
     roster = tuple(roster)
     return [Poly.monomial(roster, k) for k in exponents_up_to(len(roster), degree)]
+
+
+# ---------------------------------------------------------------------------
+# exact matrices over t-only Polys, lists of rows
+# ---------------------------------------------------------------------------
+
+def mat(entries):
+    return [[v if isinstance(v, Poly) else Poly.const((), v) for v in row] for row in entries]
+
+
+def mat_identity(n):
+    return [[Poly.const((), int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def mat_inverse(a):
+    """The inverse by Gauss-Jordan elimination; ValueError when a is singular."""
+    n = len(a)
+    work = [row[:] + ident_row[:] for row, ident_row in zip(a, mat_identity(n))]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if not work[r][col].is_zero()), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        work[col], work[piv] = work[piv], work[col]
+        d = work[col][col]
+        work[col] = [v / d for v in work[col]]
+        for r in range(n):
+            if r != col and not work[r][col].is_zero():
+                f = work[r][col]
+                work[r] = [v - f * w for v, w in zip(work[r], work[col])]
+    return [row[n:] for row in work]
 
 
 # ---------------------------------------------------------------------------

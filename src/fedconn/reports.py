@@ -5,6 +5,22 @@ from __future__ import annotations
 import json
 
 
+class CheckError(AssertionError):
+    """A check of the math failed, so the steps after it cannot run.
+
+    The runner ends it as the FAIL line of ``check`` (a subclass's own, or
+    the raise site's), with the message as witness and ``description`` as
+    the line's description when one raise site needs its own; otherwise the
+    runner's table gives the description."""
+
+    check = description = None
+
+    def __init__(self, message, check=None, description=None):
+        super().__init__(message)
+        self.check = check or self.check
+        self.description = description or self.description
+
+
 class Check:
     __slots__ = ("name", "description", "status", "witness")
 

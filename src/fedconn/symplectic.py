@@ -13,7 +13,7 @@ The Weyl curvature element R and the variation element i_V S are not given by
 a guessed index formula: they are solved from their defining operator
 identities  d_nabla^2 = -ad_over_h(R, .)  and  V[d_nabla] = (1/2) ad_over_h(i_V S, .)
 acting on the fiber generators y^m, then checked for symmetry.  A failed
-internal check raises SymplecticCheckError.
+internal check raises a CheckError that names it.
 """
 
 from __future__ import annotations
@@ -24,17 +24,7 @@ from .scalars import Scalar
 from .polynomials import Poly, PolySums, is_param_name
 from .weylforms import WeylContext, WeylForm
 from .multidiff import MultiDiffOp
-
-
-class SymplecticCheckError(AssertionError):
-    """An internal check of the symplectic calculus failed: the y-linear
-    action of d_nabla^2, or the symmetry of the solved curvature or
-    variation tensor.  ``check`` names it in reports; the message gives the
-    witness."""
-
-    def __init__(self, check: str, message: str):
-        super().__init__(message)
-        self.check = check
+from .reports import CheckError
 
 
 class SymplecticData(WeylContext):
@@ -64,7 +54,8 @@ class SymplecticData(WeylContext):
         return tuple(eta)
 
     def potential_of_gradient(self, eta) -> Poly:
-        """f with df = eta and f(0) = 0; raises when eta is not closed."""
+        """f with df = eta and f(0) = 0 (``Poly.euler_step``); raises when eta
+        is not closed."""
         for a in range(self.dim):
             for b in range(a + 1, self.dim):
                 lhs = eta[b].differentiate(self.roster[a])
@@ -74,9 +65,8 @@ class SymplecticData(WeylContext):
                         f"1-form is not closed: d_{a+1} eta_{b+1} != d_{b+1} eta_{a+1}"
                     )
         f = Poly.zero(self.roster)
-        for i in range(self.dim):
-            f = f + eta[i].map_x(
-                lambda e: (e[:i] + (e[i] + 1,) + e[i + 1:], Fraction(1, sum(e) + 1)))
+        for c, name in zip(eta, self.roster):
+            f = f + c.euler_step(name, self.roster)
         return f
 
 
@@ -176,9 +166,9 @@ class ConnectionFamily:
             d2 = self.cov_deriv(self.cov_deriv(ym))
             for (k, alpha, J), c in d2.terms.items():
                 if k != 0 or sum(alpha) != 1:
-                    raise SymplecticCheckError(
-                        "curvature action",
-                        f"d_nabla^2 y{m + 1} has a term of y-degree {sum(alpha)} at h^{k}")
+                    raise CheckError(
+                        f"d_nabla^2 y{m + 1} has a term of y-degree {sum(alpha)} at h^{k}",
+                        "curvature action")
                 b = alpha.index(1)
                 C.setdefault(J, {})[(m, b)] = c
         terms = {}
@@ -209,7 +199,7 @@ def _add_symmetric_quadratic(sym: SymplecticData, terms: dict, J, table: dict, w
                              check: str, what: str, tail: str):
     """Lower the first index of ``table`` (m, c) -> Poly with omega, times
     ``weight``: T_ac = weight * sum_m omega_am table[m, c], a missing entry
-    counting as zero.  T must be symmetric, or SymplecticCheckError(``check``)
+    counting as zero.  T must be symmetric, or a CheckError of ``check``
     names the first pair of entries of ``what`` that differ.  Each nonzero
     y^a y^c coefficient (T_ac + T_ca off the diagonal) is stored in ``terms``
     at (0, y^a y^c, J)."""
@@ -229,8 +219,8 @@ def _add_symmetric_quadratic(sym: SymplecticData, terms: dict, J, table: dict, w
     for a in range(n):
         for c in range(a, n):
             if T[(a, c)] != T[(c, a)]:
-                raise SymplecticCheckError(
-                    check, f"entries ({a + 1},{c + 1}) and ({c + 1},{a + 1}) of {what} differ{tail}")
+                raise CheckError(
+                    f"entries ({a + 1},{c + 1}) and ({c + 1},{a + 1}) of {what} differ{tail}", check)
             coeff = T[(a, c)] if a == c else T[(a, c)] + T[(c, a)]
             if coeff.is_zero():
                 continue

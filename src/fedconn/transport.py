@@ -15,21 +15,17 @@ flatness enters) and integrating it with the Poincare homotopy on R^m.
 
 from __future__ import annotations
 
-from .polynomials import (
-    Poly, T_ONE, mono_degree, mono_mul, add_term,
-)
+from .polynomials import Poly, T_ONE
 from .multidiff import MultiDiffOp
 from .families import FamilyContext, ConnectionOneForm
+from .reports import CheckError
 
 
-class GaugeError(ValueError):
+class GaugeError(CheckError, ValueError):
     """The gauge induction hit a non-closed defect: flatness hypothesis failed."""
 
-
-class GaugeCheckError(AssertionError):
-    """The solved P misses the gauge equation V[P] = P A'(V) - A(V) P at an
-    h-order the induction had already fixed, or below the truncation at the
-    end; the message names the h-order."""
+    check = "gauge equation"
+    description = "inductive solution of V[P] = P A'(V) - A(V) P"
 
 
 def _op_t_antiderivative(op: MultiDiffOp, name: str) -> MultiDiffOp:
@@ -117,22 +113,19 @@ def conjugation_check(family: FamilyContext, phi: MultiDiffOp, axis: str,
     return True, None
 
 
-def _t_poincare_oneform(coeffs: dict, params) -> Poly:
+def _t_poincare_oneform(coeffs: dict, params, roster) -> Poly:
     """Potential of a closed 1-form on parameter space with Poly-in-x values.
 
     coeffs maps direction -> Poly; every coefficient must be polynomial in t.
     A monomial of t-degree m in the direction-j component contributes
-    t_j * monomial / (m + 1).
+    t_j * monomial / (m + 1) (``Poly.euler_step``).
     """
-    roster = None
-    acc_terms = {}
+    out = Poly.zero(roster)
     for j, c in coeffs.items():
-        roster = c.roster
         if c.den is not T_ONE:
             raise ValueError("gauge data must be polynomial in the parameters")
-        for (exps, mono), z in c.scalar_terms().items():
-            add_term(acc_terms, (exps, mono_mul(mono, ((j, 1),))), z / (mono_degree(mono) + 1))
-    return Poly(roster, acc_terms)
+        out = out + c.euler_step(j, params)
+    return out
 
 
 def _op_oneform_potential(forms: dict, params, roster, arity=1) -> MultiDiffOp:
@@ -143,7 +136,7 @@ def _op_oneform_potential(forms: dict, params, roster, arity=1) -> MultiDiffOp:
     terms = {}
     for key in keys:
         coeffs = {j: forms[j].terms.get(key, Poly.zero(roster)) for j in forms}
-        p = _t_poincare_oneform(coeffs, params)
+        p = _t_poincare_oneform(coeffs, params, roster)
         if not p.is_zero():
             terms[key] = p
     order = min(op.order for op in forms.values())
@@ -157,7 +150,7 @@ def gauge_equivalence(family: FamilyContext, A: ConnectionOneForm, A2: Connectio
     Requires both connections flat; for one parameter this is automatic, for
     more the closedness of each induction defect is exactly what flatness
     guarantees, and a non-closed defect raises GaugeError with its order.
-    GaugeCheckError guards the induction itself.
+    A CheckError of ``gauge equation`` guards the induction itself.
     """
     K = order if order is not None else family.order
     roster = family.sym.roster
@@ -177,9 +170,9 @@ def gauge_equivalence(family: FamilyContext, A: ConnectionOneForm, A2: Connectio
         for p in params:
             for k in range(l + 1):
                 if not E[p].h_coefficient(k).is_zero():
-                    raise GaugeCheckError(
-                        f"gauge induction lost its invariant at order h^{k} (direction {p})"
-                    )
+                    raise CheckError(
+                        f"gauge induction lost its invariant at order h^{k} (direction {p})",
+                        "gauge equation")
         B = {p: E[p].h_coefficient(l + 1) for p in params}
         if all(op.is_zero() for op in B.values()):
             continue
@@ -206,8 +199,9 @@ def gauge_equivalence(family: FamilyContext, A: ConnectionOneForm, A2: Connectio
     for p in params:
         if not E[p].is_zero():
             k = min(k for k, _ in E[p].terms)
-            raise GaugeCheckError(
-                f"gauge equation fails below the truncation order, at h^{k} (direction {p})")
+            raise CheckError(
+                f"gauge equation fails below the truncation order, at h^{k} (direction {p})",
+                "gauge equation")
     return P
 
 

@@ -56,38 +56,20 @@ of ``fedosov`` reduce each coefficient of their sum once, in the sink's
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
-from .scalars import Scalar, ZERO, ONE, I
-from .polynomials import Poly, PolySums, x_roster, add_term
+from .scalars import Scalar, ONE, I
+from .polynomials import Poly, PolySums, x_roster, add_term, merge_rosters, mat, mat_inverse
 from .multidiff import MultiDiffOp
+from .reports import CheckError
 
 
-class HDivisionError(AssertionError):
+class HDivisionError(CheckError):
     """ad_over_h met a pair of terms whose bracket has an h^0 part, so the
     division by h left a remainder.  The message names the pair."""
 
-
-def invert_scalar_matrix(m):
-    """Exact inverse of a square Scalar matrix (Gauss-Jordan)."""
-    n = len(m)
-    a = [[Scalar.of(m[r][c]) for c in range(n)] for r in range(n)]
-    inv = [[ONE if r == c else ZERO for c in range(n)] for r in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        d = a[col][col]
-        a[col] = [v / d for v in a[col]]
-        inv[col] = [v / d for v in inv[col]]
-        for r in range(n):
-            if r != col and not a[r][col].is_zero():
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-                inv[r] = [v - f * w for v, w in zip(inv[r], inv[col])]
-    return inv
+    check = "h-division"
 
 
 class WeylContext:
@@ -102,7 +84,7 @@ class WeylContext:
             for j in range(self.dim):
                 if self.omega[i][j] != -self.omega[j][i]:
                     raise ValueError("omega must be antisymmetric")
-        self.pi = tuple(tuple(v for v in row) for row in invert_scalar_matrix(self.omega))
+        self.pi = tuple(tuple(v.as_scalar() for v in row) for row in mat_inverse(mat(self.omega)))
         self.roster = x_roster(self.dim)
         self._pi_entries = [
             (i, j, self.pi[i][j])
@@ -420,7 +402,11 @@ class WeylForm:
                 w = ctx.central_weight(a1, a2, over_h)
                 if w is not None:
                     coeffs.add_product((h_power, ()), c1, c2, w)
-        return MultiDiffOp(ctx.roster, 0, order, coeffs.polys())
+        # the operator's roster is its coefficients': a symbol's carries the jets
+        polys = coeffs.polys()
+        roster = functools.reduce(merge_rosters, (c.roster for c in polys.values()), ctx.roster)
+        return MultiDiffOp(roster, 0, order, {key: c.with_roster(roster)
+                                              for key, c in polys.items()})
 
     def _pairing(self, other, commutator, over_h, max_degree=None, sink=None, weight=1):
         """The pairing loop shared by mw, graded_comm and ad_over_h.
@@ -635,9 +621,9 @@ def poincare_potential(form: WeylForm) -> WeylForm:
     For a closed y-free q-form (q >= 1) with polynomial coefficients returns P
     with d_x P = form.  Acts per x-homogeneous piece: a monomial coefficient of
     degree m in a q-form is contracted with the Euler field and weighted
-    1/(m+q).
+    1/(m+q) (``Poly.euler_step``).
     """
-    ctx = form.ctx
+    roster = form.ctx.roster
     terms = {}
     for (k, a, J), c in form.terms.items():
         if any(a):
@@ -646,7 +632,6 @@ def poincare_potential(form: WeylForm) -> WeylForm:
         if q == 0:
             raise ValueError("Poincare potential needs form-degree >= 1")
         for pos, j in enumerate(J):
-            sign = 1 if pos % 2 == 0 else -1
-            part = c.map_x(lambda e: (e[:j] + (e[j] + 1,) + e[j + 1:], Fraction(sign, sum(e) + q)))
-            add_term(terms, (k, a, J[:pos] + J[pos + 1:]), part)
-    return WeylForm(ctx, form.trunc, terms)
+            part = c.euler_step(roster[j], roster, q)
+            add_term(terms, (k, a, J[:pos] + J[pos + 1:]), part if pos % 2 == 0 else -part)
+    return WeylForm(form.ctx, form.trunc, terms)

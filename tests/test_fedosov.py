@@ -528,3 +528,21 @@ def test_r_self_bracket_once_per_pair_matches_both_orders(name, sym4, tmp_path):
         both_orders = (setup.omega_form + r.delta() + setup.R - setup.connection.cov_deriv(r)
                        - r.ad_over_h(r, max_degree=N - 1).scale(Fraction(1, 2))).truncate(N - 1)
         assert setup._curvature_form(r) == both_orders
+
+
+def test_projected_pairing_of_a_symbol_is_on_its_coefficients_roster():
+    # a jet symbol's projection carries the jet variables in its coefficients,
+    # so the arity-0 operator is on the merged roster and can be moved along it
+    setup = Scenario.load(SCENARIOS / "curved_r2.scn").build_setup()
+    sigma = setup.tau_symbol(3, 4)
+    x1 = Poly.var(setup.sym.roster, "x1")
+    section = setup.tau(x1 ** 3, 4)
+    for op in (sigma.projected_mw(sigma, 3), section.projected_ad_over_h(sigma, 3)):
+        assert op.terms and op.roster == setup.symbol_roster
+        assert all(c.roster == op.roster for c in op.terms.values())
+        wider = op.with_roster(("x1", "x2", "x3", "xi1", "xi2"))
+        assert all(c.roster == wider.roster for c in wider.terms.values())
+        assert {k: str(c) for k, c in wider.terms.items()} == \
+               {k: str(c) for k, c in op.terms.items()}
+    # the projections of x-only forms stay on the x roster
+    assert setup.star(x1, x1, 2).roster == setup.sym.roster

@@ -1,7 +1,10 @@
 import ast
+import importlib
 from pathlib import Path
 
 import fedconn
+from fedconn import cli
+from fedconn.reports import CheckError
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fedconn"
 
@@ -107,3 +110,67 @@ def test_a_function_has_no_class_of_its_own():
     found = {path.name: sorted(bound_names(path.read_text(encoding="utf-8")) & FUNCTION_CLASSES)
              for path in sorted(SRC.glob("*.py"))}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+# bad input, which ends a run with exit 2; every other exception class of the
+# package is a failed check of the math, which ends it as a FAIL line
+INPUT_ERRORS = {"ScenarioError", "ExprError", "ExponentOverflowError"}
+
+
+def exception_classes():
+    """The exception classes that the class statements of the package define."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"fedconn.{path.stem}")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            cls = getattr(module, node.name, None) if isinstance(node, ast.ClassDef) else None
+            if isinstance(cls, type) and issubclass(cls, BaseException):
+                out.append(cls)
+    return out
+
+
+def misfiled(classes):
+    """The names of the classes that are neither bad input (a ValueError and
+    no CheckError) nor a CheckError whose check the runner describes."""
+    out = []
+    for cls in classes:
+        if cls.__name__ in INPUT_ERRORS:
+            ok = issubclass(cls, ValueError) and not issubclass(cls, CheckError)
+        else:
+            ok = issubclass(cls, CheckError) and (cls.check is None or cls.check in cli.FAILURES)
+        if not ok:
+            out.append(cls.__name__)
+    return out
+
+
+def check_names(path):
+    """The literal check names at the raise sites of one module: the second
+    argument of a CheckError call, the first of a FedosovCheckError."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            at = {"CheckError": 1, "FedosovCheckError": 0}.get(node.func.id)
+            if at is not None and len(node.args) > at and isinstance(node.args[at], ast.Constant):
+                names.add(node.args[at].value)
+    return names
+
+
+def test_every_check_failure_is_a_check_error():
+    classes = exception_classes()
+    assert {cls.__name__ for cls in classes} >= INPUT_ERRORS
+    assert misfiled(classes) == []
+    assert set().union(*map(check_names, SRC.glob("*.py"))) <= set(cli.FAILURES)
+
+
+def test_a_check_failure_outside_check_error_is_detected(tmp_path):
+    class StrayError(AssertionError):
+        pass
+
+    class UnlistedError(CheckError):
+        check = "no such check"
+
+    assert misfiled([StrayError, UnlistedError, CheckError]) == ["StrayError", "UnlistedError"]
+    stray = tmp_path / "stray.py"
+    stray.write_text('raise CheckError("w", "no such check")\n'
+                     'raise FedosovCheckError("r recursion", "w")\n')
+    assert check_names(stray) == {"no such check", "r recursion"}

@@ -14,6 +14,8 @@ from fedconn.symplectic import ConnectionFamily
 from fedconn.weylforms import HDivisionError, WeylContext, WeylForm
 from fedconn.kahler import family_directions, verify_lemma_vc1
 from fedconn.multidiff import MultiDiffOp
+from fedconn.reports import CheckError
+from fedconn import transport
 
 from conftest import RATIONAL_KAHLER, series
 from reference_cochains import ReconstructionError, operator_from_callable
@@ -530,3 +532,41 @@ def test_order1_closedness_failure_is_a_report_line(capsys, monkeypatch):
                                  "[FAIL] order-1 closedness: closedness d_T A1 = 0"]
     assert "       witness: direction t2\n" in out
     assert "       witness: directions (t1,t2)\n" in out
+
+
+@pytest.mark.parametrize("check", sorted(cli.FAILURES))
+def test_a_check_error_ends_the_run_as_its_fail_line(capsys, monkeypatch, check):
+    # raised inside the family runner after its first checks have passed
+    def failing(family, s_forms):
+        raise CheckError("the witness", check)
+
+    monkeypatch.setattr(cli, "connection_form", failing)
+    code, out, err = run_cli(capsys, "family", "--scenario", str(SCENARIOS / "family_r2.scn"))
+    assert (code, err) == (1, "")
+    assert "Traceback" not in out
+    assert "[PASS] s equation: direction t1: D_r equation and delta* normalization\n" in out
+    assert failed_lines(out) == [f"[FAIL] {check}: {cli.FAILURES[check]}"]
+    assert f"[FAIL] {check}: {cli.FAILURES[check]}\n       witness: the witness\n" in out
+
+
+@pytest.mark.parametrize("error, line", [
+    (fedosov.NotAbelianError("w"), f"[FAIL] abelian connection: {cli.ABELIAN}"),
+    (fedosov.FedosovCheckError("r recursion", "w"), f"[FAIL] r recursion: {cli.FEDOSOV['r recursion']}"),
+    (families.SolvabilityError("w"), "[FAIL] beta invariant: d_M i_V beta = V[alpha]"),
+    (families.SolvabilityError("w", "s equation", "direction t1: D_r equation"),
+     "[FAIL] s equation: direction t1: D_r equation"),
+    (transport.GaugeError("w"),
+     "[FAIL] gauge equation: inductive solution of V[P] = P A'(V) - A(V) P"),
+    (HDivisionError("w"), f"[FAIL] h-division: {cli.ALGEBRA['h-division']}"),
+    (kahler.VariationError("w"), f"[FAIL] variation bivector: {VARIATION}"),
+])
+def test_each_check_error_class_names_its_fail_line(capsys, monkeypatch, error, line):
+    def failing(self):
+        raise error
+
+    monkeypatch.setattr(Scenario, "build_setup", failing)
+    code, out, err = run_cli(capsys, "quantize", "--scenario", str(SCENARIOS / "flat_r2.scn"))
+    assert (code, err) == (1, "")
+    assert "Traceback" not in out
+    assert failed_lines(out) == [line]
+    assert f"{line}\n       witness: w\n" in out
