@@ -248,11 +248,8 @@ def run_kahler(sc: Scenario, report: Report):
     report.add("variation lemma", "V[c1] = (1/4)(Delta_G(fg) - Delta_G(f)g - Delta_G(g)f)",
                ok_all, wit_all)
     names = ("order-1 derivation", "order-1 flatness", "order-1 closedness")
-    for (name, (desc, ok, wit)) in zip(
-        names,
-        [(d, ok, wit) for (d, ok, wit) in order1_hitchin_check(
-            fam, F, sc.basis_degree, directions=directions)],
-    ):
+    for name, (desc, ok, wit) in zip(
+            names, order1_hitchin_check(fam, F, sc.basis_degree, directions=directions)):
         report.add(name, desc, ok, wit)
     for p in directions:
         status, wit = rigidity_check(fam, p)

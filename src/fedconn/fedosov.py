@@ -66,11 +66,6 @@ def jet_names(dim: int, prefix: str):
     return tuple(f"{prefix}{i}" for i in range(1, dim + 1))
 
 
-def _recoefficient(form: WeylForm, fn) -> WeylForm:
-    """The form with ``fn`` applied to each coefficient Poly."""
-    return WeylForm(form.ctx, form.trunc, {key: fn(c) for key, c in form.terms.items()})
-
-
 def _jet_degree_at_most(p: Poly, positions, degree: int) -> Poly:
     return p.map_x(lambda m: (m, 1) if sum(m[i] for i in positions) <= degree else None)
 
@@ -80,7 +75,8 @@ def _jet_wedge(a: WeylForm, positions, degree: int, sink: PolySums):
     dropping jet degree > degree.
 
     ``positions[i]`` is the place of xi_i in the coefficients' roster; the
-    signs are those of ``WeylForm.d_x`` with d/dx^i replaced by xi_i.
+    signs are those of ``WeylForm.d_x`` with d/dx^i replaced by xi_i, and
+    xi_i multiplies each coefficient as it is added.
     """
     for (k, alpha, J), c in a.terms.items():
         low = _jet_degree_at_most(c, positions, degree - 1)
@@ -89,9 +85,9 @@ def _jet_wedge(a: WeylForm, positions, degree: int, sink: PolySums):
         for i, pos in enumerate(positions):
             if i in J:
                 continue
-            raised = low.map_x(lambda m: (m[:pos] + (m[pos] + 1,) + m[pos + 1:], 1))
             before = sum(1 for j in J if j < i)
-            sink.add((k, alpha, tuple(sorted(J + (i,)))), raised, -1 if before % 2 else 1)
+            sink.add_product((k, alpha, tuple(sorted(J + (i,)))), low,
+                             Poly.var(low.roster, low.roster[pos]), -1 if before % 2 else 1)
 
 
 def solve_by_degree(derivative, parts: dict, degrees, source: WeylForm,
@@ -185,9 +181,7 @@ class FedosovSetup:
             raise ValueError("alpha must be a scalar (y-free) form")
         if any(len(J) != 2 for (_, _, J) in alpha.terms):
             raise ValueError("alpha must be a 2-form")
-        h0 = WeylForm(self.sym, alpha.trunc,
-                      {key: c for key, c in alpha.terms.items() if key[0] == 0})
-        if h0 != omega:
+        if alpha.select(lambda key: key[0] == 0) != omega:
             raise ValueError("alpha must equal omega at h^0")
         if not alpha.d_x().is_zero():
             raise ValueError("alpha must be closed in each h-order")
@@ -229,19 +223,12 @@ class FedosovSetup:
         central and brackets to zero, so e >= 1 and no read is above
         trunc - 1.  So the inner bracket is capped at trunc - 1 and the outer
         at trunc - 2, and the residues below trunc - 1 are those of the
-        uncapped D(D(y^m)), for any r.  Each D sums its three terms in one
-        PolySums.
+        uncapped D(D(y^m)), for any r.  Each D is ``D_r`` of the given r.
         """
-        def D(a, cap):
-            out = PolySums()
-            a.delta().add_to(out, -1)
-            self.connection.cov_deriv(a, out)
-            r.ad_over_h(a, max_degree=cap, sink=out)
-            return WeylForm(self.sym, min(a.trunc, r.trunc), out.polys())
         N, dim = self.trunc, self.sym.dim
         generators = (WeylForm.y_monomial(self.sym, N, tuple(int(q == m) for q in range(dim)))
                       for m in range(dim))
-        return [D(D(ym, N - 1), N - 2).truncate(N - 2) for ym in generators]
+        return [self.D_r(self.D_r(ym, N - 1, r), N - 2, r).truncate(N - 2) for ym in generators]
 
     def _check_flatness(self, r: WeylForm):
         """D_r^2 = 0 below degree trunc - 1, probed on the fiber generators."""
@@ -288,8 +275,7 @@ class FedosovSetup:
         residue survives there.
         """
         W = self._curvature_form(r)
-        scalar = WeylForm(self.sym, W.trunc,
-                          {key: c for key, c in W.terms.items() if not any(key[1])})
+        scalar = W.select(lambda key: not any(key[1]))
         d = (W - scalar).lowest_degree()
         if d is not None:
             raise NotAbelianError(
@@ -300,15 +286,17 @@ class FedosovSetup:
 
     # -- the abelian connection and its flat sections -------------------------------
 
-    def D_r(self, a: WeylForm, max_degree: int = None) -> WeylForm:
+    def D_r(self, a: WeylForm, max_degree: int = None, r: WeylForm = None) -> WeylForm:
         """-delta a + d_nabla a + ad_over_h(r, a), with the bracket capped at
         ``max_degree`` (None: the truncation), its terms summed in one
-        PolySums."""
+        PolySums.  r is the solved r unless another is given, as the checks
+        of a candidate r do before it is stored."""
+        r = self.r if r is None else r
         out = PolySums()
         a.delta().add_to(out, -1)
         self.connection.cov_deriv(a, out)
-        self.r.ad_over_h(a, max_degree, sink=out)
-        return WeylForm(self.sym, min(a.trunc, self.r.trunc), out.polys())
+        r.ad_over_h(a, max_degree, sink=out)
+        return WeylForm(self.sym, min(a.trunc, r.trunc), out.polys())
 
     def _depth(self, max_degree):
         return self.trunc if max_degree is None else min(max_degree, self.trunc)
@@ -380,7 +368,7 @@ class FedosovSetup:
                 top = 0
                 symbol = WeylForm(self.sym, self.trunc,
                                   {(0, (0,) * self.sym.dim, ()): Poly.const(roster, 1)})
-            r_parts = {d: _recoefficient(a, lambda c: c.with_roster(roster))
+            r_parts = {d: a.map_coefficients(lambda c: c.with_roster(roster))
                        for d, a in self._r_parts.items()}
             def derivative(a, sink):
                 self.connection.cov_deriv(a, sink)
@@ -392,7 +380,7 @@ class FedosovSetup:
             )
             self._symbol = (jet, target, symbol)
         if jet > degree:
-            symbol = _recoefficient(symbol, lambda c: _jet_degree_at_most(c, positions, degree))
+            symbol = symbol.map_coefficients(lambda c: _jet_degree_at_most(c, positions, degree))
         return symbol if target == depth else symbol.up_to_degree(depth)
 
     # -- the star product ---------------------------------------------------------------
@@ -433,10 +421,10 @@ class FedosovSetup:
         etas = jet_names(self.sym.dim, "eta")
         full = merge_rosters(self.symbol_roster, etas)
         renamed = tuple(dict(zip(self.jets, etas)).get(name, name) for name in self.symbol_roster)
-        sigma_xi = _recoefficient(sigma, lambda c: c.with_roster(full))
+        sigma_xi = sigma.map_coefficients(lambda c: c.with_roster(full))
         # the renaming keeps every position, so each coefficient keeps its terms
-        sigma_eta = _recoefficient(
-            sigma, lambda c: Poly._new(renamed, c.terms, c.q, c.den).with_roster(full))
+        sigma_eta = sigma.map_coefficients(
+            lambda c: Poly._new(renamed, c.terms, c.q, c.den).with_roster(full))
         op = operator_from_symbol(roster, order, sigma_xi.projected_mw(sigma_eta, order),
                                   (self.jets, etas))
         # evaluation just past the naturality bound guards the order-<=-k claim

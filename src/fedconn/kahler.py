@@ -308,12 +308,8 @@ class LinearKahlerFamily:
         return body.scale(-Scalar(Fraction(1, 4))).apply(f).poly(0)
 
     def operator_H(self, direction: str, F: Poly) -> Poly:
-        """H(V) = E(V)(1) = (1/2)(Delta_{G}(F) + n V[F]), Delta_G = ``_second_order(G)``."""
-        F = F.with_roster(self.sym.roster)
-        G = self.variation(direction).G
-        n = self.sym.dim // 2
-        return (self._second_order(G).apply(F).poly(0)
-                + F.differentiate(direction).scale(n)).scale(HALF)
+        """H(V) = E(V)(1) = (1/2)(Delta_{G}(F) + n V[F])."""
+        return self.operator_E(direction, F, Poly.const(self.sym.roster, 1))
 
 
 def _vc1_witness(fam: LinearKahlerFamily, direction: str, other: MultiDiffOp, basis_degree: int):

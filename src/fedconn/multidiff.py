@@ -187,17 +187,21 @@ class MultiDiffOp:
             add_term(out, key, c)
         return MultiDiffOp(roster, self.arity, min(self.order, other.order), out)
 
-    def __neg__(self):
+    def map_coefficients(self, fn) -> "MultiDiffOp":
+        """``fn`` applied to each coefficient Poly, at the same roster, arity
+        and order; a term whose image is zero is dropped."""
         return MultiDiffOp(self.roster, self.arity, self.order,
-                           {k: -c for k, c in self.terms.items()})
+                           {key: fn(c) for key, c in self.terms.items()})
+
+    def __neg__(self):
+        return self.map_coefficients(operator.neg)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, value) -> "MultiDiffOp":
         c = value if isinstance(value, Poly) else Scalar.of(value)
-        return MultiDiffOp(self.roster, self.arity, self.order,
-                           {k: p.scale(c) for k, p in self.terms.items()})
+        return self.map_coefficients(lambda p: p.scale(c))
 
     def shift_h(self, j: int) -> "MultiDiffOp":
         out = {}
@@ -211,12 +215,10 @@ class MultiDiffOp:
         return MultiDiffOp(self.roster, self.arity, min(self.order, order), self.terms)
 
     def t_derivative(self, name: str) -> "MultiDiffOp":
-        return MultiDiffOp(self.roster, self.arity, self.order,
-                           {key: c.differentiate(name) for key, c in self.terms.items()})
+        return self.map_coefficients(lambda c: c.differentiate(name))
 
     def subs_params(self, values: dict) -> "MultiDiffOp":
-        return MultiDiffOp(self.roster, self.arity, self.order,
-                           {key: c.subs_params(values) for key, c in self.terms.items()})
+        return self.map_coefficients(lambda c: c.subs_params(values))
 
     def __eq__(self, other):
         if not isinstance(other, MultiDiffOp):

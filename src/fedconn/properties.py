@@ -81,21 +81,20 @@ def random_multidiffop(roster, rng: random.Random, arity: int, order: int,
 # identity batteries
 # ---------------------------------------------------------------------------
 
+def _run(name, fn, trials: int):
+    """(name, ok, witness) for ``fn`` on ``trials`` seeded instances,
+    stopping at the first that fails."""
+    for trial in range(trials):
+        if not fn():
+            return name, False, f"failed on seeded instance {trial}"
+    return name, True, None
+
+
 def weyl_battery(sym: SymplecticData, trunc: int, rng: random.Random, count: int):
     """Exact identities of the Weyl calculus on `count` random instances each.
 
     Returns a list of (name, ok, witness).
     """
-    results = []
-
-    def run(name, fn):
-        for trial in range(count):
-            ok = fn()
-            if not ok:
-                results.append((name, False, f"failed on seeded instance {trial}"))
-                return
-        results.append((name, True, None))
-
     def homotopy():
         a = random_weyl_form(sym, trunc, rng)
         return a.center_part() + a.delta().delta_inv() + a.delta_inv().delta() == a
@@ -133,9 +132,9 @@ def weyl_battery(sym: SymplecticData, trunc: int, rng: random.Random, count: int
         b = random_weyl_form(sym, trunc, rng, terms=3)
         swapped = WeylForm.zero(sym, trunc)
         for q in b.form_degrees():
-            bq = WeylForm(sym, trunc, {kk: v for kk, v in b.terms.items() if len(kk[2]) == q})
+            bq = b.select(lambda key: len(key[2]) == q)
             for p in a.form_degrees():
-                ap = WeylForm(sym, trunc, {kk: v for kk, v in a.terms.items() if len(kk[2]) == p})
+                ap = a.select(lambda key: len(key[2]) == p)
                 term = bq.mw(ap)
                 swapped = swapped + (term if (p * q) % 2 == 0 else -term)
         return a.graded_comm(b) == a.mw(b) - swapped
@@ -148,15 +147,16 @@ def weyl_battery(sym: SymplecticData, trunc: int, rng: random.Random, count: int
         cut = a.truncate(lower).mw(b.truncate(lower))
         return full == cut
 
-    run("homotopy identity", homotopy)
-    run("delta and delta* are differentials", nilpotent)
-    run("Moyal-Weyl associativity", mw_assoc)
-    run("Moyal-Weyl unit", unit)
-    run("h-divisibility of commutators", h_divisible)
-    run("delta = -ad_over_h(omega_tilde)", delta_as_ad)
-    run("graded commutator consistency", comm_vs_ad)
-    run("truncation soundness", truncation_soundness)
-    return results
+    return [_run(name, fn, count) for name, fn in (
+        ("homotopy identity", homotopy),
+        ("delta and delta* are differentials", nilpotent),
+        ("Moyal-Weyl associativity", mw_assoc),
+        ("Moyal-Weyl unit", unit),
+        ("h-divisibility of commutators", h_divisible),
+        ("delta = -ad_over_h(omega_tilde)", delta_as_ad),
+        ("graded commutator consistency", comm_vs_ad),
+        ("truncation soundness", truncation_soundness),
+    )]
 
 
 def cochain_battery(sym: SymplecticData, order: int, rng: random.Random, count: int):
@@ -166,17 +166,8 @@ def cochain_battery(sym: SymplecticData, order: int, rng: random.Random, count: 
     deterministic and decided once; the others on ``count`` seeded random
     operators each.
     """
-    results = []
     roster = sym.roster
     star = StarTruncation.moyal(sym, order).op
-
-    def run(name, fn, trials=count):
-        for trial in range(trials):
-            ok = fn()
-            if not ok:
-                results.append((name, False, f"failed on seeded instance {trial}"))
-                return
-        results.append((name, True, None))
 
     def sign(a, b):
         # (-1)^{|a||b|} for the degrees |a| = arity - 1
@@ -201,8 +192,9 @@ def cochain_battery(sym: SymplecticData, order: int, rng: random.Random, count: 
         b = random_multidiffop(roster, rng, rng.randint(1, 2), order, terms=2)
         return (a.bracket(b) + b.bracket(a).scale(sign(a, b))).is_zero()
 
-    run("[star, star] vanishes", star_self_bracket, trials=1)
-    run("d_H squared vanishes", dH_squared)
-    run("graded Jacobi identity", graded_jacobi)
-    run("graded antisymmetry", antisymmetry)
-    return results
+    return [_run(name, fn, trials) for name, fn, trials in (
+        ("[star, star] vanishes", star_self_bracket, 1),
+        ("d_H squared vanishes", dH_squared, count),
+        ("graded Jacobi identity", graded_jacobi, count),
+        ("graded antisymmetry", antisymmetry, count),
+    )]

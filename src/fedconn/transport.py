@@ -10,12 +10,14 @@ parameter space is built by the induction
     B_{l+1}(V) h^{l+1} = V[P^{(l)}] - (P^{(l)} A'(V) - A(V) P^{(l)})  mod h^{l+2},
 
 checking that the operator-valued 1-form B_{l+1} is closed (this is where
-flatness enters) and integrating it with the Poincare homotopy on R^m.
+flatness enters) and integrating it with the Poincare homotopy on R^m
+(``oneform_potential``, whose one-direction case is the antiderivative of
+the transport).
 """
 
 from __future__ import annotations
 
-from .polynomials import Poly, T_ONE
+from .polynomials import T_ONE
 from .multidiff import MultiDiffOp
 from .families import FamilyContext, ConnectionOneForm
 from .reports import CheckError
@@ -28,11 +30,18 @@ class GaugeError(CheckError, ValueError):
     description = "inductive solution of V[P] = P A'(V) - A(V) P"
 
 
-def _op_t_antiderivative(op: MultiDiffOp, name: str) -> MultiDiffOp:
-    out = {}
-    for key, c in op.terms.items():
-        out[key] = c.antiderivative(name)
-    return MultiDiffOp(op.roster, op.arity, op.order, out)
+def oneform_potential(forms: dict, params) -> MultiDiffOp:
+    """The potential, zero at the origin, of the closed operator-valued
+    1-form sum_j forms[j] dt^j on the parameter space R^m with coordinates
+    ``params``: the Euler homotopy, which takes a t-monomial of degree m in
+    the direction-j component to t_j * monomial / (m + 1)
+    (``Poly.euler_step``).  With one direction it is the antiderivative from
+    0.  Every coefficient must be polynomial in t."""
+    if any(c.den is not T_ONE for op in forms.values() for c in op.terms.values()):
+        raise ValueError("an operator-valued 1-form must be polynomial in the parameters")
+    parts = [op.map_coefficients(lambda c, j=j: c.euler_step(j, params))
+             for j, op in forms.items()]
+    return sum(parts[1:], parts[0])
 
 
 def parallel_transport(family: FamilyContext, A: ConnectionOneForm, axis: str,
@@ -57,7 +66,7 @@ def parallel_transport(family: FamilyContext, A: ConnectionOneForm, axis: str,
         rhs = MultiDiffOp.zero(roster, 1, 0)
         for k in range(1, l + 1):
             rhs = rhs + a_layers[k].compose(layers[l - k])
-        layers[l] = _op_t_antiderivative(-rhs, axis)
+        layers[l] = oneform_potential({axis: -rhs}, (axis,))
     phi = MultiDiffOp.zero(roster, 1, K)
     for l, op in layers.items():
         phi = phi + MultiDiffOp(roster, 1, K, {(l, slots): c for (_, slots), c in op.terms.items()})
@@ -113,36 +122,6 @@ def conjugation_check(family: FamilyContext, phi: MultiDiffOp, axis: str,
     return True, None
 
 
-def _t_poincare_oneform(coeffs: dict, params, roster) -> Poly:
-    """Potential of a closed 1-form on parameter space with Poly-in-x values.
-
-    coeffs maps direction -> Poly; every coefficient must be polynomial in t.
-    A monomial of t-degree m in the direction-j component contributes
-    t_j * monomial / (m + 1) (``Poly.euler_step``).
-    """
-    out = Poly.zero(roster)
-    for j, c in coeffs.items():
-        if c.den is not T_ONE:
-            raise ValueError("gauge data must be polynomial in the parameters")
-        out = out + c.euler_step(j, params)
-    return out
-
-
-def _op_oneform_potential(forms: dict, params, roster, arity=1) -> MultiDiffOp:
-    """Integrate an operator-valued closed 1-form on R^m from the origin."""
-    keys = set()
-    for op in forms.values():
-        keys |= set(op.terms)
-    terms = {}
-    for key in keys:
-        coeffs = {j: forms[j].terms.get(key, Poly.zero(roster)) for j in forms}
-        p = _t_poincare_oneform(coeffs, params, roster)
-        if not p.is_zero():
-            terms[key] = p
-    order = min(op.order for op in forms.values())
-    return MultiDiffOp(roster, arity, order, terms)
-
-
 def gauge_equivalence(family: FamilyContext, A: ConnectionOneForm, A2: ConnectionOneForm,
                       order: int = None) -> MultiDiffOp:
     """P = id + O(h) with V[P] = P A'(V) - A(V) P mod h^{K+1} (A' = A2).
@@ -186,7 +165,7 @@ def gauge_equivalence(family: FamilyContext, A: ConnectionOneForm, A2: Connectio
                         f"connections not flat / hypothesis violated at order h^{l+1}: "
                         f"d_T B({v},{w}) = {closed}"
                     )
-        Pl = -_op_oneform_potential(B, params, roster)
+        Pl = -oneform_potential(B, params)
         for p in params:
             if Pl.t_derivative(p) != -B[p]:
                 raise GaugeError(

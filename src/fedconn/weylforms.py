@@ -50,13 +50,14 @@ A caller that sums brackets with other terms passes its own PolySums as
 ``ad_over_h``'s ``sink``, with a weight, and ``d_x`` and ``add_to`` add into
 a sink the same way: the degree recursion, D_r and the Weyl curvature form
 of ``fedosov`` reduce each coefficient of their sum once, in the sink's
-``polys()``, and not once per ``WeylForm.__add__``.  ``delta`` and
-``delta_inv`` sum their weighted terms in one PolySums too.
+``polys()``, and not once per ``WeylForm.__add__``.  ``delta``, ``delta_star``
+and ``delta_inv`` sum their weighted terms in one PolySums too.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from fractions import Fraction
 
 from .scalars import Scalar, ONE, I
@@ -275,18 +276,23 @@ class WeylForm:
     def truncate(self, trunc: int) -> "WeylForm":
         return WeylForm(self.ctx, min(self.trunc, trunc), self.terms)
 
+    def select(self, keep) -> "WeylForm":
+        """The terms whose key (h-power, alpha, J) ``keep`` accepts, at the
+        same truncation."""
+        return WeylForm(self.ctx, self.trunc,
+                        {key: c for key, c in self.terms.items() if keep(key)})
+
+    def map_coefficients(self, fn) -> "WeylForm":
+        """``fn`` applied to each coefficient Poly, at the same truncation;
+        a term whose image is zero is dropped."""
+        return WeylForm(self.ctx, self.trunc, {key: fn(c) for key, c in self.terms.items()})
+
     def homogeneous(self, degree: int) -> "WeylForm":
-        return WeylForm(
-            self.ctx, self.trunc,
-            {key: c for key, c in self.terms.items() if 2 * key[0] + sum(key[1]) == degree},
-        )
+        return self.select(lambda key: 2 * key[0] + sum(key[1]) == degree)
 
     def up_to_degree(self, degree: int) -> "WeylForm":
         """The terms of total degree <= ``degree``, at the same truncation."""
-        return WeylForm(
-            self.ctx, self.trunc,
-            {key: c for key, c in self.terms.items() if 2 * key[0] + sum(key[1]) <= degree},
-        )
+        return self.select(lambda key: 2 * key[0] + sum(key[1]) <= degree)
 
     def by_degree(self) -> dict:
         """The nonzero homogeneous parts, keyed by total degree in rising order."""
@@ -328,16 +334,14 @@ class WeylForm:
             sink.add(key, c, weight)
 
     def __neg__(self):
-        return WeylForm(self.ctx, self.trunc, {k: -c for k, c in self.terms.items()})
+        return self.map_coefficients(operator.neg)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, value) -> "WeylForm":
         c = value if isinstance(value, Poly) else Scalar.of(value)
-        if c.is_zero():
-            return WeylForm(self.ctx, self.trunc)
-        return WeylForm(self.ctx, self.trunc, {k: p.scale(c) for k, p in self.terms.items()})
+        return self.map_coefficients(lambda p: p.scale(c))
 
     def shift_h(self, j: int) -> "WeylForm":
         out = {}
@@ -500,26 +504,23 @@ class WeylForm:
         only on the degree-d input, so the result is complete one degree
         beyond the input truncation; nothing may be dropped.
         """
-        out = {}
-        for (k, a, J), c in self.terms.items():
-            for pos, i in enumerate(J):
-                na = a[:i] + (a[i] + 1,) + a[i + 1:]
-                nJ = J[:pos] + J[pos + 1:]
-                add_term(out, (k, na, nJ), c if pos % 2 == 0 else -c)
-        return WeylForm(self.ctx, self.trunc + 1, out)
+        return self._delta_star(False)
 
     def delta_inv(self) -> "WeylForm":
         """(1/(p+q)) delta* on the (y-degree p, form-degree q) component; 0 on p+q=0.
 
-        Like delta*, complete one degree past the input truncation.  The
-        terms are summed in one PolySums.
+        Like delta*, complete one degree past the input truncation.
         """
+        return self._delta_star(True)
+
+    def _delta_star(self, inverse: bool) -> "WeylForm":
+        """delta*, each term weighted 1/(p+q) when ``inverse``, summed in one
+        PolySums.  delta* keeps p + q, and a term with p + q = 0 has no dx."""
         out = PolySums()
         for (k, a, J), c in self.terms.items():
-            p, q = sum(a), len(J)
-            if p + q == 0:
+            if not J:
                 continue
-            w = Scalar._make(1, 0, p + q)
+            w = Scalar._make(1, 0, sum(a) + len(J)) if inverse else 1
             for pos, i in enumerate(J):
                 na = a[:i] + (a[i] + 1,) + a[i + 1:]
                 nJ = J[:pos] + J[pos + 1:]
@@ -527,10 +528,7 @@ class WeylForm:
         return WeylForm(self.ctx, self.trunc + 1, out.polys())
 
     def center_part(self) -> "WeylForm":
-        return WeylForm(
-            self.ctx, self.trunc,
-            {key: c for key, c in self.terms.items() if not any(key[1]) and not key[2]},
-        )
+        return self.select(lambda key: not any(key[1]) and not key[2])
 
     def project_function(self, order=None) -> MultiDiffOp:
         """The map p: form-degree-0 sections to formal functions, as arity-0
@@ -539,12 +537,9 @@ class WeylForm:
             raise ValueError("projection requires a form of dx-degree zero")
         if order is None:
             order = self.trunc // 2
-        coeffs = {}
-        for (k, a, J), c in self.terms.items():
-            if any(a):
-                continue
-            add_term(coeffs, (k, ()), c)
-        return MultiDiffOp(self.ctx.roster, 0, order, coeffs)
+        # a y-free term of a 0-form is the only one at its h-power
+        return MultiDiffOp(self.ctx.roster, 0, order,
+                           {(k, ()): c for (k, a, _), c in self.terms.items() if not any(a)})
 
     # -- flat exterior derivative in x -------------------------------------------
 
@@ -568,20 +563,10 @@ class WeylForm:
     # -- parameter dependence ------------------------------------------------------
 
     def t_derivative(self, name: str) -> "WeylForm":
-        out = {}
-        for key, c in self.terms.items():
-            d = c.differentiate(name)
-            if not d.is_zero():
-                out[key] = d
-        return WeylForm(self.ctx, self.trunc, out)
+        return self.map_coefficients(lambda c: c.differentiate(name))
 
     def subs_params(self, values: dict) -> "WeylForm":
-        out = {}
-        for key, c in self.terms.items():
-            v = c.subs_params(values)
-            if not v.is_zero():
-                out[key] = v
-        return WeylForm(self.ctx, self.trunc, out)
+        return self.map_coefficients(lambda c: c.subs_params(values))
 
     # -- printing -------------------------------------------------------------------
 

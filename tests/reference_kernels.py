@@ -166,6 +166,16 @@ def delta_by_sums(a):
     return WeylForm(a.ctx, a.trunc, out)
 
 
+def delta_star_by_terms(a):
+    """``WeylForm.delta_star``, each term added on its own."""
+    out = {}
+    for (k, alpha, J), c in a.terms.items():
+        for pos, i in enumerate(J):
+            na = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
+            add_term(out, (k, na, J[:pos] + J[pos + 1:]), c if pos % 2 == 0 else -c)
+    return WeylForm(a.ctx, a.trunc + 1, out)
+
+
 def delta_inv_by_sums(a):
     """``WeylForm.delta_inv``, each term scaled and added on its own."""
     out = {}

@@ -484,8 +484,8 @@ def _outer(frame, cap):
 
 
 @pytest.mark.parametrize("cls, name, caller, which, cmd, scenario, check", [
-    (WeylForm, "ad_over_h", "D", _inner, "quantize", "curved_r2.scn", "flatness of D_r"),
-    (WeylForm, "ad_over_h", "D", _outer, "quantize", "curved_r2.scn", "flatness of D_r"),
+    (WeylForm, "ad_over_h", "D_r", _inner, "quantize", "curved_r2.scn", "flatness of D_r"),
+    (WeylForm, "ad_over_h", "D_r", _outer, "quantize", "curved_r2.scn", "flatness of D_r"),
     (WeylForm, "ad_over_h", "_curvature_form", None, "quantize", "curved_r2.scn",
      "abelian connection"),
     (FedosovSetup, "D_r", "solve_s", None, "family", "family_r2.scn", "s equation"),

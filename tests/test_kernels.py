@@ -5,7 +5,7 @@ references, for exact equality.
 ``MultiDiffOp.compose_at`` skip the pairs that cannot contribute before
 multiplying and sum each output coefficient once through ``PolySums``;
 ``reference_kernels`` scales and adds every contribution on its own.  delta,
-delta_inv, the degree recursion, ``cov_deriv``, D_r, the Weyl curvature form
+delta*, delta_inv, the degree recursion, ``cov_deriv``, D_r, the Weyl curvature form
 and the Gerstenhaber bracket add their terms into one ``PolySums``; the
 references add scaled terms, whole forms and operators one at a time.  The cases cover coefficients
 rational in t, coefficients on a jet-symbol roster mixed with x-roster ones
@@ -33,8 +33,8 @@ from fedconn.properties import random_weyl_form, random_multidiffop, random_poly
 from conftest import series
 from reference_kernels import (
     pairing_by_products, compose_at_by_products, cov_deriv_by_sums, solve_by_degree_by_sums,
-    D_r_by_sums, curvature_form_by_sums, bracket_by_sums, delta_by_sums, delta_inv_by_sums,
-    partial_apply_by_loops, jet_wedge_by_terms,
+    D_r_by_sums, curvature_form_by_sums, bracket_by_sums, delta_by_sums, delta_star_by_terms,
+    delta_inv_by_sums, partial_apply_by_loops, jet_wedge_by_terms,
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -326,7 +326,7 @@ def form_degree(form, q):
 def test_delta_and_delta_inv_match_the_chained_sums(sym2, sym4, seed):
     # -c y^(alpha + e_j - e_i) dx^i beside c y^alpha dx^j: both reach
     # y^(alpha - e_i) dx^i dx^j under delta and y^(alpha + e_j) under
-    # delta_inv, where they cancel
+    # delta* and delta_inv, where they cancel
     rng = random.Random(1505 + seed)
     sym = sym4 if seed % 2 else sym2
     cancelled = False
@@ -340,6 +340,7 @@ def test_delta_and_delta_inv_match_the_chained_sums(sym2, sym4, seed):
         b = a + WeylForm(sym, a.trunc, moved)
         for form in (a, b):
             assert_same(form.delta(), delta_by_sums(form))
+            assert_same(form.delta_star(), delta_star_by_terms(form))
             assert_same(form.delta_inv(), delta_inv_by_sums(form))
         cancelled |= len(b.delta_inv().terms) < len(a.delta_inv().terms) + len(moved)
     assert cancelled
@@ -369,8 +370,8 @@ def test_jet_wedge_matches_the_term_sums(sym2, seed):
     rng = random.Random(1550 + seed)
     positions = [SYMBOL2.index(name) for name in ("xi1", "xi2")]
     for _ in range(3):
-        a, before = (fedosov._recoefficient(mixed_form(sym2, rng, terms=6, max_y=3),
-                                            lambda c: c.with_roster(SYMBOL2)) for _ in range(2))
+        a, before = (mixed_form(sym2, rng, terms=6, max_y=3).map_coefficients(
+                         lambda c: c.with_roster(SYMBOL2)) for _ in range(2))
         for degree in range(4):
             sink = PolySums()
             before.add_to(sink)

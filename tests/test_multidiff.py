@@ -28,6 +28,20 @@ def d_op(a, coeff=1, h=0, order=4):
     return MultiDiffOp(R2, 1, order, {(h, (a,)): Poly.const(R2, coeff)})
 
 
+def test_map_coefficients_drops_zero_images_and_keeps_the_shape():
+    roster = R2 + ("xi1",)
+    op = MultiDiffOp(roster, 2, 3, {
+        (0, ((0, 0, 0), (1, 0, 0))): parse_poly("x1*t1 + xi1", roster),
+        (2, ((0, 1, 0), (0, 0, 0))): parse_poly("x2", roster),
+    })
+    d = op.map_coefficients(lambda c: c.differentiate("t1"))
+    assert (d.roster, d.arity, d.order) == (roster, 2, 3)
+    assert d.terms == {(0, ((0, 0, 0), (1, 0, 0))): parse_poly("x1", roster)}
+    zero = op.map_coefficients(lambda c: c.scale(0))
+    assert zero.is_zero() and (zero.roster, zero.arity, zero.order) == (roster, 2, 3)
+    assert op.t_derivative("t1") == d and op.scale(0) == zero
+
+
 def test_pointwise_self_bracket_vanishes():
     m0 = StarTruncation.pointwise(R2, 4)
     br = gerstenhaber(m0, m0)

@@ -24,6 +24,12 @@ REPORT_SHA256 = {
     ("family", "family2_r2.scn"): "9984f12ce1cbb2c4433ff15441a1d486f852c5457386f1493e416068009dcc1f",
     ("gauge", "family_r2.scn"): "d2db6994787d0deb7fac68860653d281e1962dfd2bac827ac25ed5517eae82ab",
     ("verify-all", "family_r2.scn"): "2d7337091bfa3fb496abe3634fe78a9c29f0e631aa13fb60136efe5755257c31",
+    # the Weyl battery of every scenario: delta*, the term filters, scaling and negation
+    ("verify-all", "curved_r2.scn"): "fe6d9eb9df04b204f245fd4c1479084090a9f22ba8806721de337090de84e369",
+    ("verify-all", "family2_r2.scn"): "fb2267b57664e1ca0b58bd964d2fcdc3716bb7d89d29cdb41e862676f785d913",
+    ("verify-all", "flat_r2.scn"): "e040d68545a01a7872cc4440eb95a9ff99330b667df53566d776d14c143dabea",
+    ("verify-all", "kahler_r2.scn"): "528f6b17b35e8e9f4069c4248bada83d819adfe876ba68ccbc99110da43dc7c0",
+    ("verify-all", "kahler_r4.scn"): "bb8e64698f872717314111d5487efab3487e2e0f062eac0213ac45bd08472357",
     ("kahler", "kahler_r2.scn"): "ac6611ee368bdd3877ccf3a8e38111e6810a87b3f8f2be7c8fc28b3a9351fec6",
     ("kahler", "kahler_r4.scn"): "8765fb2f81f46afd319341d541e8a5c70ed9556bd99f4116067c3eeb22a18a05",
 }

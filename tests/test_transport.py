@@ -12,7 +12,7 @@ from fedconn.families import FamilyContext, ConnectionOneForm, connection_form, 
 from fedconn.multidiff import MultiDiffOp, StarTruncation
 from fedconn.transport import (
     parallel_transport, invert, conjugation_check, gauge_equivalence,
-    self_equivalence_check, flatness_check, GaugeError,
+    self_equivalence_check, flatness_check, GaugeError, oneform_potential,
 )
 from fedconn.cli import main, GAUGE_EQUATION
 
@@ -266,3 +266,28 @@ def test_gauge_check_failures_are_report_lines(monkeypatch, capsys, keep, witnes
     assert [line for line in out.splitlines() if line.startswith("[FAIL]")] == [
         f"[FAIL] gauge equation: {GAUGE_EQUATION}"]
     assert f"       witness: {witness}\n" in out
+
+
+def test_oneform_potential_gives_back_an_operator_from_its_differential():
+    # P polynomial in t1 and t2 with P = 0 at t = 0, over several h-orders and slots
+    roster = ("x1", "x2")
+    P = MultiDiffOp(roster, 1, 2, {
+        (0, ((1, 0),)): parse_poly("t1*x2 + t2^2", roster),
+        (1, ((0, 1),)): parse_poly("t1*t2 - 3*t1^3*x1", roster),
+        (2, ((0, 0),)): parse_poly("i*t2 + t1*t2^2/5", roster),
+    })
+    potential = oneform_potential({p: P.t_derivative(p) for p in ("t1", "t2")}, ("t1", "t2"))
+    assert potential == P and (potential.roster, potential.arity) == (P.roster, P.arity)
+    # one direction: the antiderivative from 0
+    Q = P.subs_params({"t2": 0})
+    assert oneform_potential({"t1": Q.t_derivative("t1")}, ("t1",)) == Q
+
+
+@pytest.mark.parametrize("text, params", [("x1/(t1 + 2)", ("t1",)),
+                                          ("x1/(t2 + 1)", ("t1", "t2"))])
+def test_oneform_potential_rejects_data_rational_in_t(text, params):
+    # also when the pole is in a direction the component is not integrated along
+    roster = ("x1", "x2")
+    form = MultiDiffOp(roster, 1, 2, {(1, ((1, 0),)): parse_poly(text, roster)})
+    with pytest.raises(ValueError, match="polynomial in the parameters"):
+        oneform_potential({"t1": form}, params)

@@ -183,6 +183,29 @@ def test_capped_pairings_match_full_products(sym2, sym4):
     assert dropped > 1000
 
 
+def test_map_coefficients_drops_zero_images_and_keeps_the_truncation(sym2):
+    roster = sym2.roster
+    a = WeylForm(sym2, 6, {(0, (1, 0), ()): parse_poly("x1 + t1", roster),
+                           (1, (0, 2), (0,)): parse_poly("x2", roster),
+                           (0, (0, 0), (0, 1)): parse_poly("t1^2", roster)})
+    d = a.map_coefficients(lambda c: c.differentiate("t1"))
+    assert d.trunc == 6
+    assert d.terms == {(0, (1, 0), ()): parse_poly("1", roster),
+                       (0, (0, 0), (0, 1)): parse_poly("2*t1", roster)}
+    zero = a.map_coefficients(lambda c: c.scale(0))
+    assert zero.is_zero() and zero.trunc == 6
+    assert a.t_derivative("t1") == d and a.scale(0) == zero
+
+
+def test_select_keeps_the_accepted_terms_at_the_truncation(sym2):
+    a = random_weyl_form(sym2, 7, random.Random(11), terms=10)
+    ones = a.select(lambda key: len(key[2]) == 1)
+    rest = a.select(lambda key: len(key[2]) != 1)
+    assert ones.trunc == rest.trunc == 7
+    assert ones.form_degrees() == [1] and 1 not in rest.form_degrees()
+    assert ones + rest == a
+
+
 def test_poincare_potential(sym2):
     om = WeylForm.omega_form(sym2, 8)
     pot = poincare_potential(om)
