@@ -55,11 +55,11 @@ print("characteristic form reproduces alpha:",
 
 star = setup.extract_star(3)
 print("\nstar coefficients as bidifferential operators:")
-for line in star.op.serialize().splitlines()[:8]:
+for line in star.serialize().splitlines()[:8]:
     print(" ", line)
 print("  ...")
 
-for name, ok, wit in validate_star_axioms(star, sym, 2):
+for name, ok, wit in validate_star_axioms(star, sym, 2, random.Random(0)):
     print(f"axiom [{name}]: {'ok' if ok else wit}")
 
 rng = random.Random(0)

@@ -12,7 +12,7 @@ from .polynomials import (
 from .weylforms import WeylContext, WeylForm, omega_tilde, poincare_potential
 from .symplectic import SymplecticData, ConnectionFamily
 from .fedosov import FedosovSetup, NotAbelianError, taylor_flat_section, validate_star_axioms
-from .multidiff import MultiDiffOp, StarTruncation, is_derivation, inner_potential
+from .multidiff import MultiDiffOp, moyal_star, is_derivation, inner_potential
 from .families import (
     FamilyContext, TrivializationBeta, ConnectionOneForm, SolvabilityError,
     trivialize_alpha, solve_s, connection_form, verify_compatibility,

@@ -139,7 +139,7 @@ def list_checks() -> str:
 
 def _monomial_table(report, star, degree):
     report.note("star products on the monomial basis:")
-    for (f, g), value in star.op.basis_table(degree):
+    for (f, g), value in star.basis_table(degree):
         report.note(f"  ({f}) * ({g}) = {value}")
 
 
@@ -149,10 +149,10 @@ def run_quantize(sc: Scenario, report: Report):
     rng = random.Random(sc.seed)
     for name, ok, wit in validate_star_axioms(star, setup.sym, sc.basis_degree, rng=rng):
         report.add("star axioms", name, ok, wit)
-    natural = all(star.op.slot_order(k) <= k for k in range(sc.order + 1))
+    natural = all(star.slot_order(k) <= k for k in range(sc.order + 1))
     report.add("naturality", NATURALITY, natural)
     report.note("coefficients:")
-    for line in star.op.serialize().splitlines():
+    for line in star.serialize().splitlines():
         report.note(f"  {line}")
     _monomial_table(report, star, min(sc.basis_degree, 2))
     return report

@@ -30,7 +30,7 @@ from .polynomials import (
 from .weylforms import WeylForm, poincare_potential
 from .symplectic import ConnectionFamily
 from .fedosov import FedosovSetup, solve_by_degree
-from .multidiff import MultiDiffOp, StarTruncation, operator_from_symbol, unit_vectors
+from .multidiff import MultiDiffOp, operator_from_symbol, unit_vectors
 from .reports import CheckError
 
 
@@ -65,14 +65,10 @@ class FamilyContext:
         self._star = None
 
     @property
-    def star(self) -> StarTruncation:
+    def star(self) -> MultiDiffOp:
         if self._star is None:
             self._star = self.setup.extract_star(self.order)
         return self._star
-
-    def variation_star(self, direction: str) -> MultiDiffOp:
-        """V[star]: the arity-2 cochain with coefficients V[c^k]."""
-        return self.star.variation(direction)
 
 
 class TrivializationBeta:
@@ -210,7 +206,7 @@ class ConnectionOneForm:
         """
         cached = self._coboundaries.get(direction)
         if cached is None or cached[0] < basis_degree:
-            op = self.family.star.op.bracket(self[direction], basis_degree)
+            op = self.family.star.bracket(self[direction], basis_degree)
             cached = self._coboundaries[direction] = (basis_degree, op)
         return cached[1]
 
@@ -271,7 +267,7 @@ def verify_compatibility(family: FamilyContext, A: ConnectionOneForm, basis_degr
     pair, for the witness.  Returns (ok, witness).
     """
     for p in family.params:
-        D = A.coboundary(p, basis_degree) - family.variation_star(p)
+        D = A.coboundary(p, basis_degree) - family.star.t_derivative(p)
         found = D.basis_witness(basis_degree)
         if found is not None:
             (f, g), value = found
@@ -383,7 +379,7 @@ def derivation_identity(family: FamilyContext, A: ConnectionOneForm, basis_degre
         return MultiDiffOp.function(roster, f.differentiate(p), family.order) + A[p].apply(f)
 
     for p in family.params:
-        D = A.coboundary(p, basis_degree) - family.variation_star(p)
+        D = A.coboundary(p, basis_degree) - family.star.t_derivative(p)
         if D.basis_witness(basis_degree) is None:
             continue
         for f0 in half:

@@ -50,7 +50,7 @@ from itertools import combinations
 from .scalars import Scalar, I
 from .polynomials import Poly, monomials_up_to, add_term, mat, mat_identity, mat_inverse
 from .weylforms import WeylContext
-from .multidiff import MultiDiffOp, StarTruncation, unit_vectors
+from .multidiff import MultiDiffOp, unit_vectors
 from .reports import CheckError
 
 HALF = Scalar(Fraction(1, 2))
@@ -304,7 +304,7 @@ class LinearKahlerFamily:
         potential = delta_G.apply(F).poly(0).scale(2) + F.differentiate(direction).scale(2 * n)
         body = (delta_G
                 - self._pairing(G).partial_apply(1, F).scale(2)
-                - StarTruncation.pointwise(roster, 0).op.partial_apply(0, potential))
+                - MultiDiffOp.pointwise(roster, 0).partial_apply(0, potential))
         return body.scale(-Scalar(Fraction(1, 4))).apply(f).poly(0)
 
     def operator_H(self, direction: str, F: Poly) -> Poly:
@@ -353,7 +353,7 @@ def verify_lemma_vc1(fam: LinearKahlerFamily, direction: str, basis_degree: int,
     the two sides, at the witness pair.
     """
     basis_degree = max(basis_degree, 1)
-    product = StarTruncation.pointwise(fam.sym.roster, 0).op
+    product = MultiDiffOp.pointwise(fam.sym.roster, 0)
     delta_G = fam._second_order(fam.variation(direction).G)
     right = product.bracket(delta_G, basis_degree).scale(-Scalar(factor))
     found = _vc1_witness(fam, direction, right, basis_degree)
@@ -386,7 +386,7 @@ def order1_hitchin_check(fam: LinearKahlerFamily, F: Poly, basis_degree: int = 3
     if directions is None:
         directions = family_directions(fam, F)
     a1 = {p: fam.a1_data(p, F, delta_factor) for p in directions}
-    product = StarTruncation.pointwise(fam.sym.roster, 0).op
+    product = MultiDiffOp.pointwise(fam.sym.roster, 0)
 
     checks = []
     ok, wit = True, None

@@ -22,10 +22,12 @@ term by term: each term lands on the tuples it does not annihilate as a
 shifted, weighted copy of its coefficient, with no evaluation of the
 operator.
 
-The Gerstenhaber bracket (``MultiDiffOp.bracket``) is formed from
-``compose_at`` in the same way, and the Hochschild differential of a star
-truncation m is d_H(phi) = [m, phi].  For a function b it is the inner
-derivation [m, b] = m o_0 b - m o_1 b (``StarTruncation.ad_over_h``).
+A star product to order K is an arity-2 operator m whose h^0 layer is the
+pointwise product (``MultiDiffOp.pointwise``; the flat one is
+``moyal_star``).  The Gerstenhaber bracket (``MultiDiffOp.bracket``) is
+formed from ``compose_at`` in the same way, and the Hochschild differential
+is d_H(phi) = [m, phi].  For a function b it is the inner derivation
+[m, b] = m o_0 b - m o_1 b (``MultiDiffOp.ad_over_h``).
 
 ``compose_at`` multiplies only what lands: the Leibniz splits of a slot
 multi-index are enumerated once per (multi-index, arity), cached across calls
@@ -95,6 +97,12 @@ class MultiDiffOp:
     def identity(roster, order) -> "MultiDiffOp":
         z = (0,) * len(roster)
         return MultiDiffOp(roster, 1, order, {(0, (z,)): Poly.const(roster, 1)})
+
+    @staticmethod
+    def pointwise(roster, order) -> "MultiDiffOp":
+        """The pointwise product (f, g) -> fg as an arity-2 operator."""
+        z = (0,) * len(roster)
+        return MultiDiffOp(roster, 2, order, {(0, (z, z)): Poly.const(roster, 1)})
 
     @staticmethod
     def pairing(roster, entries) -> "MultiDiffOp":
@@ -252,7 +260,8 @@ class MultiDiffOp:
         adds h^k perm(a_1, s_1) .. perm(a_m, s_m) c x^{(a_1 - s_1) + .. + (a_m - s_m)}
         to the tuple (x^a_1, .., x^a_m) wherever every a_j >= s_j, so a term
         with a slot order above ``degree`` adds nothing.  The tuples are
-        summed one first argument at a time, so only that block is held.
+        summed one first argument at a time, so only that block is held, each
+        in a PolySums, as c times the monomial of the summed shift.
         The coefficients must be Polys in self's roster.
         """
         if self.arity < 1:
@@ -275,7 +284,7 @@ class MultiDiffOp:
         monomials = [Poly.monomial(roster, a) for a in exps]
         tails = list(itertools.product(monomials, repeat=m - 1))
         for i, f in enumerate(monomials):
-            block = [{} for _ in tails]
+            block = [PolySums() for _ in tails]
             for k, c, first, rest in live:
                 if i not in first:
                     continue
@@ -283,10 +292,10 @@ class MultiDiffOp:
                 for picks in itertools.product(*rest):
                     weight = w * math.prod(p[1] for p in picks)
                     shift = tuple(map(sum, zip(e, *(p[2] for p in picks))))
-                    add_term(block[sum(p[0] for p in picks)], (k, ()),
-                             c.map_x(lambda x: (tuple(map(operator.add, x, shift)), weight)))
+                    block[sum(p[0] for p in picks)].add_product(
+                        (k, ()), c, Poly.monomial(roster, shift), weight)
             for tail, value in zip(tails, block):
-                yield (f, *tail), MultiDiffOp(roster, 0, self.order, value)
+                yield (f, *tail), MultiDiffOp(roster, 0, self.order, value.polys())
 
     def basis_witness(self, degree: int):
         """Where self is nonzero on monomials of degree <= ``degree``: None
@@ -411,6 +420,12 @@ class MultiDiffOp:
         return MultiDiffOp(merge_rosters(self.roster, phi.roster), r + s + 1,
                            min(self.order, phi.order), out.polys())
 
+    def ad_over_h(self, b) -> "MultiDiffOp":
+        """(1/h) ad_star(b) for a star self, as an arity-1 operator (order
+        drops by one): the bracket [self, b] = self o_0 b - self o_1 b with
+        the function b."""
+        return self.bracket(MultiDiffOp.function(self.roster, b, self.order)).shift_h(-1)
+
     def partial_apply(self, slot: int, value) -> "MultiDiffOp":
         """Freeze one argument slot at a fixed Poly or arity-0 operator:
         ``compose_at(slot, function(value))``."""
@@ -505,89 +520,39 @@ def operator_from_symbol(roster, order, symbol: MultiDiffOp, jets) -> MultiDiffO
     return MultiDiffOp(roster, len(jets), order, terms)
 
 
-# ---------------------------------------------------------------------------
-# star truncations
-# ---------------------------------------------------------------------------
+def moyal_star(sym, order: int) -> MultiDiffOp:
+    """The Moyal star to order K, in closed form:
+    c^k = (i/2)^k/k! pi^{..} d^k f d^k g.
 
-class StarTruncation:
-    """A star product to order K: arity-2 h-graded operator with c^0 = product."""
-
-    def __init__(self, op: MultiDiffOp, symplectic=None):
-        if op.arity != 2:
-            raise ValueError("a star truncation is an arity-2 operator")
-        self.op = op
-        self.order = op.order
-        self.symplectic = symplectic
-
-    @staticmethod
-    def pointwise(roster, order) -> "StarTruncation":
-        roster = tuple(roster)
-        z = (0,) * len(roster)
-        op = MultiDiffOp(roster, 2, order, {(0, (z, z)): Poly.const(roster, 1)})
-        return StarTruncation(op)
-
-    @staticmethod
-    def moyal(sym, order: int) -> "StarTruncation":
-        """Closed-form Moyal coefficients c^k = (i/2)^k/k! pi^{..} d^k f d^k g.
-
-        Built directly from the contraction recurrence on derivative
-        multi-indices; independent of the Weyl-bundle machinery.
-        """
-        roster = sym.roster
-        n = sym.dim
-        zero = (0,) * n
-        terms = {}
-        state = {(zero, zero): ONE}
-        for k in range(order + 1):
-            w_k = sym.moyal_factor(k)
-            for (g1, g2), w in state.items():
-                c = w * w_k
-                if not c.is_zero():
-                    terms[(k, (g1, g2))] = Poly.const(roster, c)
-            if k == order:
-                break
-            nxt = {}
-            for (g1, g2), w in state.items():
-                for (i, j, v) in sym._pi_entries:
-                    key = (
-                        g1[:i] + (g1[i] + 1,) + g1[i + 1:],
-                        g2[:j] + (g2[j] + 1,) + g2[j + 1:],
-                    )
-                    add_term(nxt, key, w * v)
-            state = nxt
-        op = MultiDiffOp(roster, 2, order, terms)
-        return StarTruncation(op, symplectic=sym)
-
-    @property
-    def roster(self):
-        return self.op.roster
-
-    def coefficient(self, k: int) -> MultiDiffOp:
-        return self.op.h_coefficient(k)
-
-    def apply(self, f, g) -> MultiDiffOp:
-        return self.op.apply(f, g)
-
-    def __call__(self, f, g):
-        return self.op.apply(f, g)
-
-    def variation(self, name: str) -> MultiDiffOp:
-        """Coefficientwise t-derivative: the arity-2 cochain V[star]."""
-        return self.op.t_derivative(name)
-
-    def subs_params(self, values: dict) -> "StarTruncation":
-        return StarTruncation(self.op.subs_params(values), symplectic=self.symplectic)
-
-    def ad_over_h(self, b) -> MultiDiffOp:
-        """(1/h) ad_star(b) as an arity-1 operator (order drops by one): the
-        bracket [star, b] = star o_0 b - star o_1 b with the function b."""
-        return self.op.bracket(MultiDiffOp.function(self.roster, b, self.order)).shift_h(-1)
-
-    def slot_order(self) -> int:
-        return self.op.slot_order()
+    Built directly from the contraction recurrence on derivative
+    multi-indices; independent of the Weyl-bundle machinery.
+    """
+    roster = sym.roster
+    n = sym.dim
+    zero = (0,) * n
+    terms = {}
+    state = {(zero, zero): ONE}
+    for k in range(order + 1):
+        w_k = sym.moyal_factor(k)
+        for (g1, g2), w in state.items():
+            c = w * w_k
+            if not c.is_zero():
+                terms[(k, (g1, g2))] = Poly.const(roster, c)
+        if k == order:
+            break
+        nxt = {}
+        for (g1, g2), w in state.items():
+            for (i, j, v) in sym._pi_entries:
+                key = (
+                    g1[:i] + (g1[i] + 1,) + g1[i + 1:],
+                    g2[:j] + (g2[j] + 1,) + g2[j + 1:],
+                )
+                add_term(nxt, key, w * v)
+        state = nxt
+    return MultiDiffOp(roster, 2, order, terms)
 
 
-def is_derivation(B: MultiDiffOp, star: StarTruncation, basis_degree=None):
+def is_derivation(B: MultiDiffOp, star: MultiDiffOp, basis_degree=None):
     """(ok, witness): whether d_H B = 0 mod h^{K+1} on the monomial basis.
 
     d_H B = [star, B] is formed as an operator (``MultiDiffOp.bracket``), capped at
@@ -601,7 +566,7 @@ def is_derivation(B: MultiDiffOp, star: StarTruncation, basis_degree=None):
         raise TypeError(f"is_derivation needs a MultiDiffOp, not {type(B).__name__}")
     if basis_degree is None:
         basis_degree = star.slot_order() + B.slot_order()
-    found = star.op.bracket(B, basis_degree).basis_witness(basis_degree)
+    found = star.bracket(B, basis_degree).basis_witness(basis_degree)
     if found is not None:
         (f, g), value = found
         k = min(value.terms)[0]
@@ -609,15 +574,12 @@ def is_derivation(B: MultiDiffOp, star: StarTruncation, basis_degree=None):
     return True, None
 
 
-def inner_potential(B: MultiDiffOp, star: StarTruncation) -> MultiDiffOp:
+def inner_potential(B: MultiDiffOp, star: MultiDiffOp, sym) -> MultiDiffOp:
     """Recover b with (1/h) ad_star(b) = B mod h^K, normalized by b_k(0) = 0.
 
     Works order by order: the h^k residual must be a vector field, which is
-    checked to be symplectic and then integrated to a Hamiltonian.
+    checked to be symplectic for ``sym`` and then integrated to a Hamiltonian.
     """
-    sym = star.symplectic
-    if sym is None:
-        raise ValueError("star truncation carries no symplectic data")
     if B.arity != 1:
         raise ValueError("inner_potential needs an arity-1 operator")
     if not B.is_O_h():

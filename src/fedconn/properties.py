@@ -14,7 +14,7 @@ from .scalars import Scalar
 from .polynomials import Poly, add_term
 from .weylforms import WeylForm, omega_tilde
 from .symplectic import SymplecticData
-from .multidiff import MultiDiffOp, StarTruncation
+from .multidiff import MultiDiffOp, moyal_star
 
 
 def random_scalar(rng: random.Random, span: int = 3, complex_part=True) -> Scalar:
@@ -167,7 +167,7 @@ def cochain_battery(sym: SymplecticData, order: int, rng: random.Random, count: 
     operators each.
     """
     roster = sym.roster
-    star = StarTruncation.moyal(sym, order).op
+    star = moyal_star(sym, order)
 
     def sign(a, b):
         # (-1)^{|a||b|} for the degrees |a| = arity - 1

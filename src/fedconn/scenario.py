@@ -28,7 +28,8 @@ All indices are 1-based.  ``alpha[k][i][j]`` gives the h^k coefficient of
 dx^i wedge dx^j (i < j); the h^0 layer is always the symplectic form itself
 and is not written.  ``beta[tj][k][i]`` gives the h^k dx^i coefficient of the
 direction-tj component; ``gauge_shift`` uses the same scheme and must be
-closed.  Parse errors carry their line number.
+closed.  Every index is checked against ``dimension`` and every direction
+against ``params`` as the file is read.  Parse errors carry their line number.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .polynomials import Poly, parse_poly, ExprError, is_param_name, add_term
+from .polynomials import Poly, parse_poly, ExprError, is_param_name
 from .weylforms import WeylForm
 from .symplectic import SymplecticData, ConnectionFamily
 from .fedosov import FedosovSetup
@@ -229,6 +230,23 @@ class Scenario:
             raise ScenarioError("omega has the wrong dimension")
         if self.truncation is None:
             self.truncation = 2 * self.order + 2
+        n = self.dimension
+        for (k, i, j), (_, lineno) in self.gamma.items():
+            if not all(0 <= m < n for m in (k, i, j)):
+                raise ScenarioError("Gamma index out of range", lineno)
+        for (_, i, j), (_, lineno) in self.alpha.items():
+            if not 0 <= i < j < n:
+                raise ScenarioError("alpha index out of range", lineno)
+        for name, table in (("beta", self.beta), ("gauge_shift", self.gauge_shift)):
+            for (direction, _, i), (_, lineno) in table.items():
+                if direction not in self.param_names:
+                    raise ScenarioError(
+                        f"{name} has no direction {direction}: params = {self.params}", lineno)
+                if not 0 <= i < n:
+                    raise ScenarioError("dx index out of range", lineno)
+        for (a, b), (_, lineno) in self.I_entries.items():
+            if not (0 <= a < n and 0 <= b < n):
+                raise ScenarioError("I index out of range", lineno)
 
     # -- assembly ----------------------------------------------------------------
 
@@ -251,20 +269,11 @@ class Scenario:
 
     def build_connection(self, sym: SymplecticData) -> ConnectionFamily:
         roster = sym.roster
-        gamma = {}
-        for (k, i, j), entry in self.gamma.items():
-            for n in (k, i, j):
-                if not 0 <= n < self.dimension:
-                    raise ScenarioError("Gamma index out of range", entry[1])
-            gamma[(k, i, j)] = self._poly(entry, roster)
+        gamma = {key: self._poly(entry, roster) for key, entry in self.gamma.items()}
         return ConnectionFamily(sym, gamma)
 
     def build_alpha(self, sym: SymplecticData) -> WeylForm:
-        table = {}
-        for (h, i, j), entry in self.alpha.items():
-            if not (0 <= i < j < self.dimension):
-                raise ScenarioError("alpha index out of range", entry[1])
-            table[(h, i, j)] = self._poly(entry, sym.roster)
+        table = {key: self._poly(entry, sym.roster) for key, entry in self.alpha.items()}
         alpha = WeylForm.omega_form(sym, self.truncation)
         if table:
             alpha = alpha + WeylForm.two_form(sym, self.truncation, table)
@@ -288,13 +297,8 @@ class Scenario:
         sym = family.sym
         forms = {}
         for p in family.params:
-            entries = {}
-            for (direction, h, i), entry in table.items():
-                if direction != p:
-                    continue
-                if not 0 <= i < self.dimension:
-                    raise ScenarioError("dx index out of range", entry[1])
-                add_term(entries, (h, (0,) * self.dimension, (i,)), self._poly(entry, sym.roster))
+            entries = {(h, (0,) * self.dimension, (i,)): self._poly(entry, sym.roster)
+                       for (direction, h, i), entry in table.items() if direction == p}
             forms[p] = WeylForm(sym, self.truncation, entries)
         return forms
 

@@ -108,10 +108,10 @@ def conjugation_check(family: FamilyContext, phi: MultiDiffOp, axis: str,
     for p in family.params:
         if p != axis:
             values.setdefault(p, 0)
-    star_t = family.star.subs_params(values).op
+    star_t = family.star.subs_params(values)
     at_zero = dict(values)
     at_zero[axis] = 0
-    star_0 = family.star.subs_params(at_zero).op
+    star_0 = family.star.subs_params(at_zero)
     phi_inv = invert(phi)
     d = basis_degree
     pulled = star_0.compose_at(0, phi_inv).compose_at(1, phi_inv, d)
@@ -193,7 +193,7 @@ def self_equivalence_check(family: FamilyContext, P: MultiDiffOp, basis_degree: 
     basis_degree (``MultiDiffOp.basis_witness``), and only then is it
     evaluated, pair by pair, for the witness.
     """
-    star = family.star.op
+    star = family.star
     d = basis_degree
     D = P.compose_at(0, star, d) - star.compose_at(0, P).compose_at(1, P, d)
     found = D.basis_witness(d)

@@ -246,13 +246,11 @@ class WeylForm:
     @staticmethod
     def two_form(ctx, trunc, coeff_table) -> "WeylForm":
         """Scalar 2-form from entries {(h, i, j): Poly} with i < j (0-based)."""
-        terms = {}
+        if any(i >= j for (_, i, j) in coeff_table):
+            raise ValueError("two_form expects strictly increasing index pairs i < j")
         zero_alpha = (0,) * ctx.dim
-        for (h, i, j), c in coeff_table.items():
-            if i >= j:
-                raise ValueError("two_form expects strictly increasing index pairs i < j")
-            add_term(terms, (h, zero_alpha, (i, j)), c.with_roster(ctx.roster))
-        return WeylForm(ctx, trunc, terms)
+        return WeylForm(ctx, trunc, {(h, zero_alpha, (i, j)): c.with_roster(ctx.roster)
+                                     for (h, i, j), c in coeff_table.items()})
 
     @staticmethod
     def omega_form(ctx, trunc) -> "WeylForm":
@@ -596,7 +594,7 @@ def omega_tilde(ctx: WeylContext, trunc: int) -> WeylForm:
             if v.is_zero():
                 continue
             alpha = tuple(1 if m == j else 0 for m in range(ctx.dim))
-            add_term(terms, (0, alpha, (i,)), Poly.const(ctx.roster, v))
+            terms[(0, alpha, (i,))] = Poly.const(ctx.roster, v)
     return WeylForm(ctx, trunc, terms)
 
 

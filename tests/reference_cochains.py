@@ -13,7 +13,8 @@ r+1 and phi of arity s+1,
         sum_{i=0..r} (-1)^{is} psi(.., phi(a_i..a_{i+s}), ..)
       - (-1)^{rs} sum_{j=0..s} (-1)^{jr} phi(.., psi(a_j..a_{j+r}), ..)
 
-and the Hochschild differential of a star truncation m is d_H(phi) = [m, phi].
+and the Hochschild differential of a star m, an arity-2 operator, is
+d_H(phi) = [m, phi].
 """
 
 import itertools
@@ -21,7 +22,7 @@ import math
 from fractions import Fraction
 
 from fedconn.polynomials import Poly, exponents_up_to
-from fedconn.multidiff import MultiDiffOp, StarTruncation, _falling, _sub_multiindices
+from fedconn.multidiff import MultiDiffOp, _falling, _sub_multiindices
 
 
 class ReconstructionError(AssertionError):
@@ -126,8 +127,6 @@ class Cochain:
 
 
 def _as_cochain(op):
-    if isinstance(op, StarTruncation):
-        return Cochain(2, op.apply, op.order, lambda k: op.op.slot_order())
     if isinstance(op, MultiDiffOp):
         return Cochain(op.arity, op.apply, op.order, lambda k: op.slot_order())
     if isinstance(op, Cochain):
@@ -168,7 +167,7 @@ def gerstenhaber(psi, phi) -> Cochain:
     return Cochain(arity, apply, order, bound)
 
 
-def hochschild_d(phi, star: StarTruncation) -> Cochain:
+def hochschild_d(phi, star: MultiDiffOp) -> Cochain:
     """d_H(phi) = [star, phi]_G relative to the (truncated) star product."""
     return gerstenhaber(star, phi)
 

@@ -61,8 +61,8 @@ def test_beta_rejects_wrong_form(bundle_f1):
 
 
 def test_variation_star(constant_family, bundle_f1):
-    assert constant_family.variation_star("t1").is_zero()
-    BV = bundle_f1.family.variation_star("t1")
+    assert constant_family.star.t_derivative("t1").is_zero()
+    BV = bundle_f1.family.star.t_derivative("t1")
     # c^0 is the pointwise product for every t, so V[c^0] = 0
     assert BV.h_coefficient(0).is_zero()
     # d_H B_V = 0: evaluate the bracket on a small basis

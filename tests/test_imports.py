@@ -112,6 +112,16 @@ def test_a_function_has_no_class_of_its_own():
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
+# a star product, a 2-cochain, is an arity-2 MultiDiffOp
+STAR_CLASSES = {"StarTruncation"}
+
+
+def test_a_star_has_no_class_of_its_own():
+    assert STAR_CLASSES.isdisjoint(fedconn.__all__)
+    multidiff = (SRC / "multidiff.py").read_text(encoding="utf-8")
+    assert STAR_CLASSES.isdisjoint(bound_names(multidiff))
+
+
 # bad input, which ends a run with exit 2; every other exception class of the
 # package is a failed check of the math, which ends it as a FAIL line
 INPUT_ERRORS = {"ScenarioError", "ExprError", "ExponentOverflowError"}

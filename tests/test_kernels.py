@@ -25,7 +25,7 @@ from fedconn.polynomials import Poly, PolySums, parse_poly, x_roster, add_term
 from fedconn.scalars import Scalar
 from fedconn.weylforms import WeylForm
 from fedconn.symplectic import ConnectionFamily
-from fedconn.multidiff import MultiDiffOp, StarTruncation
+from fedconn.multidiff import MultiDiffOp, moyal_star
 from fedconn.families import solve_s
 from fedconn.scenario import Scenario
 from fedconn.properties import random_weyl_form, random_multidiffop, random_poly, random_scalar
@@ -480,7 +480,7 @@ def test_bracket_with_a_function_is_the_difference_of_partial_applications(sym2,
     # with coefficients rational in t
     rng = random.Random(1580 + seed)
     m = random_op(rng, 2, 3)
-    moyal = StarTruncation.moyal(sym2, 3)
+    moyal = moyal_star(sym2, 3)
     for roster in (R2, ("x2",)):
         b = series(roster, rng.choice((2, 3)), {
             k: random_poly(roster, rng, degree=3, terms=2) * t_factor(rng) for k in range(3)})
@@ -489,8 +489,8 @@ def test_bracket_with_a_function_is_the_difference_of_partial_applications(sym2,
             assert_same(m.bracket(MultiDiffOp.function(R2, value, m.order)), expect, seed, roster)
             for slot in (0, 1):
                 assert_same(m.partial_apply(slot, value), partial_apply_by_loops(m, slot, value))
-            expect = (partial_apply_by_loops(moyal.op, 0, value)
-                      - partial_apply_by_loops(moyal.op, 1, value)).shift_h(-1)
+            expect = (partial_apply_by_loops(moyal, 0, value)
+                      - partial_apply_by_loops(moyal, 1, value)).shift_h(-1)
             assert_same(moyal.ad_over_h(value), expect, seed, roster)
 
 
@@ -501,7 +501,7 @@ def test_bracket_sums_that_cancel(sym2):
     P, Q = random_op(rng, 1, 3), random_op(rng, 1, 2)
     assert P.bracket(P).is_zero() and bracket_by_sums(P, P).is_zero()
     assert_same(P.bracket(Q), -Q.bracket(P))
-    moyal = StarTruncation.moyal(sym2, 3).op
+    moyal = moyal_star(sym2, 3)
     B = random_op(rng, 1, 3)
     assert moyal.bracket(moyal).is_zero()
     assert_same(moyal.bracket(B, 2), bracket_by_sums(moyal, B, 2))

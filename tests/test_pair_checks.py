@@ -32,7 +32,7 @@ from fedconn.kahler import (
     mat_add, mat_sub, mat_neg, mat_eq, mat_deriv, mat_scale,
 )
 from fedconn.weylforms import WeylForm
-from fedconn.multidiff import MultiDiffOp, StarTruncation, is_derivation, unit_vectors
+from fedconn.multidiff import MultiDiffOp, moyal_star, is_derivation, unit_vectors
 from fedconn.fedosov import c1_antisymmetry_witness, validate_star_axioms
 from fedconn.symplectic import SymplecticData
 from fedconn import cli
@@ -62,7 +62,7 @@ def compatibility_by_pairs(family, A, basis_degree=3):
     basis = monomials_up_to(family.sym.roster, basis_degree)
     for p in family.params:
         Ap = A[p]
-        BV = family.variation_star(p)
+        BV = family.star.t_derivative(p)
         applied = [Ap.apply(f) for f in basis]
         for f, Af in zip(basis, applied):
             for g, Ag in zip(basis, applied):
@@ -245,7 +245,7 @@ def test_bracket_is_the_lazy_bracket_materialized(seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_bracket_is_d_H_and_the_commutator(sym2, seed):
     rng = random.Random(1150 + seed)
-    for m in (StarTruncation.moyal(sym2, 3).op, random_op(rng, 2, 3)):
+    for m in (moyal_star(sym2, 3), random_op(rng, 2, 3)):
         B = random_op(rng, 1, 3, slot_degree=3)
         for cap in (None, 1, 2, 3):
             assert m.bracket(B, cap) == hochschild_d1(B, m, cap), cap
@@ -309,12 +309,17 @@ def test_compatibility_matches_the_pair_loop(bundle_f1, bundle_f2, bundle_f3, mo
     # at h^K a term of slot order 2d + 3 has a coboundary whose every term
     # has a slot above d: d_H A - V[star] is no longer zero, yet both pass
     tall = A.shifted("t1", extra_term(r, 3, (7, 0)))
-    assert not (fam.star.op.bracket(tall["t1"]) - fam.variation_star("t1")).is_zero()
+    assert not (fam.star.bracket(tall["t1"]) - fam.star.t_derivative("t1")).is_zero()
     assert verify_compatibility(fam, tall, 2) == compatibility_by_pairs(fam, tall, 2) == (True, None)
     # a term of slot order basis_degree + 1 in V[star] is invisible on the basis
-    variation = fam.variation_star
+    # (the star's t-derivative gains it, so the check and the loop read the same V[star])
+    variation, star = MultiDiffOp.t_derivative, fam.star
     high = MultiDiffOp(r, 2, 3, {(1, ((3, 0), (0, 0))): parse_poly("x2", r)})
-    monkeypatch.setattr(fam, "variation_star", lambda p: variation(p) + high)
+
+    def high_variation(op, name):
+        return variation(op, name) + high if op is star else variation(op, name)
+
+    monkeypatch.setattr(MultiDiffOp, "t_derivative", high_variation)
     assert verify_compatibility(fam, A, 2) == compatibility_by_pairs(fam, A, 2) == (True, None)
     got = verify_compatibility(fam, A, 3)
     assert got == compatibility_by_pairs(fam, A, 3)
@@ -360,7 +365,7 @@ def test_conjugation_matches_the_pair_loop(bundle_f1, bundle_f2, bundle_f3):
 
 
 def test_is_derivation_matches_the_pair_loop(sym2, bundle_f1, gauge_pair):
-    star = StarTruncation.moyal(sym2, 4)
+    star = moyal_star(sym2, 4)
     inner = star.ad_over_h(series(R2, 4, {1: parse_poly("x1^2*x2 + x1", R2)}))
     fam = bundle_f1.family
     cases = [
@@ -396,7 +401,7 @@ def test_derivation_identity_matches_the_section_loop(bundle_f1, bundle_f2, bund
     # d1^3 has a coboundary of slot orders (1, 2) and (2, 1): terms remain
     # at basis degree 2, yet the first half of the basis, degree <= 1, misses them
     outside = bundle_f1.A.shifted("t1", extra_term(R2, 2, (3, 0)))
-    assert (f1.star.op.bracket(outside["t1"], 2) - f1.variation_star("t1")).basis_witness(2)
+    assert (f1.star.bracket(outside["t1"], 2) - f1.star.t_derivative("t1")).basis_witness(2)
     cases = [
         (f1, bundle_f1.A), (bundle_f2.family, bundle_f2.A), (f3, bundle_f3.A),
         (f3, twisted_f3[0]),
@@ -448,7 +453,7 @@ def test_compatibility_holds_as_an_operator_identity(name):
     beta = sc.build_beta(family)
     A = connection_form(family, {p: solve_s(family, beta, p) for p in family.params})
     for p in family.params:
-        assert (family.star.op.bracket(A[p]) - family.variation_star(p)).is_zero(), p
+        assert (family.star.bracket(A[p]) - family.star.t_derivative(p)).is_zero(), p
 
 
 def test_passing_pair_checks_evaluate_no_operator(bundle_f1, bundle_f3, gauge_pair, monkeypatch):
@@ -810,14 +815,14 @@ def star_axioms_by_loops(star, sym, basis_degree, rng, triples=5, poisson=poisso
     ok, wit = True, None
     for f in basis:
         for g in basis:
-            if star.coefficient(0).apply(f, g).poly(0) != f * g:
+            if star.h_coefficient(0).apply(f, g).poly(0) != f * g:
                 ok, wit = False, f"c0({f},{g}) != product"
                 break
         if not ok:
             break
     checks.append(("c0 is the pointwise product", ok, wit))
 
-    c1 = star.coefficient(1)
+    c1 = star.h_coefficient(1)
     ok, wit = True, None
     for f in basis:
         for g in basis:
@@ -872,8 +877,7 @@ STAR_MUTANTS = {
 def mutated(star, extra):
     roster, n = star.roster, len(star.roster)
     terms = {(k, (derivative(n, i), derivative(n, j))): Poly.const(roster, 1) for k, i, j in extra}
-    return StarTruncation(star.op + MultiDiffOp(roster, 2, star.order, terms),
-                          symplectic=star.symplectic)
+    return star + MultiDiffOp(roster, 2, star.order, terms)
 
 
 @pytest.mark.parametrize("mutant", [None, *STAR_MUTANTS])

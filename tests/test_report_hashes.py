@@ -20,6 +20,9 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 REPORT_SHA256 = {
     ("quantize", "flat_r2.scn"): "1ad4c6149a0b43a985a895103512d20830607476d4ce40bd59f5fb455c04e0cc",
     ("quantize", "curved_r2.scn"): "f6e56d3b6fa8557b9c10e3ecdc4b19828b2e0471d60fdbefe3651461549d53cc",
+    # t-dependent extracted stars, recorded before a star became a bare MultiDiffOp
+    ("quantize", "family_r2.scn"): "54ed04856acf9aa278c726700e2c4f44853e8e7205747a8f7defc201f00ab298",
+    ("quantize", "family2_r2.scn"): "141762d2620a5ee64a5b166efbd7902df4839cdaedac52b20ccbc6f1ea87d0f3",
     ("family", "family_r2.scn"): "2a21768221ceae4db78ded44bc8bc3655363534d62b82b96329722b37c1ec6ae",
     ("family", "family2_r2.scn"): "9984f12ce1cbb2c4433ff15441a1d486f852c5457386f1493e416068009dcc1f",
     ("gauge", "family_r2.scn"): "d2db6994787d0deb7fac68860653d281e1962dfd2bac827ac25ed5517eae82ab",

@@ -98,6 +98,26 @@ def test_bad_scenario_exit_code(tmp_path, capsys):
         assert "line 3:" in err and "must be >=" in err
 
 
+@pytest.mark.parametrize("command, name, entry, message", [
+    ("kahler", "kahler_r2.scn", "I[3][3] = 5", "I index out of range"),
+    ("gauge", "family_r2.scn", "gauge_shift[t2][1][1] = x1",
+     "gauge_shift has no direction t2: params = 1"),
+    ("family", "family_r2.scn", "beta[t3][1][1] = x1", "beta has no direction t3: params = 1"),
+    ("family", "family_r2.scn", "beta[t1][1][3] = x1", "dx index out of range"),
+    ("quantize", "family_r2.scn", "Gamma[1][3][1] = x1", "Gamma index out of range"),
+    ("quantize", "family_r2.scn", "alpha[1][1][3] = x1", "alpha index out of range"),
+])
+def test_an_index_out_of_range_is_a_diagnostic(tmp_path, capsys, command, name, entry, message):
+    # every index is checked once, as the file is read: an entry the command
+    # would ignore, or read as a failed check, is bad input with its line
+    text = (SCENARIOS / name).read_text(encoding="utf-8").rstrip("\n") + "\n"
+    bad = tmp_path / name
+    bad.write_text(text + entry + "\n")
+    code, out, err = run_cli(capsys, command, "--scenario", str(bad))
+    assert (code, out) == (2, "")
+    assert err == f"fedconn: line {len(text.splitlines()) + 1}: {message}\n"
+
+
 @pytest.mark.parametrize("samples, why", [
     ("t1=0", "metric has a pole at sample t1=0"),
     ("t1=1/2 ; t1=-1", "metric not positive at sample t1=-1: leading 1x1 minor is -1"),

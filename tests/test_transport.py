@@ -9,7 +9,7 @@ import pytest
 from fedconn.polynomials import T_ONE, Poly, parse_poly, monomials_up_to
 from fedconn.weylforms import WeylForm
 from fedconn.families import FamilyContext, ConnectionOneForm, connection_form, solve_s
-from fedconn.multidiff import MultiDiffOp, StarTruncation
+from fedconn.multidiff import MultiDiffOp
 from fedconn.transport import (
     parallel_transport, invert, conjugation_check, gauge_equivalence,
     self_equivalence_check, flatness_check, GaugeError, oneform_potential,
