@@ -52,7 +52,7 @@ import operator
 
 from .scalars import Scalar, ONE, I
 from .polynomials import (
-    Poly, PolySums, monomials_up_to, merge_rosters, add_term, exponents_up_to,
+    Poly, PolySums, merge_rosters, add_term, exponents_up_to,
 )
 
 
@@ -310,13 +310,12 @@ class MultiDiffOp:
         componentwise minimal among such terms, self(x^a_1, .., x^a_m) has
         h^k coefficient a_1! .. a_m! c: every other term of that h-power has
         a slot b_j not componentwise below a_j, and d^b_j x^a_j = 0.  Only when
-        such a term exists is self evaluated, to find the witness.
+        such a term exists is self evaluated, by ``basis_table``, to find the
+        witness.
         """
         if all(any(sum(s) > degree for s in slots) for _, slots in self.terms):
             return None
-        basis = monomials_up_to(self.roster, degree)
-        for args in itertools.product(basis, repeat=self.arity):
-            value = self.apply(*args)
+        for args, value in self.basis_table(degree):
             if not value.is_zero():
                 return args, value
         raise AssertionError("a term within the degree vanished on every monomial tuple")

@@ -28,8 +28,9 @@ All indices are 1-based.  ``alpha[k][i][j]`` gives the h^k coefficient of
 dx^i wedge dx^j (i < j); the h^0 layer is always the symplectic form itself
 and is not written.  ``beta[tj][k][i]`` gives the h^k dx^i coefficient of the
 direction-tj component; ``gauge_shift`` uses the same scheme and must be
-closed.  Every index is checked against ``dimension`` and every direction
-against ``params`` as the file is read.  Parse errors carry their line number.
+closed.  As the file is read, every expression is parsed, every index checked
+against ``dimension`` and every parameter, in directions, expressions and
+``samples`` alike, against ``t1`` .. ``t<params>``; errors carry their line.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .polynomials import Poly, parse_poly, ExprError, is_param_name
+from .polynomials import Poly, parse_poly, ExprError, is_param_name, x_roster
 from .weylforms import WeylForm
 from .symplectic import SymplecticData, ConnectionFamily
 from .fedosov import FedosovSetup
@@ -121,14 +122,16 @@ class Scenario:
         self.basis_degree = 2
         self.seed = 0
         self.omega = None
-        self.gamma = {}        # (k, i, j) 0-based -> expression text
-        self.alpha = {}        # (h, i, j) 0-based, i < j -> expression text
+        # each expression is (text, line) as read, and its Poly once parsed
+        self.gamma = {}        # (k, i, j) 0-based -> expression
+        self.alpha = {}        # (h, i, j) 0-based, i < j -> expression
         self.beta_mode = "auto"
-        self.beta = {}         # (direction, h, i) -> expression text
-        self.gauge_shift = {}  # (direction, h, i) -> expression text
-        self.I_entries = {}    # (a, b) 0-based -> expression text
-        self.F_text = None
+        self.beta = {}         # (direction, h, i) -> expression
+        self.gauge_shift = {}  # (direction, h, i) -> expression
+        self.I_entries = {}    # (a, b) 0-based -> expression, constant in x
+        self.F = None
         self.samples = []
+        self.samples_line = None
 
     # -- parsing --------------------------------------------------------------
 
@@ -176,8 +179,9 @@ class Scenario:
             self.omega = _parse_matrix(value, lineno)
         elif name == "samples":
             self.samples = _parse_samples(value, lineno)
+            self.samples_line = lineno
         elif name == "F":
-            self.F_text = (value, lineno)
+            self.F = (value, lineno)
         elif name == "beta" and not idx:
             if value != "auto":
                 raise ScenarioError("beta without indices must be 'auto'", lineno)
@@ -247,19 +251,37 @@ class Scenario:
         for (a, b), (_, lineno) in self.I_entries.items():
             if not (0 <= a < n and 0 <= b < n):
                 raise ScenarioError("I index out of range", lineno)
+        x = x_roster(n)
+        for what, table, roster in (("Gamma", self.gamma, x), ("alpha", self.alpha, x),
+                                    ("beta", self.beta, x), ("gauge_shift", self.gauge_shift, x),
+                                    ("I", self.I_entries, ())):
+            for key, entry in table.items():
+                table[key] = self._expression(what, entry, roster)
+        if self.F is not None:
+            self.F = self._expression("F", self.F, x)
+        for point in self.samples:
+            for name in point:
+                self._require_param("samples", name, self.samples_line)
+
+    def _require_param(self, what, name, lineno):
+        if name not in self.param_names:
+            raise ScenarioError(f"{what} has no parameter {name}: params = {self.params}", lineno)
+
+    def _expression(self, what, entry, roster) -> Poly:
+        text, lineno = entry
+        try:
+            p = parse_poly(text, roster)
+        except ExprError as exc:
+            raise ScenarioError(str(exc), lineno) from None
+        for name in sorted(p.param_variables()):
+            self._require_param(what, name, lineno)
+        return p
 
     # -- assembly ----------------------------------------------------------------
 
     @property
     def param_names(self):
         return tuple(f"t{i}" for i in range(1, self.params + 1))
-
-    def _poly(self, entry, roster):
-        text, lineno = entry
-        try:
-            return parse_poly(text, roster)
-        except ExprError as exc:
-            raise ScenarioError(str(exc), lineno) from None
 
     def build_symplectic(self) -> SymplecticData:
         try:
@@ -268,15 +290,12 @@ class Scenario:
             raise ScenarioError(f"bad omega: {exc}") from None
 
     def build_connection(self, sym: SymplecticData) -> ConnectionFamily:
-        roster = sym.roster
-        gamma = {key: self._poly(entry, roster) for key, entry in self.gamma.items()}
-        return ConnectionFamily(sym, gamma)
+        return ConnectionFamily(sym, self.gamma)
 
     def build_alpha(self, sym: SymplecticData) -> WeylForm:
-        table = {key: self._poly(entry, sym.roster) for key, entry in self.alpha.items()}
         alpha = WeylForm.omega_form(sym, self.truncation)
-        if table:
-            alpha = alpha + WeylForm.two_form(sym, self.truncation, table)
+        if self.alpha:
+            alpha = alpha + WeylForm.two_form(sym, self.truncation, self.alpha)
         return alpha
 
     def build_setup(self) -> FedosovSetup:
@@ -297,8 +316,8 @@ class Scenario:
         sym = family.sym
         forms = {}
         for p in family.params:
-            entries = {(h, (0,) * self.dimension, (i,)): self._poly(entry, sym.roster)
-                       for (direction, h, i), entry in table.items() if direction == p}
+            entries = {(h, (0,) * self.dimension, (i,)): c
+                       for (direction, h, i), c in table.items() if direction == p}
             forms[p] = WeylForm(sym, self.truncation, entries)
         return forms
 
@@ -327,19 +346,11 @@ class Scenario:
             raise ScenarioError("the kahler command needs I[a][b] entries")
         sym = self.build_symplectic()
         n = self.dimension
-        rows = []
-        for a in range(n):
-            row = []
-            for b in range(n):
-                entry = self.I_entries.get((a, b))
-                row.append(Poly.zero(()) if entry is None else self._poly(entry, ()))
-            rows.append(row)
+        rows = [[self.I_entries.get((a, b), Poly.zero(())) for b in range(n)] for a in range(n)]
         try:
             return LinearKahlerFamily(sym, rows, samples=self.samples)
         except ValueError as exc:
             raise ScenarioError(f"bad Kahler family: {exc}") from None
 
     def build_F(self, sym) -> Poly:
-        if self.F_text is None:
-            return Poly.zero(sym.roster)
-        return self._poly(self.F_text, sym.roster)
+        return Poly.zero(sym.roster) if self.F is None else self.F

@@ -1,8 +1,4 @@
-"""Parallel transport of formal connections and gauge equivalence.
-
-Transport along a coordinate axis solves dPhi/dt = -A(d/dt) o Phi order by
-order in h; each order is an explicit antiderivative of polynomial data since
-A = O(h), so Phi = id + sum_l Phi_l h^l stays exact.
+"""Gauge equivalence of formal connections, and parallel transport.
 
 Gauge equivalence of two flat compatible connections over a star-shaped
 parameter space is built by the induction
@@ -11,8 +7,13 @@ parameter space is built by the induction
 
 checking that the operator-valued 1-form B_{l+1} is closed (this is where
 flatness enters) and integrating it with the Poincare homotopy on R^m
-(``oneform_potential``, whose one-direction case is the antiderivative of
-the transport).
+(``oneform_potential``).
+
+Parallel transport along a coordinate axis is the one-direction case: with
+the other parameters frozen and A' = 0 the equation reads
+dPhi/dt = -A(d/dt) o Phi, each B_{l+1} is closed by itself, and its potential
+is the antiderivative from 0.  Since A = O(h), each order is explicit
+polynomial data and Phi = id + sum_l Phi_l h^l stays exact.
 """
 
 from __future__ import annotations
@@ -44,33 +45,25 @@ def oneform_potential(forms: dict, params) -> MultiDiffOp:
     return sum(parts[1:], parts[0])
 
 
+def _frozen_point(family: FamilyContext, axis: str, freeze: dict = None) -> dict:
+    """``freeze`` with every parameter other than ``axis`` defaulting to 0."""
+    return {**{p: 0 for p in family.params if p != axis}, **(freeze or {})}
+
+
 def parallel_transport(family: FamilyContext, A: ConnectionOneForm, axis: str,
                        freeze: dict = None, order: int = None) -> MultiDiffOp:
-    """Phi(t) = id + sum Phi_l h^l with dPhi/dt = -A(d/dt) o Phi, Phi(0) = id.
+    """Phi(t) = id + sum Phi_l h^l with dPhi/dt = -A(d/dt) o Phi, Phi(0) = id:
+    ``gauge_equivalence`` along ``axis`` alone, with A(d/dt) at the frozen
+    point and the zero operator as A'.
 
     Other parameters are frozen (default 0); the result depends on the axis
     variable only, polynomially.
     """
-    K = order if order is not None else family.order
-    values = dict(freeze or {})
-    for p in family.params:
-        if p != axis:
-            values.setdefault(p, 0)
-    Aj = A[axis].subs_params(values)
+    Aj = A[axis].subs_params(_frozen_point(family, axis, freeze))
     if not Aj.is_O_h():
         raise ValueError("transport needs a connection form with A = 0 mod h")
-    roster = family.sym.roster
-    layers = {0: MultiDiffOp.identity(roster, 0)}
-    a_layers = {k: Aj.h_coefficient(k) for k in range(1, K + 1)}
-    for l in range(1, K + 1):
-        rhs = MultiDiffOp.zero(roster, 1, 0)
-        for k in range(1, l + 1):
-            rhs = rhs + a_layers[k].compose(layers[l - k])
-        layers[l] = oneform_potential({axis: -rhs}, (axis,))
-    phi = MultiDiffOp.zero(roster, 1, K)
-    for l, op in layers.items():
-        phi = phi + MultiDiffOp(roster, 1, K, {(l, slots): c for (_, slots), c in op.terms.items()})
-    return phi
+    zero = MultiDiffOp.zero(family.sym.roster, 1, Aj.order)
+    return gauge_equivalence(family, {axis: Aj}, {axis: zero}, order, (axis,))
 
 
 def invert(P: MultiDiffOp) -> MultiDiffOp:
@@ -104,14 +97,9 @@ def conjugation_check(family: FamilyContext, phi: MultiDiffOp, axis: str,
     <= basis_degree (``MultiDiffOp.basis_witness``), and only then is it
     evaluated, pair by pair, for the witness.
     """
-    values = dict(freeze or {})
-    for p in family.params:
-        if p != axis:
-            values.setdefault(p, 0)
+    values = _frozen_point(family, axis, freeze)
     star_t = family.star.subs_params(values)
-    at_zero = dict(values)
-    at_zero[axis] = 0
-    star_0 = family.star.subs_params(at_zero)
+    star_0 = family.star.subs_params({**values, axis: 0})
     phi_inv = invert(phi)
     d = basis_degree
     pulled = star_0.compose_at(0, phi_inv).compose_at(1, phi_inv, d)
@@ -123,19 +111,20 @@ def conjugation_check(family: FamilyContext, phi: MultiDiffOp, axis: str,
 
 
 def gauge_equivalence(family: FamilyContext, A: ConnectionOneForm, A2: ConnectionOneForm,
-                      order: int = None) -> MultiDiffOp:
-    """P = id + O(h) with V[P] = P A'(V) - A(V) P mod h^{K+1} (A' = A2).
+                      order: int = None, params=None) -> MultiDiffOp:
+    """P = id + O(h) with V[P] = P A'(V) - A(V) P mod h^{K+1} (A' = A2), for
+    V along each of ``params`` (default ``family.params``); A and A2 need
+    only be indexable by them.
 
-    Requires both connections flat; for one parameter this is automatic, for
+    Requires both connections flat; for one direction this is automatic, for
     more the closedness of each induction defect is exactly what flatness
     guarantees, and a non-closed defect raises GaugeError with its order.
     A CheckError of ``gauge equation`` guards the induction itself.
     """
     K = order if order is not None else family.order
     roster = family.sym.roster
-    params = family.params
-    ident = MultiDiffOp.identity(roster, K)
-    P = ident
+    params = family.params if params is None else params
+    P = MultiDiffOp.identity(roster, K)
 
     def defect(P):
         # V[P] - (P A'(V) - A(V) P), per direction
@@ -172,8 +161,7 @@ def gauge_equivalence(family: FamilyContext, A: ConnectionOneForm, A2: Connectio
                     f"potential of the order-h^{l+1} defect failed; "
                     f"parameter space integration hypothesis violated"
                 )
-        P = P + MultiDiffOp(roster, 1, K,
-                            {(l + 1, slots): c for (_, slots), c in Pl.terms.items()})
+        P = P + MultiDiffOp(roster, 1, K, Pl.shift_h(l + 1).terms)
     E = defect(P)
     for p in params:
         if not E[p].is_zero():

@@ -77,6 +77,26 @@ def lower_cap(monkeypatch, cls, name, caller, which=None):
     monkeypatch.setattr(cls, name, mutant)
 
 
+def count_evaluations(monkeypatch):
+    """The arity of each operator evaluation, from here on: each
+    MultiDiffOp.apply call and each tuple MultiDiffOp.basis_table yields."""
+    calls = []
+    apply, basis_table = MultiDiffOp.apply, MultiDiffOp.basis_table
+
+    def counting(self, *args):
+        calls.append(self.arity)
+        return apply(self, *args)
+
+    def counting_table(self, degree):
+        for row in basis_table(self, degree):
+            calls.append(self.arity)
+            yield row
+
+    monkeypatch.setattr(MultiDiffOp, "apply", counting)
+    monkeypatch.setattr(MultiDiffOp, "basis_table", counting_table)
+    return calls
+
+
 class FamilyBundle:
     """A family with its trivialization, s-forms and connection form, built once."""
 

@@ -10,10 +10,9 @@ from fedconn.kahler import (
     rigidity_check, rigidity_report, mat, mat_eq, mat_mul, mat_inverse, mat_identity,
     mat_deriv, mat_scale,
 )
-from fedconn.multidiff import MultiDiffOp
 from fedconn.properties import random_poly
 
-from conftest import pr
+from conftest import count_evaluations, pr
 from reference_kernels import (
     delta_Z, df_M_dg, v_c1, lemma_at, lemma_by_pairs, operator_E_by_loops, operator_H_by_loops,
 )
@@ -187,24 +186,11 @@ def test_variation_cache_matches_fresh_computation(shear2, rational2, block4):
             assert lemma_at(cold, p, f, g) == (True, None)
 
 
-def count_applies(monkeypatch):
-    """The arity of each MultiDiffOp.apply call, from here on."""
-    calls = []
-    apply = MultiDiffOp.apply
-
-    def counting(self, *args):
-        calls.append(self.arity)
-        return apply(self, *args)
-
-    monkeypatch.setattr(MultiDiffOp, "apply", counting)
-    return calls
-
-
 def test_passing_order1_checks_evaluate_no_operator(monkeypatch, block4, sym4):
     # all three verdicts and the variation lemma are read off operator terms;
     # nothing is evaluated
     F = parse_poly("t1*x1^2*x3 + t2*x4", sym4.roster)
-    calls = count_applies(monkeypatch)
+    calls = count_evaluations(monkeypatch)
     checks = order1_hitchin_check(block4, F, basis_degree=2)
     assert all(ok for _, ok, _ in checks)
     for p in ("t1", "t2"):
@@ -216,7 +202,7 @@ def test_failing_order1_check_evaluates_pairs_up_to_its_witness(monkeypatch, blo
     # a failing derivation identity evaluates its difference operator on the
     # basis pairs in loop order, up to and including the witness, and no further
     F = parse_poly("t1*x1^2*x3 + t2*x4", sym4.roster)
-    calls = count_applies(monkeypatch)
+    calls = count_evaluations(monkeypatch)
     checks = order1_hitchin_check(block4, F, basis_degree=2, delta_factor=Fraction(1, 2))
     name, ok, wit = checks[0]
     assert not ok and wit.startswith("direction t1, (")

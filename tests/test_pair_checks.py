@@ -47,7 +47,9 @@ from fedconn.transport import (
 from fedconn.properties import random_multidiffop, random_poly
 from fedconn.scenario import Scenario
 
-from conftest import generated_curved_r4, generated_curved_r4_scenario, pr, series
+from conftest import (
+    count_evaluations, generated_curved_r4, generated_curved_r4_scenario, pr, series,
+)
 from reference_cochains import gerstenhaber, materialize
 from reference_kernels import contract, delta_Z, v_c1, lemma_by_pairs, lowest_order_by_loops
 
@@ -461,14 +463,7 @@ def test_passing_pair_checks_evaluate_no_operator(bundle_f1, bundle_f3, gauge_pa
     # extracting the star evaluates operators, so it is done before counting
     for bundle in (bundle_f1, bundle_f3):
         assert bundle.family.star.order == 3
-    calls = []
-    apply = MultiDiffOp.apply
-
-    def counting(self, *args):
-        calls.append(self.arity)
-        return apply(self, *args)
-
-    monkeypatch.setattr(MultiDiffOp, "apply", counting)
+    calls = count_evaluations(monkeypatch)
     for bundle in (bundle_f1, bundle_f3):
         assert lowest_order_identity(bundle.family, bundle.A, bundle.beta, 3) == (True, None)
         assert verify_compatibility(bundle.family, bundle.A, 3) == (True, None)

@@ -43,10 +43,9 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ScenarioError) as exc:
         Scenario.parse("dimension = two\n")
     assert "line 1" in str(exc.value)
-    # expression errors surface when the value is built, with its line attached
-    sc = Scenario.parse("dimension = 2\nomega = [[0, -1], [1, 0]]\nalpha[1][1][2] = x9\n")
+    # every expression is parsed as the file is read, with its line attached
     with pytest.raises(ScenarioError) as exc:
-        sc.build_alpha(sc.build_symplectic())
+        Scenario.parse("dimension = 2\nomega = [[0, -1], [1, 0]]\nalpha[1][1][2] = x9\n")
     assert "line 3" in str(exc.value)
 
 
@@ -106,10 +105,18 @@ def test_bad_scenario_exit_code(tmp_path, capsys):
     ("family", "family_r2.scn", "beta[t1][1][3] = x1", "dx index out of range"),
     ("quantize", "family_r2.scn", "Gamma[1][3][1] = x1", "Gamma index out of range"),
     ("quantize", "family_r2.scn", "alpha[1][1][3] = x1", "alpha index out of range"),
+    ("kahler", "kahler_r2.scn", "samples = t3=1", "samples has no parameter t3: params = 1"),
+    ("family", "family_r2.scn", "Gamma[1][1][1] = t2", "Gamma has no parameter t2: params = 1"),
+    ("quantize", "family_r2.scn", "alpha[2][1][2] = t1*t2", "alpha has no parameter t2: params = 1"),
+    ("family", "family_r2.scn", "beta[t1][1][1] = t3*x1", "beta has no parameter t3: params = 1"),
+    ("gauge", "family_r2.scn", "gauge_shift[t1][1][2] = t2*x1^2",
+     "gauge_shift has no parameter t2: params = 1"),
+    ("kahler", "kahler_r2.scn", "I[2][2] = t", "I has no parameter t: params = 1"),
+    ("kahler", "kahler_r2.scn", "F = t2*x1^2*x2", "F has no parameter t2: params = 1"),
 ])
 def test_an_index_out_of_range_is_a_diagnostic(tmp_path, capsys, command, name, entry, message):
-    # every index is checked once, as the file is read: an entry the command
-    # would ignore, or read as a failed check, is bad input with its line
+    # every index and parameter is checked once, as the file is read: an entry
+    # the command would ignore, or read as a failed check, is bad input with its line
     text = (SCENARIOS / name).read_text(encoding="utf-8").rstrip("\n") + "\n"
     bad = tmp_path / name
     bad.write_text(text + entry + "\n")
