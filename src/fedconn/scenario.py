@@ -130,8 +130,7 @@ class Scenario:
         self.gauge_shift = {}  # (direction, h, i) -> expression
         self.I_entries = {}    # (a, b) 0-based -> expression, constant in x
         self.F = None
-        self.samples = []
-        self.samples_line = None
+        self.samples = ([], None)  # (points, line)
 
     # -- parsing --------------------------------------------------------------
 
@@ -178,8 +177,7 @@ class Scenario:
         elif name == "omega":
             self.omega = _parse_matrix(value, lineno)
         elif name == "samples":
-            self.samples = _parse_samples(value, lineno)
-            self.samples_line = lineno
+            self.samples = (_parse_samples(value, lineno), lineno)
         elif name == "F":
             self.F = (value, lineno)
         elif name == "beta" and not idx:
@@ -259,9 +257,10 @@ class Scenario:
                 table[key] = self._expression(what, entry, roster)
         if self.F is not None:
             self.F = self._expression("F", self.F, x)
-        for point in self.samples:
+        points, lineno = self.samples
+        for point in points:
             for name in point:
-                self._require_param("samples", name, self.samples_line)
+                self._require_param("samples", name, lineno)
 
     def _require_param(self, what, name, lineno):
         if name not in self.param_names:
@@ -348,7 +347,7 @@ class Scenario:
         n = self.dimension
         rows = [[self.I_entries.get((a, b), Poly.zero(())) for b in range(n)] for a in range(n)]
         try:
-            return LinearKahlerFamily(sym, rows, samples=self.samples)
+            return LinearKahlerFamily(sym, rows, samples=self.samples[0])
         except ValueError as exc:
             raise ScenarioError(f"bad Kahler family: {exc}") from None
 

@@ -114,16 +114,18 @@ def gauge_equivalence(family: FamilyContext, A: ConnectionOneForm, A2: Connectio
                       order: int = None, params=None) -> MultiDiffOp:
     """P = id + O(h) with V[P] = P A'(V) - A(V) P mod h^{K+1} (A' = A2), for
     V along each of ``params`` (default ``family.params``); A and A2 need
-    only be indexable by them.
+    only be indexable by them.  K is ``order`` (default ``family.order``)
+    capped at the lowest h-order of A and A2, above which P is not known.
 
     Requires both connections flat; for one direction this is automatic, for
     more the closedness of each induction defect is exactly what flatness
     guarantees, and a non-closed defect raises GaugeError with its order.
     A CheckError of ``gauge equation`` guards the induction itself.
     """
-    K = order if order is not None else family.order
-    roster = family.sym.roster
     params = family.params if params is None else params
+    K = min([order if order is not None else family.order]
+            + [C[p].order for C in (A, A2) for p in params])
+    roster = family.sym.roster
     P = MultiDiffOp.identity(roster, K)
 
     def defect(P):

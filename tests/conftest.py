@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from fedconn import multidiff
 from fedconn import (
     SymplecticData, ConnectionFamily, FedosovSetup, FamilyContext,
     Poly, WeylForm, LinearKahlerFamily, MultiDiffOp, parse_poly,
@@ -79,21 +80,39 @@ def lower_cap(monkeypatch, cls, name, caller, which=None):
 
 def count_evaluations(monkeypatch):
     """The arity of each operator evaluation, from here on: each
-    MultiDiffOp.apply call and each tuple MultiDiffOp.basis_table yields."""
-    calls = []
+    MultiDiffOp.apply call and each tuple value MultiDiffOp.basis_table
+    computes, counted as its PolySums is made (one per tuple), so a whole
+    block counts as soon as it is summed, whether or not its rows are read."""
+    calls, running = [], []
     apply, basis_table = MultiDiffOp.apply, MultiDiffOp.basis_table
 
     def counting(self, *args):
         calls.append(self.arity)
         return apply(self, *args)
 
+    class CountingSums(multidiff.PolySums):
+        __slots__ = ()
+
+        def __init__(self):
+            super().__init__()
+            if running:
+                calls.append(running[-1])
+
     def counting_table(self, degree):
-        for row in basis_table(self, degree):
-            calls.append(self.arity)
+        rows = basis_table(self, degree)
+        while True:
+            running.append(self.arity)
+            try:
+                row = next(rows)
+            except StopIteration:
+                return
+            finally:
+                running.pop()
             yield row
 
     monkeypatch.setattr(MultiDiffOp, "apply", counting)
     monkeypatch.setattr(MultiDiffOp, "basis_table", counting_table)
+    monkeypatch.setattr(multidiff, "PolySums", CountingSums)
     return calls
 
 

@@ -200,7 +200,8 @@ def test_passing_order1_checks_evaluate_no_operator(monkeypatch, block4, sym4):
 
 def test_failing_order1_check_evaluates_pairs_up_to_its_witness(monkeypatch, block4, sym4):
     # a failing derivation identity evaluates its difference operator on the
-    # basis pairs in loop order, up to and including the witness, and no further
+    # basis pairs in loop order, one first argument's block at a time, up to
+    # and including the witness's block, and no further
     F = parse_poly("t1*x1^2*x3 + t2*x4", sym4.roster)
     calls = count_evaluations(monkeypatch)
     checks = order1_hitchin_check(block4, F, basis_degree=2, delta_factor=Fraction(1, 2))
@@ -208,5 +209,5 @@ def test_failing_order1_check_evaluates_pairs_up_to_its_witness(monkeypatch, blo
     assert not ok and wit.startswith("direction t1, (")
     f, g = (parse_poly(m, sym4.roster) for m in wit.split("(")[1].rstrip(")").split(","))
     basis = monomials_up_to(sym4.roster, 2)
-    assert calls == [2] * (basis.index(f) * len(basis) + basis.index(g) + 1)
+    assert calls == [2] * ((basis.index(f) + 1) * len(basis))
     assert len(calls) < len(basis) ** 2

@@ -154,6 +154,19 @@ def test_gauge_two_trivializations(bundle_f1):
     assert ok, wit
 
 
+def test_an_order_above_the_connections_stops_at_theirs(bundle_f1):
+    # above the connections' h-order nothing is known, so gauge equivalence
+    # and transport both answer at that order
+    fam, A = bundle_f1.family, bundle_f1.A
+    shift = WeylForm.from_poly(fam.sym, 8, parse_poly("x1^2*x2", fam.sym.roster)).d_x().shift_h(1)
+    A2 = connection_form(fam, {"t1": solve_s(fam, bundle_f1.beta.shifted_by_closed("t1", shift), "t1")})
+    K = min(A["t1"].order, A2["t1"].order)
+    P = gauge_equivalence(fam, A, A2, K + 2)
+    assert P.order == K and P == gauge_equivalence(fam, A, A2, K)
+    phi = parallel_transport(fam, A, "t1", order=K + 2)
+    assert phi.order == K and phi == parallel_transport(fam, A, "t1", order=K)
+
+
 def test_gauge_exponential_case(sym2, flat2):
     # A = 0 and A'(d/dt) = ad_star(b0) with t-constant b0: P is the orderwise
     # exponential of t * ad-data.  The star is extracted one order higher so
