@@ -37,7 +37,7 @@ direction G(V), its pure-type parts, V[M] and (1/2) G(V) once
 (``variation_operators``).  ``gtilde_variation``'s cross-checks run before a
 direction is stored, so a failing direction is never cached.  Cached
 matrices and operators are shared and never mutated: every ``mat_*`` helper
-returns a new matrix.
+returns a new matrix, and matrices compare by Python's list equality.
 """
 
 from __future__ import annotations
@@ -47,13 +47,11 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
-from .scalars import Scalar, I
+from .scalars import Scalar, I, HALF
 from .polynomials import Poly, monomials_up_to, add_term, mat, mat_identity, mat_inverse
 from .weylforms import WeylContext
 from .multidiff import MultiDiffOp, unit_vectors
 from .reports import CheckError
-
-HALF = Scalar(Fraction(1, 2))
 
 
 class VariationError(CheckError):
@@ -85,40 +83,24 @@ def mat_mul(a, b):
     return out
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_neg(a):
-    return [[-x for x in row] for row in a]
-
-
-def mat_scale(a, z):
-    return [[x * z for x in row] for row in a]
+def mat_map(fn, *mats):
+    """The matrix of fn applied entrywise to matrices of one shape."""
+    return [[fn(*entries) for entries in zip(*rows)] for rows in zip(*mats)]
 
 
 def mat_transpose(a):
     return [list(row) for row in zip(*a)]
 
 
-def mat_eq(a, b):
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
 def mat_deriv(a, name):
-    return [[x.differentiate(name) for x in row] for row in a]
-
-
-def mat_subs(a, values):
-    return [[x.subs_params(values) for x in row] for row in a]
+    return mat_map(lambda x: x.differentiate(name), a)
 
 
 def _leading_minors_positive(m):
-    """Exact positivity of all leading principal minors of a constant real matrix."""
+    """Exact positivity of all leading principal minors of a constant real
+    matrix.  One Gaussian elimination without row swaps keeps every leading
+    minor, so the kxk one is the product of the first k pivots; it stops at
+    the first minor that is not positive, before dividing by a zero pivot."""
     n = len(m)
     vals = []
     for r in range(n):
@@ -133,21 +115,15 @@ def _leading_minors_positive(m):
             row.append(z.re)
         vals.append(row)
 
-    def det(sub):
-        k = len(sub)
-        if k == 1:
-            return sub[0][0]
-        total = Fraction(0)
-        for c in range(k):
-            minor = [row[:c] + row[c + 1:] for row in sub[1:]]
-            term = sub[0][c] * det(minor)
-            total += term if c % 2 == 0 else -term
-        return total
-
-    for k in range(1, n + 1):
-        d = det([row[:k] for row in vals[:k]])
+    d = Fraction(1)
+    for k in range(n):
+        pivot = vals[k][k]
+        d *= pivot
         if d <= 0:
-            return False, f"leading {k}x{k} minor is {d}"
+            return False, f"leading {k+1}x{k+1} minor is {d}"
+        for r in range(k + 1, n):
+            f = vals[r][k] / pivot
+            vals[r] = [a - f * b for a, b in zip(vals[r], vals[k])]
     return True, None
 
 
@@ -162,25 +138,25 @@ class LinearKahlerFamily:
             raise ValueError("complex structure has the wrong shape")
         self.pi_mat = mat(sym.pi)
         self.omega_mat = mat(sym.omega)
-        if not mat_eq(mat_mul(self.I, self.I), mat_neg(mat_identity(n))):
+        if mat_mul(self.I, self.I) != mat_map(operator.neg, mat_identity(n)):
             raise ValueError("I^2 = -Id fails identically in t")
         self.g = mat_mul(self.omega_mat, self.I)
-        if not mat_eq(self.g, mat_transpose(self.g)):
+        if self.g != mat_transpose(self.g):
             raise ValueError("g = omega * I is not symmetric")
         self.samples = [dict(s) for s in samples]
         for s in self.samples:
             at = ", ".join(f"{name}={value}" for name, value in s.items())
             try:
-                g = mat_subs(self.g, s)
+                g = mat_map(lambda x: x.subs_params(s), self.g)
             except ZeroDivisionError:
                 raise ValueError(f"metric has a pole at sample {at}") from None
             ok, wit = _leading_minors_positive(g)
             if not ok:
                 raise ValueError(f"metric not positive at sample {at}: {wit}")
         self.gtilde = mat_inverse(self.g)
-        half_i = HALF * I
-        self.proj = mat_sub(mat_scale(mat_identity(n), HALF), mat_scale(self.I, half_i))
-        self.proj_bar = mat_add(mat_scale(mat_identity(n), HALF), mat_scale(self.I, half_i))
+        # P = (Id - iI)/2 and Pbar = (Id + iI)/2
+        self.proj = mat_map(lambda e, x: (e - x * I) * HALF, mat_identity(n), self.I)
+        self.proj_bar = mat_map(lambda e, x: (e + x * I) * HALF, mat_identity(n), self.I)
         self._c1 = None
         self._c1_op = None
         self._variations = {}
@@ -199,11 +175,10 @@ class LinearKahlerFamily:
         def fail(what):
             return VariationError(f"{what} (direction {direction})")
 
-        G = mat_neg(mat_deriv(self.gtilde, direction))
-        other = mat_mul(mat_deriv(self.I, direction), self.pi_mat)
-        if not mat_eq(G, other):
+        G = mat_map(operator.neg, mat_deriv(self.gtilde, direction))
+        if G != mat_mul(mat_deriv(self.I, direction), self.pi_mat):
             raise fail("the two computations of the variation bivector disagree")
-        if not mat_eq(G, mat_transpose(G)):
+        if G != mat_transpose(G):
             raise fail("variation bivector is not symmetric")
         P, Pb = self.proj, self.proj_bar
         Gh = mat_mul(mat_mul(P, G), mat_transpose(P))
@@ -211,7 +186,7 @@ class LinearKahlerFamily:
         mixed = mat_mul(mat_mul(P, G), mat_transpose(Pb))
         if any(not v.is_zero() for row in mixed for v in row):
             raise fail("variation bivector has a mixed-type part")
-        if not mat_eq(mat_add(Gh, Ga), G):
+        if mat_map(operator.add, Gh, Ga) != G:
             raise fail("type decomposition does not sum back")
         return G, Gh, Ga
 
@@ -223,7 +198,8 @@ class LinearKahlerFamily:
         v = self._variations.get(direction)
         if v is None:
             G, Gh, Ga = self.gtilde_variation(direction)
-            v = Variation(G, Gh, Ga, mat_deriv(self.c1_matrix(), direction), mat_scale(G, HALF))
+            v = Variation(G, Gh, Ga, mat_deriv(self.c1_matrix(), direction),
+                          mat_map(lambda x: x * HALF, G))
             self._variations[direction] = v
         return v
 
@@ -233,8 +209,8 @@ class LinearKahlerFamily:
         """M with c1(f,g) = df M dg, realized by the type projections of gtilde;
         computed once."""
         if self._c1 is None:
-            self._c1 = mat_neg(mat_mul(mat_mul(self.proj, self.gtilde),
-                                       mat_transpose(self.proj_bar)))
+            self._c1 = mat_map(operator.neg, mat_mul(mat_mul(self.proj, self.gtilde),
+                                                     mat_transpose(self.proj_bar)))
         return self._c1
 
     # -- the order-1 formal connection --------------------------------------------------
@@ -280,14 +256,14 @@ class LinearKahlerFamily:
         F = F.with_roster(self.sym.roster)
         v = self.variation(direction)
         vc1, _ = self.variation_operators(direction)
-        return (self._second_order(mat_scale(v.G, -Scalar(delta_factor)))
+        return (self._second_order(v.G).scale(-Scalar(delta_factor))
                 + self.c1_operator().partial_apply(0, F.differentiate(direction))
                 + vc1.partial_apply(0, F))
 
     def p1_data(self, F: Poly, delta_factor=Fraction(1, 4)) -> MultiDiffOp:
         """P1 = -factor * Delta_{gtilde} - c1(F, .) as an arity-1, h^0 operator."""
         F = F.with_roster(self.sym.roster)
-        return (self._second_order(mat_scale(self.gtilde, -Scalar(delta_factor)))
+        return (self._second_order(self.gtilde).scale(-Scalar(delta_factor))
                 - self.c1_operator().partial_apply(0, F))
 
     def operator_E(self, direction: str, F: Poly, f: Poly) -> Poly:

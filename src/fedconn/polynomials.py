@@ -1186,10 +1186,16 @@ def _tokenize(text: str):
     return tokens
 
 
+# parentheses and unary minus signs nested deeper than this are an ExprError,
+# well before the recursive descent below reaches Python's recursion limit
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens, roster):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.roster = tuple(roster)
 
     def peek(self):
@@ -1210,6 +1216,15 @@ class _Parser:
         if self.peek() != "end":
             raise ExprError(f"unexpected trailing input {self.tokens[self.pos][1]!r}")
         return p
+
+    def _nested(self, parse) -> Poly:
+        """parse() one nesting level deeper."""
+        if self.depth == MAX_NESTING:
+            raise ExprError(f"expression nested deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        out = parse()
+        self.depth -= 1
+        return out
 
     def expr(self) -> Poly:
         if self.peek() == "-":
@@ -1245,7 +1260,7 @@ class _Parser:
     def factor(self) -> Poly:
         if self.peek() == "-":
             self.take()
-            return -self.factor()
+            return -self._nested(self.factor)
         out = self.atom()
         while self.peek() == "^":
             self.take()
@@ -1263,7 +1278,7 @@ class _Parser:
         kind = self.peek()
         if kind == "(":
             self.take()
-            p = self.expr()
+            p = self._nested(self.expr)
             self.take(")")
             return p
         if kind == "int":

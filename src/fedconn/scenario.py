@@ -249,12 +249,21 @@ class Scenario:
         for (a, b), (_, lineno) in self.I_entries.items():
             if not (0 <= a < n and 0 <= b < n):
                 raise ScenarioError("I index out of range", lineno)
+        gamma_lines = {key: lineno for key, (_, lineno) in self.gamma.items()}
         x = x_roster(n)
         for what, table, roster in (("Gamma", self.gamma, x), ("alpha", self.alpha, x),
                                     ("beta", self.beta, x), ("gauge_shift", self.gauge_shift, x),
                                     ("I", self.I_entries, ())):
             for key, entry in table.items():
                 table[key] = self._expression(what, entry, roster)
+        # the (i,j) symmetry, as ConnectionFamily checks it (a zero entry is
+        # no entry), reported at the later of the two lines
+        for (k, i, j), p in self.gamma.items():
+            q = self.gamma.get((k, j, i))
+            if (q is not None and gamma_lines[k, i, j] > gamma_lines[k, j, i]
+                    and p != q and not p.is_zero() and not q.is_zero()):
+                raise ScenarioError(f"Gamma^{k+1}_{{{i+1},{j+1}}} breaks the (i,j) symmetry",
+                                    gamma_lines[k, i, j])
         if self.F is not None:
             self.F = self._expression("F", self.F, x)
         points, lineno = self.samples

@@ -95,12 +95,6 @@ class ConnectionFamily:
                 out[(m, i, j)] = d
         return out
 
-    def subs_params(self, values: dict) -> "ConnectionFamily":
-        return ConnectionFamily(
-            self.sym,
-            {key: p.subs_params(values) for key, p in self.gamma.items()},
-        )
-
     # -- validation -----------------------------------------------------------
 
     def validate(self):

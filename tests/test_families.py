@@ -246,8 +246,7 @@ def test_a_family_run_brackets_the_star_once_per_direction(name, directions, mon
 
 def test_constant_family_zero_A_compatible(constant_family):
     A = ConnectionOneForm(constant_family,
-                          {"t1": MultiDiffOp.zero(constant_family.sym.roster, 1, 3)},
-                          provenance="user")
+                          {"t1": MultiDiffOp.zero(constant_family.sym.roster, 1, 3)})
     ok, wit = verify_compatibility(constant_family, A, basis_degree=2)
     assert ok, wit
 

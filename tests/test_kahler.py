@@ -7,8 +7,8 @@ from fedconn.scalars import Scalar, I
 from fedconn.polynomials import Poly, parse_poly, monomials_up_to
 from fedconn.kahler import (
     LinearKahlerFamily, verify_lemma_vc1, order1_hitchin_check, family_directions,
-    rigidity_check, rigidity_report, mat, mat_eq, mat_mul, mat_inverse, mat_identity,
-    mat_deriv, mat_scale,
+    rigidity_check, rigidity_report, mat, mat_map, mat_mul, mat_inverse, mat_identity,
+    mat_deriv, _leading_minors_positive,
 )
 from fedconn.properties import random_poly
 
@@ -26,18 +26,42 @@ def test_family_validation_rejects_bad_structures(sym2):
         LinearKahlerFamily(sym2, [[pr("0"), pr("-1")], [pr("1"), pr("0")]], samples=[{"t1": 0}])
 
 
+def laplace_det(m):
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** c * m[0][c] * laplace_det([row[:c] + row[c + 1:] for row in m[1:]])
+               for c in range(len(m)))
+
+
+def test_leading_minors_match_laplace_expansion():
+    # the minors read off one elimination are the Laplace determinants, with
+    # the same first failure, a zero minor (a zero pivot) included
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        vals = [[Fraction(rng.randint(-2, 3), rng.randint(1, 2)) + 2 * (r == c) for c in range(n)]
+                for r in range(n)]
+        expect = True, None
+        for k in range(1, n + 1):
+            d = laplace_det([row[:k] for row in vals[:k]])
+            if d <= 0:
+                expect = False, f"leading {k}x{k} minor is {d}"
+                break
+        assert _leading_minors_positive(mat(vals)) == expect, vals
+
+
 def test_metric_and_inverse(shear2):
-    assert mat_eq(mat_mul(shear2.g, shear2.gtilde), mat_identity(2))
+    assert mat_mul(shear2.g, shear2.gtilde) == mat_identity(2)
     # gtilde = -I pi
     minus_I_pi = mat_mul(shear2.I, shear2.pi_mat)
-    assert mat_eq(shear2.gtilde, [[-v for v in row] for row in minus_I_pi])
+    assert shear2.gtilde == [[-v for v in row] for row in minus_I_pi]
 
 
 def test_variation_two_routes(shear2, rational2, block4):
     for fam, direction in ((shear2, "t1"), (rational2, "t1"), (block4, "t1"), (block4, "t2")):
         G, Gh, Ga = fam.gtilde_variation(direction)
         # the cross-checks live inside; assert the decomposition shape here
-        assert mat_eq(G, [list(row) for row in zip(*G)])
+        assert G == [list(row) for row in zip(*G)]
 
 
 def test_t_constant_family_variation_vanishes(sym2):
@@ -165,15 +189,16 @@ def test_variation_cache_matches_fresh_computation(shear2, rational2, block4):
         roster = fam.sym.roster
         # M = (i pi - gtilde)/2, the closed form of the c1 matrix
         M = [[(p * I - g) * half for p, g in zip(rp, rg)] for rp, rg in zip(fam.pi_mat, fam.gtilde)]
-        assert fam.c1_matrix() is fam.c1_matrix() and mat_eq(fam.c1_matrix(), M)
+        assert fam.c1_matrix() is fam.c1_matrix() and fam.c1_matrix() == M
         directions = family_directions(fam, Poly.zero(roster))
         assert directions == (["t1", "t2"] if fam is block4 else ["t1"])
         for p in directions:
             v = fam.variation(p)
             assert fam.variation(p) is v
             G, Gh, Ga = fam.gtilde_variation(p)  # uncached: every cross-check runs again
-            for cached, fresh in zip(v, (G, Gh, Ga, mat_deriv(M, p), mat_scale(G, half))):
-                assert mat_eq(cached, fresh)
+            for cached, fresh in zip(v, (G, Gh, Ga, mat_deriv(M, p),
+                                         mat_map(lambda x: x * half, G))):
+                assert cached == fresh
         # a new family starts with empty caches; its verdicts match the warm one's
         cold = LinearKahlerFamily(fam.sym, fam.I)
         F = random_poly(roster, rng, degree=3, terms=3, params=("t1",))

@@ -1,4 +1,5 @@
 import json
+import operator
 import os
 from fractions import Fraction
 from pathlib import Path
@@ -104,6 +105,8 @@ def test_bad_scenario_exit_code(tmp_path, capsys):
     ("family", "family_r2.scn", "beta[t3][1][1] = x1", "beta has no direction t3: params = 1"),
     ("family", "family_r2.scn", "beta[t1][1][3] = x1", "dx index out of range"),
     ("quantize", "family_r2.scn", "Gamma[1][3][1] = x1", "Gamma index out of range"),
+    ("quantize", "family_r2.scn", "Gamma[2][2][1] = 2*t1",
+     "Gamma^2_{2,1} breaks the (i,j) symmetry"),
     ("quantize", "family_r2.scn", "alpha[1][1][3] = x1", "alpha index out of range"),
     ("kahler", "kahler_r2.scn", "samples = t3=1", "samples has no parameter t3: params = 1"),
     ("family", "family_r2.scn", "Gamma[1][1][1] = t2", "Gamma has no parameter t2: params = 1"),
@@ -123,6 +126,22 @@ def test_an_index_out_of_range_is_a_diagnostic(tmp_path, capsys, command, name, 
     code, out, err = run_cli(capsys, command, "--scenario", str(bad))
     assert (code, out) == (2, "")
     assert err == f"fedconn: line {len(text.splitlines()) + 1}: {message}\n"
+
+
+@pytest.mark.parametrize("entry", [
+    "Gamma[1][1][1] = " + "(" * 3000 + "x1" + ")" * 3000,
+    "Gamma[1][1][1] = " + "-" * 3000 + "x1",
+    "omega = [[0, " + "(" * 3000 + "-1" + ")" * 3000 + "], [1, 0]]",
+], ids=["parentheses", "unary minus", "omega cell"])
+def test_a_deeply_nested_expression_is_a_diagnostic(tmp_path, capsys, entry):
+    # the recursive descent stops at a fixed depth, long before Python's recursion limit
+    text = (SCENARIOS / "flat_r2.scn").read_text(encoding="utf-8").rstrip("\n") + "\n"
+    bad = tmp_path / "deep.scn"
+    bad.write_text(text + entry + "\n")
+    code, out, err = run_cli(capsys, "quantize", "--scenario", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"fedconn: line {len(text.splitlines()) + 1}: ")
+    assert err.endswith("expression nested deeper than 100 levels\n")
 
 
 @pytest.mark.parametrize("samples, why", [
@@ -391,7 +410,7 @@ def test_kahler_variation_failures_are_report_lines(capsys, monkeypatch, target,
 
     def negated(a, name):
         d = deriv(a, name)
-        return kahler.mat_neg(d) if any(a is getattr(f, target) for f in built) else d
+        return kahler.mat_map(operator.neg, d) if any(a is getattr(f, target) for f in built) else d
 
     monkeypatch.setattr(kahler.LinearKahlerFamily, "__init__", recording_init)
     monkeypatch.setattr(kahler, "mat_deriv", negated)

@@ -32,7 +32,6 @@ def constant_family(sym2, flat2):
 def zero_connection(family):
     return ConnectionOneForm(
         family, {p: MultiDiffOp.zero(family.sym.roster, 1, family.order) for p in family.params},
-        provenance="user",
     )
 
 
@@ -47,7 +46,6 @@ def test_transport_exponential_oracle(constant_family):
     L = MultiDiffOp(r, 1, 3, {(0, ((1, 0),)): Poly.const(r, 1)})
     A = ConnectionOneForm(
         constant_family, {"t1": MultiDiffOp(r, 1, 3, {(1, ((1, 0),)): Poly.const(r, 1)})},
-        provenance="user",
     )
     phi = parallel_transport(constant_family, A, "t1")
     t = Poly.var((), "t1")
@@ -79,7 +77,7 @@ def test_transport_composition(bundle_f1):
     shifted_ops = {
         "t1": _shift_param(bundle_f1.A["t1"], "t1", a)
     }
-    phi_shifted = parallel_transport(fam, ConnectionOneForm(fam, shifted_ops, "user"), "t1")
+    phi_shifted = parallel_transport(fam, ConnectionOneForm(fam, shifted_ops), "t1")
     lhs = phi.subs_params({"t1": a + b})
     rhs = phi_shifted.subs_params({"t1": b}).compose(phi.subs_params({"t1": a}))
     assert lhs == rhs
@@ -129,7 +127,6 @@ def test_transport_rejects_h0_connection(constant_family):
     bad = ConnectionOneForm.__new__(ConnectionOneForm)
     bad.family = constant_family
     bad.ops = {"t1": MultiDiffOp.identity(r, 3)}
-    bad.provenance = "user"
     with pytest.raises(ValueError):
         parallel_transport(constant_family, bad, "t1")
 
@@ -178,8 +175,8 @@ def test_gauge_exponential_case(sym2, flat2):
     star = fam.star
     b = series(fam.sym.roster, 4, {1: parse_poly("x1^2", fam.sym.roster)})
     ad_b = star.ad_over_h(b)
-    A = ConnectionOneForm(fam, {"t1": MultiDiffOp.zero(fam.sym.roster, 1, 3)}, "user")
-    A2 = ConnectionOneForm(fam, {"t1": ad_b}, provenance="user")
+    A = ConnectionOneForm(fam, {"t1": MultiDiffOp.zero(fam.sym.roster, 1, 3)})
+    A2 = ConnectionOneForm(fam, {"t1": ad_b})
     ok, _ = flatness_check(fam, A2)
     assert ok
     P = gauge_equivalence(fam, A, A2, 3)
@@ -241,7 +238,7 @@ def test_conjugation_by_self_equivalence_preserves_compatibility(sym2, flat2):
     ok, wit = self_equivalence_check(fam, P, basis_degree=2)
     assert ok, wit
     Aprime = invert(P).compose(P.t_derivative("t1"))
-    conn = ConnectionOneForm(fam, {"t1": Aprime.truncate(3)}, provenance="user")
+    conn = ConnectionOneForm(fam, {"t1": Aprime.truncate(3)})
     ok, wit = verify_compatibility(fam, conn, basis_degree=2)
     assert ok, wit
 
