@@ -59,7 +59,7 @@ for line in star.serialize().splitlines()[:8]:
     print(" ", line)
 print("  ...")
 
-for name, ok, wit in validate_star_axioms(star, sym, 2, random.Random(0)):
+for name, ok, wit in validate_star_axioms(star, sym, 2):
     print(f"axiom [{name}]: {'ok' if ok else wit}")
 
 rng = random.Random(0)

@@ -457,66 +457,59 @@ def taylor_flat_section(sym, f: Poly, trunc: int) -> WeylForm:
     return WeylForm(sym, trunc, terms)
 
 
+def _first_failure(diff: MultiDiffOp, basis_degree: int, text: str):
+    """None when ``diff`` vanishes on every tuple of monomials of degree <=
+    ``basis_degree``, else ``text`` formatted with the first tuple, in
+    nested-loop order with the first argument outermost, where it does not
+    (``MultiDiffOp.basis_witness``)."""
+    found = diff.basis_witness(basis_degree)
+    return None if found is None else text.format(*found[0])
+
+
 def c1_antisymmetry_witness(c1: MultiDiffOp, sym, basis_degree: int):
     """None when c1(f,g) - c1(g,f) = i{f,g} for all monomials f, g of degree
     <= ``basis_degree``, else the witness text for the first pair (f
     outermost) where it fails.  It is the identity c1 - c1^swap - i Pi = 0
     for the Poisson bivector Pi (``SymplecticData.poisson_operator``), read
-    off the terms of the difference (``MultiDiffOp.basis_witness``)."""
+    off the terms of the difference."""
     swapped = MultiDiffOp(c1.roster, 2, c1.order,
                           {(k, (a, b)): c for (k, (b, a)), c in c1.terms.items()})
-    found = (c1 - swapped - sym.poisson_operator().scale(I)).basis_witness(basis_degree)
-    if found is None:
-        return None
-    (f, g), _ = found
-    return f"c1 antisymmetry fails on ({f},{g})"
+    return _first_failure(c1 - swapped - sym.poisson_operator().scale(I), basis_degree,
+                          "c1 antisymmetry fails on ({},{})")
 
 
-def validate_star_axioms(star: MultiDiffOp, sym, basis_degree: int, rng):
+def validate_star_axioms(star: MultiDiffOp, sym, basis_degree: int):
     """The defining conditions of a star product on the monomials of degree
     <= ``basis_degree``: 1 is a unit, c0 is the pointwise product,
     c1(f,g) - c1(g,f) = i{f,g}, and associativity mod h^(K+1).
 
-    The first three are identities between explicit operators:
-    star(., 1) - id and star(1, .) - id, c0 - pointwise, and
-    c1 - c1^swap - i Pi.  Each verdict is read off the terms of the
-    difference (``MultiDiffOp.basis_witness``), which is evaluated only to
-    find the witness of a failure: the first one a loop over the basis, f
+    Each is an identity between explicit operators: star(., 1) - id and
+    star(1, .) - id, c0 - pointwise, c1 - c1^swap - i Pi, and the
+    Gerstenhaber self-bracket [star, star] = 2 (star o_0 star - star o_1 star),
+    twice the associator, capped at slot order ``basis_degree``.  Each
+    verdict is read off the terms of the difference
+    (``MultiDiffOp.basis_witness``), which is evaluated only to find the
+    witness of a failure: the first tuple a loop over the basis, f
     outermost, meets (for the unit, the first f that fails on either side).
-    Associativity is checked on five triples of basis monomials drawn from
-    ``rng``.
 
     Returns a list of (name, ok, witness) triples.
     """
     roster = star.roster
-    checks = []
     basis = monomials_up_to(roster, basis_degree)
     one = Poly.const(roster, 1)
-
     identity = MultiDiffOp.identity(roster, star.order)
     sides = [(star.partial_apply(slot, one) - identity).basis_witness(basis_degree)
              for slot in (1, 0)]
     failing = [found[0][0] for found in sides if found is not None]
-    wit = f"unit fails on {min(failing, key=basis.index)}" if failing else None
-    checks.append(("unitality f*1 = f = 1*f", wit is None, wit))
-
-    found = (star.h_coefficient(0) - MultiDiffOp.pointwise(roster, 0)).basis_witness(basis_degree)
-    wit = None
-    if found is not None:
-        (f, g), _ = found
-        wit = f"c0({f},{g}) != product"
-    checks.append(("c0 is the pointwise product", wit is None, wit))
-
-    wit = c1_antisymmetry_witness(star.h_coefficient(1), sym, basis_degree)
-    checks.append(("c1(f,g) - c1(g,f) = i{f,g}", wit is None, wit))
-
-    ok, wit = True, None
-    for _ in range(5):
-        f, g, k = (rng.choice(basis) for _ in range(3))
-        lhs = star.apply(star.apply(f, g), k)
-        rhs = star.apply(f, star.apply(g, k))
-        if lhs != rhs:
-            ok, wit = False, f"associativity fails on ({f},{g},{k})"
-            break
-    checks.append(("associativity mod h^(K+1)", ok, wit))
-    return checks
+    c0 = star.h_coefficient(0) - MultiDiffOp.pointwise(roster, 0)
+    witnesses = {
+        "unitality f*1 = f = 1*f":
+            f"unit fails on {min(failing, key=basis.index)}" if failing else None,
+        "c0 is the pointwise product": _first_failure(c0, basis_degree, "c0({},{}) != product"),
+        "c1(f,g) - c1(g,f) = i{f,g}":
+            c1_antisymmetry_witness(star.h_coefficient(1), sym, basis_degree),
+        "associativity mod h^(K+1)":
+            _first_failure(star.bracket(star, max_slot=basis_degree), basis_degree,
+                           "associativity fails on ({},{},{})"),
+    }
+    return [(name, wit is None, wit) for name, wit in witnesses.items()]

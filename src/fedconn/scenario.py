@@ -79,9 +79,9 @@ def _parse_matrix(text, lineno):
             try:
                 p = parse_poly(cell, ())
             except ExprError as exc:
-                raise ScenarioError(f"bad matrix entry {cell!r}: {exc}", lineno) from None
+                raise ScenarioError(f"bad matrix entry: {exc}", lineno) from None
             if p.param_variables():
-                raise ScenarioError(f"matrix entry {cell!r} must be a constant", lineno)
+                raise ScenarioError("matrix entry must be a constant", lineno)
             row.append(p.as_scalar())
         rows.append(row)
     if not rows or any(len(r) != len(rows) for r in rows):
@@ -256,12 +256,11 @@ class Scenario:
                                     ("I", self.I_entries, ())):
             for key, entry in table.items():
                 table[key] = self._expression(what, entry, roster)
-        # the (i,j) symmetry, as ConnectionFamily checks it (a zero entry is
-        # no entry), reported at the later of the two lines
+        # the (i,j) symmetry, as ConnectionFamily checks it (an entry stated
+        # as 0 must match its mirror too), reported at the later of the two lines
         for (k, i, j), p in self.gamma.items():
             q = self.gamma.get((k, j, i))
-            if (q is not None and gamma_lines[k, i, j] > gamma_lines[k, j, i]
-                    and p != q and not p.is_zero() and not q.is_zero()):
+            if q is not None and gamma_lines[k, i, j] > gamma_lines[k, j, i] and p != q:
                 raise ScenarioError(f"Gamma^{k+1}_{{{i+1},{j+1}}} breaks the (i,j) symmetry",
                                     gamma_lines[k, i, j])
         if self.F is not None:

@@ -78,14 +78,13 @@ class ConnectionFamily:
         table = {}
         for (k, i, j), p in (gamma or {}).items():
             p = p.with_roster(sym.roster)
-            if p.is_zero():
-                continue
             for key in {(k, i, j), (k, j, i)}:
                 if key in table and table[key] != p:
                     raise ValueError(f"Gamma^{k+1}_{{{i+1},{j+1}}} breaks the (i,j) symmetry")
                 table[key] = p
-        self.gamma = table
-        self.entries = [(m, i, j, p) for (m, i, j), p in sorted(table.items())]
+        # an entry stated as 0 is checked against its mirror, then dropped
+        self.gamma = {key: p for key, p in table.items() if not p.is_zero()}
+        self.entries = [(m, i, j, p) for (m, i, j), p in sorted(self.gamma.items())]
 
     def t_derivative_table(self, name: str):
         out = {}

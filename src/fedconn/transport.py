@@ -18,6 +18,8 @@ polynomial data and Phi = id + sum_l Phi_l h^l stays exact.
 
 from __future__ import annotations
 
+import itertools
+
 from .polynomials import T_ONE
 from .multidiff import MultiDiffOp
 from .families import FamilyContext, ConnectionOneForm
@@ -147,15 +149,13 @@ def gauge_equivalence(family: FamilyContext, A: ConnectionOneForm, A2: Connectio
         if all(op.is_zero() for op in B.values()):
             continue
         # closedness of B is the flatness hypothesis
-        for a in range(len(params)):
-            for b in range(a + 1, len(params)):
-                v, w = params[a], params[b]
-                closed = B[w].t_derivative(v) - B[v].t_derivative(w)
-                if not closed.is_zero():
-                    raise GaugeError(
-                        f"connections not flat / hypothesis violated at order h^{l+1}: "
-                        f"d_T B({v},{w}) = {closed}"
-                    )
+        for v, w in itertools.combinations(params, 2):
+            closed = B[w].t_derivative(v) - B[v].t_derivative(w)
+            if not closed.is_zero():
+                raise GaugeError(
+                    f"connections not flat / hypothesis violated at order h^{l+1}: "
+                    f"d_T B({v},{w}) = {closed}"
+                )
         Pl = -oneform_potential(B, params)
         for p in params:
             if Pl.t_derivative(p) != -B[p]:
@@ -195,11 +195,8 @@ def self_equivalence_check(family: FamilyContext, P: MultiDiffOp, basis_degree: 
 
 def flatness_check(family: FamilyContext, A: ConnectionOneForm):
     """Direct curvature V[A(W)] - W[A(V)] + [A(V), A(W)] must vanish; (ok, witness)."""
-    params = family.params
-    for a in range(len(params)):
-        for b in range(a + 1, len(params)):
-            v, w = params[a], params[b]
-            F = A.curvature(v, w)
-            if not F.is_zero():
-                return False, f"curvature in directions ({v},{w}) is {F}"
+    for v, w in itertools.combinations(family.params, 2):
+        F = A.curvature(v, w)
+        if not F.is_zero():
+            return False, f"curvature in directions ({v},{w}) is {F}"
     return True, None

@@ -107,6 +107,8 @@ def test_bad_scenario_exit_code(tmp_path, capsys):
     ("quantize", "family_r2.scn", "Gamma[1][3][1] = x1", "Gamma index out of range"),
     ("quantize", "family_r2.scn", "Gamma[2][2][1] = 2*t1",
      "Gamma^2_{2,1} breaks the (i,j) symmetry"),
+    ("quantize", "family_r2.scn", "Gamma[2][2][1] = 0",
+     "Gamma^2_{2,1} breaks the (i,j) symmetry"),
     ("quantize", "family_r2.scn", "alpha[1][1][3] = x1", "alpha index out of range"),
     ("kahler", "kahler_r2.scn", "samples = t3=1", "samples has no parameter t3: params = 1"),
     ("family", "family_r2.scn", "Gamma[1][1][1] = t2", "Gamma has no parameter t2: params = 1"),
@@ -128,6 +130,22 @@ def test_an_index_out_of_range_is_a_diagnostic(tmp_path, capsys, command, name, 
     assert err == f"fedconn: line {len(text.splitlines()) + 1}: {message}\n"
 
 
+@pytest.mark.parametrize("first, second", [("0", "x1"), ("x1", "0")])
+def test_gamma_stated_as_zero_against_a_nonzero_mirror_is_a_diagnostic(tmp_path, capsys, first,
+                                                                      second):
+    # reported at the later line, whichever of the two is the 0
+    text = (SCENARIOS / "flat_r2.scn").read_text(encoding="utf-8").rstrip("\n") + "\n"
+    bad = tmp_path / "mirror.scn"
+    bad.write_text(text + f"Gamma[1][1][2] = {first}\nGamma[1][2][1] = {second}\n")
+    code, out, err = run_cli(capsys, "quantize", "--scenario", str(bad))
+    assert (code, out) == (2, "")
+    assert err == (f"fedconn: line {len(text.splitlines()) + 2}: "
+                   "Gamma^1_{2,1} breaks the (i,j) symmetry\n")
+    # 0 on both lines is no entry
+    bad.write_text(text + "Gamma[1][1][2] = 0\nGamma[1][2][1] = 0\n")
+    assert run_cli(capsys, "quantize", "--scenario", str(bad))[0] == 0
+
+
 @pytest.mark.parametrize("entry", [
     "Gamma[1][1][1] = " + "(" * 3000 + "x1" + ")" * 3000,
     "Gamma[1][1][1] = " + "-" * 3000 + "x1",
@@ -142,6 +160,8 @@ def test_a_deeply_nested_expression_is_a_diagnostic(tmp_path, capsys, entry):
     assert (code, out) == (2, "")
     assert err.startswith(f"fedconn: line {len(text.splitlines()) + 1}: ")
     assert err.endswith("expression nested deeper than 100 levels\n")
+    # the line number locates the entry, which is not echoed
+    assert len(err) < 200
 
 
 @pytest.mark.parametrize("samples, why", [

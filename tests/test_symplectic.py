@@ -68,6 +68,16 @@ def test_validate_failure_with_witness(sym2):
     assert "omega" in witness
 
 
+def test_gamma_stated_as_zero_must_match_its_mirror(sym2):
+    # 0 is an entry like any other, in either order; 0 on both sides is no entry
+    x1, zero = parse_poly("x1", sym2.roster), Poly.zero(sym2.roster)
+    for table in ({(0, 0, 1): zero, (0, 1, 0): x1}, {(0, 0, 1): x1, (0, 1, 0): zero}):
+        with pytest.raises(ValueError, match=r"Gamma\^1_\{[12],[12]\} breaks the \(i,j\) symmetry"):
+            ConnectionFamily(sym2, table)
+    conn = ConnectionFamily(sym2, {(0, 0, 1): zero, (0, 1, 0): zero, (1, 0, 0): x1})
+    assert conn.gamma == {(1, 0, 0): x1}
+
+
 def test_cov_deriv_flat_is_de_rham(sym2):
     f = parse_poly("x1^3*x2 - x2^2", sym2.roster)
     a = WeylForm.from_poly(sym2, 8, f)
