@@ -50,7 +50,7 @@ import itertools
 import math
 import operator
 
-from .scalars import Scalar, ONE, I
+from .scalars import Scalar, I
 from .polynomials import (
     Poly, PolySums, merge_rosters, add_term, exponents_up_to,
 )
@@ -409,13 +409,21 @@ class MultiDiffOp:
         is ``compose_at``'s, with its caveat: a bracket whose result is
         bracketed again takes none.  Every composition adds into one
         PolySums with its sign, so each coefficient is reduced once.
+
+        For phi = self (r = s) the second sum repeats the first when r is
+        odd, so it is composed once with weight 2, and cancels it when r is
+        even, so the bracket is zero.
         """
         r, s = self.arity - 1, phi.arity - 1
         out = PolySums()
-        for i in range(r + 1):
-            self.compose_at(i, phi, max_slot, out, -1 if i * s % 2 else 1)
-        for j in range(s + 1):
-            phi.compose_at(j, self, max_slot, out, 1 if (r * s + j * r) % 2 else -1)
+        if phi is not self:
+            for i in range(r + 1):
+                self.compose_at(i, phi, max_slot, out, -1 if i * s % 2 else 1)
+            for j in range(s + 1):
+                phi.compose_at(j, self, max_slot, out, 1 if (r * s + j * r) % 2 else -1)
+        elif r % 2:
+            for i in range(r + 1):
+                self.compose_at(i, self, max_slot, out, -2 if i % 2 else 2)
         return MultiDiffOp(merge_rosters(self.roster, phi.roster), r + s + 1,
                            min(self.order, phi.order), out.polys())
 
@@ -523,32 +531,15 @@ def moyal_star(sym, order: int) -> MultiDiffOp:
     """The Moyal star to order K, in closed form:
     c^k = (i/2)^k/k! pi^{..} d^k f d^k g.
 
-    Built directly from the contraction recurrence on derivative
-    multi-indices; independent of the Weyl-bundle machinery.
+    Its h^k layer is ``sym.moyal_layer(k)`` times (i/2)^k/k!: the same
+    table of Moyal layers that the Weyl product contracts with
+    (``WeylContext.contractions``).
     """
-    roster = sym.roster
-    n = sym.dim
-    zero = (0,) * n
-    terms = {}
-    state = {(zero, zero): ONE}
-    for k in range(order + 1):
-        w_k = sym.moyal_factor(k)
-        for (g1, g2), w in state.items():
-            c = w * w_k
-            if not c.is_zero():
-                terms[(k, (g1, g2))] = Poly.const(roster, c)
-        if k == order:
-            break
-        nxt = {}
-        for (g1, g2), w in state.items():
-            for (i, j, v) in sym._pi_entries:
-                key = (
-                    g1[:i] + (g1[i] + 1,) + g1[i + 1:],
-                    g2[:j] + (g2[j] + 1,) + g2[j + 1:],
-                )
-                add_term(nxt, key, w * v)
-        state = nxt
-    return MultiDiffOp(roster, 2, order, terms)
+    return MultiDiffOp(sym.roster, 2, order, {
+        (k, (g1, g2)): Poly.const(sym.roster, w * sym.moyal_factor(k))
+        for k in range(order + 1)
+        for g1, row in sym.moyal_layer(k).items()
+        for g2, w in row.items()})
 
 
 def is_derivation(B: MultiDiffOp, star: MultiDiffOp, basis_degree=None):

@@ -165,6 +165,8 @@ class Scenario:
             self.dimension = self._int(value, lineno, "dimension")
         elif name == "params":
             self.params = self._int(value, lineno, "params")
+            if self.params < 0:
+                raise ScenarioError(f"params must be >= 0, got {self.params}", lineno)
         elif name in ("order", "basis_degree"):
             v = self._int(value, lineno, name)
             if v < 1:

@@ -19,15 +19,21 @@ contracted with the Poisson matrix pi carried by the WeylContext; dx parts
 multiply by wedge with the usual antisymmetry sign and no extra Koszul sign
 against the fiber part.
 
-The k-th term of the series leaves y^(a1 + a2 - b1 - b2) with |b1| = |b2| = k
-and k <= min(|a1|, |a2|), so it is y-free, that is central, only when
-|a1| = |a2| = k: a pair reaches the centre only at its full contraction
-order.  ``projected_mw`` and ``projected_ad_over_h`` compute p(a o b) and
-p(ad_over_h(a, b)) from those pairs alone: the weight of each (a1, a2) is the
-order-|a1| entry of ``WeylContext.contractions``, which
-``WeylContext.central_weight`` keeps without the orders below it.  A
-projection p, like ``project_function``, is a formal function sum_k h^k p_k,
-returned as the arity-0 ``MultiDiffOp`` that represents it.
+The series is written once per context, as a table of Moyal layers
+(``WeylContext.moyal_layer``): layer k holds the terms w d^g1 (x) d^g2 of
+pi^{i1 j1} .. pi^{ik jk} d^k (x) d^k, each layer raised from the last.  The
+contractions of a pair of fiber exponents, the central weights and
+``multidiff.moyal_star`` all read that one table.
+
+The k-th term of the series leaves y^((a1 - g1) + (a2 - g2)) with
+|g1| = |g2| = k and k <= min(|a1|, |a2|), so it is y-free, that is central,
+only when |a1| = |a2| = k: a pair reaches the centre only at its full
+contraction order.  ``projected_mw`` and ``projected_ad_over_h`` compute
+p(a o b) and p(ad_over_h(a, b)) from those pairs alone: the weight of each
+(a1, a2) is a1! a2! times the weight of d^a1 (x) d^a2 in layer |a1|
+(``WeylContext.central_weight``).  A projection p, like ``project_function``,
+is a formal function sum_k h^k p_k, returned as the arity-0 ``MultiDiffOp``
+that represents it.
 
 Total degree is additive: every contraction order of a pair of terms of
 degrees d1 and d2 lands at degree d1 + d2 (d1 + d2 - 2 in ad_over_h).  So a
@@ -62,7 +68,7 @@ from fractions import Fraction
 
 from .scalars import Scalar, ONE, I
 from .polynomials import Poly, PolySums, x_roster, add_term, merge_rosters, mat, mat_inverse
-from .multidiff import MultiDiffOp
+from .multidiff import MultiDiffOp, _falling
 from .reports import CheckError
 
 
@@ -94,6 +100,8 @@ class WeylContext:
             if not self.pi[i][j].is_zero()
         ]
         self._moyal_factor = [ONE]  # (i/2)^k / k!
+        zero = (0,) * self.dim
+        self._layers = [{zero: {zero: ONE}}]
         self._contractions = {}
         self._central = {}
 
@@ -103,37 +111,55 @@ class WeylContext:
             self._moyal_factor.append(self._moyal_factor[-1] * I * Scalar(Fraction(1, 2 * n)))
         return self._moyal_factor[k]
 
+    def moyal_layer(self, k: int) -> dict:
+        """The order-k terms w d^g1 (x) d^g2 of the Moyal series without the
+        factor (i/2)^k/k!, as {g1: {g2: w}}: w is the sum of pi^{i1 j1} ..
+        pi^{ik jk} over the ordered index lists that raise (0, 0) to
+        (g1, g2).  Each layer is raised from the last by one pi entry, and
+        kept."""
+        while len(self._layers) <= k:
+            nxt = {}
+            for g1, row in self._layers[-1].items():
+                for g2, w in row.items():
+                    for (i, j, v) in self._pi_entries:
+                        add_term(nxt.setdefault(g1[:i] + (g1[i] + 1,) + g1[i + 1:], {}),
+                                 g2[:j] + (g2[j] + 1,) + g2[j + 1:], w * v)
+            self._layers.append({g1: row for g1, row in nxt.items() if row})
+        return self._layers[k]
+
     def contractions(self, a1, a2, commutator: bool, over_h: bool):
         """The contraction orders of y^a1 against y^a2 that ``_mw_pair`` keeps:
         (k, ((b, w), ..)) for each order k whose contraction is not empty, the
-        leftover exponent b = b1 + b2 with its summed weight w, the Moyal
-        factor (doubled in a commutator, times i for ad_over_h) included.
-        They do not depend on the coefficients, so they are cached; the
-        projected pairings read only the y-free order (``central_weight``).
+        leftover exponent b with its summed weight w, the Moyal factor
+        (doubled in a commutator, times i for ad_over_h) included.
+
+        Order k is ``moyal_layer(k)`` applied to (y^a1, y^a2): its term
+        w d^g1 (x) d^g2 leaves b = (a1 - g1) + (a2 - g2) with weight
+        w * perm(a1, g1) * perm(a2, g2), the rule of
+        ``MultiDiffOp.basis_table``.  The orders do not depend on the
+        coefficients, so they are cached.
         """
         key = (a1, a2, commutator, over_h)
         out = self._contractions.get(key)
         if out is None:
             out = []
-            kmax = min(sum(a1), sum(a2))
-            state = {(a1, a2): ONE}
-            for k in range(kmax + 1):
-                if k % 2 == 1 or not commutator:
-                    factor = self.moyal_factor(k)
-                    if commutator:
-                        factor = factor * 2  # odd orders double in the commutator
-                    if over_h:
-                        factor = factor * I
-                    weights = {}
-                    for (b1, b2), w in state.items():
-                        add_term(weights, tuple(e1 + e2 for e1, e2 in zip(b1, b2)), w * factor)
-                    if weights:
-                        out.append((k, tuple(weights.items())))
-                if k == kmax:
-                    break
-                state = _contract(self, state)
-                if not state:
-                    break
+            for k in range(min(sum(a1), sum(a2)) + 1):
+                if commutator and k % 2 == 0:
+                    continue
+                factor = self.moyal_factor(k) * (2 if commutator else 1) * (I if over_h else 1)
+                weights = {}
+                for g1, row in self.moyal_layer(k).items():
+                    f1 = _falling(a1, g1)
+                    if not f1:
+                        continue
+                    left = tuple(map(operator.sub, a1, g1))
+                    for g2, w in row.items():
+                        f2 = _falling(a2, g2)
+                        if f2:
+                            b = tuple(e1 + e2 - e3 for e1, e2, e3 in zip(left, a2, g2))
+                            add_term(weights, b, (w * factor).mul_int(f1 * f2))
+                if weights:
+                    out.append((k, tuple(weights.items())))
             self._contractions[key] = out = tuple(out)
         return out
 
@@ -141,17 +167,15 @@ class WeylContext:
         """The weight of the y-free contraction of y^a1 against y^a2 for
         |a1| = |a2| = m, the order-m entry of ``contractions(a1, a2, over_h,
         over_h)``, or None when that order is empty: what the projected
-        pairings read.  Of the plain product's orders only this weight is
-        kept: the orders below it are read only by ``mw``, which caches them
-        when it runs.  The over_h orders stay cached for the full bracket."""
+        pairings read.  It is a1! a2! times the weight of d^a1 (x) d^a2 in
+        ``moyal_layer(m)``, with that order's factor."""
         key = (a1, a2, over_h)
         if key not in self._central:
-            full = (a1, a2, over_h, over_h)
-            cached = full in self._contractions
-            found = self.contractions(a1, a2, over_h, over_h)
-            if not (over_h or cached):
-                self._contractions.pop(full, None)
-            self._central[key] = found[-1][1][0][1] if found and found[-1][0] == sum(a1) else None
+            m = sum(a1)
+            w = self.moyal_layer(m).get(a1, {}).get(a2) if m % 2 or not over_h else None
+            self._central[key] = None if w is None else (
+                w * self.moyal_factor(m) * (2 * I if over_h else 1)).mul_int(
+                _falling(a1, a1) * _falling(a2, a2))
         return self._central[key]
 
     def __eq__(self, other):
@@ -181,29 +205,6 @@ def _mask(J) -> int:
     for j in J:
         m |= 1 << j
     return m
-
-
-def _contract(ctx: WeylContext, state: dict) -> dict:
-    """One more pi-contraction of each pair in ``state``.
-
-    ``state`` maps the leftover fiber exponents (b1, b2) of the two factors to
-    the weight their contractions have built up so far; each pi^{ij} entry
-    removes one y^i from b1 and one y^j from b2, weighted by pi^{ij} and the
-    two exponents it lowers.
-    """
-    nxt = {}
-    for (b1, b2), w in state.items():
-        for (pi_i, pi_j, pv) in ctx._pi_entries:
-            e1 = b1[pi_i]
-            if not e1:
-                continue
-            e2 = b2[pi_j]
-            if not e2:
-                continue
-            nb1 = b1[:pi_i] + (e1 - 1,) + b1[pi_i + 1:]
-            nb2 = b2[:pi_j] + (e2 - 1,) + b2[pi_j + 1:]
-            add_term(nxt, (nb1, nb2), (w * pv).mul_int(e1 * e2))
-    return nxt
 
 
 class WeylForm:

@@ -23,6 +23,12 @@ gives the components of a Hamiltonian vector field; ``lemma_by_pairs``,
 where ``src`` decides, or applies, operators.  ``jet_wedge_by_terms`` forms
 Xi ^ a as a WeylForm where ``src`` adds it into a sink.
 
+``_contract`` and ``moyal_star_by_states`` run the Moyal series as the two
+state loops that ``src`` replaced by its one table of Moyal layers
+(``WeylContext.moyal_layer``): ``_contract`` lowers the fiber exponents of a
+pair one pi entry at a time, and ``moyal_star_by_states`` raises the
+derivative multi-indices of the flat star the same way.
+
 The ``*_by_sums`` references add whole forms and operators one
 ``WeylForm.__add__`` or ``MultiDiffOp.__add__`` at a time, which reduces every
 shared coefficient once per sum: delta and delta_inv, the degree recursion,
@@ -35,7 +41,7 @@ import math
 import operator
 from fractions import Fraction
 
-from fedconn.scalars import Scalar
+from fedconn.scalars import Scalar, ONE
 from fedconn.polynomials import (
     Poly, PolySums, add_term, merge_rosters, monomials_up_to, natural_key,
 )
@@ -302,6 +308,51 @@ def jet_wedge_by_terms(a, positions, degree):
             add_term(out, (k, alpha, tuple(sorted(J + (i,)))), -raised if before % 2 else raised)
     return WeylForm(a.ctx, a.trunc, out)
 
+
+
+# -- the Moyal series by contraction states --------------------------------------------------
+
+def _contract(ctx, state):
+    """One more pi-contraction of each pair in ``state``.
+
+    ``state`` maps the leftover fiber exponents (b1, b2) of the two factors to
+    the weight their contractions have built up so far; each pi^{ij} entry
+    removes one y^i from b1 and one y^j from b2, weighted by pi^{ij} and the
+    two exponents it lowers.
+    """
+    nxt = {}
+    for (b1, b2), w in state.items():
+        for (pi_i, pi_j, pv) in ctx._pi_entries:
+            e1 = b1[pi_i]
+            if not e1:
+                continue
+            e2 = b2[pi_j]
+            if not e2:
+                continue
+            nb1 = b1[:pi_i] + (e1 - 1,) + b1[pi_i + 1:]
+            nb2 = b2[:pi_j] + (e2 - 1,) + b2[pi_j + 1:]
+            add_term(nxt, (nb1, nb2), (w * pv).mul_int(e1 * e2))
+    return nxt
+
+
+def moyal_star_by_states(sym, order):
+    """The Moyal star to order K from the raising recurrence on derivative
+    multi-indices (g1, g2), one pi entry per order, with no Moyal layers."""
+    roster = sym.roster
+    zero = (0,) * sym.dim
+    terms = {}
+    state = {(zero, zero): ONE}
+    for k in range(order + 1):
+        w_k = sym.moyal_factor(k)
+        for (g1, g2), w in state.items():
+            terms[(k, (g1, g2))] = Poly.const(roster, w * w_k)
+        nxt = {}
+        for (g1, g2), w in state.items():
+            for (i, j, v) in sym._pi_entries:
+                key = (g1[:i] + (g1[i] + 1,) + g1[i + 1:], g2[:j] + (g2[j] + 1,) + g2[j + 1:])
+                add_term(nxt, key, w * v)
+        state = nxt
+    return MultiDiffOp(roster, 2, order, terms)
 
 # -- evaluators on sample functions ---------------------------------------------------------
 

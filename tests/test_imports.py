@@ -80,11 +80,11 @@ def test_the_t_only_classes_are_gone():
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
-# evaluators of sample functions, replaced by operators; the loops are
-# references in tests/reference_kernels.py (``_contract`` is checked on
-# LinearKahlerFamily only: weylforms has a contraction of its own by that name)
+# evaluators of sample functions, replaced by operators, and the Weyl
+# contraction state loop, replaced by the Moyal layers; the loops are
+# references in tests/reference_kernels.py
 EVALUATORS = {"delta_Z", "laplacian", "_df_M_dg", "c1", "v_c1", "hamiltonian_vf",
-              "symplectic_pair_difference_symmetric"}
+              "symplectic_pair_difference_symmetric", "_contract"}
 
 
 def test_the_evaluators_are_not_defined_again():
@@ -94,10 +94,6 @@ def test_the_evaluators_are_not_defined_again():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in EVALUATORS:
                 defined.setdefault(path.name, []).append(node.name)
-            if isinstance(node, ast.ClassDef) and node.name == "LinearKahlerFamily":
-                defined.setdefault(path.name, []).extend(
-                    item.name for item in node.body
-                    if isinstance(item, ast.FunctionDef) and item.name == "_contract")
     assert {name: hits for name, hits in defined.items() if hits} == {}
 
 

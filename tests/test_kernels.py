@@ -24,7 +24,7 @@ from fedconn import fedosov, families
 from fedconn.polynomials import Poly, PolySums, parse_poly, x_roster, add_term
 from fedconn.scalars import Scalar
 from fedconn.weylforms import WeylForm
-from fedconn.symplectic import ConnectionFamily
+from fedconn.symplectic import ConnectionFamily, SymplecticData
 from fedconn.multidiff import MultiDiffOp, moyal_star
 from fedconn.families import solve_s
 from fedconn.scenario import Scenario
@@ -34,7 +34,7 @@ from conftest import series
 from reference_kernels import (
     pairing_by_products, compose_at_by_products, cov_deriv_by_sums, solve_by_degree_by_sums,
     D_r_by_sums, curvature_form_by_sums, bracket_by_sums, delta_by_sums, delta_star_by_terms,
-    delta_inv_by_sums, partial_apply_by_loops, jet_wedge_by_terms,
+    delta_inv_by_sums, partial_apply_by_loops, jet_wedge_by_terms, moyal_star_by_states,
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -492,6 +492,27 @@ def test_bracket_with_a_function_is_the_difference_of_partial_applications(sym2,
             expect = (partial_apply_by_loops(moyal, 0, value)
                       - partial_apply_by_loops(moyal, 1, value)).shift_h(-1)
             assert_same(moyal.ad_over_h(value), expect, seed, roster)
+
+
+@pytest.mark.parametrize("cap", [None, 2])
+def test_a_self_bracket_equals_the_bracket_with_a_copy(sym2, curved_setup, cap):
+    # [a, a] is composed once, doubled for odd r and zero for even r; an
+    # equal but distinct copy takes both sums of the sign rule
+    rng = random.Random(1590)
+    for a in (moyal_star(sym2, 3), curved_setup.extract_star(3),
+              random_op(rng, 1, 3), random_op(rng, 2, 3), random_op(rng, 3, 2)):
+        copy = MultiDiffOp(a.roster, a.arity, a.order, dict(a.terms))
+        assert copy is not a and copy == a
+        assert_same(a.bracket(a, cap), a.bracket(copy, cap), a.arity, cap)
+
+
+@pytest.mark.parametrize("K", range(6))
+def test_moyal_star_matches_the_raising_states(sym2, sym4, K):
+    # the last omega is not in Darboux form: several pi entries land on one
+    # (g1, g2), so the layers sum their weights
+    dense = SymplecticData([[0, 1, 1, 1], [-1, 0, 1, 1], [-1, -1, 0, 1], [-1, -1, -1, 0]])
+    for sym in (sym2, sym4, dense):
+        assert_same(moyal_star(sym, K), moyal_star_by_states(sym, K), K)
 
 
 def test_bracket_sums_that_cancel(sym2):

@@ -118,6 +118,7 @@ def test_bad_scenario_exit_code(tmp_path, capsys):
      "gauge_shift has no parameter t2: params = 1"),
     ("kahler", "kahler_r2.scn", "I[2][2] = t", "I has no parameter t: params = 1"),
     ("kahler", "kahler_r2.scn", "F = t2*x1^2*x2", "F has no parameter t2: params = 1"),
+    ("verify-all", "flat_r2.scn", "params = -1", "params must be >= 0, got -1"),
 ])
 def test_an_index_out_of_range_is_a_diagnostic(tmp_path, capsys, command, name, entry, message):
     # every index and parameter is checked once, as the file is read: an entry
@@ -254,20 +255,15 @@ def test_naturality_probe_failure_is_a_report_line(capsys, monkeypatch):
 
 
 def test_projected_moyal_sign_mutation_fails(capsys, monkeypatch):
-    # the odd contraction orders that the direct projections read, negated;
-    # the full pairing reads the same contractions and is left as it is
-    contractions, projected = WeylContext.contractions, WeylForm._projected_pairing
+    # the odd-order central weights, which only the direct projections read,
+    # negated; the full pairing reads the contractions and is left as it is
+    central_weight = WeylContext.central_weight
 
-    def negated_odd(ctx, a1, a2, commutator, over_h):
-        return tuple((k, tuple((b, -w) for b, w in ws) if k % 2 else ws)
-                     for k, ws in contractions(ctx, a1, a2, commutator, over_h))
+    def negated_odd(ctx, a1, a2, over_h):
+        w = central_weight(ctx, a1, a2, over_h)
+        return -w if w is not None and sum(a1) % 2 else w
 
-    def mutated(self, other, order, over_h):
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(WeylContext, "contractions", negated_odd)
-            return projected(self, other, order, over_h)
-
-    monkeypatch.setattr(WeylForm, "_projected_pairing", mutated)
+    monkeypatch.setattr(WeylContext, "central_weight", negated_odd)
     for cmd, name, fails in (
         ("quantize", "flat_r2.scn", ["star axioms: c1(f,g) - c1(g,f) = i{f,g}"]),
         ("family", "family_r2.scn", ["low-order identity", "compatibility", "derivation identity"]),

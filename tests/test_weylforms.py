@@ -4,8 +4,10 @@ import pytest
 
 from fedconn.scalars import Scalar, I
 from fedconn.polynomials import Poly, parse_poly
-from fedconn.weylforms import WeylForm, omega_tilde, poincare_potential, _contract, _wedge_sign
+from fedconn.weylforms import WeylForm, omega_tilde, poincare_potential, _wedge_sign
 from fedconn.properties import random_weyl_form
+
+from reference_kernels import _contract
 
 
 def y(sym, *alpha):
