@@ -166,6 +166,7 @@ def _family_pipeline(sc: Scenario, report: Report):
         s_forms[p] = solve_s(family, beta, p)
         report.add("s equation", f"direction {p}: D_r equation and delta* normalization", True)
     A = connection_form(family, s_forms)
+    family.extract_star()
     return family, beta, s_forms, A
 
 
@@ -199,29 +200,38 @@ def run_family(sc: Scenario, report: Report):
     return report
 
 
+def _connection(family, beta):
+    """The connection form of the trivialization ``beta``; its s forms end here."""
+    return connection_form(family, {p: solve_s(family, beta, p) for p in family.params})
+
+
 def run_gauge(sc: Scenario, report: Report):
     family = sc.build_family()
     base, second = sc.build_gauge_pair(family)
-    sA = {p: solve_s(family, base, p) for p in family.params}
-    sB = {p: solve_s(family, second, p) for p in family.params}
-    A = connection_form(family, sA)
-    B = connection_form(family, sB)
+    A = _connection(family, base)
+    B = _connection(family, second)
+    family.extract_star()
+    # every check from here on reads operators only
+    family.setup.release_weyl_stage()
     for label, conn in (("D", A), ("D'", B)):
         ok, wit = flatness_check(family, conn)
         report.add("flatness", f"{label}: direct curvature vanishes", ok, wit)
         ok, wit = verify_compatibility(family, conn, min(sc.basis_degree, 2))
         report.add("compatibility", f"{label}: d_H A(V) = V[star]", ok, wit)
+        conn.drop_coboundaries()
     P = gauge_equivalence(family, A, B, sc.order)
     report.add("gauge equation", GAUGE_EQUATION, True)
     ok, wit = self_equivalence_check(family, P, min(sc.basis_degree, 2))
     report.add("self-equivalence", "P(f star g) = P(f) star P(g)", ok, wit)
+    P_lines = P.serialize().splitlines()
+    del P
     axis = family.params[0]
     phi = parallel_transport(family, A, axis)
     ok, wit = conjugation_check(family, phi, axis, basis_degree=min(sc.basis_degree, 2))
     report.add("transport conjugation", f"Phi(t) conjugates star_0 to star_t along {axis}",
                ok, wit)
     report.note("P by h-order:")
-    for line in P.serialize().splitlines():
+    for line in P_lines:
         report.note(f"  {line}")
     return report
 

@@ -64,11 +64,18 @@ class FamilyContext:
         self.setup = FedosovSetup(connection, alpha, trunc=trunc)
         self._star = None
 
-    @property
-    def star(self) -> MultiDiffOp:
+    def extract_star(self) -> MultiDiffOp:
+        """The star at the family's order, extracted once and kept as ``star``.
+
+        The runners extract it right after ``connection_form``: A(V) reads
+        the symbol of tau at jet degree 2K - 1 and the star at K, a
+        truncation of it, so the star asked for first would make the symbol
+        start again."""
         if self._star is None:
             self._star = self.setup.extract_star(self.order)
         return self._star
+
+    star = property(extract_star)
 
 
 class TrivializationBeta:
@@ -208,6 +215,10 @@ class ConnectionOneForm:
             op = self.family.star.bracket(self[direction], basis_degree)
             cached = self._coboundaries[direction] = (basis_degree, op)
         return cached[1]
+
+    def drop_coboundaries(self):
+        """Forget the memo of ``coboundary``; a later request forms it again."""
+        self._coboundaries.clear()
 
     def curvature(self, v: str, w: str) -> MultiDiffOp:
         """The direct curvature V[A(W)] - W[A(V)] + [A(V), A(W)] in directions (v, w)."""

@@ -383,6 +383,16 @@ class FedosovSetup:
             symbol = symbol.map_coefficients(lambda c: _jet_degree_at_most(c, positions, degree))
         return symbol if target == depth else symbol.up_to_degree(depth)
 
+    def release_weyl_stage(self):
+        """Empty the caches of the Weyl stage: the flat sections, the symbol
+        of tau, and the contractions and central weights of the context.  A
+        later reader recomputes the same values, only slower.  A run whose
+        remaining checks read only operators calls this once it has them."""
+        self._tau_cache.clear()
+        self._symbol = None
+        self.sym._contractions.clear()
+        self.sym._central.clear()
+
     # -- the star product ---------------------------------------------------------------
 
     def _check_order(self, order: int):

@@ -975,9 +975,14 @@ class PolySums:
             del self._sums[key]
 
     def polys(self) -> dict:
-        """key -> the sum at that key, for every key whose sum is not zero."""
-        out = {}
-        for key, acc in self._sums.items():
+        """key -> the sum at that key, for every key whose sum is not zero.
+
+        The sums are handed over: each slot is popped as its Poly is made, so
+        at most one key's raw numerators live beside the Polys made so far.
+        The PolySums is empty afterwards, and a second call returns {}."""
+        out, sums = {}, self._sums
+        for key in list(sums):
+            acc = sums.pop(key)
             if type(acc) is Poly:
                 out[key] = acc
                 continue

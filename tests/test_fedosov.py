@@ -1,3 +1,4 @@
+import importlib.util
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -275,6 +276,60 @@ def test_tau_symbol_truncates_the_larger_one():
     assert setup.tau_symbol(2) == fresh
     assert setup.tau_symbol(4) is big
     assert big != fresh
+
+
+@pytest.mark.parametrize("name", ["curved_r2.scn", "family_r2.scn"])
+def test_released_weyl_stage_recomputes_the_same_values(name):
+    # after a star extraction fills the caches, release_weyl_stage empties
+    # them, and tau, its symbol, the contractions and the central weights
+    # read afterwards equal those read before, compared exactly
+    sc = Scenario.load(SCENARIOS / name)
+    setup = sc.build_family().setup if sc.params else sc.build_setup()
+    setup.extract_star(sc.order)
+    sym = setup.sym
+    monomials = monomials_up_to(sym.roster, 3)
+    exps = exponents_up_to(sym.dim, 4)
+
+    def values():
+        return (
+            [setup.tau(f) for f in monomials],
+            [setup.tau(f, 4) for f in monomials],
+            setup.tau_symbol(sc.order, 5),
+            setup.tau_symbol(2 * sc.order - 1),
+            {(a1, a2, commutator, over_h): sym.contractions(a1, a2, commutator, over_h)
+             for a1 in exps for a2 in exps for commutator in (False, True)
+             for over_h in (False, True)},
+            {(a1, a2, over_h): sym.central_weight(a1, a2, over_h)
+             for a1 in exps for a2 in exps if sum(a1) == sum(a2) for over_h in (False, True)},
+        )
+
+    before = values()
+    setup.release_weyl_stage()
+    assert not setup._tau_cache and setup._symbol is None
+    assert not sym._contractions and not sym._central
+    after = values()
+    assert after == before
+    assert after[0][0] is not before[0][0] and after[3] is not before[3]
+
+
+def test_the_curved_r6_generator_extends_the_r4(tmp_path, capsys):
+    # tools/curved_r6.py writes the benchmark's R^4 with a flat third Darboux
+    # block and one more closed alpha term; the scenario passes quantize
+    root = SCENARIOS.parent
+    spec = importlib.util.spec_from_file_location("curved_r6", root / "tools" / "curved_r6.py")
+    r6 = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(r6)
+    gen = r6.load_gen()
+    text = r6.curved_r6(0)
+    assert text == r6.curved_r6(0) and text != r6.curved_r6(1)
+    added = set(text.splitlines()) - set(gen.curved_r4(0).splitlines())
+    assert added == {"# generated curved R^6 scenario, seed 0", "dimension = 6",
+                     f"omega = {r6.OMEGA}", "alpha[1][5][6] = x5"}
+    path = tmp_path / r6.NAME
+    path.write_text(text, encoding="utf-8")
+    assert gen.check(path) is None
+    assert main(["quantize", "--scenario", str(path), "--order", "2"]) == 0
+    assert "summary: 5 passed, 0 failed" in capsys.readouterr().out
 
 
 # -- the degree caps against the uncapped computations ---------------------------------

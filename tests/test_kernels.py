@@ -232,6 +232,24 @@ def test_poly_sums_match_add_term_of_scaled_polys(seed):
     assert all(not p.is_zero() for p in got.values())
 
 
+def test_poly_sums_hand_over_their_sums():
+    # polys() pops every slot, whether a lone Poly, a map of numerators or a
+    # map beside a sum rational in t, so the PolySums is empty afterwards
+    rng = random.Random(1500)
+    p = random_poly(R2, rng, degree=2, terms=3)
+    q = random_poly(R2, rng, degree=2, terms=3) * parse_poly("1/(t1 + 2)", R2)
+    sums = PolySums()
+    sums.add("lone", p, 1)
+    sums.add("map", p, 1)
+    sums.add_product("map", p, p, Scalar(1, 2))
+    sums.add("rational", q, 1)
+    sums.add("rational", p, 3)
+    assert sums.polys() == {"lone": p, "map": p + (p * p).scale(Scalar(1, 2)),
+                            "rational": q + p.scale(3)}
+    assert sums._sums == {}
+    assert sums.polys() == {}
+
+
 def test_poly_sums_roster_restarts_when_a_sum_cancels():
     # x-roster parts that cancel leave no mark on the roster of what follows,
     # whether they were polynomial or rational in t

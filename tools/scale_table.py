@@ -5,18 +5,19 @@
 
 Each ``--side LABEL=PATH`` names a checkout whose ``src`` is run.  The runs
 are ``quantize`` on the generated curved R^4 (``perfbench/gen.py`` of this
-checkout, at seed 0) at orders K = 2..5, and ``family`` on
-``scenarios/family_r2.scn`` at orders 3..6; every side runs the same
-scenario files.  Each run is a fresh ``python`` child, one at a time, with
-the sides alternating; its wall time counts interpreter start and imports,
-and its peak RSS is the child's own ``VmHWM``.  The table gives the median of
-five runs per side, and says whether every side printed the same report.
+checkout, at seed 0) at orders K = 2..5 and on the curved R^6 of
+``tools/curved_r6.py`` (the same seed) at orders 4 and 5, ``family`` on
+``scenarios/family_r2.scn`` at orders 3..6 and ``gauge`` on it at orders
+3..5; every side runs the same scenario files.  Each run is a fresh
+``python`` child, one at a time, with the sides alternating; its wall time
+counts interpreter start and imports, and its peak RSS is the child's own
+``VmHWM``.  The table gives the median of five runs per side, and says
+whether every side printed the same report.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
 import os
 import platform
@@ -27,9 +28,11 @@ import tempfile
 import time
 from pathlib import Path
 
+from curved_r6 import curved_r6, load_gen
+
 ROOT = Path(__file__).resolve().parent.parent
 REPEAT = 5  # runs per side and job
-SEED = 0  # of the generated R^4; every seed gives the same term counts and sizes
+SEED = 0  # of the generated R^4 and R^6; every seed gives the same term counts and sizes
 
 # runs one fedconn command and prints its exit code,  and VmHWM as JSON
 CHILD = """
@@ -44,19 +47,16 @@ print(json.dumps({"code": code, "sha256": hashlib.sha256(buf.getvalue().encode()
 """
 
 
-def load_gen():
-    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return gen
-
-
-def jobs(generated: Path):
+def jobs(r4: Path, r6: Path):
     family = ROOT / "scenarios" / "family_r2.scn"
-    out = [(f"quantize R^4 K={k}", ["quantize", "--scenario", str(generated), "--order", str(k)])
+    out = [(f"quantize R^4 K={k}", ["quantize", "--scenario", str(r4), "--order", str(k)])
            for k in range(2, 6)]
+    out += [(f"quantize R^6 K={k}", ["quantize", "--scenario", str(r6), "--order", str(k)])
+            for k in (4, 5)]
     out += [(f"family family_r2 K={k}", ["family", "--scenario", str(family), "--order", str(k)])
             for k in range(3, 7)]
+    out += [(f"gauge family_r2 K={k}", ["gauge", "--scenario", str(family), "--order", str(k)])
+            for k in range(3, 6)]
     return out
 
 
@@ -92,10 +92,11 @@ def main(argv=None) -> int:
     sides = [(label, Path(path).resolve() / "src")
              for label, path in (s.split("=", 1) for s in args.side)]
     with tempfile.TemporaryDirectory() as tmp:
-        generated = Path(tmp) / "curved_r4.scn"
-        generated.write_text(load_gen().curved_r4(SEED), encoding="utf-8")
+        r4, r6 = Path(tmp) / "curved_r4.scn", Path(tmp) / "curved_r6.scn"
+        r4.write_text(load_gen().curved_r4(SEED), encoding="utf-8")
+        r6.write_text(curved_r6(SEED), encoding="utf-8")
         results = {}
-        for name, cli_args in jobs(generated):
+        for name, cli_args in jobs(r4, r6):
             for r in range(REPEAT):
                 order = sides if r % 2 == 0 else sides[::-1]
                 for label, src in order:
@@ -111,13 +112,14 @@ def main(argv=None) -> int:
         f"exit, interpreter start included) and peak RSS (`VmHWM`) of {REPEAT} fresh",
         "runs per side, one run at a time, sides alternating.",
         f"Python {platform.python_version()}, {os.cpu_count()} CPUs, {cpu_model()}.",
-        f"`quantize R^4` runs the generated curved R^4 of `perfbench/gen.py` at seed {SEED}.",
+        f"`quantize R^4` runs the generated curved R^4 of `perfbench/gen.py` at seed {SEED},",
+        f"`quantize R^6` the curved R^6 of `tools/curved_r6.py` at the same seed.",
         "",
         "| run | " + " | ".join(f"{lb} s" for lb in labels) + " | "
         + " | ".join(f"{lb} MiB" for lb in labels) + " | same report |",
         "|---" * (2 * len(labels) + 2) + "|",
     ]
-    for name, _ in jobs(Path("-")):
+    for name, _ in jobs(Path("-"), Path("-")):
         per = [results[(name, lb)] for lb in labels]
         times = [f"{statistics.median(x['wall_s'] for x in runs):.2f}" for runs in per]
         rss = [f"{statistics.median(x['rss_mib'] for x in runs):.1f}" for runs in per]
