@@ -118,7 +118,8 @@ CHECKS = {
         ("order-1 derivation", "the order-1 connection term satisfies the Leibniz identity"),
         ("order-1 flatness", "V[-P1] = A1(V)"),
         ("order-1 closedness", "d_T A1 = 0"),
-        ("rigidity", "holomorphic variation part is covariantly constant"),
+        ("rigidity", "holomorphic variation part is covariantly constant; never FAIL: holds "
+                     "identically for x-constant (linear) families, n/a for x-dependent input"),
     ],
     "verify-all": [
         ("weyl battery", "homotopy, differentials, associativity, unit, h-divisibility"),

@@ -40,7 +40,7 @@ from .scalars import I
 from .polynomials import (
     Poly, PolySums, monomials_up_to, exponents_up_to, merge_rosters,
 )
-from .weylforms import WeylForm
+from .weylforms import WeylForm, dx_wedges
 from .symplectic import ConnectionFamily
 from .multidiff import MultiDiffOp, operator_from_symbol
 from .reports import CheckError
@@ -75,19 +75,16 @@ def _jet_wedge(a: WeylForm, positions, degree: int, sink: PolySums):
     dropping jet degree > degree.
 
     ``positions[i]`` is the place of xi_i in the coefficients' roster; the
-    signs are those of ``WeylForm.d_x`` with d/dx^i replaced by xi_i, and
-    xi_i multiplies each coefficient as it is added.
+    signs of dx^i ^ are those ``weylforms`` fixes for every form
+    (``dx_wedges``), and xi_i multiplies each coefficient as it is added.
     """
     for (k, alpha, J), c in a.terms.items():
         low = _jet_degree_at_most(c, positions, degree - 1)
         if low.is_zero():
             continue
-        for i, pos in enumerate(positions):
-            if i in J:
-                continue
-            before = sum(1 for j in J if j < i)
-            sink.add_product((k, alpha, tuple(sorted(J + (i,)))), low,
-                             Poly.var(low.roster, low.roster[pos]), -1 if before % 2 else 1)
+        for i, sign, nJ in dx_wedges(J, len(positions)):
+            sink.add_product((k, alpha, nJ), low, Poly.var(low.roster, low.roster[positions[i]]),
+                             sign)
 
 
 def solve_by_degree(derivative, parts: dict, degrees, source: WeylForm,
@@ -164,17 +161,11 @@ class FedosovSetup:
         self.omega_form = omega
         self.R = connection.curvature_weyl(trunc)
         self.r = self._solve_r()
+        self._r_parts = self.r.by_degree()  # what the flat-section recursions bracket with
         self._tau_cache = {}
         self.jets = jet_names(self.sym.dim, "xi")
         self.symbol_roster = merge_rosters(self.sym.roster, self.jets)
         self._symbol = None  # (jet degree, total degree, tau_symbol to those degrees)
-
-    @property
-    def _r_parts(self):
-        parts = getattr(self, "_r_parts_cache", None)
-        if parts is None:
-            parts = self._r_parts_cache = self.r.by_degree()
-        return parts
 
     def _validate_alpha(self, alpha: WeylForm, omega: WeylForm):
         if not alpha.y_degree_zero():
@@ -467,15 +458,6 @@ def taylor_flat_section(sym, f: Poly, trunc: int) -> WeylForm:
     return WeylForm(sym, trunc, terms)
 
 
-def _first_failure(diff: MultiDiffOp, basis_degree: int, text: str):
-    """None when ``diff`` vanishes on every tuple of monomials of degree <=
-    ``basis_degree``, else ``text`` formatted with the first tuple, in
-    nested-loop order with the first argument outermost, where it does not
-    (``MultiDiffOp.basis_witness``)."""
-    found = diff.basis_witness(basis_degree)
-    return None if found is None else text.format(*found[0])
-
-
 def c1_antisymmetry_witness(c1: MultiDiffOp, sym, basis_degree: int):
     """None when c1(f,g) - c1(g,f) = i{f,g} for all monomials f, g of degree
     <= ``basis_degree``, else the witness text for the first pair (f
@@ -484,8 +466,8 @@ def c1_antisymmetry_witness(c1: MultiDiffOp, sym, basis_degree: int):
     off the terms of the difference."""
     swapped = MultiDiffOp(c1.roster, 2, c1.order,
                           {(k, (a, b)): c for (k, (b, a)), c in c1.terms.items()})
-    return _first_failure(c1 - swapped - sym.poisson_operator().scale(I), basis_degree,
-                          "c1 antisymmetry fails on ({},{})")
+    return (c1 - swapped - sym.poisson_operator().scale(I)).basis_failure(
+        basis_degree, "c1 antisymmetry fails on ({},{})")
 
 
 def validate_star_axioms(star: MultiDiffOp, sym, basis_degree: int):
@@ -515,11 +497,11 @@ def validate_star_axioms(star: MultiDiffOp, sym, basis_degree: int):
     witnesses = {
         "unitality f*1 = f = 1*f":
             f"unit fails on {min(failing, key=basis.index)}" if failing else None,
-        "c0 is the pointwise product": _first_failure(c0, basis_degree, "c0({},{}) != product"),
+        "c0 is the pointwise product": c0.basis_failure(basis_degree, "c0({},{}) != product"),
         "c1(f,g) - c1(g,f) = i{f,g}":
             c1_antisymmetry_witness(star.h_coefficient(1), sym, basis_degree),
         "associativity mod h^(K+1)":
-            _first_failure(star.bracket(star, max_slot=basis_degree), basis_degree,
-                           "associativity fails on ({},{},{})"),
+            star.bracket(star, max_slot=basis_degree).basis_failure(
+                basis_degree, "associativity fails on ({},{},{})"),
     }
     return [(name, wit is None, wit) for name, wit in witnesses.items()]

@@ -320,6 +320,13 @@ class MultiDiffOp:
                 return args, value
         raise AssertionError("a term within the degree vanished on every monomial tuple")
 
+    def basis_failure(self, degree: int, text: str):
+        """The verdict of ``basis_witness`` as a witness text: None when self
+        is zero on every tuple of monomials of degree <= ``degree``, else
+        ``text`` formatted with the first tuple where it is not."""
+        found = self.basis_witness(degree)
+        return None if found is None else text.format(*found[0])
+
     # -- composition ----------------------------------------------------------------
 
     def compose_at(self, i: int, psi: "MultiDiffOp", max_slot: int = None, sink=None,

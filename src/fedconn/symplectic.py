@@ -7,7 +7,8 @@ Sign conventions (fixed once, verified by the test suite):
 * omega * pi = Id, written as sum_j omega_ij pi^{jk} = delta_i^k.
 * {f, g} = pi^{ij} d_i f d_j g.
 * X_f is the vector field with X_f(g) = {f, g}.
-* d_nabla = dx^i wedge (d/dx^i - Gamma^m_ij y^j d/dy^m).
+* d_nabla = dx^i wedge (d/dx^i - Gamma^m_ij y^j d/dy^m), with the signs of
+  dx^i wedge that ``weylforms`` fixes for every form (``dx_wedges``).
 
 The Weyl curvature element R and the variation element i_V S are not given by
 a guessed index formula: they are solved from their defining operator
@@ -22,7 +23,7 @@ from fractions import Fraction
 
 from .scalars import Scalar
 from .polynomials import Poly, PolySums, is_param_name
-from .weylforms import WeylContext, WeylForm
+from .weylforms import WeylContext, WeylForm, dx_wedges
 from .multidiff import MultiDiffOp
 from .reports import CheckError
 
@@ -84,7 +85,10 @@ class ConnectionFamily:
                 table[key] = p
         # an entry stated as 0 is checked against its mirror, then dropped
         self.gamma = {key: p for key, p in table.items() if not p.is_zero()}
-        self.entries = [(m, i, j, p) for (m, i, j), p in sorted(self.gamma.items())]
+        # the entries Gamma^m_ij as (m, j, Gamma^m_ij), by the form index i of d_nabla
+        self.by_form_index = [[] for _ in range(sym.dim)]
+        for (m, i, j), p in sorted(self.gamma.items()):
+            self.by_form_index[i].append((m, j, p))
 
     def t_derivative_table(self, name: str):
         out = {}
@@ -131,16 +135,15 @@ class ConnectionFamily:
         out = PolySums() if sink is None else sink
         a.d_x(out, weight)
         for (k, alpha, J), c in a.terms.items():
-            for (m, i, j, g) in self.entries:
-                e = alpha[m]
-                if not e or i in J:
-                    continue
-                na = list(alpha)
-                na[m] -= 1
-                na[j] += 1
-                before = sum(1 for q in J if q < i)
-                out.add_product((k, tuple(na), tuple(sorted(J + (i,)))), g, c,
-                                -e * weight if before % 2 == 0 else e * weight)
+            for i, sign, nJ in dx_wedges(J, self.sym.dim):
+                for (m, j, g) in self.by_form_index[i]:
+                    e = alpha[m]
+                    if not e:
+                        continue
+                    na = list(alpha)
+                    na[m] -= 1
+                    na[j] += 1
+                    out.add_product((k, tuple(na), nJ), g, c, -sign * e * weight)
         if sink is None:
             return WeylForm(self.sym, a.trunc, out.polys())
 

@@ -105,11 +105,9 @@ def conjugation_check(family: FamilyContext, phi: MultiDiffOp, axis: str,
     phi_inv = invert(phi)
     d = basis_degree
     pulled = star_0.compose_at(0, phi_inv).compose_at(1, phi_inv, d)
-    found = (star_t - phi.compose_at(0, pulled, d)).basis_witness(d)
-    if found is not None:
-        (f, g), _ = found
-        return False, f"conjugation fails on ({f}, {g})"
-    return True, None
+    D = star_t - phi.compose_at(0, pulled, d)
+    wit = D.basis_failure(d, "conjugation fails on ({}, {})")
+    return wit is None, wit
 
 
 def gauge_equivalence(family: FamilyContext, A: ConnectionOneForm, A2: ConnectionOneForm,
@@ -186,11 +184,8 @@ def self_equivalence_check(family: FamilyContext, P: MultiDiffOp, basis_degree: 
     star = family.star
     d = basis_degree
     D = P.compose_at(0, star, d) - star.compose_at(0, P).compose_at(1, P, d)
-    found = D.basis_witness(d)
-    if found is not None:
-        (f, g), _ = found
-        return False, f"self-equivalence fails on ({f}, {g})"
-    return True, None
+    wit = D.basis_failure(d, "self-equivalence fails on ({}, {})")
+    return wit is None, wit
 
 
 def flatness_check(family: FamilyContext, A: ConnectionOneForm):

@@ -16,8 +16,17 @@ The fiberwise product is the Moyal-Weyl series
             * d^k a / dy^{i1}..dy^{ik} * d^k b / dy^{j1}..dy^{jk}
 
 contracted with the Poisson matrix pi carried by the WeylContext; dx parts
-multiply by wedge with the usual antisymmetry sign and no extra Koszul sign
-against the fiber part.
+multiply by wedge, with no extra Koszul sign against the fiber part.
+
+This module owns the two sign rules of the form indices, and every operator
+on forms, here and in ``symplectic`` and ``fedosov``, goes through them:
+
+* wedge: dx^J1 ^ dx^J2 = (-1)^n dx^J for disjoint J1 and J2, with J their
+  union in rising order and n the number of pairs j1 in J1, j2 in J2 with
+  j2 < j1 (``wedge``).  dx^i ^ dx^J is its case J1 = (i,)
+  (``dx_wedges``), read by delta, d_x, d_nabla and the jet wedge Xi ^.
+* contraction: iota_i dx^J = (-1)^p dx^(J less i), p the place of i in J
+  counted from 0 (``interiors``), read by delta* and the Poincare potential.
 
 The series is written once per context, as a table of Moyal layers
 (``WeylContext.moyal_layer``): layer k holds the terms w d^g1 (x) d^g2 of
@@ -185,17 +194,25 @@ class WeylContext:
         return hash(self.omega)
 
 
-def _wedge_sign(J1, J2) -> int:
-    inv = 0
-    for a in J1:
-        for b in J2:
-            if b < a:
-                inv += 1
-    return -1 if inv % 2 else 1
+@functools.cache
+def wedge(J1, J2):
+    """(sign, J) with dx^J1 ^ dx^J2 = sign * dx^J for disjoint J1 and J2, by
+    the wedge rule of the module docstring."""
+    passes = sum(1 for j1 in J1 for j2 in J2 if j2 < j1)
+    return (-1 if passes % 2 else 1), tuple(sorted(J1 + J2))
 
 
-def _merge_J(J1, J2):
-    return tuple(sorted(J1 + J2))
+@functools.cache
+def dx_wedges(J, n: int):
+    """(i, sign, J') for each i < n not in J, i rising: dx^i ^ dx^J = sign * dx^J'."""
+    return tuple((i, *wedge((i,), J)) for i in range(n) if i not in J)
+
+
+@functools.cache
+def interiors(J):
+    """(i, sign, J') for each i in J, in order: iota_i dx^J = sign * dx^J', by
+    the contraction rule of the module docstring."""
+    return tuple((i, -1 if pos % 2 else 1, J[:pos] + J[pos + 1:]) for pos, i in enumerate(J))
 
 
 def _mask(J) -> int:
@@ -469,10 +486,7 @@ class WeylForm:
         orders = self.ctx.contractions(a1, a2, commutator, over_h)
         if not orders:
             return
-        if J1 and J2:
-            sign, J = _wedge_sign(J1, J2), _merge_J(J1, J2)
-        else:
-            sign, J = 1, J1 or J2
+        sign, J = wedge(J1, J2)
         for k, weights in orders:
             h_power = k1 + k2 + k + (-1 if over_h else 0)
             if h_power < 0:
@@ -488,12 +502,10 @@ class WeylForm:
         """delta(a) = sum_i dx^i wedge da/dy^i, summed in one PolySums."""
         out = PolySums()
         for (k, a, J), c in self.terms.items():
-            for i, e in enumerate(a):
-                if not e or i in J:
-                    continue
-                na = a[:i] + (e - 1,) + a[i + 1:]
-                before = sum(1 for j in J if j < i)
-                out.add((k, na, tuple(sorted(J + (i,)))), c, -e if before % 2 else e)
+            for i, sign, nJ in dx_wedges(J, self.ctx.dim):
+                e = a[i]
+                if e:
+                    out.add((k, a[:i] + (e - 1,) + a[i + 1:], nJ), c, sign * e)
         return WeylForm(self.ctx, self.trunc, out.polys())
 
     def delta_star(self) -> "WeylForm":
@@ -520,10 +532,8 @@ class WeylForm:
             if not J:
                 continue
             w = Scalar._make(1, 0, sum(a) + len(J)) if inverse else 1
-            for pos, i in enumerate(J):
-                na = a[:i] + (a[i] + 1,) + a[i + 1:]
-                nJ = J[:pos] + J[pos + 1:]
-                out.add((k, na, nJ), c, w if pos % 2 == 0 else -w)
+            for i, sign, nJ in interiors(J):
+                out.add((k, a[:i] + (a[i] + 1,) + a[i + 1:], nJ), c, sign * w)
         return WeylForm(self.ctx, self.trunc + 1, out.polys())
 
     def center_part(self) -> "WeylForm":
@@ -548,14 +558,10 @@ class WeylForm:
         PolySums and nothing is returned."""
         out = PolySums() if sink is None else sink
         for (k, a, J), c in self.terms.items():
-            for i in range(self.ctx.dim):
-                if i in J:
-                    continue
+            for i, sign, nJ in dx_wedges(J, self.ctx.dim):
                 dc = c.differentiate(self.ctx.roster[i])
-                if dc.is_zero():
-                    continue
-                before = sum(1 for j in J if j < i)
-                out.add((k, a, tuple(sorted(J + (i,)))), dc, -weight if before % 2 else weight)
+                if not dc.is_zero():
+                    out.add((k, a, nJ), dc, sign * weight)
         if sink is None:
             return WeylForm(self.ctx, self.trunc, out.polys())
 
@@ -615,7 +621,7 @@ def poincare_potential(form: WeylForm) -> WeylForm:
         q = len(J)
         if q == 0:
             raise ValueError("Poincare potential needs form-degree >= 1")
-        for pos, j in enumerate(J):
+        for j, sign, nJ in interiors(J):
             part = c.euler_step(roster[j], roster, q)
-            add_term(terms, (k, a, J[:pos] + J[pos + 1:]), part if pos % 2 == 0 else -part)
+            add_term(terms, (k, a, nJ), part if sign > 0 else -part)
     return WeylForm(form.ctx, form.trunc, terms)

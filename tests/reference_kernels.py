@@ -37,6 +37,7 @@ where ``src`` sums each of them in one ``PolySums``.  The code in ``src`` must g
 results.
 """
 
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -45,7 +46,7 @@ from fedconn.scalars import Scalar, ONE
 from fedconn.polynomials import (
     Poly, PolySums, add_term, merge_rosters, monomials_up_to, natural_key,
 )
-from fedconn.weylforms import WeylForm, HDivisionError, _wedge_sign, _merge_J
+from fedconn.weylforms import WeylForm, HDivisionError
 from fedconn.multidiff import MultiDiffOp, _leibniz_splits
 from fedconn.fedosov import _jet_degree_at_most
 from fedconn.kahler import VariationError
@@ -82,6 +83,15 @@ def acc_product_by_tuples(out, ta, tb, c, d):
                 del out[key]
 
 
+def wedge_by_inversions(J1, J2):
+    """(sign, J) with dx^J1 ^ dx^J2 = sign * dx^J for disjoint J1 and J2:
+    sorting the sequence J1 + J2 into J moves each dx past every smaller
+    index to its right, so the sign is the parity of its inversions."""
+    seq = J1 + J2
+    inversions = sum(1 for p, q in itertools.combinations(seq, 2) if p > q)
+    return (-1 if inversions % 2 else 1), tuple(sorted(seq))
+
+
 def pairing_by_products(a, b, commutator, over_h, max_degree=None):
     """a.mw(b) (neither flag), a.graded_comm(b) (commutator) or
     a.ad_over_h(b) (both), each contribution scaled and added on its own."""
@@ -93,8 +103,7 @@ def pairing_by_products(a, b, commutator, over_h, max_degree=None):
         for (k2, a2, J2), c2 in b.terms.items():
             if 2 * (k1 + k2) + sum(a1) + sum(a2) > room or set(J1) & set(J2):
                 continue
-            sign = _wedge_sign(J1, J2)
-            J = _merge_J(J1, J2)
+            sign, J = wedge_by_inversions(J1, J2)
             cc = c1 * c2
             for k, weights in a.ctx.contractions(a1, a2, commutator, over_h):
                 h_power = k1 + k2 + k + (-1 if over_h else 0)
@@ -216,7 +225,7 @@ def cov_deriv_by_sums(connection, a):
     terms, each Gamma term a scaled product added on its own."""
     out = {}
     for (k, alpha, J), c in a.terms.items():
-        for (m, i, j, g) in connection.entries:
+        for (m, i, j), g in connection.gamma.items():
             e = alpha[m]
             if not e or i in J:
                 continue

@@ -126,7 +126,7 @@ def test_s_closedness_guard_fires(monkeypatch):
         m.setattr(families, "solve_by_degree", flipped_ivbeta)
         expect_guard()
     fam.setup.r = fam.setup.r.scale(2)
-    fam.setup._r_parts_cache = None
+    fam.setup._r_parts = fam.setup.r.by_degree()
     expect_guard()
 
 

@@ -156,7 +156,7 @@ def test_tau_defect_guard_fires():
         sym, setup.trunc, (2, 1), coeff=parse_poly("x1", sym.roster), J=(0,)
     )
     setup._tau_cache = {}
-    setup._r_parts_cache = None
+    setup._r_parts = setup.r.by_degree()
     with pytest.raises(AssertionError) as exc:
         setup.tau(parse_poly("x2", sym.roster))
     assert exc.type is fedosov.FedosovCheckError

@@ -11,6 +11,7 @@ from fedconn.kahler import (
     mat_deriv, _leading_minors_positive,
 )
 from fedconn.properties import random_poly
+from fedconn.cli import list_checks
 
 from conftest import count_evaluations, pr
 from reference_kernels import (
@@ -170,6 +171,18 @@ def test_rigidity(shear2):
     assert rigidity_check(shear2, "t1") == ("pass", None)
     status, wit = rigidity_report([[parse_poly("x1", ("x1", "x2"))]])
     assert status == "n/a"
+
+
+def test_rigidity_cannot_fail_and_its_listed_row_says_so(sym2):
+    # the two outcomes of rigidity_report: x-constant entries pass, any
+    # x-dependent entry is n/a; neither is a FAIL, and --list-checks says so
+    one, t1 = Poly.const(sym2.roster, 1), parse_poly("t1", sym2.roster)
+    assert rigidity_report([[one, t1], [t1, one]]) == ("pass", None)
+    assert rigidity_report([[one, parse_poly("t1*x2", sym2.roster)]]) == (
+        "n/a", "x-dependent bivector fields are not handled here")
+    assert ("  rigidity: holomorphic variation part is covariantly constant; never FAIL: holds "
+            "identically for x-constant (linear) families, n/a for x-dependent input\n"
+            in list_checks())
 
 
 def test_E_H_relation(shear2, sym2):

@@ -1,13 +1,16 @@
+import itertools
 import random
 
 import pytest
 
 from fedconn.scalars import Scalar, I
 from fedconn.polynomials import Poly, parse_poly
-from fedconn.weylforms import WeylForm, omega_tilde, poincare_potential, _wedge_sign
+from fedconn.weylforms import (
+    WeylForm, omega_tilde, poincare_potential, wedge, dx_wedges, interiors,
+)
 from fedconn.properties import random_weyl_form
 
-from reference_kernels import _contract
+from reference_kernels import _contract, wedge_by_inversions
 
 
 def y(sym, *alpha):
@@ -64,6 +67,27 @@ def test_delta_examples(sym2):
     d = y(sym2, 1, 1).delta()
     expect = WeylForm.y_monomial(sym2, 8, (0, 1), J=(0,)) + WeylForm.y_monomial(sym2, 8, (1, 0), J=(1,))
     assert d == expect
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6])
+def test_form_index_rules_match_the_inversion_count(dim):
+    # every pair of disjoint index sets, every dx^i ^ dx^J and every iota_i dx^J;
+    # iota_i dx^J is the sign of moving dx^i to the front of dx^J
+    sets = [J for size in range(dim + 1) for J in itertools.combinations(range(dim), size)]
+    for J1 in sets:
+        for J2 in sets:
+            if not set(J1) & set(J2):
+                assert wedge(J1, J2) == wedge_by_inversions(J1, J2), (J1, J2)
+    for J in sets:
+        assert dx_wedges(J, dim) == tuple(
+            (i, *wedge_by_inversions((i,), J)) for i in range(dim) if i not in J), J
+        expect = []
+        for i in J:
+            rest = tuple(j for j in J if j != i)
+            sign, merged = wedge_by_inversions((i,), rest)
+            assert merged == J
+            expect.append((i, sign, rest))
+        assert interiors(J) == tuple(expect), J
 
 
 def test_delta_nilpotency(sym2):
@@ -263,8 +287,7 @@ def mw_pair_by_states(self, key1, c1, key2, c2, out, commutator, over_h):
     if set(J1) & set(J2):
         return
     ctx = self.ctx
-    sign = _wedge_sign(J1, J2)
-    J = tuple(sorted(J1 + J2))
+    sign, J = wedge_by_inversions(J1, J2)
     cc = c1 * c2
     kmax = min(sum(a1), sum(a2))
     state = {(a1, a2): Scalar(1)}
