@@ -14,6 +14,7 @@ quarter-factor fails, which is what makes the passing checks meaningful.
 from fractions import Fraction
 
 from fedconn import SymplecticData, LinearKahlerFamily, Poly, parse_poly
+from fedconn import kahler
 from fedconn.kahler import verify_lemma_vc1, order1_hitchin_check
 from fedconn.scalars import I
 
@@ -53,9 +54,11 @@ for name, ok, wit in order1_hitchin_check(fam, F, basis_degree=2):
     print(f"  [{name}] {'ok' if ok else wit}")
 
 print("\nmutated quarter factor (1/2 instead of 1/4):")
-for name, ok, wit in order1_hitchin_check(fam, F, basis_degree=2, delta_factor=Fraction(1, 2)):
+kahler.DELTA_FACTOR = Fraction(1, 2)
+for name, ok, wit in order1_hitchin_check(fam, F, basis_degree=2):
     print(f"  [{name}] {'ok' if ok else 'FAILS as expected'}")
     break
+kahler.DELTA_FACTOR = Fraction(1, 4)
 
 print("\nH(V) =", fam.operator_H("t1", F))
 print("E(V)(x1) =", fam.operator_E("t1", F, Poly.var(sym.roster, "x1")))

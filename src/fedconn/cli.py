@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .polynomials import Poly
-from .fedosov import c1_antisymmetry_witness, validate_star_axioms
+from .fedosov import c1_antisymmetry_witness, check_order, validate_star_axioms
 from .families import (
     solve_s, connection_form, verify_compatibility, lowest_order_identity, verify_curvature,
     derivation_identity,
@@ -145,6 +145,7 @@ def _monomial_table(report, star, degree):
 
 
 def run_quantize(sc: Scenario, report: Report):
+    check_order(sc.order, sc.truncation)
     setup = sc.build_setup()
     star = setup.extract_star(sc.order)
     for name, ok, wit in validate_star_axioms(star, setup.sym, sc.basis_degree):

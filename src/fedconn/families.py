@@ -29,7 +29,7 @@ from .polynomials import (
 )
 from .weylforms import WeylForm, poincare_potential
 from .symplectic import ConnectionFamily
-from .fedosov import FedosovSetup, solve_by_degree
+from .fedosov import FedosovSetup, check_order, solve_by_degree
 from .multidiff import MultiDiffOp, operator_from_symbol, unit_vectors
 from .reports import CheckError
 
@@ -56,8 +56,7 @@ class FamilyContext:
                 raise ValueError(f"{p!r} is not a parameter name")
         self.trunc = trunc
         self.order = order
-        if 2 * order > trunc:
-            raise ValueError("truncation too small for the requested h-order")
+        check_order(order, trunc)
         for p in self.params:
             if not alpha.t_derivative(p).d_x().is_zero():
                 raise ValueError(f"variation of alpha along {p} is not closed")

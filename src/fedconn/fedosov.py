@@ -140,6 +140,14 @@ def star_depth(order: int) -> int:
     return max(2 * order - 1, 0)
 
 
+def check_order(order: int, trunc: int):
+    """The star and A(V) to h-order ``order`` need truncation >= 2 * order;
+    a smaller ``trunc`` is bad input (ValueError).  The runners check it
+    before they build a setup."""
+    if 2 * order > trunc:
+        raise ValueError(f"h-order {order} needs internal truncation >= {2 * order}, have {trunc}")
+
+
 class FedosovSetup:
     """A symplectic connection plus a formal 2-form, with the solved r cached."""
 
@@ -160,8 +168,7 @@ class FedosovSetup:
         self.alpha = alpha
         self.omega_form = omega
         self.R = connection.curvature_weyl(trunc)
-        self.r = self._solve_r()
-        self._r_parts = self.r.by_degree()  # what the flat-section recursions bracket with
+        self.r, self._r_parts = self._solve_r()  # the parts: what the recursions bracket with
         self._tau_cache = {}
         self.jets = jet_names(self.sym.dim, "xi")
         self.symbol_roster = merge_rosters(self.sym.roster, self.jets)
@@ -179,7 +186,7 @@ class FedosovSetup:
 
     # -- the r recursion ---------------------------------------------------------
 
-    def _solve_r(self) -> WeylForm:
+    def _solve_r(self):
         # With delta = -ad_over_h(omega_tilde) and d_nabla^2 = -ad_over_h(R),
         # expanding D_r^2 gives ad_over_h(-delta r - R + d_nabla r + (1/2) ad(r,r)),
         # so flatness with central part -(alpha - omega) pins the fixed point:
@@ -203,7 +210,7 @@ class FedosovSetup:
                                    f"part of r")
         self._check_weyl_curvature(r)
         self._check_flatness(r)
-        return r
+        return r, parts
 
     def _flatness_residues(self, r: WeylForm):
         """D_r^2(y^m) for each fiber generator y^m, below total degree trunc - 1.
@@ -292,15 +299,14 @@ class FedosovSetup:
     def _depth(self, max_degree):
         return self.trunc if max_degree is None else min(max_degree, self.trunc)
 
-    def _continue_flat(self, section, top, depth, derivative, left, fail):
-        """``section``, solved to total degree ``top``, continued by the
-        flat-section recursion to ``depth``.  Degree d + 1 reads only degrees
-        <= d of the section, so continuing gives what one run to ``depth``
-        gives."""
+    def _solve_flat(self, start: WeylForm, depth: int, derivative, left, what: str) -> WeylForm:
+        """The flat-section recursion of ``tau`` and ``tau_symbol`` from its
+        degree-0 part ``start``, solved to total degree ``depth``."""
         zero = WeylForm.zero(self.sym, self.trunc)
-        parts = {d: section.homogeneous(d) for d in range(top + 1)}
-        solve_by_degree(derivative, parts, range(top, depth), zero, left, 1,
-                        lambda d: FedosovCheckError("flat sections", fail(d)))
+        parts = {0: start}
+        solve_by_degree(derivative, parts, range(depth), zero, left, 1,
+                        lambda d: FedosovCheckError("flat sections",
+                                                    f"{what} at total degree {d}"))
         return sum(parts.values(), zero)
 
     def tau(self, f: Poly, max_degree: int = None) -> WeylForm:
@@ -314,18 +320,17 @@ class FedosovSetup:
         ``max_degree`` gives exactly the low-degree parts of the full
         section; the form keeps the setup's truncation, so pairings read it
         as far as its degrees allow.  One section is kept per f, at the
-        largest degree asked for: a deeper request continues the recursion,
-        a shallower one is a truncation.
+        largest degree asked for: a shallower request is its truncation, a
+        deeper one solves the section again, from degree 0 to the new degree.
         """
         f = f.with_roster(self.sym.roster)
         key = str(f)
         depth = self._depth(max_degree)
-        hit = self._tau_cache.get(key)
-        top, t = hit or (0, WeylForm.from_poly(self.sym, self.trunc, f))
-        if hit is None or top < depth:
-            t = self._continue_flat(t, top, depth, self.connection.cov_deriv, self._r_parts,
-                                    lambda d: f"flat section defect at total degree {d}")
-            top = depth
+        top, t = self._tau_cache.get(key, (-1, None))
+        if top < depth:
+            top, t = depth, self._solve_flat(WeylForm.from_poly(self.sym, self.trunc, f), depth,
+                                             self.connection.cov_deriv, self._r_parts,
+                                             "flat section defect")
             self._tau_cache[key] = (top, t)
         return t if top == depth else t.up_to_degree(depth)
 
@@ -343,36 +348,30 @@ class FedosovSetup:
         at each degree covers what tau checks on monomials of degree <=
         ``degree``.  As in ``tau``, stopping at ``max_degree`` is exact.
         One symbol is kept, at the largest jet and total degrees asked for:
-        a deeper request continues its recursion, a larger jet degree starts
-        it again, and smaller requests are truncations of it.
+        a request within both is its truncation, and a request past either
+        solves the symbol again, to the larger of each.
         """
         roster = self.symbol_roster
         positions = [roster.index(name) for name in self.jets]
         depth = self._depth(max_degree)
-        jet, top, symbol = self._symbol or (degree, 0, None)
-        if jet < degree:
-            # Xi ^ enters every degree: start again, as deep as before
-            jet, symbol = degree, None
-        target = max(top, depth)
-        if symbol is None or top < target:
-            if symbol is None:
-                top = 0
-                symbol = WeylForm(self.sym, self.trunc,
-                                  {(0, (0,) * self.sym.dim, ()): Poly.const(roster, 1)})
+        jet, top, symbol = self._symbol or (-1, -1, None)
+        if jet < degree or top < depth:
+            jet, top = max(jet, degree), max(top, depth)
             r_parts = {d: a.map_coefficients(lambda c: c.with_roster(roster))
                        for d, a in self._r_parts.items()}
+
             def derivative(a, sink):
                 self.connection.cov_deriv(a, sink)
                 _jet_wedge(a, positions, jet, sink)
 
-            symbol = self._continue_flat(
-                symbol, top, target, derivative, r_parts,
-                lambda d: f"flat section symbol defect at total degree {d}",
-            )
-            self._symbol = (jet, target, symbol)
+            start = WeylForm(self.sym, self.trunc,
+                             {(0, (0,) * self.sym.dim, ()): Poly.const(roster, 1)})
+            symbol = self._solve_flat(start, top, derivative, r_parts,
+                                      "flat section symbol defect")
+            self._symbol = (jet, top, symbol)
         if jet > degree:
             symbol = symbol.map_coefficients(lambda c: _jet_degree_at_most(c, positions, degree))
-        return symbol if target == depth else symbol.up_to_degree(depth)
+        return symbol if top == depth else symbol.up_to_degree(depth)
 
     def release_weyl_stage(self):
         """Empty the caches of the Weyl stage: the flat sections, the symbol
@@ -386,12 +385,6 @@ class FedosovSetup:
 
     # -- the star product ---------------------------------------------------------------
 
-    def _check_order(self, order: int):
-        if 2 * order > self.trunc:
-            raise ValueError(
-                f"h-order {order} needs internal truncation >= {2 * order}, have {self.trunc}"
-            )
-
     def star(self, f: Poly, g: Poly, order: int = None) -> MultiDiffOp:
         """f * g = p(tau(f) o tau(g)) mod h^{order+1}; needs trunc >= 2*order.
 
@@ -401,7 +394,7 @@ class FedosovSetup:
         """
         if order is None:
             order = self.trunc // 2
-        self._check_order(order)
+        check_order(order, self.trunc)
         depth = star_depth(order)
         return self.tau(f, depth).projected_mw(self.tau(g, depth), order)
 
@@ -416,7 +409,7 @@ class FedosovSetup:
         """
         if order is None:
             order = self.trunc // 2
-        self._check_order(order)
+        check_order(order, self.trunc)
         roster = self.sym.roster
         sigma = self.tau_symbol(order, star_depth(order))
         etas = jet_names(self.sym.dim, "eta")

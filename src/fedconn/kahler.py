@@ -61,6 +61,9 @@ class VariationError(CheckError):
     check = "variation bivector"
 
 
+# the factor of the Laplacian Delta_G in A1(V) and P1
+DELTA_FACTOR = Fraction(1, 4)
+
 # the data of one direction V: G(V), its pure-type parts, V[M] for the c1 matrix M, (1/2) G(V)
 Variation = namedtuple("Variation", "G Gh Ga Mdot half_G")
 
@@ -246,24 +249,24 @@ class LinearKahlerFamily:
                          Poly.const(roster, Z[a][b]))
         return MultiDiffOp(roster, 1, 0, terms)
 
-    def a1_data(self, direction: str, F: Poly, delta_factor=Fraction(1, 4)) -> MultiDiffOp:
+    def a1_data(self, direction: str, F: Poly) -> MultiDiffOp:
         """A1(V) as an arity-1, h^0 operator:
 
-            A1(V)(f) = -factor * Delta_{G(V)}(f) + c1(V[F], f) + V[c1](F, f),
+            A1(V)(f) = -(1/4) Delta_{G(V)}(f) + c1(V[F], f) + V[c1](F, f),
 
-        that is Delta_Q + w^b d_b with Q = -factor * G(V) and w collecting
-        the two first-order terms.  delta_factor exists for mutation tests."""
+        that is Delta_Q + w^b d_b with Q = -(1/4) G(V) and w collecting
+        the two first-order terms; the 1/4 is ``DELTA_FACTOR``."""
         F = F.with_roster(self.sym.roster)
         v = self.variation(direction)
         vc1, _ = self.variation_operators(direction)
-        return (self._second_order(v.G).scale(-Scalar(delta_factor))
+        return (self._second_order(v.G).scale(-Scalar(DELTA_FACTOR))
                 + self.c1_operator().partial_apply(0, F.differentiate(direction))
                 + vc1.partial_apply(0, F))
 
-    def p1_data(self, F: Poly, delta_factor=Fraction(1, 4)) -> MultiDiffOp:
-        """P1 = -factor * Delta_{gtilde} - c1(F, .) as an arity-1, h^0 operator."""
+    def p1_data(self, F: Poly) -> MultiDiffOp:
+        """P1 = -(1/4) Delta_{gtilde} - c1(F, .) as an arity-1, h^0 operator."""
         F = F.with_roster(self.sym.roster)
-        return (self._second_order(self.gtilde).scale(-Scalar(delta_factor))
+        return (self._second_order(self.gtilde).scale(-Scalar(DELTA_FACTOR))
                 - self.c1_operator().partial_apply(0, F))
 
     def operator_E(self, direction: str, F: Poly, f: Poly) -> Poly:
@@ -342,7 +345,7 @@ def verify_lemma_vc1(fam: LinearKahlerFamily, direction: str, basis_degree: int,
 
 
 def order1_hitchin_check(fam: LinearKahlerFamily, F: Poly, basis_degree: int = 3,
-                         delta_factor=Fraction(1, 4), directions=None):
+                         directions=None):
     """Three verdicts for the order-1 formal connection built from A1:
 
     (a) derivation identity: V[c1](f,g) = -A1(fg) + A1(f) g + f A1(g) on the
@@ -361,7 +364,7 @@ def order1_hitchin_check(fam: LinearKahlerFamily, F: Poly, basis_degree: int = 3
     """
     if directions is None:
         directions = family_directions(fam, F)
-    a1 = {p: fam.a1_data(p, F, delta_factor) for p in directions}
+    a1 = {p: fam.a1_data(p, F) for p in directions}
     product = MultiDiffOp.pointwise(fam.sym.roster, 0)
 
     checks = []
@@ -375,7 +378,7 @@ def order1_hitchin_check(fam: LinearKahlerFamily, F: Poly, basis_degree: int = 3
     checks.append(("order-1 derivation identity", ok, wit))
 
     ok, wit = True, None
-    P1 = fam.p1_data(F, delta_factor)
+    P1 = fam.p1_data(F)
     for p, A in a1.items():
         if -P1.t_derivative(p) != A:
             ok, wit = False, f"direction {p}"

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from fedconn import multidiff
+from fedconn.polynomials import mat, mat_inverse
 from fedconn import (
     SymplecticData, ConnectionFamily, FedosovSetup, FamilyContext,
     Poly, WeylForm, LinearKahlerFamily, MultiDiffOp, parse_poly,
@@ -58,6 +59,50 @@ def generated_curved_r4(tmp_path):
     sc = Scenario.load(generated_curved_r4_scenario(tmp_path))
     sc.order, sc.truncation = 2, 6
     return sc.build_setup()
+
+
+def pull_back(p, A):
+    """p o phi for the linear map phi(x') = A x', with x' named as x."""
+    roster, n = p.roster, len(A)
+    images = [sum((Poly.var(roster, roster[j]).scale(A[i][j]) for j in range(n) if A[i][j]),
+                  Poly.zero(roster)) for i in range(n)]
+    out = Poly.zero(roster)
+    for exps, c in p.coefficients().items():
+        term = c.with_roster(roster)
+        for image, e in zip(images, exps):
+            term = term * image ** e
+        out = out + term
+    return out
+
+
+def pulled_back_setup(sc, A):
+    """The setup of the parameter-free scenario ``sc`` pulled back by
+    phi(x') = A x': omega' = A^T omega A, Gamma^c_ab' = (A^-1)_ck
+    (Gamma^k_ij o phi) A_ia A_jb and alpha' = phi^* alpha, at the same
+    truncation."""
+    sym = sc.build_symplectic()
+    n, N = sym.dim, sc.truncation
+    Ainv = [[v.as_scalar() for v in row] for row in mat_inverse(mat(A))]
+    pairs = list(itertools.product(range(n), repeat=2))
+    omega = [[sum(sym.omega[i][j] * A[i][a] * A[j][b] for i, j in pairs) for b in range(n)]
+             for a in range(n)]
+    gamma = sc.build_connection(sym).gamma
+    gamma = {(c, a, b): sum((pull_back(g, A).scale(Ainv[c][k] * A[i][a] * A[j][b])
+                             for (k, i, j), g in gamma.items()), Poly.zero(sym.roster))
+             for c in range(n) for a, b in pairs}
+    # alpha as antisymmetric matrices, one per h-power, pulled back entrywise
+    entries = {}
+    for (h, _, (i, j)), c in sc.build_alpha(sym).terms.items():
+        entries[(h, i, j)], entries[(h, j, i)] = c, -c
+    table = {}
+    for (h, i, j), c in entries.items():
+        for a, b in pairs:
+            if a < b and A[i][a] * A[j][b]:
+                table[(h, a, b)] = table.get((h, a, b), Poly.zero(sym.roster)) + \
+                    pull_back(c, A).scale(A[i][a] * A[j][b])
+    pulled = SymplecticData(omega)
+    alpha = WeylForm.two_form(pulled, N, {k: c for k, c in table.items() if not c.is_zero()})
+    return FedosovSetup(ConnectionFamily(pulled, gamma), alpha, trunc=N)
 
 
 def lower_cap(monkeypatch, cls, name, caller, which=None):

@@ -25,6 +25,7 @@ from fedconn.families import (
 from fedconn.transport import (
     parallel_transport, conjugation_check, gauge_equivalence, self_equivalence_check,
 )
+from fedconn import kahler
 from fedconn.kahler import LinearKahlerFamily, verify_lemma_vc1, order1_hitchin_check
 from fedconn.properties import weyl_battery, cochain_battery, random_poly
 
@@ -253,9 +254,9 @@ def test_criterion_09_order1_hitchin(sym2, sym4):
             for name, ok, wit in order1_hitchin_check(fam, F, basis_degree=2,
                                                       directions=list(dirs)):
                 assert ok, (name, wit)
-        mutated = order1_hitchin_check(fam, Fs[1], basis_degree=2,
-                                       delta_factor=Fraction(1, 2),
-                                       directions=list(dirs))
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(kahler, "DELTA_FACTOR", Fraction(1, 2))
+            mutated = order1_hitchin_check(fam, Fs[1], basis_degree=2, directions=list(dirs))
         assert not mutated[0][1]
     verdict(9, "order-1 variation lemma as an operator identity and on 20 random pairs, "
                "derivation + flatness for F = 0 "

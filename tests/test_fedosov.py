@@ -10,6 +10,7 @@ from fedconn.scalars import Scalar, I
 from fedconn.polynomials import (
     Poly, parse_poly, monomials_up_to, exponents_up_to,
 )
+from fedconn import weylforms
 from fedconn.weylforms import WeylForm
 from fedconn.symplectic import ConnectionFamily
 from fedconn import fedosov
@@ -21,7 +22,9 @@ from fedconn.properties import random_poly
 from fedconn.scenario import Scenario
 from fedconn import cli
 from fedconn.cli import main
-from conftest import connection_from_T, generated_curved_r4, lower_cap, series
+from conftest import (
+    connection_from_T, generated_curved_r4, lower_cap, pull_back, pulled_back_setup, series,
+)
 from reference_cochains import operator_from_values
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -439,9 +442,10 @@ def test_capped_tau_and_symbol_match_uncapped(name):
             assert falling.star(f, g, order) == full.tau(f).projected_mw(full.tau(g), order)
 
 
-def test_flat_sections_continue_and_never_repeat_a_degree(monkeypatch):
-    # one section is kept per function and one symbol per setup: a deeper
-    # request continues the recursion, so no degree is solved twice
+def test_flat_sections_are_kept_at_the_largest_depth_asked(monkeypatch):
+    # one section is kept per function and one symbol per setup, each at the
+    # largest size asked for: a request within it is a truncation, and one
+    # past it solves again from degree 0, to the larger of each size
     setup = Scenario.load(SCENARIOS / "curved_r2.scn").build_setup()
     solved = []
 
@@ -453,15 +457,94 @@ def test_flat_sections_continue_and_never_repeat_a_degree(monkeypatch):
     f = parse_poly("x1*x2", setup.sym.roster)
     for d in (2, 5, 3, 8, None):
         setup.tau(f, d)
-    assert solved == [("flat section defect", (0, 1)), ("flat section defect", (2, 3, 4)),
-                      ("flat section defect", (5, 6, 7))]
+    assert solved == [("flat section defect", (0, 1)), ("flat section defect", tuple(range(5))),
+                      ("flat section defect", tuple(range(8)))]
+    assert list(setup._tau_cache) == [str(f)] and setup._tau_cache[str(f)][0] == 8
     solved.clear()
     for jet, d in ((2, 3), (1, 6), (2, 2), (3, 4)):
         setup.tau_symbol(jet, d)
-    # a larger jet degree starts again, as deep as the symbol already was
+    # a larger jet degree solves again, as deep as the symbol already was
     assert solved == [("flat section symbol defect", (0, 1, 2)),
-                      ("flat section symbol defect", (3, 4, 5)),
+                      ("flat section symbol defect", tuple(range(6))),
                       ("flat section symbol defect", tuple(range(6)))]
+    assert setup._symbol[:2] == (3, 6)
+
+
+@pytest.mark.parametrize("argv", [
+    ("family", "kahler_r4.scn", "--order", "1"), ("family", "kahler_r4.scn", "--order", "3"),
+    ("verify-all", "kahler_r4.scn", "--order", "1"),
+    ("verify-all", "kahler_r4.scn", "--order", "3"),
+    ("family", "family2_r2.scn", "--order", "1"), ("gauge", "family_r2.scn"),
+    ("quantize", "curved_r2.scn"),
+], ids=" ".join)
+def test_no_runner_solves_a_flat_section_degree_twice(monkeypatch, capsys, argv):
+    # a section is kept at the largest depth asked and solved again from
+    # degree 0 when asked deeper, which costs more than once only if a runner
+    # asks for it deeper after solving it deep; no runner does.  A section is
+    # tau(f) of one setup, or its symbol at one jet degree
+    solved = []  # (section, degrees) per flat-section solve_by_degree call
+    keep = []  # the setups, alive, so that their ids name them
+
+    def recording(derivative, parts, degrees, source, left, weight, fail):
+        if str(fail(0)).startswith("flat section"):
+            solved.append((None, tuple(degrees)))
+        SOLVE(derivative, parts, degrees, source, left, weight, fail)
+
+    def labelled(method, section):
+        def run(self, *args, **kwargs):
+            keep.append(self)
+            start = len(solved)
+            out = method(self, *args, **kwargs)
+            solved[start:] = [(section(self, *args), d) for _, d in solved[start:]]
+            return out
+        return run
+
+    monkeypatch.setattr(fedosov, "solve_by_degree", recording)
+    monkeypatch.setattr(FedosovSetup, "tau", labelled(
+        FedosovSetup.tau, lambda self, f, *_: (id(self), str(f.with_roster(self.sym.roster)))))
+    monkeypatch.setattr(FedosovSetup, "tau_symbol", labelled(
+        FedosovSetup.tau_symbol, lambda self, *_: (id(self), "symbol", self._symbol[0])))
+    command, name, *rest = argv
+    assert main([command, "--scenario", str(SCENARIOS / name), *rest]) == 0
+    capsys.readouterr()
+    assert any(d for _, d in solved)
+    seen = {}
+    for section, degrees in solved:
+        for d in degrees:
+            assert d not in seen.setdefault(section, set()), (section, d, solved)
+            seen[section].add(d)
+
+
+def test_the_star_is_natural_off_darboux_coordinates(monkeypatch):
+    # phi(x') = A x' pulls curved_r2 back to omega' = A^T omega A = 4 omega,
+    # whose inverse is not its transpose as in every shipped scenario.
+    # Fedosov's construction is natural under symplectomorphisms, so
+    # star'(f o phi, g o phi) = star(f, g) o phi, exactly, at every h-order
+    sc = Scenario.load(SCENARIOS / "curved_r2.scn")
+    A = [[-1, 2], [-2, 0]]
+    order = 3
+    star = sc.build_setup().extract_star(order)
+    basis = monomials_up_to(star.roster, 2)
+
+    def first_mismatch():
+        pulled = pulled_back_setup(sc, A).extract_star(order)
+        for f in basis:
+            for g in basis:
+                want = star.apply(f, g)
+                got = pulled.apply(pull_back(f, A), pull_back(g, A))
+                for k in range(order + 1):
+                    if got.poly(k) != pull_back(want.poly(k), A):
+                        return f, g, k
+        return None
+
+    assert first_mismatch() is None
+    # the teeth: pi read as omega transposed, right for the standard omega only
+    monkeypatch.setattr(weylforms, "mat_inverse", lambda a: [list(col) for col in zip(*a)])
+    try:
+        found = first_mismatch()
+    except fedosov.FedosovCheckError as exc:
+        found = exc.check
+    assert found is not None
 
 
 # -- failures of the construction's checks are report lines ---------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from fedconn.scalars import Scalar, I
 from fedconn.polynomials import Poly, parse_poly, monomials_up_to
+from fedconn import kahler
 from fedconn.kahler import (
     LinearKahlerFamily, verify_lemma_vc1, order1_hitchin_check, family_directions,
     rigidity_check, rigidity_report, mat, mat_map, mat_mul, mat_inverse, mat_identity,
@@ -161,9 +162,10 @@ def test_order1_checks(shear2, rational2, block4, sym2, sym4):
                 assert ok, (name, wit)
 
 
-def test_order1_mutation_fails(shear2, sym2):
+def test_order1_mutation_fails(monkeypatch, shear2, sym2):
     F = parse_poly("t1*x1^2*x2", sym2.roster)
-    checks = order1_hitchin_check(shear2, F, basis_degree=2, delta_factor=Fraction(1, 2))
+    monkeypatch.setattr(kahler, "DELTA_FACTOR", Fraction(1, 2))
+    checks = order1_hitchin_check(shear2, F, basis_degree=2)
     assert not checks[0][1]
 
 
@@ -242,7 +244,8 @@ def test_failing_order1_check_evaluates_pairs_up_to_its_witness(monkeypatch, blo
     # and including the witness's block, and no further
     F = parse_poly("t1*x1^2*x3 + t2*x4", sym4.roster)
     calls = count_evaluations(monkeypatch)
-    checks = order1_hitchin_check(block4, F, basis_degree=2, delta_factor=Fraction(1, 2))
+    monkeypatch.setattr(kahler, "DELTA_FACTOR", Fraction(1, 2))
+    checks = order1_hitchin_check(block4, F, basis_degree=2)
     name, ok, wit = checks[0]
     assert not ok and wit.startswith("direction t1, (")
     f, g = (parse_poly(m, sym4.roster) for m in wit.split("(")[1].rstrip(")").split(","))

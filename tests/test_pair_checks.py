@@ -29,6 +29,7 @@ from fedconn.polynomials import (
     Poly, parse_poly, x_roster, monomials_up_to,
     add_term,
 )
+from fedconn import kahler
 from fedconn.kahler import (
     LinearKahlerFamily, VariationError, order1_hitchin_check, verify_lemma_vc1, family_directions,
     mat_map, mat_deriv,
@@ -586,8 +587,8 @@ def shift_a1(monkeypatch, shift):
     """Add each direction's (dQ, dw) of ``shift`` to the operator a1_data returns."""
     a1_data = LinearKahlerFamily.a1_data
 
-    def shifted(self, p, F, delta_factor=Fraction(1, 4)):
-        out = a1_data(self, p, F, delta_factor)
+    def shifted(self, p, F):
+        out = a1_data(self, p, F)
         return out + matrices_operator(self, *shift[p]) if p in shift else out
 
     monkeypatch.setattr(LinearKahlerFamily, "a1_data", shifted)
@@ -649,7 +650,9 @@ def test_order1_matches_the_pair_loop(kahler_cases):
                 assert all(ok for _, ok, _ in got), (name, got)
             # the quarter factor mutated to a half, in A1 and P1 alike: only
             # the Leibniz identity fails
-            got = order1_hitchin_check(fam, F, 2, delta_factor=Fraction(1, 2))
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(kahler, "DELTA_FACTOR", Fraction(1, 2))
+                got = order1_hitchin_check(fam, F, 2)
             assert got == order1_by_pairs(fam, F, 2, delta_factor=Fraction(1, 2)), name
             assert [ok for _, ok, _ in got] == [False, True, True], (name, got)
             if name == "kahler_r4.scn":

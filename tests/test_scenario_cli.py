@@ -98,6 +98,23 @@ def test_bad_scenario_exit_code(tmp_path, capsys):
         assert "line 3:" in err and "must be >=" in err
 
 
+@pytest.mark.parametrize("command, name", [
+    ("quantize", "curved_r2.scn"), ("family", "family_r2.scn"), ("gauge", "family_r2.scn"),
+])
+def test_a_truncation_below_2k_is_a_diagnostic(tmp_path, capsys, monkeypatch, command, name):
+    # one check and one message for every command that builds a setup, made
+    # before any setup is built
+    def built(*args, **kwargs):
+        raise AssertionError("a setup was built")
+
+    monkeypatch.setattr(FedosovSetup, "__init__", built)
+    bad = tmp_path / name
+    bad.write_text((SCENARIOS / name).read_text(encoding="utf-8") + "truncation = 3\norder = 3\n")
+    code, out, err = run_cli(capsys, command, "--scenario", str(bad))
+    assert (code, out) == (2, "")
+    assert err == "fedconn: h-order 3 needs internal truncation >= 6, have 3\n"
+
+
 @pytest.mark.parametrize("command, name, entry, message", [
     ("kahler", "kahler_r2.scn", "I[3][3] = 5", "I index out of range"),
     ("gauge", "family_r2.scn", "gauge_shift[t2][1][1] = x1",
@@ -580,8 +597,8 @@ def test_order1_closedness_failure_is_a_report_line(capsys, monkeypatch):
     # every direction would make d_T A1 = 0, since t-derivatives commute.
     a1_data = kahler.LinearKahlerFamily.a1_data
 
-    def shifted(self, direction, F, delta_factor=Fraction(1, 4)):
-        A = a1_data(self, direction, F, delta_factor)
+    def shifted(self, direction, F):
+        A = a1_data(self, direction, F)
         if direction != "t2":
             return A
         roster = self.sym.roster

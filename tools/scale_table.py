@@ -7,8 +7,10 @@ Each ``--side LABEL=PATH`` names a checkout whose ``src`` is run.  The runs
 are ``quantize`` on the generated curved R^4 (``perfbench/gen.py`` of this
 checkout, at seed 0) at orders K = 2..5 and on the curved R^6 of
 ``tools/curved_r6.py`` (the same seed) at orders 4 and 5, ``family`` on
-``scenarios/family_r2.scn`` at orders 3..6 and ``gauge`` on it at orders
-3..5; every side runs the same scenario files.  Each run is a fresh
+``scenarios/family_r2.scn`` at orders 3..6, ``gauge`` on it at orders 3..5
+and ``family`` on ``scenarios/kahler_r4.scn`` at orders 1 and 3, the shipped
+runs that ask for a flat section or the symbol again, deeper; every side
+runs the same scenario files.  Each run is a fresh
 ``python`` child, one at a time, with the sides alternating; its wall time
 counts interpreter start and imports, and its peak RSS is the child's own
 ``VmHWM``.  The table gives the median of five runs per side, and says
@@ -57,6 +59,9 @@ def jobs(r4: Path, r6: Path):
             for k in range(3, 7)]
     out += [(f"gauge family_r2 K={k}", ["gauge", "--scenario", str(family), "--order", str(k)])
             for k in range(3, 6)]
+    kahler = ROOT / "scenarios" / "kahler_r4.scn"
+    out += [(f"family kahler_r4 K={k}", ["family", "--scenario", str(kahler), "--order", str(k)])
+            for k in (1, 3)]
     return out
 
 
