@@ -145,8 +145,16 @@ def _monomial_table(report, star, degree):
 
 
 def run_quantize(sc: Scenario, report: Report):
+    """The star to order K, its axioms, and its tables.
+
+    The star reads ``r``, tau and the symbol of tau to total degree 2K - 1,
+    so without a ``truncation`` key in the file the setup is built at 2K, and
+    ``r`` is solved and checked to degree 2K - 1.  A stated truncation, raised
+    to 2K + 2 by ``--order``, is built as stated.  ``sc`` is not changed: the
+    other runners of ``verify-all`` read ``sc.truncation`` after this one.
+    """
     check_order(sc.order, sc.truncation)
-    setup = sc.build_setup()
+    setup = sc.build_setup(sc.truncation if sc.truncation_stated else 2 * sc.order)
     star = setup.extract_star(sc.order)
     for name, ok, wit in validate_star_axioms(star, setup.sym, sc.basis_degree):
         report.add("star axioms", name, ok, wit)

@@ -119,6 +119,7 @@ class Scenario:
         self.params = 0
         self.order = 3
         self.truncation = None
+        self.truncation_stated = False  # True when the file sets 'truncation'
         self.basis_degree = 2
         self.seed = 0
         self.omega = None
@@ -174,6 +175,7 @@ class Scenario:
             setattr(self, name, v)
         elif name == "truncation":
             self.truncation = self._int(value, lineno, "truncation")
+            self.truncation_stated = True
         elif name == "seed":
             self.seed = self._int(value, lineno, "seed")
         elif name == "omega":
@@ -301,16 +303,21 @@ class Scenario:
     def build_connection(self, sym: SymplecticData) -> ConnectionFamily:
         return ConnectionFamily(sym, self.gamma)
 
-    def build_alpha(self, sym: SymplecticData) -> WeylForm:
-        alpha = WeylForm.omega_form(sym, self.truncation)
+    def build_alpha(self, sym: SymplecticData, trunc=None) -> WeylForm:
+        trunc = self.truncation if trunc is None else trunc
+        alpha = WeylForm.omega_form(sym, trunc)
         if self.alpha:
-            alpha = alpha + WeylForm.two_form(sym, self.truncation, self.alpha)
+            alpha = alpha + WeylForm.two_form(sym, trunc, self.alpha)
         return alpha
 
-    def build_setup(self) -> FedosovSetup:
+    def build_setup(self, trunc=None) -> FedosovSetup:
+        """The Fedosov setup at truncation ``trunc`` (default
+        ``self.truncation``): ``r`` is solved and checked to total degree
+        ``trunc - 1``."""
+        trunc = self.truncation if trunc is None else trunc
         sym = self.build_symplectic()
-        return FedosovSetup(self.build_connection(sym), self.build_alpha(sym),
-                            trunc=self.truncation)
+        return FedosovSetup(self.build_connection(sym), self.build_alpha(sym, trunc),
+                            trunc=trunc)
 
     def build_family(self) -> FamilyContext:
         if self.params < 1:

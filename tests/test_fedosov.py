@@ -23,7 +23,8 @@ from fedconn.scenario import Scenario
 from fedconn import cli
 from fedconn.cli import main
 from conftest import (
-    connection_from_T, generated_curved_r4, lower_cap, pull_back, pulled_back_setup, series,
+    connection_from_T, generated_curved_r4, generated_curved_r4_scenario, lower_cap, pull_back,
+    pulled_back_setup, series,
 )
 from reference_cochains import operator_from_values
 
@@ -69,7 +70,10 @@ def test_non_abelian_r_rejected(curved_setup):
 def test_r_mutations_are_caught(monkeypatch, capsys):
     # each interlocking weight of the r-equation, mutated, trips the
     # Weyl-curvature check while r is solved for curved_r2 at order 2; the
-    # CLI reports it as a FAIL line with the message as witness, exit 1
+    # CLI reports it as a FAIL line with the message as witness, exit 1.
+    # The CLI runs at order 3: quantize at order K solves r to degree
+    # 2K - 1, the depth its star reads, and the degree-4 residue is past
+    # that at order 2
     sc = Scenario.load(SCENARIOS / "curved_r2.scn")
     sc.order = 2
     delta_inv = WeylForm.delta_inv
@@ -99,7 +103,7 @@ def test_r_mutations_are_caught(monkeypatch, capsys):
             m.setattr(target, name, mutant)
             with pytest.raises(NotAbelianError) as exc:
                 sc.build_setup()
-            code = main(["quantize", "--scenario", str(SCENARIOS / "curved_r2.scn"), "--order", "2"])
+            code = main(["quantize", "--scenario", str(SCENARIOS / "curved_r2.scn"), "--order", "3"])
         assert str(exc.value).startswith(f"non-scalar Weyl-curvature residue at total degree {degree}:")
         out, err = capsys.readouterr()
         assert (code, err) == (1, "")
@@ -213,6 +217,24 @@ def test_star_needs_enough_truncation(curved_setup):
     with pytest.raises(ValueError):
         curved_setup.star(Poly.const(curved_setup.sym.roster, 1),
                           Poly.const(curved_setup.sym.roster, 1), order=7)
+
+
+@pytest.mark.parametrize("name, order", [
+    ("curved_r2.scn", 1), ("curved_r2.scn", 2), ("curved_r2.scn", 3), ("curved_r2.scn", 4),
+    ("flat_r2.scn", 3), (None, 2),
+])
+def test_the_star_to_order_k_is_read_from_truncation_2k(tmp_path, name, order):
+    # the star to order K reads tau and its symbol, and so r, to total degree
+    # 2K - 1, so a setup at truncation 2K (quantize's default) gives the star
+    # of one at 2K + 2.  None is the benchmark's generated curved R^4
+    path = SCENARIOS / name if name else generated_curved_r4_scenario(tmp_path)
+    sc = Scenario.load(path)
+    stars = []
+    for trunc in (2 * order, 2 * order + 2):
+        setup = sc.build_setup(trunc)
+        assert setup.trunc == setup.r.trunc == trunc
+        stars.append(setup.extract_star(order).serialize())
+    assert stars[0] == stars[1]
 
 
 def test_projection_of_flat_sections(curved_setup):
@@ -547,6 +569,28 @@ def test_the_star_is_natural_off_darboux_coordinates(monkeypatch):
     assert found is not None
 
 
+def test_family_sheared_r2_is_family_r2_pulled_back(monkeypatch, capsys):
+    # the shipped off-Darboux scenario: family_r2 pulled back by
+    # phi(x') = A x', with omega' = 3 omega, so its star is family_r2's
+    # pulled back, at every h-order
+    A = [[1, 2], [-1, 1]]
+    order = 3
+    star, sheared = (Scenario.load(SCENARIOS / name).build_setup().extract_star(order)
+                     for name in ("family_r2.scn", "family_sheared_r2.scn"))
+    basis = monomials_up_to(star.roster, 2)
+    for f in basis:
+        for g in basis:
+            want = star.apply(f, g)
+            got = sheared.apply(pull_back(f, A), pull_back(g, A))
+            for k in range(order + 1):
+                assert got.poly(k) == pull_back(want.poly(k), A), (f, g, k)
+    # the teeth: with pi read as omega transposed, quantize ends on a FAIL line
+    monkeypatch.setattr(weylforms, "mat_inverse", lambda a: [list(col) for col in zip(*a)])
+    code = main(["quantize", "--scenario", str(SCENARIOS / "family_sheared_r2.scn")])
+    checks = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[")]
+    assert code == 1 and checks[-1].startswith("[FAIL] ")
+
+
 # -- failures of the construction's checks are report lines ---------------------------
 
 SOLVE = fedosov.solve_by_degree
@@ -583,7 +627,7 @@ def _full_ad_r_r(derivative, parts, degrees, source, left, weight, fail):
     # y1 y2 dx1 in the source of r at degree 2: not delta-closed
     (_with_junk("r recursion", (0, (1, 1), (0,))), None, "r recursion",
      "r recursion source fails delta-closedness at degree 2"),
-    (_delta_exact_top, None, "r normalization", "delta* r = 0 fails on the degree-8 part of r"),
+    (_delta_exact_top, None, "r normalization", "delta* r = 0 fails on the degree-6 part of r"),
     # h dx1^dx2 in the source of r: r solves for alpha + h dx1^dx2
     (_with_junk("r recursion", (1, (0, 0), (0, 1))), None, "Weyl curvature",
      "Weyl curvature of the solved r differs from alpha at degree 2"),

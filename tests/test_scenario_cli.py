@@ -115,6 +115,48 @@ def test_a_truncation_below_2k_is_a_diagnostic(tmp_path, capsys, monkeypatch, co
     assert err == "fedconn: h-order 3 needs internal truncation >= 6, have 3\n"
 
 
+@pytest.fixture
+def built_truncations(monkeypatch):
+    """The truncation of each FedosovSetup built from here on, in order."""
+    truncs = []
+    init = FedosovSetup.__init__
+
+    def recording(self, connection, alpha=None, trunc=8):
+        truncs.append(trunc)
+        init(self, connection, alpha, trunc=trunc)
+
+    monkeypatch.setattr(FedosovSetup, "__init__", recording)
+    return truncs
+
+
+@pytest.mark.parametrize("extra, argv, built", [
+    # no truncation key: quantize builds at 2K, the depth its star reads
+    ("", (), [6]),
+    ("", ("--order", "2"), [4]),
+    ("", ("--order", "5"), [10]),
+    # a stated truncation is built as stated, raised to 2K + 2 by --order
+    ("truncation = 10\n", (), [10]),
+    ("truncation = 7\n", ("--order", "4"), [10]),
+    ("truncation = 7\n", ("--order", "2"), [7]),
+])
+def test_quantize_builds_its_setup_at_2k_without_a_truncation_key(
+        tmp_path, capsys, built_truncations, extra, argv, built):
+    # curved_r2 has h-order 3
+    path = tmp_path / "curved_r2.scn"
+    path.write_text((SCENARIOS / "curved_r2.scn").read_text(encoding="utf-8") + extra)
+    code, out, _ = run_cli(capsys, "quantize", "--scenario", str(path), *argv)
+    assert code == 0 and "[FAIL]" not in out
+    assert built_truncations == built
+
+
+def test_verify_all_builds_its_family_at_2k_plus_2(capsys, built_truncations):
+    # the quantize part builds at 2K; the family and gauge parts, run on the
+    # same Scenario after it, still build at the scenario's 2K + 2
+    code, out, _ = run_cli(capsys, "verify-all", "--scenario", str(SCENARIOS / "family_r2.scn"))
+    assert code == 0 and "[FAIL]" not in out
+    assert built_truncations == [6, 8, 8]
+
+
 @pytest.mark.parametrize("command, name, entry, message", [
     ("kahler", "kahler_r2.scn", "I[3][3] = 5", "I index out of range"),
     ("gauge", "family_r2.scn", "gauge_shift[t2][1][1] = x1",
@@ -640,7 +682,7 @@ def test_a_check_error_ends_the_run_as_its_fail_line(capsys, monkeypatch, check)
     (kahler.VariationError("w"), f"[FAIL] variation bivector: {VARIATION}"),
 ])
 def test_each_check_error_class_names_its_fail_line(capsys, monkeypatch, error, line):
-    def failing(self):
+    def failing(self, trunc=None):
         raise error
 
     monkeypatch.setattr(Scenario, "build_setup", failing)

@@ -5,10 +5,12 @@
 
 Each ``--side LABEL=PATH`` names a checkout whose ``src`` is run.  The runs
 are ``quantize`` on the generated curved R^4 (``perfbench/gen.py`` of this
-checkout, at seed 0) at orders K = 2..5 and on the curved R^6 of
-``tools/curved_r6.py`` (the same seed) at orders 4 and 5, ``family`` on
+checkout, at seed 0) and on the curved R^6 of ``tools/curved_r6.py`` (the
+same seed), both at orders K = 2..5, ``family`` on
 ``scenarios/family_r2.scn`` at orders 3..6, ``gauge`` on it at orders 3..5
-and ``family`` on ``scenarios/kahler_r4.scn`` at orders 1 and 3, the shipped
+and on its pull-back off Darboux coordinates,
+``scenarios/family_sheared_r2.scn``, at order 4, and ``family`` on
+``scenarios/kahler_r4.scn`` at orders 1 and 3, the shipped
 runs that ask for a flat section or the symbol again, deeper; every side
 runs the same scenario files.  Each run is a fresh
 ``python`` child, one at a time, with the sides alternating; its wall time
@@ -54,11 +56,14 @@ def jobs(r4: Path, r6: Path):
     out = [(f"quantize R^4 K={k}", ["quantize", "--scenario", str(r4), "--order", str(k)])
            for k in range(2, 6)]
     out += [(f"quantize R^6 K={k}", ["quantize", "--scenario", str(r6), "--order", str(k)])
-            for k in (4, 5)]
+            for k in range(2, 6)]
     out += [(f"family family_r2 K={k}", ["family", "--scenario", str(family), "--order", str(k)])
             for k in range(3, 7)]
     out += [(f"gauge family_r2 K={k}", ["gauge", "--scenario", str(family), "--order", str(k)])
             for k in range(3, 6)]
+    sheared = ROOT / "scenarios" / "family_sheared_r2.scn"
+    out.append(("gauge family_sheared_r2 K=4",
+                ["gauge", "--scenario", str(sheared), "--order", "4"]))
     kahler = ROOT / "scenarios" / "kahler_r4.scn"
     out += [(f"family kahler_r4 K={k}", ["family", "--scenario", str(kahler), "--order", str(k)])
             for k in (1, 3)]
