@@ -20,7 +20,7 @@ sym = SymplecticData([[0, -1], [1, 0]])
 alpha = WeylForm.omega_form(sym, 8) + WeylForm.two_form(
     sym, 8, {(1, 0, 1): parse_poly("t1", sym.roster)}
 )
-family = FamilyContext(ConnectionFamily(sym), alpha, ["t1"], trunc=8, order=3)
+family = FamilyContext(ConnectionFamily(sym), alpha, ["t1"], order=3)
 
 beta = trivialize_alpha(family)
 print("i_V beta (the trivialization of V[alpha]):")

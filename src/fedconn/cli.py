@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .polynomials import Poly
-from .fedosov import c1_antisymmetry_witness, check_order, validate_star_axioms
+from .fedosov import c1_antisymmetry_witness, validate_star_axioms
 from .families import (
     solve_s, connection_form, verify_compatibility, lowest_order_identity, verify_curvature,
     derivation_identity,
@@ -147,14 +147,11 @@ def _monomial_table(report, star, degree):
 def run_quantize(sc: Scenario, report: Report):
     """The star to order K, its axioms, and its tables.
 
-    The star reads ``r``, tau and the symbol of tau to total degree 2K - 1,
-    so without a ``truncation`` key in the file the setup is built at 2K, and
-    ``r`` is solved and checked to degree 2K - 1.  A stated truncation, raised
-    to 2K + 2 by ``--order``, is built as stated.  ``sc`` is not changed: the
-    other runners of ``verify-all`` read ``sc.truncation`` after this one.
+    The star reads ``r``, tau and the symbol of tau to total degree 2K - 1
+    (``star_depth``), so the setup is built at truncation 2K, and ``r`` is
+    solved and checked to degree 2K - 1.
     """
-    check_order(sc.order, sc.truncation)
-    setup = sc.build_setup(sc.truncation if sc.truncation_stated else 2 * sc.order)
+    setup = sc.build_setup(2 * sc.order)
     star = setup.extract_star(sc.order)
     for name, ok, wit in validate_star_axioms(star, setup.sym, sc.basis_degree):
         report.add("star axioms", name, ok, wit)
@@ -285,7 +282,7 @@ def run_kahler(sc: Scenario, report: Report):
 def run_verify_all(sc: Scenario, report: Report):
     sym = sc.build_symplectic()
     rng = random.Random(sc.seed)
-    for name, ok, wit in weyl_battery(sym, sc.truncation, rng, count=8):
+    for name, ok, wit in weyl_battery(sym, 2 * sc.order + 2, rng, count=8):
         report.add("weyl battery", name, ok, wit)
     for name, ok, wit in cochain_battery(sym, sc.order, rng, count=5):
         report.add("cochain battery", name, ok, wit)
@@ -340,7 +337,6 @@ def main(argv=None) -> int:
         sc = Scenario.load(args.scenario)
         if args.order is not None:
             sc.order = args.order
-            sc.truncation = max(sc.truncation, 2 * sc.order + 2)
         if args.seed is not None:
             sc.seed = args.seed
         report = Report(args.command, Path(args.scenario).name, sc.seed)

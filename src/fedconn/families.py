@@ -29,7 +29,7 @@ from .polynomials import (
 )
 from .weylforms import WeylForm, poincare_potential
 from .symplectic import ConnectionFamily
-from .fedosov import FedosovSetup, check_order, solve_by_degree
+from .fedosov import FedosovSetup, solve_by_degree
 from .multidiff import MultiDiffOp, operator_from_symbol, unit_vectors
 from .reports import CheckError
 
@@ -43,10 +43,14 @@ class SolvabilityError(CheckError, ValueError):
 
 
 class FamilyContext:
-    """A family of Fedosov inputs over R^m, with the generic-t setup cached."""
+    """A family of Fedosov inputs over R^m, with the generic-t setup cached.
 
-    def __init__(self, connection: ConnectionFamily, alpha: WeylForm, params,
-                 trunc: int = 8, order: int = 3):
+    Its truncation is 2 * order + 2, where r and s are solved: A(V) to
+    h-order ``order`` pairs i_V s with tau(f) at total degrees that sum to
+    at most that (``read_degree``).
+    """
+
+    def __init__(self, connection: ConnectionFamily, alpha: WeylForm, params, order: int):
         self.connection = connection
         self.sym = connection.sym
         self.alpha = alpha
@@ -54,13 +58,12 @@ class FamilyContext:
         for p in self.params:
             if not is_param_name(p):
                 raise ValueError(f"{p!r} is not a parameter name")
-        self.trunc = trunc
         self.order = order
-        check_order(order, trunc)
+        self.trunc = 2 * order + 2
         for p in self.params:
             if not alpha.t_derivative(p).d_x().is_zero():
                 raise ValueError(f"variation of alpha along {p} is not closed")
-        self.setup = FedosovSetup(connection, alpha, trunc=trunc)
+        self.setup = FedosovSetup(connection, alpha, trunc=self.trunc)
         self._star = None
 
     def extract_star(self) -> MultiDiffOp:

@@ -28,8 +28,9 @@ ad_over_h).  So the star to order K reads tau and its symbol to degree
 2K - 1 (their only degree-0 part is y-free, and pairs only with a y-free
 term), and A(V) reads them to 2K + 2 less the lowest degree of i_V s.  The
 checks of r and s cap their brackets at the degrees they compare.  The
-truncation ``trunc`` (2K + 2 from the command line) is where r is solved and
-checked.
+truncation ``trunc`` is where r is solved and checked; each builder derives
+it from K: 2K for the star alone (``quantize``), 2K + 2 for a family
+(``families.FamilyContext``).
 """
 
 from __future__ import annotations
@@ -141,9 +142,8 @@ def star_depth(order: int) -> int:
 
 
 def check_order(order: int, trunc: int):
-    """The star and A(V) to h-order ``order`` need truncation >= 2 * order;
-    a smaller ``trunc`` is bad input (ValueError).  The runners check it
-    before they build a setup."""
+    """The star to h-order ``order`` needs truncation >= 2 * order; a
+    smaller ``trunc`` is bad input (ValueError)."""
     if 2 * order > trunc:
         raise ValueError(f"h-order {order} needs internal truncation >= {2 * order}, have {trunc}")
 
@@ -151,8 +151,7 @@ def check_order(order: int, trunc: int):
 class FedosovSetup:
     """A symplectic connection plus a formal 2-form, with the solved r cached."""
 
-    def __init__(self, connection: ConnectionFamily, alpha: WeylForm = None,
-                 trunc: int = 8):
+    def __init__(self, connection: ConnectionFamily, alpha: WeylForm = None, *, trunc: int):
         self.connection = connection
         self.sym = connection.sym
         self.trunc = trunc
@@ -385,20 +384,18 @@ class FedosovSetup:
 
     # -- the star product ---------------------------------------------------------------
 
-    def star(self, f: Poly, g: Poly, order: int = None) -> MultiDiffOp:
+    def star(self, f: Poly, g: Poly, order: int) -> MultiDiffOp:
         """f * g = p(tau(f) o tau(g)) mod h^{order+1}; needs trunc >= 2*order.
 
         The projection is computed directly (``WeylForm.projected_mw``): only
         the central part of the product is formed, and each tau only to
         ``star_depth(order)``.
         """
-        if order is None:
-            order = self.trunc // 2
         check_order(order, self.trunc)
         depth = star_depth(order)
         return self.tau(f, depth).projected_mw(self.tau(g, depth), order)
 
-    def extract_star(self, order: int = None) -> MultiDiffOp:
+    def extract_star(self, order: int) -> MultiDiffOp:
         """c^0..c^order as bidifferential operators, read off the symbol
         p(sigma_xi o sigma_eta) of the star, where sigma_xi is ``tau_symbol``
         and sigma_eta the same symbol in a second set of jet variables.  The
@@ -407,8 +404,6 @@ class FedosovSetup:
         ``star_depth(order)``; a probe past the jet bound checks it against
         the star product of functions.
         """
-        if order is None:
-            order = self.trunc // 2
         check_order(order, self.trunc)
         roster = self.sym.roster
         sigma = self.tau_symbol(order, star_depth(order))

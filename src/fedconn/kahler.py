@@ -63,6 +63,8 @@ class VariationError(CheckError):
 
 # the factor of the Laplacian Delta_G in A1(V) and P1
 DELTA_FACTOR = Fraction(1, 4)
+# the factor of the quarter-Laplacian in the variation lemma (``verify_lemma_vc1``)
+LEMMA_FACTOR = Fraction(1, 4)
 
 # the data of one direction V: G(V), its pure-type parts, V[M] for the c1 matrix M, (1/2) G(V)
 Variation = namedtuple("Variation", "G Gh Ga Mdot half_G")
@@ -318,14 +320,13 @@ def _vc1_witness(fam: LinearKahlerFamily, direction: str, other: MultiDiffOp, ba
     return found
 
 
-def verify_lemma_vc1(fam: LinearKahlerFamily, direction: str, basis_degree: int,
-                     factor=Fraction(1, 4)):
-    """V[c1](f,g) = factor * (Delta_G(fg) - Delta_G(f) g - Delta_G(g) f) for
-    all f and g; (ok, witness).
+def verify_lemma_vc1(fam: LinearKahlerFamily, direction: str, basis_degree: int):
+    """V[c1](f,g) = c * (Delta_G(fg) - Delta_G(f) g - Delta_G(g) f) for all
+    f and g, with c = ``LEMMA_FACTOR``; (ok, witness).
 
-    The right side is -factor * [m0, Delta_G](f, g) for the pointwise product
-    m0 (``MultiDiffOp.bracket``), so the lemma is the operator identity
-    V[c1] + factor * [m0, Delta_G] = 0.  Every slot of that operator has
+    The right side is -c * [m0, Delta_G](f, g) for the pointwise product m0
+    (``MultiDiffOp.bracket``), so the lemma is the operator identity
+    V[c1] + c * [m0, Delta_G] = 0.  Every slot of that operator has
     order at most 1, so its terms on the monomials of degree <= basis_degree,
     raised to 1 if it is 0, decide it for all f and g (``_vc1_witness``,
     which also compares the two routes to V[c1]).  Only a failure evaluates
@@ -334,7 +335,7 @@ def verify_lemma_vc1(fam: LinearKahlerFamily, direction: str, basis_degree: int,
     basis_degree = max(basis_degree, 1)
     product = MultiDiffOp.pointwise(fam.sym.roster, 0)
     delta_G = fam._second_order(fam.variation(direction).G)
-    right = product.bracket(delta_G, basis_degree).scale(-Scalar(factor))
+    right = product.bracket(delta_G, basis_degree).scale(-Scalar(LEMMA_FACTOR))
     found = _vc1_witness(fam, direction, right, basis_degree)
     if found is None:
         return True, None

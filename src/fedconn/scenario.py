@@ -118,8 +118,6 @@ class Scenario:
         self.dimension = None
         self.params = 0
         self.order = 3
-        self.truncation = None
-        self.truncation_stated = False  # True when the file sets 'truncation'
         self.basis_degree = 2
         self.seed = 0
         self.omega = None
@@ -173,9 +171,6 @@ class Scenario:
             if v < 1:
                 raise ScenarioError(f"{name} must be >= 1, got {v}", lineno)
             setattr(self, name, v)
-        elif name == "truncation":
-            self.truncation = self._int(value, lineno, "truncation")
-            self.truncation_stated = True
         elif name == "seed":
             self.seed = self._int(value, lineno, "seed")
         elif name == "omega":
@@ -234,8 +229,6 @@ class Scenario:
             raise ScenarioError("missing 'omega'")
         if len(self.omega) != self.dimension:
             raise ScenarioError("omega has the wrong dimension")
-        if self.truncation is None:
-            self.truncation = 2 * self.order + 2
         n = self.dimension
         for (k, i, j), (_, lineno) in self.gamma.items():
             if not all(0 <= m < n for m in (k, i, j)):
@@ -303,18 +296,16 @@ class Scenario:
     def build_connection(self, sym: SymplecticData) -> ConnectionFamily:
         return ConnectionFamily(sym, self.gamma)
 
-    def build_alpha(self, sym: SymplecticData, trunc=None) -> WeylForm:
-        trunc = self.truncation if trunc is None else trunc
+    def build_alpha(self, sym: SymplecticData, trunc: int) -> WeylForm:
         alpha = WeylForm.omega_form(sym, trunc)
         if self.alpha:
             alpha = alpha + WeylForm.two_form(sym, trunc, self.alpha)
         return alpha
 
-    def build_setup(self, trunc=None) -> FedosovSetup:
-        """The Fedosov setup at truncation ``trunc`` (default
-        ``self.truncation``): ``r`` is solved and checked to total degree
+    def build_setup(self, trunc: int) -> FedosovSetup:
+        """The Fedosov setup at truncation ``trunc``, which the caller derives
+        from its h-order: ``r`` is solved and checked to total degree
         ``trunc - 1``."""
-        trunc = self.truncation if trunc is None else trunc
         sym = self.build_symplectic()
         return FedosovSetup(self.build_connection(sym), self.build_alpha(sym, trunc),
                             trunc=trunc)
@@ -323,10 +314,10 @@ class Scenario:
         if self.params < 1:
             raise ScenarioError("this command needs 'params >= 1'")
         sym = self.build_symplectic()
-        return FamilyContext(
-            self.build_connection(sym), self.build_alpha(sym), self.param_names,
-            trunc=self.truncation, order=self.order,
-        )
+        # alpha at the family's truncation, 2K + 2
+        return FamilyContext(self.build_connection(sym),
+                             self.build_alpha(sym, 2 * self.order + 2), self.param_names,
+                             self.order)
 
     def _one_form_table(self, family, table) -> dict:
         sym = family.sym
@@ -334,7 +325,7 @@ class Scenario:
         for p in family.params:
             entries = {(h, (0,) * self.dimension, (i,)): c
                        for (direction, h, i), c in table.items() if direction == p}
-            forms[p] = WeylForm(sym, self.truncation, entries)
+            forms[p] = WeylForm(sym, family.trunc, entries)
         return forms
 
     def build_beta(self, family: FamilyContext) -> TrivializationBeta:

@@ -55,10 +55,9 @@ def generated_curved_r4_scenario(tmp_path, seed=0):
 
 
 def generated_curved_r4(tmp_path):
-    """The seeded curved R^4 scenario of the benchmark (seed 0) at h-order 2."""
-    sc = Scenario.load(generated_curved_r4_scenario(tmp_path))
-    sc.order, sc.truncation = 2, 6
-    return sc.build_setup()
+    """The seeded curved R^4 scenario of the benchmark (seed 0) at h-order 2,
+    truncation 6."""
+    return Scenario.load(generated_curved_r4_scenario(tmp_path)).build_setup(6)
 
 
 def pull_back(p, A):
@@ -75,13 +74,12 @@ def pull_back(p, A):
     return out
 
 
-def pulled_back_setup(sc, A):
+def pulled_back_setup(sc, A, N):
     """The setup of the parameter-free scenario ``sc`` pulled back by
     phi(x') = A x': omega' = A^T omega A, Gamma^c_ab' = (A^-1)_ck
-    (Gamma^k_ij o phi) A_ia A_jb and alpha' = phi^* alpha, at the same
-    truncation."""
+    (Gamma^k_ij o phi) A_ia A_jb and alpha' = phi^* alpha, at truncation N."""
     sym = sc.build_symplectic()
-    n, N = sym.dim, sc.truncation
+    n = sym.dim
     Ainv = [[v.as_scalar() for v in row] for row in mat_inverse(mat(A))]
     pairs = list(itertools.product(range(n), repeat=2))
     omega = [[sum(sym.omega[i][j] * A[i][a] * A[j][b] for i, j in pairs) for b in range(n)]
@@ -92,7 +90,7 @@ def pulled_back_setup(sc, A):
              for c in range(n) for a, b in pairs}
     # alpha as antisymmetric matrices, one per h-power, pulled back entrywise
     entries = {}
-    for (h, _, (i, j)), c in sc.build_alpha(sym).terms.items():
+    for (h, _, (i, j)), c in sc.build_alpha(sym, N).terms.items():
         entries[(h, i, j)], entries[(h, j, i)] = c, -c
     table = {}
     for (h, i, j), c in entries.items():
@@ -205,7 +203,7 @@ def bundle_f1(sym2, flat2):
     alpha = WeylForm.omega_form(sym2, 8) + WeylForm.two_form(
         sym2, 8, {(1, 0, 1): parse_poly("t1", sym2.roster)}
     )
-    return FamilyBundle(FamilyContext(flat2, alpha, ["t1"], trunc=8, order=3))
+    return FamilyBundle(FamilyContext(flat2, alpha, ["t1"], order=3))
 
 
 @pytest.fixture(scope="session")
@@ -220,7 +218,7 @@ def bundle_f2(sym2):
         + WeylForm.two_form(sym2, 8, {(1, 0, 1): parse_poly("(1+t1)*x1", r)})
         + WeylForm.two_form(sym2, 8, {(2, 0, 1): parse_poly("t1^2", r)})
     )
-    return FamilyBundle(FamilyContext(conn, alpha, ["t1"], trunc=8, order=3))
+    return FamilyBundle(FamilyContext(conn, alpha, ["t1"], order=3))
 
 
 @pytest.fixture(scope="session")
@@ -233,7 +231,7 @@ def bundle_f3(sym2):
         + WeylForm.two_form(sym2, 8, {(1, 0, 1): parse_poly("t1*x1 + t2*x2", r)})
         + WeylForm.two_form(sym2, 8, {(2, 0, 1): parse_poly("t1*t2", r)})
     )
-    return FamilyBundle(FamilyContext(conn, alpha, ["t1", "t2"], trunc=8, order=3))
+    return FamilyBundle(FamilyContext(conn, alpha, ["t1", "t2"], order=3))
 
 
 # -- linear Kahler families ---------------------------------------------------

@@ -16,7 +16,7 @@ from fedconn.multidiff import MultiDiffOp, is_derivation
 from fedconn.scenario import Scenario
 from fedconn.fedosov import FedosovSetup
 from fedconn.cli import main
-from conftest import lower_cap
+from conftest import lower_cap, pull_back
 from reference_cochains import operator_from_callable
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -28,7 +28,7 @@ def constant_family(sym2, flat2):
     alpha = WeylForm.omega_form(sym2, 8) + WeylForm.two_form(
         sym2, 8, {(1, 0, 1): parse_poly("x1", sym2.roster)}
     )
-    return FamilyContext(flat2, alpha, ["t1"], trunc=8, order=3)
+    return FamilyContext(flat2, alpha, ["t1"], order=3)
 
 
 def test_trivialize_constant_family(constant_family):
@@ -90,7 +90,7 @@ def test_solve_s_lowest_component(sym2, flat2):
     alpha = WeylForm.omega_form(sym2, 8) + WeylForm.two_form(
         sym2, 8, {(1, 0, 1): parse_poly("t1", sym2.roster)}
     )
-    fam = FamilyContext(flat2, alpha, ["t1"], trunc=8, order=3)
+    fam = FamilyContext(flat2, alpha, ["t1"], order=3)
     beta = TrivializationBeta(
         fam, {"t1": WeylForm.from_poly(sym2, 8, parse_poly("x1", sym2.roster), h_power=1, J=(1,))}
     )
@@ -167,7 +167,7 @@ def test_low_order_vanishing_direction(sym2, flat2):
     alpha = WeylForm.omega_form(sym2, 8) + WeylForm.two_form(
         sym2, 8, {(1, 0, 1): parse_poly("t1", sym2.roster)}
     )
-    fam = FamilyContext(flat2, alpha, ["t1"], trunc=8, order=3)
+    fam = FamilyContext(flat2, alpha, ["t1"], order=3)
     beta = TrivializationBeta(
         fam, {"t1": WeylForm.from_poly(sym2, 8, parse_poly("x1", sym2.roster), h_power=1, J=(1,))}
     )
@@ -326,6 +326,25 @@ def test_connection_form_matches_evaluation(name):
         )
         assert A[p] == reference
         assert A[p].serialize() == reference.serialize()
+
+
+def test_family_sheared_r2_connection_is_family_r2_pulled_back():
+    # family_sheared_r2 is family_r2 pulled back by phi(x') = A x', beta and
+    # all; the construction is natural, so A'(t1)(f o phi) = A(t1)(f) o phi
+    # at every h-order, here K = 3
+    A = [[1, 2], [-1, 1]]
+    forms = []
+    for name in ("family_r2.scn", "family_sheared_r2.scn"):
+        sc = Scenario.load(SCENARIOS / name)
+        fam = sc.build_family()
+        assert fam.order == 3
+        forms.append(connection_form(fam, {"t1": solve_s(fam, sc.build_beta(fam), "t1")})["t1"])
+    conn, sheared = forms
+    for f in monomials_up_to(conn.roster, 2):
+        want = conn.apply(f)
+        got = sheared.apply(pull_back(f, A))
+        for k in range(4):
+            assert got.poly(k) == pull_back(want.poly(k), A), (f, k)
 
 
 def test_curvature_via_s_matches_formula(bundle_f3):

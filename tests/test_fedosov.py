@@ -69,13 +69,12 @@ def test_non_abelian_r_rejected(curved_setup):
 
 def test_r_mutations_are_caught(monkeypatch, capsys):
     # each interlocking weight of the r-equation, mutated, trips the
-    # Weyl-curvature check while r is solved for curved_r2 at order 2; the
-    # CLI reports it as a FAIL line with the message as witness, exit 1.
+    # Weyl-curvature check while r is solved for curved_r2 at truncation 8;
+    # the CLI reports it as a FAIL line with the message as witness, exit 1.
     # The CLI runs at order 3: quantize at order K solves r to degree
     # 2K - 1, the depth its star reads, and the degree-4 residue is past
     # that at order 2
     sc = Scenario.load(SCENARIOS / "curved_r2.scn")
-    sc.order = 2
     delta_inv = WeylForm.delta_inv
 
     def heavier_delta_inv(form):
@@ -102,7 +101,7 @@ def test_r_mutations_are_caught(monkeypatch, capsys):
         with monkeypatch.context() as m:
             m.setattr(target, name, mutant)
             with pytest.raises(NotAbelianError) as exc:
-                sc.build_setup()
+                sc.build_setup(8)
             code = main(["quantize", "--scenario", str(SCENARIOS / "curved_r2.scn"), "--order", "3"])
         assert str(exc.value).startswith(f"non-scalar Weyl-curvature residue at total degree {degree}:")
         out, err = capsys.readouterr()
@@ -157,7 +156,7 @@ def test_tau_flatness_curved(curved_setup):
 def test_tau_defect_guard_fires():
     # a non-abelian r (perturbed by x1 y1^2 y2 dx1) leaves a flat-section
     # source that is not delta-closed; tau stops at the first such degree
-    setup = Scenario.load(SCENARIOS / "curved_r2.scn").build_setup()
+    setup = Scenario.load(SCENARIOS / "curved_r2.scn").build_setup(8)
     sym = setup.sym
     setup.r = setup.r + WeylForm.y_monomial(
         sym, setup.trunc, (2, 1), coeff=parse_poly("x1", sym.roster), J=(0,)
@@ -263,7 +262,7 @@ def star_by_evaluation(setup, order):
 def test_symbol_star_matches_evaluation(name, order):
     # family_r2 has t-dependent coefficients in Gamma and alpha
     sc = Scenario.load(SCENARIOS / name)
-    setup = sc.build_family().setup if sc.params else sc.build_setup()
+    setup = sc.build_family().setup if sc.params else sc.build_setup(2 * sc.order + 2)
     op = setup.extract_star(order)
     reference = star_by_evaluation(setup, order)
     assert op == reference
@@ -295,8 +294,8 @@ def test_tau_symbol_reproduces_tau(curved_setup):
 def test_tau_symbol_truncates_the_larger_one():
     # one symbol is kept per setup; a smaller request is its truncation
     sc = Scenario.load(SCENARIOS / "curved_r2.scn")
-    fresh = sc.build_setup().tau_symbol(2)
-    setup = sc.build_setup()
+    fresh = sc.build_setup(8).tau_symbol(2)
+    setup = sc.build_setup(8)
     big = setup.tau_symbol(4)
     assert setup.tau_symbol(2) == fresh
     assert setup.tau_symbol(4) is big
@@ -309,7 +308,7 @@ def test_released_weyl_stage_recomputes_the_same_values(name):
     # them, and tau, its symbol, the contractions and the central weights
     # read afterwards equal those read before, compared exactly
     sc = Scenario.load(SCENARIOS / name)
-    setup = sc.build_family().setup if sc.params else sc.build_setup()
+    setup = sc.build_family().setup if sc.params else sc.build_setup(2 * sc.order + 2)
     setup.extract_star(sc.order)
     sym = setup.sym
     monomials = monomials_up_to(sym.roster, 3)
@@ -379,8 +378,7 @@ def cap_case(name, sym4):
         return curved_r4_setup(sym4)
     sc = Scenario.load(SCENARIOS / name.split()[0])
     sc.order = int(name[-1])
-    sc.truncation = 2 * sc.order + 2
-    return sc.build_family().setup if sc.params else sc.build_setup()
+    return sc.build_family().setup if sc.params else sc.build_setup(2 * sc.order + 2)
 
 
 def uncapped_flatness_residues(setup, r):
@@ -444,7 +442,7 @@ def test_capped_tau_and_symbol_match_uncapped(name):
     # tau(f, d) and tau_symbol(jet, d) are the parts of degree <= d of the
     # uncapped ones, whether computed first, continued or truncated
     sc = Scenario.load(SCENARIOS / name)
-    build = (lambda: sc.build_family().setup) if sc.params else sc.build_setup
+    build = (lambda: sc.build_family().setup) if sc.params else (lambda: sc.build_setup(8))
     full, rising, falling = build(), build(), build()
     N = full.trunc
     roster = full.sym.roster
@@ -468,7 +466,7 @@ def test_flat_sections_are_kept_at_the_largest_depth_asked(monkeypatch):
     # one section is kept per function and one symbol per setup, each at the
     # largest size asked for: a request within it is a truncation, and one
     # past it solves again from degree 0, to the larger of each size
-    setup = Scenario.load(SCENARIOS / "curved_r2.scn").build_setup()
+    setup = Scenario.load(SCENARIOS / "curved_r2.scn").build_setup(8)
     solved = []
 
     def recording(derivative, parts, degrees, source, left, weight, fail):
@@ -545,11 +543,11 @@ def test_the_star_is_natural_off_darboux_coordinates(monkeypatch):
     sc = Scenario.load(SCENARIOS / "curved_r2.scn")
     A = [[-1, 2], [-2, 0]]
     order = 3
-    star = sc.build_setup().extract_star(order)
+    star = sc.build_setup(8).extract_star(order)
     basis = monomials_up_to(star.roster, 2)
 
     def first_mismatch():
-        pulled = pulled_back_setup(sc, A).extract_star(order)
+        pulled = pulled_back_setup(sc, A, 8).extract_star(order)
         for f in basis:
             for g in basis:
                 want = star.apply(f, g)
@@ -575,7 +573,7 @@ def test_family_sheared_r2_is_family_r2_pulled_back(monkeypatch, capsys):
     # pulled back, at every h-order
     A = [[1, 2], [-1, 1]]
     order = 3
-    star, sheared = (Scenario.load(SCENARIOS / name).build_setup().extract_star(order)
+    star, sheared = (Scenario.load(SCENARIOS / name).build_setup(8).extract_star(order)
                      for name in ("family_r2.scn", "family_sheared_r2.scn"))
     basis = monomials_up_to(star.roster, 2)
     for f in basis:
@@ -714,7 +712,7 @@ def test_r_self_bracket_once_per_pair_matches_both_orders(name, sym4, tmp_path):
 def test_projected_pairing_of_a_symbol_is_on_its_coefficients_roster():
     # a jet symbol's projection carries the jet variables in its coefficients,
     # so the arity-0 operator is on the merged roster and can be moved along it
-    setup = Scenario.load(SCENARIOS / "curved_r2.scn").build_setup()
+    setup = Scenario.load(SCENARIOS / "curved_r2.scn").build_setup(8)
     sigma = setup.tau_symbol(3, 4)
     x1 = Poly.var(setup.sym.roster, "x1")
     section = setup.tau(x1 ** 3, 4)

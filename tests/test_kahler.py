@@ -137,17 +137,18 @@ def test_lemma_randomized(shear2, rational2, block4, sym2, sym4):
                 assert ok, wit
 
 
-def test_lemma_trivial_and_mutated(shear2, sym2):
+def test_lemma_trivial_and_mutated(monkeypatch, shear2, sym2):
     g = parse_poly("x1*x2", sym2.roster)
     assert lemma_at(shear2, "t1", Poly.const(sym2.roster, 5), g) == (True, None)
     assert not lemma_at(shear2, "t1", parse_poly("x1^2", sym2.roster), g, Fraction(1, 2))[0]
     assert verify_lemma_vc1(shear2, "t1", 2) == (True, None)
     # a basis degree of 0 is raised to 1, where the lemma is decided
     assert verify_lemma_vc1(shear2, "t1", 0) == (True, None)
-    got = verify_lemma_vc1(shear2, "t1", 2, factor=Fraction(1, 2))
+    monkeypatch.setattr(kahler, "LEMMA_FACTOR", Fraction(1, 2))
+    got = verify_lemma_vc1(shear2, "t1", 2)
     assert not got[0]
     assert got == lemma_by_pairs(shear2, "t1", 2, factor=Fraction(1, 2))
-    assert verify_lemma_vc1(shear2, "t1", 0, factor=Fraction(1, 2)) == \
+    assert verify_lemma_vc1(shear2, "t1", 0) == \
         lemma_by_pairs(shear2, "t1", 1, factor=Fraction(1, 2))
 
 

@@ -454,7 +454,6 @@ def test_curvature_matches_the_basis_loop(bundle_f1, bundle_f2, bundle_f3, twist
 def test_compatibility_holds_as_an_operator_identity(name):
     sc = Scenario.load(SCENARIOS / name)
     sc.order = 3
-    sc.truncation = max(sc.truncation, 2 * sc.order + 2)
     family = sc.build_family()
     beta = sc.build_beta(family)
     A = connection_form(family, {p: solve_s(family, beta, p) for p in family.params})
@@ -721,7 +720,7 @@ def test_order1_reports_the_earlier_of_two_failures(shear2, monkeypatch):
     assert kinds == {"VariationError", "order-1 derivation identity"}
 
 
-def test_variation_lemma_matches_the_pair_loop(kahler_cases):
+def test_variation_lemma_matches_the_pair_loop(monkeypatch, kahler_cases):
     # passing, with the factor mutated to a half, and with V[c1] by V[M]
     # negated, where the two routes disagree at the lemma's first failing pair
     for name, fam, Fs in kahler_cases:
@@ -729,7 +728,9 @@ def test_variation_lemma_matches_the_pair_loop(kahler_cases):
             for d in (1, 2):
                 assert verify_lemma_vc1(fam, p, d) == lemma_by_pairs(fam, p, d) == (True, None)
                 half = Fraction(1, 2)
-                got = verify_lemma_vc1(fam, p, d, factor=half)
+                with monkeypatch.context() as m:
+                    m.setattr(kahler, "LEMMA_FACTOR", half)
+                    got = verify_lemma_vc1(fam, p, d)
                 assert got == lemma_by_pairs(fam, p, d, factor=half), (name, p, d)
                 assert not got[0] and " != " in got[1], (name, got)
             got = outcome(verify_lemma_vc1, fresh(fam, Mdot=neg_matrix), p, 2)
@@ -737,7 +738,7 @@ def test_variation_lemma_matches_the_pair_loop(kahler_cases):
             assert got[0] == "VariationError" and "V[c1] disagrees" in got[1], (name, got)
 
 
-def test_variation_lemma_reports_the_earlier_of_two_failures(shear2):
+def test_variation_lemma_reports_the_earlier_of_two_failures(monkeypatch, shear2):
     # V[M] perturbed on one diagonal entry, the factor mutated to a half: the
     # routes first disagree on (x1, x1) or on (x2, x2), the lemma fails at (x1, x1)
     kinds = set()
@@ -746,7 +747,9 @@ def test_variation_lemma_reports_the_earlier_of_two_failures(shear2):
             return mat_map(operator.add, M, [[pr("1") if (i, j) == (a, a) else pr("0")
                                               for j in range(2)] for i in range(2)])
         half = Fraction(1, 2)
-        got = outcome(verify_lemma_vc1, fresh(shear2, Mdot=bump), "t1", 2, half)
+        with monkeypatch.context() as m:
+            m.setattr(kahler, "LEMMA_FACTOR", half)
+            got = outcome(verify_lemma_vc1, fresh(shear2, Mdot=bump), "t1", 2)
         assert got == outcome(lemma_by_pairs, fresh(shear2, Mdot=bump), "t1", 2, half)
         kinds.add(got[0])
     assert kinds == {"VariationError", False}
@@ -761,7 +764,6 @@ def family_cases(bundle_f1, bundle_f2, bundle_f3):
     for name in ("family_r2.scn", "family2_r2.scn"):
         sc = Scenario.load(SCENARIOS / name)
         sc.order = 3
-        sc.truncation = max(sc.truncation, 2 * sc.order + 2)
         family = sc.build_family()
         beta = sc.build_beta(family)
         A = connection_form(family, {p: solve_s(family, beta, p) for p in family.params})
@@ -861,7 +863,7 @@ def quantized(tmp_path_factory):
     cases = []
     for name in ("curved_r2.scn", "flat_r2.scn"):
         sc = Scenario.load(SCENARIOS / name)
-        setup = sc.build_setup()
+        setup = sc.build_setup(2 * sc.order + 2)
         cases.append((name, setup.extract_star(sc.order), setup.sym, sc.basis_degree))
     setup = generated_curved_r4(tmp_path_factory.mktemp("r4"))
     cases.append(("curved_r4", setup.extract_star(2), setup.sym, 2))
@@ -940,7 +942,7 @@ def test_quantize_fails_the_associativity_mutant_at_every_seed(monkeypatch, caps
     extract_star = FedosovSetup.extract_star
     extra, _, _ = STAR_MUTANTS["associativity"]
     monkeypatch.setattr(FedosovSetup, "extract_star",
-                        lambda self, order=None: mutated(extract_star(self, order), extra))
+                        lambda self, order: mutated(extract_star(self, order), extra))
     for seed in range(20):
         code = main(["quantize", "--scenario", str(SCENARIOS / "curved_r2.scn"),
                      "--seed", str(seed)])

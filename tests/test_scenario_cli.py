@@ -13,7 +13,7 @@ from fedconn.fedosov import FedosovSetup
 from fedconn.polynomials import Poly
 from fedconn.symplectic import ConnectionFamily
 from fedconn.weylforms import HDivisionError, WeylContext, WeylForm
-from fedconn.kahler import family_directions, verify_lemma_vc1
+from fedconn.kahler import family_directions
 from fedconn.multidiff import MultiDiffOp
 from fedconn.reports import CheckError
 from fedconn import transport
@@ -34,7 +34,7 @@ def run_cli(capsys, *argv):
 def test_parse_minimal():
     sc = Scenario.parse("dimension = 2\nomega = [[0, -1], [1, 0]]\n")
     assert sc.dimension == 2
-    assert sc.truncation == 8  # 2*order + 2 by default
+    assert (sc.order, sc.basis_degree, sc.seed) == (3, 2, 0)  # the defaults
 
 
 def test_parse_errors_carry_line_numbers():
@@ -96,23 +96,10 @@ def test_bad_scenario_exit_code(tmp_path, capsys):
         code, out, err = run_cli(capsys, "quantize", "--scenario", str(bad))
         assert (code, out) == (2, "")
         assert "line 3:" in err and "must be >=" in err
-
-
-@pytest.mark.parametrize("command, name", [
-    ("quantize", "curved_r2.scn"), ("family", "family_r2.scn"), ("gauge", "family_r2.scn"),
-])
-def test_a_truncation_below_2k_is_a_diagnostic(tmp_path, capsys, monkeypatch, command, name):
-    # one check and one message for every command that builds a setup, made
-    # before any setup is built
-    def built(*args, **kwargs):
-        raise AssertionError("a setup was built")
-
-    monkeypatch.setattr(FedosovSetup, "__init__", built)
-    bad = tmp_path / name
-    bad.write_text((SCENARIOS / name).read_text(encoding="utf-8") + "truncation = 3\norder = 3\n")
-    code, out, err = run_cli(capsys, command, "--scenario", str(bad))
-    assert (code, out) == (2, "")
-    assert err == "fedconn: h-order 3 needs internal truncation >= 6, have 3\n"
+    # the truncation is derived from the h-order, never read
+    bad.write_text("dimension = 2\nomega = [[0, -1], [1, 0]]\ntruncation = 8\n")
+    code, out, err = run_cli(capsys, "quantize", "--scenario", str(bad))
+    assert (code, out, err) == (2, "", "fedconn: line 3: unknown key 'truncation'\n")
 
 
 @pytest.fixture
@@ -121,7 +108,7 @@ def built_truncations(monkeypatch):
     truncs = []
     init = FedosovSetup.__init__
 
-    def recording(self, connection, alpha=None, trunc=8):
+    def recording(self, connection, alpha=None, *, trunc):
         truncs.append(trunc)
         init(self, connection, alpha, trunc=trunc)
 
@@ -130,14 +117,13 @@ def built_truncations(monkeypatch):
 
 
 @pytest.mark.parametrize("extra, argv, built", [
-    # no truncation key: quantize builds at 2K, the depth its star reads
+    # quantize builds at 2K, the depth its star reads, for the K of the
+    # file or of --order, which overrides it
     ("", (), [6]),
     ("", ("--order", "2"), [4]),
     ("", ("--order", "5"), [10]),
-    # a stated truncation is built as stated, raised to 2K + 2 by --order
-    ("truncation = 10\n", (), [10]),
-    ("truncation = 7\n", ("--order", "4"), [10]),
-    ("truncation = 7\n", ("--order", "2"), [7]),
+    ("order = 2\n", (), [4]),
+    ("order = 2\n", ("--order", "4"), [8]),
 ])
 def test_quantize_builds_its_setup_at_2k_without_a_truncation_key(
         tmp_path, capsys, built_truncations, extra, argv, built):
@@ -150,11 +136,37 @@ def test_quantize_builds_its_setup_at_2k_without_a_truncation_key(
 
 
 def test_verify_all_builds_its_family_at_2k_plus_2(capsys, built_truncations):
-    # the quantize part builds at 2K; the family and gauge parts, run on the
-    # same Scenario after it, still build at the scenario's 2K + 2
-    code, out, _ = run_cli(capsys, "verify-all", "--scenario", str(SCENARIOS / "family_r2.scn"))
-    assert code == 0 and "[FAIL]" not in out
-    assert built_truncations == [6, 8, 8]
+    # the quantize part builds at 2K; the family and gauge parts at 2K + 2,
+    # for the K of the file or of --order, below the file's as above it
+    for argv, built in (((), [6, 8, 8]), (("--order", "1"), [2, 4, 4])):
+        built_truncations.clear()
+        code, out, _ = run_cli(capsys, "verify-all", "--scenario",
+                               str(SCENARIOS / "family_r2.scn"), *argv)
+        assert code == 0 and "[FAIL]" not in out
+        assert built_truncations == built
+
+
+@pytest.mark.parametrize("command, name, order", [
+    ("family", "family_r2.scn", 1), ("family", "family2_r2.scn", 1),
+    ("verify-all", "family_r2.scn", 1), ("verify-all", "family2_r2.scn", 1),
+    ("gauge", "family_r2.scn", 1), ("gauge", "family_r2.scn", 2),
+])
+def test_order_flag_reports_as_the_file_rewritten_with_that_order(tmp_path, capsys, command,
+                                                                   name, order):
+    # --order K and 'order = K' in the file are one input: every depth is
+    # derived from K, so the reports agree byte for byte, below the file's
+    # order as above it
+    text = (SCENARIOS / name).read_text(encoding="utf-8")
+    assert "\norder = 3\n" in text
+    rewritten = tmp_path / name
+    rewritten.write_text(text.replace("\norder = 3\n", f"\norder = {order}\n"),
+                         encoding="utf-8")
+    for report in ("text", "json"):
+        flagged = run_cli(capsys, command, "--scenario", str(SCENARIOS / name),
+                          "--order", str(order), "--report", report)
+        assert flagged == run_cli(capsys, command, "--scenario", str(rewritten),
+                                  "--report", report)
+        assert flagged[0] == 0
 
 
 @pytest.mark.parametrize("command, name, entry, message", [
@@ -408,10 +420,7 @@ def test_jet_symbol_mutations_fail(capsys, monkeypatch):
 
 def test_variation_lemma_failure_is_a_report_line(capsys, monkeypatch):
     # the lemma checked with the factor 1/2: one FAIL line, the witness of the pair loop
-    def half_factor(fam, direction, basis_degree):
-        return verify_lemma_vc1(fam, direction, basis_degree, Fraction(1, 2))
-
-    monkeypatch.setattr(cli, "verify_lemma_vc1", half_factor)
+    monkeypatch.setattr(kahler, "LEMMA_FACTOR", Fraction(1, 2))
     for name in ("kahler_r2.scn", "kahler_r4.scn"):
         code, out, err = run_cli(capsys, "kahler", "--scenario", str(SCENARIOS / name))
         assert (code, err) == (1, "") and "Traceback" not in out
@@ -584,7 +593,7 @@ def test_h_division_remainder_is_a_report_line(capsys, monkeypatch):
 
     monkeypatch.setattr(WeylForm, "_mw_pair", mutant)
     with pytest.raises(HDivisionError):
-        Scenario.load(SCENARIOS / "curved_r2.scn").build_setup()
+        Scenario.load(SCENARIOS / "curved_r2.scn").build_setup(8)
     check = "h-division"
     assert (check, cli.ALGEBRA[check] + " (listed on failure)") in cli.CHECKS["quantize"]
     for cmd in ("quantize", "family"):
@@ -682,7 +691,7 @@ def test_a_check_error_ends_the_run_as_its_fail_line(capsys, monkeypatch, check)
     (kahler.VariationError("w"), f"[FAIL] variation bivector: {VARIATION}"),
 ])
 def test_each_check_error_class_names_its_fail_line(capsys, monkeypatch, error, line):
-    def failing(self, trunc=None):
+    def failing(self, trunc):
         raise error
 
     monkeypatch.setattr(Scenario, "build_setup", failing)

@@ -26,7 +26,7 @@ def constant_family(sym2, flat2):
     alpha = WeylForm.omega_form(sym2, 8) + WeylForm.two_form(
         sym2, 8, {(1, 0, 1): parse_poly("x1", sym2.roster)}
     )
-    return FamilyContext(flat2, alpha, ["t1"], trunc=8, order=3)
+    return FamilyContext(flat2, alpha, ["t1"], order=3)
 
 
 def zero_connection(family):
@@ -171,7 +171,7 @@ def test_gauge_exponential_case(sym2, flat2):
     alpha = WeylForm.omega_form(sym2, 10) + WeylForm.two_form(
         sym2, 10, {(1, 0, 1): parse_poly("x1", sym2.roster)}
     )
-    fam = FamilyContext(flat2, alpha, ["t1"], trunc=10, order=4)
+    fam = FamilyContext(flat2, alpha, ["t1"], order=4)
     star = fam.star
     b = series(fam.sym.roster, 4, {1: parse_poly("x1^2", fam.sym.roster)})
     ad_b = star.ad_over_h(b)
@@ -224,7 +224,7 @@ def test_conjugation_by_self_equivalence_preserves_compatibility(sym2, flat2):
     # A'(V) = P^{-1} V[P], which must again satisfy d_H A'(V) = V[star] = 0.
     from fedconn.families import verify_compatibility
     alpha = WeylForm.omega_form(sym2, 10)
-    fam = FamilyContext(flat2, alpha, ["t1"], trunc=10, order=4)
+    fam = FamilyContext(flat2, alpha, ["t1"], order=4)
     b = series(
         sym2.roster, 4,
         {1: parse_poly("t1*x1^2 + x2^2", sym2.roster), 2: parse_poly("t1^2*x1*x2", sym2.roster)},
