@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from fedconn import multidiff
+from fedconn import multidiff, weylforms
+from fedconn.weylforms import WeylContext
 from fedconn.polynomials import mat, mat_inverse
 from fedconn import (
     SymplecticData, ConnectionFamily, FedosovSetup, FamilyContext,
@@ -101,6 +102,29 @@ def pulled_back_setup(sc, A, N):
     pulled = SymplecticData(omega)
     alpha = WeylForm.two_form(pulled, N, {k: c for k, c in table.items() if not c.is_zero()})
     return FedosovSetup(ConnectionFamily(pulled, gamma), alpha, trunc=N)
+
+
+def pi_transposed(monkeypatch):
+    """The pi mutant: pi read as omega transposed, right only where omega's
+    inverse is its transpose, as on Darboux coordinates."""
+    monkeypatch.setattr(weylforms, "mat_inverse", lambda a: [list(col) for col in zip(*a)])
+
+
+def mw_without_second_order(monkeypatch):
+    """The plain Moyal product without its second-order contraction, which is
+    no longer associative.  Only the Weyl battery reads WeylForm.mw in full."""
+    contractions, mw = WeylContext.contractions, WeylForm.mw
+
+    def no_second_order(ctx, a1, a2, commutator, over_h):
+        return tuple(order for order in contractions(ctx, a1, a2, commutator, over_h)
+                     if order[0] != 2)
+
+    def mutated(self, other, max_degree=None):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(WeylContext, "contractions", no_second_order)
+            return mw(self, other, max_degree)
+
+    monkeypatch.setattr(WeylForm, "mw", mutated)
 
 
 def lower_cap(monkeypatch, cls, name, caller, which=None):
@@ -236,20 +260,12 @@ def bundle_f3(sym2):
 
 # -- linear Kahler families ---------------------------------------------------
 
-# a Kahler scenario rational in t1, with a pole at t1 = 0 away from its
-# samples: its t denominators are what pp_gcd reduces, which no shipped
+ROOT = Path(__file__).resolve().parent.parent
+
+# the Kahler scenario rational in t1, with a pole at t1 = 0 away from its
+# samples: its t denominators are what pp_gcd reduces, which no other shipped
 # scenario reaches
-RATIONAL_KAHLER = """\
-dimension = 2
-params = 1
-order = 1
-basis_degree = 2
-omega = [[0, -1], [1, 0]]
-I[1][2] = t1
-I[2][1] = -1/t1
-F = t1*x1^2*x2
-samples = t1=1 ; t1=2
-"""
+RATIONAL_KAHLER = (ROOT / "scenarios" / "kahler_rational.scn").read_text(encoding="utf-8")
 
 
 def pr(expr):

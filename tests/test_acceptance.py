@@ -27,8 +27,9 @@ from fedconn.transport import (
 )
 from fedconn import kahler
 from fedconn.kahler import LinearKahlerFamily, verify_lemma_vc1, order1_hitchin_check
-from fedconn.properties import weyl_battery, cochain_battery, random_poly
+from fedconn.properties import weyl_battery, cochain_battery
 
+from generators import random_poly
 from conftest import connection_from_T, series
 from reference_kernels import hamiltonian_vf, lemma_at
 
@@ -266,10 +267,10 @@ def test_criterion_09_order1_hitchin(sym2, sym4):
 # -- 10 ----------------------------------------------------------------------
 
 def test_criterion_10_infrastructure(sym2):
-    rng = random.Random(10)
-    for name, ok, wit in weyl_battery(sym2, 8, rng, count=50):
+    for name, ok, wit in weyl_battery(sym2, 8, 3):
         assert ok, (name, wit)
-    for name, ok, wit in cochain_battery(sym2, 3, rng, count=50):
+    for name, ok, wit in cochain_battery(sym2, 3, random.Random(10), count=50):
         assert ok, (name, wit)
-    verdict(10, "homotopy identity, differentials, Moyal associativity, h-divisibility, "
+    verdict(10, "homotopy identity, differentials, Moyal associativity, h-divisibility: "
+                "decided exactly on the basis of fiber degree <= 3; "
                 "d_H^2 = 0, graded Jacobi: 50 randomized exact instances each")

@@ -10,7 +10,6 @@ from fedconn.scalars import Scalar, I
 from fedconn.polynomials import (
     Poly, parse_poly, monomials_up_to, exponents_up_to,
 )
-from fedconn import weylforms
 from fedconn.weylforms import WeylForm
 from fedconn.symplectic import ConnectionFamily
 from fedconn import fedosov
@@ -18,13 +17,13 @@ from fedconn.fedosov import (
     FedosovSetup, NotAbelianError, taylor_flat_section, validate_star_axioms,
 )
 from fedconn.multidiff import moyal_star, operator_from_symbol
-from fedconn.properties import random_poly
 from fedconn.scenario import Scenario
 from fedconn import cli
 from fedconn.cli import main
+from generators import random_poly
 from conftest import (
-    connection_from_T, generated_curved_r4, generated_curved_r4_scenario, lower_cap, pull_back,
-    pulled_back_setup, series,
+    connection_from_T, generated_curved_r4, generated_curved_r4_scenario, lower_cap,
+    pi_transposed, pull_back, pulled_back_setup, series,
 )
 from reference_cochains import operator_from_values
 
@@ -559,7 +558,7 @@ def test_the_star_is_natural_off_darboux_coordinates(monkeypatch):
 
     assert first_mismatch() is None
     # the teeth: pi read as omega transposed, right for the standard omega only
-    monkeypatch.setattr(weylforms, "mat_inverse", lambda a: [list(col) for col in zip(*a)])
+    pi_transposed(monkeypatch)
     try:
         found = first_mismatch()
     except fedosov.FedosovCheckError as exc:
@@ -583,7 +582,7 @@ def test_family_sheared_r2_is_family_r2_pulled_back(monkeypatch, capsys):
             for k in range(order + 1):
                 assert got.poly(k) == pull_back(want.poly(k), A), (f, g, k)
     # the teeth: with pi read as omega transposed, quantize ends on a FAIL line
-    monkeypatch.setattr(weylforms, "mat_inverse", lambda a: [list(col) for col in zip(*a)])
+    pi_transposed(monkeypatch)
     code = main(["quantize", "--scenario", str(SCENARIOS / "family_sheared_r2.scn")])
     checks = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[")]
     assert code == 1 and checks[-1].startswith("[FAIL] ")

@@ -11,9 +11,9 @@ from fedconn.kahler import (
     rigidity_check, rigidity_report, mat, mat_map, mat_mul, mat_inverse, mat_identity,
     mat_deriv, _leading_minors_positive,
 )
-from fedconn.properties import random_poly
 from fedconn.cli import list_checks
 
+from generators import random_poly
 from conftest import count_evaluations, pr
 from reference_kernels import (
     delta_Z, df_M_dg, v_c1, lemma_at, lemma_by_pairs, operator_E_by_loops, operator_H_by_loops,

@@ -28,8 +28,9 @@ from fedconn.symplectic import ConnectionFamily, SymplecticData
 from fedconn.multidiff import MultiDiffOp, moyal_star
 from fedconn.families import solve_s
 from fedconn.scenario import Scenario
-from fedconn.properties import random_weyl_form, random_multidiffop, random_poly, random_scalar
+from fedconn.properties import random_multidiffop, random_scalar
 
+from generators import random_poly, random_weyl_form
 from conftest import series
 from reference_kernels import (
     pairing_by_products, compose_at_by_products, cov_deriv_by_sums, solve_by_degree_by_sums,

@@ -12,9 +12,10 @@ from fedconn.polynomials import (
 from fedconn.multidiff import (
     MultiDiffOp, moyal_star, is_derivation, inner_potential, operator_from_symbol,
 )
-from fedconn.properties import random_multidiffop, random_poly, cochain_battery
+from fedconn.properties import random_multidiffop, cochain_battery
 from fedconn.cli import main
 
+from generators import random_poly
 from conftest import series
 from reference_cochains import gerstenhaber, hochschild_d, materialize, operator_from_callable
 from reference_kernels import terms_on

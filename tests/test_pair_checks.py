@@ -47,9 +47,10 @@ from fedconn.families import (
 from fedconn.transport import (
     parallel_transport, gauge_equivalence, self_equivalence_check, conjugation_check, invert,
 )
-from fedconn.properties import random_multidiffop, random_poly
+from fedconn.properties import random_multidiffop
 from fedconn.scenario import Scenario
 
+from generators import random_poly
 from conftest import (
     count_evaluations, generated_curved_r4, generated_curved_r4_scenario, pr, series,
 )

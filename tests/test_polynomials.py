@@ -11,7 +11,8 @@ from fedconn.polynomials import (
     parse_poly, x_roster, monomials_up_to, pp_gcd, ExprError,
 )
 from fedconn.multidiff import MultiDiffOp
-from fedconn.properties import random_poly
+
+from generators import random_poly
 
 R2 = x_roster(2)
 

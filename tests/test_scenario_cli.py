@@ -18,7 +18,7 @@ from fedconn.multidiff import MultiDiffOp
 from fedconn.reports import CheckError
 from fedconn import transport
 
-from conftest import RATIONAL_KAHLER, series
+from conftest import RATIONAL_KAHLER, mw_without_second_order, series
 from reference_cochains import ReconstructionError, operator_from_callable
 from reference_kernels import lemma_by_pairs, lowest_order_by_loops
 
@@ -620,25 +620,13 @@ def test_operator_reconstruction_bound_raises_a_named_error():
 
 
 def test_weyl_battery_failure_is_a_report_line(capsys, monkeypatch):
-    # the plain Moyal product without its second-order contraction: no longer
-    # associative.  Only WeylForm.mw reads the plain product in full, and only
-    # the battery calls it, so every other check of verify-all still passes.
-    contractions, mw = WeylContext.contractions, WeylForm.mw
-
-    def no_second_order(ctx, a1, a2, commutator, over_h):
-        return tuple(order for order in contractions(ctx, a1, a2, commutator, over_h)
-                     if order[0] != 2)
-
-    def mutated(self, other, max_degree=None):
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(WeylContext, "contractions", no_second_order)
-            return mw(self, other, max_degree)
-
-    monkeypatch.setattr(WeylForm, "mw", mutated)
+    # only the battery calls WeylForm.mw, so every other check of verify-all
+    # still passes
+    mw_without_second_order(monkeypatch)
     code, out, err = run_cli(capsys, "verify-all", "--scenario", str(SCENARIOS / "flat_r2.scn"))
     assert (code, err) == (1, "") and "Traceback" not in out
     assert failed_lines(out) == ["[FAIL] weyl battery: Moyal-Weyl associativity"]
-    assert "       witness: failed on seeded instance 6\n" in out
+    assert "       witness: fails on (y^(0,1), y^(0,1), y^(2,0))\n" in out
 
 
 def test_order1_closedness_failure_is_a_report_line(capsys, monkeypatch):

@@ -6,8 +6,8 @@ from fedconn.scalars import Scalar
 from fedconn.polynomials import Poly, parse_poly
 from fedconn.weylforms import WeylForm
 from fedconn.symplectic import ConnectionFamily
-from fedconn.properties import random_weyl_form, random_poly
 
+from generators import random_poly, random_weyl_form
 from conftest import connection_from_T
 from reference_kernels import hamiltonian_vf
 

@@ -14,9 +14,10 @@ from fedconn.transport import (
     parallel_transport, invert, conjugation_check, gauge_equivalence,
     self_equivalence_check, flatness_check, GaugeError, oneform_potential,
 )
+from fedconn.scenario import Scenario
 from fedconn.cli import main, GAUGE_EQUATION
 
-from conftest import series
+from conftest import pull_back, series
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -162,6 +163,28 @@ def test_an_order_above_the_connections_stops_at_theirs(bundle_f1):
     assert P.order == K and P == gauge_equivalence(fam, A, A2, K)
     phi = parallel_transport(fam, A, "t1", order=K + 2)
     assert phi.order == K and phi == parallel_transport(fam, A, "t1", order=K)
+
+
+def gauge_operator(sc):
+    """The P that ``gauge`` solves on the scenario ``sc``, at its order."""
+    fam = sc.build_family()
+    A, B = (connection_form(fam, {p: solve_s(fam, beta, p) for p in fam.params})
+            for beta in sc.build_gauge_pair(fam))
+    return gauge_equivalence(fam, A, B, sc.order)
+
+
+def test_family_sheared_r2_gauge_is_family_r2_pulled_back():
+    # family_sheared_r2 is family_r2 pulled back by phi(x') = A x', gauge_shift
+    # and all; the construction is natural, so P'(f o phi) = P(f) o phi at
+    # every h-order, here K = 3
+    A = [[1, 2], [-1, 1]]
+    P, sheared = (gauge_operator(Scenario.load(SCENARIOS / name))
+                  for name in ("family_r2.scn", "family_sheared_r2.scn"))
+    assert P.order == 3
+    for f in monomials_up_to(P.roster, 2):
+        want, got = P.apply(f), sheared.apply(pull_back(f, A))
+        for k in range(4):
+            assert got.poly(k) == pull_back(want.poly(k), A), (f, k)
 
 
 def test_gauge_exponential_case(sym2, flat2):

@@ -8,8 +8,8 @@ from fedconn.polynomials import Poly, parse_poly
 from fedconn.weylforms import (
     WeylForm, omega_tilde, poincare_potential, wedge, dx_wedges, interiors,
 )
-from fedconn.properties import random_weyl_form
 
+from generators import random_weyl_form
 from reference_kernels import _contract, wedge_by_inversions
 
 

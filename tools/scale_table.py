@@ -9,10 +9,12 @@ checkout, at seed 0) and on the curved R^6 of ``tools/curved_r6.py`` (the
 same seed), both at orders K = 2..5, ``family`` on
 ``scenarios/family_r2.scn`` at orders 1 and 3..6, ``gauge`` on it at orders
 1 and 3..5 and on its pull-back off Darboux coordinates,
-``scenarios/family_sheared_r2.scn``, at order 4, and ``family`` on
+``scenarios/family_sheared_r2.scn``, at order 4, ``family`` on
 ``scenarios/kahler_r4.scn`` at orders 1 and 3, the shipped
-runs that ask for a flat section or the symbol again, deeper; every side
-runs the same scenario files.  Each run is a fresh
+runs that ask for a flat section or the symbol again, deeper, and
+``verify-all``, whose Weyl battery grows with the dimension, on
+``kahler_r4`` at orders 1 and 3 and on the R^4 and the R^6 at order 2;
+every side runs the same scenario files.  Each run is a fresh
 ``python`` child, one at a time, with the sides alternating; its wall time
 counts interpreter start and imports, and its peak RSS is the child's own
 ``VmHWM``.  The table gives the median of five runs per side, and says
@@ -75,6 +77,10 @@ def jobs(r4: Path, r6: Path):
     kahler = ROOT / "scenarios" / "kahler_r4.scn"
     out += [(f"family kahler_r4 K={k}", ["family", "--scenario", str(kahler), "--order", str(k)])
             for k in (1, 3)]
+    out += [(f"verify-all kahler_r4 K={k}",
+             ["verify-all", "--scenario", str(kahler), "--order", str(k)]) for k in (1, 3)]
+    out += [(f"verify-all R^{dim} K=2", ["verify-all", "--scenario", str(path), "--order", "2"])
+            for dim, path in ((4, r4), (6, r6))]
     return out
 
 
